@@ -171,10 +171,8 @@ def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStru
             fit, lambda a, b, c: residual_norm(r - (n * a + b * trphi + eps * c), r))
         res.add("scalar-curvature-formula", v, ONE_DERIVATIVE_TOL, d)
     else:
-        res.add("eps-a-plus-c", 0.0, np.inf, "precondition failed: not para-Sasakian")
-        res.checks[-1].status = "not-applicable"
-        res.add("scalar-curvature-formula", 0.0, np.inf, "precondition failed: not para-Sasakian")
-        res.checks[-1].status = "not-applicable"
+        for name in ("eps-a-plus-c", "scalar-curvature-formula"):
+            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian", status="not-applicable")
     return res
 
 
@@ -196,8 +194,7 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure,
     if not is_para_sasakian:
         for name in ("ricci-operator-derivative", "div-q-display", "scalar-curvature-constant",
                      "dr-display", "scalar-ode"):
-            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian")
-            res.checks[-1].status = "not-applicable"
+            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian", status="not-applicable")
         return res
 
     eps = struct.epsilon
@@ -245,22 +242,27 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure,
     return res
 
 
+def trace_phi_constant(struct: ParacontactStructure) -> bool:
+    """The gate of every check that needs a constant trace(phi): its spread
+    over the samples is at most 1e-7."""
+    trphi = struct.trace_phi()
+    return bool(np.max(np.abs(trphi - trphi[0])) <= 1e-7) if len(trphi) else True
+
+
 def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure,
                          is_para_sasakian: bool) -> StructureCheckResult:
     """trace(phi) = eps (n-1) b / c for every family member with c away from
     zero; degenerate members are skipped, and the check is vacuous when all
     of them are."""
     res = StructureCheckResult()
-    trphi = struct.trace_phi()
-    const_gap = float(np.max(np.abs(trphi - trphi[0]))) if len(trphi) else 0.0
-    if not is_para_sasakian or const_gap > 1e-7:
+    if not is_para_sasakian or not trace_phi_constant(struct):
         why = "trace(phi) is not constant over the samples" if is_para_sasakian else \
             "precondition failed: not para-Sasakian"
-        res.add("trace-phi-formula", 0.0, np.inf, why)
-        res.checks[-1].status = "not-applicable"
+        res.add("trace-phi-formula", 0.0, np.inf, why, status="not-applicable")
         return res
     eps = struct.epsilon
     n = struct.dim
+    trphi = struct.trace_phi()
     gaps = []
     skipped = 0
     for a, b, c in fit.members():
@@ -269,8 +271,7 @@ def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure,
             continue
         gaps.append(float(np.max(np.abs(trphi - eps * (n - 1) * b / c))))
     if not gaps:
-        res.add("trace-phi-formula", 0.0, np.inf, "vacuous: every family member has c = 0")
-        res.checks[-1].status = "vacuous"
+        res.add("trace-phi-formula", 0.0, np.inf, "vacuous: every family member has c = 0", status="vacuous")
         return res
     detail = f"{len(gaps)} member(s) checked" + (f", {skipped} degenerate (c=0) skipped" if skipped else "")
     res.add("trace-phi-formula", max(gaps), ONE_DERIVATIVE_TOL, detail)
@@ -329,8 +330,7 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor, struct: Parac
 
     if not is_para_sasakian:
         for name in ("c11-decomposition-derived", "c11-decomposition-printed", "c11-parallel-along-xi"):
-            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian")
-            res.checks[-1].status = "not-applicable"
+            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian", status="not-applicable")
         return res
 
     derived_gaps, printed_gaps = [], []
@@ -345,19 +345,16 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor, struct: Parac
         derived_gaps.append(residual_norm(C - derived, C, derived))
         printed_gaps.append(residual_norm(C - printed, C, printed))
     if not derived_gaps:
-        res.add("c11-decomposition-derived", 0.0, np.inf, "vacuous: every family member has c = 0")
-        res.checks[-1].status = "vacuous"
-        res.add("c11-decomposition-printed", 0.0, np.inf, "vacuous: every family member has c = 0")
-        res.checks[-1].status = "vacuous"
+        for name in ("c11-decomposition-derived", "c11-decomposition-printed"):
+            res.add(name, 0.0, np.inf, "vacuous: every family member has c = 0", status="vacuous")
     else:
         note = f", {skipped} degenerate member(s) skipped" if skipped else ""
         res.add("c11-decomposition-derived", max(derived_gaps), TWO_DERIVATIVE_TOL,
                 "re-derived eta(x)eta coefficient -(eps b/c)(c + 2(n-1))" + note)
         printed = max(printed_gaps)
         res.add("c11-decomposition-printed", printed, TWO_DERIVATIVE_TOL,
-                "printed eta(x)eta coefficient -(eps/c)(c + 2b(n-1)); informational" + note)
-        if printed > TWO_DERIVATIVE_TOL:
-            res.checks[-1].status = "printed-form-mismatch"
+                "printed eta(x)eta coefficient -(eps/c)(c + 2b(n-1)); informational" + note,
+                status="printed-form-mismatch" if printed > TWO_DERIVATIVE_TOL else None)
 
     nabla_c11 = covariant_derivative(c11.tensor, struct.connection, order=c11.order)
     par = np.einsum('piab,pi->pab', nabla_c11.components[..., 0], struct.xi0)
@@ -366,7 +363,8 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor, struct: Parac
 
 
 def verify_lie_formulas(fit: EinsteinLikeFit | None, struct: ParacontactStructure,
-                        is_para_sasakian: bool, trphi_constant: bool = True) -> StructureCheckResult:
+                        is_para_sasakian: bool, trphi_constant: bool = True,
+                        c11: C11Tensor | None = None) -> StructureCheckResult:
     """Lie derivatives along xi.
 
     Normative forms (re-derived; they collapse to the printed ones at
@@ -379,6 +377,7 @@ def verify_lie_formulas(fit: EinsteinLikeFit | None, struct: ParacontactStructur
         L_xi C11 = (2 eps b / c)(c + n - 1) Phi + 2 eps (a - eps(n-2))(g - eps eta(x)eta)
 
     The printed variants with (g - eta(x)eta) are evaluated informationally.
+    ``c11`` is computed from ``struct`` when not given.
     """
     eps = struct.epsilon
     n = struct.dim
@@ -401,14 +400,13 @@ def verify_lie_formulas(fit: EinsteinLikeFit | None, struct: ParacontactStructur
             "re-derived right side 2 eps (g - eps eta(x) eta)")
     pgap = residual_norm(LPhi - printed, LPhi, printed)
     res.add("lie-phi-form-printed", pgap, ONE_DERIVATIVE_TOL,
-            "printed right side 2 eps (g - eta(x)eta); informational")
-    if pgap > ONE_DERIVATIVE_TOL:
-        res.checks[-1].status = "printed-form-mismatch"
+            "printed right side 2 eps (g - eta(x)eta); informational",
+            status="printed-form-mismatch" if pgap > ONE_DERIVATIVE_TOL else None)
 
     if fit is None or not is_para_sasakian:
         for name in ("lie-ricci", "lie-c11-derived", "lie-c11-printed"):
-            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian (or no fit)")
-            res.checks[-1].status = "not-applicable"
+            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian (or no fit)",
+                    status="not-applicable")
         return res
 
     LS = lie_derivative(struct.curvature.ricci, struct.xi, conn,
@@ -419,11 +417,11 @@ def verify_lie_formulas(fit: EinsteinLikeFit | None, struct: ParacontactStructur
 
     if not trphi_constant:
         for name in ("lie-c11-derived", "lie-c11-printed"):
-            res.add(name, 0.0, np.inf, "trace(phi) not constant; decomposition unavailable")
-            res.checks[-1].status = "not-applicable"
+            res.add(name, 0.0, np.inf, "trace(phi) not constant; decomposition unavailable",
+                    status="not-applicable")
         return res
 
-    c11 = compute_c11_phi_r(struct)
+    c11 = compute_c11_phi_r(struct) if c11 is None else c11
     LC = lie_derivative(c11.tensor, struct.xi, conn, order=c11.order).components[..., 0]
     dgaps, pgaps, skipped = [], [], 0
     for a, b, c in fit.members():
@@ -435,14 +433,12 @@ def verify_lie_formulas(fit: EinsteinLikeFit | None, struct: ParacontactStructur
         pgaps.append(residual_norm(LC - (lead + 2 * eps * (a - eps * (n - 2)) * (g - ee)), LC))
     if not dgaps:
         for name in ("lie-c11-derived", "lie-c11-printed"):
-            res.add(name, 0.0, np.inf, "vacuous: every family member has c = 0")
-            res.checks[-1].status = "vacuous"
+            res.add(name, 0.0, np.inf, "vacuous: every family member has c = 0", status="vacuous")
         return res
     note = f", {skipped} degenerate member(s) skipped" if skipped else ""
     res.add("lie-c11-derived", max(dgaps), TWO_DERIVATIVE_TOL,
             "re-derived second factor (g - eps eta(x)eta)" + note)
     res.add("lie-c11-printed", max(pgaps), TWO_DERIVATIVE_TOL,
-            "printed second factor (g - eta(x)eta); informational" + note)
-    if max(pgaps) > TWO_DERIVATIVE_TOL:
-        res.checks[-1].status = "printed-form-mismatch"
+            "printed second factor (g - eta(x)eta); informational" + note,
+            status="printed-form-mismatch" if max(pgaps) > TWO_DERIVATIVE_TOL else None)
     return res

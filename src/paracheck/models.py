@@ -121,6 +121,17 @@ def _eval_grid_numeric(grid, model, pts):
     return out
 
 
+def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: list[np.ndarray],
+               points: np.ndarray) -> np.ndarray:
+    """Jets of a vector or matrix of expression strings over ``coords``, at
+    the given coordinate jets (chart point jets, or jets of an embedding):
+    shape (P,) + grid shape + (ncoeffs,).  ``points`` locates domain errors."""
+    if isinstance(sources[0], str):
+        return np.stack([eval_expr(parse_expr(s, coords), space, coord_jets, points=points)
+                         for s in sources], axis=1)
+    return np.stack([_eval_grid(row, coords, space, coord_jets, points) for row in sources], axis=1)
+
+
 def evaluate_structure(model: ManifoldModel, points: np.ndarray,
                        order: int = DEFAULT_ORDER) -> ParacontactStructure:
     """Evaluate the model's tensors as jets at the given points."""
@@ -129,40 +140,12 @@ def evaluate_structure(model: ManifoldModel, points: np.ndarray,
     points = np.asarray(points, dtype=float)
     space = JetSpace.get(model.dim, order)
     cj = space.point_jets(points)
-    P = points.shape[0]
-    n = model.dim
-    m = space.ncoeffs
 
-    def grid(exprs, valence):
-        out = np.zeros((P,) + (n,) * 2 + (m,))
-        for i, row in enumerate(exprs):
-            for j, s in enumerate(row):
-                out[:, i, j] = eval_expr(model.parsed(s), space, cj, points=points)
-        return TensorValue(n, valence[0], valence[1], out, space, True)
+    def jets(sources, p, q):
+        return TensorValue(model.dim, p, q, _eval_grid(sources, model.coords, space, cj, points), space, True)
 
-    def vec(exprs, valence):
-        out = np.zeros((P, n, m))
-        for i, s in enumerate(exprs):
-            out[:, i] = eval_expr(model.parsed(s), space, cj, points=points)
-        return TensorValue(n, valence[0], valence[1], out, space, True)
-
-    g = grid(model.metric, (0, 2))
-    phi = grid(model.phi, (1, 1))
-    xi = vec(model.xi, (1, 0))
-    eta = vec(model.eta, (0, 1))
-    return ParacontactStructure(space, points, model.epsilon, g, phi, xi, eta, g_order=order)
-
-
-def evaluate_metric(model: ManifoldModel, points: np.ndarray, order: int = DEFAULT_ORDER) -> TensorValue:
-    points = np.asarray(points, dtype=float)
-    space = JetSpace.get(model.dim, order)
-    cj = space.point_jets(points)
-    P = points.shape[0]
-    out = np.zeros((P, model.dim, model.dim, space.ncoeffs))
-    for i, row in enumerate(model.metric):
-        for j, s in enumerate(row):
-            out[:, i, j] = eval_expr(model.parsed(s), space, cj, points=points)
-    return TensorValue(model.dim, 0, 2, out, space, True)
+    return ParacontactStructure(space, points, model.epsilon, jets(model.metric, 0, 2), jets(model.phi, 1, 1),
+                                jets(model.xi, 1, 0), jets(model.eta, 0, 1), g_order=order)
 
 
 # --------------------------------------------------------------------------

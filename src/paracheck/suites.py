@@ -12,6 +12,7 @@ verifies, so reports can be audited line by line against the source text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from . import einstein_like as el
 from . import hypersurface_lab as hl
 from .models import ManifoldModel, evaluate_structure
 from .paracontact_core import (
+    ALGEBRAIC_TOL,
     ParacontactStructure,
     StructureCheckResult,
     check_axioms,
@@ -131,24 +133,23 @@ def _merge(report: CheckReport, prefix: str, result: StructureCheckResult, tol_s
     return report
 
 
-@dataclass
 class _ModelContext:
-    struct: ParacontactStructure
-    vectors: np.ndarray
-    is_ps: bool
-    trphi_const: bool
-    fit: el.EinsteinLikeFit | None = None
-    shape_A: np.ndarray | None = None
+    """What every suite of one request shares: the structure, the test
+    vectors, the para-Sasakian gate (run once; the sasakian suite reports
+    it), the trace(phi)-constancy gate, the Einstein-like fit and C11(phi R)."""
 
+    def __init__(self, struct: ParacontactStructure, name: str, cfg: RunConfig):
+        self.struct = struct
+        rng = derive_rng(cfg.seed, name, "vectors")
+        self.vectors = random_vectors(rng, struct.npoints, 2 * cfg.vector_tuples, struct.dim)
+        self.ps_gate = check_para_sasakian(struct, self.vectors)
+        self.is_ps = max(c.residual for c in self.ps_gate.checks) <= PS_GATE_TOLERANCE
+        self.trphi_const = el.trace_phi_constant(struct)
+        self.fit: el.EinsteinLikeFit | None = None
 
-def _prepare_model_context(struct: ParacontactStructure, name: str, cfg: RunConfig) -> _ModelContext:
-    rng = derive_rng(cfg.seed, name, "vectors")
-    vectors = random_vectors(rng, struct.npoints, 2 * cfg.vector_tuples, struct.dim)
-    ps = check_para_sasakian(struct, vectors)
-    is_ps = max(c.residual for c in ps.checks) <= PS_GATE_TOLERANCE
-    trphi = struct.trace_phi()
-    trphi_const = bool(np.max(np.abs(trphi - trphi[0])) <= 1e-7) if len(trphi) else True
-    return _ModelContext(struct=struct, vectors=vectors, is_ps=is_ps, trphi_const=trphi_const)
+    @cached_property
+    def c11(self) -> el.C11Tensor:
+        return el.compute_c11_phi_r(self.struct)
 
 
 def _run_structure(report, ctx, cfg):
@@ -156,7 +157,7 @@ def _run_structure(report, ctx, cfg):
 
 
 def _run_sasakian(report, ctx, cfg):
-    _merge(report, "sasakian", check_para_sasakian(ctx.struct, ctx.vectors), cfg.tol_scale)
+    _merge(report, "sasakian", ctx.ps_gate, cfg.tol_scale)
 
 
 def _run_curvature(report, ctx, cfg):
@@ -180,8 +181,7 @@ def _fit_with_stability(ctx: _ModelContext) -> tuple[el.EinsteinLikeFit, Structu
         else:
             res.add("fit-stability", gap, 1e-6, "minimum-norm members of disjoint half fits agree")
     else:
-        res.add("fit-stability", 0.0, np.inf, "too few samples to split")
-        res.checks[-1].status = "not-applicable"
+        res.add("fit-stability", 0.0, np.inf, "too few samples to split", status="not-applicable")
     ctx.fit = fit
     return fit, res
 
@@ -193,9 +193,8 @@ def _run_einstein(report, ctx, cfg):
            el.verify_coefficient_constraints(fit, ctx.struct, ctx.is_ps), cfg.tol_scale)
     _merge(report, "einstein", el.verify_scalar_ode(fit, ctx.struct, ctx.is_ps), cfg.tol_scale)
     _merge(report, "einstein", el.verify_trace_formula(fit, ctx.struct, ctx.is_ps), cfg.tol_scale)
-    c11 = el.compute_c11_phi_r(ctx.struct)
     _merge(report, "einstein",
-           el.verify_c11_decomposition(fit, c11, ctx.struct, ctx.is_ps), cfg.tol_scale)
+           el.verify_c11_decomposition(fit, ctx.c11, ctx.struct, ctx.is_ps), cfg.tol_scale)
 
 
 def _run_lie(report, ctx, cfg):
@@ -204,8 +203,10 @@ def _run_lie(report, ctx, cfg):
             ctx.fit = el.fit_structure(ctx.struct)
         except ValueError:
             ctx.fit = None
+    # C11(phi R) is read only behind both gates
+    c11 = ctx.c11 if ctx.is_ps and ctx.trphi_const else None
     _merge(report, "lie",
-           el.verify_lie_formulas(ctx.fit, ctx.struct, ctx.is_ps, ctx.trphi_const), cfg.tol_scale)
+           el.verify_lie_formulas(ctx.fit, ctx.struct, ctx.is_ps, ctx.trphi_const, c11), cfg.tol_scale)
 
 
 _MODEL_RUNNERS = {
@@ -220,7 +221,7 @@ _MODEL_RUNNERS = {
 def _run_hypersurface(report: CheckReport, data: hl.HypersurfaceData, ctx: _ModelContext,
                       cfg: RunConfig, subset: str):
     if subset in ("gauss", "all"):
-        _merge(report, "hypersurface", hl.check_ambient(data.bundle, data.ambient_points), cfg.tol_scale)
+        _merge(report, "hypersurface", hl.check_ambient(data.ambient), cfg.tol_scale)
         res = StructureCheckResult()
         res.add("gauss-equation", hl.gauss_consistency_residual(data), 1e-6)
         _merge(report, "hypersurface", res, cfg.tol_scale)
@@ -229,8 +230,8 @@ def _run_hypersurface(report: CheckReport, data: hl.HypersurfaceData, ctx: _Mode
         res.add("jn-tangent", data.tangency_residual, 1e-8)
         res.add("weingarten-tangent", data.frame_residual, 1e-8)
         res.add("shape-self-adjoint", hl.shape_self_adjoint_residual(data), 1e-8)
-        res.add("epsilon-consistent", 0.0, 1.0,
-                f"g~(N,N) = {data.shape.epsilon:+d} at every sample")
+        res.add("epsilon-consistent", data.epsilon_residual, ALGEBRAIC_TOL,
+                f"max |g~(N,N) - eps| over the samples, eps = {data.shape.epsilon:+d}")
         _merge(report, "hypersurface", res, cfg.tol_scale)
         axioms = check_axioms(data.structure, ctx.vectors)
         agg = StructureCheckResult()
@@ -267,11 +268,10 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
             res.add("jn-tangent", data.tangency_residual, 1e-8,
                     "g~(JN, N) != 0: JN is not tangent, the induced structure does not exist")
             _merge(report, "hypersurface", res, cfg.tol_scale)
-            _merge(report, "hypersurface", hl.check_ambient(target, data.ambient_points), cfg.tol_scale)
+            _merge(report, "hypersurface", hl.check_ambient(data.ambient), cfg.tol_scale)
             report.sort()
             return report
-        ctx = _prepare_model_context(data.structure, name, cfg)
-        ctx.shape_A = data.shape.A
+        ctx = _ModelContext(data.structure, name, cfg)
         if suite == "hypersurface":
             _run_hypersurface(report, data, ctx, cfg, cfg.hypersurface_subset)
         elif suite == "all":
@@ -288,7 +288,7 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
     pts_rng = derive_rng(cfg.seed, name, "points")
     points = sample_points(target.domain, cfg.points, pts_rng)
     struct = evaluate_structure(target, points)
-    ctx = _prepare_model_context(struct, name, cfg)
+    ctx = _ModelContext(struct, name, cfg)
     if suite == "all":
         for s in ("structure", "sasakian", "curvature", "einstein", "lie"):
             _MODEL_RUNNERS[s](report, ctx, cfg)

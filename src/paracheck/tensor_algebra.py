@@ -3,8 +3,8 @@
 Slot convention: all contravariant (upper) slots come before all covariant
 (lower) slots, so a (1,2) tensor T^k_{ij} is stored as components[k, i, j].
 Jet-valued tensors append one trailing coefficient axis; an optional leading
-batch axis vectorizes over sample points.  Contraction, tensor product, and
-metric raising/lowering all preserve this layout.
+batch axis vectorizes over sample points.  Contraction (which also raises and
+lowers indices against g or its inverse) preserves this layout.
 
 Frame sums never appear here: every trace the checks need is realized as an
 index contraction against g or its inverse, which is frame-independent by
@@ -19,10 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expr_jet import JetSpace
-
-
-class SlotError(ValueError):
-    pass
 
 
 @dataclass
@@ -95,60 +91,16 @@ def _promote(a: TensorValue, b: TensorValue) -> tuple[TensorValue, TensorValue, 
     return a, b, space
 
 
-def contract(T: TensorValue, upper_slot: int, lower_slot: int) -> TensorValue:
-    """Trace one contravariant slot against one covariant slot.
-
-    ``upper_slot`` indexes within the contravariant block, ``lower_slot``
-    within the covariant block.
-    """
-    if not 0 <= upper_slot < T.p:
-        raise SlotError(f"upper slot {upper_slot} out of range for valence ({T.p},{T.q})")
-    if not 0 <= lower_slot < T.q:
-        raise SlotError(f"lower slot {lower_slot} out of range for valence ({T.p},{T.q})")
-    ax1 = T._slot_axis(upper_slot)
-    ax2 = T._slot_axis(T.p + lower_slot)
-    # np.trace removes the two axes and keeps the rest in order, which
-    # preserves the uppers-first layout
-    comps = np.trace(T.components, axis1=ax1, axis2=ax2)
-    return TensorValue(T.dim, T.p - 1, T.q - 1, comps, T.space, T.batched)
-
-
-def tensor_product(A: TensorValue, B: TensorValue) -> TensorValue:
-    """Outer product; valences add, components multiply (jet-aware)."""
+def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int,
+                  order: int | None = None) -> np.ndarray:
+    """Components of the contraction of slot ``slot_a`` of A with slot
+    ``slot_b`` of B (absolute 0-based positions over the uppers-first layout);
+    result axes are [batch] + (A slots minus slot_a) + (B slots minus slot_b)
+    (+ coeff)."""
     A, B, space = _promote(A, B)
     base = A._base
-    ra, rb = A.rank, B.rank
-    ca = A.components
-    cb = B.components
-    # expand to [batch] + A-slots + B-slots (+ coeff)
-    for _ in range(rb):
-        ca = np.expand_dims(ca, base + ra if space is None else -2)
-    for _ in range(ra):
-        cb = np.expand_dims(cb, base)
-    if space is None:
-        comps = ca * cb
-    else:
-        comps = space.mul(ca, cb)
-    # reorder to uppers-first: currently Au Al Bu Bl
-    perm = list(range(comps.ndim))
-    slot_axes = list(range(base, base + ra + rb))
-    au = slot_axes[: A.p]
-    al = slot_axes[A.p : ra]
-    bu = slot_axes[ra : ra + B.p]
-    bl = slot_axes[ra + B.p :]
-    new_order = perm[:base] + au + bu + al + bl + perm[base + ra + rb :]
-    comps = np.transpose(comps, new_order)
-    return TensorValue(A.dim, A.p + B.p, A.q + B.q, comps, space, A.batched)
-
-
-def _contract_axes(A: TensorValue, B: TensorValue, axis_a: int, axis_b: int,
-                   order: int | None = None) -> np.ndarray:
-    """Components of the single-axis contraction of A with B; result axes are
-    [batch] + (A slots minus axis_a) + (B slots minus axis_b) (+ coeff)."""
-    A, B, space = _promote(A, B)
-    base = A._base
-    ca = np.moveaxis(A.components, base + axis_a, -1 if space is None else -2)
-    cb = np.moveaxis(B.components, base + axis_b, -1 if space is None else -2)
+    ca = np.moveaxis(A.components, base + slot_a, -1 if space is None else -2)
+    cb = np.moveaxis(B.components, base + slot_b, -1 if space is None else -2)
     fa = A.rank - 1
     fb = B.rank - 1
     for _ in range(fb):
@@ -159,45 +111,6 @@ def _contract_axes(A: TensorValue, B: TensorValue, axis_a: int, axis_b: int,
         return np.sum(ca * cb, axis=-1)
     prod = space.mul(ca, cb, order)
     return np.sum(prod, axis=-2)
-
-
-def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int,
-                  order: int | None = None) -> np.ndarray:
-    """Raw-component contraction helper used by the geometry layer; slots are
-    absolute slot positions (0-based over the uppers-first layout)."""
-    return _contract_axes(A, B, slot_a, slot_b, order)
-
-
-def metric_convert(T: TensorValue, slot: int, direction: str, metric: "MetricAtPoint",
-                   order: int | None = None) -> TensorValue:
-    """Raise or lower one slot with the metric.
-
-    ``direction`` is "lower" (slot indexes the contravariant block; the new
-    covariant index becomes the first lower slot) or "raise" (slot indexes the
-    covariant block; the new contravariant index becomes the last upper slot).
-    """
-    if direction == "lower":
-        if not 0 <= slot < T.p:
-            raise SlotError(f"cannot lower slot {slot} of valence ({T.p},{T.q})")
-        g = metric.g
-        space = T.space or g.space
-        batched = T.batched or g.batched
-        base = 1 if batched else 0
-        comps = _contract_axes(g, T, 1, slot, order)  # g_{a m} T^{.. m ..}
-        # axes now: [batch] + (a,) + T-others (+ coeff); move 'a' to first covariant slot
-        comps = np.moveaxis(comps, base, base + (T.p - 1))
-        return TensorValue(T.dim, T.p - 1, T.q + 1, comps, space, batched)
-    if direction == "raise":
-        if not 0 <= slot < T.q:
-            raise SlotError(f"cannot raise slot {slot} of valence ({T.p},{T.q})")
-        ginv = metric.g_inv
-        space = T.space or ginv.space
-        batched = T.batched or ginv.batched
-        base = 1 if batched else 0
-        comps = _contract_axes(ginv, T, 1, T.p + slot, order)  # g^{a m} T_{.. m ..}
-        comps = np.moveaxis(comps, base, base + T.p)  # append to upper block
-        return TensorValue(T.dim, T.p + 1, T.q - 1, comps, space, batched)
-    raise SlotError(f"direction must be 'raise' or 'lower', got {direction!r}")
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,49 @@
+"""Each geometric object of a request is built once: the connection of every
+metric, the para-Sasakian gate and C11(phi R).  Call counts are taken by
+rebinding each function under every name the package imports it by."""
+
+import functools
+import sys
+
+from paracheck import einstein_like, geometry_engine, paracontact_core
+from paracheck.hypersurface_lab import get_bundle
+from paracheck.models import get_model
+from paracheck.suites import RunConfig, run_suite
+
+
+def _count(monkeypatch, fn) -> dict:
+    calls = {"n": 0}
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "paracheck" or name.startswith("paracheck.")):
+            continue
+        for attr, val in list(vars(mod).items()):
+            if val is fn:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def _counts(monkeypatch):
+    return (_count(monkeypatch, geometry_engine.christoffel),
+            _count(monkeypatch, paracontact_core.check_para_sasakian),
+            _count(monkeypatch, einstein_like.compute_c11_phi_r))
+
+
+def test_bundle_all_builds_ambient_and_induced_connection_once(monkeypatch):
+    conn, gate, _ = _counts(monkeypatch)
+    run_suite(get_bundle("E3a"), "all", RunConfig(points=10))
+    assert conn["n"] == 2
+    assert gate["n"] == 1
+
+
+def test_chart_all_builds_connection_gate_and_c11_once(monkeypatch):
+    conn, gate, c11 = _counts(monkeypatch)
+    run_suite(get_model("E1"), "all", RunConfig(points=10))
+    assert conn["n"] == 1
+    assert gate["n"] == 1
+    assert c11["n"] == 1

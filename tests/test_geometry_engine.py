@@ -13,7 +13,7 @@ from paracheck.geometry_engine import (
     curvature,
     lie_derivative,
 )
-from paracheck.models import ManifoldModel, evaluate_metric, evaluate_structure, get_model
+from paracheck.models import ManifoldModel, _eval_grid, evaluate_structure, get_model
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.tensor_algebra import TensorValue
 
@@ -21,7 +21,9 @@ from fd_oracle import fd_christoffel, fd_curvature_package, fd_grad_vector_field
 
 
 def _metric_jets(model, pts, order=4):
-    return evaluate_metric(model, pts, order=order)
+    space = JetSpace.get(model.dim, order)
+    comps = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts)
+    return TensorValue(model.dim, 0, 2, comps, space, True)
 
 
 def _half_plane_2d():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from paracheck.hypersurface_lab import (
+    AmbientJets,
     AmbientProductModel,
     Embedding,
     HypersurfaceBundle,
@@ -51,6 +52,7 @@ class TestInducedStructure:
         assert e3a_data.shape.epsilon == 1
         assert np.max(np.abs(e3a_data.shape.A)) == 0.0
         assert e3a_data.tangency_residual < 1e-12
+        assert e3a_data.epsilon_residual < 1e-12
 
     def test_hyperplane_induced_axioms(self, e3a_data):
         res = check_axioms(e3a_data.structure, _vectors(e3a_data.points.shape[0], "E3a"))
@@ -62,6 +64,7 @@ class TestInducedStructure:
         direction, so g~(JN, N) = 0 identically."""
         assert e3b_data.tangency_residual < 1e-10
         assert e3b_data.shape.epsilon == 1
+        assert e3b_data.epsilon_residual < 1e-12
 
     def test_cone_induced_axioms_and_radial_xi(self, e3b_data):
         res = check_axioms(e3b_data.structure, _vectors(e3b_data.points.shape[0], "E3b"))
@@ -198,7 +201,7 @@ class TestInducedDerivatives:
 
 class TestAmbient:
     def test_flat_product_ambient(self, e3a_data):
-        res = check_ambient(get_bundle("E3a"), e3a_data.ambient_points)
+        res = check_ambient(e3a_data.ambient)
         assert res.passed
 
     def test_curved_product_ambient_has_parallel_j(self):
@@ -212,12 +215,10 @@ class TestAmbient:
             J=[["1", "0", "0", "0"], ["0", "1", "0", "0"],
                ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
         )
-        bundle = HypersurfaceBundle(name="curved", ambient=amb,
-                                    embedding=get_bundle("E3a").embedding)
         rng = np.random.default_rng(5)
         pts = np.column_stack([rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6),
                                rng.uniform(-1, 1, 6), rng.uniform(0.5, 2.0, 6)])
-        res = check_ambient(bundle, pts)
+        res = check_ambient(AmbientJets(amb, pts))
         assert res.passed
         assert res.residual("ambient-j-parallel") < 1e-8
 
@@ -260,22 +261,35 @@ class TestCharacterization:
             assert rank == 9
             target = -eps * np.eye(3) + eps * np.outer(xi, eta)
             assert np.max(np.abs(A_hat[0] - target)) < 1e-10
+            # random structures stacked into one batch: every point's system
+            # has rank n^2 and A_hat[p] is that point's own -eps I + eps eta(x)xi
+            draws = [random_pointwise_structure(rng, 3, eps) for _ in range(6)]
+            g, phi, xi, eta = (np.stack(t) for t in zip(*draws))
+            struct = _pointwise_structure(g, phi, xi, eta, eps)
+            A_hat, rank = recover_shape_operator(struct, random_vectors(rng, 6, 24, 3))
+            assert rank == 9
+            for p in range(6):
+                target = -eps * np.eye(3) + eps * np.outer(xi[p], eta[p])
+                assert np.max(np.abs(A_hat[p] - target)) < 1e-10
 
 
 def _pointwise_structure(g, phi, xi, eta, eps):
-    """Wrap numeric tensors as a single-point structure (constant jets)."""
+    """Wrap numeric tensors, at one point or stacked over points, as a
+    structure with constant jets."""
     from paracheck.expr_jet import JetSpace
 
-    n = len(xi)
+    if np.ndim(xi) == 1:
+        g, phi, xi, eta = (np.asarray(a)[None] for a in (g, phi, xi, eta))
+    P, n = xi.shape
     space = JetSpace.get(n, 2)
     m = space.ncoeffs
 
     def lift(arr, p, q):
-        comps = np.zeros((1,) + arr.shape + (m,))
+        comps = np.zeros(arr.shape + (m,))
         comps[..., 0] = arr
         return TensorValue(n, p, q, comps, space, True)
 
-    return ParacontactStructure(space, np.zeros((1, n)), eps,
+    return ParacontactStructure(space, np.zeros((P, n)), eps,
                                 g=lift(g, 0, 2), phi=lift(phi, 1, 1),
                                 xi=lift(xi, 1, 0), eta=lift(eta, 0, 1),
                                 g_order=2)

@@ -1,4 +1,5 @@
-"""Tensor value semantics: contraction, products, metric conversion, and the
+"""Tensor value semantics: contraction (which also raises and lowers indices
+against the metric), the metric package, the jet matrix inverse, and the
 frame-sum cross-validation that justifies replacing signed orthonormal frame
 sums with index contractions."""
 
@@ -10,99 +11,47 @@ from hypothesis import strategies as st
 from paracheck.expr_jet import JetSpace, eval_expr, parse_expr
 from paracheck.tensor_algebra import (
     MetricAtPoint,
-    SlotError,
     TensorValue,
-    contract,
+    contract_with,
     inertia,
     invert_jet_matrix,
-    metric_convert,
-    tensor_product,
 )
 
 from fd_oracle import signed_orthonormal_frame
 
 
 class TestContract:
-    def test_trace_of_identity(self):
-        for n in (2, 3, 5):
-            t = TensorValue(n, 1, 1, np.eye(n))
-            assert contract(t, 0, 0).components == pytest.approx(n)
-
     def test_trace_of_phi_on_e1(self, e1):
-        tr = contract(TensorValue(3, 1, 1, e1.phi0[0]), 0, 0)
-        assert tr.components == pytest.approx(-2.0)
+        assert e1.trace_phi()[0] == pytest.approx(-2.0)
 
     def test_pairing_identity(self, rng):
         v = rng.uniform(-1, 1, 4)
         w = rng.uniform(-1, 1, 4)
-        prod = tensor_product(TensorValue(4, 1, 0, v), TensorValue(4, 0, 1, w))
-        assert contract(prod, 0, 0).components == pytest.approx(v @ w)
-
-    def test_slot_kind_errors(self):
-        t = TensorValue(3, 1, 1, np.eye(3))
-        with pytest.raises(SlotError):
-            contract(t, 1, 0)
-        with pytest.raises(SlotError):
-            contract(t, 0, 1)
-
-
-class TestTensorProduct:
-    def test_eta_xi_maps_xi_to_xi(self, e1):
-        k = 0
-        eta = TensorValue(3, 0, 1, e1.eta0[k])
-        xi = TensorValue(3, 1, 0, e1.xi0[k])
-        op = tensor_product(xi, eta)  # (1,1): eta(X) xi
-        assert np.allclose(op.components @ e1.xi0[k], e1.xi0[k], atol=1e-12)
-
-    def test_eta_eta_symmetric(self, e1, rng):
-        k = 1
-        eta = TensorValue(3, 0, 1, e1.eta0[k])
-        ee = tensor_product(eta, eta).components
-        X = rng.uniform(-1, 1, 3)
-        Y = rng.uniform(-1, 1, 3)
-        assert X @ ee @ Y == pytest.approx(Y @ ee @ X)
-
-    def test_valence_bookkeeping(self, e1):
-        k = 0
-        g = TensorValue(3, 0, 2, e1.g0[k])
-        gg = tensor_product(g, g)
-        assert (gg.p, gg.q) == (0, 4)
-        assert gg.components.shape == (3, 3, 3, 3)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor_product(TensorValue(3, 1, 0, np.ones(3)), TensorValue(4, 1, 0, np.ones(4)))
+        assert contract_with(TensorValue(4, 1, 0, v), TensorValue(4, 0, 1, w), 0, 0) == pytest.approx(v @ w)
 
 
 class TestMetricConvert:
+    """Lowering and raising as the geometry layer does it: contract_with
+    against g or its inverse."""
+
     def test_lower_xi_gives_eps_eta(self, e1, e2):
         for s in (e1, e2):
             k = 2
             metric = MetricAtPoint.build(TensorValue(s.dim, 0, 2, s.g0[k]))
             xi = TensorValue(s.dim, 1, 0, s.xi0[k])
-            low = metric_convert(xi, 0, "lower", metric)
-            assert (low.p, low.q) == (0, 1)
-            assert np.allclose(low.components, s.epsilon * s.eta0[k], atol=1e-12)
+            low = contract_with(metric.g, xi, 1, 0)
+            assert low.shape == (s.dim,)
+            assert np.allclose(low, s.epsilon * s.eta0[k], atol=1e-12)
 
     def test_raise_lower_roundtrip(self, rng):
         g = np.diag([2.0, -1.0, 0.5, 1.5])
         metric = MetricAtPoint.build(TensorValue(4, 0, 2, g))
         T = TensorValue(4, 2, 1, rng.uniform(-1, 1, (4, 4, 4)))
-        low = metric_convert(T, 1, "lower", metric)
-        back = metric_convert(low, 0, "raise", metric)
-        # lowering slot 1 prepends it as the first covariant slot; raising it
-        # back appends it as the last upper slot, restoring the original layout
-        assert np.max(np.abs(back.components - T.components)) < 1e-10
-
-    def test_direction_slot_validation(self, rng):
-        metric = MetricAtPoint.build(TensorValue(3, 0, 2, np.eye(3)))
-        T = TensorValue(3, 1, 0, rng.uniform(size=3))
-        with pytest.raises(SlotError):
-            metric_convert(T, 0, "raise", metric)
-        with pytest.raises(SlotError):
-            metric_convert(T, 1, "lower", metric)
-        with pytest.raises(SlotError):
-            metric_convert(T, 0, "sideways", metric)
+        low = contract_with(metric.g, T, 1, 1)                                  # [m, a, c]
+        back = contract_with(metric.g_inv, TensorValue(4, 0, 3, low), 1, 0)    # [k, a, c]
+        # lowering slot 1 puts the new covariant index first; raising it back
+        # and moving it to slot 1 restores the original layout
+        assert np.max(np.abs(np.moveaxis(back, 0, 1) - T.components)) < 1e-10
 
 
 class TestMetricAtPoint:
@@ -177,8 +126,9 @@ class TestRandomTensorProperties:
         w = rng.uniform(0.5, 2.0, dim) * rng.choice([-1.0, 1.0], dim)
         metric = MetricAtPoint.build(TensorValue(dim, 0, 2, np.diag(w)))
         T = TensorValue(dim, 1, 1, rng.uniform(-1, 1, (dim, dim)))
-        back = metric_convert(metric_convert(T, 0, "lower", metric), 0, "raise", metric)
-        assert np.max(np.abs(back.components - T.components)) < 1e-10
+        low = contract_with(metric.g, T, 1, 0)
+        back = contract_with(metric.g_inv, TensorValue(dim, 0, 2, low), 1, 0)
+        assert np.max(np.abs(back - T.components)) < 1e-10
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 200))
@@ -186,19 +136,19 @@ class TestRandomTensorProperties:
         rng = np.random.default_rng(seed)
         v = rng.uniform(-1, 1, dim)
         w = rng.uniform(-1, 1, dim)
-        paired = contract(tensor_product(TensorValue(dim, 1, 0, v), TensorValue(dim, 0, 1, w)), 0, 0)
-        assert paired.components == pytest.approx(v @ w)
+        paired = contract_with(TensorValue(dim, 1, 0, v), TensorValue(dim, 0, 1, w), 0, 0)
+        assert paired == pytest.approx(v @ w)
 
 
 class TestJetNumericCommutation:
     def test_contract_commutes_with_value_extraction(self, e1):
-        phi_val_then_contract = contract(e1.phi.value(), 0, 0).components
-        contract_then_value = contract(e1.phi, 0, 0).value().components
-        assert np.allclose(phi_val_then_contract, contract_then_value, atol=1e-14)
+        val_then_contract = contract_with(e1.g.value(), e1.phi.value(), 0, 0)
+        contract_then_value = contract_with(e1.g, e1.phi, 0, 0)[..., 0]
+        assert np.allclose(val_then_contract, contract_then_value, atol=1e-14)
 
     def test_metric_convert_commutes_with_value_extraction(self, e1):
         metric_jets = MetricAtPoint.build(e1.g)
         metric_vals = MetricAtPoint.build(e1.g.value())
-        low_jets = metric_convert(e1.xi, 0, "lower", metric_jets).value().components
-        low_vals = metric_convert(e1.xi.value(), 0, "lower", metric_vals).components
+        low_jets = contract_with(metric_jets.g, e1.xi, 1, 0)[..., 0]
+        low_vals = contract_with(metric_vals.g, e1.xi.value(), 1, 0)
         assert np.allclose(low_jets, low_vals, atol=1e-12)
