@@ -137,21 +137,15 @@ def _member_max(fit: EinsteinLikeFit, fn) -> tuple[float, str]:
     return max(vals), f"max over {len(vals)} family member(s)"
 
 
-def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStructure,
-                                   is_para_sasakian: bool) -> StructureCheckResult:
-    """The algebraic consequences of the decomposition:
+def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
+    """The algebraic consequences of the decomposition on any structure:
 
         S(phi X, Y) = a g(phi X, Y) + b g(phi X, phi Y)
         S(X, xi)    = (eps a + c) eta(X)
-        eps a + c   = 1 - n                      (para-Sasakian only)
-        r = n a + b trace(phi) + eps c           (para-Sasakian only)
     """
     eps = struct.epsilon
-    n = struct.dim
     g, phi, eta, xi = struct.g0, struct.phi0, struct.eta0, struct.xi0
     S = struct.curvature.ricci.components[..., 0]
-    r = struct.curvature.scalar[:, 0]
-    trphi = struct.trace_phi()
     Sphi = np.einsum('pmb,pma->pab', S, phi)        # S(phi e_a, e_b)
     gphi = np.einsum('pmb,pma->pab', g, phi)        # g(phi e_a, e_b)
     gphiphi = np.einsum('pma,pmk,pkb->pab', phi, g, phi)  # g(phi e_a, phi e_b)
@@ -163,23 +157,15 @@ def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStru
 
     v, d = _member_max(fit, lambda a, b, c: residual_norm(Sxi - (eps * a + c) * eta, Sxi, eta))
     res.add("ricci-xi-display", v, ONE_DERIVATIVE_TOL, d)
-
-    if is_para_sasakian:
-        v, d = _member_max(fit, lambda a, b, c: abs(eps * a + c - (1 - n)))
-        res.add("eps-a-plus-c", v, ALGEBRAIC_TOL, d)
-        v, d = _member_max(
-            fit, lambda a, b, c: residual_norm(r - (n * a + b * trphi + eps * c), r))
-        res.add("scalar-curvature-formula", v, ONE_DERIVATIVE_TOL, d)
-    else:
-        for name in ("eps-a-plus-c", "scalar-curvature-formula"):
-            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian", status="not-applicable")
     return res
 
 
-def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure,
-                      is_para_sasakian: bool) -> StructureCheckResult:
-    """The covariant-derivative chain ending in the scalar-curvature ODE:
+def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
+    """The para-Sasakian consequences of the decomposition, ending in the
+    scalar-curvature ODE:
 
+        eps a + c = 1 - n
+        r = n a + b trace(phi) + eps c
         (nabla_Y Q) X display
         (div Q) X = (eps (1-n) b + c trace(phi)) eta(X)
         r = b trace(phi) - eps (n-1)(c + n)
@@ -191,22 +177,22 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure,
     record's detail).
     """
     res = StructureCheckResult()
-    if not is_para_sasakian:
-        for name in ("ricci-operator-derivative", "div-q-display", "scalar-curvature-constant",
-                     "dr-display", "scalar-ode"):
-            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian", status="not-applicable")
-        return res
-
     eps = struct.epsilon
     n = struct.dim
     cur = struct.curvature
     g, phi, eta, xi = struct.g0, struct.phi0, struct.eta0, struct.xi0
-    Phi = struct.Phi0
     trphi = struct.trace_phi()
     r = cur.scalar[:, 0]
     dr = cur.dr
     divq = cur.div_q
     xir = np.einsum('pa,pa->p', dr, xi)
+
+    v, d = _member_max(fit, lambda a, b, c: abs(eps * a + c - (1 - n)))
+    res.add("eps-a-plus-c", v, ALGEBRAIC_TOL, d)
+    v, d = _member_max(
+        fit, lambda a, b, c: residual_norm(r - (n * a + b * trphi + eps * c), r))
+    res.add("scalar-curvature-formula", v, ONE_DERIVATIVE_TOL, d)
+
     nablaQ = covariant_derivative(cur.ricci_op, struct.connection, order=cur.order).components[..., 0]
     # [p, a, y(direction), x(argument)]
     eye = np.eye(n)
@@ -242,24 +228,11 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure,
     return res
 
 
-def trace_phi_constant(struct: ParacontactStructure) -> bool:
-    """The gate of every check that needs a constant trace(phi): its spread
-    over the samples is at most 1e-7."""
-    trphi = struct.trace_phi()
-    return bool(np.max(np.abs(trphi - trphi[0])) <= 1e-7) if len(trphi) else True
-
-
-def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure,
-                         is_para_sasakian: bool) -> StructureCheckResult:
+def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
     """trace(phi) = eps (n-1) b / c for every family member with c away from
     zero; degenerate members are skipped, and the check is vacuous when all
     of them are."""
     res = StructureCheckResult()
-    if not is_para_sasakian or not trace_phi_constant(struct):
-        why = "trace(phi) is not constant over the samples" if is_para_sasakian else \
-            "precondition failed: not para-Sasakian"
-        res.add("trace-phi-formula", 0.0, np.inf, why, status="not-applicable")
-        return res
     eps = struct.epsilon
     n = struct.dim
     trphi = struct.trace_phi()
@@ -307,32 +280,34 @@ def compute_c11_phi_r(struct: ParacontactStructure) -> C11Tensor:
     return C11Tensor(TensorValue(struct.dim, 0, 2, comps, struct.space, True), order=cur.order)
 
 
-def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStructure,
-                             is_para_sasakian: bool) -> StructureCheckResult:
-    """Symmetry, the S(Y, phi Z) display, the constant-coefficient
-    decomposition of the contraction (re-derived eta(x)eta coefficient
-    normative, printed one informational), and parallelism along xi."""
+def verify_c11_identities(c11: C11Tensor, struct: ParacontactStructure) -> StructureCheckResult:
+    """Symmetry of the contraction and the S(Y, phi Z) display."""
+    eps = struct.epsilon
+    n = struct.dim
+    g, eta = struct.g0, struct.eta0
+    ee = np.einsum('pa,pb->pab', eta, eta)
+    trphi = struct.trace_phi()[:, None, None]
+    res = StructureCheckResult()
+    res.add("c11-symmetric", c11.symmetry_residual(), ALGEBRAIC_TOL)
+    S = struct.curvature.ricci.components[..., 0]
+    SphiZ = np.einsum('pym,pmz->pyz', S, struct.phi0)   # S(Y, phi Z)
+    rhs = c11.values + eps * (n - 2) * struct.Phi0 + (2 * ee - eps * g) * trphi
+    res.add("s-phi-z-display", residual_norm(SphiZ - rhs, SphiZ, rhs), ONE_DERIVATIVE_TOL)
+    return res
+
+
+def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor,
+                             struct: ParacontactStructure) -> StructureCheckResult:
+    """The constant-coefficient decomposition of the contraction on a
+    para-Sasakian structure (re-derived eta(x)eta coefficient normative,
+    printed one informational), and parallelism along xi."""
     eps = struct.epsilon
     n = struct.dim
     g, eta = struct.g0, struct.eta0
     Phi = struct.Phi0
     ee = np.einsum('pa,pb->pab', eta, eta)
-    trphi = struct.trace_phi()[:, None, None]
     C = c11.values
     res = StructureCheckResult()
-
-    res.add("c11-symmetric", c11.symmetry_residual(), ALGEBRAIC_TOL)
-
-    S = struct.curvature.ricci.components[..., 0]
-    SphiZ = np.einsum('pym,pmz->pyz', S, struct.phi0)   # S(Y, phi Z)
-    rhs = C + eps * (n - 2) * Phi + (2 * ee - eps * g) * trphi
-    res.add("s-phi-z-display", residual_norm(SphiZ - rhs, SphiZ, rhs), ONE_DERIVATIVE_TOL)
-
-    if not is_para_sasakian:
-        for name in ("c11-decomposition-derived", "c11-decomposition-printed", "c11-parallel-along-xi"):
-            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian", status="not-applicable")
-        return res
-
     derived_gaps, printed_gaps = [], []
     skipped = 0
     for a, b, c in fit.members():
@@ -362,10 +337,8 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor, struct: Parac
     return res
 
 
-def verify_lie_formulas(fit: EinsteinLikeFit | None, struct: ParacontactStructure,
-                        is_para_sasakian: bool, trphi_constant: bool = True,
-                        c11: C11Tensor | None = None) -> StructureCheckResult:
-    """Lie derivatives along xi.
+def verify_lie_formulas(struct: ParacontactStructure) -> StructureCheckResult:
+    """Lie derivatives along xi of eta, g and Phi.
 
     Normative forms (re-derived; they collapse to the printed ones at
     eps = +1):
@@ -373,14 +346,10 @@ def verify_lie_formulas(fit: EinsteinLikeFit | None, struct: ParacontactStructur
         L_xi eta = 0
         L_xi g   = 2 eps Phi
         L_xi Phi = 2 eps (g - eps eta(x)eta)
-        L_xi S   = 2 a eps Phi + 2 b eps (g - eps eta(x)eta)
-        L_xi C11 = (2 eps b / c)(c + n - 1) Phi + 2 eps (a - eps(n-2))(g - eps eta(x)eta)
 
-    The printed variants with (g - eta(x)eta) are evaluated informationally.
-    ``c11`` is computed from ``struct`` when not given.
+    The printed variant with (g - eta(x)eta) is evaluated informationally.
     """
     eps = struct.epsilon
-    n = struct.dim
     conn = struct.connection
     g, eta = struct.g0, struct.eta0
     Phi = struct.Phi0
@@ -402,27 +371,36 @@ def verify_lie_formulas(fit: EinsteinLikeFit | None, struct: ParacontactStructur
     res.add("lie-phi-form-printed", pgap, ONE_DERIVATIVE_TOL,
             "printed right side 2 eps (g - eta(x)eta); informational",
             status="printed-form-mismatch" if pgap > ONE_DERIVATIVE_TOL else None)
+    return res
 
-    if fit is None or not is_para_sasakian:
-        for name in ("lie-ricci", "lie-c11-derived", "lie-c11-printed"):
-            res.add(name, 0.0, np.inf, "precondition failed: not para-Sasakian (or no fit)",
-                    status="not-applicable")
-        return res
 
-    LS = lie_derivative(struct.curvature.ricci, struct.xi, conn,
+def verify_lie_ricci(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
+    """L_xi S = 2 a eps Phi + 2 b eps (g - eps eta(x)eta) on a para-Sasakian
+    structure."""
+    eps = struct.epsilon
+    g, Phi = struct.g0, struct.Phi0
+    ee = np.einsum('pa,pb->pab', struct.eta0, struct.eta0)
+    LS = lie_derivative(struct.curvature.ricci, struct.xi, struct.connection,
                         order=struct.curvature.order).components[..., 0]
     v, d = _member_max(fit, lambda a, b, c: residual_norm(
         LS - (2 * a * eps * Phi + 2 * b * eps * (g - eps * ee)), LS))
+    res = StructureCheckResult()
     res.add("lie-ricci", v, TWO_DERIVATIVE_TOL, d)
+    return res
 
-    if not trphi_constant:
-        for name in ("lie-c11-derived", "lie-c11-printed"):
-            res.add(name, 0.0, np.inf, "trace(phi) not constant; decomposition unavailable",
-                    status="not-applicable")
-        return res
 
-    c11 = compute_c11_phi_r(struct) if c11 is None else c11
-    LC = lie_derivative(c11.tensor, struct.xi, conn, order=c11.order).components[..., 0]
+def verify_lie_c11(fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStructure) -> StructureCheckResult:
+    """On a para-Sasakian structure with constant trace(phi), the re-derived
+
+        L_xi C11 = (2 eps b / c)(c + n - 1) Phi + 2 eps (a - eps(n-2))(g - eps eta(x)eta)
+
+    and, informationally, the printed variant with (g - eta(x)eta)."""
+    eps = struct.epsilon
+    n = struct.dim
+    g, Phi = struct.g0, struct.Phi0
+    ee = np.einsum('pa,pb->pab', struct.eta0, struct.eta0)
+    res = StructureCheckResult()
+    LC = lie_derivative(c11.tensor, struct.xi, struct.connection, order=c11.order).components[..., 0]
     dgaps, pgaps, skipped = [], [], 0
     for a, b, c in fit.members():
         if abs(c) < DEGENERATE_C:

@@ -256,15 +256,6 @@ def parse_expr(source: str, coords: Sequence[str]) -> ScalarExpr:
 
 
 def _multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 1:
-            out.append(prefix + (budget,))
-            return
-        for v in range(budget + 1):
-            rec(prefix + (v,), remaining - 1, budget - v)
-
     by_degree: list[tuple[int, ...]] = []
     for deg in range(order + 1):
         block: list[tuple[int, ...]] = []

@@ -84,11 +84,12 @@ def christoffel(metric_jets: TensorValue, points: np.ndarray, order: int | None 
         raise ValueError("christoffel needs jet-valued metric components")
     g_order = space.order if order is None else order
     _need(g_order, 1, "christoffel")
-    metric = MetricAtPoint.build(metric_jets)
+    out_order = g_order - 1
+    # Gamma and the Ricci operator read g^-1 only to out_order
+    metric = MetricAtPoint.build(metric_jets, out_order)
     n = metric_jets.dim
     base = 1 if metric_jets.batched else 0
     G = metric_jets.components
-    out_order = g_order - 1
     dg = np.stack([space.diff(G, i) for i in range(n)], axis=base)  # [P?, deriv, row, col, m]
     # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     t1 = dg                                                                       # d_i g_{jl}: (i, j, l)

@@ -325,8 +325,7 @@ def check_ambient(ambient: AmbientJets) -> StructureCheckResult:
     return res
 
 
-def verify_induced_derivatives(data: HypersurfaceData, vectors: np.ndarray,
-                               tolerance: float = TWO_DERIVATIVE_TOL) -> StructureCheckResult:
+def verify_induced_derivatives(data: HypersurfaceData, vectors: np.ndarray) -> StructureCheckResult:
     """The three induced covariant-derivative displays:
 
         (nabla_X phi) Y = eta(Y) A X + eps g(A X, Y) xi
@@ -344,14 +343,14 @@ def verify_induced_derivatives(data: HypersurfaceData, vectors: np.ndarray,
     lhs = np.einsum('pcib,pvi,pvb->pvc', s.nabla_phi, X, Y)
     AX = apply_op(A, X)
     rhs = form(eta, Y)[..., None] * AX + eps * pair(g, AX, Y)[..., None] * xi[:, None, :]
-    res.add("induced-grad-phi", residual_norm(lhs - rhs, lhs, rhs, X, Y), tolerance)
+    res.add("induced-grad-phi", residual_norm(lhs - rhs, lhs, rhs, X, Y), TWO_DERIVATIVE_TOL)
 
     lhs = np.einsum('pib,pvi,pvb->pv', s.nabla_eta, X, Y)
     rhs = -eps * pair(g, AX, apply_op(phi, Y))
-    res.add("induced-grad-eta", residual_norm(lhs - rhs, lhs, rhs, X, Y), tolerance)
+    res.add("induced-grad-eta", residual_norm(lhs - rhs, lhs, rhs, X, Y), TWO_DERIVATIVE_TOL)
 
     rhs_xi = -np.einsum('pam,pmi->pai', phi, A)
-    res.add("induced-grad-xi", residual_norm(s.nabla_xi - rhs_xi, s.nabla_xi, rhs_xi), tolerance)
+    res.add("induced-grad-xi", residual_norm(s.nabla_xi - rhs_xi, s.nabla_xi, rhs_xi), TWO_DERIVATIVE_TOL)
     return res
 
 
@@ -419,8 +418,7 @@ def recover_shape_operator(struct: ParacontactStructure, vectors: np.ndarray) ->
     return sol.reshape(P, n, n), int(kept.sum(axis=1).min())
 
 
-def check_ps_characterization(data: HypersurfaceData, vectors: np.ndarray,
-                              tolerance: float = TWO_DERIVATIVE_TOL) -> StructureCheckResult:
+def check_ps_characterization(data: HypersurfaceData, vectors: np.ndarray) -> StructureCheckResult:
     """The equivalence "para-Sasakian iff A = -eps I + eps eta(x)xi", asserted
     pointwise, plus the constructive recovery of A from the displays."""
     s = data.structure
@@ -428,7 +426,7 @@ def check_ps_characterization(data: HypersurfaceData, vectors: np.ndarray,
     res = StructureCheckResult()
     rho1 = defining_equation_gap_per_point(s, vectors)
     rho2 = shape_characterization_gap_per_point(s, data.shape.A)
-    mismatch = (rho1 <= tolerance) != (rho2 <= tolerance)
+    mismatch = (rho1 <= TWO_DERIVATIVE_TOL) != (rho2 <= TWO_DERIVATIVE_TOL)
     res.add("characterization-iff", float(np.sum(mismatch)), 0.5,
             f"rho1 in [{rho1.min():.2e}, {rho1.max():.2e}], rho2 in [{rho2.min():.2e}, {rho2.max():.2e}]; "
             "residual counts points violating the equivalence")
@@ -438,29 +436,20 @@ def check_ps_characterization(data: HypersurfaceData, vectors: np.ndarray,
     rec = residual_norm(A_hat - target, A_hat, target)
     detail = f"linear system rank {rank} of {s.dim ** 2}"
     if rank < s.dim ** 2:
-        res.add("characterization-linear-solve", np.inf, tolerance, detail + " (rank-deficient)")
+        res.add("characterization-linear-solve", np.inf, TWO_DERIVATIVE_TOL, detail + " (rank-deficient)")
     else:
         res.add("characterization-linear-solve", rec, ONE_DERIVATIVE_TOL, detail)
     return res
 
 
-def quasi_umbilical_check(shape: ShapeData, struct: ParacontactStructure,
-                          gate_tolerance: float = 1e-2,
-                          tolerance: float = ALGEBRAIC_TOL) -> StructureCheckResult:
-    """For shapes close to the characterized operator, assert the
-    quasi-umbilical decomposition h = -g + eps eta(x)eta (alpha = -1,
-    beta = eps, u = eta); otherwise report not-applicable."""
+def quasi_umbilical_check(shape: ShapeData, struct: ParacontactStructure) -> StructureCheckResult:
+    """The quasi-umbilical decomposition h = -g + eps eta(x)eta (alpha = -1,
+    beta = eps, u = eta), which holds when A is the characterized operator."""
     res = StructureCheckResult()
-    gap = shape_characterization_gap_per_point(struct, shape.A)
-    if float(np.max(gap)) > gate_tolerance:
-        res.add("quasi-umbilical", 0.0, np.inf,
-                f"not applicable: A differs from the characterized form by {float(np.max(gap)):.3f}",
-                status="not-applicable")
-        return res
     eps = struct.epsilon
     ee = np.einsum('pa,pb->pab', struct.eta0, struct.eta0)
     gap = shape.h + struct.g0 - eps * ee
-    res.add("quasi-umbilical", float(np.max(np.abs(gap))), tolerance,
+    res.add("quasi-umbilical", float(np.max(np.abs(gap))), ALGEBRAIC_TOL,
             "h = -g + eps eta(x)eta with alpha = -1, beta = eps, u = eta")
     return res
 

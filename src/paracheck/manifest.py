@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr_jet import ExprError
+from .expr_jet import ExprError, JetDomainError
 from .hypersurface_lab import AmbientProductModel, Embedding, HypersurfaceBundle, evaluate_bundle
 from .models import ManifoldModel, ModelValidationError, validate_model
 
@@ -98,7 +98,7 @@ def parse_manifest(doc: dict, source: str = "<manifest>") -> ManifoldModel | Hyp
         )
         try:
             validate_model(model)
-        except (ModelValidationError, ExprError) as e:
+        except (ModelValidationError, ExprError, JetDomainError) as e:
             raise ManifestError(f"{source}: {e}") from e
         return model
     if kind == "bundle":
@@ -139,7 +139,7 @@ def parse_manifest(doc: dict, source: str = "<manifest>") -> ManifoldModel | Hyp
             hi = np.array([d[1] for d in embedding.domain])
             pts = rng.uniform(lo, hi, size=(5, N - 1))
             evaluate_bundle(bundle, pts, require_tangent=False)
-        except ExprError as e:
+        except (ExprError, JetDomainError) as e:
             raise ManifestError(f"{source}: {e}") from e
         except ValueError as e:
             raise ManifestError(f"{source}: embedding validation failed: {e}") from e

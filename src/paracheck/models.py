@@ -82,16 +82,9 @@ def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None,
             raise ModelValidationError(f"{model.name}: empty domain interval for {model.coords[k]}")
     if model.epsilon not in (1, -1):
         raise ModelValidationError(f"{model.name}: epsilon must be +1 or -1")
-    # parse everything now so bad expressions fail at load time
-    for row in model.metric:
-        for s in row:
-            model.parsed(s)
-    for grid in (model.phi,):
-        if grid is not None:
-            for row in grid:
-                for s in row:
-                    model.parsed(s)
-    for vec in (model.xi, model.eta):
+    # parse phi, xi and eta now so bad expressions fail at load time; the
+    # metric is parsed where it is evaluated below
+    for vec in [*(model.phi or []), model.xi, model.eta]:
         if vec is not None:
             for s in vec:
                 model.parsed(s)
@@ -100,25 +93,14 @@ def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None,
     lo = np.array([d[0] for d in model.domain])
     hi = np.array([d[1] for d in model.domain])
     pts = rng.uniform(lo, hi, size=(checks_points, n))
-    g0 = _eval_grid_numeric(model.metric, model, pts)
+    space = JetSpace.get(n, 0)
+    g0 = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts)[..., 0]
     for k in range(checks_points):
         nu = inertia(g0[k])
         if nu != model.index:
             raise ModelValidationError(
                 f"{model.name}: declared index {model.index} but computed inertia {nu} "
                 f"at point {tuple(pts[k])}")
-
-
-def _eval_grid_numeric(grid, model, pts):
-    from .expr_jet import eval_expr_numeric
-    P = pts.shape[0]
-    n = len(grid)
-    out = np.zeros((P, n, len(grid[0])))
-    for i, row in enumerate(grid):
-        for j, s in enumerate(row):
-            e = model.parsed(s)
-            out[:, i, j] = [eval_expr_numeric(e, p) for p in pts]
-    return out
 
 
 def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: list[np.ndarray],

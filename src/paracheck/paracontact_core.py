@@ -58,10 +58,9 @@ class IdentityResidual:
 
 @dataclass
 class StructureCheckResult:
-    """Named residuals with pass flags, plus non-fatal warnings."""
+    """Named residuals with pass flags."""
 
     checks: list[IdentityResidual] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     def add(self, name: str, residual: float, tolerance: float, detail: str = "",
             status: str | None = None):
@@ -205,8 +204,7 @@ def form(eta: np.ndarray, X: np.ndarray) -> np.ndarray:
 # -- check operations ------------------------------------------------------------
 
 
-def check_axioms(struct: ParacontactStructure, vectors: np.ndarray,
-                 tolerance: float = ALGEBRAIC_TOL) -> StructureCheckResult:
+def check_axioms(struct: ParacontactStructure, vectors: np.ndarray) -> StructureCheckResult:
     """Residuals of the seven structure axioms over random vector pairs.
 
     vectors has shape (npoints, nvectors, dim); pairs are consumed as
@@ -221,22 +219,22 @@ def check_axioms(struct: ParacontactStructure, vectors: np.ndarray,
     phiX = apply_op(phi, X)
     phi2X = apply_op(phi, phiX)
     gap = phi2X - X + form(eta, X)[..., None] * xi[:, None, :]
-    res.add("phi-squared", residual_norm(gap, X, phi2X), tolerance)
+    res.add("phi-squared", residual_norm(gap, X, phi2X), ALGEBRAIC_TOL)
 
-    res.add("eta-of-xi", residual_norm(np.einsum('pa,pa->p', eta, xi) - 1.0, xi, eta), tolerance)
-    res.add("phi-of-xi", residual_norm(apply_op(phi, xi[:, None, :]), xi), tolerance)
-    res.add("eta-after-phi", residual_norm(form(eta, phiX), X, eta), tolerance)
+    res.add("eta-of-xi", residual_norm(np.einsum('pa,pa->p', eta, xi) - 1.0, xi, eta), ALGEBRAIC_TOL)
+    res.add("phi-of-xi", residual_norm(apply_op(phi, xi[:, None, :]), xi), ALGEBRAIC_TOL)
+    res.add("eta-after-phi", residual_norm(form(eta, phiX), X, eta), ALGEBRAIC_TOL)
 
     phiY = apply_op(phi, Y)
     gap = pair(g, phiX, phiY) - pair(g, X, Y) + eps * form(eta, X) * form(eta, Y)
-    res.add("metric-compatibility", residual_norm(gap, pair(g, X, Y)), tolerance)
+    res.add("metric-compatibility", residual_norm(gap, pair(g, X, Y)), ALGEBRAIC_TOL)
 
     gap = pair(g, X, phiY) - pair(g, phiX, Y)
-    res.add("phi-self-adjoint", residual_norm(gap, pair(g, X, phiY)), tolerance)
+    res.add("phi-self-adjoint", residual_norm(gap, pair(g, X, phiY)), ALGEBRAIC_TOL)
 
     gXxi = np.einsum('pab,pva,pb->pv', g, X, xi)
     gap = gXxi - eps * form(eta, X)
-    res.add("metric-xi-eta", residual_norm(gap, gXxi), tolerance)
+    res.add("metric-xi-eta", residual_norm(gap, gXxi), ALGEBRAIC_TOL)
     return res
 
 
@@ -257,9 +255,7 @@ def defining_equation_gap_per_point(struct: ParacontactStructure, vectors: np.nd
     return np.max(np.abs(lhs - rhs), axis=(1, 2)) / scale
 
 
-def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray,
-                        tolerance: float = ONE_DERIVATIVE_TOL,
-                        sym_tolerance: float = ALGEBRAIC_TOL) -> StructureCheckResult:
+def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray) -> StructureCheckResult:
     """Residuals of the defining covariant-derivative equations:
 
         (nabla_X phi) Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X
@@ -269,12 +265,12 @@ def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray,
     plus the symmetry of Phi.
     """
     res = StructureCheckResult()
-    res.add("defining-equation", np.max(defining_equation_gap_per_point(struct, vectors)), tolerance)
+    res.add("defining-equation", np.max(defining_equation_gap_per_point(struct, vectors)), ONE_DERIVATIVE_TOL)
     phi = struct.phi0
-    res.add("grad-xi", residual_norm(struct.nabla_xi - struct.epsilon * phi, phi), tolerance)
+    res.add("grad-xi", residual_norm(struct.nabla_xi - struct.epsilon * phi, phi), ONE_DERIVATIVE_TOL)
     Phi = struct.Phi0
-    res.add("grad-eta", residual_norm(struct.nabla_eta - Phi, Phi), tolerance)
-    res.add("fundamental-form-symmetric", residual_norm(Phi - np.swapaxes(Phi, 1, 2), Phi), sym_tolerance)
+    res.add("grad-eta", residual_norm(struct.nabla_eta - Phi, Phi), ONE_DERIVATIVE_TOL)
+    res.add("fundamental-form-symmetric", residual_norm(Phi - np.swapaxes(Phi, 1, 2), Phi), ALGEBRAIC_TOL)
     return res
 
 
@@ -328,16 +324,10 @@ def ps_curvature_gaps(struct: ParacontactStructure, vectors: np.ndarray) -> dict
     return out
 
 
-def check_ps_curvature_identities(struct: ParacontactStructure, vectors: np.ndarray,
-                                  tolerance: float = TWO_DERIVATIVE_TOL,
-                                  warn_not_sasakian: bool = False) -> StructureCheckResult:
+def check_ps_curvature_identities(struct: ParacontactStructure, vectors: np.ndarray) -> StructureCheckResult:
     """The four curvature identities of a para-Sasakian structure, evaluated
-    over random vector triples.  Runs even when the defining equations fail
-    (the caller may request a warning in that case)."""
+    over random vector triples.  Runs even when the defining equations fail."""
     res = StructureCheckResult()
-    if warn_not_sasakian:
-        res.warnings.append("structure does not satisfy the para-Sasakian defining equations; "
-                            "curvature identities are expected to fail")
     for name, value in ps_curvature_gaps(struct, vectors).items():
-        res.add(name, value, tolerance)
+        res.add(name, value, TWO_DERIVATIVE_TOL)
     return res

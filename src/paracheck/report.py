@@ -2,7 +2,7 @@
 
 Statuses: ``pass`` / ``fail`` from residual vs tolerance, ``vacuous`` when a
 check had nothing to measure (every family member degenerate),
-``not-applicable`` when a precondition gates it off, and
+``not-applicable`` when a gate declared in ``suites.CHECKS`` fails, and
 ``printed-form-mismatch`` for informational records where a published display
 disagrees with the re-derived normative form.  Only ``fail`` affects the exit
 code.

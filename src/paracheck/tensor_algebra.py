@@ -166,10 +166,10 @@ class MetricAtPoint:
     det_g: np.ndarray
 
     @classmethod
-    def build(cls, g: TensorValue) -> "MetricAtPoint":
+    def build(cls, g: TensorValue, order: int | None = None) -> "MetricAtPoint":
         comps = g.components
         if g.space is not None:
-            ginv_comps = invert_jet_matrix(g.space, comps)
+            ginv_comps = invert_jet_matrix(g.space, comps, order)
             g0 = comps[..., 0]
         else:
             ginv_comps = np.linalg.inv(comps)

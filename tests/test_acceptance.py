@@ -23,6 +23,7 @@ from paracheck.einstein_like import (
     compute_c11_phi_r,
     fit_structure,
     verify_c11_decomposition,
+    verify_c11_identities,
     verify_scalar_ode,
     verify_trace_formula,
 )
@@ -171,7 +172,7 @@ def test_criterion_05_scalar_ode(e1_100):
     ok = bool(np.max(np.abs(lhs - (-8.0))) < 1e-8)
     ok &= abs(rhs - (-8.0)) < 1e-8
     ok &= bool(np.max(np.abs(s.curvature.div_q)) < 1e-7)
-    ok &= verify_scalar_ode(fit, s, True).passed
+    ok &= verify_scalar_ode(fit, s).passed
     assert _announce("5 (scalar-curvature ODE on E1)", ok)
 
 
@@ -189,7 +190,7 @@ def test_criterion_06_trace_formula(e1_100):
         checked += 1
         ok &= abs(1 * 2 * b / c - (-2.0)) < 1e-8
     ok &= checked >= 1
-    ok &= verify_trace_formula(fit, s, True).passed
+    ok &= verify_trace_formula(fit, s).passed
     assert _announce("6 (trace formula on E1)", ok)
 
 
@@ -201,8 +202,8 @@ def test_criterion_07_c11_tensor(e1_100):
     c11 = compute_c11_phi_r(s)
     ee = np.einsum('pa,pb->pab', s.eta0, s.eta0)
     ok = bool(np.max(np.abs(c11.values - s.g0 - ee)) < 1e-7)
-    res = verify_c11_decomposition(fit, c11, s, True)
-    ok &= res.residual("s-phi-z-display") < 1e-8
+    ok &= verify_c11_identities(c11, s).residual("s-phi-z-display") < 1e-8
+    res = verify_c11_decomposition(fit, c11, s)
     ok &= c11.symmetry_residual() < 1e-9
     ok &= res.residual("c11-parallel-along-xi") < 1e-7
     assert _announce("7 (C11 contraction tensor on E1)", ok)
@@ -216,7 +217,7 @@ def test_criterion_08_discrepancy_adjudication(e1_100, e2_100):
     s1, _ = e1_100
     fit = fit_structure(s1)
     c11 = compute_c11_phi_r(s1)
-    res = verify_c11_decomposition(fit, c11, s1, True)
+    res = verify_c11_decomposition(fit, c11, s1)
     ok = res.residual("c11-decomposition-derived") < 1e-7
     ok &= res.get("c11-decomposition-printed").effective_status == "printed-form-mismatch"
     a, b, c = fit.min_norm

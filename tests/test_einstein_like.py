@@ -14,13 +14,19 @@ from paracheck.einstein_like import (
     fit_structure,
     reconstruction_gap,
     verify_c11_decomposition,
+    verify_c11_identities,
     verify_coefficient_constraints,
+    verify_lie_c11,
     verify_lie_formulas,
+    verify_lie_ricci,
     verify_scalar_ode,
     verify_trace_formula,
 )
 from paracheck.hypersurface_lab import evaluate_bundle, get_bundle, random_pointwise_structure
+from paracheck.models import get_model
+from paracheck.paracontact_core import StructureCheckResult
 from paracheck.sampling import derive_rng, sample_points
+from paracheck.suites import RunConfig, run_suite
 
 MIN_NORM_E1 = np.array([-4.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0])
 FAMILY_DIR = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
@@ -28,6 +34,24 @@ FAMILY_DIR = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
 
 def _unit(v):
     return v / np.linalg.norm(v)
+
+
+def _merged(*results):
+    out = StructureCheckResult()
+    for r in results:
+        out.checks += r.checks
+    return out
+
+
+def _c11_records(fit, c11, s):
+    """Every einstein record on C11(phi R) of a para-Sasakian structure."""
+    return _merged(verify_c11_identities(c11, s), verify_c11_decomposition(fit, c11, s))
+
+
+def _lie_records(fit, s):
+    """Every lie record of a para-Sasakian structure with constant trace(phi)."""
+    return _merged(verify_lie_formulas(s), verify_lie_ricci(fit, s),
+                   verify_lie_c11(fit, compute_c11_phi_r(s), s))
 
 
 class TestFit:
@@ -114,7 +138,8 @@ class TestCoefficientConstraints:
         """eps a + c = -4/3 - 2/3 = -2 = 1 - n, and r = 3a + b tr(phi) + eps c
         = -6, for all family members."""
         fit = fit_structure(e1)
-        res = verify_coefficient_constraints(fit, e1, is_para_sasakian=True)
+        assert verify_coefficient_constraints(fit, e1).passed
+        res = verify_scalar_ode(fit, e1)
         assert res.passed
         assert res.residual("eps-a-plus-c") < 1e-9
         a, b, c = fit.min_norm
@@ -123,20 +148,22 @@ class TestCoefficientConstraints:
 
     def test_e2_constraint(self, e2):
         fit = fit_structure(e2)
-        res = verify_coefficient_constraints(fit, e2, is_para_sasakian=True)
+        assert verify_coefficient_constraints(fit, e2).passed
+        res = verify_scalar_ode(fit, e2)
         assert res.passed
         assert res.residual("eps-a-plus-c") < 1e-8
         a, b, c = fit.min_norm
         assert -a + c == pytest.approx(-2.0, abs=1e-9)
 
-    def test_gating_when_not_para_sasakian(self, f0):
-        fit = fit_structure(f0)
-        res = verify_coefficient_constraints(fit, f0, is_para_sasakian=False)
-        assert res.get("eps-a-plus-c").effective_status == "not-applicable"
-        assert res.get("scalar-curvature-formula").effective_status == "not-applicable"
+    def test_gating_when_not_para_sasakian(self):
+        report = run_suite(get_model("F0"), "einstein", RunConfig(points=20, seed=7))
+        rec = {c.id: c for c in report.checks}
+        for name in ("eps-a-plus-c", "scalar-curvature-formula"):
+            assert rec[f"einstein.{name}"].status == "not-applicable"
+            assert rec[f"einstein.{name}"].detail.startswith("gate para-sasakian: ")
         # the two algebraic displays hold for any exact fit
-        assert res.get("ricci-phi-display").passed
-        assert res.get("ricci-xi-display").passed
+        assert rec["einstein.ricci-phi-display"].status == "pass"
+        assert rec["einstein.ricci-xi-display"].status == "pass"
 
 
 class TestScalarOde:
@@ -151,7 +178,7 @@ class TestScalarOde:
         rhs = 2 * 1 * (1 - 3) * (b**2 - c**2 - c * 3)
         assert lhs == pytest.approx(-8.0, abs=1e-8)
         assert rhs == pytest.approx(-8.0, abs=1e-12)
-        res = verify_scalar_ode(fit, e1, is_para_sasakian=True)
+        res = verify_scalar_ode(fit, e1)
         assert res.passed
         assert res.residual("scalar-ode") < 1e-8
 
@@ -162,19 +189,22 @@ class TestScalarOde:
         a, b, c = fit.min_norm
         assert (1 - 3) * b + c * (-2.0) == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(e1.curvature.div_q)) < 1e-7
-        res = verify_scalar_ode(fit, e1, is_para_sasakian=True)
+        res = verify_scalar_ode(fit, e1)
         assert res.residual("div-q-display") < 1e-7
 
     def test_e2_ode(self, e2):
         fit = fit_structure(e2)
-        res = verify_scalar_ode(fit, e2, is_para_sasakian=True)
+        res = verify_scalar_ode(fit, e2)
         assert res.passed
 
-    def test_gated_when_not_para_sasakian(self, f0):
-        fit = fit_structure(f0)
-        res = verify_scalar_ode(fit, f0, is_para_sasakian=False)
-        assert all(c.effective_status == "not-applicable" for c in res.checks)
-        assert "precondition failed" in res.checks[0].detail
+    def test_gated_when_not_para_sasakian(self):
+        report = run_suite(get_model("F0"), "einstein", RunConfig(points=20, seed=7))
+        ode = [c for c in report.checks if c.id.split(".")[1] in (
+            "eps-a-plus-c", "scalar-curvature-formula", "ricci-operator-derivative",
+            "div-q-display", "scalar-curvature-constant", "dr-display", "scalar-ode")]
+        assert len(ode) == 7
+        assert all(c.status == "not-applicable" for c in ode)
+        assert all(c.detail.startswith("gate para-sasakian: defining-equation residual ") for c in ode)
 
 
 class TestTraceFormula:
@@ -183,7 +213,7 @@ class TestTraceFormula:
         member with c != 0."""
         fit = fit_structure(e1)
         assert e1.trace_phi()[0] == pytest.approx(-2.0, abs=1e-12)
-        res = verify_trace_formula(fit, e1, is_para_sasakian=True)
+        res = verify_trace_formula(fit, e1)
         assert res.passed
         assert res.residual("trace-phi-formula") < 1e-8
 
@@ -196,7 +226,7 @@ class TestTraceFormula:
         member = fit.min_norm + t * fit.family[0]
         assert member[1] == pytest.approx(0.0, abs=1e-12)
         assert member[2] == pytest.approx(0.0, abs=1e-12)
-        res = verify_trace_formula(fit, e1, is_para_sasakian=True)
+        res = verify_trace_formula(fit, e1)
         assert res.passed  # remaining members carry the check
 
     def test_vacuous_when_all_members_degenerate(self, f0):
@@ -205,7 +235,7 @@ class TestTraceFormula:
         degenerate and the check reports vacuous."""
         fit = fit_structure(f0)
         assert fit.min_norm == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
-        res = verify_trace_formula(fit, f0, is_para_sasakian=True)
+        res = verify_trace_formula(fit, f0)
         statuses = {c.effective_status for c in res.checks}
         assert statuses <= {"vacuous", "pass"}
 
@@ -226,7 +256,7 @@ class TestTraceFormula:
             def trace_phi(self):
                 return np.array([float(np.trace(phi))] * 3)
 
-        res = verify_trace_formula(fit, FakeStruct(), is_para_sasakian=True)
+        res = verify_trace_formula(fit, FakeStruct())
         # trace(phi) = 0 here while eps(n-1) b/c = -15, so the check fails
         assert not res.passed
 
@@ -242,8 +272,7 @@ class TestC11:
             assert compute_c11_phi_r(s).symmetry_residual() < 1e-9
 
     def test_s_phi_z_display(self, e1):
-        fit = fit_structure(e1)
-        res = verify_c11_decomposition(fit, compute_c11_phi_r(e1), e1, is_para_sasakian=True)
+        res = verify_c11_identities(compute_c11_phi_r(e1), e1)
         assert res.residual("s-phi-z-display") < 1e-8
 
     def test_decomposition_adjudication_on_e1(self, e1):
@@ -252,7 +281,7 @@ class TestC11:
         eta(x)eta block."""
         fit = fit_structure(e1)
         c11 = compute_c11_phi_r(e1)
-        res = verify_c11_decomposition(fit, c11, e1, is_para_sasakian=True)
+        res = verify_c11_decomposition(fit, c11, e1)
         assert res.residual("c11-decomposition-derived") < 1e-7
         assert res.get("c11-decomposition-printed").effective_status == "printed-form-mismatch"
         a, b, c = fit.min_norm
@@ -281,7 +310,7 @@ class TestC11:
 
     def test_parallel_along_xi(self, e1):
         fit = fit_structure(e1)
-        res = verify_c11_decomposition(fit, compute_c11_phi_r(e1), e1, is_para_sasakian=True)
+        res = verify_c11_decomposition(fit, compute_c11_phi_r(e1), e1)
         assert res.residual("c11-parallel-along-xi") < 1e-7
 
 
@@ -290,7 +319,7 @@ class TestLieFormulas:
         """At eps = +1 the printed and re-derived variants coincide, so
         everything passes."""
         fit = fit_structure(e1)
-        res = verify_lie_formulas(fit, e1, is_para_sasakian=True)
+        res = _lie_records(fit, e1)
         assert res.passed
         assert all(c.effective_status == "pass" for c in res.checks)
         assert max(c.residual for c in res.checks) < 1e-8
@@ -299,7 +328,7 @@ class TestLieFormulas:
         """At eps = -1: L_xi Phi = -2(g + eta(x)eta) matches the re-derived
         form and misses the printed one by exactly 4 eta(x)eta."""
         fit = fit_structure(e2)
-        res = verify_lie_formulas(fit, e2, is_para_sasakian=True)
+        res = _lie_records(fit, e2)
         assert res.residual("lie-phi-form-derived") < 1e-8
         assert res.get("lie-phi-form-printed").effective_status == "printed-form-mismatch"
         assert res.get("lie-c11-printed").effective_status == "printed-form-mismatch"
@@ -313,13 +342,17 @@ class TestLieFormulas:
 
     def test_lie_eta_vanishes(self, e1, e2):
         for s in (e1, e2):
-            fit = fit_structure(s)
-            res = verify_lie_formulas(fit, s, is_para_sasakian=True)
+            res = verify_lie_formulas(s)
             assert res.residual("lie-eta") < 1e-10
 
-    def test_f0_fails_lie_g(self, f0):
-        res = verify_lie_formulas(None, f0, is_para_sasakian=False)
-        assert "lie-g" in res.failed_names()
+    def test_f0_fails_lie_g(self):
+        report = run_suite(get_model("F0"), "lie", RunConfig(points=20, seed=7))
+        status = {c.id: c.status for c in report.checks}
+        assert status["lie.lie-g"] == "fail"
+        for cid in ("lie.lie-ricci", "lie.lie-c11-derived", "lie.lie-c11-printed"):
+            assert status[cid] == "not-applicable"
+        assert all(c.detail.startswith("gate para-sasakian: ")
+                   for c in report.checks if c.status == "not-applicable")
 
 
 class TestRepresentationIndependence:
@@ -328,11 +361,11 @@ class TestRepresentationIndependence:
         residuals whatever member is chosen: they never consult the fit."""
         fit = fit_structure(e1)
         c11 = compute_c11_phi_r(e1)
-        res1 = verify_c11_decomposition(fit, c11, e1, is_para_sasakian=True)
+        res1 = _c11_records(fit, c11, e1)
         shifted = type(fit)(a=fit.a + fit.family[0][0], b=fit.b + fit.family[0][1],
                             c=fit.c + fit.family[0][2], residual=fit.residual,
                             gram_rank=fit.gram_rank, family=fit.family)
-        res2 = verify_c11_decomposition(shifted, c11, e1, is_para_sasakian=True)
+        res2 = _c11_records(shifted, c11, e1)
         assert res1.residual("s-phi-z-display") == res2.residual("s-phi-z-display")
         assert res1.residual("c11-symmetric") == res2.residual("c11-symmetric")
 
@@ -341,6 +374,6 @@ class TestRepresentationIndependence:
         t in {-1, 0, 1}."""
         for s in (e1, e2):
             fit = fit_structure(s)
-            assert verify_coefficient_constraints(fit, s, True).residual("eps-a-plus-c") < 1e-9
-            assert verify_scalar_ode(fit, s, True).residual("scalar-ode") < 1e-8
-            assert verify_trace_formula(fit, s, True).passed
+            assert verify_scalar_ode(fit, s).residual("eps-a-plus-c") < 1e-9
+            assert verify_scalar_ode(fit, s).residual("scalar-ode") < 1e-8
+            assert verify_trace_formula(fit, s).passed

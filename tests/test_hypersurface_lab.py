@@ -25,6 +25,7 @@ from paracheck.hypersurface_lab import (
 )
 from paracheck.paracontact_core import ParacontactStructure, check_axioms
 from paracheck.sampling import derive_rng, random_vectors, sample_points
+from paracheck.suites import RunConfig, run_suite
 from paracheck.tensor_algebra import TensorValue
 
 
@@ -309,9 +310,12 @@ class TestQuasiUmbilical:
         assert res.passed
         assert res.residual("quasi-umbilical") < 1e-12
 
-    def test_hyperplane_not_applicable(self, e3a_data):
-        res = quasi_umbilical_check(e3a_data.shape, e3a_data.structure)
-        assert res.get("quasi-umbilical").effective_status == "not-applicable"
+    def test_hyperplane_not_applicable(self):
+        cfg = RunConfig(points=10, seed=7, hypersurface_subset="characterization")
+        report = run_suite(get_bundle("E3a"), "hypersurface", cfg)
+        rec = next(c for c in report.checks if c.id == "hypersurface.quasi-umbilical")
+        assert rec.status == "not-applicable"
+        assert rec.detail.startswith("gate shape-characterized: ")
 
     def test_perturbed_operator_fails(self, rng):
         from paracheck.hypersurface_lab import ShapeData

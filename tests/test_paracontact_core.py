@@ -83,9 +83,8 @@ class TestCurvatureIdentities:
     def test_flat_formal_fails_r_identity(self, f0, vectors):
         """R = 0 on the flat chart, so R(X,Y)xi = eta(X)Y - eta(Y)X cannot
         hold; the residual is the size of the right side."""
-        res = check_ps_curvature_identities(f0, vectors(f0), warn_not_sasakian=True)
+        res = check_ps_curvature_identities(f0, vectors(f0))
         assert "r-xy-xi" in res.failed_names()
-        assert res.warnings
 
     def test_closed_form_oracle_constant_curvature(self, e1, e2, vectors):
         """Substituting R(X,Y)Z = -eps (g(Y,Z)X - g(X,Z)Y), the closed form

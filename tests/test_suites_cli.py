@@ -12,7 +12,8 @@ from paracheck.manifest import save_manifest
 from paracheck.models import get_model
 from paracheck.hypersurface_lab import get_bundle
 from paracheck.report import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK
-from paracheck.suites import ANCHORS, RunConfig, run_suite, run_synthetic
+from paracheck.paracontact_core import ParacontactStructure
+from paracheck.suites import CHECKS, RunConfig, run_suite, run_synthetic
 
 CFG = RunConfig(points=30, seed=7)
 
@@ -93,7 +94,32 @@ class TestRunSuite:
                        run_synthetic(RunConfig(seed=7, trials=2, epsilon=-1, dim=3))):
             for c in report.checks:
                 assert c.anchor, c.id
-                assert c.id in ANCHORS
+                assert c.id in CHECKS
+
+    def test_check_table_matches_the_golden_reports(self):
+        """Every id the golden requests emit is a CHECKS row, and every row
+        is emitted by at least one of them."""
+        from pathlib import Path
+
+        emitted = set()
+        for path in (Path(__file__).parent / "golden").glob("*.json"):
+            for case in json.loads(path.read_text()).values():
+                emitted |= set(case["report"]["status"])
+        assert emitted == set(CHECKS)
+
+    def test_trace_phi_gate(self, monkeypatch):
+        """A trace(phi) that drifts by 1e-6 over the samples turns off exactly
+        the three records behind the trace-phi-constant gate."""
+        trace_phi = ParacontactStructure.trace_phi
+        monkeypatch.setattr(ParacontactStructure, "trace_phi",
+                            lambda self: trace_phi(self) + np.linspace(0.0, 1e-6, self.npoints))
+        report = run_suite(get_model("E1"), "all", RunConfig(points=10, seed=7))
+        gated = [c for c in report.checks if c.status == "not-applicable"]
+        assert sorted(c.id for c in gated) == [
+            "einstein.trace-phi-formula", "lie.lie-c11-derived", "lie.lie-c11-printed"]
+        assert all(c.detail.startswith("gate trace-phi-constant: ") for c in gated)
+        assert sorted(cid for cid, row in CHECKS.items() if "trace-phi-constant" in row.gates) == [
+            "einstein.trace-phi-formula", "lie.lie-c11-derived", "lie.lie-c11-printed"]
 
     def test_checks_sorted_by_id(self):
         report = run_suite(get_model("E1"), "all", CFG)
@@ -173,6 +199,19 @@ class TestCli:
         proc = _cli("check", str(path), "--suite", "structure")
         assert proc.returncode == EXIT_INPUT_ERROR
         assert "line 2" in proc.stderr and "column" in proc.stderr
+
+    def test_manifest_domain_error_is_input_error(self, tmp_path):
+        """A metric entry outside its domain at a validation point is a
+        malformed manifest: exit 2 with a message naming the file."""
+        path = tmp_path / "e1.json"
+        save_manifest(get_model("E1"), path)
+        doc = json.loads(path.read_text())
+        doc["metric"][0] = "(x1-3)^0.5"
+        path.write_text(json.dumps(doc))
+        proc = _cli("check", str(path), "--suite", "structure", "--points", "10")
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert str(path) in proc.stderr
 
     def test_manifest_model_accepted(self, tmp_path):
         path = tmp_path / "e1.json"
