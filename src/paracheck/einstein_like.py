@@ -31,7 +31,7 @@ from .paracontact_core import (
     StructureCheckResult,
     residual_norm,
 )
-from .tensor_algebra import TensorValue, contract_with
+from .tensor_algebra import TensorValue, contract_with, lowest_space
 
 RANK_THRESHOLD = 1e-10
 DEGENERATE_C = 1e-8
@@ -193,7 +193,7 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Str
         fit, lambda a, b, c: residual_norm(r - (n * a + b * trphi + eps * c), r))
     res.add("scalar-curvature-formula", v, ONE_DERIVATIVE_TOL, d)
 
-    nablaQ = covariant_derivative(cur.ricci_op, struct.connection, order=cur.order).components[..., 0]
+    nablaQ = covariant_derivative(cur.ricci_op, struct.connection).components[..., 0]
     # [p, a, y(direction), x(argument)]
     eye = np.eye(n)
 
@@ -261,7 +261,6 @@ class C11Tensor:
     """(0,2) contraction C(Y,Z) = trace of X -> phi R(X,Y) Z, jet-valued."""
 
     tensor: TensorValue  # (0,2) jets, batched
-    order: int
 
     @property
     def values(self) -> np.ndarray:
@@ -273,11 +272,10 @@ class C11Tensor:
 
 
 def compute_c11_phi_r(struct: ParacontactStructure) -> C11Tensor:
-    cur = struct.curvature
-    base = 1
-    phiR = contract_with(struct.phi, cur.riemann_ud, 1, 0, order=cur.order)  # [p, l, i, j, k, m]
-    comps = np.trace(phiR, axis1=base, axis2=base + 1)  # trace l = i -> [p, j, k, m]
-    return C11Tensor(TensorValue(struct.dim, 0, 2, comps, struct.space, True), order=cur.order)
+    R = struct.curvature.riemann_ud
+    phiR = contract_with(struct.phi, R, 1, 0)  # [p, l, i, j, k, m]
+    comps = np.trace(phiR, axis1=1, axis2=2)   # trace l = i -> [p, j, k, m]
+    return C11Tensor(TensorValue(struct.dim, 0, 2, comps, lowest_space(struct.phi.space, R.space), True))
 
 
 def verify_c11_identities(c11: C11Tensor, struct: ParacontactStructure) -> StructureCheckResult:
@@ -331,7 +329,7 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor,
                 "printed eta(x)eta coefficient -(eps/c)(c + 2b(n-1)); informational" + note,
                 status="printed-form-mismatch" if printed > TWO_DERIVATIVE_TOL else None)
 
-    nabla_c11 = covariant_derivative(c11.tensor, struct.connection, order=c11.order)
+    nabla_c11 = covariant_derivative(c11.tensor, struct.connection)
     par = np.einsum('piab,pi->pab', nabla_c11.components[..., 0], struct.xi0)
     res.add("c11-parallel-along-xi", residual_norm(par, C), TWO_DERIVATIVE_TOL)
     return res
@@ -356,13 +354,13 @@ def verify_lie_formulas(struct: ParacontactStructure) -> StructureCheckResult:
     ee = np.einsum('pa,pb->pab', eta, eta)
     res = StructureCheckResult()
 
-    Leta = lie_derivative(struct.eta, struct.xi, conn, order=struct.g_order).components[..., 0]
+    Leta = lie_derivative(struct.eta, struct.xi, conn).components[..., 0]
     res.add("lie-eta", residual_norm(Leta, eta), ALGEBRAIC_TOL)
 
-    Lg = lie_derivative(struct.g, struct.xi, conn, order=struct.g_order).components[..., 0]
+    Lg = lie_derivative(struct.g, struct.xi, conn).components[..., 0]
     res.add("lie-g", residual_norm(Lg - 2 * eps * Phi, Lg, Phi), ONE_DERIVATIVE_TOL)
 
-    LPhi = lie_derivative(struct.Phi, struct.xi, conn, order=struct.g_order - 1).components[..., 0]
+    LPhi = lie_derivative(struct.Phi, struct.xi, conn).components[..., 0]
     derived = 2 * eps * (g - eps * ee)
     printed = 2 * eps * (g - ee)
     res.add("lie-phi-form-derived", residual_norm(LPhi - derived, LPhi, derived), ONE_DERIVATIVE_TOL,
@@ -380,8 +378,7 @@ def verify_lie_ricci(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Stru
     eps = struct.epsilon
     g, Phi = struct.g0, struct.Phi0
     ee = np.einsum('pa,pb->pab', struct.eta0, struct.eta0)
-    LS = lie_derivative(struct.curvature.ricci, struct.xi, struct.connection,
-                        order=struct.curvature.order).components[..., 0]
+    LS = lie_derivative(struct.curvature.ricci, struct.xi, struct.connection).components[..., 0]
     v, d = _member_max(fit, lambda a, b, c: residual_norm(
         LS - (2 * a * eps * Phi + 2 * b * eps * (g - eps * ee)), LS))
     res = StructureCheckResult()
@@ -400,7 +397,7 @@ def verify_lie_c11(fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStru
     g, Phi = struct.g0, struct.Phi0
     ee = np.einsum('pa,pb->pab', struct.eta0, struct.eta0)
     res = StructureCheckResult()
-    LC = lie_derivative(c11.tensor, struct.xi, struct.connection, order=c11.order).components[..., 0]
+    LC = lie_derivative(c11.tensor, struct.xi, struct.connection).components[..., 0]
     dgaps, pgaps, skipped = [], [], 0
     for a, b, c in fit.members():
         if abs(c) < DEGENERATE_C:

@@ -11,6 +11,12 @@ which carries exact partial derivatives (to floating-point rounding) of the
 field at a point.  All higher geometry is built on these jets, so there is no
 finite differencing anywhere in the main computation path.
 
+A jet's order is its :class:`JetSpace`: every operation of a space works to
+that space's order, :meth:`JetSpace.diff` returns a jet of
+:attr:`JetSpace.lower`, and :meth:`JetSpace.restrict` truncates a jet to a
+lower space.  Truncation is a slice because the coefficients are listed by
+degree, so the order-k coefficients are a prefix of the order-(k+1) ones.
+
 Evaluation is batched: most helpers accept coefficient arrays of shape
 ``batch + (ncoeffs,)`` and broadcast over the leading axes.
 """
@@ -286,7 +292,6 @@ class JetSpace:
         self.indices = _multi_indices(dim, order)
         self.ncoeffs = len(self.indices)
         self.index_of = {alpha: i for i, alpha in enumerate(self.indices)}
-        self.degrees = np.array([sum(a) for a in self.indices])
         self._mul_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -355,13 +360,21 @@ class JetSpace:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def mul(self, A: np.ndarray, B: np.ndarray, order: int | None = None) -> np.ndarray:
+    @property
+    def lower(self) -> "JetSpace":
+        """The space one order down, where derivatives of this space's jets live."""
+        if self.order == 0:
+            raise ValueError("an order-0 jet has no derivative")
+        return JetSpace.get(self.dim, self.order - 1)
+
+    def restrict(self, A: np.ndarray) -> np.ndarray:
+        """A jet of a higher-order space, truncated to this one."""
+        return A[..., :self.ncoeffs]
+
+    def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Truncated product of jet coefficient arrays, broadcasting over
-        leading axes.  ``order`` prunes work when the result is only needed
-        to a lower degree."""
-        if order is None:
-            order = self.order
-        I, J, T = self.mul_table(order)
+        leading axes."""
+        I, J, T = self.mul_table(self.order)
         A, B = np.broadcast_arrays(A, B)
         out = np.zeros(A.shape)
         prod_elems = int(np.prod(A.shape[:-1], dtype=np.int64)) * len(I)
@@ -376,15 +389,11 @@ class JetSpace:
         return out
 
     def diff(self, A: np.ndarray, coord: int) -> np.ndarray:
-        """d/dx_coord as a jet of one order lower (top coefficients of the
-        result are unreliable; callers track the working order)."""
+        """d/dx_coord, a jet of :attr:`lower`."""
         src, dst, fac = self.diff_table(coord)
-        out = np.zeros(A.shape)
+        out = np.zeros(A.shape[:-1] + (self.lower.ncoeffs,))
         out[..., dst] = A[..., src] * fac
         return out
-
-    def value(self, A: np.ndarray) -> np.ndarray:
-        return A[..., 0]
 
     def gradient_values(self, A: np.ndarray) -> np.ndarray:
         """First partials at the center, shape batch + (dim,)."""
@@ -394,20 +403,15 @@ class JetSpace:
             cols.append(A[..., self.index_of[e_i]])
         return np.stack(cols, axis=-1)
 
-    def truncate(self, A: np.ndarray, order: int) -> np.ndarray:
-        out = A.copy()
-        out[..., self.degrees > order] = 0.0
-        return out
-
     # -- analytic primitives ---------------------------------------------------
 
-    def _compose(self, series: np.ndarray, A: np.ndarray, order: int) -> np.ndarray:
+    def _compose(self, series: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Horner evaluation of sum_k series[..., k] * (A - A0)^k."""
         H = A.copy()
         H[..., 0] = 0.0
-        out = self.constant(series[..., order], batch_shape=A.shape[:-1])
-        for k in range(order - 1, -1, -1):
-            out = self.mul(out, H, order)
+        out = self.constant(series[..., self.order], batch_shape=A.shape[:-1])
+        for k in range(self.order - 1, -1, -1):
+            out = self.mul(out, H)
             out[..., 0] += series[..., k]
         return out
 
@@ -416,60 +420,47 @@ class JetSpace:
         if np.any(bad):
             raise JetDomainError(f"{what} of non-positive constant term", _locate(bad, points))
 
-    def reciprocal(self, A: np.ndarray, order: int | None = None, points=None) -> np.ndarray:
-        order = self.order if order is None else order
+    def reciprocal(self, A: np.ndarray, points=None) -> np.ndarray:
         a0 = A[..., 0]
         bad = a0 == 0
         if np.any(bad):
             raise JetDomainError("division by a jet with zero constant term", _locate(bad, points))
-        ks = np.arange(order + 1)
+        ks = np.arange(self.order + 1)
         series = (-1.0) ** ks * a0[..., None] ** (-(ks + 1))
-        return self._compose(series, A, order)
+        return self._compose(series, A)
 
-    def ln(self, A: np.ndarray, order: int | None = None, points=None) -> np.ndarray:
-        order = self.order if order is None else order
+    def ln(self, A: np.ndarray, points=None) -> np.ndarray:
         a0 = A[..., 0]
         self._check_positive(a0, "ln", points)
-        series = np.empty(a0.shape + (order + 1,))
+        series = np.empty(a0.shape + (self.order + 1,))
         series[..., 0] = np.log(a0)
-        for k in range(1, order + 1):
+        for k in range(1, self.order + 1):
             series[..., k] = (-1.0) ** (k - 1) / (k * a0**k)
-        return self._compose(series, A, order)
+        return self._compose(series, A)
 
-    def exp(self, A: np.ndarray, order: int | None = None, points=None) -> np.ndarray:
-        order = self.order if order is None else order
+    def exp(self, A: np.ndarray, points=None) -> np.ndarray:
         a0 = A[..., 0]
-        ks = np.arange(order + 1)
+        ks = np.arange(self.order + 1)
         series = np.exp(a0)[..., None] / np.array([math.factorial(k) for k in ks])
-        return self._compose(series, A, order)
+        return self._compose(series, A)
 
-    def sqrt(self, A: np.ndarray, order: int | None = None, points=None) -> np.ndarray:
-        order = self.order if order is None else order
+    def sqrt(self, A: np.ndarray, points=None) -> np.ndarray:
+        return self.power(A, 0.5, points, what="sqrt")
+
+    def sin(self, A: np.ndarray, points=None) -> np.ndarray:
+        return self._trig(A, np.sin)
+
+    def cos(self, A: np.ndarray, points=None) -> np.ndarray:
+        return self._trig(A, np.cos)
+
+    def _trig(self, A, fn):
         a0 = A[..., 0]
-        self._check_positive(a0, "sqrt", points)
-        series = np.empty(a0.shape + (order + 1,))
-        coef = 1.0
-        for k in range(order + 1):
-            series[..., k] = coef * a0 ** (0.5 - k)
-            coef *= (0.5 - k) / (k + 1)
-        return self._compose(series, A, order)
-
-    def sin(self, A: np.ndarray, order: int | None = None, points=None) -> np.ndarray:
-        return self._trig(A, np.sin, order)
-
-    def cos(self, A: np.ndarray, order: int | None = None, points=None) -> np.ndarray:
-        return self._trig(A, np.cos, order)
-
-    def _trig(self, A, fn, order):
-        order = self.order if order is None else order
-        a0 = A[..., 0]
-        series = np.empty(a0.shape + (order + 1,))
-        for k in range(order + 1):
+        series = np.empty(a0.shape + (self.order + 1,))
+        for k in range(self.order + 1):
             series[..., k] = fn(a0 + k * np.pi / 2) / math.factorial(k)
-        return self._compose(series, A, order)
+        return self._compose(series, A)
 
-    def power(self, A: np.ndarray, exponent: float, order: int | None = None, points=None) -> np.ndarray:
-        order = self.order if order is None else order
+    def power(self, A: np.ndarray, exponent: float, points=None, what: str | None = None) -> np.ndarray:
         if float(exponent).is_integer():
             p = int(exponent)
             if p >= 0:
@@ -477,20 +468,20 @@ class JetSpace:
                 base = A
                 while p:
                     if p & 1:
-                        out = self.mul(out, base, order)
+                        out = self.mul(out, base)
                     p >>= 1
                     if p:
-                        base = self.mul(base, base, order)
+                        base = self.mul(base, base)
                 return out
-            return self.reciprocal(self.power(A, -p, order), order, points)
+            return self.reciprocal(self.power(A, -p), points)
         a0 = A[..., 0]
-        self._check_positive(a0, f"non-integer power {exponent}", points)
-        series = np.empty(a0.shape + (order + 1,))
+        self._check_positive(a0, what or f"non-integer power {exponent}", points)
+        series = np.empty(a0.shape + (self.order + 1,))
         coef = 1.0
-        for k in range(order + 1):
+        for k in range(self.order + 1):
             series[..., k] = coef * a0 ** (exponent - k)
             coef *= (exponent - k) / (k + 1)
-        return self._compose(series, A, order)
+        return self._compose(series, A)
 
 
 def _locate(bad_mask: np.ndarray, points: np.ndarray | None):
@@ -512,7 +503,7 @@ def _locate(bad_mask: np.ndarray, points: np.ndarray | None):
 
 
 def eval_expr(expr: ScalarExpr, space: JetSpace, coord_jets: Sequence[np.ndarray],
-              order: int | None = None, points: np.ndarray | None = None) -> np.ndarray:
+              points: np.ndarray | None = None) -> np.ndarray:
     """Evaluate an expression tree on jet-valued coordinates.
 
     ``coord_jets`` may be the chart coordinate jets from
@@ -520,7 +511,6 @@ def eval_expr(expr: ScalarExpr, space: JetSpace, coord_jets: Sequence[np.ndarray
     through an embedding).  Returns a coefficient array shaped like the
     inputs.
     """
-    order = space.order if order is None else order
     batch = np.broadcast_shapes(*(cj.shape[:-1] for cj in coord_jets)) if coord_jets else ()
 
     def rec(node) -> np.ndarray:
@@ -538,12 +528,12 @@ def eval_expr(expr: ScalarExpr, space: JetSpace, coord_jets: Sequence[np.ndarray
             if node.op == "-":
                 return a - b
             if node.op == "*":
-                return space.mul(a, b, order)
-            return space.mul(a, space.reciprocal(b, order, points), order)
+                return space.mul(a, b)
+            return space.mul(a, space.reciprocal(b, points))
         if isinstance(node, Pow):
-            return space.power(rec(node.base), node.exponent, order, points)
+            return space.power(rec(node.base), node.exponent, points)
         if isinstance(node, Call):
-            return getattr(space, node.func)(rec(node.arg), order, points)
+            return getattr(space, node.func)(rec(node.arg), points)
         raise TypeError(f"unknown node {node!r}")
 
     return rec(expr)
@@ -570,7 +560,12 @@ def eval_expr_numeric(expr: ScalarExpr, point: Sequence[float]) -> float:
             raise JetDomainError("division by zero", tuple(point))
         return a / b
     if isinstance(expr, Pow):
-        return eval_expr_numeric(expr.base, point) ** expr.exponent
+        base = eval_expr_numeric(expr.base, point)
+        if base == 0 and expr.exponent < 0:
+            raise JetDomainError("division by zero", tuple(point))
+        if base < 0 and not float(expr.exponent).is_integer():
+            raise JetDomainError(f"non-integer power {expr.exponent} of a negative value", tuple(point))
+        return base ** expr.exponent
     if isinstance(expr, Call):
         a = eval_expr_numeric(expr.arg, point)
         if expr.func == "ln":
@@ -602,10 +597,6 @@ class Jet:
         self.space = space
         self.center = tuple(float(c) for c in center)
         self.coeffs = np.asarray(coeffs, dtype=float)
-
-    @property
-    def order(self) -> int:
-        return self.space.order
 
     @property
     def value(self) -> float:

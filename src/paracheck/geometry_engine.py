@@ -9,10 +9,13 @@ Conventions, fixed once and validated by the convention-lock tests:
 With these choices the model curvatures reproduce S(X,xi) = -(n-1) eta(X)
 and R(X,Y)xi = eta(X) Y - eta(Y) X on the closed-form structures.
 
-All operators take and return batched jet tensors; the ``order`` attribute
-tracks how many valid derivative levels remain (each curl of the pipeline
-consumes one).  A request that would drop below zero raises
-:class:`InsufficientOrderError`.
+All operators take and return batched jet tensors, and a result's jet
+space is the order it is valid to: each derivative costs one order, and an
+operation on operands of different orders runs in the lowest operand space.
+So Gamma is one order below g, curvature one below Gamma, and a covariant or
+Lie derivative is valid to min(operand order - 1, Gamma's order); operands
+are restricted to that order first, so no product is formed above it.  A
+derivative of an order-0 jet raises :class:`InsufficientOrderError`.
 """
 
 from __future__ import annotations
@@ -22,16 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr_jet import JetSpace
-from .tensor_algebra import MetricAtPoint, TensorValue, contract_with
+from .tensor_algebra import MetricAtPoint, TensorValue, contract_with, lowest_space
 
 
 class InsufficientOrderError(ValueError):
     pass
 
 
-def _need(order: int, k: int, what: str):
-    if order < k:
-        raise InsufficientOrderError(f"{what} needs jet order >= {k}, have {order}")
+def _lower(space: JetSpace, what: str) -> JetSpace:
+    """The space of ``what``, one derivative below ``space``."""
+    if space.order < 1:
+        raise InsufficientOrderError(f"{what} needs jet order >= 1, have {space.order}")
+    return space.lower
 
 
 @dataclass
@@ -42,7 +47,6 @@ class ConnectionAtPoint:
     gamma: TensorValue
     metric: MetricAtPoint
     points: np.ndarray
-    order: int
 
     @property
     def space(self) -> JetSpace:
@@ -70,23 +74,19 @@ class CurvatureAtPoint:
     scalar: np.ndarray          # jet coefficients (P, ncoeffs)
     dr: np.ndarray              # values (P, n)
     div_q: np.ndarray           # values (P, n)
-    order: int                  # valid jet order of riemann/ricci entries
 
 
-def christoffel(metric_jets: TensorValue, points: np.ndarray, order: int | None = None) -> ConnectionAtPoint:
+def christoffel(metric_jets: TensorValue, points: np.ndarray) -> ConnectionAtPoint:
     """Levi-Civita connection of a jet-valued metric.
 
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), jet-valued one
-    order below the metric jets.
+    order below the metric jets; g is inverted only to that order.
     """
     space = metric_jets.space
     if space is None:
         raise ValueError("christoffel needs jet-valued metric components")
-    g_order = space.order if order is None else order
-    _need(g_order, 1, "christoffel")
-    out_order = g_order - 1
-    # Gamma and the Ricci operator read g^-1 only to out_order
-    metric = MetricAtPoint.build(metric_jets, out_order)
+    lower = _lower(space, "christoffel")
+    metric = MetricAtPoint.build(metric_jets.as_jet(lower))
     n = metric_jets.dim
     base = 1 if metric_jets.batched else 0
     G = metric_jets.components
@@ -96,43 +96,42 @@ def christoffel(metric_jets: TensorValue, points: np.ndarray, order: int | None 
     t2 = np.moveaxis(dg, (base, base + 1, base + 2), (base + 1, base, base + 2))  # d_j g_{il}: axes (j, i, l)
     t3 = np.moveaxis(dg, (base, base + 1, base + 2), (base + 2, base, base + 1))  # d_l g_{ij}: axes (l, i, j)
     sym = t1 + t2 - t3  # axes [P?, i, j, l, m]
-    symT = TensorValue(n, 0, 3, sym, space, metric_jets.batched)
+    symT = TensorValue(n, 0, 3, sym, lower, metric_jets.batched)
     # Gamma^k_{ij} = 1/2 g^{kl} sym_{ijl}
-    comps = 0.5 * contract_with(metric.g_inv, symT, 1, 2, order=out_order)  # [P?, k, i, j, m]
-    gamma = TensorValue(n, 1, 2, comps, space, metric_jets.batched)
-    return ConnectionAtPoint(gamma=gamma, metric=metric, points=np.asarray(points), order=out_order)
+    comps = 0.5 * contract_with(metric.g_inv, symT, 1, 2)  # [P?, k, i, j, m]
+    gamma = TensorValue(n, 1, 2, comps, lower, metric_jets.batched)
+    return ConnectionAtPoint(gamma=gamma, metric=metric, points=np.asarray(points))
 
 
 def curvature(conn: ConnectionAtPoint) -> CurvatureAtPoint:
     """Riemann, Ricci, scalar curvature, Ricci operator, dr, and div Q."""
-    _need(conn.order, 1, "curvature")
     space = conn.space
+    lower = _lower(space, "curvature")
     n = conn.dim
-    base = 1 if conn.gamma.batched else 0
-    Gam = conn.gamma.components
-    r_order = conn.order - 1
-    dG = np.stack([space.diff(Gam, i) for i in range(n)], axis=base)  # [P?, i, l, j, k, m]
+    batched = conn.gamma.batched
+    base = 1 if batched else 0
+    dG = np.stack([space.diff(conn.gamma.components, i) for i in range(n)], axis=base)  # [P?, i, l, j, k, m]
     term1 = np.moveaxis(dG, base, base + 1)                   # [l, i, j, k]: d_i Gamma^l_{jk}
     term2 = np.swapaxes(term1, base + 1, base + 2)            # d_j Gamma^l_{ik}
-    gg = contract_with(conn.gamma, conn.gamma, 2, 0, order=r_order)   # [l, i, j, k]: G^l_{im} G^m_{jk}
+    gam = conn.gamma.as_jet(lower)
+    gg = contract_with(gam, gam, 2, 0)                        # [l, i, j, k]: G^l_{im} G^m_{jk}
     gg2 = np.swapaxes(gg, base + 1, base + 2)
     R = term1 - term2 + gg - gg2
-    riemann_ud = TensorValue(n, 1, 3, R, space, conn.gamma.batched)
+    riemann_ud = TensorValue(n, 1, 3, R, lower, batched)
 
     # classical (0,4): R_{ijkl} = g_{lm} R^m_{ijk}
-    low = contract_with(conn.metric.g, riemann_ud, 1, 0, order=r_order)  # [l, i, j, k]
-    riemann_dddd = TensorValue(n, 0, 4, np.moveaxis(low, base, base + 3), space, conn.gamma.batched)
+    low = contract_with(conn.metric.g, riemann_ud, 1, 0)     # [l, i, j, k]
+    riemann_dddd = TensorValue(n, 0, 4, np.moveaxis(low, base, base + 3), lower, batched)
 
     S = np.trace(R, axis1=base, axis2=base + 1)               # S_{jk} = R^a_{ajk}
-    ricci = TensorValue(n, 0, 2, S, space, conn.gamma.batched)
-    Q = contract_with(conn.metric.g_inv, ricci, 1, 0, order=r_order)   # Q^a_b = g^{am} S_{mb}
-    ricci_op = TensorValue(n, 1, 1, Q, space, conn.gamma.batched)
+    ricci = TensorValue(n, 0, 2, S, lower, batched)
+    Q = contract_with(conn.metric.g_inv, ricci, 1, 0)         # Q^a_b = g^{am} S_{mb}
+    ricci_op = TensorValue(n, 1, 1, Q, lower, batched)
     r = np.trace(Q, axis1=base, axis2=base + 1)               # scalar curvature jets
-    dr = space.gradient_values(r)
+    dr = lower.gradient_values(r)
 
     # div Q_b = (nabla_a Q)^a_b, needs one more derivative of Q
-    _need(r_order, 1, "div Q")
-    nablaQ = covariant_derivative(ricci_op, conn, order=r_order)
+    nablaQ = covariant_derivative(ricci_op, conn)
     div_q = np.trace(nablaQ.components[..., 0], axis1=base, axis2=base + 1)
 
     return CurvatureAtPoint(
@@ -143,46 +142,41 @@ def curvature(conn: ConnectionAtPoint) -> CurvatureAtPoint:
         scalar=r,
         dr=dr,
         div_q=div_q,
-        order=r_order,
     )
 
 
-def covariant_derivative(T: TensorValue, conn: ConnectionAtPoint, order: int | None = None) -> TensorValue:
+def covariant_derivative(T: TensorValue, conn: ConnectionAtPoint) -> TensorValue:
     """Levi-Civita covariant derivative; the direction becomes the first
     covariant slot, so (nabla T)(X, ...) = (nabla_X T)(...).
 
-    ``order`` is the valid jet order of T's entries; the result is valid to
-    one order less.
+    The result is valid to min(T's order - 1, Gamma's order).
     """
-    space = T.space
-    if space is None:
+    if T.space is None:
         raise ValueError("covariant_derivative needs jet-valued components")
-    order = space.order if order is None else order
-    _need(order, 1, "covariant derivative")
-    out_order = order - 1
+    out = lowest_space(_lower(T.space, "covariant derivative"), conn.space)
     n = T.dim
     base = 1 if T.batched else 0
-    comps = T.components
     # derivative axis first (after batch), moved into place at the end
-    out = np.stack([space.diff(comps, i) for i in range(n)], axis=base)
-    gamma = conn.gamma
+    dT = np.stack([out.restrict(T.space.diff(T.components, i)) for i in range(n)], axis=base)
+    gamma, T = conn.gamma.as_jet(out), T.as_jet(out)
     for s in range(T.p):
-        term = contract_with(gamma, T, 2, s, order=out_order)  # [a, i, (T minus s)]
+        term = contract_with(gamma, T, 2, s)                   # [a, i, (T minus s)]
         term = np.moveaxis(term, base + 1, base)               # [i, a, ...]
         term = np.moveaxis(term, base + 1, base + 1 + s)       # slot a into position s
-        out = out + term
+        dT = dT + term
     for s in range(T.q):
-        term = contract_with(gamma, T, 0, T.p + s, order=out_order)  # [i, b, (T minus p+s)]
+        term = contract_with(gamma, T, 0, T.p + s)             # [i, b, (T minus p+s)]
         term = np.moveaxis(term, base + 1, base + 1 + T.p + s)
-        out = out - term
+        dT = dT - term
     # direction axis becomes the first covariant slot
-    out = np.moveaxis(out, base, base + T.p)
-    return TensorValue(n, T.p, T.q + 1, out, space, T.batched)
+    dT = np.moveaxis(dT, base, base + T.p)
+    return TensorValue(n, T.p, T.q + 1, dT, out, T.batched)
 
 
 def lie_derivative(T: TensorValue, X: TensorValue, conn: ConnectionAtPoint,
-                   order: int | None = None, via_partials: bool = False) -> TensorValue:
-    """Lie derivative along X of a (0,1) form or (0,2) tensor.
+                   via_partials: bool = False) -> TensorValue:
+    """Lie derivative along X of a (0,1) form or (0,2) tensor, valid to
+    min(T's order - 1, X's order - 1, Gamma's order).
 
     The default route is the covariant one,
     (L_X T)(Y,Z) = (nabla_X T)(Y,Z) + T(nabla_Y X, Z) + T(Y, nabla_Z X);
@@ -191,29 +185,24 @@ def lie_derivative(T: TensorValue, X: TensorValue, conn: ConnectionAtPoint,
     """
     if (T.p, T.q) not in ((0, 1), (0, 2)):
         raise ValueError(f"lie_derivative supports valences (0,1) and (0,2), got ({T.p},{T.q})")
-    space = T.space
-    order = space.order if order is None else order
-    _need(order, 1, "lie derivative")
-    out_order = order - 1
+    out = lowest_space(_lower(T.space, "lie derivative"), _lower(X.space, "lie derivative"), conn.space)
+    T, X = (V.as_jet(JetSpace.get(V.dim, out.order + 1)) for V in (T, X))
     n = T.dim
     base = 1 if T.batched else 0
 
     if via_partials:
-        dT = np.stack([space.diff(T.components, i) for i in range(n)], axis=base)  # [k, slots...]
-        dT_T = TensorValue(n, 0, T.q + 1, dT, space, T.batched)
-        first = contract_with(X, dT_T, 0, 0, order=out_order)
-        dX = np.stack([space.diff(X.components, i) for i in range(n)], axis=base)  # [i, a, m] = d_i X^a
-        gradX = TensorValue(n, 1, 1, np.moveaxis(dX, base, base + 1), space, T.batched)  # [a, i]
+        dT = np.stack([T.space.diff(T.components, i) for i in range(n)], axis=base)  # [k, slots...]
+        first = contract_with(X, TensorValue(n, 0, T.q + 1, dT, out, T.batched), 0, 0)
+        dX = np.stack([X.space.diff(X.components, i) for i in range(n)], axis=base)  # [i, a, m] = d_i X^a
+        gradX = TensorValue(n, 1, 1, np.moveaxis(dX, base, base + 1), out, T.batched)  # [a, i]
     else:
-        natT = covariant_derivative(T, conn, order=order)
-        first = contract_with(X, natT, 0, 0, order=out_order)
-        gradX = covariant_derivative(X, conn, order=order)  # (1,1): (nabla X)^a_i
+        first = contract_with(X, covariant_derivative(T, conn), 0, 0)
+        gradX = covariant_derivative(X, conn)  # (1,1): (nabla X)^a_i
 
     if T.q == 1:
-        corr = contract_with(gradX, T, 0, 0, order=out_order)  # eta_a (grad X)^a_i -> [i]
-        out = first + corr
+        lie = first + contract_with(gradX, T, 0, 0)            # eta_a (grad X)^a_i -> [i]
     else:
-        c1 = contract_with(gradX, T, 0, 0, order=out_order)    # [i, j]: (gX)^k_i T_{kj}
-        c2 = contract_with(gradX, T, 0, 1, order=out_order)    # [j, i]: (gX)^k_j T_{ik}
-        out = first + c1 + np.swapaxes(c2, base, base + 1)
-    return TensorValue(n, 0, T.q, out, space, T.batched)
+        c1 = contract_with(gradX, T, 0, 0)                     # [i, j]: (gX)^k_i T_{kj}
+        c2 = contract_with(gradX, T, 0, 1)                     # [j, i]: (gX)^k_j T_{ik}
+        lie = first + c1 + np.swapaxes(c2, base, base + 1)
+    return TensorValue(n, 0, T.q, lie, out, T.batched)

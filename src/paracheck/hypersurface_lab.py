@@ -26,7 +26,7 @@ import numpy as np
 
 from .expr_jet import JetSpace, parse_expr
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
-from .models import _eval_grid
+from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid
 from .paracontact_core import (
     ALGEBRAIC_TOL,
     ONE_DERIVATIVE_TOL,
@@ -44,7 +44,6 @@ from .tensor_algebra import TensorValue, invert_jet_matrix
 
 LIGHTLIKE_FLOOR = 1e-6
 COMPONENT_SIGN_FLOOR = 1e-8
-AMBIENT_ORDER = 3  # ambient curvature values for the Gauss equation need metric jets to order 3
 
 
 class InducedStructureError(ValueError):
@@ -107,26 +106,27 @@ class ShapeData:
 
 
 class AmbientJets:
-    """The ambient g~ and J~ as ambient jets of order 3 at a batch of ambient
-    points, with the Levi-Civita connection and curvature; each is built on
-    first use and kept."""
+    """The ambient g~ (jets of order 3: the Gauss equation reads ambient
+    curvature) and J~ (order 1: parallel J reads one derivative) at a batch
+    of ambient points, with the Levi-Civita connection and curvature; each
+    is built on first use and kept."""
 
     def __init__(self, model: AmbientProductModel, points: np.ndarray):
         self.model = model
         self.points = np.asarray(points, dtype=float)
-        self.space = JetSpace.get(model.dim, AMBIENT_ORDER)
 
-    def _jets(self, sources: list[list[str]], p: int, q: int) -> TensorValue:
-        comps = _eval_grid(sources, self.model.coords, self.space, self.space.point_jets(self.points), self.points)
-        return TensorValue(self.model.dim, p, q, comps, self.space, True)
+    def _jets(self, sources: list[list[str]], p: int, q: int, order: int) -> TensorValue:
+        space = JetSpace.get(self.model.dim, order)
+        comps = _eval_grid(sources, self.model.coords, space, space.point_jets(self.points), self.points)
+        return TensorValue(self.model.dim, p, q, comps, space, True)
 
     @cached_property
     def g(self) -> TensorValue:
-        return self._jets(self.model.metric, 0, 2)
+        return self._jets(self.model.metric, 0, 2, METRIC_ORDER)
 
     @cached_property
     def J(self) -> TensorValue:
-        return self._jets(self.model.J, 1, 1)
+        return self._jets(self.model.J, 1, 1, FIELD_ORDER)
 
     @cached_property
     def connection(self) -> ConnectionAtPoint:
@@ -157,7 +157,7 @@ class HypersurfaceData:
 # --------------------------------------------------------------------------
 
 
-def jet_det(space: JetSpace, M: np.ndarray, order: int) -> np.ndarray:
+def jet_det(space: JetSpace, M: np.ndarray) -> np.ndarray:
     """Determinant of a jet matrix (..., k, k, m) by cofactor expansion."""
     k = M.shape[-2]
     if k == 1:
@@ -165,7 +165,7 @@ def jet_det(space: JetSpace, M: np.ndarray, order: int) -> np.ndarray:
     out = None
     for j in range(k):
         minor = np.delete(np.delete(M, 0, axis=-3), j, axis=-2)
-        term = space.mul(M[..., 0, j, :], jet_det(space, minor, order), order)
+        term = space.mul(M[..., 0, j, :], jet_det(space, minor))
         if j % 2:
             term = -term
         out = term if out is None else out + term
@@ -178,48 +178,52 @@ def jet_det(space: JetSpace, M: np.ndarray, order: int) -> np.ndarray:
 
 
 def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray,
-                    order: int = 4, require_tangent: bool = True) -> HypersurfaceData:
+                    require_tangent: bool = True) -> HypersurfaceData:
     """Push the embedding through the jet pipeline: tangent frames, unit
-    normal, induced (phi, xi, eta, g), and the shape operator."""
+    normal, induced (phi, xi, eta, g), and the shape operator.  The embedding
+    is evaluated to order METRIC_ORDER + 1 so that the induced g reaches
+    METRIC_ORDER; the normal, the frame split, phi, xi and eta are built at
+    FIELD_ORDER."""
     amb = bundle.ambient
     emb = bundle.embedding
     n = bundle.dim
     N1 = amb.dim
     points = np.asarray(points, dtype=float)
     P = points.shape[0]
-    space = JetSpace.get(n, order)
-    m = space.ncoeffs
-    cj = space.point_jets(points)
+    space = JetSpace.get(n, METRIC_ORDER + 1)
+    gspace = space.lower
+    fspace = JetSpace.get(n, FIELD_ORDER)
 
-    # embedding jets and tangent frame T_a^B = d_a F^B (order - 1 valid)
-    F = _eval_grid(emb.map, emb.coords, space, cj, points)        # (P, N1, m)
+    # embedding jets and tangent frame T_a^B = d_a F^B, jets of gspace
+    F = _eval_grid(emb.map, emb.coords, space, space.point_jets(points), points)   # (P, N1, m)
     T = np.stack([np.stack([space.diff(F[:, B], a) for B in range(N1)], axis=1)
                   for a in range(n)], axis=1)       # (P, n, N1, m)
-    t_order = order - 1
 
     # ambient tensors along F, as chart jets
-    F_jets = [F[:, B] for B in range(N1)]
-    g_amb = _eval_grid(amb.metric, amb.coords, space, F_jets, points)   # (P, N1, N1, m)
-    J_amb = _eval_grid(amb.J, amb.coords, space, F_jets, points)
+    F_jets = [gspace.restrict(F[:, B]) for B in range(N1)]
+    g_amb = _eval_grid(amb.metric, amb.coords, gspace, F_jets, points)   # (P, N1, N1, m)
+    J_amb = _eval_grid(amb.J, amb.coords, fspace, [fspace.restrict(f) for f in F_jets], points)
 
     # induced metric g_ab = g~(T_a, T_b)
-    gT = np.zeros((P, n, n, m))
+    gT = np.zeros((P, n, n, gspace.ncoeffs))
     for a in range(n):
-        Ta_low = np.sum(space.mul(g_amb, T[:, a, None, :, :], t_order), axis=2)   # (P, N1, m)
+        Ta_low = np.sum(gspace.mul(g_amb, T[:, a, None, :, :]), axis=2)   # (P, N1, m)
         for b in range(n):
-            gT[:, a, b] = np.sum(space.mul(Ta_low, T[:, b], t_order), axis=1)
-    g_ind = TensorValue(n, 0, 2, gT, space, True)
+            gT[:, a, b] = np.sum(gspace.mul(Ta_low, T[:, b]), axis=1)
+    g_ind = TensorValue(n, 0, 2, gT, gspace, True)
 
+    # from here on, jets of fspace
+    T, g_amb = fspace.restrict(T), fspace.restrict(g_amb)
     # normal covector: cofactor cross product of the Jacobian rows
-    nu = np.zeros((P, N1, m))
+    nu = np.zeros((P, N1, fspace.ncoeffs))
     for B in range(N1):
         minor = np.delete(T, B, axis=2)            # (P, n, n, m)
         sign = -1.0 if (n + B) % 2 else 1.0
-        nu[:, B] = sign * jet_det(space, minor, t_order)
+        nu[:, B] = sign * jet_det(fspace, minor)
     if np.max(np.abs(nu[..., 0])) < 1e-12:
         raise InducedStructureError("embedding differential is rank-deficient at the samples")
-    g_amb_inv = invert_jet_matrix(space, g_amb, t_order)
-    N_un = np.sum(space.mul(g_amb_inv, nu[:, None, :, :], t_order), axis=2)   # N^A = g~^{AB} nu_B
+    g_amb_inv = invert_jet_matrix(fspace, g_amb)
+    N_un = np.sum(fspace.mul(g_amb_inv, nu[:, None, :, :]), axis=2)   # N^A = g~^{AB} nu_B
 
     # orientation: first component with |value| above threshold made positive
     vals = N_un[..., 0]
@@ -232,8 +236,8 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray,
     N_un = N_un * (emb.orientation * flip)[:, None, None]
 
     # normalize to |g~(N, N)| = 1
-    N_low = np.sum(space.mul(g_amb, N_un[:, None, :, :], t_order), axis=2)
-    q = np.sum(space.mul(N_low, N_un, t_order), axis=1)       # g~(N, N) jets
+    N_low = np.sum(fspace.mul(g_amb, N_un[:, None, :, :]), axis=2)
+    q = np.sum(fspace.mul(N_low, N_un), axis=1)       # g~(N, N) jets
     q0 = q[..., 0]
     if np.min(np.abs(q0)) < LIGHTLIKE_FLOOR:
         k = int(np.argmin(np.abs(q0)))
@@ -244,43 +248,42 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray,
     if len(set(signs.tolist())) != 1:
         raise InducedStructureError("normal causal character flips over the sample set")
     eps = int(signs[0])
-    scale = space.reciprocal(space.sqrt(eps * q, t_order), t_order)
-    N_hat = space.mul(N_un, scale[:, None, :], t_order)
+    scale = fspace.reciprocal(fspace.sqrt(eps * q))
+    N_hat = fspace.mul(N_un, scale[:, None, :])
 
     # frame matrix columns (T_1 .. T_n, N) and its jet inverse
     frame = np.concatenate([np.moveaxis(T, 1, 2), N_hat[:, :, None, :]], axis=2)  # (P, N1, n+1, m)
-    frame_inv = invert_jet_matrix(space, frame, t_order)
+    frame_inv = invert_jet_matrix(fspace, frame)
 
     def split(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ambient jet vector -> (tangential chart components, normal part)."""
-        x = np.sum(space.mul(frame_inv, V[:, None, :, :], t_order), axis=2)
+        x = np.sum(fspace.mul(frame_inv, V[:, None, :, :]), axis=2)
         return x[:, :n], x[:, n]
 
     # J N = xi (must be tangent), J T_a = phi^b_a T_b + eta_a N
-    JN = np.sum(space.mul(J_amb, N_hat[:, None, :, :], t_order), axis=2)
-    xi_c, xi_norm = split(JN)
-    gJNN = np.sum(space.mul(N_low, JN, t_order), axis=1)[..., 0]
+    JN = np.sum(fspace.mul(J_amb, N_hat[:, None, :, :]), axis=2)
+    xi_c = split(JN)[0]
+    gJNN = np.sum(fspace.mul(N_low, JN), axis=1)[..., 0]
     tangency = float(np.max(np.abs(gJNN)))
     if require_tangent and tangency > 1e-8:
         k = int(np.argmax(np.abs(gJNN)))
         raise InducedStructureError(
             f"JN not tangent: g~(JN, N) = {gJNN[k]:+.6f} at point {tuple(float(c) for c in points[k])}")
 
-    phi_c = np.zeros((P, n, n, m))
-    eta_c = np.zeros((P, n, m))
+    phi_c = np.zeros((P, n, n, fspace.ncoeffs))
+    eta_c = np.zeros((P, n, fspace.ncoeffs))
     for a in range(n):
-        JTa = np.sum(space.mul(J_amb, T[:, a][:, None, :, :], t_order), axis=2)
+        JTa = np.sum(fspace.mul(J_amb, T[:, a][:, None, :, :]), axis=2)
         tan, nor = split(JTa)
         phi_c[:, :, a] = tan
         eta_c[:, a] = nor
 
     structure = ParacontactStructure(
-        space, points, eps,
+        points, eps,
         g=g_ind,
-        phi=TensorValue(n, 1, 1, phi_c, space, True),
-        xi=TensorValue(n, 1, 0, xi_c, space, True),
-        eta=TensorValue(n, 0, 1, eta_c, space, True),
-        g_order=t_order,
+        phi=TensorValue(n, 1, 1, phi_c, fspace, True),
+        xi=TensorValue(n, 1, 0, xi_c, fspace, True),
+        eta=TensorValue(n, 0, 1, eta_c, fspace, True),
         validate=require_tangent,
     )
 
@@ -290,7 +293,7 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray,
 
     N0 = N_hat[..., 0]
     eps_res = float(np.max(np.abs(np.einsum('pA,pAB,pB->p', N0, g_amb[..., 0], N0) - eps)))
-    dN = space.gradient_values(N_hat)                  # (P, N1, n): d_a (N o F)^C
+    dN = fspace.gradient_values(N_hat)                 # (P, N1, n): d_a (N o F)^C
     T0 = T[..., 0]                                     # (P, n, N1)
     W = np.einsum('pca->pac', dN) + np.einsum('pCAB,paA,pB->paC', Gam_amb, T0, N0)
     frame0 = frame[..., 0]
@@ -320,7 +323,7 @@ def check_ambient(ambient: AmbientJets) -> StructureCheckResult:
     res.add("ambient-j-squared", residual_norm(JJ - np.eye(ambient.model.dim), J0), ALGEBRAIC_TOL)
     pullback = np.einsum('pma,pmn,pnb->pab', J0, g0, J0)
     res.add("ambient-j-metric", residual_norm(pullback - g0, g0), ALGEBRAIC_TOL)
-    nJ = covariant_derivative(ambient.J, ambient.connection, order=1)
+    nJ = covariant_derivative(ambient.J, ambient.connection)
     res.add("ambient-j-parallel", residual_norm(nJ.components[..., 0], J0), ONE_DERIVATIVE_TOL)
     return res
 

@@ -24,7 +24,11 @@ from .expr_jet import JetSpace, ScalarExpr, eval_expr, parse_expr
 from .paracontact_core import ParacontactStructure
 from .tensor_algebra import TensorValue, inertia
 
-DEFAULT_ORDER = 4
+# Jet orders of a chart model's fields.  The deepest check reads one
+# derivative of Ricci (dr, div Q, nabla Q, L_xi S, nabla and L_xi of C11), so g
+# needs order 3; phi, xi and eta enter at most one covariant or Lie derivative.
+METRIC_ORDER = 3
+FIELD_ORDER = 1
 
 
 @dataclass
@@ -114,20 +118,21 @@ def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: li
     return np.stack([_eval_grid(row, coords, space, coord_jets, points) for row in sources], axis=1)
 
 
-def evaluate_structure(model: ManifoldModel, points: np.ndarray,
-                       order: int = DEFAULT_ORDER) -> ParacontactStructure:
-    """Evaluate the model's tensors as jets at the given points."""
+def evaluate_structure(model: ManifoldModel, points: np.ndarray) -> ParacontactStructure:
+    """Evaluate the model's tensors as jets at the given points: g to
+    METRIC_ORDER, phi, xi and eta to FIELD_ORDER."""
     if not model.has_structure:
         raise ValueError(f"model {model.name} declares no (phi, xi, eta) structure")
     points = np.asarray(points, dtype=float)
-    space = JetSpace.get(model.dim, order)
-    cj = space.point_jets(points)
 
-    def jets(sources, p, q):
-        return TensorValue(model.dim, p, q, _eval_grid(sources, model.coords, space, cj, points), space, True)
+    def jets(sources, p, q, order):
+        space = JetSpace.get(model.dim, order)
+        comps = _eval_grid(sources, model.coords, space, space.point_jets(points), points)
+        return TensorValue(model.dim, p, q, comps, space, True)
 
-    return ParacontactStructure(space, points, model.epsilon, jets(model.metric, 0, 2), jets(model.phi, 1, 1),
-                                jets(model.xi, 1, 0), jets(model.eta, 0, 1), g_order=order)
+    return ParacontactStructure(points, model.epsilon, jets(model.metric, 0, 2, METRIC_ORDER),
+                                jets(model.phi, 1, 1, FIELD_ORDER), jets(model.xi, 1, 0, FIELD_ORDER),
+                                jets(model.eta, 0, 1, FIELD_ORDER))
 
 
 # --------------------------------------------------------------------------

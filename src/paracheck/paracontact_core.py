@@ -18,9 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr_jet import JetSpace
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
-from .tensor_algebra import TensorValue
+from .tensor_algebra import TensorValue, contract_with
 
 ALGEBRAIC_TOL = 1e-9
 ONE_DERIVATIVE_TOL = 1e-8
@@ -84,26 +83,26 @@ class StructureCheckResult:
 
 
 class ParacontactStructure:
-    """Jet-valued structure tensors over a batch of sample points.
+    """Jet-valued structure tensors over a batch of sample points.  Each
+    tensor's jet space is the order it was evaluated to: g to the order of
+    the deepest curvature check, phi, xi and eta to one derivative.
 
     Basic invariants (eta(xi) = 1 and g(xi,xi) = eps, both to 1e-10) are
     enforced at construction; the geometric axioms are what the check
     operations measure, so they are deliberately not enforced here.
     """
 
-    def __init__(self, space: JetSpace, points: np.ndarray, epsilon: int,
+    def __init__(self, points: np.ndarray, epsilon: int,
                  g: TensorValue, phi: TensorValue, xi: TensorValue, eta: TensorValue,
-                 g_order: int | None = None, validate: bool = True):
+                 validate: bool = True):
         if epsilon not in (1, -1):
             raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
-        self.space = space
         self.points = np.asarray(points)
         self.epsilon = int(epsilon)
         self.g = g
         self.phi = phi
         self.xi = xi
         self.eta = eta
-        self.g_order = space.order if g_order is None else g_order
         if validate:
             self._validate_basic()
 
@@ -144,10 +143,8 @@ class ParacontactStructure:
     @property
     def Phi(self) -> TensorValue:
         """The fundamental 2-form Phi_{ab} = g(phi e_a, e_b) as jets."""
-        from .tensor_algebra import contract_with
-        comps = contract_with(self.g, self.phi, 0, 0, order=self.g_order)  # g_{mb} phi^m_a -> [b, a]
-        comps = np.swapaxes(comps, 1, 2)
-        return TensorValue(self.dim, 0, 2, comps, self.space, True)
+        comps = contract_with(self.g, self.phi, 0, 0)  # g_{mb} phi^m_a -> [b, a]
+        return TensorValue(self.dim, 0, 2, np.swapaxes(comps, 1, 2), self.phi.space, True)
 
     @property
     def Phi0(self) -> np.ndarray:
@@ -160,14 +157,14 @@ class ParacontactStructure:
 
     @cached_property
     def connection(self) -> ConnectionAtPoint:
-        return christoffel(self.g, self.points, order=self.g_order)
+        return christoffel(self.g, self.points)
 
     @cached_property
     def curvature(self) -> CurvatureAtPoint:
         return curvature(self.connection)
 
     def _nabla(self, T: TensorValue) -> np.ndarray:
-        return covariant_derivative(T, self.connection, order=self.g_order - 1).components[..., 0]
+        return covariant_derivative(T, self.connection).components[..., 0]
 
     @cached_property
     def nabla_phi(self) -> np.ndarray:

@@ -158,9 +158,11 @@ def _merge(report: CheckReport, prefix: str, tol_scale: float, *results: Structu
 
 class _ModelContext:
     """What every suite of one request shares: the structure (and, for a
-    bundle, its hypersurface data), the test vectors, the para-Sasakian gate
-    run (the sasakian suite reports it), the value measured for each gate,
-    and the Einstein-like fit and C11(phi R), each built on first use."""
+    bundle, its hypersurface data) and the test vectors; the axiom checks
+    (the structure suite and the induced-axioms record report them), the
+    para-Sasakian gate run (the sasakian suite reports it), the value
+    measured for each gate, and the Einstein-like fit and C11(phi R), each
+    built on first use."""
 
     def __init__(self, struct: ParacontactStructure, name: str, cfg: RunConfig,
                  data: hl.HypersurfaceData | None = None):
@@ -168,15 +170,22 @@ class _ModelContext:
         self.data = data
         rng = derive_rng(cfg.seed, name, "vectors")
         self.vectors = random_vectors(rng, struct.npoints, 2 * cfg.vector_tuples, struct.dim)
-        self.ps_gate = check_para_sasakian(struct, self.vectors)
-        trphi = struct.trace_phi()
-        self.measured = {
-            "para-sasakian": max(c.residual for c in self.ps_gate.checks),
-            "trace-phi-constant": float(np.max(np.abs(trphi - trphi[0]))),
-        }
-        if data is not None:
-            self.measured["shape-characterized"] = float(np.max(
-                hl.shape_characterization_gap_per_point(struct, data.shape.A)))
+
+    @cached_property
+    def axioms(self) -> StructureCheckResult:
+        return check_axioms(self.struct, self.vectors)
+
+    @cached_property
+    def ps_gate(self) -> StructureCheckResult:
+        return check_para_sasakian(self.struct, self.vectors)
+
+    def measured(self, gate: str) -> float:
+        if gate == "para-sasakian":
+            return max(c.residual for c in self.ps_gate.checks)
+        if gate == "trace-phi-constant":
+            trphi = self.struct.trace_phi()
+            return float(np.max(np.abs(trphi - trphi[0])))
+        return float(np.max(hl.shape_characterization_gap_per_point(self.struct, self.data.shape.A)))
 
     @cached_property
     def samples(self) -> list[el.EinsteinSample]:
@@ -196,7 +205,7 @@ class _ModelContext:
         its detail naming the first failing gate and its measured value."""
         for gate in gates:
             what, threshold = GATES[gate]
-            value = self.measured[gate]
+            value = self.measured(gate)
             if not value <= threshold:
                 detail = f"gate {gate}: {what} {value:.3e} > {threshold:g}"
                 report.checks.extend(CheckRecord(cid, row.anchor, 0.0, 0.0, NOT_APPLICABLE, detail)
@@ -207,7 +216,7 @@ class _ModelContext:
 
 
 def _run_structure(report, ctx, cfg):
-    _merge(report, "structure", cfg.tol_scale, check_axioms(ctx.struct, ctx.vectors))
+    _merge(report, "structure", cfg.tol_scale, ctx.axioms)
 
 
 def _run_sasakian(report, ctx, cfg):
@@ -278,8 +287,7 @@ def _run_hypersurface(report: CheckReport, ctx: _ModelContext, cfg: RunConfig, s
         res.add("shape-self-adjoint", hl.shape_self_adjoint_residual(data), 1e-8)
         res.add("epsilon-consistent", data.epsilon_residual, ALGEBRAIC_TOL,
                 f"max |g~(N,N) - eps| over the samples, eps = {data.shape.epsilon:+d}")
-        axioms = check_axioms(data.structure, ctx.vectors)
-        res.add("induced-axioms", max(c.residual for c in axioms.checks), 1e-9,
+        res.add("induced-axioms", max(c.residual for c in ctx.axioms.checks), 1e-9,
                 "max over the seven structure axioms on the induced structure")
         _merge(report, "hypersurface", cfg.tol_scale, res, hl.verify_induced_derivatives(data, ctx.vectors))
     if subset in ("characterization", "all"):

@@ -42,9 +42,6 @@ class TensorValue:
     def _base(self) -> int:
         return 1 if self.batched else 0
 
-    def _slot_axis(self, slot: int) -> int:
-        return self._base + slot
-
     def __post_init__(self):
         expected = self.rank + self._base + (1 if self.space is not None else 0)
         if self.components.ndim != expected:
@@ -61,25 +58,28 @@ class TensorValue:
             return self
         return TensorValue(self.dim, self.p, self.q, self.components[..., 0], None, self.batched)
 
-    def at(self, k: int) -> "TensorValue":
-        """Select one sample of a batched tensor."""
-        if not self.batched:
-            raise ValueError("tensor is not batched")
-        return TensorValue(self.dim, self.p, self.q, self.components[k], self.space, False)
-
     def as_jet(self, space: JetSpace) -> "TensorValue":
-        """Embed a numeric tensor as constant jets."""
-        if self.space is not None:
+        """The tensor as jets of ``space``: a numeric tensor as constant
+        jets, a jet tensor of a higher order restricted to it."""
+        if self.space is space:
             return self
+        if self.space is not None:
+            return TensorValue(self.dim, self.p, self.q, space.restrict(self.components), space, self.batched)
         comps = np.zeros(self.components.shape + (space.ncoeffs,))
         comps[..., 0] = self.components
         return TensorValue(self.dim, self.p, self.q, comps, space, self.batched)
 
 
+def lowest_space(*spaces: JetSpace | None) -> JetSpace | None:
+    """The lowest-order jet space among ``spaces`` (None if all are numeric):
+    an operation on jets of several orders is valid only to the lowest."""
+    return min((s for s in spaces if s is not None), key=lambda s: s.order, default=None)
+
+
 def _promote(a: TensorValue, b: TensorValue) -> tuple[TensorValue, TensorValue, JetSpace | None]:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    space = a.space or b.space
+    space = lowest_space(a.space, b.space)
     if space is not None:
         a, b = a.as_jet(space), b.as_jet(space)
     if a.batched != b.batched:
@@ -91,12 +91,11 @@ def _promote(a: TensorValue, b: TensorValue) -> tuple[TensorValue, TensorValue, 
     return a, b, space
 
 
-def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int,
-                  order: int | None = None) -> np.ndarray:
+def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int) -> np.ndarray:
     """Components of the contraction of slot ``slot_a`` of A with slot
     ``slot_b`` of B (absolute 0-based positions over the uppers-first layout);
     result axes are [batch] + (A slots minus slot_a) + (B slots minus slot_b)
-    (+ coeff)."""
+    (+ coeff), jets of the lower of the two operands' spaces."""
     A, B, space = _promote(A, B)
     base = A._base
     ca = np.moveaxis(A.components, base + slot_a, -1 if space is None else -2)
@@ -109,8 +108,7 @@ def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int,
         cb = np.expand_dims(cb, base)
     if space is None:
         return np.sum(ca * cb, axis=-1)
-    prod = space.mul(ca, cb, order)
-    return np.sum(prod, axis=-2)
+    return np.sum(space.mul(ca, cb), axis=-2)
 
 
 # --------------------------------------------------------------------------
@@ -124,14 +122,13 @@ def inertia(sym: np.ndarray, tol_scale: float = 1e-12) -> int:
     return int(np.sum(w < -tol_scale * max(1.0, np.max(np.abs(w)))))
 
 
-def invert_jet_matrix(space: JetSpace, G: np.ndarray, order: int | None = None) -> np.ndarray:
+def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
     """Inverse of a jet-valued square matrix, components (..., n, n, m).
 
     Seeds with the exact numeric inverse of the constant term, then Newton
     iterations X <- X (2I - G X); the error degree doubles each step, so
-    ceil(log2(order+1)) steps reach exactness at the truncation order.
+    ceil(log2(order+1)) steps reach exactness at the space's order.
     """
-    order = space.order if order is None else order
     G0 = G[..., 0]
     X0 = np.linalg.inv(G0)
     X = np.zeros_like(G)
@@ -143,9 +140,9 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray, order: int | None = None) 
     def mm(A, B):
         a = np.expand_dims(A, -2)       # (..., n, k, 1, m)
         b = np.expand_dims(B, -4)       # (..., 1, k, n, m)
-        return np.sum(space.mul(a, b, order), axis=-3)
+        return np.sum(space.mul(a, b), axis=-3)
 
-    steps = max(1, int(np.ceil(np.log2(order + 1)))) if order > 0 else 0
+    steps = int(np.ceil(np.log2(space.order + 1)))
     for _ in range(steps):
         GX = mm(G, X)
         X = mm(X, 2 * eye - GX)
@@ -157,32 +154,24 @@ class MetricAtPoint:
     """Metric and its inverse at a point (or a batch of points), with the
     signature bookkeeping the indefinite checks need.
 
-    Invariant: g . g_inv = identity within 1e-10 at the constant term, and
-    det_g != 0 (the metric is non-degenerate)."""
+    Invariant: g . g_inv = identity within 1e-10 at the constant term, and g
+    is non-degenerate: its smallest singular value exceeds 1e-12 times its
+    largest, a test that does not change when g is rescaled."""
 
     g: TensorValue
     g_inv: TensorValue
     index: int
-    det_g: np.ndarray
 
     @classmethod
-    def build(cls, g: TensorValue, order: int | None = None) -> "MetricAtPoint":
+    def build(cls, g: TensorValue) -> "MetricAtPoint":
         comps = g.components
-        if g.space is not None:
-            ginv_comps = invert_jet_matrix(g.space, comps, order)
-            g0 = comps[..., 0]
-        else:
-            ginv_comps = np.linalg.inv(comps)
-            g0 = comps
-        det = np.linalg.det(g0)
-        if np.any(np.abs(det) < 1e-14):
-            raise ValueError("degenerate metric (det g = 0)")
-        if g.batched:
-            nus = {inertia(g0[k]) for k in range(g0.shape[0])}
-            if len(nus) != 1:
-                raise ValueError(f"metric index is not constant over the sample set: {sorted(nus)}")
-            nu = nus.pop()
-        else:
-            nu = inertia(g0)
+        g0 = comps if g.space is None else comps[..., 0]
+        sv = np.linalg.svd(g0, compute_uv=False)
+        if np.any(sv[..., -1] <= 1e-12 * sv[..., 0]):
+            raise ValueError("degenerate metric (smallest singular value of g at most 1e-12 of the largest)")
+        ginv_comps = np.linalg.inv(comps) if g.space is None else invert_jet_matrix(g.space, comps)
+        nus = {inertia(g0k) for g0k in g0.reshape((-1,) + g0.shape[-2:])}
+        if len(nus) != 1:
+            raise ValueError(f"metric index is not constant over the sample set: {sorted(nus)}")
         g_inv = TensorValue(g.dim, 2, 0, ginv_comps, g.space, g.batched)
-        return cls(g=g, g_inv=g_inv, index=nu, det_g=det)
+        return cls(g=g, g_inv=g_inv, index=nus.pop())

@@ -228,7 +228,7 @@ def test_criterion_08_discrepancy_adjudication(e1_100, e2_100):
     ok &= bool(np.max(np.abs(gap - (1.0 / 3.0) * ee)) < 1e-7)
 
     s2, _ = e2_100
-    LPhi = lie_derivative(s2.Phi, s2.xi, s2.connection, order=3).components[..., 0]
+    LPhi = lie_derivative(s2.Phi, s2.xi, s2.connection).components[..., 0]
     ee2 = np.einsum('pa,pb->pab', s2.eta0, s2.eta0)
     derived = 2 * (-1) * (s2.g0 - (-1) * ee2)
     printed2 = 2 * (-1) * (s2.g0 - ee2)

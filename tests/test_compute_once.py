@@ -1,6 +1,7 @@
-"""Each geometric object of a request is built once: the connection of every
-metric, the para-Sasakian gate and C11(phi R).  Call counts are taken by
-rebinding each function under every name the package imports it by."""
+"""Each geometric object of a request is built once, and only when a
+requested check reads it: the connection of every metric, the axiom checks,
+the para-Sasakian gate and C11(phi R).  Call counts are taken by rebinding
+each function under every name the package imports it by."""
 
 import functools
 import sys
@@ -47,3 +48,16 @@ def test_chart_all_builds_connection_gate_and_c11_once(monkeypatch):
     assert conn["n"] == 1
     assert gate["n"] == 1
     assert c11["n"] == 1
+
+
+def test_structure_request_builds_no_connection_and_runs_no_gate(monkeypatch):
+    conn, gate, _ = _counts(monkeypatch)
+    run_suite(get_model("E1"), "structure", RunConfig(points=10))
+    assert conn["n"] == 0
+    assert gate["n"] == 0
+
+
+def test_bundle_all_checks_the_axioms_once(monkeypatch):
+    axioms = _count(monkeypatch, paracontact_core.check_axioms)
+    run_suite(get_bundle("E3a"), "all", RunConfig(points=10))
+    assert axioms["n"] == 1

@@ -334,7 +334,7 @@ class TestLieFormulas:
         assert res.get("lie-c11-printed").effective_status == "printed-form-mismatch"
         from paracheck.geometry_engine import lie_derivative
 
-        LPhi = lie_derivative(e2.Phi, e2.xi, e2.connection, order=3).components[..., 0]
+        LPhi = lie_derivative(e2.Phi, e2.xi, e2.connection).components[..., 0]
         ee = np.einsum('pa,pb->pab', e2.eta0, e2.eta0)
         printed = 2 * (-1) * (e2.g0 - ee)
         # the miss is exactly 4 eta(x)eta componentwise (derived - printed = -4 eta(x)eta)

@@ -18,6 +18,7 @@ from paracheck.expr_jet import (
     Num,
     UnknownIdentifierError,
     Var,
+    eval_expr,
     eval_expr_numeric,
     jet_eval,
     parse_expr,
@@ -112,6 +113,16 @@ class TestJetEval:
             jet_eval(parse_expr("1/y", ["x", "y"]), (3.0, 0.0), 2)
         assert exc.value.point == (3.0, 0.0)
 
+    def test_numeric_evaluator_domain_errors_match_jets(self):
+        """A pole of a negative power and a fractional power of a negative
+        value are domain errors for the numeric evaluator, as for jets."""
+        for src, x in (("x^-1", 0.0), ("(x-3)^0.5", 1.0)):
+            expr = parse_expr(src, ["x"])
+            with pytest.raises(JetDomainError):
+                eval_expr_numeric(expr, (x,))
+            with pytest.raises(JetDomainError):
+                jet_eval(expr, (x,), 1)
+
     def test_transcendental_derivatives_against_finite_differences(self):
         src = "exp(sin(x))*sqrt(y) + ln(y)*cos(x)"
         coords = ["x", "y"]
@@ -199,6 +210,47 @@ def test_polynomial_jets_match_exact_expansion(poly, point):
     for alpha in j.space.indices:
         expected = _poly_taylor_coeff(coeffs, alpha, point)
         assert abs(j.coeff(alpha) - expected) <= 1e-12 * scale * 16
+
+
+# wrappers that keep every argument inside its domain for any real u
+_WRAPPERS = ("sqrt(2 + ({u})^2)", "ln(1 + ({u})^2)", "exp(0.1*({u}))", "sin({u})", "cos({u})",
+             "(1 + ({u})^2)^-1.5", "(3 + ({u})^2)^0.75", "(1 + ({u})^2)^-2", "1/(2 + cos({u}))")
+
+
+def _smooth_exprs(coords):
+    """Polynomials from :func:`_poly_exprs` under nested analytic wrappers,
+    products and sums."""
+    leaves = _poly_exprs(coords, 3).map(lambda poly: poly[0])
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(_WRAPPERS), inner).map(lambda t: t[0].format(u=t[1])),
+            st.tuples(inner, st.sampled_from(["+", "*"]), inner).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        ),
+        max_leaves=4,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_smooth_exprs(["x", "y"]), st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
+def test_lower_order_jets_are_restrictions(src, point):
+    """A jet's order is its space: at orders 0-3 the order-k jet, and its
+    derivative, equal the order-(k+1) ones restricted to that order."""
+    expr = parse_expr(src, ["x", "y"])
+    pts = np.array([point])
+
+    def jet(order):
+        space = JetSpace.get(2, order)
+        return space, eval_expr(expr, space, space.point_jets(pts), points=pts)
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    for k in range(4):
+        (sk, jk), (sk1, jk1) = jet(k), jet(k + 1)
+        assert close(jk, sk.restrict(jk1)), k
+        for i in range(2 if k else 0):
+            assert close(sk.diff(jk, i), sk.lower.restrict(sk1.diff(jk1, i))), (k, i)
 
 
 @settings(max_examples=25, deadline=None)

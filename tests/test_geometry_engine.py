@@ -13,6 +13,7 @@ from paracheck.geometry_engine import (
     curvature,
     lie_derivative,
 )
+from paracheck.hypersurface_lab import evaluate_bundle, get_bundle
 from paracheck.models import ManifoldModel, _eval_grid, evaluate_structure, get_model
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.tensor_algebra import TensorValue
@@ -167,7 +168,7 @@ class TestCurvature:
         pts = np.array([[0.0, 2.0]])
         with pytest.raises(InsufficientOrderError):
             # order-1 metric jets leave nothing for curvature's div Q chain
-            conn = christoffel(_metric_jets(model, pts, order=1), pts, order=1)
+            conn = christoffel(_metric_jets(model, pts, order=1), pts)
             curvature(conn)
 
     @pytest.mark.parametrize("name", ["E1", "E2"])
@@ -197,12 +198,12 @@ class TestCovariantDerivative:
             pts = sample_points(model.domain, 6, derive_rng(3, name, "par"))
             g = _metric_jets(model, pts)
             conn = christoffel(g, pts)
-            ng = covariant_derivative(g, conn, order=3)
+            ng = covariant_derivative(g, conn)
             assert np.max(np.abs(ng.components[..., 0])) < 1e-9, name
 
     def test_grad_xi_is_eps_phi(self, e1, e2):
         for s in (e1, e2):
-            nxi = covariant_derivative(s.xi, s.connection, order=4)
+            nxi = covariant_derivative(s.xi, s.connection)
             gap = nxi.components[..., 0] - s.epsilon * s.phi0
             assert np.max(np.abs(gap)) < 1e-9
 
@@ -212,44 +213,68 @@ class TestCovariantDerivative:
         xfn = vector_fn(model, model.xi)
         pts = sample_points(model.domain, 3, derive_rng(8, "E1", "gxi"))
         s = evaluate_structure(model, pts)
-        nxi = covariant_derivative(s.xi, s.connection, order=4).components[..., 0]
+        nxi = covariant_derivative(s.xi, s.connection).components[..., 0]
         for k, pt in enumerate(pts):
             fd = fd_grad_vector_field(mfn, xfn, pt)
             assert np.max(np.abs(nxi[k] - fd)) < 1e-5
 
     def test_constant_scalar_field(self, e1):
-        space = e1.space
+        space = e1.g.space
         ones = TensorValue(3, 0, 0, space.constant(1.0, (e1.npoints,)), space, True)
-        grad = covariant_derivative(ones, e1.connection, order=4)
+        grad = covariant_derivative(ones, e1.connection)
         assert np.max(np.abs(grad.components)) == 0.0
 
 
 class TestLieDerivative:
     def test_lie_eta_along_xi_vanishes(self, e1, e2):
         for s in (e1, e2):
-            L = lie_derivative(s.eta, s.xi, s.connection, order=4)
+            L = lie_derivative(s.eta, s.xi, s.connection)
             assert np.max(np.abs(L.components[..., 0])) < 1e-9
 
     def test_lie_g_along_xi(self, e1, e2):
         for s in (e1, e2):
-            L = lie_derivative(s.g, s.xi, s.connection, order=4).components[..., 0]
+            L = lie_derivative(s.g, s.xi, s.connection).components[..., 0]
             assert np.max(np.abs(L - 2 * s.epsilon * s.Phi0)) < 1e-8
 
     def test_translation_is_flat_killing_field(self, f0):
-        space = f0.space
+        space = f0.g.space
         X = np.zeros((f0.npoints, 3, space.ncoeffs))
         X[:, 0, 0] = 1.0  # d/dx1
         XT = TensorValue(3, 1, 0, X, space, True)
-        L = lie_derivative(f0.g, XT, f0.connection, order=4)
+        L = lie_derivative(f0.g, XT, f0.connection)
         assert np.max(np.abs(L.components)) == 0.0
 
     def test_covariant_and_partials_routes_agree(self, e1, e2):
         for s in (e1, e2):
             for T in (s.g, s.eta):
-                a = lie_derivative(T, s.xi, s.connection, order=4).components[..., 0]
-                b = lie_derivative(T, s.xi, s.connection, order=4, via_partials=True).components[..., 0]
+                a = lie_derivative(T, s.xi, s.connection).components[..., 0]
+                b = lie_derivative(T, s.xi, s.connection, via_partials=True).components[..., 0]
                 assert np.max(np.abs(a - b)) < 1e-10
 
     def test_unsupported_valence(self, e1):
         with pytest.raises(ValueError):
-            lie_derivative(e1.phi, e1.xi, e1.connection, order=4)
+            lie_derivative(e1.phi, e1.xi, e1.connection)
+
+
+class TestJetOrders:
+    """Each field is evaluated to the order the checks read; a derived
+    object's jet space is the order it is valid to."""
+
+    def test_chart_model_orders(self, e1):
+        assert e1.g.space.order == 3
+        assert [t.space.order for t in (e1.phi, e1.xi, e1.eta)] == [1, 1, 1]
+        assert e1.connection.space.order == 2
+        cur = e1.curvature
+        assert [t.space.order for t in (cur.riemann_ud, cur.ricci, cur.ricci_op)] == [1, 1, 1]
+        assert covariant_derivative(e1.g, e1.connection).space.order == 2
+        assert lie_derivative(e1.g, e1.xi, e1.connection).space.order == 0
+
+    def test_bundle_orders(self):
+        bundle = get_bundle("E3a")
+        pts = sample_points(bundle.embedding.domain, 4, derive_rng(2, "E3a", "orders"))
+        data = evaluate_bundle(bundle, pts)
+        s = data.structure
+        assert s.g.space.order == 3
+        assert [t.space.order for t in (s.phi, s.xi, s.eta)] == [1, 1, 1]
+        assert data.ambient.g.space.order == 3
+        assert data.ambient.J.space.order == 1

@@ -290,10 +290,9 @@ def _pointwise_structure(g, phi, xi, eta, eps):
         comps[..., 0] = arr
         return TensorValue(n, p, q, comps, space, True)
 
-    return ParacontactStructure(space, np.zeros((P, n)), eps,
+    return ParacontactStructure(np.zeros((P, n)), eps,
                                 g=lift(g, 0, 2), phi=lift(phi, 1, 1),
-                                xi=lift(xi, 1, 0), eta=lift(eta, 0, 1),
-                                g_order=2)
+                                xi=lift(xi, 1, 0), eta=lift(eta, 0, 1))
 
 
 class TestQuasiUmbilical:

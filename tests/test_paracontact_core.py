@@ -108,18 +108,18 @@ class TestStructureInvariants:
     def test_grad_phi_along_xi_vanishes(self, e1, e2):
         """nabla_xi phi = 0 follows from the defining equation at X = xi."""
         for s in (e1, e2):
-            nphi = covariant_derivative(s.phi, s.connection, order=3).components[..., 0]
+            nphi = covariant_derivative(s.phi, s.connection).components[..., 0]
             along_xi = np.einsum('paib,pi->pab', nphi, s.xi0)
             assert np.max(np.abs(along_xi)) < 1e-8
 
     def test_constructor_rejects_bad_epsilon(self, e1):
         with pytest.raises(ValueError):
-            ParacontactStructure(e1.space, e1.points, 2, e1.g, e1.phi, e1.xi, e1.eta)
+            ParacontactStructure(e1.points, 2, e1.g, e1.phi, e1.xi, e1.eta)
 
     def test_constructor_rejects_unnormalized_eta(self, e1):
-        bad_eta = type(e1.eta)(e1.eta.dim, 0, 1, 2.0 * e1.eta.components, e1.space, True)
+        bad_eta = type(e1.eta)(e1.eta.dim, 0, 1, 2.0 * e1.eta.components, e1.eta.space, True)
         with pytest.raises(ValueError):
-            ParacontactStructure(e1.space, e1.points, 1, e1.g, e1.phi, e1.xi, bad_eta)
+            ParacontactStructure(e1.points, 1, e1.g, e1.phi, e1.xi, bad_eta)
 
 
 class TestNegativeControlDiscipline:

@@ -213,6 +213,23 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert str(path) in proc.stderr
 
+    def test_rescaled_metric_is_not_degenerate(self, tmp_path):
+        """E1n5 with g scaled by 1e-3 (xi and eta rescaled to match) has
+        det g below 1e-14 but is as well conditioned as E1n5: the structure
+        suite passes, and the sasakian suite runs and fails, since a
+        homothety of a para-Sasakian structure is not para-Sasakian."""
+        path = tmp_path / "e1n5-scaled.json"
+        save_manifest(get_model("E1n5"), path)
+        doc = json.loads(path.read_text())
+        for key, factor in (("metric", "0.001"), ("xi", "31.622776601683793"), ("eta", "0.03162277660168379")):
+            doc[key] = [s if s == "0" else f"{factor}*({s})" for s in doc[key]]
+        path.write_text(json.dumps(doc))
+        proc = _cli("check", str(path), "--suite", "structure", "--points", "6", "--format", "json")
+        assert proc.returncode == EXIT_OK
+        assert [c["status"] for c in json.loads(proc.stdout)["checks"]] == ["pass"] * 7
+        proc = _cli("check", str(path), "--suite", "sasakian", "--points", "6")
+        assert proc.returncode == EXIT_CHECK_FAILED, proc.stderr
+
     def test_manifest_model_accepted(self, tmp_path):
         path = tmp_path / "e1.json"
         save_manifest(get_model("E1"), path)

@@ -66,6 +66,13 @@ class TestMetricAtPoint:
         with pytest.raises(ValueError):
             MetricAtPoint.build(TensorValue(3, 0, 2, g))
 
+    def test_rescaled_metric_accepted(self):
+        """Degeneracy is relative: 1e-6 g has det 2e-18 and is as well
+        conditioned as g."""
+        metric = MetricAtPoint.build(TensorValue(3, 0, 2, 1e-6 * np.diag([1.0, -1.0, 2.0])))
+        assert metric.index == 1
+        assert np.allclose(metric.g_inv.components, 1e6 * np.diag([1.0, -1.0, 0.5]))
+
     def test_inertia(self):
         assert inertia(np.diag([1.0, -2.0, 3.0])) == 1
         assert inertia(np.diag([-1.0, -2.0, 3.0])) == 2
