@@ -27,8 +27,11 @@ Bundle document:
 Loading validates everything a model declares: expression syntax against the
 declared coordinates, metric symmetry as written, non-empty domain intervals,
 and agreement of the declared index with the computed inertia at ten sampled
-points.  Errors carry positions (JSON line/column, or the offending
-expression position) so a malformed file diagnoses itself.
+points.  A bundle is checked at load for its shape and expression syntax
+only; the request's own evaluation of the bundle validates the embedding
+(rank, domain, a lightlike normal) and fails with an input error.  Errors
+carry positions (JSON line/column, or the offending expression position) so
+a malformed file diagnoses itself.
 """
 
 from __future__ import annotations
@@ -36,10 +39,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .expr_jet import ExprError, JetDomainError
-from .hypersurface_lab import AmbientProductModel, Embedding, HypersurfaceBundle, evaluate_bundle
+from .hypersurface_lab import AmbientProductModel, Embedding, HypersurfaceBundle
 from .models import ManifoldModel, ModelValidationError, validate_model
 
 
@@ -132,17 +133,8 @@ def parse_manifest(doc: dict, source: str = "<manifest>") -> ManifoldModel | Hyp
                     ambient.parsed(s)
             for s in embedding.map:
                 embedding.parsed(s)
-            # rank and induced-metric non-degeneracy at a few points; the
-            # tangency hypothesis is a check, not a load-time requirement
-            rng = np.random.default_rng(20240102)
-            lo = np.array([d[0] for d in embedding.domain])
-            hi = np.array([d[1] for d in embedding.domain])
-            pts = rng.uniform(lo, hi, size=(5, N - 1))
-            evaluate_bundle(bundle, pts, require_tangent=False)
-        except (ExprError, JetDomainError) as e:
+        except ExprError as e:
             raise ManifestError(f"{source}: {e}") from e
-        except ValueError as e:
-            raise ManifestError(f"{source}: embedding validation failed: {e}") from e
         return bundle
     raise ManifestError(f"{source}: unknown manifest kind {kind!r}")
 

@@ -117,9 +117,11 @@ def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int) -> n
 
 
 def inertia(sym: np.ndarray, tol_scale: float = 1e-12) -> int:
-    """Count of negative eigenvalues of a symmetric matrix."""
+    """Count of negative eigenvalues of a symmetric matrix, those below
+    -tol_scale times the largest magnitude: a count that does not change
+    when the matrix is rescaled."""
     w = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    return int(np.sum(w < -tol_scale * max(1.0, np.max(np.abs(w)))))
+    return int(np.sum(w < -tol_scale * np.max(np.abs(w))))
 
 
 def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ each function under every name the package imports it by."""
 import functools
 import sys
 
-from paracheck import einstein_like, geometry_engine, paracontact_core
+from paracheck import einstein_like, geometry_engine, hypersurface_lab, paracontact_core
+from paracheck.cli import main
 from paracheck.hypersurface_lab import get_bundle
+from paracheck.manifest import save_manifest
 from paracheck.models import get_model
 from paracheck.suites import RunConfig, run_suite
 
@@ -61,3 +63,15 @@ def test_bundle_all_checks_the_axioms_once(monkeypatch):
     axioms = _count(monkeypatch, paracontact_core.check_axioms)
     run_suite(get_bundle("E3a"), "all", RunConfig(points=10))
     assert axioms["n"] == 1
+
+
+def test_manifest_bundle_request_evaluates_the_bundle_once(monkeypatch, tmp_path):
+    """Loading a bundle manifest parses it; the request's own evaluation
+    is the only one."""
+    path = tmp_path / "e3b.json"
+    save_manifest(get_bundle("E3b"), path)
+    evals = _count(monkeypatch, hypersurface_lab.evaluate_bundle)
+    rc = main(["hypersurface", str(path), "--suite", "induced", "--points", "10",
+               "--format", "json", "--out", str(tmp_path / "report.json")])
+    assert rc == 0
+    assert evals["n"] == 1

@@ -5,6 +5,7 @@ quasi-umbilical decomposition, and the synthetic Gauss-equation trials."""
 import numpy as np
 import pytest
 
+from paracheck import hypersurface_lab
 from paracheck.hypersurface_lab import (
     AmbientJets,
     AmbientProductModel,
@@ -364,6 +365,33 @@ class TestSyntheticGauss:
     def test_k_input_restriction(self):
         out = synthetic_gauss_check(1, 3, trials=3, seed=1, k_input=2.0)
         assert out.result.get("gauss-vs-derived-display").residual < 1e-10
+
+    def test_trials_do_not_depend_on_their_block(self):
+        """Trial t gives the same k, bit for bit, whether it runs alone, as
+        the first trial of a full block, or as the first trial of a block
+        that follows one."""
+        block = max(1, hypersurface_lab._BLOCK_ELEMENTS // 5 ** 4)
+        full = synthetic_gauss_check(-1, 5, trials=2 * block + 3, seed=3)
+        for m in (1, block + 1):
+            prefix = synthetic_gauss_check(-1, 5, trials=m, seed=3)
+            assert np.array_equal(full.k_recovered[:m], prefix.k_recovered)
+            assert np.array_equal(full.k_solve_residual[:m], prefix.k_solve_residual)
+
+    def test_rejected_draws_are_redrawn_from_their_own_stream(self, monkeypatch):
+        """With the |det g| floor raised, some draws are rejected; each
+        trial redraws from its own generator, as a per-trial loop would."""
+        floor, eps, n, trials, seed = 0.5, 1, 5, 60, 5
+        monkeypatch.setattr(hypersurface_lab, "SYNTHETIC_DET_FLOOR", floor)
+        expected = 0
+        for t in range(trials):
+            rng = derive_rng(seed, "synthetic-gauss", eps + 1, n, t)
+            while abs(np.linalg.det(random_pointwise_structure(rng, n, eps)[0])) <= floor:
+                expected += 1
+        out = synthetic_gauss_check(eps, n, trials, seed)
+        assert 0 < out.resampled == expected
+        for c in out.result.checks:
+            if c.status is None:
+                assert c.effective_status == "pass", c.name
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,13 @@ class TestModelValidation:
         with pytest.raises(ModelValidationError, match="inertia"):
             validate_model(model)
 
+    def test_rescaled_metric_index_accepted(self):
+        """The declared index holds at any scale: E2 with every metric
+        entry scaled by 1e-13 still has index 1."""
+        model = get_model("E2")
+        model.metric = [[s if s == "0" else f"1e-13*({s})" for s in row] for row in model.metric]
+        validate_model(model)
+
     def test_empty_domain_rejected(self):
         model = self._base(domain=[(-1.0, 1.0), (2.0, 0.5)])
         with pytest.raises(ModelValidationError, match="empty domain"):

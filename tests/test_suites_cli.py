@@ -213,6 +213,19 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert str(path) in proc.stderr
 
+    def test_rank_deficient_bundle_manifest_is_input_error(self, tmp_path):
+        """An embedding whose differential drops rank is found by the
+        request's evaluation of the bundle: exit 2, no traceback."""
+        path = tmp_path / "flat.json"
+        save_manifest(get_bundle("E3a"), path)
+        doc = json.loads(path.read_text())
+        doc["embedding"]["map"][1] = "0"  # F no longer depends on t
+        path.write_text(json.dumps(doc))
+        proc = _cli("hypersurface", str(path), "--suite", "induced", "--points", "10")
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert "rank-deficient" in proc.stderr
+
     def test_rescaled_metric_is_not_degenerate(self, tmp_path):
         """E1n5 with g scaled by 1e-3 (xi and eta rescaled to match) has
         det g below 1e-14 but is as well conditioned as E1n5: the structure

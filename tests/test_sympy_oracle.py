@@ -1,6 +1,6 @@
 """Symbolic oracle for the synthetic Gauss-equation chain of criterion 10.
 
-Independent of the numeric pipeline (no `_wedge`, `_eta_cross` or
+Independent of the numeric pipeline (no `_wedge` or
 `synthetic_gauss_check`): sympy builds the canonical frame of an
 (eps)-almost paracontact structure at a point -- phi = diag(+1 (p times),
 -1 (q times), 0), xi = e_n, eta = e^n, metric blockdiag(G+, G-, eps) with

@@ -78,6 +78,10 @@ class TestMetricAtPoint:
         assert inertia(np.diag([-1.0, -2.0, 3.0])) == 2
         assert inertia(np.eye(4)) == 0
 
+    def test_inertia_is_scale_relative(self):
+        assert inertia(1e-13 * np.diag([1.0, -1.0, 1.0])) == 1
+        assert inertia(1e13 * np.diag([1.0, -1.0, -1.0])) == 2
+
     def test_jet_matrix_inverse_exact_to_order(self, rng):
         space = JetSpace.get(2, 4)
         pts = np.column_stack([rng.uniform(0.5, 2, 4), rng.uniform(0.5, 2, 4)])
