@@ -545,12 +545,12 @@ class SyntheticGaussOutcome:
     resampled: int
 
 
-def _gauss_chain(epsilon: int, n: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray,
+def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray,
                  ks: tuple[float, ...], perturb_a: float) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
     """The synthetic Gauss chain on a block of trials (leading axis of g,
     phi, xi, eta).  Returns the block maximum of each record's residual, the
     recovered k per trial and the residual of its solve per trial."""
-    T = g.shape[0]
+    T, n = g.shape[:2]
     Phi = np.swapaxes(phi, 1, 2) @ g
     ee = np.einsum('ta,tb->tab', eta, eta)
     xe = np.einsum('ta,tb->tab', xi, eta)
@@ -652,7 +652,7 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
             for arr, new in zip(drawn, again):
                 arr[redraw] = new
             redraw = redraw[np.abs(np.linalg.det(again[0])) <= SYNTHETIC_DET_FLOOR]
-        block_worst, k_values[start:stop], k_resid[start:stop] = _gauss_chain(epsilon, n, *drawn, ks, perturb_a)
+        block_worst, k_values[start:stop], k_resid[start:stop] = _gauss_chain(epsilon, *drawn, ks, perturb_a)
         for name, value in block_worst.items():
             worst[name] = max(worst.get(name, 0.0), float(value))
 
