@@ -8,16 +8,14 @@ sampled points, with residual reports and deterministic seeding.
 
 __version__ = "0.1.0"
 
-from .expr_jet import Jet, JetSpace, jet_eval, parse_expr
+from .expr_jet import JetSpace, parse_expr
 from .models import ManifoldModel, builtin_models, evaluate_structure, get_model
 from .paracontact_core import ParacontactStructure, StructureCheckResult
 from .report import CheckRecord, CheckReport
 from .suites import RunConfig, run_suite, run_synthetic
 
 __all__ = [
-    "Jet",
     "JetSpace",
-    "jet_eval",
     "parse_expr",
     "ManifoldModel",
     "builtin_models",

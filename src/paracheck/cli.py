@@ -16,10 +16,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .expr_jet import ExprError, JetDomainError
+from .expr_jet import JetDomainError
 from .hypersurface_lab import HypersurfaceBundle, InducedStructureError, builtin_bundles
 from .manifest import ManifestError, load_manifest
-from .models import ManifoldModel, ModelValidationError, builtin_models
+from .models import ManifoldModel, builtin_models
 from .report import EXIT_INPUT_ERROR, CheckReport
 from .suites import HYPERSURFACE_SUBSETS, SUITES, RunConfig, run_suite, run_synthetic
 
@@ -37,10 +37,27 @@ def _resolve(name: str) -> ManifoldModel | HypersurfaceBundle:
     raise ManifestError(f"unknown model {name!r}: not a builtin ({known}) and no such file")
 
 
+def _run(name: str, suite: str, cfg: RunConfig, bundle_only: bool = False) -> CheckReport:
+    """Run ``suite`` on the builtin or manifest ``name``; an embedding or a
+    field that fails to evaluate is an input error naming ``name``."""
+    target = _resolve(name)
+    if bundle_only and not isinstance(target, HypersurfaceBundle):
+        raise ManifestError(f"{name!r} is a chart model, not a hypersurface bundle")
+    try:
+        return run_suite(target, suite, cfg)
+    except InducedStructureError as e:
+        raise ManifestError(f"{name}: embedding validation failed: {e}") from e
+    except JetDomainError as e:
+        raise ManifestError(f"{name}: {e}") from e
+
+
 def _emit(report: CheckReport, fmt: str, out: str | None) -> int:
     text = report.to_json() if fmt == "json" else report.to_text()
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as e:
+            raise ValueError(f"{out}: cannot write the report: {e.strerror}") from e
     else:
         print(text)
     return report.exit_code
@@ -105,18 +122,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list-models":
             return _cmd_list_models()
         if args.command == "check":
-            target = _resolve(args.model)
             cfg = RunConfig(points=args.points, seed=args.seed, tol_scale=args.tol_scale)
-            report = run_suite(target, args.suite, cfg)
-            return _emit(report, args.format, args.out)
+            return _emit(_run(args.model, args.suite, cfg), args.format, args.out)
         if args.command == "hypersurface":
-            target = _resolve(args.bundle)
-            if not isinstance(target, HypersurfaceBundle):
-                raise ManifestError(f"{args.bundle!r} is a chart model, not a hypersurface bundle")
             cfg = RunConfig(points=args.points, seed=args.seed, tol_scale=args.tol_scale,
                             hypersurface_subset=args.suite)
-            report = run_suite(target, "hypersurface", cfg)
-            return _emit(report, args.format, args.out)
+            return _emit(_run(args.bundle, "hypersurface", cfg, bundle_only=True), args.format, args.out)
         if args.command == "synthetic":
             eps = 1 if args.epsilon in ("+1", "1") else -1
             cfg = RunConfig(seed=args.seed, tol_scale=args.tol_scale, trials=args.trials,
@@ -124,8 +135,8 @@ def main(argv: list[str] | None = None) -> int:
             report = run_synthetic(cfg)
             return _emit(report, args.format, args.out)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ManifestError, ModelValidationError, ExprError, JetDomainError,
-            InducedStructureError, KeyError, ValueError) as e:
+    # ValueError covers the manifest, model, expression and embedding errors
+    except (ValueError, KeyError, JetDomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

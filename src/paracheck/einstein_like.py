@@ -38,17 +38,6 @@ DEGENERATE_C = 1e-8
 
 
 @dataclass
-class EinsteinSample:
-    """Pointwise fit input: metric, fundamental form, structure form, Ricci."""
-
-    point: tuple[float, ...]
-    g: np.ndarray
-    Phi: np.ndarray
-    eta: np.ndarray
-    S: np.ndarray
-
-
-@dataclass
 class EinsteinLikeFit:
     """Minimum-norm (a, b, c) with the rank and nullspace of the fitting
     Gram system.  ``family`` rows are unit vectors spanning the solution
@@ -75,35 +64,17 @@ class EinsteinLikeFit:
         return out
 
 
-def einstein_samples(struct: ParacontactStructure) -> list[EinsteinSample]:
-    S = struct.curvature.ricci.components[..., 0]
-    g, Phi, eta = struct.g0, struct.Phi0, struct.eta0
-    return [
-        EinsteinSample(tuple(struct.points[k]), g[k], Phi[k], eta[k], S[k])
-        for k in range(struct.npoints)
-    ]
+def fit_einstein_like(g: np.ndarray, Phi: np.ndarray, eta: np.ndarray, S: np.ndarray) -> EinsteinLikeFit:
+    """Least-squares fit of S = a g + b Phi + c eta(x)eta over all sample
+    points: g, Phi and S are (P, n, n) values, eta is (P, n).
 
-
-def fit_einstein_like(samples: list[EinsteinSample]) -> EinsteinLikeFit:
-    """Least-squares fit of S = a g + b Phi + c eta(x)eta over all samples.
-
-    Рank comes from the singular values with a 1e-10 relative threshold; the
+    Rank comes from the singular values with a 1e-10 relative threshold; the
     returned solution is the minimum-norm one and ``family`` spans the
     nullspace.  Residual is the max componentwise reconstruction gap.
     """
-    if not samples:
-        raise ValueError("fit requires at least one sample (spec asks for >= 3 points)")
-    dims = {s.g.shape[0] for s in samples}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent sample dimensions: {sorted(dims)}")
-    samples = sorted(samples, key=lambda s: s.point)
-    rows, rhs = [], []
-    for s in samples:
-        ee = np.outer(s.eta, s.eta)
-        rows.append(np.column_stack([s.g.ravel(), s.Phi.ravel(), ee.ravel()]))
-        rhs.append(s.S.ravel())
-    M = np.vstack(rows)
-    y = np.concatenate(rhs)
+    ee = np.einsum('pa,pb->pab', eta, eta)
+    M = np.stack([g.ravel(), Phi.ravel(), ee.ravel()], axis=1)
+    y = S.ravel()
     U, sv, Vt = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
     coef = Vt[:rank].T @ ((U[:, :rank].T @ y) / sv[:rank])
@@ -111,19 +82,6 @@ def fit_einstein_like(samples: list[EinsteinSample]) -> EinsteinLikeFit:
     residual = float(np.max(np.abs(M @ coef - y)))
     return EinsteinLikeFit(a=float(coef[0]), b=float(coef[1]), c=float(coef[2]),
                            residual=residual, gram_rank=rank, family=family.copy())
-
-
-def fit_structure(struct: ParacontactStructure) -> EinsteinLikeFit:
-    return fit_einstein_like(einstein_samples(struct))
-
-
-def reconstruction_gap(fit: EinsteinLikeFit, samples: list[EinsteinSample],
-                       member: np.ndarray | None = None) -> float:
-    a, b, c = fit.min_norm if member is None else member
-    return max(
-        float(np.max(np.abs(a * s.g + b * s.Phi + c * np.outer(s.eta, s.eta) - s.S)))
-        for s in samples
-    )
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +151,7 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Str
         fit, lambda a, b, c: residual_norm(r - (n * a + b * trphi + eps * c), r))
     res.add("scalar-curvature-formula", v, ONE_DERIVATIVE_TOL, d)
 
-    nablaQ = covariant_derivative(cur.ricci_op, struct.connection).components[..., 0]
+    nablaQ = cur.nabla_ricci_op.components[..., 0]
     # [p, a, y(direction), x(argument)]
     eye = np.eye(n)
 
@@ -260,7 +218,7 @@ def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure) -> 
 class C11Tensor:
     """(0,2) contraction C(Y,Z) = trace of X -> phi R(X,Y) Z, jet-valued."""
 
-    tensor: TensorValue  # (0,2) jets, batched
+    tensor: TensorValue  # (0,2) jets
 
     @property
     def values(self) -> np.ndarray:
@@ -275,7 +233,7 @@ def compute_c11_phi_r(struct: ParacontactStructure) -> C11Tensor:
     R = struct.curvature.riemann_ud
     phiR = contract_with(struct.phi, R, 1, 0)  # [p, l, i, j, k, m]
     comps = np.trace(phiR, axis1=1, axis2=2)   # trace l = i -> [p, j, k, m]
-    return C11Tensor(TensorValue(struct.dim, 0, 2, comps, lowest_space(struct.phi.space, R.space), True))
+    return C11Tensor(TensorValue(struct.dim, 0, 2, comps, lowest_space(struct.phi.space, R.space)))
 
 
 def verify_c11_identities(c11: C11Tensor, struct: ParacontactStructure) -> StructureCheckResult:

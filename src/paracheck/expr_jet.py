@@ -2,12 +2,12 @@
 arithmetic.
 
 An expression is parsed once against a declared coordinate list and can then
-be evaluated either numerically or as a :class:`Jet`: a truncated multivariate
-Taylor expansion
+be evaluated either numerically or as jets: truncated multivariate Taylor
+expansions
 
     coeffs[alpha] = (d^alpha f / alpha!)(center),   |alpha| <= order,
 
-which carries exact partial derivatives (to floating-point rounding) of the
+which carry exact partial derivatives (to floating-point rounding) of the
 field at a point.  All higher geometry is built on these jets, so there is no
 finite differencing anywhere in the main computation path.
 
@@ -17,7 +17,7 @@ that space's order, :meth:`JetSpace.diff` returns a jet of
 lower space.  Truncation is a slice because the coefficients are listed by
 degree, so the order-k coefficients are a prefix of the order-(k+1) ones.
 
-Evaluation is batched: most helpers accept coefficient arrays of shape
+Evaluation is vectorized: most helpers accept coefficient arrays of shape
 ``batch + (ncoeffs,)`` and broadcast over the leading axes.
 """
 
@@ -55,7 +55,7 @@ class UnknownIdentifierError(ExprError):
 class JetDomainError(ArithmeticError):
     """Arithmetic left the domain of a jet primitive (pole, ln/sqrt of a
     non-positive constant term).  Carries the offending sample point when the
-    evaluation was batched over points."""
+    evaluation was given its points."""
 
     def __init__(self, message: str, point: tuple[float, ...] | None = None):
         self.point = point
@@ -576,94 +576,3 @@ def eval_expr_numeric(expr: ScalarExpr, point: Sequence[float]) -> float:
             raise JetDomainError("sqrt of negative value", tuple(point))
         return getattr(math, expr.func)(a)
     raise TypeError(f"unknown node {expr!r}")
-
-
-# --------------------------------------------------------------------------
-# the scalar Jet facade
-# --------------------------------------------------------------------------
-
-
-class Jet:
-    """A single truncated Taylor expansion at a chart point.
-
-    Arithmetic between jets at the same center is closed at the common order.
-    Coefficients are Taylor coefficients (derivative / alpha!), so
-    ``jet.coeff((0, 1))`` is directly the first partial in coordinate 1.
-    """
-
-    __slots__ = ("space", "center", "coeffs")
-
-    def __init__(self, space: JetSpace, center: tuple[float, ...], coeffs: np.ndarray):
-        self.space = space
-        self.center = tuple(float(c) for c in center)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    def coeff(self, alpha: Sequence[int]) -> float:
-        return float(self.coeffs[self.space.index_of[tuple(alpha)]])
-
-    def derivative(self, alpha: Sequence[int]) -> float:
-        """d^alpha f at the center (coefficient times alpha!)."""
-        fac = 1.0
-        for a in alpha:
-            fac *= math.factorial(a)
-        return self.coeff(alpha) * fac
-
-    def partial(self, i: int) -> float:
-        return self.coeff(tuple(1 if k == i else 0 for k in range(self.space.dim)))
-
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return {alpha: float(self.coeffs[k]) for k, alpha in enumerate(self.space.indices)}
-
-    def _wrap(self, coeffs: np.ndarray) -> "Jet":
-        return Jet(self.space, self.center, coeffs)
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, Jet):
-            if other.space is not self.space or other.center != self.center:
-                raise ValueError("jets must share a space and center")
-            return other.coeffs
-        return self.space.constant(float(other))
-
-    def __add__(self, other):
-        return self._wrap(self.coeffs + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._wrap(self.coeffs - self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._wrap(self._coerce(other) - self.coeffs)
-
-    def __neg__(self):
-        return self._wrap(-self.coeffs)
-
-    def __mul__(self, other):
-        return self._wrap(self.space.mul(self.coeffs, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._wrap(self.space.mul(self.coeffs, self.space.reciprocal(self._coerce(other))))
-
-    def __rtruediv__(self, other):
-        return self._wrap(self.space.mul(self._coerce(other), self.space.reciprocal(self.coeffs)))
-
-    def __pow__(self, exponent: float):
-        return self._wrap(self.space.power(self.coeffs, exponent))
-
-
-def jet_eval(expr: ScalarExpr, point: Sequence[float], order: int) -> Jet:
-    """Evaluate ``expr`` as an order-``order`` jet centered at ``point``."""
-    if order < 0:
-        raise ValueError("jet order must be >= 0")
-    point = tuple(float(p) for p in point)
-    dim = len(point)
-    space = JetSpace.get(dim, order)
-    pts = np.asarray(point)
-    coeffs = eval_expr(expr, space, space.point_jets(pts), points=pts[None, :])
-    return Jet(space, point, coeffs)

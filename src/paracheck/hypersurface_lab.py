@@ -42,6 +42,9 @@ from .paracontact_core import (
 from .sampling import derive_rng
 from .tensor_algebra import TensorValue, invert_jet_matrix
 
+# The ambient g~ is evaluated to order 2: the Gauss check reads R~ values,
+# and the Weingarten map and nabla J~ read Gamma~ values.
+AMBIENT_METRIC_ORDER = 2
 LIGHTLIKE_FLOOR = 1e-6
 COMPONENT_SIGN_FLOOR = 1e-8
 SYNTHETIC_DET_FLOOR = 1e-4     # a synthetic trial's g with |det g| at most this is redrawn
@@ -110,10 +113,11 @@ class ShapeData:
 
 
 class AmbientJets:
-    """The ambient g~ (jets of order 3: the Gauss equation reads ambient
-    curvature) and J~ (order 1: parallel J reads one derivative) at a batch
-    of ambient points, with the Levi-Civita connection and curvature; each
-    is built on first use and kept."""
+    """The ambient g~ (jets of order 2: the Gauss check reads R~ values, and
+    the Weingarten map and nabla J~ read Gamma~ values) and J~ (order 1:
+    parallel J reads one derivative) at a batch of ambient points, with the
+    Levi-Civita connection and curvature; each is built on first use and
+    kept."""
 
     def __init__(self, model: AmbientProductModel, points: np.ndarray):
         self.model = model
@@ -122,11 +126,11 @@ class AmbientJets:
     def _jets(self, sources: list[list[str]], p: int, q: int, order: int) -> TensorValue:
         space = JetSpace.get(self.model.dim, order)
         comps = _eval_grid(sources, self.model.coords, space, space.point_jets(self.points), self.points)
-        return TensorValue(self.model.dim, p, q, comps, space, True)
+        return TensorValue(self.model.dim, p, q, comps, space)
 
     @cached_property
     def g(self) -> TensorValue:
-        return self._jets(self.model.metric, 0, 2, METRIC_ORDER)
+        return self._jets(self.model.metric, 0, 2, AMBIENT_METRIC_ORDER)
 
     @cached_property
     def J(self) -> TensorValue:
@@ -181,13 +185,15 @@ def jet_det(space: JetSpace, M: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray,
-                    require_tangent: bool = True) -> HypersurfaceData:
+def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> HypersurfaceData:
     """Push the embedding through the jet pipeline: tangent frames, unit
     normal, induced (phi, xi, eta, g), and the shape operator.  The embedding
     is evaluated to order METRIC_ORDER + 1 so that the induced g reaches
     METRIC_ORDER; the normal, the frame split, phi, xi and eta are built at
-    FIELD_ORDER."""
+    FIELD_ORDER.
+
+    A JN that is not tangent is measured (``tangency_residual``), not
+    rejected, so the induced structure is not validated at construction."""
     amb = bundle.ambient
     emb = bundle.embedding
     n = bundle.dim
@@ -214,7 +220,7 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray,
         Ta_low = np.sum(gspace.mul(g_amb, T[:, a, None, :, :]), axis=2)   # (P, N1, m)
         for b in range(n):
             gT[:, a, b] = np.sum(gspace.mul(Ta_low, T[:, b]), axis=1)
-    g_ind = TensorValue(n, 0, 2, gT, gspace, True)
+    g_ind = TensorValue(n, 0, 2, gT, gspace)
 
     # from here on, jets of fspace
     T, g_amb = fspace.restrict(T), fspace.restrict(g_amb)
@@ -269,10 +275,6 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray,
     xi_c = split(JN)[0]
     gJNN = np.sum(fspace.mul(N_low, JN), axis=1)[..., 0]
     tangency = float(np.max(np.abs(gJNN)))
-    if require_tangent and tangency > 1e-8:
-        k = int(np.argmax(np.abs(gJNN)))
-        raise InducedStructureError(
-            f"JN not tangent: g~(JN, N) = {gJNN[k]:+.6f} at point {tuple(float(c) for c in points[k])}")
 
     phi_c = np.zeros((P, n, n, fspace.ncoeffs))
     eta_c = np.zeros((P, n, fspace.ncoeffs))
@@ -285,10 +287,10 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray,
     structure = ParacontactStructure(
         points, eps,
         g=g_ind,
-        phi=TensorValue(n, 1, 1, phi_c, fspace, True),
-        xi=TensorValue(n, 1, 0, xi_c, fspace, True),
-        eta=TensorValue(n, 0, 1, eta_c, fspace, True),
-        validate=require_tangent,
+        phi=TensorValue(n, 1, 1, phi_c, fspace),
+        xi=TensorValue(n, 1, 0, xi_c, fspace),
+        eta=TensorValue(n, 0, 1, eta_c, fspace),
+        validate=False,
     )
 
     # shape operator: nabla~_{T_a} N = -A T_a, ambient Christoffels at F(p)
@@ -486,8 +488,8 @@ def _pointwise_structures(rngs: list[np.random.Generator], n: int, epsilon: int,
     Each generator draws its raw numbers in a fixed order: the +1 eigenspace
     dimension p (unless given), then normal, uniform and choice for the
     p-block, the same for the q-block, then normal, uniform, normal for the
-    frame change L.  The QRs, products and inverses then run batched, the
-    blocks grouped by p, so a trial's structure does not depend on the
+    frame change L.  The QRs, products and inverses then run on the whole
+    stack, the blocks grouped by p, so a trial's structure does not depend on the
     other trials drawn with it.
     """
     ps, blocks, frames = [], [], []

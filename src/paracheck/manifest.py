@@ -29,9 +29,9 @@ declared coordinates, metric symmetry as written, non-empty domain intervals,
 and agreement of the declared index with the computed inertia at ten sampled
 points.  A bundle is checked at load for its shape and expression syntax
 only; the request's own evaluation of the bundle validates the embedding
-(rank, domain, a lightlike normal) and fails with an input error.  Errors
-carry positions (JSON line/column, or the offending expression position) so
-a malformed file diagnoses itself.
+(rank, domain, a lightlike normal) and fails with an input error naming the
+file.  Errors name the file and carry positions (JSON line/column, or the
+offending expression position) so a malformed file diagnoses itself.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .expr_jet import ExprError, JetDomainError
+from .expr_jet import JetDomainError
 from .hypersurface_lab import AmbientProductModel, Embedding, HypersurfaceBundle
-from .models import ManifoldModel, ModelValidationError, validate_model
+from .models import ManifoldModel, validate_model
 
 
 class ManifestError(ValueError):
@@ -60,9 +60,15 @@ def _grid(flat, n, what: str) -> list[list[str]]:
     return rows
 
 
-def _require(doc: dict, key: str, what: str):
+_JSON_TYPES = {list: "array", dict: "object"}
+
+
+def _require(doc: dict, key: str, what: str, kind: type | None = None):
     if key not in doc:
         raise ManifestError(f"{what} is missing required field {key!r}")
+    if kind is not None and not isinstance(doc[key], kind):
+        raise ManifestError(f"{what} field {key!r} must be a JSON {_JSON_TYPES[kind]}, "
+                            f"got {json.dumps(doc[key])}")
     return doc[key]
 
 
@@ -79,42 +85,49 @@ def _domain(raw, n: int, what: str) -> list[tuple[float, float]]:
 
 
 def parse_manifest(doc: dict, source: str = "<manifest>") -> ManifoldModel | HypersurfaceBundle:
+    """The model or bundle a manifest document declares.  Every error is a
+    :class:`ManifestError` naming ``source``: a missing field, a field of
+    the wrong JSON type, a bad expression, or a failed model validation."""
+    try:
+        return _parse(doc, source)
+    except (ValueError, TypeError, JetDomainError) as e:
+        raise ManifestError(f"{source}: {e}") from e
+
+
+def _parse(doc: dict, source: str) -> ManifoldModel | HypersurfaceBundle:
     kind = doc.get("kind", "bundle" if "ambient" in doc else "model")
     name = str(doc.get("name", Path(source).stem))
     if kind == "model":
         n = int(_require(doc, "dim", "model"))
-        coords = [str(c) for c in _require(doc, "coords", "model")]
+        coords = [str(c) for c in _require(doc, "coords", "model", list)]
         model = ManifoldModel(
             name=name,
             dim=n,
             coords=coords,
             epsilon=int(_require(doc, "epsilon", "model")),
             index=int(_require(doc, "index", "model")),
-            metric=_grid(_require(doc, "metric", "model"), n, "metric"),
+            metric=_grid(_require(doc, "metric", "model", list), n, "metric"),
             phi=_grid(doc["phi"], n, "phi") if doc.get("phi") is not None else None,
             xi=[str(s) for s in doc["xi"]] if doc.get("xi") is not None else None,
             eta=[str(s) for s in doc["eta"]] if doc.get("eta") is not None else None,
-            domain=_domain(_require(doc, "domain", "model"), n, "model"),
+            domain=_domain(_require(doc, "domain", "model", list), n, "model"),
             description=str(doc.get("description", "")),
         )
-        try:
-            validate_model(model)
-        except (ModelValidationError, ExprError, JetDomainError) as e:
-            raise ManifestError(f"{source}: {e}") from e
+        validate_model(model)
         return model
     if kind == "bundle":
-        amb_doc = _require(doc, "ambient", "bundle")
-        emb_doc = _require(doc, "embedding", "bundle")
+        amb_doc = _require(doc, "ambient", "bundle", dict)
+        emb_doc = _require(doc, "embedding", "bundle", dict)
         N = int(_require(amb_doc, "dim", "ambient"))
         ambient = AmbientProductModel(
             dim=N,
-            coords=[str(c) for c in _require(amb_doc, "coords", "ambient")],
-            metric=_grid(_require(amb_doc, "metric", "ambient"), N, "ambient metric"),
-            J=_grid(_require(amb_doc, "J", "ambient"), N, "ambient J"),
+            coords=[str(c) for c in _require(amb_doc, "coords", "ambient", list)],
+            metric=_grid(_require(amb_doc, "metric", "ambient", list), N, "ambient metric"),
+            J=_grid(_require(amb_doc, "J", "ambient", list), N, "ambient J"),
             curvature_constant=amb_doc.get("curvature_constant"),
         )
-        coords = [str(c) for c in _require(emb_doc, "coords", "embedding")]
-        emb_map = [str(s) for s in _require(emb_doc, "map", "embedding")]
+        coords = [str(c) for c in _require(emb_doc, "coords", "embedding", list)]
+        emb_map = [str(s) for s in _require(emb_doc, "map", "embedding", list)]
         if len(emb_map) != N:
             raise ManifestError(f"embedding map must have {N} component expressions, got {len(emb_map)}")
         if len(coords) != N - 1:
@@ -122,28 +135,28 @@ def parse_manifest(doc: dict, source: str = "<manifest>") -> ManifoldModel | Hyp
         embedding = Embedding(
             coords=coords,
             map=emb_map,
-            domain=_domain(_require(emb_doc, "domain", "embedding"), N - 1, "embedding"),
+            domain=_domain(_require(emb_doc, "domain", "embedding", list), N - 1, "embedding"),
             orientation=int(emb_doc.get("orientation", 1)),
         )
         bundle = HypersurfaceBundle(name=name, ambient=ambient, embedding=embedding,
                                     description=str(doc.get("description", "")))
-        try:
-            for row in ambient.metric + ambient.J:
-                for s in row:
-                    ambient.parsed(s)
-            for s in embedding.map:
-                embedding.parsed(s)
-        except ExprError as e:
-            raise ManifestError(f"{source}: {e}") from e
+        for row in ambient.metric + ambient.J:
+            for s in row:
+                ambient.parsed(s)
+        for s in embedding.map:
+            embedding.parsed(s)
         return bundle
-    raise ManifestError(f"{source}: unknown manifest kind {kind!r}")
+    raise ManifestError(f"unknown manifest kind {kind!r}")
 
 
 def load_manifest(path: str | Path) -> ManifoldModel | HypersurfaceBundle:
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except OSError as e:        # a directory, an unreadable file
+        raise ManifestError(f"{path}: cannot read the manifest: {e.strerror}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

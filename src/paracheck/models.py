@@ -128,7 +128,7 @@ def evaluate_structure(model: ManifoldModel, points: np.ndarray) -> ParacontactS
     def jets(sources, p, q, order):
         space = JetSpace.get(model.dim, order)
         comps = _eval_grid(sources, model.coords, space, space.point_jets(points), points)
-        return TensorValue(model.dim, p, q, comps, space, True)
+        return TensorValue(model.dim, p, q, comps, space)
 
     return ParacontactStructure(points, model.epsilon, jets(model.metric, 0, 2, METRIC_ORDER),
                                 jets(model.phi, 1, 1, FIELD_ORDER), jets(model.xi, 1, 0, FIELD_ORDER),

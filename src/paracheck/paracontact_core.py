@@ -144,7 +144,7 @@ class ParacontactStructure:
     def Phi(self) -> TensorValue:
         """The fundamental 2-form Phi_{ab} = g(phi e_a, e_b) as jets."""
         comps = contract_with(self.g, self.phi, 0, 0)  # g_{mb} phi^m_a -> [b, a]
-        return TensorValue(self.dim, 0, 2, np.swapaxes(comps, 1, 2), self.phi.space, True)
+        return TensorValue(self.dim, 0, 2, np.swapaxes(comps, 1, 2), self.phi.space)
 
     @property
     def Phi0(self) -> np.ndarray:

@@ -26,6 +26,7 @@ from . import hypersurface_lab as hl
 from .models import ManifoldModel, evaluate_structure
 from .paracontact_core import (
     ALGEBRAIC_TOL,
+    THREE_DERIVATIVE_TOL,
     ParacontactStructure,
     StructureCheckResult,
     check_axioms,
@@ -188,12 +189,14 @@ class _ModelContext:
         return float(np.max(hl.shape_characterization_gap_per_point(self.struct, self.data.shape.A)))
 
     @cached_property
-    def samples(self) -> list[el.EinsteinSample]:
-        return el.einstein_samples(self.struct)
+    def fit_inputs(self) -> tuple[np.ndarray, ...]:
+        """(g, Phi, eta, S) values, one row per sample point in point order."""
+        s = self.struct
+        return s.g0, s.Phi0, s.eta0, s.curvature.ricci.components[..., 0]
 
     @cached_property
     def fit(self) -> el.EinsteinLikeFit:
-        return el.fit_einstein_like(self.samples)
+        return el.fit_einstein_like(*self.fit_inputs)
 
     @cached_property
     def c11(self) -> el.C11Tensor:
@@ -228,14 +231,13 @@ def _run_curvature(report, ctx, cfg):
 
 
 def _fit_with_stability(ctx: _ModelContext) -> StructureCheckResult:
-    fit, samples = ctx.fit, ctx.samples
+    fit = ctx.fit
     res = StructureCheckResult()
     res.add("fit", fit.residual, el.TWO_DERIVATIVE_TOL,
             f"(a,b,c) = ({fit.a:+.9g}, {fit.b:+.9g}, {fit.c:+.9g}), rank {fit.gram_rank}, "
             f"{len(fit.family)} family direction(s)")
-    if len(samples) >= 6:
-        half_a = el.fit_einstein_like(samples[0::2])
-        half_b = el.fit_einstein_like(samples[1::2])
+    if ctx.struct.npoints >= 6:
+        half_a, half_b = (el.fit_einstein_like(*(x[k::2] for x in ctx.fit_inputs)) for k in (0, 1))
         gap = float(np.max(np.abs(half_a.min_norm - half_b.min_norm)))
         if half_a.gram_rank != half_b.gram_rank:
             res.add("fit-stability", np.inf, 1e-6, "rank differs between sample halves")
@@ -278,7 +280,7 @@ def _run_hypersurface(report: CheckReport, ctx: _ModelContext, cfg: RunConfig, s
     data = ctx.data
     if subset in ("gauss", "all"):
         res = hl.check_ambient(data.ambient)
-        res.add("gauss-equation", hl.gauss_consistency_residual(data), 1e-6)
+        res.add("gauss-equation", hl.gauss_consistency_residual(data), THREE_DERIVATIVE_TOL)
         _merge(report, "hypersurface", cfg.tol_scale, res)
     if subset in ("induced", "all"):
         res = StructureCheckResult()
@@ -304,6 +306,8 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
     if suite == "synthetic":
         return run_synthetic(cfg)
 
+    if cfg.points < 1:
+        raise ValueError(f"points must be >= 1, got {cfg.points}")
     name = target.name
     is_bundle = isinstance(target, hl.HypersurfaceBundle)
     if suite == "hypersurface" and not is_bundle:
@@ -313,7 +317,7 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
                            derive_rng(cfg.seed, name, "points"))
     data = None
     if is_bundle:
-        data = hl.evaluate_bundle(target, points, require_tangent=False)
+        data = hl.evaluate_bundle(target, points)
         if data.tangency_residual > 1e-8 * cfg.tol_scale:
             # induced-structure hypothesis violated: report just that and stop
             res = hl.check_ambient(data.ambient)

@@ -21,7 +21,7 @@ import pytest
 
 from paracheck.einstein_like import (
     compute_c11_phi_r,
-    fit_structure,
+    fit_einstein_like,
     verify_c11_decomposition,
     verify_c11_identities,
     verify_scalar_ode,
@@ -44,6 +44,10 @@ from paracheck.suites import RunConfig, run_suite, run_synthetic
 SEED = 42
 POINTS = 100
 TUPLES = 20
+
+
+def _fit(s):
+    return fit_einstein_like(s.g0, s.Phi0, s.eta0, s.curvature.ricci.components[..., 0])
 
 
 def _announce(cid: str, ok: bool, extra: str = ""):
@@ -147,7 +151,7 @@ def test_criterion_04_einstein_like_fit(e1_100):
     direction (1,1,-1) within 1e-8; eps a + c = -2 within 1e-9 for members
     t in {-1, 0, 1}."""
     s, _ = e1_100
-    fit = fit_structure(s)
+    fit = _fit(s)
     ok = fit.gram_rank == 2
     ok &= bool(np.max(np.abs(fit.min_norm - np.array([-4 / 3, 2 / 3, -2 / 3]))) < 1e-8)
     assert len(fit.family) == 1
@@ -163,7 +167,7 @@ def test_criterion_05_scalar_ode(e1_100):
     """b xi(r) - 2 c r and 2 eps (1-n)(b^2 - c^2 - c n) both equal -8 for the
     minimum-norm member within 1e-8; div Q components below 1e-7."""
     s, _ = e1_100
-    fit = fit_structure(s)
+    fit = _fit(s)
     a, b, c = fit.min_norm
     r = s.curvature.scalar[:, 0]
     xir = np.einsum('pa,pa->p', s.curvature.dr, s.xi0)
@@ -180,7 +184,7 @@ def test_criterion_06_trace_formula(e1_100):
     """trace(phi) = -2 and eps (n-1) b / c = -2 for every non-degenerate
     family member, residual below 1e-8."""
     s, _ = e1_100
-    fit = fit_structure(s)
+    fit = _fit(s)
     trphi = s.trace_phi()
     ok = bool(np.max(np.abs(trphi - (-2.0))) < 1e-12)
     checked = 0
@@ -198,7 +202,7 @@ def test_criterion_07_c11_tensor(e1_100):
     """C11(phi R) = g + eta(x)eta within 1e-7; the S(Y, phi Z) display below
     1e-8; symmetry below 1e-9; parallel along xi below 1e-7."""
     s, _ = e1_100
-    fit = fit_structure(s)
+    fit = _fit(s)
     c11 = compute_c11_phi_r(s)
     ee = np.einsum('pa,pb->pab', s.eta0, s.eta0)
     ok = bool(np.max(np.abs(c11.values - s.g0 - ee)) < 1e-7)
@@ -215,7 +219,7 @@ def test_criterion_08_discrepancy_adjudication(e1_100, e2_100):
     E2: L_xi Phi matches 2 eps (g - eps eta(x)eta) and misses the printed
     2 eps (g - eta(x)eta) by componentwise 4 eta(x)eta."""
     s1, _ = e1_100
-    fit = fit_structure(s1)
+    fit = _fit(s1)
     c11 = compute_c11_phi_r(s1)
     res = verify_c11_decomposition(fit, c11, s1)
     ok = res.residual("c11-decomposition-derived") < 1e-7

@@ -59,6 +59,22 @@ def test_structure_request_builds_no_connection_and_runs_no_gate(monkeypatch):
     assert gate["n"] == 0
 
 
+def test_curvature_request_takes_no_covariant_derivative(monkeypatch):
+    """The curvature identities read R and S only, so div Q, the one
+    derivative of the curvature package, is not built."""
+    nabla = _count(monkeypatch, geometry_engine.covariant_derivative)
+    run_suite(get_model("E1"), "curvature", RunConfig(points=10))
+    assert nabla["n"] == 0
+
+
+def test_gauss_request_takes_one_covariant_derivative(monkeypatch):
+    """The gauss subset reads nabla J~ and the curvature values of the
+    ambient and induced metrics, neither curvature's div Q."""
+    nabla = _count(monkeypatch, geometry_engine.covariant_derivative)
+    run_suite(get_bundle("E3a"), "hypersurface", RunConfig(points=10, hypersurface_subset="gauss"))
+    assert nabla["n"] == 1
+
+
 def test_bundle_all_checks_the_axioms_once(monkeypatch):
     axioms = _count(monkeypatch, paracontact_core.check_axioms)
     run_suite(get_bundle("E3a"), "all", RunConfig(points=10))

@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 from paracheck.einstein_like import (
-    EinsteinSample,
     compute_c11_phi_r,
-    einstein_samples,
     fit_einstein_like,
-    fit_structure,
-    reconstruction_gap,
     verify_c11_decomposition,
     verify_c11_identities,
     verify_coefficient_constraints,
@@ -36,6 +32,15 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def _fit_inputs(s):
+    """(g, Phi, eta, S) values of a structure, one row per sample point."""
+    return s.g0, s.Phi0, s.eta0, s.curvature.ricci.components[..., 0]
+
+
+def _fit(s):
+    return fit_einstein_like(*_fit_inputs(s))
+
+
 def _merged(*results):
     out = StructureCheckResult()
     for r in results:
@@ -56,7 +61,7 @@ def _lie_records(fit, s):
 
 class TestFit:
     def test_e1_golden_fit(self, e1):
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         assert fit.gram_rank == 2
         assert fit.min_norm == pytest.approx(MIN_NORM_E1, abs=1e-9)
         assert fit.residual < 1e-9
@@ -65,20 +70,18 @@ class TestFit:
         assert min(np.max(np.abs(d - FAMILY_DIR)), np.max(np.abs(d + FAMILY_DIR))) < 1e-9
 
     def test_e2_fit(self, e2):
-        fit = fit_structure(e2)
+        fit = _fit(e2)
         assert fit.gram_rank == 2
         assert fit.min_norm == pytest.approx([4.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0], abs=1e-9)
 
     def test_planted_rank3_recovery(self, rng):
         """S := 2 g + 5 Phi - eta(x)eta with Phi independent of g and
         eta(x)eta recovers the planted triple exactly."""
-        samples = []
-        for k in range(4):
-            g, phi, xi, eta = random_pointwise_structure(rng, 4, 1, plus_dim=2)
-            Phi = phi.T @ g
-            S = 2.0 * g + 5.0 * Phi - np.outer(eta, eta)
-            samples.append(EinsteinSample((float(k),), g, Phi, eta, S))
-        fit = fit_einstein_like(samples)
+        draws = [random_pointwise_structure(rng, 4, 1, plus_dim=2) for _ in range(4)]
+        g, phi, xi, eta = (np.stack(arrays) for arrays in zip(*draws))
+        Phi = np.swapaxes(phi, 1, 2) @ g
+        S = 2.0 * g + 5.0 * Phi - np.einsum('pa,pb->pab', eta, eta)
+        fit = fit_einstein_like(g, Phi, eta, S)
         assert fit.gram_rank == 3
         assert len(fit.family) == 0
         assert fit.min_norm == pytest.approx([2.0, 5.0, -1.0], abs=1e-10)
@@ -90,45 +93,29 @@ class TestFit:
         bundle = get_bundle("E3b")
         pts = sample_points(bundle.embedding.domain, 12, derive_rng(6, "E3b", "elpts"))
         data = evaluate_bundle(bundle, pts)
-        fit = fit_structure(data.structure)
+        fit = _fit(data.structure)
         assert fit.residual > 1e-3
         # independent brute force: normal equations on the stacked system
-        samples = einstein_samples(data.structure)
         rows = []
         rhs = []
-        for s in samples:
-            rows.append(np.column_stack([s.g.ravel(), s.Phi.ravel(), np.outer(s.eta, s.eta).ravel()]))
-            rhs.append(s.S.ravel())
+        for g, Phi, eta, S in zip(*_fit_inputs(data.structure)):
+            rows.append(np.column_stack([g.ravel(), Phi.ravel(), np.outer(eta, eta).ravel()]))
+            rhs.append(S.ravel())
         M = np.vstack(rows)
         y = np.concatenate(rhs)
         best = np.linalg.solve(M.T @ M + 1e-14 * np.eye(3), M.T @ y)
         assert np.max(np.abs(M @ best - y)) > 1e-3
 
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError):
-            fit_einstein_like([])
-
-    def test_inconsistent_dimensions_rejected(self, rng):
-        g3, phi3, xi3, eta3 = random_pointwise_structure(rng, 3, 1)
-        g4, phi4, xi4, eta4 = random_pointwise_structure(rng, 4, 1)
-        samples = [
-            EinsteinSample((0.0,), g3, phi3.T @ g3, eta3, g3),
-            EinsteinSample((1.0,), g4, phi4.T @ g4, eta4, g4),
-        ]
-        with pytest.raises(ValueError):
-            fit_einstein_like(samples)
-
     def test_reconstruction_for_every_member(self, e1):
         """Every family member reproduces S within the reported residual."""
-        fit = fit_structure(e1)
-        samples = einstein_samples(e1)
-        for member in fit.members():
-            assert reconstruction_gap(fit, samples, member) <= fit.residual + 1e-10
+        fit = _fit(e1)
+        g, Phi, eta, S = _fit_inputs(e1)
+        ee = np.einsum('pa,pb->pab', eta, eta)
+        for a, b, c in fit.members():
+            assert np.max(np.abs(a * g + b * Phi + c * ee - S)) <= fit.residual + 1e-10
 
     def test_split_sample_stability(self, e1):
-        samples = einstein_samples(e1)
-        fa = fit_einstein_like(samples[0::2])
-        fb = fit_einstein_like(samples[1::2])
+        fa, fb = (fit_einstein_like(*(x[k::2] for x in _fit_inputs(e1))) for k in (0, 1))
         assert fa.gram_rank == fb.gram_rank == 2
         assert np.max(np.abs(fa.min_norm - fb.min_norm)) < 1e-6
 
@@ -137,7 +124,7 @@ class TestCoefficientConstraints:
     def test_e1_constraint_arithmetic(self, e1):
         """eps a + c = -4/3 - 2/3 = -2 = 1 - n, and r = 3a + b tr(phi) + eps c
         = -6, for all family members."""
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         assert verify_coefficient_constraints(fit, e1).passed
         res = verify_scalar_ode(fit, e1)
         assert res.passed
@@ -147,7 +134,7 @@ class TestCoefficientConstraints:
         assert 3 * a + b * (-2.0) + c == pytest.approx(-6.0, abs=1e-9)
 
     def test_e2_constraint(self, e2):
-        fit = fit_structure(e2)
+        fit = _fit(e2)
         assert verify_coefficient_constraints(fit, e2).passed
         res = verify_scalar_ode(fit, e2)
         assert res.passed
@@ -170,7 +157,7 @@ class TestScalarOde:
     def test_e1_ode_values(self, e1):
         """For the minimum-norm member b xi(r) - 2 c r = -8 and the right
         side 2 eps (1-n)(b^2 - c^2 - c n) = -8."""
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         a, b, c = fit.min_norm
         r = float(e1.curvature.scalar[0, 0])
         xir = float(np.einsum('a,a->', e1.curvature.dr[0], e1.xi0[0]))
@@ -185,7 +172,7 @@ class TestScalarOde:
     def test_e1_div_q_coefficient_vanishes(self, e1):
         """eps(1-n) b + c tr(phi) = -2(2/3) + (-2/3)(-2) = 0, matching
         div Q = 0 on the constant-curvature model."""
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         a, b, c = fit.min_norm
         assert (1 - 3) * b + c * (-2.0) == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(e1.curvature.div_q)) < 1e-7
@@ -193,7 +180,7 @@ class TestScalarOde:
         assert res.residual("div-q-display") < 1e-7
 
     def test_e2_ode(self, e2):
-        fit = fit_structure(e2)
+        fit = _fit(e2)
         res = verify_scalar_ode(fit, e2)
         assert res.passed
 
@@ -211,7 +198,7 @@ class TestTraceFormula:
     def test_e1_golden(self, e1):
         """tr(phi) = -2 and eps(n-1) b / c = 2 (2/3)/(-2/3) = -2 for every
         member with c != 0."""
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         assert e1.trace_phi()[0] == pytest.approx(-2.0, abs=1e-12)
         res = verify_trace_formula(fit, e1)
         assert res.passed
@@ -220,7 +207,7 @@ class TestTraceFormula:
     def test_degenerate_member_skipped(self, e1):
         """The family member with t chosen so that b = c = 0 is excluded by
         the division guard."""
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         # family direction (1,1,-1)/sqrt(3): t = -b*sqrt(3) makes b = c = 0
         t = -fit.b * np.sqrt(3.0)
         member = fit.min_norm + t * fit.family[0]
@@ -233,7 +220,7 @@ class TestTraceFormula:
         """On the flat formal model the fit family passes through c = 0 at
         the minimum-norm member (S = 0), so every checked member is
         degenerate and the check reports vacuous."""
-        fit = fit_structure(f0)
+        fit = _fit(f0)
         assert fit.min_norm == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
         res = verify_trace_formula(fit, f0)
         statuses = {c.effective_status for c in res.checks}
@@ -246,8 +233,7 @@ class TestTraceFormula:
         Phi = phi.T @ g
         a, b, c = 2.0, 5.0, -1.0
         S = a * g + b * Phi + c * np.outer(eta, eta)
-        samples = [EinsteinSample((float(k),), g, Phi, eta, S) for k in range(3)]
-        fit = fit_einstein_like(samples)
+        fit = fit_einstein_like(*(np.stack([x] * 3) for x in (g, Phi, eta, S)))
 
         class FakeStruct:
             dim = 4
@@ -279,7 +265,7 @@ class TestC11:
         """Minimum-norm member: the re-derived coefficient reproduces
         C11 = g + eta(x)eta; the printed one misses by eps(1-b) = 1/3 on the
         eta(x)eta block."""
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         c11 = compute_c11_phi_r(e1)
         res = verify_c11_decomposition(fit, c11, e1)
         assert res.residual("c11-decomposition-derived") < 1e-7
@@ -296,7 +282,7 @@ class TestC11:
         assert abs(eps * (1 - b) - 1.0 / 3.0) < 1e-12
 
     def test_derived_form_is_family_invariant(self, e1):
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         c11 = compute_c11_phi_r(e1)
         n, eps = 3, 1
         g, eta = e1.g0, e1.eta0
@@ -309,7 +295,7 @@ class TestC11:
             assert np.max(np.abs(c11.values - derived)) < 1e-8
 
     def test_parallel_along_xi(self, e1):
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         res = verify_c11_decomposition(fit, compute_c11_phi_r(e1), e1)
         assert res.residual("c11-parallel-along-xi") < 1e-7
 
@@ -318,7 +304,7 @@ class TestLieFormulas:
     def test_e1_all_printed_forms_hold(self, e1):
         """At eps = +1 the printed and re-derived variants coincide, so
         everything passes."""
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         res = _lie_records(fit, e1)
         assert res.passed
         assert all(c.effective_status == "pass" for c in res.checks)
@@ -327,7 +313,7 @@ class TestLieFormulas:
     def test_e2_printed_form_mismatches(self, e2):
         """At eps = -1: L_xi Phi = -2(g + eta(x)eta) matches the re-derived
         form and misses the printed one by exactly 4 eta(x)eta."""
-        fit = fit_structure(e2)
+        fit = _fit(e2)
         res = _lie_records(fit, e2)
         assert res.residual("lie-phi-form-derived") < 1e-8
         assert res.get("lie-phi-form-printed").effective_status == "printed-form-mismatch"
@@ -359,7 +345,7 @@ class TestRepresentationIndependence:
     def test_member_free_checks_do_not_depend_on_the_member(self, e1):
         """Checks stated without reference to (a, b, c) give identical
         residuals whatever member is chosen: they never consult the fit."""
-        fit = fit_structure(e1)
+        fit = _fit(e1)
         c11 = compute_c11_phi_r(e1)
         res1 = _c11_records(fit, c11, e1)
         shifted = type(fit)(a=fit.a + fit.family[0][0], b=fit.b + fit.family[0][1],
@@ -373,7 +359,7 @@ class TestRepresentationIndependence:
         """eps a + c, the ODE, and the trace formula hold for all members at
         t in {-1, 0, 1}."""
         for s in (e1, e2):
-            fit = fit_structure(s)
+            fit = _fit(s)
             assert verify_scalar_ode(fit, s).residual("eps-a-plus-c") < 1e-9
             assert verify_scalar_ode(fit, s).residual("scalar-ode") < 1e-8
             assert verify_trace_formula(fit, s).passed

@@ -12,7 +12,6 @@ from paracheck.expr_jet import (
     BinOp,
     Call,
     ExprSyntaxError,
-    Jet,
     JetDomainError,
     JetSpace,
     Num,
@@ -20,11 +19,18 @@ from paracheck.expr_jet import (
     Var,
     eval_expr,
     eval_expr_numeric,
-    jet_eval,
     parse_expr,
 )
 
 from fd_oracle import fd_partial
+
+
+def _jet(expr, point, order):
+    """The order-``order`` jet of ``expr`` at ``point``: its space and its
+    coefficients (in one variable, coefficient k is the degree-k one)."""
+    pts = np.array([point], dtype=float)
+    space = JetSpace.get(pts.shape[1], order)
+    return space, eval_expr(expr, space, space.point_jets(pts), points=pts)[0]
 
 
 class TestParser:
@@ -81,36 +87,35 @@ class TestJetEval:
         f = lambda x: 1.0 / (x[0] * x[0])
         d1 = fd_partial(f, [2.0], 0, 1e-4)
         d2 = fd_partial(lambda x: fd_partial(f, x, 0, 1e-4), [2.0], 0, 1e-3)
-        j = jet_eval(parse_expr("1/(y*y)", ["y"]), (2.0,), 2)
-        assert j.coeff((0,)) == pytest.approx(0.25, abs=1e-12)
-        assert j.coeff((1,)) == pytest.approx(d1, abs=1e-6)
-        assert j.coeff((2,)) == pytest.approx(d2 / 2.0, abs=1e-6)
-        assert (j.coeff((0,)), j.coeff((1,)), j.coeff((2,))) == pytest.approx((0.25, -0.25, 0.1875))
+        _, j = _jet(parse_expr("1/(y*y)", ["y"]), (2.0,), 2)
+        assert j[0] == pytest.approx(0.25, abs=1e-12)
+        assert j[1] == pytest.approx(d1, abs=1e-6)
+        assert j[2] == pytest.approx(d2 / 2.0, abs=1e-6)
+        assert tuple(j) == pytest.approx((0.25, -0.25, 0.1875))
 
     def test_bilinear(self):
-        j = jet_eval(parse_expr("x*y", ["x", "y"]), (2.0, 3.0), 2)
-        assert j.value == 6.0
-        assert j.partial(0) == 3.0
-        assert j.partial(1) == 2.0
-        assert j.coeff((1, 1)) == 1.0
-        assert j.coeff((2, 0)) == 0.0
-        assert j.coeff((0, 2)) == 0.0
+        space, j = _jet(parse_expr("x*y", ["x", "y"]), (2.0, 3.0), 2)
+        assert j[0] == 6.0
+        assert list(space.gradient_values(j)) == [3.0, 2.0]
+        assert j[space.index_of[(1, 1)]] == 1.0
+        assert j[space.index_of[(2, 0)]] == 0.0
+        assert j[space.index_of[(0, 2)]] == 0.0
 
     def test_pole_is_domain_error(self):
         with pytest.raises(JetDomainError):
-            jet_eval(parse_expr("1/(y-1)", ["y"]), (1.0,), 2)
+            _jet(parse_expr("1/(y-1)", ["y"]), (1.0,), 2)
 
     def test_ln_of_nonpositive(self):
         with pytest.raises(JetDomainError):
-            jet_eval(parse_expr("ln(x)", ["x"]), (-1.0,), 2)
+            _jet(parse_expr("ln(x)", ["x"]), (-1.0,), 2)
 
     def test_sqrt_of_nonpositive(self):
         with pytest.raises(JetDomainError):
-            jet_eval(parse_expr("sqrt(x)", ["x"]), (0.0,), 2)
+            _jet(parse_expr("sqrt(x)", ["x"]), (0.0,), 2)
 
     def test_domain_error_carries_point(self):
         with pytest.raises(JetDomainError) as exc:
-            jet_eval(parse_expr("1/y", ["x", "y"]), (3.0, 0.0), 2)
+            _jet(parse_expr("1/y", ["x", "y"]), (3.0, 0.0), 2)
         assert exc.value.point == (3.0, 0.0)
 
     def test_numeric_evaluator_domain_errors_match_jets(self):
@@ -121,31 +126,31 @@ class TestJetEval:
             with pytest.raises(JetDomainError):
                 eval_expr_numeric(expr, (x,))
             with pytest.raises(JetDomainError):
-                jet_eval(expr, (x,), 1)
+                _jet(expr, (x,), 1)
 
     def test_transcendental_derivatives_against_finite_differences(self):
         src = "exp(sin(x))*sqrt(y) + ln(y)*cos(x)"
         coords = ["x", "y"]
         pt = (0.7, 2.0)
         f = lambda x: eval_expr_numeric(parse_expr(src, coords), x)
-        j = jet_eval(parse_expr(src, coords), pt, 3)
+        space, j = _jet(parse_expr(src, coords), pt, 3)
         for i in range(2):
-            assert j.partial(i) == pytest.approx(fd_partial(f, list(pt), i, 1e-5), rel=1e-6)
+            assert space.gradient_values(j)[i] == pytest.approx(fd_partial(f, list(pt), i, 1e-5), rel=1e-6)
 
     def test_derivative_accessor_scales_by_factorial(self):
-        j = jet_eval(parse_expr("x^3", ["x"]), (2.0,), 3)
-        assert j.derivative((3,)) == pytest.approx(6.0)
-        assert j.coeff((3,)) == pytest.approx(1.0)
+        _, j = _jet(parse_expr("x^3", ["x"]), (2.0,), 3)
+        assert j[3] * math.factorial(3) == pytest.approx(6.0)
+        assert j[3] == pytest.approx(1.0)
 
     def test_jet_operator_overloads(self):
-        a = jet_eval(parse_expr("x^2", ["x"]), (1.5,), 3)
-        b = jet_eval(parse_expr("sin(x)", ["x"]), (1.5,), 3)
-        c = a * b + 2.0
-        d = jet_eval(parse_expr("x^2*sin(x) + 2", ["x"]), (1.5,), 3)
-        assert np.allclose(c.coeffs, d.coeffs)
-        q = a / b
-        r = jet_eval(parse_expr("x^2/sin(x)", ["x"]), (1.5,), 3)
-        assert np.allclose(q.coeffs, r.coeffs, atol=1e-12)
+        space, a = _jet(parse_expr("x^2", ["x"]), (1.5,), 3)
+        _, b = _jet(parse_expr("sin(x)", ["x"]), (1.5,), 3)
+        c = space.mul(a, b) + space.constant(2.0)
+        _, d = _jet(parse_expr("x^2*sin(x) + 2", ["x"]), (1.5,), 3)
+        assert np.allclose(c, d)
+        q = space.mul(a, space.reciprocal(b))
+        _, r = _jet(parse_expr("x^2/sin(x)", ["x"]), (1.5,), 3)
+        assert np.allclose(q, r, atol=1e-12)
 
 
 # -- property tests ---------------------------------------------------------
@@ -205,11 +210,11 @@ def _poly_taylor_coeff(coeffs, alpha, point):
 @given(_poly_exprs(["x", "y"], 4), st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
 def test_polynomial_jets_match_exact_expansion(poly, point):
     src, coeffs = poly
-    j = jet_eval(parse_expr(src, ["x", "y"]), point, 4)
+    space, j = _jet(parse_expr(src, ["x", "y"]), point, 4)
     scale = max(1.0, max(abs(c) for c in coeffs.values())) * max(1.0, max(abs(p) for p in point)) ** 4
-    for alpha in j.space.indices:
+    for k, alpha in enumerate(space.indices):
         expected = _poly_taylor_coeff(coeffs, alpha, point)
-        assert abs(j.coeff(alpha) - expected) <= 1e-12 * scale * 16
+        assert abs(j[k] - expected) <= 1e-12 * scale * 16
 
 
 # wrappers that keep every argument inside its domain for any real u
@@ -264,18 +269,17 @@ def test_chain_rule_composition(f_src, g_src, point):
     of the textually composed tree."""
     order = 4
     composed = f_src.replace("u", f"({g_src})")
-    direct = jet_eval(parse_expr(composed, ["x", "y"]), point, order)
-    jg = jet_eval(parse_expr(g_src, ["x", "y"]), point, order)
-    jf_at = jet_eval(parse_expr(f_src, ["u"]), (jg.value,), order)
+    _, direct = _jet(parse_expr(composed, ["x", "y"]), point, order)
+    space, jg = _jet(parse_expr(g_src, ["x", "y"]), point, order)
+    _, jf_at = _jet(parse_expr(f_src, ["u"]), (jg[0],), order)
     # substitute: f(g) = sum_k f_k (g - g0)^k
-    space = jg.space
-    H = jg.coeffs.copy()
+    H = jg.copy()
     H[0] = 0.0
-    out = space.constant(jf_at.coeff((order,)))
+    out = space.constant(jf_at[order])
     for k in range(order - 1, -1, -1):
         out = space.mul(out, H)
-        out[0] += jf_at.coeff((k,))
-    assert np.allclose(out, direct.coeffs, atol=1e-10, rtol=1e-10)
+        out[0] += jf_at[k]
+    assert np.allclose(out, direct, atol=1e-10, rtol=1e-10)
 
 
 def test_builtin_metric_entries_match_finite_differences(models):
@@ -291,13 +295,13 @@ def test_builtin_metric_entries_match_finite_differences(models):
                 expr = parse_expr(src, model.coords)
                 f = lambda x: eval_expr_numeric(expr, x)
                 for pt in pts:
-                    j = jet_eval(expr, pt, 2)
+                    space, j = _jet(expr, pt, 2)
                     for i in range(model.dim):
                         fd1 = fd_partial(f, pt, i, 1e-4)
-                        assert j.partial(i) == pytest.approx(fd1, rel=1e-5, abs=1e-7)
+                        assert space.gradient_values(j)[i] == pytest.approx(fd1, rel=1e-5, abs=1e-7)
                         fd2 = fd_partial(lambda x: fd_partial(f, x, i, 1e-4), pt, i, 1e-3)
                         alpha = tuple(2 if k == i else 0 for k in range(model.dim))
-                        assert j.derivative(alpha) == pytest.approx(fd2, rel=1e-5, abs=1e-6)
+                        assert 2 * j[space.index_of[alpha]] == pytest.approx(fd2, rel=1e-5, abs=1e-6)
 
 
 def test_jet_space_is_cached():
@@ -305,6 +309,6 @@ def test_jet_space_is_cached():
 
 
 def test_order_zero_jet():
-    j = jet_eval(parse_expr("sin(x)*x", ["x"]), (0.5,), 0)
-    assert j.value == pytest.approx(0.5 * math.sin(0.5))
-    assert j.space.ncoeffs == 1
+    space, j = _jet(parse_expr("sin(x)*x", ["x"]), (0.5,), 0)
+    assert j[0] == pytest.approx(0.5 * math.sin(0.5))
+    assert space.ncoeffs == 1

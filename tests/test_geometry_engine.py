@@ -24,7 +24,7 @@ from fd_oracle import fd_christoffel, fd_curvature_package, fd_grad_vector_field
 def _metric_jets(model, pts, order=4):
     space = JetSpace.get(model.dim, order)
     comps = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts)
-    return TensorValue(model.dim, 0, 2, comps, space, True)
+    return TensorValue(model.dim, 0, 2, comps, space)
 
 
 def _half_plane_2d():
@@ -75,7 +75,7 @@ class TestChristoffel:
         comps = np.zeros((1, 2, 2, space.ncoeffs))
         comps[:, 0, 0, 0] = 1.0  # second row identically zero
         with pytest.raises(ValueError):
-            christoffel(TensorValue(2, 0, 2, comps, space, True), pts)
+            christoffel(TensorValue(2, 0, 2, comps, space), pts)
 
 
 class TestCurvature:
@@ -167,7 +167,7 @@ class TestCurvature:
         model = _half_plane_2d()
         pts = np.array([[0.0, 2.0]])
         with pytest.raises(InsufficientOrderError):
-            # order-1 metric jets leave nothing for curvature's div Q chain
+            # order-1 metric jets give an order-0 connection, with no derivative left
             conn = christoffel(_metric_jets(model, pts, order=1), pts)
             curvature(conn)
 
@@ -220,7 +220,7 @@ class TestCovariantDerivative:
 
     def test_constant_scalar_field(self, e1):
         space = e1.g.space
-        ones = TensorValue(3, 0, 0, space.constant(1.0, (e1.npoints,)), space, True)
+        ones = TensorValue(3, 0, 0, space.constant(1.0, (e1.npoints,)), space)
         grad = covariant_derivative(ones, e1.connection)
         assert np.max(np.abs(grad.components)) == 0.0
 
@@ -240,7 +240,7 @@ class TestLieDerivative:
         space = f0.g.space
         X = np.zeros((f0.npoints, 3, space.ncoeffs))
         X[:, 0, 0] = 1.0  # d/dx1
-        XT = TensorValue(3, 1, 0, X, space, True)
+        XT = TensorValue(3, 1, 0, X, space)
         L = lie_derivative(f0.g, XT, f0.connection)
         assert np.max(np.abs(L.components)) == 0.0
 
@@ -276,5 +276,8 @@ class TestJetOrders:
         s = data.structure
         assert s.g.space.order == 3
         assert [t.space.order for t in (s.phi, s.xi, s.eta)] == [1, 1, 1]
-        assert data.ambient.g.space.order == 3
+        assert data.ambient.g.space.order == 2
         assert data.ambient.J.space.order == 1
+        assert data.ambient.curvature.riemann_dddd.space.order == 0
+        with pytest.raises(InsufficientOrderError):
+            data.ambient.curvature.dr

@@ -80,8 +80,7 @@ class TestInducedStructure:
     def test_sphere_patch_jn_not_tangent(self):
         b = get_bundle("B1")
         pts = sample_points(b.embedding.domain, 5, derive_rng(7, "B1", "pts"))
-        with pytest.raises(InducedStructureError, match="JN not tangent"):
-            evaluate_bundle(b, pts)
+        assert evaluate_bundle(b, pts).tangency_residual > 1e-8
 
     def test_lightlike_normal_reported(self):
         """A graph in a signature-(2,2) ambient whose normal becomes null is
@@ -101,7 +100,7 @@ class TestInducedStructure:
         bundle = HypersurfaceBundle(name="null", ambient=amb, embedding=emb)
         pts = sample_points(emb.domain, 4, derive_rng(7, "null", "pts"))
         with pytest.raises(InducedStructureError, match="lightlike"):
-            evaluate_bundle(bundle, pts, require_tangent=False)
+            evaluate_bundle(bundle, pts)
 
 
 class TestShapeOperator:
@@ -170,7 +169,7 @@ class TestShapeOperator:
                             domain=[(-1.0, 1.0)] * 3)
             bundle = HypersurfaceBundle(name=f"graph{amp}", ambient=amb, embedding=emb)
             pts = sample_points(emb.domain, 8, derive_rng(7, "graph", "pts"))
-            data = evaluate_bundle(bundle, pts, require_tangent=False)
+            data = evaluate_bundle(bundle, pts)
             norms.append(float(np.max(np.abs(data.shape.A))))
         assert norms[0] > norms[1] > norms[2]
         assert norms[2] < 0.12
@@ -289,7 +288,7 @@ def _pointwise_structure(g, phi, xi, eta, eps):
     def lift(arr, p, q):
         comps = np.zeros(arr.shape + (m,))
         comps[..., 0] = arr
-        return TensorValue(n, p, q, comps, space, True)
+        return TensorValue(n, p, q, comps, space)
 
     return ParacontactStructure(np.zeros((P, n)), eps,
                                 g=lift(g, 0, 2), phi=lift(phi, 1, 1),

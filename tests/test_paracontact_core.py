@@ -117,7 +117,7 @@ class TestStructureInvariants:
             ParacontactStructure(e1.points, 2, e1.g, e1.phi, e1.xi, e1.eta)
 
     def test_constructor_rejects_unnormalized_eta(self, e1):
-        bad_eta = type(e1.eta)(e1.eta.dim, 0, 1, 2.0 * e1.eta.components, e1.eta.space, True)
+        bad_eta = type(e1.eta)(e1.eta.dim, 0, 1, 2.0 * e1.eta.components, e1.eta.space)
         with pytest.raises(ValueError):
             ParacontactStructure(e1.points, 1, e1.g, e1.phi, e1.xi, bad_eta)
 

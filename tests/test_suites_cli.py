@@ -200,6 +200,48 @@ class TestCli:
         assert proc.returncode == EXIT_INPUT_ERROR
         assert "line 2" in proc.stderr and "column" in proc.stderr
 
+    def test_unwritable_report_path_is_input_error(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        proc = _cli("check", "E1", "--suite", "structure", "--points", "5", "--out", str(out))
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert str(out) in proc.stderr
+
+    def test_directory_manifest_is_input_error(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.mkdir()
+        proc = _cli("check", str(path), "--suite", "structure")
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert str(path) in proc.stderr
+
+    @pytest.mark.parametrize("target,field,value", [
+        ("E1", ("domain",), 5), ("E1", ("coords",), 3), ("E3a", ("ambient",), 7),
+        ("E3a", ("embedding", "domain"), [5, 6, 7]), ("E1", ("dim",), [3]),
+    ])
+    def test_wrong_json_type_manifest_is_input_error(self, tmp_path, target, field, value):
+        """A manifest field of the wrong JSON type is a one-line input error
+        naming the file."""
+        path = tmp_path / "typed.json"
+        save_manifest(get_bundle(target) if target == "E3a" else get_model(target), path)
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        path.write_text(json.dumps(doc))
+        proc = _cli("check", str(path), "--suite", "structure", "--points", "5")
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert str(path) in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_is_input_error(self, points):
+        proc = _cli("check", "E1", "--suite", "einstein", "--points", points)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "points must be >= 1" in proc.stderr
+
     def test_manifest_domain_error_is_input_error(self, tmp_path):
         """A metric entry outside its domain at a validation point is a
         malformed manifest: exit 2 with a message naming the file."""
@@ -225,6 +267,7 @@ class TestCli:
         assert proc.returncode == EXIT_INPUT_ERROR
         assert "Traceback" not in proc.stderr
         assert "rank-deficient" in proc.stderr
+        assert f"{path}: embedding validation failed" in proc.stderr
 
     def test_rescaled_metric_is_not_degenerate(self, tmp_path):
         """E1n5 with g scaled by 1e-3 (xi and eta rescaled to match) has

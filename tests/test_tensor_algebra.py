@@ -20,6 +20,16 @@ from paracheck.tensor_algebra import (
 from fd_oracle import signed_orthonormal_frame
 
 
+def _jets0(dim, p, q, values):
+    """Numeric components at one sample point as an order-0 jet tensor."""
+    return TensorValue(dim, p, q, np.asarray(values)[None, ..., None], JetSpace.get(dim, 0))
+
+
+def _value(components):
+    """The one sample point's values of order-0 jet components."""
+    return components[0, ..., 0]
+
+
 class TestContract:
     def test_trace_of_phi_on_e1(self, e1):
         assert e1.trace_phi()[0] == pytest.approx(-2.0)
@@ -27,7 +37,7 @@ class TestContract:
     def test_pairing_identity(self, rng):
         v = rng.uniform(-1, 1, 4)
         w = rng.uniform(-1, 1, 4)
-        assert contract_with(TensorValue(4, 1, 0, v), TensorValue(4, 0, 1, w), 0, 0) == pytest.approx(v @ w)
+        assert _value(contract_with(_jets0(4, 1, 0, v), _jets0(4, 0, 1, w), 0, 0)) == pytest.approx(v @ w)
 
 
 class TestMetricConvert:
@@ -37,21 +47,21 @@ class TestMetricConvert:
     def test_lower_xi_gives_eps_eta(self, e1, e2):
         for s in (e1, e2):
             k = 2
-            metric = MetricAtPoint.build(TensorValue(s.dim, 0, 2, s.g0[k]))
-            xi = TensorValue(s.dim, 1, 0, s.xi0[k])
-            low = contract_with(metric.g, xi, 1, 0)
+            metric = MetricAtPoint.build(_jets0(s.dim, 0, 2, s.g0[k]))
+            xi = _jets0(s.dim, 1, 0, s.xi0[k])
+            low = _value(contract_with(metric.g, xi, 1, 0))
             assert low.shape == (s.dim,)
             assert np.allclose(low, s.epsilon * s.eta0[k], atol=1e-12)
 
     def test_raise_lower_roundtrip(self, rng):
         g = np.diag([2.0, -1.0, 0.5, 1.5])
-        metric = MetricAtPoint.build(TensorValue(4, 0, 2, g))
-        T = TensorValue(4, 2, 1, rng.uniform(-1, 1, (4, 4, 4)))
-        low = contract_with(metric.g, T, 1, 1)                                  # [m, a, c]
-        back = contract_with(metric.g_inv, TensorValue(4, 0, 3, low), 1, 0)    # [k, a, c]
+        metric = MetricAtPoint.build(_jets0(4, 0, 2, g))
+        t = rng.uniform(-1, 1, (4, 4, 4))
+        low = contract_with(metric.g, _jets0(4, 2, 1, t), 1, 1)                    # [m, a, c]
+        back = _value(contract_with(metric.g_inv, _jets0(4, 0, 3, _value(low)), 1, 0))   # [k, a, c]
         # lowering slot 1 puts the new covariant index first; raising it back
         # and moving it to slot 1 restores the original layout
-        assert np.max(np.abs(np.moveaxis(back, 0, 1) - T.components)) < 1e-10
+        assert np.max(np.abs(np.moveaxis(back, 0, 1) - t)) < 1e-10
 
 
 class TestMetricAtPoint:
@@ -64,14 +74,14 @@ class TestMetricAtPoint:
     def test_degenerate_rejected(self):
         g = np.diag([1.0, 0.0, 1.0])
         with pytest.raises(ValueError):
-            MetricAtPoint.build(TensorValue(3, 0, 2, g))
+            MetricAtPoint.build(_jets0(3, 0, 2, g))
 
     def test_rescaled_metric_accepted(self):
         """Degeneracy is relative: 1e-6 g has det 2e-18 and is as well
         conditioned as g."""
-        metric = MetricAtPoint.build(TensorValue(3, 0, 2, 1e-6 * np.diag([1.0, -1.0, 2.0])))
+        metric = MetricAtPoint.build(_jets0(3, 0, 2, 1e-6 * np.diag([1.0, -1.0, 2.0])))
         assert metric.index == 1
-        assert np.allclose(metric.g_inv.components, 1e6 * np.diag([1.0, -1.0, 0.5]))
+        assert np.allclose(_value(metric.g_inv.components), 1e6 * np.diag([1.0, -1.0, 0.5]))
 
     def test_inertia(self):
         assert inertia(np.diag([1.0, -2.0, 3.0])) == 1
@@ -128,18 +138,18 @@ class TestFrameIndependence:
 
 
 class TestRandomTensorProperties:
-    """Property checks over random numeric tensors."""
+    """Property checks over random tensors as order-0 jets."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 200))
     def test_raise_lower_inverse_pair(self, dim, seed):
         rng = np.random.default_rng(seed)
         w = rng.uniform(0.5, 2.0, dim) * rng.choice([-1.0, 1.0], dim)
-        metric = MetricAtPoint.build(TensorValue(dim, 0, 2, np.diag(w)))
-        T = TensorValue(dim, 1, 1, rng.uniform(-1, 1, (dim, dim)))
-        low = contract_with(metric.g, T, 1, 0)
-        back = contract_with(metric.g_inv, TensorValue(dim, 0, 2, low), 1, 0)
-        assert np.max(np.abs(back - T.components)) < 1e-10
+        metric = MetricAtPoint.build(_jets0(dim, 0, 2, np.diag(w)))
+        t = rng.uniform(-1, 1, (dim, dim))
+        low = contract_with(metric.g, _jets0(dim, 1, 1, t), 1, 0)
+        back = _value(contract_with(metric.g_inv, _jets0(dim, 0, 2, _value(low)), 1, 0))
+        assert np.max(np.abs(back - t)) < 1e-10
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 200))
@@ -147,19 +157,21 @@ class TestRandomTensorProperties:
         rng = np.random.default_rng(seed)
         v = rng.uniform(-1, 1, dim)
         w = rng.uniform(-1, 1, dim)
-        paired = contract_with(TensorValue(dim, 1, 0, v), TensorValue(dim, 0, 1, w), 0, 0)
+        paired = _value(contract_with(_jets0(dim, 1, 0, v), _jets0(dim, 0, 1, w), 0, 0))
         assert paired == pytest.approx(v @ w)
 
 
 class TestJetNumericCommutation:
+    """Contracting jets and then taking values agrees with contracting the
+    values directly."""
+
     def test_contract_commutes_with_value_extraction(self, e1):
-        val_then_contract = contract_with(e1.g.value(), e1.phi.value(), 0, 0)
+        val_then_contract = np.einsum('pmb,pma->pba', e1.g0, e1.phi0)
         contract_then_value = contract_with(e1.g, e1.phi, 0, 0)[..., 0]
         assert np.allclose(val_then_contract, contract_then_value, atol=1e-14)
 
     def test_metric_convert_commutes_with_value_extraction(self, e1):
         metric_jets = MetricAtPoint.build(e1.g)
-        metric_vals = MetricAtPoint.build(e1.g.value())
         low_jets = contract_with(metric_jets.g, e1.xi, 1, 0)[..., 0]
-        low_vals = contract_with(metric_vals.g, e1.xi.value(), 1, 0)
+        low_vals = np.einsum('pam,pm->pa', e1.g0, e1.xi0)
         assert np.allclose(low_jets, low_vals, atol=1e-12)
