@@ -18,13 +18,17 @@ lower space.  Truncation is a slice because the coefficients are listed by
 degree, so the order-k coefficients are a prefix of the order-(k+1) ones.
 
 Evaluation is vectorized: most helpers accept coefficient arrays of shape
-``batch + (ncoeffs,)`` and broadcast over the leading axes.
+``batch + (ncoeffs,)`` and broadcast over the leading axes.  A product is
+one gather of the pair operands of :meth:`JetSpace.mul_table` and one dense
+0/1 scatter matmul; a contraction (:meth:`JetSpace.contract`) sums the pair
+products over the contracted axis before that scatter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -373,20 +377,27 @@ class JetSpace:
 
     def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Truncated product of jet coefficient arrays, broadcasting over
-        leading axes."""
-        I, J, T = self.mul_table(self.order)
-        A, B = np.broadcast_arrays(A, B)
-        out = np.zeros(A.shape)
-        prod_elems = int(np.prod(A.shape[:-1], dtype=np.int64)) * len(I)
-        if prod_elems <= 40_000_000 or A.ndim == 1:
-            np.add.at(out, (Ellipsis, T), A[..., I] * B[..., J])
-            return out
-        # chunk over the leading axis to bound temporary size
-        chunk = max(1, 40_000_000 // max(1, prod_elems // A.shape[0]))
-        for s in range(0, A.shape[0], chunk):
-            sl = slice(s, s + chunk)
-            np.add.at(out[sl], (Ellipsis, T), A[sl][..., I] * B[sl][..., J])
-        return out
+        leading axes: one gather of the pair operands, one dense scatter matmul."""
+        I, J, _ = self.mul_table(self.order)
+        return self._scatter(A[..., I] * B[..., J])
+
+    def contract(self, A: np.ndarray, B: np.ndarray, axis: int) -> np.ndarray:
+        """``np.sum(mul(A, B), axis)`` for a batch ``axis``: the pair products
+        are summed over the axis as they are formed, then scattered once."""
+        I, J, _ = self.mul_table(self.order)
+        a, b = np.moveaxis(A[..., I], axis, -2), np.moveaxis(B[..., J], axis, -2)
+        return self._scatter(np.einsum("...kp,...kp->...p", a, b))
+
+    @cached_property
+    def scatter_matrix(self) -> np.ndarray:
+        """Dense 0/1 (pairs x ncoeffs) matrix; row k has its one 1 at the
+        coefficient that pair k of ``mul_table(order)`` adds into."""
+        return (self.mul_table(self.order)[2][:, None] == np.arange(self.ncoeffs)).astype(float)
+
+    def _scatter(self, pairs: np.ndarray) -> np.ndarray:
+        """Pair products summed into their coefficients by one matmul over the flattened batch."""
+        out = pairs.reshape(-1, pairs.shape[-1]) @ self.scatter_matrix
+        return out.reshape(pairs.shape[:-1] + (self.ncoeffs,))
 
     def diff(self, A: np.ndarray, coord: int) -> np.ndarray:
         """d/dx_coord, a jet of :attr:`lower`."""

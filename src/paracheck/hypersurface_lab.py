@@ -40,7 +40,7 @@ from .paracontact_core import (
     residual_norm,
 )
 from .sampling import derive_rng
-from .tensor_algebra import TensorValue, invert_jet_matrix
+from .tensor_algebra import TensorValue, degenerate, invert_jet_matrix
 
 # The ambient g~ is evaluated to order 2: the Gauss check reads R~ values,
 # and the Weingarten map and nabla J~ read Gamma~ values.
@@ -215,11 +215,8 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> Hypersurf
     J_amb = _eval_grid(amb.J, amb.coords, fspace, [fspace.restrict(f) for f in F_jets], points)
 
     # induced metric g_ab = g~(T_a, T_b)
-    gT = np.zeros((P, n, n, gspace.ncoeffs))
-    for a in range(n):
-        Ta_low = np.sum(gspace.mul(g_amb, T[:, a, None, :, :]), axis=2)   # (P, N1, m)
-        for b in range(n):
-            gT[:, a, b] = np.sum(gspace.mul(Ta_low, T[:, b]), axis=1)
+    T_low = gspace.contract(g_amb[:, None], T[:, :, None], axis=-2)   # (P, n, N1, m): g~(T_a, .)
+    gT = gspace.contract(T_low[:, :, None], T[:, None], axis=-2)      # (P, n, n, m)
     g_ind = TensorValue(n, 0, 2, gT, gspace)
 
     # from here on, jets of fspace
@@ -232,8 +229,12 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> Hypersurf
         nu[:, B] = sign * jet_det(fspace, minor)
     if np.max(np.abs(nu[..., 0])) < 1e-12:
         raise InducedStructureError("embedding differential is rank-deficient at the samples")
+    singular = degenerate(g_amb[..., 0])
+    if np.any(singular):
+        raise InducedStructureError("degenerate ambient metric (smallest singular value at most 1e-12 of the largest) "
+                                    f"at point {tuple(float(c) for c in points[np.argmax(singular)])}")
     g_amb_inv = invert_jet_matrix(fspace, g_amb)
-    N_un = np.sum(fspace.mul(g_amb_inv, nu[:, None, :, :]), axis=2)   # N^A = g~^{AB} nu_B
+    N_un = fspace.contract(g_amb_inv, nu[:, None, :, :], axis=2)   # N^A = g~^{AB} nu_B
 
     # orientation: first component with |value| above threshold made positive
     vals = N_un[..., 0]
@@ -246,8 +247,8 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> Hypersurf
     N_un = N_un * (emb.orientation * flip)[:, None, None]
 
     # normalize to |g~(N, N)| = 1
-    N_low = np.sum(fspace.mul(g_amb, N_un[:, None, :, :]), axis=2)
-    q = np.sum(fspace.mul(N_low, N_un), axis=1)       # g~(N, N) jets
+    N_low = fspace.contract(g_amb, N_un[:, None, :, :], axis=2)
+    q = fspace.contract(N_low, N_un, axis=1)       # g~(N, N) jets
     q0 = q[..., 0]
     if np.min(np.abs(q0)) < LIGHTLIKE_FLOOR:
         k = int(np.argmin(np.abs(q0)))
@@ -265,24 +266,14 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> Hypersurf
     frame = np.concatenate([np.moveaxis(T, 1, 2), N_hat[:, :, None, :]], axis=2)  # (P, N1, n+1, m)
     frame_inv = invert_jet_matrix(fspace, frame)
 
-    def split(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ambient jet vector -> (tangential chart components, normal part)."""
-        x = np.sum(fspace.mul(frame_inv, V[:, None, :, :]), axis=2)
-        return x[:, :n], x[:, n]
-
-    # J N = xi (must be tangent), J T_a = phi^b_a T_b + eta_a N
-    JN = np.sum(fspace.mul(J_amb, N_hat[:, None, :, :]), axis=2)
-    xi_c = split(JN)[0]
-    gJNN = np.sum(fspace.mul(N_low, JN), axis=1)[..., 0]
-    tangency = float(np.max(np.abs(gJNN)))
-
-    phi_c = np.zeros((P, n, n, fspace.ncoeffs))
-    eta_c = np.zeros((P, n, fspace.ncoeffs))
-    for a in range(n):
-        JTa = np.sum(fspace.mul(J_amb, T[:, a][:, None, :, :]), axis=2)
-        tan, nor = split(JTa)
-        phi_c[:, :, a] = tan
-        eta_c[:, a] = nor
+    # J N = xi (must be tangent), J T_a = phi^b_a T_b + eta_a N: the columns
+    # (J N, J T_1 .. J T_n) in the frame (T_1 .. T_n, N)
+    JN = fspace.contract(J_amb, N_hat[:, None, :, :], axis=2)
+    tangency = float(np.max(np.abs(fspace.contract(N_low, JN, axis=1)[..., 0])))   # g~(N, JN)
+    JT = fspace.contract(J_amb[:, None], T[:, :, None], axis=-2)        # (P, n, N1, m): J T_a
+    V = np.concatenate([JN[:, None], JT], axis=1)                       # (P, n+1, N1, m)
+    x = fspace.contract(frame_inv[:, None], V[:, :, None], axis=-2)     # (P, n+1, n+1, m)
+    xi_c, phi_c, eta_c = x[:, 0, :n], np.swapaxes(x[:, 1:, :n], 1, 2), x[:, 1:, n]
 
     structure = ParacontactStructure(
         points, eps,
@@ -486,7 +477,7 @@ def _pointwise_structures(rngs: list[np.random.Generator], n: int, epsilon: int,
     trial axis; see random_pointwise_structure.
 
     Each generator draws its raw numbers in a fixed order: the +1 eigenspace
-    dimension p (unless given), then normal, uniform and choice for the
+    dimension p (unless given), then normal, uniform and integers for the
     p-block, the same for the q-block, then normal, uniform, normal for the
     frame change L.  The QRs, products and inverses then run on the whole
     stack, the blocks grouped by p, so a trial's structure does not depend on the
@@ -498,7 +489,8 @@ def _pointwise_structures(rngs: list[np.random.Generator], n: int, epsilon: int,
         p = min(p, n - 1)
         ps.append(p)
         # symmetric blocks Q diag(w) Q^T with random signature, skipped when empty
-        blocks.append([(rng.standard_normal((k, k)), rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k))
+        blocks.append([(rng.standard_normal((k, k)),
+                        rng.uniform(0.5, 2.0, k) * np.where(rng.integers(0, 2, k) == 1, 1.0, -1.0))
                        if k else None for k in (p, n - 1 - p)])
         frames.append((rng.standard_normal((n, n)), rng.uniform(0.75, 1.35, n), rng.standard_normal((n, n))))
     ps = np.array(ps)

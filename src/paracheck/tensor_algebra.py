@@ -71,7 +71,7 @@ def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int) -> n
     fa, fb = A.rank - 1, B.rank - 1
     ca = np.expand_dims(ca, tuple(range(1 + fa, 1 + fa + fb)))     # B's free slots after A's
     cb = np.expand_dims(cb, tuple(range(1, 1 + fa)))               # A's free slots before B's
-    return np.sum(space.mul(ca, cb), axis=-2)
+    return space.contract(ca, cb, axis=-2)
 
 
 # --------------------------------------------------------------------------
@@ -85,6 +85,13 @@ def inertia(sym: np.ndarray, tol_scale: float = 1e-12) -> int:
     when the matrix is rescaled."""
     w = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     return int(np.sum(w < -tol_scale * np.max(np.abs(w))))
+
+
+def degenerate(g0: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack g0, whether its smallest singular value is at
+    most 1e-12 times its largest: a test that does not change under rescaling."""
+    sv = np.linalg.svd(g0, compute_uv=False)
+    return sv[..., -1] <= 1e-12 * sv[..., 0]
 
 
 def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
@@ -102,10 +109,8 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
     eye = np.zeros(G.shape[-3:])
     eye[..., 0] = np.eye(n)
 
-    def mm(A, B):
-        a = np.expand_dims(A, -2)       # (..., n, k, 1, m)
-        b = np.expand_dims(B, -4)       # (..., 1, k, n, m)
-        return np.sum(space.mul(a, b), axis=-3)
+    def mm(A, B):   # (..., n, k, 1, m) x (..., 1, k, n, m), summed over k
+        return space.contract(A[..., None, :], B[..., None, :, :, :], axis=-3)
 
     steps = int(np.ceil(np.log2(space.order + 1)))
     for _ in range(steps):
@@ -130,8 +135,7 @@ class MetricAtPoint:
     @classmethod
     def build(cls, g: TensorValue) -> "MetricAtPoint":
         g0 = g.components[..., 0]
-        sv = np.linalg.svd(g0, compute_uv=False)
-        if np.any(sv[..., -1] <= 1e-12 * sv[..., 0]):
+        if np.any(degenerate(g0)):
             raise ValueError("degenerate metric (smallest singular value of g at most 1e-12 of the largest)")
         nus = {inertia(g0k) for g0k in g0}
         if len(nus) != 1:

@@ -312,3 +312,87 @@ def test_order_zero_jet():
     space, j = _jet(parse_expr("sin(x)*x", ["x"]), (0.5,), 0)
     assert j[0] == pytest.approx(0.5 * math.sin(0.5))
     assert space.ncoeffs == 1
+
+
+# --------------------------------------------------------------------------
+# the product kernel
+# --------------------------------------------------------------------------
+
+
+def _add_at_product(space, A, B):
+    """Reference truncated product: each pair product of the order's table
+    added into its target coefficient one at a time, in table order.  Also
+    returns 2 (n - 1) eps sum |p| per coefficient, n the most pairs of any
+    target: a bound on the gap between two orders of summing the products."""
+    I, J, T = space.mul_table(space.order)
+    A, B = np.broadcast_arrays(A, B)
+    out, mag = np.zeros(A.shape), np.zeros(A.shape)
+    np.add.at(out, (Ellipsis, T), A[..., I] * B[..., J])
+    np.add.at(mag, (Ellipsis, T), np.abs(A[..., I] * B[..., J]))
+    return out, 2 * max(np.bincount(T).max() - 1, 1) * np.finfo(float).eps * mag
+
+
+_KERNEL_SHAPES = [((), ()), ((), (4,)), ((7,), (7,)), ((6, 1, 3, 4), (6, 2, 1, 4)), ((5, 1, 3), (1, 4, 3))]
+
+
+@pytest.mark.parametrize("dim,order", [(3, 1), (3, 3), (3, 4), (5, 3)])
+@pytest.mark.parametrize("shape_a,shape_b", _KERNEL_SHAPES)
+def test_mul_matches_add_at_reference(dim, order, shape_a, shape_b):
+    """The scatter matmul sums the same pair products as np.add.at.  At
+    order 1 no target takes more than two of them, so the results are equal
+    bit for bit; above, a BLAS matmul may sum in another order, and the two
+    agree to the rounding bound of that order."""
+    space = JetSpace.get(dim, order)
+    rng = np.random.default_rng(dim * 10 + order)
+    A = rng.standard_normal(shape_a + (space.ncoeffs,))
+    B = rng.standard_normal(shape_b + (space.ncoeffs,))
+    ref, bound = _add_at_product(space, A, B)
+    got = space.mul(A, B)
+    assert got.shape == ref.shape
+    if order == 1:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.all(np.abs(got - ref) <= bound)
+
+
+@pytest.mark.parametrize("dim,order", [(3, 2), (5, 3)])
+@pytest.mark.parametrize("axis,shape_a,shape_b", [
+    (-2, (4, 3, 1, 5), (4, 1, 2, 5)),
+    (-3, (4, 3, 5, 1), (4, 1, 5, 2)),
+    (-3, (4, 3, 1, 1), (4, 1, 5, 2)),
+])
+def test_contract_is_sum_of_products(dim, order, axis, shape_a, shape_b):
+    """contract(A, B, axis) sums the pair products over the axis before the
+    scatter; it equals summing the scattered products."""
+    space = JetSpace.get(dim, order)
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal(shape_a + (space.ncoeffs,))
+    B = rng.standard_normal(shape_b + (space.ncoeffs,))
+    ref = np.sum(space.mul(A, B), axis=axis)
+    got = space.contract(A, B, axis)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim,order", [(3, 1), (3, 4), (5, 3)])
+def test_scatter_matrix_rows_hold_one_one(dim, order):
+    space = JetSpace.get(dim, order)
+    S = space.scatter_matrix
+    I, J, T = space.mul_table(order)
+    assert S.shape == (len(I), space.ncoeffs)
+    assert set(np.unique(S)) == {0.0, 1.0}
+    assert np.array_equal(S.sum(axis=1), np.ones(len(I)))
+    assert np.array_equal(np.argmax(S, axis=1), T)
+    assert space.scatter_matrix is S
+
+
+def test_lower_order_mul_table():
+    """mul_table(order) below the space's order lists the pairs whose
+    degrees sum to at most that order."""
+    space = JetSpace.get(3, 4)
+    for order in range(5):
+        I, J, T = space.mul_table(order)
+        deg = np.array([sum(a) for a in space.indices])
+        assert np.all(deg[I] + deg[J] <= order)
+        assert np.array_equal(deg[T], deg[I] + deg[J])
+        assert len(I) == math.comb(6 + order, order)

@@ -392,6 +392,20 @@ class TestSyntheticGauss:
             if c.status is None:
                 assert c.effective_status == "pass", c.name
 
+    @pytest.mark.parametrize("seed", [0, 1, 42, 1999])
+    def test_signature_signs_draw_as_choice_does(self, seed):
+        """The block signs are drawn as np.where(integers(0, 2, k) == 1,
+        1.0, -1.0): the signs rng.choice([-1.0, 1.0], k) draws, leaving the
+        generator in the same state, so the synthetic trials keep their
+        numbers."""
+        for k in range(1, 8):
+            by_choice, by_integers = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                a = by_choice.choice([-1.0, 1.0], k)
+                b = np.where(by_integers.integers(0, 2, k) == 1, 1.0, -1.0)
+                assert np.array_equal(a, b)
+                assert by_choice.bit_generator.state == by_integers.bit_generator.state
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             synthetic_gauss_check(1, 2, trials=1, seed=0)

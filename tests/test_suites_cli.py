@@ -269,6 +269,21 @@ class TestCli:
         assert "rank-deficient" in proc.stderr
         assert f"{path}: embedding validation failed" in proc.stderr
 
+    def test_singular_ambient_metric_manifest_is_input_error(self, tmp_path):
+        """An ambient metric that is singular at the embedded points is named
+        with the manifest's path and the first bad point: exit 2, no
+        traceback."""
+        path = tmp_path / "singular.json"
+        save_manifest(get_bundle("E3a"), path)
+        doc = json.loads(path.read_text())
+        doc["ambient"]["metric"][-1] = "0"  # last diagonal entry of g~
+        path.write_text(json.dumps(doc))
+        proc = _cli("hypersurface", str(path), "--suite", "all", "--points", "5")
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert f"{path}: embedding validation failed: degenerate ambient metric" in proc.stderr
+        assert "at point (" in proc.stderr
+
     def test_rescaled_metric_is_not_degenerate(self, tmp_path):
         """E1n5 with g scaled by 1e-3 (xi and eta rescaled to match) has
         det g below 1e-14 but is as well conditioned as E1n5: the structure
