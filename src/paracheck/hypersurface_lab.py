@@ -48,8 +48,8 @@ AMBIENT_METRIC_ORDER = 2
 LIGHTLIKE_FLOOR = 1e-6
 COMPONENT_SIGN_FLOOR = 1e-8
 SYNTHETIC_DET_FLOOR = 1e-4     # a synthetic trial's g with |det g| at most this is redrawn
-# trials per block of the synthetic chain: max(1, _BLOCK_ELEMENTS // n**4),
-# so that each (trials, n, n, n, n) array of a block stays near 128 KB
+# synthetic trials are drawn in blocks of max(1, _BLOCK_ELEMENTS // n**3) and evaluated in
+# blocks of max(1, _BLOCK_ELEMENTS // n**4), so each (trials, pairs, n, n) array stays under 128 KB
 _BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -498,7 +498,7 @@ def _pointwise_structures(rngs: list[np.random.Generator], n: int, epsilon: int,
     g0 = np.zeros((T, n, n))
     g0[:, -1, -1] = epsilon
     phi0 = np.zeros((T, n, n))
-    for p in np.unique(ps):
+    for p in sorted(set(ps.tolist())):
         idx = np.flatnonzero(ps == p)
         phi0[idx] = np.diag([1.0] * p + [-1.0] * (n - 1 - p) + [0.0])
         for j, (lo, hi) in enumerate(((0, p), (p, n - 1))):
@@ -526,9 +526,11 @@ def random_pointwise_structure(rng: np.random.Generator, n: int, epsilon: int,
 
 
 def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pattern a(Y,Z) b(X,W) - a(X,Z) b(Y,W) in classical order [x,y,z,w],
-    per trial: (T, n, n) operands, a (T, n, n, n, n) result."""
-    return np.einsum('tyz,txw->txyzw', a, b) - np.einsum('txz,tyw->txyzw', a, b)
+    """Pattern a(Y,Z) b(X,W) - a(X,Z) b(Y,W) in classical order [x,y,z,w], per trial, on the pairs
+    x = xs[p] < y = ys[p] of np.triu_indices(n, 1): (T, n, n) operands, a (T, n(n-1)/2, n, n) result.
+    The full pattern is antisymmetric in (x, y) bit for bit, fl(p - q) = -fl(q - p), and 0 at x = y."""
+    xs, ys = np.triu_indices(a.shape[-1], 1)
+    return a[:, ys, :, None] * b[:, xs, None, :] - a[:, xs, :, None] * b[:, ys, None, :]
 
 
 @dataclass
@@ -541,10 +543,16 @@ class SyntheticGaussOutcome:
 
 def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray,
                  ks: tuple[float, ...], perturb_a: float) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
-    """The synthetic Gauss chain on a block of trials (leading axis of g,
-    phi, xi, eta).  Returns the block maximum of each record's residual, the
-    recovered k per trial and the residual of its solve per trial."""
+    """The synthetic Gauss chain on a block of trials (leading axis of g, phi, xi, eta).
+    Returns the block maximum of each record's residual, the recovered k per trial and the
+    residual of its solve per trial.  Curvature-shaped arrays live on _wedge's x < y half;
+    scaling and summing keep negated entries negated and zeros zero, so each maximum is the
+    full one bit for bit.  Ricci rebuilds the full tensor with one signed gather."""
     T, n = g.shape[:2]
+    xs, ys = np.triu_indices(n, 1)
+    pair_of = np.zeros((n, n), dtype=int)
+    pair_of[xs, ys] = pair_of[ys, xs] = np.arange(xs.size)
+    sign = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None])[:, :, None, None]  # +1 where x < y
     Phi = np.swapaxes(phi, 1, 2) @ g
     ee = np.einsum('ta,tb->tab', eta, eta)
     xe = np.einsum('ta,tb->tab', xi, eta)
@@ -567,19 +575,19 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
         worst["gauss-vs-printed-display"] = max(worst["gauss-vs-printed-display"], np.max(np.abs(Rk - printed)))
 
     # solve R(X,Y)xi = eta(X) Y - eta(Y) X for k on the computed reduction
-    lhs1 = np.einsum('txyzw,tz->txyw', M1, xi)
-    lhs0 = np.einsum('txyzw,tz->txyw', M0, xi)
-    target = np.einsum('tx,tyw->txyw', eta, g) - np.einsum('ty,txw->txyw', eta, g)
+    lhs1 = np.einsum('tpzw,tz->tpw', M1, xi)
+    lhs0 = np.einsum('tpzw,tz->tpw', M0, xi)
+    target = eta[:, xs, None] * g[:, ys] - eta[:, ys, None] * g[:, xs]
     av = lhs1.reshape(T, -1)
     bv = (target - lhs0).reshape(T, -1)
     k_solved = np.sum(av * bv, axis=1) / np.sum(av * av, axis=1)
-    k_resid = np.max(np.abs(k_solved[:, None, None, None] * lhs1 + lhs0 - target), axis=(1, 2, 3))
+    k_resid = np.max(np.abs(k_solved[:, None, None] * lhs1 + lhs0 - target), axis=(1, 2))
     worst["k-vs-derived"] = max(np.max(np.abs(k_solved - (-epsilon))), np.max(k_resid))
     worst["k-vs-printed"] = np.max(np.abs(k_solved - (2 - epsilon)))
 
     # Ricci of the computed reduction at the recovered k
     ginv = np.linalg.inv(g)
-    S = np.einsum('tiw,tijkw->tjk', ginv, k_solved[:, None, None, None, None] * M1 + M0)
+    S = np.einsum('tiw,tijkw->tjk', ginv, (k_solved[:, None, None, None] * M1 + M0)[:, pair_of] * sign)
     trphi = np.trace(phi, axis1=1, axis2=2)[:, None, None]
     S_derived = -epsilon * trphi * Phi + (1 - n) * ee
     S_printed = (((2 - epsilon) * (n - 2) - n) * g + (2 - epsilon) * trphi * Phi
@@ -590,7 +598,7 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     # internal consistency of the printed chain: contracting the printed
     # display at k = 2 - eps reproduces the printed Ricci display
     Rp = ((2 - epsilon) - 1) * Wgg + (2 - epsilon) * WPP + epsilon * cross
-    Sp = np.einsum('tiw,tijkw->tjk', ginv, Rp)
+    Sp = np.einsum('tiw,tijkw->tjk', ginv, Rp[:, pair_of] * sign)
     worst["printed-chain-self-consistency"] = np.max(np.abs(Sp - S_printed))
 
     # Einstein-like fit of the computed Ricci and the coefficient constraint
@@ -623,7 +631,7 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
 
     Trial t draws from its own stream derive_rng(seed, "synthetic-gauss",
     eps + 1, n, t), redrawing while |det g| <= SYNTHETIC_DET_FLOOR; the
-    trials are evaluated in blocks, so no record depends on the block size.
+    trials are drawn and evaluated in blocks, so no record depends on a block size.
     """
     if n < 3:
         raise ValueError("synthetic check needs n >= 3")
@@ -634,9 +642,9 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     k_resid = np.zeros(trials)
     resampled = 0
     worst: dict[str, float] = {}
-    block = max(1, _BLOCK_ELEMENTS // n ** 4)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
+    draw_block, chain_block = (max(1, _BLOCK_ELEMENTS // n ** e) for e in (3, 4))
+    for start in range(0, trials, draw_block):
+        stop = min(start + draw_block, trials)
         rngs = [derive_rng(seed, "synthetic-gauss", epsilon + 1, n, t) for t in range(start, stop)]
         drawn = _pointwise_structures(rngs, n, epsilon)
         redraw = np.flatnonzero(np.abs(np.linalg.det(drawn[0])) <= SYNTHETIC_DET_FLOOR)
@@ -646,9 +654,12 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
             for arr, new in zip(drawn, again):
                 arr[redraw] = new
             redraw = redraw[np.abs(np.linalg.det(again[0])) <= SYNTHETIC_DET_FLOOR]
-        block_worst, k_values[start:stop], k_resid[start:stop] = _gauss_chain(epsilon, *drawn, ks, perturb_a)
-        for name, value in block_worst.items():
-            worst[name] = max(worst.get(name, 0.0), float(value))
+        for lo in range(start, stop, chain_block):
+            hi = min(lo + chain_block, stop)
+            block_worst, k_values[lo:hi], k_resid[lo:hi] = _gauss_chain(
+                epsilon, *(a[lo - start:hi - start] for a in drawn), ks, perturb_a)
+            for name, value in block_worst.items():
+                worst[name] = max(worst.get(name, 0.0), float(value))
 
     res = StructureCheckResult()
     res.add("quasi-umbilical-exact", worst["quasi-umbilical-exact"], 1e-12,

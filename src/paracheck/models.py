@@ -99,12 +99,11 @@ def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None,
     pts = rng.uniform(lo, hi, size=(checks_points, n))
     space = JetSpace.get(n, 0)
     g0 = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts)[..., 0]
-    for k in range(checks_points):
-        nu = inertia(g0[k])
-        if nu != model.index:
-            raise ModelValidationError(
-                f"{model.name}: declared index {model.index} but computed inertia {nu} "
-                f"at point {tuple(pts[k])}")
+    nus = inertia(g0)
+    for k in np.flatnonzero(nus != model.index)[:1]:
+        raise ModelValidationError(
+            f"{model.name}: declared index {model.index} but computed inertia {nus[k]} "
+            f"at point {tuple(pts[k])}")
 
 
 def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: list[np.ndarray],

@@ -79,12 +79,13 @@ def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int) -> n
 # --------------------------------------------------------------------------
 
 
-def inertia(sym: np.ndarray, tol_scale: float = 1e-12) -> int:
-    """Count of negative eigenvalues of a symmetric matrix, those below
-    -tol_scale times the largest magnitude: a count that does not change
-    when the matrix is rescaled."""
-    w = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    return int(np.sum(w < -tol_scale * np.max(np.abs(w))))
+def inertia(sym: np.ndarray, tol_scale: float = 1e-12) -> int | np.ndarray:
+    """Count of negative eigenvalues of each symmetric matrix of the stack
+    (..., n, n), those below -tol_scale times its largest magnitude: a count
+    that does not change when a matrix is rescaled.  One int for one matrix."""
+    w = np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
+    nu = np.sum(w < -tol_scale * np.max(np.abs(w), axis=-1, keepdims=True), axis=-1)
+    return int(nu) if nu.ndim == 0 else nu
 
 
 def degenerate(g0: np.ndarray) -> np.ndarray:
@@ -137,8 +138,8 @@ class MetricAtPoint:
         g0 = g.components[..., 0]
         if np.any(degenerate(g0)):
             raise ValueError("degenerate metric (smallest singular value of g at most 1e-12 of the largest)")
-        nus = {inertia(g0k) for g0k in g0}
+        nus = sorted(set(inertia(g0).tolist()))
         if len(nus) != 1:
-            raise ValueError(f"metric index is not constant over the sample set: {sorted(nus)}")
+            raise ValueError(f"metric index is not constant over the sample set: {nus}")
         g_inv = TensorValue(g.dim, 2, 0, invert_jet_matrix(g.space, g.components), g.space)
-        return cls(g=g, g_inv=g_inv, index=nus.pop())
+        return cls(g=g, g_inv=g_inv, index=nus[0])

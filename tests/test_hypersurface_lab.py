@@ -49,6 +49,55 @@ def _vectors(npoints, tag, dim=3, tuples=20):
     return random_vectors(derive_rng(7, tag, "v"), npoints, 2 * tuples, dim)
 
 
+def _full_wedge(a, b):
+    """Test-only full-tensor wedge: a (T, n, n, n, n) result in [x,y,z,w]."""
+    return np.einsum('tyz,txw->txyzw', a, b) - np.einsum('txz,tyw->txyzw', a, b)
+
+
+def _full_gauss_chain(epsilon, g, phi, xi, eta, ks, perturb_a):
+    """Test-only oracle of hypersurface_lab._gauss_chain on full
+    (T, n, n, n, n) tensors: the same chain with no x < y half."""
+    T, n = g.shape[:2]
+    Phi = np.swapaxes(phi, 1, 2) @ g
+    ee = np.einsum('ta,tb->tab', eta, eta)
+    xe = np.einsum('ta,tb->tab', xi, eta)
+    A = -epsilon * np.eye(n) + epsilon * xe + perturb_a * xe
+    h = epsilon * np.einsum('tma,tmb->tab', A, g)
+    worst = {"quasi-umbilical-exact": np.max(np.abs(h + g - epsilon * ee))}
+    Wgg, WPP = _full_wedge(g, g), _full_wedge(Phi, Phi)
+    M1, M0 = Wgg + WPP, epsilon * _full_wedge(h, h)
+    cross = -(_full_wedge(g, ee) + _full_wedge(ee, g))
+    worst["gauss-vs-derived-display"] = worst["gauss-vs-printed-display"] = 0.0
+    for k in ks:
+        Rk = k * M1 + M0
+        derived = (k + epsilon) * Wgg + k * WPP + cross
+        printed = (k - 1) * Wgg + k * WPP + epsilon * cross
+        worst["gauss-vs-derived-display"] = max(worst["gauss-vs-derived-display"], np.max(np.abs(Rk - derived)))
+        worst["gauss-vs-printed-display"] = max(worst["gauss-vs-printed-display"], np.max(np.abs(Rk - printed)))
+    lhs1 = np.einsum('txyzw,tz->txyw', M1, xi)
+    lhs0 = np.einsum('txyzw,tz->txyw', M0, xi)
+    target = np.einsum('tx,tyw->txyw', eta, g) - np.einsum('ty,txw->txyw', eta, g)
+    av, bv = lhs1.reshape(T, -1), (target - lhs0).reshape(T, -1)
+    k_solved = np.sum(av * bv, axis=1) / np.sum(av * av, axis=1)
+    k_resid = np.max(np.abs(k_solved[:, None, None, None] * lhs1 + lhs0 - target), axis=(1, 2, 3))
+    worst["k-vs-derived"] = max(np.max(np.abs(k_solved - (-epsilon))), np.max(k_resid))
+    worst["k-vs-printed"] = np.max(np.abs(k_solved - (2 - epsilon)))
+    ginv = np.linalg.inv(g)
+    S = np.einsum('tiw,tijkw->tjk', ginv, k_solved[:, None, None, None, None] * M1 + M0)
+    trphi = np.trace(phi, axis1=1, axis2=2)[:, None, None]
+    S_printed = (((2 - epsilon) * (n - 2) - n) * g + (2 - epsilon) * trphi * Phi
+                 + epsilon * (4 - epsilon - n) * ee)
+    worst["ricci-vs-derived-form"] = np.max(np.abs(S - (-epsilon * trphi * Phi + (1 - n) * ee)))
+    worst["ricci-vs-printed-form"] = np.max(np.abs(S - S_printed))
+    Rp = ((2 - epsilon) - 1) * Wgg + (2 - epsilon) * WPP + epsilon * cross
+    worst["printed-chain-self-consistency"] = np.max(np.abs(np.einsum('tiw,tijkw->tjk', ginv, Rp) - S_printed))
+    cols = np.stack([g.reshape(T, -1), Phi.reshape(T, -1), ee.reshape(T, -1)], axis=2)
+    coef, _ = hypersurface_lab._min_norm_solve(cols, S.reshape(T, -1))
+    worst["einstein-like-fit"] = np.max(np.abs(np.einsum('tij,tj->ti', cols, coef) - S.reshape(T, -1)))
+    worst["eps-a-plus-c"] = np.max(np.abs(epsilon * coef[:, 0] + coef[:, 2] - (1 - n)))
+    return worst, k_solved, k_resid
+
+
 class TestInducedStructure:
     def test_hyperplane_is_totally_geodesic(self, e3a_data):
         assert e3a_data.shape.epsilon == 1
@@ -366,15 +415,39 @@ class TestSyntheticGauss:
         assert out.result.get("gauss-vs-derived-display").residual < 1e-10
 
     def test_trials_do_not_depend_on_their_block(self):
-        """Trial t gives the same k, bit for bit, whether it runs alone, as
-        the first trial of a full block, or as the first trial of a block
-        that follows one."""
-        block = max(1, hypersurface_lab._BLOCK_ELEMENTS // 5 ** 4)
-        full = synthetic_gauss_check(-1, 5, trials=2 * block + 3, seed=3)
-        for m in (1, block + 1):
+        """Trial t gives the same k and k residual, bit for bit, whether it
+        runs alone in its draw block or chain block, or inside a full one:
+        the request crosses a chain-block and a draw-block boundary."""
+        draw_block = max(1, hypersurface_lab._BLOCK_ELEMENTS // 5 ** 3)
+        chain_block = max(1, hypersurface_lab._BLOCK_ELEMENTS // 5 ** 4)
+        assert 1 < chain_block < draw_block
+        full = synthetic_gauss_check(-1, 5, trials=draw_block + chain_block + 3, seed=3)
+        for m in (1, chain_block + 1, draw_block + 1):
             prefix = synthetic_gauss_check(-1, 5, trials=m, seed=3)
             assert np.array_equal(full.k_recovered[:m], prefix.k_recovered)
             assert np.array_equal(full.k_solve_residual[:m], prefix.k_solve_residual)
+
+    @pytest.mark.parametrize("perturb_a", [0.0, 5e-3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_half_chain_matches_full_tensor_oracle(self, eps, n, perturb_a):
+        """The chain on the x < y half gives the display maxima of the full
+        tensors bit for bit, and every other record, k and the k residual to
+        1e-14; perturbing A makes the display residuals non-zero."""
+        rngs = [derive_rng(11, "half-chain", eps + 1, n, t) for t in range(40)]
+        drawn = hypersurface_lab._pointwise_structures(rngs, n, eps)
+        ks = (0.0, 1.0, 2.0, 3.0)
+        worst, k, k_resid = hypersurface_lab._gauss_chain(eps, *drawn, ks, perturb_a)
+        ref_worst, ref_k, ref_resid = _full_gauss_chain(eps, *drawn, ks, perturb_a)
+        assert worst.keys() == ref_worst.keys()
+        if perturb_a:
+            assert ref_worst["gauss-vs-derived-display"] > 1e-6
+        for name in ("quasi-umbilical-exact", "gauss-vs-derived-display", "gauss-vs-printed-display"):
+            assert worst[name] == ref_worst[name], name
+        for name in worst:
+            assert abs(worst[name] - ref_worst[name]) <= 1e-14, name
+        assert np.max(np.abs(k - ref_k)) <= 1e-14
+        assert np.max(np.abs(k_resid - ref_resid)) <= 1e-14
 
     def test_rejected_draws_are_redrawn_from_their_own_stream(self, monkeypatch):
         """With the |det g| floor raised, some draws are rejected; each

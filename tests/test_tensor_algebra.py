@@ -92,6 +92,27 @@ class TestMetricAtPoint:
         assert inertia(1e-13 * np.diag([1.0, -1.0, 1.0])) == 1
         assert inertia(1e13 * np.diag([1.0, -1.0, -1.0])) == 2
 
+    def test_inertia_of_a_stack_counts_each_matrix(self, rng):
+        """A stack (..., n, n) gives one count per matrix, each with its own
+        scale-relative cutoff, equal to the count of that matrix alone."""
+        stack = np.stack([1e-13 * np.diag([1.0, -1.0, 1.0]), 1e13 * np.diag([1.0, -1.0, -1.0]),
+                          np.eye(3), -np.eye(3)])
+        assert inertia(stack).tolist() == [1, 2, 0, 3]
+        sym = rng.standard_normal((2, 5, 4, 4))
+        sym = sym + np.swapaxes(sym, -1, -2)
+        nus = inertia(sym)
+        assert nus.shape == (2, 5)
+        assert all(nus[i, j] == inertia(sym[i, j]) for i in range(2) for j in range(5))
+
+    def test_index_not_constant_rejected(self):
+        """diag(1, x) sampled on both sides of x = 0 has index 0 at x > 0
+        and 1 at x < 0."""
+        x = np.array([0.5, -0.25, 0.75, -1.0])
+        g = np.zeros((x.size, 2, 2, 1))
+        g[:, 0, 0, 0], g[:, 1, 1, 0] = 1.0, x
+        with pytest.raises(ValueError, match=r"metric index is not constant over the sample set: \[0, 1\]$"):
+            MetricAtPoint.build(TensorValue(2, 0, 2, g, JetSpace.get(2, 0)))
+
     def test_jet_matrix_inverse_exact_to_order(self, rng):
         space = JetSpace.get(2, 4)
         pts = np.column_stack([rng.uniform(0.5, 2, 4), rng.uniform(0.5, 2, 4)])
