@@ -48,8 +48,8 @@ AMBIENT_METRIC_ORDER = 2
 LIGHTLIKE_FLOOR = 1e-6
 COMPONENT_SIGN_FLOOR = 1e-8
 SYNTHETIC_DET_FLOOR = 1e-4     # a synthetic trial's g with |det g| at most this is redrawn
-# synthetic trials are drawn in blocks of max(1, _BLOCK_ELEMENTS // n**3) and evaluated in
-# blocks of max(1, _BLOCK_ELEMENTS // n**4), so each (trials, pairs, n, n) array stays under 128 KB
+# synthetic trials are drawn in blocks of max(1, _BLOCK_ELEMENTS // n**3) and evaluated in blocks
+# of max(1, _BLOCK_ELEMENTS // n**4), so the chain's full (trials, n, n, n, n) arrays stay near 128 KB
 _BLOCK_ELEMENTS = 2 ** 14
 
 

@@ -99,11 +99,11 @@ def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None,
     pts = rng.uniform(lo, hi, size=(checks_points, n))
     space = JetSpace.get(n, 0)
     g0 = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts)[..., 0]
-    nus = inertia(g0)
-    for k in np.flatnonzero(nus != model.index)[:1]:
+    bad = np.flatnonzero(inertia(g0) != model.index)
+    if bad.size:
         raise ModelValidationError(
-            f"{model.name}: declared index {model.index} but computed inertia {nus[k]} "
-            f"at point {tuple(pts[k])}")
+            f"{model.name}: declared index {model.index} but computed inertia {inertia(g0[bad[0]])} "
+            f"at point {tuple(pts[bad[0]].tolist())}")
 
 
 def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: list[np.ndarray],

@@ -59,14 +59,15 @@ class TestModelValidation:
 
     def test_index_mismatch_names_first_point(self):
         """diag(1, x) declared Riemannian: the error names the first of the
-        sampled points with x < 0."""
+        sampled points with x < 0, as plain floats."""
         model = self._base(metric=[["1", "0"], ["0", "x"]])
         pts = np.random.default_rng(4).uniform([-1.0, 0.5], [1.0, 2.0], size=(10, 2))
         first = np.flatnonzero(pts[:, 0] < 0)[0]
         assert first > 0
         with pytest.raises(ModelValidationError) as err:
             validate_model(model, rng=np.random.default_rng(4))
-        assert str(err.value) == f"T: declared index 0 but computed inertia 1 at point {tuple(pts[first])}"
+        x, y = (float(c) for c in pts[first])
+        assert str(err.value) == f"T: declared index 0 but computed inertia 1 at point ({x!r}, {y!r})"
 
     def test_rescaled_metric_index_accepted(self):
         """The declared index holds at any scale: E2 with every metric
