@@ -106,7 +106,7 @@ def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStru
     S = struct.curvature.ricci.components[..., 0]
     Sphi = np.einsum('pmb,pma->pab', S, phi)        # S(phi e_a, e_b)
     gphi = np.einsum('pmb,pma->pab', g, phi)        # g(phi e_a, e_b)
-    gphiphi = np.einsum('pma,pmk,pkb->pab', phi, g, phi)  # g(phi e_a, phi e_b)
+    gphiphi = np.swapaxes(phi, 1, 2) @ g @ phi      # g(phi e_a, phi e_b)
     Sxi = np.einsum('pab,pb->pa', S, xi)
     res = StructureCheckResult()
 

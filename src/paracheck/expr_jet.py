@@ -19,21 +19,29 @@ degree, so the order-k coefficients are a prefix of the order-(k+1) ones.
 
 Evaluation is vectorized: most helpers accept coefficient arrays of shape
 ``batch + (ncoeffs,)`` and broadcast over the leading axes.  A product is
-one gather of the pair operands of :meth:`JetSpace.mul_table` and one dense
-0/1 scatter matmul; a contraction (:meth:`JetSpace.contract`) sums the pair
-products over the contracted axis before that scatter.
+one gather of the pair operands of :attr:`JetSpace.pair_table` and one dense
+0/1 scatter matmul.  Every contraction is a jet matrix product
+(:meth:`JetSpace.matmul`): the same gather, one batched matmul with the pair
+axis in the batch, and the same scatter.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
 
 FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos")
+
+# Deepest expression tree, and deepest nesting of parentheses, calls and
+# unary minus, that parse_expr accepts: parsing and both evaluators recurse
+# once per level (parsing five frames per parenthesis), so this keeps every
+# accepted expression well inside Python's recursion limit.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -168,54 +176,73 @@ class _Parser:
         base   := number | ident | "(" expr ")" | func "(" expr ")"
 
     Precedence is pow > unary minus > mul/div > add/sub, so "-x^2" means
-    -(x^2).  Exponents must be numeric constants.
+    -(x^2).  Exponents must be numeric constants.  Each rule returns its
+    node with the node's tree depth; a tree deeper than MAX_DEPTH, or input
+    nested deeper than that, is a syntax error.
     """
 
     def __init__(self, source: str, coords: Sequence[str]):
         self.tok = _Tokenizer(source)
         self.coords = {name: i for i, name in enumerate(coords)}
+        self.nesting = 0
 
     def parse(self) -> ScalarExpr:
-        node = self.expr()
+        node, _ = self.expr()
         kind, text, pos = self.tok.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing token {text!r}", pos)
         return node
 
-    def expr(self) -> ScalarExpr:
-        node = self.term()
+    def _bounded(self, node: ScalarExpr, depth: int, pos: int) -> tuple[ScalarExpr, int]:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        return node, depth
+
+    def _nested(self, rule, pos: int) -> tuple[ScalarExpr, int]:
+        # rule() one level down (parenthesis, call, unary minus), refused before the descent can exhaust the stack
+        self.nesting += 1
+        self._bounded(None, self.nesting, pos)
+        out = rule()
+        self.nesting -= 1
+        return out
+
+    def expr(self) -> tuple[ScalarExpr, int]:
+        node, depth = self.term()
         while True:
-            kind, text, _ = self.tok.peek()
+            kind, text, pos = self.tok.peek()
             if kind == "op" and text in "+-":
                 self.tok.take()
-                node = BinOp(text, node, self.term())
+                right, rdepth = self.term()
+                node, depth = self._bounded(BinOp(text, node, right), 1 + max(depth, rdepth), pos)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> ScalarExpr:
-        node = self.factor()
+    def term(self) -> tuple[ScalarExpr, int]:
+        node, depth = self.factor()
         while True:
-            kind, text, _ = self.tok.peek()
+            kind, text, pos = self.tok.peek()
             if kind == "op" and text in "*/":
                 self.tok.take()
-                node = BinOp(text, node, self.factor())
+                right, rdepth = self.factor()
+                node, depth = self._bounded(BinOp(text, node, right), 1 + max(depth, rdepth), pos)
             else:
-                return node
+                return node, depth
 
-    def factor(self) -> ScalarExpr:
-        kind, text, _ = self.tok.peek()
+    def factor(self) -> tuple[ScalarExpr, int]:
+        kind, text, pos = self.tok.peek()
         if kind == "op" and text == "-":
             self.tok.take()
-            return Neg(self.factor())
+            arg, depth = self._nested(self.factor, pos)
+            return self._bounded(Neg(arg), depth + 1, pos)
         return self.power()
 
-    def power(self) -> ScalarExpr:
-        node = self.base()
-        kind, text, _ = self.tok.peek()
+    def power(self) -> tuple[ScalarExpr, int]:
+        node, depth = self.base()
+        kind, text, pos = self.tok.peek()
         if kind == "op" and text == "^":
             self.tok.take()
-            node = Pow(node, self._exponent())
-        return node
+            node, depth = self._bounded(Pow(node, self._exponent()), depth + 1, pos)
+        return node, depth
 
     def _exponent(self) -> float:
         sign = 1.0
@@ -227,26 +254,26 @@ class _Parser:
             raise ExprSyntaxError("exponent must be a numeric constant", pos)
         return sign * float(text)
 
-    def base(self) -> ScalarExpr:
+    def base(self) -> tuple[ScalarExpr, int]:
         kind, text, pos = self.tok.take()
         if kind == "number":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
             nk, nt, _ = self.tok.peek()
             if nk == "op" and nt == "(":
                 if text not in FUNCTIONS:
                     raise UnknownIdentifierError(text, pos)
                 self.tok.take()
-                arg = self.expr()
+                arg, depth = self._nested(self.expr, pos)
                 self._expect(")")
-                return Call(text, arg)
+                return self._bounded(Call(text, arg), depth + 1, pos)
             if text not in self.coords:
                 raise UnknownIdentifierError(text, pos)
-            return Var(text, self.coords[text])
+            return Var(text, self.coords[text]), 1
         if kind == "op" and text == "(":
-            node = self.expr()
+            out = self._nested(self.expr, pos)
             self._expect(")")
-            return node
+            return out
         raise ExprSyntaxError(f"expected a value, got {text!r}" if text else "unexpected end of input", pos)
 
     def _expect(self, op: str):
@@ -266,29 +293,13 @@ def parse_expr(source: str, coords: Sequence[str]) -> ScalarExpr:
 
 
 def _multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
-    by_degree: list[tuple[int, ...]] = []
-    for deg in range(order + 1):
-        block: list[tuple[int, ...]] = []
-
-        def rec2(prefix, remaining, budget):
-            if remaining == 0:
-                if budget == 0:
-                    block.append(prefix)
-                return
-            for v in range(budget + 1):
-                rec2(prefix + (v,), remaining - 1, budget - v)
-
-        rec2((), dim, deg)
-        block.sort()
-        by_degree.extend(block)
-    return by_degree
+    """Multi-indices of degree <= order, by degree, each degree in lexicographic order."""
+    return [a for deg in range(order + 1) for a in itertools.product(range(deg + 1), repeat=dim) if sum(a) == deg]
 
 
 class JetSpace:
     """Coefficient layout and arithmetic tables for jets of a fixed
     (dimension, order).  Instances are cached; use :meth:`get`."""
-
-    _cache: dict[tuple[int, int], "JetSpace"] = {}
 
     def __init__(self, dim: int, order: int):
         self.dim = dim
@@ -296,50 +307,45 @@ class JetSpace:
         self.indices = _multi_indices(dim, order)
         self.ncoeffs = len(self.indices)
         self.index_of = {alpha: i for i, alpha in enumerate(self.indices)}
-        self._mul_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._diff_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
+    @cache
     def get(cls, dim: int, order: int) -> "JetSpace":
-        key = (dim, order)
-        if key not in cls._cache:
-            cls._cache[key] = cls(dim, order)
-        return cls._cache[key]
+        return cls(dim, order)
 
     # -- tables ------------------------------------------------------------
 
-    def mul_table(self, order: int):
+    @cached_property
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(I, J, T) index triples with deg(I) + deg(J) <= order and
         indices[T] = indices[I] + indices[J]."""
-        order = min(order, self.order)
-        if order not in self._mul_tables:
-            I, J, T = [], [], []
-            for i, a in enumerate(self.indices):
-                da = sum(a)
-                if da > order:
-                    continue
-                for j, b in enumerate(self.indices):
-                    if da + sum(b) > order:
-                        continue
+        I, J, T = [], [], []
+        for i, a in enumerate(self.indices):
+            for j, b in enumerate(self.indices):
+                if sum(a) + sum(b) <= self.order:
                     I.append(i)
                     J.append(j)
                     T.append(self.index_of[tuple(x + y for x, y in zip(a, b))])
-            self._mul_tables[order] = (np.array(I), np.array(J), np.array(T))
-        return self._mul_tables[order]
+        return np.array(I), np.array(J), np.array(T)
 
+    def mul_table(self, order: int):
+        """:attr:`pair_table` named by its order, the space's own (perfbench's tracer reads it)."""
+        if order != self.order:
+            raise ValueError(f"a JetSpace of order {self.order} has no order-{order} pair table")
+        return self.pair_table
+
+    @cache
     def diff_table(self, coord: int):
         """(SRC, DST, FAC): coefficient moves for d/dx_coord."""
-        if coord not in self._diff_tables:
-            src, dst, fac = [], [], []
-            for i, a in enumerate(self.indices):
-                if a[coord] >= 1:
-                    b = list(a)
-                    b[coord] -= 1
-                    src.append(i)
-                    dst.append(self.index_of[tuple(b)])
-                    fac.append(a[coord])
-            self._diff_tables[coord] = (np.array(src), np.array(dst), np.array(fac, dtype=float))
-        return self._diff_tables[coord]
+        src, dst, fac = [], [], []
+        for i, a in enumerate(self.indices):
+            if a[coord] >= 1:
+                b = list(a)
+                b[coord] -= 1
+                src.append(i)
+                dst.append(self.index_of[tuple(b)])
+                fac.append(a[coord])
+        return np.array(src), np.array(dst), np.array(fac, dtype=float)
 
     # -- constructors --------------------------------------------------------
 
@@ -349,12 +355,9 @@ class JetSpace:
         return out
 
     def coordinate(self, i: int, value) -> np.ndarray:
-        value = np.asarray(value, dtype=float)
-        out = np.zeros(value.shape + (self.ncoeffs,))
-        out[..., 0] = value
+        out = self.constant(value, np.shape(value))
         if self.order >= 1:
-            e_i = tuple(1 if k == i else 0 for k in range(self.dim))
-            out[..., self.index_of[e_i]] = 1.0
+            out[..., self.index_of[tuple(int(k == i) for k in range(self.dim))]] = 1.0
         return out
 
     def point_jets(self, points: np.ndarray) -> list[np.ndarray]:
@@ -378,21 +381,23 @@ class JetSpace:
     def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Truncated product of jet coefficient arrays, broadcasting over
         leading axes: one gather of the pair operands, one dense scatter matmul."""
-        I, J, _ = self.mul_table(self.order)
+        I, J, _ = self.pair_table
         return self._scatter(A[..., I] * B[..., J])
 
-    def contract(self, A: np.ndarray, B: np.ndarray, axis: int) -> np.ndarray:
-        """``np.sum(mul(A, B), axis)`` for a batch ``axis``: the pair products
-        are summed over the axis as they are formed, then scattered once."""
-        I, J, _ = self.mul_table(self.order)
-        a, b = np.moveaxis(A[..., I], axis, -2), np.moveaxis(B[..., J], axis, -2)
-        return self._scatter(np.einsum("...kp,...kp->...p", a, b))
+    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Jet matrix product (..., r, k, m) x (..., k, c, m) -> (..., r, c, m),
+        broadcasting over leading axes: the pair operands are gathered, one
+        batched matmul forms every pair's (r x k) @ (k x c) with the pair axis
+        in the batch, and the products are scattered once."""
+        I, J, _ = self.pair_table
+        ab = np.moveaxis(A[..., I], -1, -3) @ np.moveaxis(B[..., J], -1, -3)
+        return self._scatter(np.moveaxis(ab, -3, -1))
 
     @cached_property
     def scatter_matrix(self) -> np.ndarray:
         """Dense 0/1 (pairs x ncoeffs) matrix; row k has its one 1 at the
-        coefficient that pair k of ``mul_table(order)`` adds into."""
-        return (self.mul_table(self.order)[2][:, None] == np.arange(self.ncoeffs)).astype(float)
+        coefficient that pair k of :attr:`pair_table` adds into."""
+        return (self.pair_table[2][:, None] == np.arange(self.ncoeffs)).astype(float)
 
     def _scatter(self, pairs: np.ndarray) -> np.ndarray:
         """Pair products summed into their coefficients by one matmul over the flattened batch."""
@@ -408,11 +413,7 @@ class JetSpace:
 
     def gradient_values(self, A: np.ndarray) -> np.ndarray:
         """First partials at the center, shape batch + (dim,)."""
-        cols = []
-        for i in range(self.dim):
-            e_i = tuple(1 if k == i else 0 for k in range(self.dim))
-            cols.append(A[..., self.index_of[e_i]])
-        return np.stack(cols, axis=-1)
+        return A[..., [self.index_of[tuple(int(k == i) for k in range(self.dim))] for i in range(self.dim)]]
 
     # -- analytic primitives ---------------------------------------------------
 

@@ -25,9 +25,9 @@ Bundle document:
     }
 
 Loading validates everything a model declares: expression syntax against the
-declared coordinates, metric symmetry as written, non-empty domain intervals,
-and agreement of the declared index with the computed inertia at ten sampled
-points.  A bundle is checked at load for its shape and expression syntax
+declared coordinates, metric symmetry as written, finite non-empty domain
+intervals, and agreement of the declared index with the computed inertia at
+ten sampled points.  A bundle is checked at load for its shape and expression syntax
 only; the request's own evaluation of the bundle validates the embedding
 (rank, domain, a lightlike normal) and fails with an input error naming the
 file.  Errors name the file and carry positions (JSON line/column, or the
@@ -37,6 +37,7 @@ offending expression position) so a malformed file diagnoses itself.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .expr_jet import JetDomainError
@@ -80,6 +81,10 @@ def _domain(raw, n: int, what: str) -> list[tuple[float, float]]:
         if len(pair) != 2:
             raise ManifestError(f"{what} domain entry {k} must be [lo, hi]")
         lo, hi = float(pair[0]), float(pair[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ManifestError(f"{what} domain entry {k} must have finite bounds, got [{lo}, {hi}]")
+        if lo > hi:
+            raise ManifestError(f"{what} domain entry {k} has lo > hi: [{lo}, {hi}]")
         out.append((lo, hi))
     return out
 

@@ -16,7 +16,7 @@ plus the hypersurface bundles defined in :mod:`paracheck.hypersurface_lab`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class ManifoldModel:
     xi: list[str] | None = None
     eta: list[str] | None = None
     description: str = ""
-    expected: dict = field(default_factory=dict, compare=False)  # golden values for tests/suites
 
     def parsed(self, source: str) -> ScalarExpr:
         return parse_expr(source, self.coords)
@@ -140,7 +139,7 @@ def evaluate_structure(model: ManifoldModel, points: np.ndarray) -> ParacontactS
 
 
 def _half_space_model(name: str, n: int, timelike_y: bool, phi_scale: float, epsilon: int,
-                      description: str, expected: dict) -> ManifoldModel:
+                      description: str) -> ManifoldModel:
     coords = [f"x{i}" for i in range(1, n)] + ["y"]
     zero = "0"
     inv_y2 = "1/(y^2)"
@@ -160,8 +159,7 @@ def _half_space_model(name: str, n: int, timelike_y: bool, phi_scale: float, eps
     return ManifoldModel(
         name=name, dim=n, coords=coords, epsilon=epsilon,
         index=(1 if timelike_y else 0),
-        metric=metric, phi=phi, xi=xi, eta=eta, domain=domain,
-        description=description, expected=expected,
+        metric=metric, phi=phi, xi=xi, eta=eta, domain=domain, description=description,
     )
 
 
@@ -176,7 +174,6 @@ def _flat_formal_model() -> ManifoldModel:
         domain=[(-2.0, 2.0)] * n,
         description="flat chart with a formal structure: passes the algebraic axioms, "
                     "fails everything with a derivative in it (negative control)",
-        expected={"r": 0.0},
     )
 
 
@@ -188,17 +185,14 @@ def builtin_models() -> dict[str, ManifoldModel]:
         models[f"E1{suffix}"] = _half_space_model(
             f"E1{suffix}", n, timelike_y=False, phi_scale=1.0, epsilon=1,
             description=f"hyperbolic upper half-space (n={n}), para-Sasakian with eps=+1",
-            expected={"r": -float(n * (n - 1)), "ricci_factor": -(n - 1.0), "trace_phi": -(n - 1.0)},
         )
         models[f"E2{suffix}"] = _half_space_model(
             f"E2{suffix}", n, timelike_y=True, phi_scale=1.0, epsilon=-1,
             description=f"timelike-fiber upper half-space (n={n}), para-Sasakian with eps=-1",
-            expected={"r": float(n * (n - 1)), "ricci_factor": (n - 1.0), "trace_phi": (n - 1.0)},
         )
     models["N1"] = _half_space_model(
         "N1", 3, timelike_y=False, phi_scale=1.01, epsilon=1,
         description="E1 with phi scaled by 1.01 (negative control: axioms fail)",
-        expected={},
     )
     models["F0"] = _flat_formal_model()
     return models

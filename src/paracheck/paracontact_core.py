@@ -110,7 +110,7 @@ class ParacontactStructure:
         eta_xi = np.einsum('pa,pa->p', self.eta0, self.xi0)
         if np.max(np.abs(eta_xi - 1.0)) > 1e-10:
             raise ValueError("structure invariant eta(xi) = 1 violated")
-        g_xi_xi = np.einsum('pab,pa,pb->p', self.g0, self.xi0, self.xi0)
+        g_xi_xi = pair(self.g0, self.xi0[:, None], self.xi0[:, None])[:, 0]
         if np.max(np.abs(g_xi_xi - self.epsilon)) > 1e-10:
             raise ValueError("structure invariant g(xi,xi) = eps violated (xi must not be lightlike)")
 
@@ -185,13 +185,20 @@ class ParacontactStructure:
 # -- vector application helpers ------------------------------------------------
 
 
-def apply_op(op: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(1,1) operator on a bundle of vectors: (P,n,n) x (P,V,n) -> (P,V,n)."""
-    return np.einsum('pab,pvb->pva', op, X)
+def apply_op(op: np.ndarray, *vectors: np.ndarray) -> np.ndarray:
+    """A (1,k) tensor op[p, a, b1, ..., bk] fed k bundles of vectors (P, V, n)
+    (or (P, 1, n), broadcast): (P, V, n).  One matmul of the vectors' outer
+    product against op's transpose; apply_op(phi, X) is phi X = X @ phi^T."""
+    outer = vectors[0]
+    for v in vectors[1:]:
+        outer = outer[..., :, None] * v[..., None, :]
+        outer = outer.reshape(outer.shape[:-2] + (-1,))
+    return outer @ np.swapaxes(op.reshape(op.shape[:2] + (-1,)), 1, 2)
 
 
 def pair(g: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.einsum('pab,pva,pvb->pv', g, X, Y)
+    """g(X, Y) over bundles of vectors: (P,n,n), (P,V,n), (P,V,n) -> (P,V)."""
+    return np.sum((X @ g) * Y, axis=-1)
 
 
 def form(eta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -229,7 +236,7 @@ def check_axioms(struct: ParacontactStructure, vectors: np.ndarray) -> Structure
     gap = pair(g, X, phiY) - pair(g, phiX, Y)
     res.add("phi-self-adjoint", residual_norm(gap, pair(g, X, phiY)), ALGEBRAIC_TOL)
 
-    gXxi = np.einsum('pab,pva,pb->pv', g, X, xi)
+    gXxi = pair(g, X, xi[:, None])
     gap = gXxi - eps * form(eta, X)
     res.add("metric-xi-eta", residual_norm(gap, gXxi), ALGEBRAIC_TOL)
     return res
@@ -244,7 +251,7 @@ def defining_equation_gap_per_point(struct: ParacontactStructure, vectors: np.nd
     phi, xi, eta, g = struct.phi0, struct.xi0, struct.eta0, struct.g0
     X = vectors[:, 0::2]
     Y = vectors[:, 1::2]
-    lhs = np.einsum('paib,pvi,pvb->pva', struct.nabla_phi, X, Y)
+    lhs = apply_op(struct.nabla_phi, X, Y)
     phiX = apply_op(phi, X)
     phi2X = apply_op(phi, phiX)
     rhs = -pair(g, phiX, apply_op(phi, Y))[..., None] * xi[:, None, :] - eps * form(eta, Y)[..., None] * phi2X
@@ -285,7 +292,7 @@ def ps_curvature_gaps(struct: ParacontactStructure, vectors: np.ndarray) -> dict
     out: dict[str, float] = {}
 
     # R(X,Y)xi = eta(X) Y - eta(Y) X
-    RXYxi = np.einsum('plijk,pvi,pvj,pk->pvl', R, X, Y, xi)
+    RXYxi = apply_op(R, X, Y, xi[:, None])
     tgt = form(eta, X)[..., None] * Y - form(eta, Y)[..., None] * X
     out["r-xy-xi"] = residual_norm(RXYxi - tgt, RXYxi, tgt, X, Y)
 
@@ -294,8 +301,8 @@ def ps_curvature_gaps(struct: ParacontactStructure, vectors: np.ndarray) -> dict
     phiX = apply_op(phi, X)
     phiY = apply_op(phi, Y)
     phiZ = apply_op(phi, Z)
-    RXYphiZ = np.einsum('plijk,pvi,pvj,pvk->pvl', R, X, Y, phiZ)
-    phiRXYZ = apply_op(phi, np.einsum('plijk,pvi,pvj,pvk->pvl', R, X, Y, Z))
+    RXYphiZ = apply_op(R, X, Y, phiZ)
+    phiRXYZ = apply_op(phi, apply_op(R, X, Y, Z))
     PhiYZ = pair(Phi, Y, Z)[..., None]
     PhiXZ = pair(Phi, X, Z)[..., None]
     etaX = form(eta, X)[..., None]
@@ -315,7 +322,7 @@ def ps_curvature_gaps(struct: ParacontactStructure, vectors: np.ndarray) -> dict
     out["ricci-phi-symmetric"] = residual_norm(gap, pair(S, X, phiY))
 
     # S(X, xi) = -(n-1) eta(X)
-    SXxi = np.einsum('pab,pva,pb->pv', S, X, xi)
+    SXxi = pair(S, X, xi[:, None])
     gap = SXxi + (n - 1) * form(eta, X)
     out["ricci-xi"] = residual_norm(gap, SXxi)
     return out

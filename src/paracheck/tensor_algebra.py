@@ -61,17 +61,17 @@ def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int) -> n
     """Components of the contraction of slot ``slot_a`` of A with slot
     ``slot_b`` of B (absolute 0-based positions over the uppers-first layout);
     result axes are (P,) + (A slots minus slot_a) + (B slots minus slot_b)
-    + (ncoeffs,), jets of the lower of the two operands' spaces."""
+    + (ncoeffs,), jets of the lower of the two operands' spaces.  One jet
+    matrix product: A's free slots flattened to rows, B's to columns."""
     if A.dim != B.dim:
         raise ValueError(f"dimension mismatch: {A.dim} vs {B.dim}")
     space = lowest_space(A.space, B.space)
     A, B = A.as_jet(space), B.as_jet(space)
-    ca = np.moveaxis(A.components, 1 + slot_a, -2)
-    cb = np.moveaxis(B.components, 1 + slot_b, -2)
-    fa, fb = A.rank - 1, B.rank - 1
-    ca = np.expand_dims(ca, tuple(range(1 + fa, 1 + fa + fb)))     # B's free slots after A's
-    cb = np.expand_dims(cb, tuple(range(1, 1 + fa)))               # A's free slots before B's
-    return space.contract(ca, cb, axis=-2)
+    n, m = A.dim, space.ncoeffs
+    ca = np.moveaxis(A.components, 1 + slot_a, -2)                  # (P, A free..., k, m)
+    cb = np.moveaxis(B.components, 1 + slot_b, 1)                   # (P, k, B free..., m)
+    out = space.matmul(ca.reshape(len(ca), -1, n, m), cb.reshape(len(cb), n, -1, m))
+    return out.reshape(out.shape[:1] + (n,) * (A.rank + B.rank - 2) + (m,))
 
 
 # --------------------------------------------------------------------------
@@ -99,8 +99,9 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
     """Inverse of a jet-valued square matrix, components (..., n, n, m).
 
     Seeds with the exact numeric inverse of the constant term, then Newton
-    iterations X <- X (2I - G X); the error degree doubles each step, so
-    ceil(log2(order+1)) steps reach exactness at the space's order.
+    iterations X <- X (2I - G X), each product one :meth:`JetSpace.matmul`;
+    the error degree doubles each step, so ceil(log2(order+1)) steps reach
+    exactness at the space's order.
     """
     G0 = G[..., 0]
     X0 = np.linalg.inv(G0)
@@ -109,14 +110,9 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
     n = G.shape[-2]
     eye = np.zeros(G.shape[-3:])
     eye[..., 0] = np.eye(n)
-
-    def mm(A, B):   # (..., n, k, 1, m) x (..., 1, k, n, m), summed over k
-        return space.contract(A[..., None, :], B[..., None, :, :, :], axis=-3)
-
     steps = int(np.ceil(np.log2(space.order + 1)))
     for _ in range(steps):
-        GX = mm(G, X)
-        X = mm(X, 2 * eye - GX)
+        X = space.matmul(X, 2 * eye - space.matmul(G, X))
     return X
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from paracheck.expr_jet import (
     BinOp,
     Call,
+    MAX_DEPTH,
     ExprSyntaxError,
     JetDomainError,
     JetSpace,
@@ -21,6 +22,8 @@ from paracheck.expr_jet import (
     eval_expr_numeric,
     parse_expr,
 )
+
+from paracheck.tensor_algebra import invert_jet_matrix
 
 from fd_oracle import fd_partial
 
@@ -79,6 +82,32 @@ class TestParser:
     def test_unknown_function(self):
         with pytest.raises(UnknownIdentifierError):
             parse_expr("tan(x)", ["x"])
+
+    @pytest.mark.parametrize("source", [
+        "1/(y^2)" + "+0*x" * 1500,           # a flat sum: parsed in a loop, a 1500-deep tree
+        "(" * 3000 + "x" + ")" * 3000,
+        "-" * 3000 + "x",
+        "sin(" * 3000 + "x" + ")" * 3000,
+    ])
+    def test_over_deep_expression_is_syntax_error(self, source):
+        with pytest.raises(ExprSyntaxError, match=f"nests deeper than {MAX_DEPTH} levels"):
+            parse_expr(source, ["x", "y"])
+
+    def test_expressions_at_the_depth_bound_evaluate(self):
+        """A sum of MAX_DEPTH terms, MAX_DEPTH nested parentheses and a
+        MAX_DEPTH-deep chain of unary minuses parse and evaluate, numerically
+        and as jets; one level more is refused."""
+        space = JetSpace.get(1, 2)
+        for make, value in (
+            (lambda d: "+".join(["x"] * d), 0.5 * MAX_DEPTH),
+            (lambda d: "(" * d + "x" + ")" * d, 0.5),
+            (lambda d: "-" * (d - 1) + "x", 0.5 * (-1) ** (MAX_DEPTH - 1)),
+        ):
+            tree = parse_expr(make(MAX_DEPTH), ["x"])
+            assert eval_expr_numeric(tree, [0.5]) == value
+            assert eval_expr(tree, space, space.point_jets(np.array([0.5])))[0] == value
+            with pytest.raises(ExprSyntaxError):
+                parse_expr(make(MAX_DEPTH + 1), ["x"])
 
 
 class TestJetEval:
@@ -324,7 +353,7 @@ def _add_at_product(space, A, B):
     added into its target coefficient one at a time, in table order.  Also
     returns 2 (n - 1) eps sum |p| per coefficient, n the most pairs of any
     target: a bound on the gap between two orders of summing the products."""
-    I, J, T = space.mul_table(space.order)
+    I, J, T = space.pair_table
     A, B = np.broadcast_arrays(A, B)
     out, mag = np.zeros(A.shape), np.zeros(A.shape)
     np.add.at(out, (Ellipsis, T), A[..., I] * B[..., J])
@@ -355,30 +384,54 @@ def test_mul_matches_add_at_reference(dim, order, shape_a, shape_b):
         assert np.all(np.abs(got - ref) <= bound)
 
 
-@pytest.mark.parametrize("dim,order", [(3, 2), (5, 3)])
-@pytest.mark.parametrize("axis,shape_a,shape_b", [
-    (-2, (4, 3, 1, 5), (4, 1, 2, 5)),
-    (-3, (4, 3, 5, 1), (4, 1, 5, 2)),
-    (-3, (4, 3, 1, 1), (4, 1, 5, 2)),
+_MATMUL_SPACES = [(3, 0), (3, 1), (3, 2), (4, 1), (5, 3)]
+
+
+@pytest.mark.parametrize("dim,order", _MATMUL_SPACES)
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((4, 9, 3), (4, 3, 1)),             # contract_with: rank-3 A against a vector
+    ((4, 1, 3), (4, 3, 27)),            # contract_with: a covector against a rank-4 B
+    ((4, 3, 3), (4, 3, 3)),             # invert_jet_matrix's Newton product
+    ((2, 4, 3, 3), (2, 4, 3, 3)),       # the same with two batch axes
+    ((4, 3, 4), (4, 4, 4)),             # evaluate_bundle: T @ g~^T
+    ((4, 4, 4), (4, 4, 1)),             # evaluate_bundle: g~ N
+    ((4, 1, 4), (4, 4, 1)),             # evaluate_bundle: g~(N, N)
+    ((2, 1, 3, 4), (1, 5, 4, 2)),       # broadcast batch axes
 ])
-def test_contract_is_sum_of_products(dim, order, axis, shape_a, shape_b):
-    """contract(A, B, axis) sums the pair products over the axis before the
-    scatter; it equals summing the scattered products."""
+def test_matmul_is_sum_of_products(dim, order, shape_a, shape_b):
+    """matmul(A, B) sums the pair products of A's rows and B's columns before
+    the scatter; it equals summing the scattered products."""
     space = JetSpace.get(dim, order)
     rng = np.random.default_rng(17)
     A = rng.standard_normal(shape_a + (space.ncoeffs,))
     B = rng.standard_normal(shape_b + (space.ncoeffs,))
-    ref = np.sum(space.mul(A, B), axis=axis)
-    got = space.contract(A, B, axis)
+    ref = np.sum(space.mul(A[..., :, :, None, :], B[..., None, :, :, :]), axis=-3)
+    got = space.matmul(A, B)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim,order", _MATMUL_SPACES)
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_invert_jet_matrix_through_full_order(dim, order, n):
+    """G X = I in every coefficient of the space, with G X formed by the
+    mul-and-sum oracle, not by matmul."""
+    space = JetSpace.get(dim, order)
+    rng = np.random.default_rng(dim * 10 + order + n)
+    G = 0.3 * rng.standard_normal((5, n, n, space.ncoeffs))
+    G[..., 0] += 2 * np.eye(n)
+    X = invert_jet_matrix(space, G)
+    GX = np.sum(space.mul(G[..., :, :, None, :], X[..., None, :, :, :]), axis=-3)
+    eye = np.zeros((n, n, space.ncoeffs))
+    eye[..., 0] = np.eye(n)
+    assert np.max(np.abs(GX - eye)) < 1e-12
 
 
 @pytest.mark.parametrize("dim,order", [(3, 1), (3, 4), (5, 3)])
 def test_scatter_matrix_rows_hold_one_one(dim, order):
     space = JetSpace.get(dim, order)
     S = space.scatter_matrix
-    I, J, T = space.mul_table(order)
+    I, J, T = space.pair_table
     assert S.shape == (len(I), space.ncoeffs)
     assert set(np.unique(S)) == {0.0, 1.0}
     assert np.array_equal(S.sum(axis=1), np.ones(len(I)))
@@ -386,13 +439,17 @@ def test_scatter_matrix_rows_hold_one_one(dim, order):
     assert space.scatter_matrix is S
 
 
-def test_lower_order_mul_table():
-    """mul_table(order) below the space's order lists the pairs whose
-    degrees sum to at most that order."""
-    space = JetSpace.get(3, 4)
-    for order in range(5):
-        I, J, T = space.mul_table(order)
-        deg = np.array([sum(a) for a in space.indices])
-        assert np.all(deg[I] + deg[J] <= order)
-        assert np.array_equal(deg[T], deg[I] + deg[J])
-        assert len(I) == math.comb(6 + order, order)
+@pytest.mark.parametrize("dim,order", [(1, 0), (3, 1), (3, 4), (5, 3)])
+def test_pair_table_at_space_order(dim, order):
+    """The pair table lists the pairs whose degrees sum to at most the
+    space's order: comb(2 dim + order, order) of them.  ``mul_table`` names
+    the same table at that order and has none at another."""
+    space = JetSpace.get(dim, order)
+    I, J, T = space.pair_table
+    deg = np.array([sum(a) for a in space.indices])
+    assert np.all(deg[I] + deg[J] <= order)
+    assert np.array_equal(deg[T], deg[I] + deg[J])
+    assert len(I) == math.comb(2 * dim + order, order)
+    assert space.mul_table(order) is space.pair_table
+    with pytest.raises(ValueError):
+        space.mul_table(order + 1)

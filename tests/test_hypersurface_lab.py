@@ -17,6 +17,7 @@ from paracheck.hypersurface_lab import (
     evaluate_bundle,
     gauss_consistency_residual,
     get_bundle,
+    pull_back,
     quasi_umbilical_check,
     random_pointwise_structure,
     recover_shape_operator,
@@ -484,3 +485,16 @@ class TestSyntheticGauss:
             synthetic_gauss_check(1, 2, trials=1, seed=0)
         with pytest.raises(ValueError):
             synthetic_gauss_check(1, 3, trials=0, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pull_back_matches_its_einsum(n):
+    """The Gauss check's staged pullback R(T_x, T_y, T_z, T_w) equals the
+    five-operand einsum it replaces, within 1e-13 of the largest entry."""
+    rng = np.random.default_rng(n)
+    R = rng.standard_normal((4,) + (n + 1,) * 4)
+    T = rng.standard_normal((4, n, n + 1))
+    ref = np.einsum("pABCD,pxA,pyB,pzC,pwD->pxyzw", R, T, T, T, T)
+    got = pull_back(R, T)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

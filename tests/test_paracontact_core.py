@@ -8,14 +8,42 @@ import pytest
 from paracheck.geometry_engine import covariant_derivative
 from paracheck.paracontact_core import (
     ParacontactStructure,
+    apply_op,
     check_axioms,
     check_para_sasakian,
     check_ps_curvature_identities,
+    pair,
     ps_curvature_gaps,
     residual_norm,
 )
 from paracheck.sampling import derive_rng, random_vectors, sample_points
 from paracheck.hypersurface_lab import defining_equation_gap_per_point, evaluate_bundle, get_bundle
+
+
+_P, _V, _N = 4, 6, 5
+_VALUE_HELPERS = {
+    # name: (helper, the plain einsum it stages, operand shapes)
+    "phi X": (apply_op, "pab,pvb->pva", [(_P, _N, _N), (_P, _V, _N)]),
+    "(nabla_X phi) Y": (apply_op, "paib,pvi,pvb->pva", [(_P, _N, _N, _N), (_P, _V, _N), (_P, _V, _N)]),
+    "R(X, Y) Z": (apply_op, "plijk,pvi,pvj,pvk->pvl", [(_P,) + (_N,) * 4] + [(_P, _V, _N)] * 3),
+    "R(X, Y) xi": (lambda R, X, Y, xi: apply_op(R, X, Y, xi[:, None]), "plijk,pvi,pvj,pk->pvl",
+                   [(_P,) + (_N,) * 4, (_P, _V, _N), (_P, _V, _N), (_P, _N)]),
+    "g(X, Y)": (pair, "pab,pva,pvb->pv", [(_P, _N, _N), (_P, _V, _N), (_P, _V, _N)]),
+    "g(X, xi)": (lambda g, X, xi: pair(g, X, xi[:, None]), "pab,pva,pb->pv", [(_P, _N, _N), (_P, _V, _N), (_P, _N)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUE_HELPERS))
+def test_value_helpers_match_their_einsum(name):
+    """Each staged value contraction equals the plain einsum string it
+    replaces, within 1e-13 of the largest entry."""
+    helper, subscripts, shapes = _VALUE_HELPERS[name]
+    rng = np.random.default_rng(5)
+    args = [rng.standard_normal(shape) for shape in shapes]
+    ref = np.einsum(subscripts, *args)
+    got = helper(*args)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestCheckAxioms:

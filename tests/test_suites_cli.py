@@ -255,6 +255,34 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert str(path) in proc.stderr
 
+    @pytest.mark.parametrize("target,field,value,message", [
+        ("E1", ("domain", 2), [0.5, 1e400], "domain entry 2 must have finite bounds"),
+        ("E1", ("domain", 0), [2.0, -2.0], "domain entry 0 has lo > hi"),
+        ("E3a", ("embedding", "domain", 1), ["-Infinity", 1.0], "domain entry 1 must have finite bounds"),
+        ("E1", ("metric", 0), "1/(y^2)" + "+0*x1" * 1500, "nests deeper than"),
+        ("E1", ("metric", 0), "(" * 3000 + "1/(y^2)" + ")" * 3000, "nests deeper than"),
+        ("E3a", ("embedding", "map", 0), "(" * 3000 + "s" + ")" * 3000, "nests deeper than"),
+    ], ids=["infinite-bound", "inverted-interval", "embedding-infinite-bound", "flat-sum", "deep-parentheses",
+            "embedding-deep-parentheses"])
+    def test_bad_domain_or_over_deep_expression_is_input_error(self, tmp_path, target, field, value, message):
+        """A domain bound that is not finite or an inverted interval, and an
+        expression nested past the parser's depth bound, are one-line input
+        errors naming the manifest: exit 2, no traceback."""
+        path = tmp_path / "bad.json"
+        save_manifest(get_bundle(target) if target == "E3a" else get_model(target), path)
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        path.write_text(json.dumps(doc).replace('"-Infinity"', "-Infinity"))
+        proc = _cli("check", str(path), "--suite", "structure", "--points", "5")
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {path}: ")
+        assert message in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_rank_deficient_bundle_manifest_is_input_error(self, tmp_path):
         """An embedding whose differential drops rank is found by the
         request's evaluation of the bundle: exit 2, no traceback."""
