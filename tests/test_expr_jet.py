@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from paracheck.expr_jet import (
     BinOp,
     Call,
-    MAX_DEPTH,
     ExprSyntaxError,
     JetDomainError,
     JetSpace,
+    MAX_DEPTH,
     Num,
     UnknownIdentifierError,
     Var,
@@ -22,7 +22,6 @@ from paracheck.expr_jet import (
     eval_expr_numeric,
     parse_expr,
 )
-
 from paracheck.tensor_algebra import invert_jet_matrix
 
 from fd_oracle import fd_partial
