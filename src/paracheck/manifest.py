@@ -129,7 +129,6 @@ def _parse(doc: dict, source: str) -> ManifoldModel | HypersurfaceBundle:
             coords=[str(c) for c in _require(amb_doc, "coords", "ambient", list)],
             metric=_grid(_require(amb_doc, "metric", "ambient", list), N, "ambient metric"),
             J=_grid(_require(amb_doc, "J", "ambient", list), N, "ambient J"),
-            curvature_constant=amb_doc.get("curvature_constant"),
         )
         coords = [str(c) for c in _require(emb_doc, "coords", "embedding", list)]
         emb_map = [str(s) for s in _require(emb_doc, "map", "embedding", list)]
@@ -201,7 +200,6 @@ def manifest_dict(obj: ManifoldModel | HypersurfaceBundle) -> dict:
                 "coords": list(obj.ambient.coords),
                 "metric": [s for row in obj.ambient.metric for s in row],
                 "J": [s for row in obj.ambient.J for s in row],
-                "curvature_constant": obj.ambient.curvature_constant,
             },
             "embedding": {
                 "coords": list(obj.embedding.coords),

@@ -13,73 +13,76 @@ numbers comparable across models with very different metric scales.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
+from .report import FAIL, status_of
 from .tensor_algebra import TensorValue, contract_with
-
-ALGEBRAIC_TOL = 1e-9
-ONE_DERIVATIVE_TOL = 1e-8
-TWO_DERIVATIVE_TOL = 1e-7
-THREE_DERIVATIVE_TOL = 1e-6
 
 
 def residual_norm(gap: np.ndarray, *inputs: np.ndarray) -> float:
-    """Scale-stable residual: max |gap| / (1 + max input magnitude)."""
-    scale = 1.0
-    for x in inputs:
-        if x.size:
-            scale = max(scale, 1.0 + float(np.max(np.abs(x))))
-    return float(np.max(np.abs(gap))) / scale if gap.size else 0.0
+    """Scale-stable residual: max |gap| / (1 + max input magnitude); a NaN
+    in the gap or an input gives NaN."""
+    if not gap.size:
+        return 0.0
+    peaks = [float(np.max(np.abs(x))) for x in inputs if x.size]
+    if any(map(math.isnan, peaks)):
+        return math.nan
+    return float(np.max(np.abs(gap))) / (1.0 + max(peaks, default=0.0))
 
 
 @dataclass
 class IdentityResidual:
-    name: str
+    """One record under its full ``suites.CHECKS`` id.  ``status`` is set
+    only on a record with nothing measured (vacuous or not-applicable); a
+    measured record's status follows from its row."""
+
+    id: str
     residual: float
-    tolerance: float
     detail: str = ""
-    status: str | None = None  # explicit override: vacuous / not-applicable / printed-form-mismatch
+    status: str | None = None
 
     @property
     def effective_status(self) -> str:
-        if self.status is not None:
-            return self.status
-        return "pass" if self.residual <= self.tolerance else "fail"
+        """The status at tolerance scale 1."""
+        from .suites import CHECKS   # suites imports this module
+
+        row = CHECKS[self.id]
+        return self.status or status_of(self.residual, row.tol, row.informational)
 
     @property
     def passed(self) -> bool:
-        return self.effective_status != "fail"
+        return self.effective_status != FAIL
 
 
 @dataclass
 class StructureCheckResult:
-    """Named residuals with pass flags."""
+    """Records by id, with their statuses at tolerance scale 1."""
 
     checks: list[IdentityResidual] = field(default_factory=list)
 
-    def add(self, name: str, residual: float, tolerance: float, detail: str = "",
-            status: str | None = None):
-        self.checks.append(IdentityResidual(name, float(residual), float(tolerance), detail, status))
+    def add(self, cid: str, residual: float, detail: str = "", status: str | None = None):
+        self.checks.append(IdentityResidual(cid, float(residual), detail, status))
 
-    def get(self, name: str) -> IdentityResidual:
+    def get(self, cid: str) -> IdentityResidual:
         for c in self.checks:
-            if c.name == name:
+            if c.id == cid:
                 return c
-        raise KeyError(name)
+        raise KeyError(cid)
 
-    def residual(self, name: str) -> float:
-        return self.get(name).residual
+    def residual(self, cid: str) -> float:
+        return self.get(cid).residual
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def failed_names(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
+        return [c.id for c in self.checks if not c.passed]
 
 
 class ParacontactStructure:
@@ -223,22 +226,22 @@ def check_axioms(struct: ParacontactStructure, vectors: np.ndarray) -> Structure
     phiX = apply_op(phi, X)
     phi2X = apply_op(phi, phiX)
     gap = phi2X - X + form(eta, X)[..., None] * xi[:, None, :]
-    res.add("phi-squared", residual_norm(gap, X, phi2X), ALGEBRAIC_TOL)
+    res.add("structure.phi-squared", residual_norm(gap, X, phi2X))
 
-    res.add("eta-of-xi", residual_norm(np.einsum('pa,pa->p', eta, xi) - 1.0, xi, eta), ALGEBRAIC_TOL)
-    res.add("phi-of-xi", residual_norm(apply_op(phi, xi[:, None, :]), xi), ALGEBRAIC_TOL)
-    res.add("eta-after-phi", residual_norm(form(eta, phiX), X, eta), ALGEBRAIC_TOL)
+    res.add("structure.eta-of-xi", residual_norm(np.einsum('pa,pa->p', eta, xi) - 1.0, xi, eta))
+    res.add("structure.phi-of-xi", residual_norm(apply_op(phi, xi[:, None, :]), xi))
+    res.add("structure.eta-after-phi", residual_norm(form(eta, phiX), X, eta))
 
     phiY = apply_op(phi, Y)
     gap = pair(g, phiX, phiY) - pair(g, X, Y) + eps * form(eta, X) * form(eta, Y)
-    res.add("metric-compatibility", residual_norm(gap, pair(g, X, Y)), ALGEBRAIC_TOL)
+    res.add("structure.metric-compatibility", residual_norm(gap, pair(g, X, Y)))
 
     gap = pair(g, X, phiY) - pair(g, phiX, Y)
-    res.add("phi-self-adjoint", residual_norm(gap, pair(g, X, phiY)), ALGEBRAIC_TOL)
+    res.add("structure.phi-self-adjoint", residual_norm(gap, pair(g, X, phiY)))
 
     gXxi = pair(g, X, xi[:, None])
     gap = gXxi - eps * form(eta, X)
-    res.add("metric-xi-eta", residual_norm(gap, gXxi), ALGEBRAIC_TOL)
+    res.add("structure.metric-xi-eta", residual_norm(gap, gXxi))
     return res
 
 
@@ -255,7 +258,7 @@ def defining_equation_gap_per_point(struct: ParacontactStructure, vectors: np.nd
     phiX = apply_op(phi, X)
     phi2X = apply_op(phi, phiX)
     rhs = -pair(g, phiX, apply_op(phi, Y))[..., None] * xi[:, None, :] - eps * form(eta, Y)[..., None] * phi2X
-    scale = 1.0 + max(float(np.max(np.abs(x))) for x in (lhs, rhs, X, Y))
+    scale = 1.0 + np.max([np.max(np.abs(x)) for x in (lhs, rhs, X, Y)])
     return np.max(np.abs(lhs - rhs), axis=(1, 2)) / scale
 
 
@@ -269,12 +272,12 @@ def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray) -> St
     plus the symmetry of Phi.
     """
     res = StructureCheckResult()
-    res.add("defining-equation", np.max(defining_equation_gap_per_point(struct, vectors)), ONE_DERIVATIVE_TOL)
+    res.add("sasakian.defining-equation", np.max(defining_equation_gap_per_point(struct, vectors)))
     phi = struct.phi0
-    res.add("grad-xi", residual_norm(struct.nabla_xi - struct.epsilon * phi, phi), ONE_DERIVATIVE_TOL)
+    res.add("sasakian.grad-xi", residual_norm(struct.nabla_xi - struct.epsilon * phi, phi))
     Phi = struct.Phi0
-    res.add("grad-eta", residual_norm(struct.nabla_eta - Phi, Phi), ONE_DERIVATIVE_TOL)
-    res.add("fundamental-form-symmetric", residual_norm(Phi - np.swapaxes(Phi, 1, 2), Phi), ALGEBRAIC_TOL)
+    res.add("sasakian.grad-eta", residual_norm(struct.nabla_eta - Phi, Phi))
+    res.add("sasakian.fundamental-form-symmetric", residual_norm(Phi - np.swapaxes(Phi, 1, 2), Phi))
     return res
 
 
@@ -294,7 +297,7 @@ def ps_curvature_gaps(struct: ParacontactStructure, vectors: np.ndarray) -> dict
     # R(X,Y)xi = eta(X) Y - eta(Y) X
     RXYxi = apply_op(R, X, Y, xi[:, None])
     tgt = form(eta, X)[..., None] * Y - form(eta, Y)[..., None] * X
-    out["r-xy-xi"] = residual_norm(RXYxi - tgt, RXYxi, tgt, X, Y)
+    out["curvature.r-xy-xi"] = residual_norm(RXYxi - tgt, RXYxi, tgt, X, Y)
 
     # R(X,Y) phi Z expansion
     Phi = struct.Phi0
@@ -315,16 +318,16 @@ def ps_curvature_gaps(struct: ParacontactStructure, vectors: np.ndarray) -> dict
            - 2 * eps * PhiYZ * etaX * xi_b + 2 * eps * PhiXZ * etaY * xi_b
            - eps * gYZ * phiX + eps * gXZ * phiY
            + 2 * etaY * etaZ * phiX - 2 * etaX * etaZ * phiY)
-    out["r-xy-phi-z"] = residual_norm(RXYphiZ - rhs, RXYphiZ, rhs, X, Y, Z)
+    out["curvature.r-xy-phi-z"] = residual_norm(RXYphiZ - rhs, RXYphiZ, rhs, X, Y, Z)
 
     # S(X, phi Y) = S(phi X, Y)
     gap = pair(S, X, phiY) - pair(S, phiX, Y)
-    out["ricci-phi-symmetric"] = residual_norm(gap, pair(S, X, phiY))
+    out["curvature.ricci-phi-symmetric"] = residual_norm(gap, pair(S, X, phiY))
 
     # S(X, xi) = -(n-1) eta(X)
     SXxi = pair(S, X, xi[:, None])
     gap = SXxi + (n - 1) * form(eta, X)
-    out["ricci-xi"] = residual_norm(gap, SXxi)
+    out["curvature.ricci-xi"] = residual_norm(gap, SXxi)
     return out
 
 
@@ -333,5 +336,5 @@ def check_ps_curvature_identities(struct: ParacontactStructure, vectors: np.ndar
     over random vector triples.  Runs even when the defining equations fail."""
     res = StructureCheckResult()
     for name, value in ps_curvature_gaps(struct, vectors).items():
-        res.add(name, value, TWO_DERIVATIVE_TOL)
+        res.add(name, value)
     return res

@@ -1,20 +1,30 @@
 """Check reports: named records with residuals, tolerances, and statuses.
 
-Statuses: ``pass`` / ``fail`` from residual vs tolerance, ``vacuous`` when a
-check had nothing to measure (every family member degenerate),
-``not-applicable`` when a gate declared in ``suites.CHECKS`` fails, and
-``printed-form-mismatch`` for informational records where a published display
-disagrees with the re-derived normative form.  Only ``fail`` affects the exit
-code.
+:func:`status_of` is the one status rule of a measured record, applied to
+its ``suites.CHECKS`` row (tolerance times the run's scale, informational
+flag):
+
+- a non-finite residual is ``fail``;
+- a residual within tolerance is ``pass``;
+- any other residual is ``printed-form-mismatch`` on an informational record
+  (a published display that the re-derived normative record overrules) and
+  ``fail`` on every other record.
+
+A record with nothing measured carries its own status and tolerance 0:
+``vacuous`` when every family member was degenerate, ``not-applicable`` when
+a gate declared in ``suites.CHECKS`` fails.  Only ``fail`` affects the exit
+code; an informational record never fails on a finite residual.
 
 Reports serialize to JSON deterministically: records sorted by id, keys
-sorted, floats via repr.  The ``engine_version`` and ``generated_at`` fields
-are the only run-to-run variable parts.
+sorted, floats via repr, and a non-finite residual as 1e300, so the output
+is strict JSON.  The ``engine_version`` and ``generated_at`` fields are the
+only run-to-run variable parts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -27,6 +37,15 @@ PRINTED_FORM_MISMATCH = "printed-form-mismatch"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+
+
+def status_of(residual: float, tol: float, informational: bool) -> str:
+    """The status of a measured record; see the module docstring."""
+    if not math.isfinite(residual):
+        return FAIL
+    if residual <= tol:
+        return PASS
+    return PRINTED_FORM_MISMATCH if informational else FAIL
 
 
 @dataclass
@@ -75,7 +94,7 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def to_text(self) -> str:
         self.sort()

@@ -105,7 +105,7 @@ def test_criterion_01_structure_and_defining_equations(e1_100, e2_100):
         axioms = check_axioms(s, vec)
         ok &= len(axioms.checks) == 7 and max(c.residual for c in axioms.checks) < 1e-9
         ps = check_para_sasakian(s, vec)
-        three = [ps.residual("defining-equation"), ps.residual("grad-xi"), ps.residual("grad-eta")]
+        three = [ps.residual(f"sasakian.{name}") for name in ("defining-equation", "grad-xi", "grad-eta")]
         ok &= max(three) < 1e-8
     assert _announce("1 (structure + defining equations)", ok)
 
@@ -206,10 +206,10 @@ def test_criterion_07_c11_tensor(e1_100):
     c11 = compute_c11_phi_r(s)
     ee = np.einsum('pa,pb->pab', s.eta0, s.eta0)
     ok = bool(np.max(np.abs(c11.values - s.g0 - ee)) < 1e-7)
-    ok &= verify_c11_identities(c11, s).residual("s-phi-z-display") < 1e-8
+    ok &= verify_c11_identities(c11, s).residual("einstein.s-phi-z-display") < 1e-8
     res = verify_c11_decomposition(fit, c11, s)
     ok &= c11.symmetry_residual() < 1e-9
-    ok &= res.residual("c11-parallel-along-xi") < 1e-7
+    ok &= res.residual("einstein.c11-parallel-along-xi") < 1e-7
     assert _announce("7 (C11 contraction tensor on E1)", ok)
 
 
@@ -222,8 +222,8 @@ def test_criterion_08_discrepancy_adjudication(e1_100, e2_100):
     fit = _fit(s1)
     c11 = compute_c11_phi_r(s1)
     res = verify_c11_decomposition(fit, c11, s1)
-    ok = res.residual("c11-decomposition-derived") < 1e-7
-    ok &= res.get("c11-decomposition-printed").effective_status == "printed-form-mismatch"
+    ok = res.residual("einstein.c11-decomposition-derived") < 1e-7
+    ok &= res.get("einstein.c11-decomposition-printed").effective_status == "printed-form-mismatch"
     a, b, c = fit.min_norm
     g, eta = s1.g0, s1.eta0
     ee = np.einsum('pa,pb->pab', eta, eta)
@@ -270,7 +270,7 @@ def test_criterion_09_hypersurface_suite(e3a_100, e3b_100):
 def test_criterion_10a_quasi_umbilical(synthetic_outcomes):
     """h = -g + eps eta(x)eta exact to 1e-12 across all four configurations,
     100 trials each."""
-    ok = all(out.result.get("quasi-umbilical-exact").residual < 1e-12
+    ok = all(out.result.get("synthetic.quasi-umbilical-exact").residual < 1e-12
              for out in synthetic_outcomes.values())
     assert _announce("10a (quasi-umbilical decomposition)", ok)
 
@@ -290,8 +290,8 @@ def test_criterion_10b_k_recovery(synthetic_outcomes):
     for (eps, n), out in synthetic_outcomes.items():
         ok &= out.k_recovered.shape == (100,)
         ok &= bool(np.max(np.abs(out.k_recovered - (-eps))) < 1e-12)
-        ok &= out.result.get("k-vs-derived").effective_status == "pass"
-        printed = out.result.get("k-vs-printed")
+        ok &= out.result.get("synthetic.k-vs-derived").effective_status == "pass"
+        printed = out.result.get("synthetic.k-vs-printed")
         ok &= printed.effective_status == "printed-form-mismatch"
         ok &= abs(printed.residual - 2.0) < 1e-12
     assert _announce("10b (recovered k = -eps; printed 2 - eps adjudicated)", ok), (
@@ -313,9 +313,9 @@ def test_criterion_10c_ricci_display(synthetic_outcomes):
     trace(phi) = 0, which some eps = -1, n = 3 trials draw."""
     ok = True
     for out in synthetic_outcomes.values():
-        ok &= out.result.get("ricci-vs-derived-form").residual < 1e-10
-        ok &= out.result.get("ricci-vs-printed-form").effective_status == "printed-form-mismatch"
-        ok &= out.result.get("printed-chain-self-consistency").residual < 1e-10
+        ok &= out.result.get("synthetic.ricci-vs-derived-form").residual < 1e-10
+        ok &= out.result.get("synthetic.ricci-vs-printed-form").effective_status == "printed-form-mismatch"
+        ok &= out.result.get("synthetic.printed-chain-self-consistency").residual < 1e-10
     assert _announce("10c (induced Ricci: derived form; printed display adjudicated)", ok), (
         "expected ricci-vs-derived-form below 1e-10, ricci-vs-printed-form marked "
         "printed-form-mismatch, and the printed chain self-consistent below 1e-10"
@@ -329,12 +329,12 @@ def test_criterion_10_remaining_synthetic_invariants(synthetic_outcomes):
     eps a + c = 1 - n."""
     ok = True
     for (eps, n), out in synthetic_outcomes.items():
-        ok &= out.result.get("gauss-vs-derived-display").residual < 1e-10
+        ok &= out.result.get("synthetic.gauss-vs-derived-display").residual < 1e-10
         ok &= bool(np.max(np.abs(out.k_recovered - out.k_recovered[0])) < 1e-12)
-        ok &= out.result.get("einstein-like-fit").residual < 1e-10
-        ok &= out.result.get("eps-a-plus-c").residual < 1e-10
-        ok &= out.result.get("ricci-vs-derived-form").residual < 1e-10
-        ok &= out.result.get("printed-chain-self-consistency").residual < 1e-10
+        ok &= out.result.get("synthetic.einstein-like-fit").residual < 1e-10
+        ok &= out.result.get("synthetic.eps-a-plus-c").residual < 1e-10
+        ok &= out.result.get("synthetic.ricci-vs-derived-form").residual < 1e-10
+        ok &= out.result.get("synthetic.printed-chain-self-consistency").residual < 1e-10
     assert _announce("10d (synthetic invariants that do hold)", ok)
 
 
@@ -347,7 +347,7 @@ def test_criterion_11_negative_controls():
     f0_report = run_suite(get_model("F0"), "curvature", cfg)
     ok &= any(c.id == "curvature.r-xy-xi" and c.status == "fail" for c in f0_report.checks)
     perturbed = synthetic_gauss_check(1, 3, trials=5, seed=SEED, perturb_a=5e-3)
-    ok &= perturbed.result.get("quasi-umbilical-exact").residual > 1e-12
+    ok &= perturbed.result.get("synthetic.quasi-umbilical-exact").residual > 1e-12
     per_suite = {
         "structure": run_suite(get_model("N1"), "structure", cfg).exit_code,
         "sasakian": run_suite(get_model("N1"), "sasakian", cfg).exit_code,

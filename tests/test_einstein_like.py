@@ -128,7 +128,7 @@ class TestCoefficientConstraints:
         assert verify_coefficient_constraints(fit, e1).passed
         res = verify_scalar_ode(fit, e1)
         assert res.passed
-        assert res.residual("eps-a-plus-c") < 1e-9
+        assert res.residual("einstein.eps-a-plus-c") < 1e-9
         a, b, c = fit.min_norm
         assert a + c == pytest.approx(-2.0, abs=1e-9)
         assert 3 * a + b * (-2.0) + c == pytest.approx(-6.0, abs=1e-9)
@@ -138,7 +138,7 @@ class TestCoefficientConstraints:
         assert verify_coefficient_constraints(fit, e2).passed
         res = verify_scalar_ode(fit, e2)
         assert res.passed
-        assert res.residual("eps-a-plus-c") < 1e-8
+        assert res.residual("einstein.eps-a-plus-c") < 1e-8
         a, b, c = fit.min_norm
         assert -a + c == pytest.approx(-2.0, abs=1e-9)
 
@@ -167,7 +167,7 @@ class TestScalarOde:
         assert rhs == pytest.approx(-8.0, abs=1e-12)
         res = verify_scalar_ode(fit, e1)
         assert res.passed
-        assert res.residual("scalar-ode") < 1e-8
+        assert res.residual("einstein.scalar-ode") < 1e-8
 
     def test_e1_div_q_coefficient_vanishes(self, e1):
         """eps(1-n) b + c tr(phi) = -2(2/3) + (-2/3)(-2) = 0, matching
@@ -177,7 +177,7 @@ class TestScalarOde:
         assert (1 - 3) * b + c * (-2.0) == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(e1.curvature.div_q)) < 1e-7
         res = verify_scalar_ode(fit, e1)
-        assert res.residual("div-q-display") < 1e-7
+        assert res.residual("einstein.div-q-display") < 1e-7
 
     def test_e2_ode(self, e2):
         fit = _fit(e2)
@@ -202,7 +202,7 @@ class TestTraceFormula:
         assert e1.trace_phi()[0] == pytest.approx(-2.0, abs=1e-12)
         res = verify_trace_formula(fit, e1)
         assert res.passed
-        assert res.residual("trace-phi-formula") < 1e-8
+        assert res.residual("einstein.trace-phi-formula") < 1e-8
 
     def test_degenerate_member_skipped(self, e1):
         """The family member with t chosen so that b = c = 0 is excluded by
@@ -259,7 +259,7 @@ class TestC11:
 
     def test_s_phi_z_display(self, e1):
         res = verify_c11_identities(compute_c11_phi_r(e1), e1)
-        assert res.residual("s-phi-z-display") < 1e-8
+        assert res.residual("einstein.s-phi-z-display") < 1e-8
 
     def test_decomposition_adjudication_on_e1(self, e1):
         """Minimum-norm member: the re-derived coefficient reproduces
@@ -268,8 +268,8 @@ class TestC11:
         fit = _fit(e1)
         c11 = compute_c11_phi_r(e1)
         res = verify_c11_decomposition(fit, c11, e1)
-        assert res.residual("c11-decomposition-derived") < 1e-7
-        assert res.get("c11-decomposition-printed").effective_status == "printed-form-mismatch"
+        assert res.residual("einstein.c11-decomposition-derived") < 1e-7
+        assert res.get("einstein.c11-decomposition-printed").effective_status == "printed-form-mismatch"
         a, b, c = fit.min_norm
         n, eps = 3, 1
         g, eta = e1.g0, e1.eta0
@@ -297,7 +297,7 @@ class TestC11:
     def test_parallel_along_xi(self, e1):
         fit = _fit(e1)
         res = verify_c11_decomposition(fit, compute_c11_phi_r(e1), e1)
-        assert res.residual("c11-parallel-along-xi") < 1e-7
+        assert res.residual("einstein.c11-parallel-along-xi") < 1e-7
 
 
 class TestLieFormulas:
@@ -315,9 +315,9 @@ class TestLieFormulas:
         form and misses the printed one by exactly 4 eta(x)eta."""
         fit = _fit(e2)
         res = _lie_records(fit, e2)
-        assert res.residual("lie-phi-form-derived") < 1e-8
-        assert res.get("lie-phi-form-printed").effective_status == "printed-form-mismatch"
-        assert res.get("lie-c11-printed").effective_status == "printed-form-mismatch"
+        assert res.residual("lie.lie-phi-form-derived") < 1e-8
+        assert res.get("lie.lie-phi-form-printed").effective_status == "printed-form-mismatch"
+        assert res.get("lie.lie-c11-printed").effective_status == "printed-form-mismatch"
         from paracheck.geometry_engine import lie_derivative
 
         LPhi = lie_derivative(e2.Phi, e2.xi, e2.connection).components[..., 0]
@@ -329,7 +329,7 @@ class TestLieFormulas:
     def test_lie_eta_vanishes(self, e1, e2):
         for s in (e1, e2):
             res = verify_lie_formulas(s)
-            assert res.residual("lie-eta") < 1e-10
+            assert res.residual("lie.lie-eta") < 1e-10
 
     def test_f0_fails_lie_g(self):
         report = run_suite(get_model("F0"), "lie", RunConfig(points=20, seed=7))
@@ -352,14 +352,14 @@ class TestRepresentationIndependence:
                             c=fit.c + fit.family[0][2], residual=fit.residual,
                             gram_rank=fit.gram_rank, family=fit.family)
         res2 = _c11_records(shifted, c11, e1)
-        assert res1.residual("s-phi-z-display") == res2.residual("s-phi-z-display")
-        assert res1.residual("c11-symmetric") == res2.residual("c11-symmetric")
+        assert res1.residual("einstein.s-phi-z-display") == res2.residual("einstein.s-phi-z-display")
+        assert res1.residual("einstein.c11-symmetric") == res2.residual("einstein.c11-symmetric")
 
     def test_family_invariance_of_constraints(self, e1, e2):
         """eps a + c, the ODE, and the trace formula hold for all members at
         t in {-1, 0, 1}."""
         for s in (e1, e2):
             fit = _fit(s)
-            assert verify_scalar_ode(fit, s).residual("eps-a-plus-c") < 1e-9
-            assert verify_scalar_ode(fit, s).residual("scalar-ode") < 1e-8
+            assert verify_scalar_ode(fit, s).residual("einstein.eps-a-plus-c") < 1e-9
+            assert verify_scalar_ode(fit, s).residual("einstein.scalar-ode") < 1e-8
             assert verify_trace_formula(fit, s).passed

@@ -13,10 +13,17 @@ Regenerate the goldens only when the expected output really changes, and
 never from inside pytest:
 
     python tests/test_golden_reports.py
+
+``tests/golden/tolerances.json`` locks the tolerance of every record id these
+requests measure, as dumped once from their reports before tolerances moved
+into ``suites.CHECKS``; regenerating the goldens does not touch it.  Every
+measured record must report exactly that tolerance, and every vacuous or
+not-applicable record 0.0.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -57,14 +64,20 @@ def cases() -> dict[str, dict[str, list[str]]]:
     return out
 
 
-def run_case(argv: list[str]) -> dict:
-    """Exit code, statuses and residuals of one in-process CLI request."""
+@functools.cache
+def run_report(argv: tuple[str, ...]) -> tuple[int, list[dict]]:
+    """Exit code and report records of one in-process CLI request."""
     from paracheck.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        code = main(argv + ["--seed", str(SEED), "--format", "json", "--out", str(out)])
-        checks = json.loads(out.read_text())["checks"] if out.exists() else []
+        code = main([*argv, "--seed", str(SEED), "--format", "json", "--out", str(out)])
+        return code, json.loads(out.read_text())["checks"] if out.exists() else []
+
+
+def run_case(argv: list[str]) -> dict:
+    """Exit code, statuses and residuals of one in-process CLI request."""
+    code, checks = run_report(tuple(argv))
     return {
         "exit": code,
         "status": {c["id"]: c["status"] for c in checks},
@@ -101,6 +114,18 @@ def test_golden_reports(target):
     problems = []
     for name, argv in group.items():
         problems += [f"{name}: {p}" for p in differences(golden[name]["report"], run_case(argv))]
+    assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("target", sorted(cases()))
+def test_tolerances_are_locked(target):
+    locked = json.loads((GOLDEN_DIR / "tolerances.json").read_text())
+    problems = []
+    for name, argv in cases()[target].items():
+        for c in run_report(tuple(argv))[1]:
+            want = 0.0 if c["status"] in ("vacuous", "not-applicable") else locked.get(c["id"])
+            if c["tolerance"] != want:
+                problems.append(f"{name}: {c['id']} ({c['status']}): tolerance {c['tolerance']!r}, locked {want!r}")
     assert not problems, "\n".join(problems)
 
 

@@ -247,7 +247,7 @@ class TestInducedDerivatives:
                                          epsilon=-e3b_data.shape.epsilon, h=e3b_data.shape.h)
 
         res = verify_induced_derivatives(Flipped, _vectors(s.npoints, "E3b-flip"))
-        assert "induced-grad-eta" in res.failed_names()
+        assert "hypersurface.induced-grad-eta" in res.failed_names()
 
 
 class TestAmbient:
@@ -271,7 +271,7 @@ class TestAmbient:
                                rng.uniform(-1, 1, 6), rng.uniform(0.5, 2.0, 6)])
         res = check_ambient(AmbientJets(amb, pts))
         assert res.passed
-        assert res.residual("ambient-j-parallel") < 1e-8
+        assert res.residual("hypersurface.ambient-j-parallel") < 1e-8
 
     def test_gauss_equation_consistency(self, e3a_data, e3b_data):
         assert gauss_consistency_residual(e3a_data) < 1e-6
@@ -283,7 +283,7 @@ class TestCharacterization:
         vec = _vectors(e3b_data.points.shape[0], "E3b-char")
         res = check_ps_characterization(e3b_data, vec)
         assert res.passed
-        assert res.residual("characterization-iff") == 0.0
+        assert res.residual("hypersurface.characterization-iff") == 0.0
 
     def test_hyperplane_iff_both_sides_false(self, e3a_data):
         res = check_ps_characterization(e3a_data, _vectors(e3a_data.points.shape[0], "E3a-char"))
@@ -357,7 +357,7 @@ class TestQuasiUmbilical:
         shape = ShapeData(A=A[None], N=np.zeros((1, 5)), epsilon=eps, h=h[None])
         res = quasi_umbilical_check(shape, struct)
         assert res.passed
-        assert res.residual("quasi-umbilical") < 1e-12
+        assert res.residual("hypersurface.quasi-umbilical") < 1e-12
 
     def test_hyperplane_not_applicable(self):
         cfg = RunConfig(points=10, seed=7, hypersurface_subset="characterization")
@@ -383,17 +383,17 @@ class TestSyntheticGauss:
     def test_trials(self, eps, n):
         out = synthetic_gauss_check(eps, n, trials=25, seed=42)
         res = out.result
-        assert res.get("quasi-umbilical-exact").residual < 1e-12
-        assert res.get("gauss-vs-derived-display").residual < 1e-10
-        assert res.get("gauss-vs-printed-display").effective_status == "printed-form-mismatch"
+        assert res.get("synthetic.quasi-umbilical-exact").residual < 1e-12
+        assert res.get("synthetic.gauss-vs-derived-display").residual < 1e-10
+        assert res.get("synthetic.gauss-vs-printed-display").effective_status == "printed-form-mismatch"
         # the xi identity on the computed reduction forces k = -eps, every trial
         assert np.max(np.abs(out.k_recovered - (-eps))) < 1e-10
-        assert res.get("k-vs-printed").effective_status == "printed-form-mismatch"
-        assert abs(res.get("k-vs-printed").residual - abs(-eps - (2 - eps))) < 1e-10
-        assert res.get("ricci-vs-derived-form").residual < 1e-10
-        assert res.get("printed-chain-self-consistency").residual < 1e-10
-        assert res.get("eps-a-plus-c").residual < 1e-10
-        assert res.get("einstein-like-fit").residual < 1e-10
+        assert res.get("synthetic.k-vs-printed").effective_status == "printed-form-mismatch"
+        assert abs(res.get("synthetic.k-vs-printed").residual - abs(-eps - (2 - eps))) < 1e-10
+        assert res.get("synthetic.ricci-vs-derived-form").residual < 1e-10
+        assert res.get("synthetic.printed-chain-self-consistency").residual < 1e-10
+        assert res.get("synthetic.eps-a-plus-c").residual < 1e-10
+        assert res.get("synthetic.einstein-like-fit").residual < 1e-10
 
     def test_axioms_of_random_structures(self, rng):
         for eps in (1, -1):
@@ -409,11 +409,11 @@ class TestSyntheticGauss:
 
     def test_perturbed_negative_control(self):
         out = synthetic_gauss_check(1, 3, trials=5, seed=42, perturb_a=5e-3)
-        assert out.result.get("quasi-umbilical-exact").residual > 1e-12
+        assert out.result.get("synthetic.quasi-umbilical-exact").residual > 1e-12
 
     def test_k_input_restriction(self):
         out = synthetic_gauss_check(1, 3, trials=3, seed=1, k_input=2.0)
-        assert out.result.get("gauss-vs-derived-display").residual < 1e-10
+        assert out.result.get("synthetic.gauss-vs-derived-display").residual < 1e-10
 
     def test_trials_do_not_depend_on_their_block(self):
         """Trial t gives the same k and k residual, bit for bit, whether it
@@ -462,9 +462,7 @@ class TestSyntheticGauss:
                 expected += 1
         out = synthetic_gauss_check(eps, n, trials, seed)
         assert 0 < out.resampled == expected
-        for c in out.result.checks:
-            if c.status is None:
-                assert c.effective_status == "pass", c.name
+        assert out.result.passed, out.result.failed_names()
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 1999])
     def test_signature_signs_draw_as_choice_does(self, seed):

@@ -14,6 +14,7 @@ from paracheck.models import (
     get_model,
     validate_model,
 )
+from paracheck.suites import RunConfig, run_suite
 
 
 class TestBuiltins:
@@ -108,6 +109,22 @@ class TestManifestRoundTrip:
             loaded = load_manifest(path)
             assert isinstance(loaded, HypersurfaceBundle)
             assert loaded == bundle
+
+    def test_old_curvature_constant_key_is_ignored(self, tmp_path):
+        """A bundle manifest written when the ambient carried a curvature
+        constant still loads, its key ignored like any unknown key, and its
+        request reports what the builtin bundle does."""
+        path = tmp_path / "E3a.json"
+        save_manifest(get_bundle("E3a"), path)
+        doc = json.loads(path.read_text())
+        doc["ambient"]["curvature_constant"] = "junk"
+        path.write_text(json.dumps(doc))
+        loaded = load_manifest(path)
+        assert loaded == get_bundle("E3a")
+        cfg = RunConfig(points=5, seed=3)
+        got, want = run_suite(loaded, "all", cfg), run_suite(get_bundle("E3a"), "all", cfg)
+        assert [(c.id, c.status, c.residual) for c in got.checks] == [
+            (c.id, c.status, c.residual) for c in want.checks]
 
     def test_flat_row_major_metric_accepted(self, tmp_path):
         doc = manifest_dict(builtin_models()["E1"])

@@ -62,15 +62,15 @@ class TestCheckAxioms:
         before normalization."""
         res = check_axioms(n1, vectors(n1))
         assert not res.passed
-        assert "phi-squared" in res.failed_names()
-        assert 5e-3 < res.residual("phi-squared") < 5e-2
+        assert "structure.phi-squared" in res.failed_names()
+        assert 5e-3 < res.residual("structure.phi-squared") < 5e-2
 
     def test_axiom_names_are_the_seven_displays(self, e1, vectors):
         res = check_axioms(e1, vectors(e1))
-        assert [c.name for c in res.checks] == [
+        assert [c.id for c in res.checks] == [f"structure.{name}" for name in (
             "phi-squared", "eta-of-xi", "phi-of-xi", "eta-after-phi",
             "metric-compatibility", "phi-self-adjoint", "metric-xi-eta",
-        ]
+        )]
 
 
 class TestCheckParaSasakian:
@@ -83,7 +83,7 @@ class TestCheckParaSasakian:
     def test_f0_fails(self, f0, vectors):
         res = check_para_sasakian(f0, vectors(f0))
         assert not res.passed
-        assert "grad-xi" in res.failed_names()
+        assert "sasakian.grad-xi" in res.failed_names()
 
     def test_n1_fails(self, n1, vectors):
         res = check_para_sasakian(n1, vectors(n1))
@@ -112,7 +112,7 @@ class TestCurvatureIdentities:
         """R = 0 on the flat chart, so R(X,Y)xi = eta(X)Y - eta(Y)X cannot
         hold; the residual is the size of the right side."""
         res = check_ps_curvature_identities(f0, vectors(f0))
-        assert "r-xy-xi" in res.failed_names()
+        assert "curvature.r-xy-xi" in res.failed_names()
 
     def test_closed_form_oracle_constant_curvature(self, e1, e2, vectors):
         """Substituting R(X,Y)Z = -eps (g(Y,Z)X - g(X,Z)Y), the closed form
@@ -160,4 +160,5 @@ class TestNegativeControlDiscipline:
 
     def test_gaps_exposed_for_suite_reuse(self, e1, vectors):
         gaps = ps_curvature_gaps(e1, vectors(e1))
-        assert set(gaps) == {"r-xy-xi", "r-xy-phi-z", "ricci-phi-symmetric", "ricci-xi"}
+        assert set(gaps) == {"curvature.r-xy-xi", "curvature.r-xy-phi-z", "curvature.ricci-phi-symmetric",
+                             "curvature.ricci-xi"}

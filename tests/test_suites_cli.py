@@ -2,16 +2,20 @@
 and the negative-control fixtures for every suite."""
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from paracheck import paracontact_core, suites
+from paracheck.cli import main
+from paracheck.einstein_like import EinsteinLikeFit
 from paracheck.manifest import save_manifest
 from paracheck.models import get_model
-from paracheck.hypersurface_lab import get_bundle
-from paracheck.report import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK
+from paracheck.hypersurface_lab import get_bundle, synthetic_gauss_check
+from paracheck.report import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, new_report, status_of
 from paracheck.paracontact_core import ParacontactStructure
 from paracheck.suites import CHECKS, RunConfig, run_suite, run_synthetic
 
@@ -103,6 +107,8 @@ class TestRunSuite:
 
         emitted = set()
         for path in (Path(__file__).parent / "golden").glob("*.json"):
+            if path.name == "tolerances.json":
+                continue
             for case in json.loads(path.read_text()).values():
                 emitted |= set(case["report"]["status"])
         assert emitted == set(CHECKS)
@@ -171,6 +177,115 @@ class TestReportSchema:
         assert loose.exit_code == EXIT_OK
 
 
+class TestStatusRule:
+    @pytest.mark.parametrize("residual,tol,informational,status", [
+        (0.0, 1e-9, False, "pass"), (1e-9, 1e-9, False, "pass"), (2e-9, 1e-9, False, "fail"),
+        (1e-9, 1e-9, True, "pass"), (2e-9, 1e-9, True, "printed-form-mismatch"),
+        (math.nan, 1e-9, False, "fail"), (math.nan, 1e-9, True, "fail"),
+        (math.inf, 1e300, False, "fail"), (math.inf, 1e300, True, "fail"), (-math.inf, 1e-9, True, "fail"),
+    ])
+    def test_status_of(self, residual, tol, informational, status):
+        assert status_of(residual, tol, informational) == status
+
+    def test_record_with_nothing_measured_keeps_its_status_at_tolerance_zero(self):
+        report = run_suite(get_model("E1"), "einstein", RunConfig(points=5, seed=7, tol_scale=1e3))
+        (c,) = [c for c in report.checks if c.id == "einstein.fit-stability"]
+        assert (c.status, c.residual, c.tolerance) == ("not-applicable", 0.0, 0.0)
+
+    def test_informational_rows_are_the_printed_variants(self):
+        assert sorted(cid for cid, row in CHECKS.items() if row.informational) == [
+            "einstein.c11-decomposition-printed", "lie.lie-c11-printed", "lie.lie-phi-form-printed",
+            "synthetic.gauss-vs-printed-display", "synthetic.k-vs-printed", "synthetic.ricci-vs-printed-form"]
+
+    def test_informational_records_never_fail_at_a_tight_scale(self):
+        """At eps = +1 the printed Lie displays agree with the re-derived ones;
+        at --tol-scale 1e-9 both miss, and the printed ones report
+        printed-form-mismatch, not fail."""
+        report = run_suite(get_model("E1"), "lie", RunConfig(points=10, seed=42, tol_scale=1e-9))
+        printed = {c.id: c.status for c in report.checks if CHECKS[c.id].informational}
+        assert printed == {"lie.lie-c11-printed": "printed-form-mismatch",
+                           "lie.lie-phi-form-printed": "printed-form-mismatch"}
+
+    def test_printed_records_pass_within_a_loose_scale(self):
+        """At eps = -1 the printed Lie displays miss by about 1 and 5; at
+        --tol-scale 1e9 their tolerances are 10 and 100, so both pass."""
+        report = run_suite(get_model("E2"), "lie", RunConfig(points=10, seed=42, tol_scale=1e9))
+        printed = {c.id: (c.status, c.residual > 0.5) for c in report.checks if CHECKS[c.id].informational}
+        assert printed == {"lie.lie-c11-printed": ("pass", True), "lie.lie-phi-form-printed": ("pass", True)}
+        assert report.exit_code == EXIT_OK
+
+
+def _strict_json(text: str) -> dict:
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _json_run(tmp_path, *argv) -> tuple[int, dict]:
+    """Exit code and strictly parsed JSON report of one in-process CLI request."""
+    out = tmp_path / "report.json"
+    code = main([*argv, "--format", "json", "--out", str(out)])
+    return code, {c["id"]: c for c in _strict_json(out.read_text())["checks"]}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+class TestNonFiniteResiduals:
+    """A NaN or inf residual anywhere fails its record, exits 1, and is
+    written as 1e300 in strict JSON; each reduction over residuals keeps it."""
+
+    def test_chart_record(self, tmp_path, monkeypatch, bad):
+        gaps = paracontact_core.ps_curvature_gaps
+        monkeypatch.setattr(paracontact_core, "ps_curvature_gaps",
+                            lambda *a: {**gaps(*a), "curvature.ricci-xi": bad})
+        code, checks = _json_run(tmp_path, "check", "E1", "--suite", "curvature", "--points", "5")
+        assert code == EXIT_CHECK_FAILED
+        assert checks["curvature.ricci-xi"]["status"] == "fail"
+        assert checks["curvature.ricci-xi"]["residual"] == 1e300
+        assert checks["curvature.r-xy-xi"]["status"] == "pass"
+
+    def test_non_first_fit_family_member(self, tmp_path, monkeypatch, bad):
+        members = EinsteinLikeFit.members
+        monkeypatch.setattr(EinsteinLikeFit, "members",
+                            lambda self: [m if k != 1 else np.full(3, bad) for k, m in enumerate(members(self))])
+        code, checks = _json_run(tmp_path, "check", "E1", "--suite", "all", "--points", "6")
+        assert code == EXIT_CHECK_FAILED
+        for cid in ("einstein.ricci-xi-display", "einstein.scalar-ode", "einstein.trace-phi-formula",
+                    "einstein.c11-decomposition-derived", "einstein.c11-decomposition-printed",
+                    "lie.lie-ricci", "lie.lie-c11-printed"):
+            assert (checks[cid]["status"], checks[cid]["residual"]) == ("fail", 1e300), cid
+
+    def test_para_sasakian_gate_value(self, tmp_path, monkeypatch, bad):
+        check = suites.check_para_sasakian
+
+        def broken(*args):
+            res = check(*args)
+            res.get("sasakian.grad-eta").residual = bad
+            return res
+
+        monkeypatch.setattr(suites, "check_para_sasakian", broken)
+        code, checks = _json_run(tmp_path, "check", "E1", "--suite", "all", "--points", "6")
+        assert code == EXIT_CHECK_FAILED
+        assert (checks["sasakian.grad-eta"]["status"], checks["sasakian.grad-eta"]["residual"]) == ("fail", 1e300)
+        gated = [cid for cid, row in CHECKS.items() if "para-sasakian" in row.gates]
+        assert gated
+        for cid in gated:
+            assert checks[cid]["status"] == "not-applicable", cid
+            assert checks[cid]["detail"].startswith(f"gate para-sasakian: defining-equation residual {bad:.3e}")
+
+    def test_synthetic_block(self, bad):
+        outcome = synthetic_gauss_check(1, 3, 2, 42, perturb_a=bad)
+        report = new_report("synthetic", "synthetic", 42, 2)
+        suites._merge(report, 1.0, outcome.result)
+        assert report.exit_code == EXIT_CHECK_FAILED
+        checks = {c["id"]: c for c in _strict_json(report.to_json())["checks"]}
+        # the printed chain's self-consistency does not read the planted operator
+        assert checks.pop("synthetic.printed-chain-self-consistency")["status"] == "pass"
+        assert {(c["status"], c["residual"]) for c in checks.values()} == {("fail", 1e300)}
+        assert len(checks) == 9
+
+
 def _cli(*args):
     proc = subprocess.run([sys.executable, "-m", "paracheck.cli", *args],
                           capture_output=True, text=True)
@@ -236,11 +351,25 @@ class TestCli:
         assert str(path) in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_points_below_one_is_input_error(self, points):
-        proc = _cli("check", "E1", "--suite", "einstein", "--points", points)
+    @pytest.mark.parametrize("argv,message", [
+        (("check", "E1", "--suite", "einstein", "--points", "0"), "points must be >= 1"),
+        (("check", "E1", "--suite", "einstein", "--points", "-3"), "points must be >= 1"),
+        (("check", "E1", "--suite", "structure", "--tol-scale", "nan"), "--tol-scale must be a finite number > 0"),
+        (("check", "E1", "--suite", "structure", "--tol-scale", "-1"), "--tol-scale must be a finite number > 0"),
+        (("hypersurface", "E3a", "--tol-scale", "0"), "--tol-scale must be a finite number > 0"),
+        (("synthetic", "--tol-scale", "inf"), "--tol-scale must be a finite number > 0"),
+        (("synthetic", "--perturb-a", "nan"), "--perturb-a must be finite"),
+        (("synthetic", "--perturb-a", "inf"), "--perturb-a must be finite"),
+    ], ids=["points-0", "points-negative", "tol-scale-nan", "tol-scale-negative", "tol-scale-0",
+            "tol-scale-inf", "perturb-a-nan", "perturb-a-inf"])
+    def test_bad_run_option_is_input_error(self, argv, message):
+        """A run option out of its range is a one-line input error: exit 2,
+        no traceback."""
+        proc = _cli(*argv)
         assert proc.returncode == EXIT_INPUT_ERROR
-        assert "points must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_manifest_domain_error_is_input_error(self, tmp_path):
         """A metric entry outside its domain at a validation point is a
