@@ -4,7 +4,7 @@
     paracheck check <model|manifest.json> --suite all [--points N] [--seed S]
                     [--tol-scale X] [--format json|text] [--out PATH]
     paracheck hypersurface <bundle|manifest.json> --suite induced|gauss|characterization|all
-    paracheck synthetic --epsilon +1 --dim 3 --trials 100 --seed 42
+    paracheck synthetic --epsilon +1 --dim 3 --trials 100 --seed 42   (3 <= dim <= 40)
 
 Exit codes: 0 when no check failed, 1 when any check failed, 2 on
 input/validation errors (unknown model or suite, malformed manifest).

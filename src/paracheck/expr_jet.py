@@ -2,8 +2,8 @@
 arithmetic.
 
 An expression is parsed once against a declared coordinate list and can then
-be evaluated either numerically or as jets: truncated multivariate Taylor
-expansions
+be evaluated as jets (tests/fd_oracle.py keeps a plain numeric evaluator as an
+independent oracle): truncated multivariate Taylor expansions
 
     coeffs[alpha] = (d^alpha f / alpha!)(center),   |alpha| <= order,
 
@@ -549,42 +549,3 @@ def eval_expr(expr: ScalarExpr, space: JetSpace, coord_jets: Sequence[np.ndarray
         raise TypeError(f"unknown node {node!r}")
 
     return rec(expr)
-
-
-def eval_expr_numeric(expr: ScalarExpr, point: Sequence[float]) -> float:
-    """Plain numeric evaluation (no jets)."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        return float(point[expr.index])
-    if isinstance(expr, Neg):
-        return -eval_expr_numeric(expr.arg, point)
-    if isinstance(expr, BinOp):
-        a = eval_expr_numeric(expr.left, point)
-        b = eval_expr_numeric(expr.right, point)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if b == 0:
-            raise JetDomainError("division by zero", tuple(point))
-        return a / b
-    if isinstance(expr, Pow):
-        base = eval_expr_numeric(expr.base, point)
-        if base == 0 and expr.exponent < 0:
-            raise JetDomainError("division by zero", tuple(point))
-        if base < 0 and not float(expr.exponent).is_integer():
-            raise JetDomainError(f"non-integer power {expr.exponent} of a negative value", tuple(point))
-        return base ** expr.exponent
-    if isinstance(expr, Call):
-        a = eval_expr_numeric(expr.arg, point)
-        if expr.func == "ln":
-            if a <= 0:
-                raise JetDomainError("ln of non-positive value", tuple(point))
-            return math.log(a)
-        if expr.func == "sqrt" and a < 0:
-            raise JetDomainError("sqrt of negative value", tuple(point))
-        return getattr(math, expr.func)(a)
-    raise TypeError(f"unknown node {expr!r}")

@@ -20,7 +20,7 @@ normative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .paracontact_core import (
     pair,
     residual_norm,
 )
-from .sampling import derive_rng
+from .sampling import _seed, derive_states
 from .tensor_algebra import TensorValue, degenerate, invert_jet_matrix
 
 # The ambient g~ is evaluated to order 2: the Gauss check reads R~ values,
@@ -45,6 +45,7 @@ AMBIENT_METRIC_ORDER = 2
 LIGHTLIKE_FLOOR = 1e-6
 COMPONENT_SIGN_FLOOR = 1e-8
 SYNTHETIC_DET_FLOOR = 1e-4     # a synthetic trial's g with |det g| at most this is redrawn
+SYNTHETIC_MAX_DIM = 40         # synthetic memory grows as n^4: a request peaks near 173 MB at n = 40
 PS_POINT_THRESHOLD = 1e-7      # the characterization calls a point para-Sasakian when its rho is at most this
 # synthetic trials are drawn in blocks of max(1, _BLOCK_ELEMENTS // n**3) and evaluated in blocks
 # of max(1, _BLOCK_ELEMENTS // n**4), so the chain's full (trials, n, n, n, n) arrays stay near 128 KB
@@ -463,65 +464,61 @@ def _rand_orth(Z: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _pointwise_structures(rngs: list[np.random.Generator], n: int, epsilon: int,
-                          plus_dim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One random (g, phi, xi, eta) per generator, stacked on a leading
-    trial axis; see random_pointwise_structure.
+def _draw_trial(rng: np.random.Generator, n: int, plus_dim: int | None = None) -> tuple:
+    """One trial's raw draws, in stream order: the +1 eigenspace dimension p
+    (unless given), then normal, uniform and integers for each nonempty block
+    of ker eta (dimensions p and n-1-p), then normal, uniform, normal for the
+    frame change L.  The integers are the signs, still raw."""
+    p = min(int(rng.integers(0, n)) if plus_dim is None else plus_dim, n - 1)
+    blocks = [(rng.standard_normal((k, k)), rng.uniform(0.5, 2.0, k), rng.integers(0, 2, k))
+              for k in (p, n - 1 - p) if k]
+    return p, blocks, (rng.standard_normal((n, n)), rng.uniform(0.75, 1.35, n), rng.standard_normal((n, n)))
 
-    Each generator draws its raw numbers in a fixed order: the +1 eigenspace
-    dimension p (unless given), then normal, uniform and integers for the
-    p-block, the same for the q-block, then normal, uniform, normal for the
-    frame change L.  The QRs, products and inverses then run on the whole
-    stack, the blocks grouped by p, so a trial's structure does not depend on the
-    other trials drawn with it.
-    """
-    ps, blocks, frames = [], [], []
-    for rng in rngs:
-        p = int(rng.integers(0, n)) if plus_dim is None else plus_dim
-        p = min(p, n - 1)
-        ps.append(p)
-        # symmetric blocks Q diag(w) Q^T with random signature, skipped when empty
-        blocks.append([(rng.standard_normal((k, k)),
-                        rng.uniform(0.5, 2.0, k) * np.where(rng.integers(0, 2, k) == 1, 1.0, -1.0))
-                       if k else None for k in (p, n - 1 - p)])
-        frames.append((rng.standard_normal((n, n)), rng.uniform(0.75, 1.35, n), rng.standard_normal((n, n))))
-    ps = np.array(ps)
+
+def _assemble_structures(draws: list[tuple], n: int,
+                         epsilon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One (g, phi, xi, eta) per _draw_trial draw, stacked on a leading trial
+    axis and satisfying the structure axioms: built in the canonical frame (phi
+    diagonal +-1 on ker eta, g block diagonal Q diag(w) Q^T with random
+    signature) and conjugated by L.  The QRs, products and inverses run on the
+    whole stack, the blocks grouped by p, so a trial's structure does not
+    depend on the other trials drawn with it."""
+    ps = np.array([d[0] for d in draws])
     T = len(ps)
+    # each trial's blocks hold n - 1 weights between them, so one where signs all of them
+    raw = [b for d in draws for b in d[1]]
+    w = np.concatenate([b[1] for b in raw]) * np.where(np.concatenate([b[2] for b in raw]) == 1, 1.0, -1.0)
+    w = w.reshape(T, n - 1)
     g0 = np.zeros((T, n, n))
     g0[:, -1, -1] = epsilon
     phi0 = np.zeros((T, n, n))
     for p in sorted(set(ps.tolist())):
         idx = np.flatnonzero(ps == p)
         phi0[idx] = np.diag([1.0] * p + [-1.0] * (n - 1 - p) + [0.0])
-        for j, (lo, hi) in enumerate(((0, p), (p, n - 1))):
-            if hi > lo:
-                Q = _rand_orth(np.stack([blocks[t][j][0] for t in idx]))
-                w = np.stack([blocks[t][j][1] for t in idx])
-                g0[idx, lo:hi, lo:hi] = (Q * w[:, None, :]) @ np.swapaxes(Q, 1, 2)
+        for j, (lo, hi) in enumerate(b for b in ((0, p), (p, n - 1)) if b[1] > b[0]):
+            Q = _rand_orth(np.stack([draws[t][1][j][0] for t in idx]))
+            g0[idx, lo:hi, lo:hi] = (Q * w[idx, lo:hi][:, None, :]) @ np.swapaxes(Q, 1, 2)
     # generic but well-conditioned change of frame L = Q1 diag(d) Q2
-    Z1, d, Z2 = (np.stack(f) for f in zip(*frames))
+    Z1, d, Z2 = (np.stack(f) for f in zip(*(trial[2] for trial in draws)))
     L = (_rand_orth(Z1) * d[:, None, :]) @ _rand_orth(Z2)
     Linv = np.linalg.inv(L)
     # xi = L e_n and eta = e_n^T L^-1, since xi and eta are e_n in the canonical frame
     return np.swapaxes(Linv, 1, 2) @ g0 @ Linv, L @ phi0 @ Linv, L[:, :, -1].copy(), Linv[:, -1, :].copy()
 
 
-def random_pointwise_structure(rng: np.random.Generator, n: int, epsilon: int,
-                               plus_dim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Random (g, phi, xi, eta) satisfying the structure axioms at a point.
-
-    Built in the canonical frame (phi diagonal +-1 on ker eta, metric block
-    diagonal) and conjugated by a random invertible map, so components are
-    generic.  Returns numeric arrays (g, phi, xi, eta).
-    """
-    return tuple(a[0] for a in _pointwise_structures([rng], n, epsilon, plus_dim))
+@cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), built once per n; read-only, since every caller shares it."""
+    xs, ys = np.triu_indices(n, 1)
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
 
 def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pattern a(Y,Z) b(X,W) - a(X,Z) b(Y,W) in classical order [x,y,z,w], per trial, on the pairs
     x = xs[p] < y = ys[p] of np.triu_indices(n, 1): (T, n, n) operands, a (T, n(n-1)/2, n, n) result.
     The full pattern is antisymmetric in (x, y) bit for bit, fl(p - q) = -fl(q - p), and 0 at x = y."""
-    xs, ys = np.triu_indices(a.shape[-1], 1)
+    xs, ys = _pairs(a.shape[-1])
     return a[:, ys, :, None] * b[:, xs, None, :] - a[:, xs, :, None] * b[:, ys, None, :]
 
 
@@ -542,7 +539,7 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     full one bit for bit.  Ricci rebuilds the full tensor with one signed gather.  Every maximum
     propagates NaN."""
     T, n = g.shape[:2]
-    xs, ys = np.triu_indices(n, 1)
+    xs, ys = _pairs(n)
     pair_of = np.zeros((n, n), dtype=int)
     pair_of[xs, ys] = pair_of[ys, xs] = np.arange(xs.size)
     sign = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None])[:, :, None, None]  # +1 where x < y
@@ -559,11 +556,13 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     M1 = Wgg + WPP                               # coefficient of k
     M0 = epsilon * _wedge(h, h)
     cross = -(_wedge(g, ee) + _wedge(ee, g))      # the eta-cross term
+    eps_cross = epsilon * cross
     worst["gauss-vs-derived-display"] = worst["gauss-vs-printed-display"] = 0.0
     for k in ks:
         Rk = k * M1 + M0
-        derived = (k + epsilon) * Wgg + k * WPP + cross
-        printed = (k - 1) * Wgg + k * WPP + epsilon * cross
+        kP = k * WPP
+        derived = (k + epsilon) * Wgg + kP + cross
+        printed = (k - 1) * Wgg + kP + eps_cross
         worst["gauss-vs-derived-display"] = np.maximum(worst["gauss-vs-derived-display"], np.max(np.abs(Rk - derived)))
         worst["gauss-vs-printed-display"] = np.maximum(worst["gauss-vs-printed-display"], np.max(np.abs(Rk - printed)))
 
@@ -625,6 +624,9 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     Trial t draws from its own stream derive_rng(seed, "synthetic-gauss",
     eps + 1, n, t), redrawing while |det g| <= SYNTHETIC_DET_FLOOR; the
     trials are drawn and evaluated in blocks, so no record depends on a block size.
+    A block's streams are seeded in one derive_states pass and drawn through one
+    reused generator; a trial rejected k times is reseeded from its row and drawn
+    k + 1 times, keeping the last draw, as its own generator would give it.
     """
     if n < 3:
         raise ValueError("synthetic check needs n >= 3")
@@ -636,14 +638,23 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     resampled = 0
     worst: dict[str, float] = {}
     draw_block, chain_block = (max(1, _BLOCK_ELEMENTS // n ** e) for e in (3, 4))
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+
+    def draw(row: np.ndarray, times: int = 1) -> tuple:
+        _seed(bitgen, row)
+        return [_draw_trial(rng, n) for _ in range(times)][-1]
+
     for start in range(0, trials, draw_block):
         stop = min(start + draw_block, trials)
-        rngs = [derive_rng(seed, "synthetic-gauss", epsilon + 1, n, t) for t in range(start, stop)]
-        drawn = _pointwise_structures(rngs, n, epsilon)
+        rows = derive_states(seed, "synthetic-gauss", epsilon + 1, n, counters=range(start, stop))
+        drawn = _assemble_structures([draw(row) for row in rows], n, epsilon)
         redraw = np.flatnonzero(np.abs(np.linalg.det(drawn[0])) <= SYNTHETIC_DET_FLOOR)
+        times = 1
         while redraw.size:
             resampled += redraw.size
-            again = _pointwise_structures([rngs[i] for i in redraw], n, epsilon)
+            times += 1
+            again = _assemble_structures([draw(rows[i], times) for i in redraw], n, epsilon)
             for arr, new in zip(drawn, again):
                 arr[redraw] = new
             redraw = redraw[np.abs(np.linalg.det(again[0])) <= SYNTHETIC_DET_FLOOR]

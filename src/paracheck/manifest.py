@@ -30,8 +30,8 @@ intervals, and agreement of the declared index with the computed inertia at
 ten sampled points.  A bundle is checked at load for its shape and expression syntax
 only; the request's own evaluation of the bundle validates the embedding
 (rank, domain, a lightlike normal) and fails with an input error naming the
-file.  Errors name the file and carry positions (JSON line/column, or the
-offending expression position) so a malformed file diagnoses itself.
+file.  Errors name the file, the field (``<path>: xi: ...``) and positions
+(JSON line/column, or the expression position) so a file diagnoses itself.
 """
 
 from __future__ import annotations
@@ -61,16 +61,32 @@ def _grid(flat, n, what: str) -> list[list[str]]:
     return rows
 
 
-_JSON_TYPES = {list: "array", dict: "object"}
+_JSON_TYPES = {list: "array", dict: "object", int: "integer"}
 
 
-def _require(doc: dict, key: str, what: str, kind: type | None = None):
+def _require(doc: dict, field: str, kind: type | None = None):
+    """doc's value at the last part of the dotted field, of JSON type kind if given."""
+    key = field.rsplit(".", 1)[-1]
     if key not in doc:
-        raise ManifestError(f"{what} is missing required field {key!r}")
-    if kind is not None and not isinstance(doc[key], kind):
-        raise ManifestError(f"{what} field {key!r} must be a JSON {_JSON_TYPES[kind]}, "
-                            f"got {json.dumps(doc[key])}")
+        raise ManifestError(f"{field}: missing required field")
+    if kind is not None and (not isinstance(doc[key], kind) or isinstance(doc[key], bool)):
+        raise ManifestError(f"{field}: must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(doc[key])}")
     return doc[key]
+
+
+def _names(doc: dict, field: str) -> list[str]:
+    names = [str(c) for c in _require(doc, field, list)]
+    if len(set(names)) != len(names):
+        raise ManifestError(f"{field}: coordinate names must be distinct, got {json.dumps(names)}")
+    return names
+
+
+def _vector(doc: dict, field: str, n: int) -> list[str] | None:
+    if doc.get(field) is None:
+        return None
+    if len(_require(doc, field, list)) != n:
+        raise ManifestError(f"{field}: must have {n} entries, got {len(doc[field])}")
+    return [str(s) for s in doc[field]]
 
 
 def _domain(raw, n: int, what: str) -> list[tuple[float, float]]:
@@ -103,35 +119,35 @@ def _parse(doc: dict, source: str) -> ManifoldModel | HypersurfaceBundle:
     kind = doc.get("kind", "bundle" if "ambient" in doc else "model")
     name = str(doc.get("name", Path(source).stem))
     if kind == "model":
-        n = int(_require(doc, "dim", "model"))
-        coords = [str(c) for c in _require(doc, "coords", "model", list)]
+        n = _require(doc, "dim", int)
+        coords = _names(doc, "coords")
         model = ManifoldModel(
             name=name,
             dim=n,
             coords=coords,
-            epsilon=int(_require(doc, "epsilon", "model")),
-            index=int(_require(doc, "index", "model")),
-            metric=_grid(_require(doc, "metric", "model", list), n, "metric"),
+            epsilon=_require(doc, "epsilon", int),
+            index=_require(doc, "index", int),
+            metric=_grid(_require(doc, "metric", list), n, "metric"),
             phi=_grid(doc["phi"], n, "phi") if doc.get("phi") is not None else None,
-            xi=[str(s) for s in doc["xi"]] if doc.get("xi") is not None else None,
-            eta=[str(s) for s in doc["eta"]] if doc.get("eta") is not None else None,
-            domain=_domain(_require(doc, "domain", "model", list), n, "model"),
+            xi=_vector(doc, "xi", n),
+            eta=_vector(doc, "eta", n),
+            domain=_domain(_require(doc, "domain", list), n, "model"),
             description=str(doc.get("description", "")),
         )
         validate_model(model)
         return model
     if kind == "bundle":
-        amb_doc = _require(doc, "ambient", "bundle", dict)
-        emb_doc = _require(doc, "embedding", "bundle", dict)
-        N = int(_require(amb_doc, "dim", "ambient"))
+        amb_doc = _require(doc, "ambient", dict)
+        emb_doc = _require(doc, "embedding", dict)
+        N = _require(amb_doc, "ambient.dim", int)
         ambient = AmbientProductModel(
             dim=N,
-            coords=[str(c) for c in _require(amb_doc, "coords", "ambient", list)],
-            metric=_grid(_require(amb_doc, "metric", "ambient", list), N, "ambient metric"),
-            J=_grid(_require(amb_doc, "J", "ambient", list), N, "ambient J"),
+            coords=_names(amb_doc, "ambient.coords"),
+            metric=_grid(_require(amb_doc, "ambient.metric", list), N, "ambient metric"),
+            J=_grid(_require(amb_doc, "ambient.J", list), N, "ambient J"),
         )
-        coords = [str(c) for c in _require(emb_doc, "coords", "embedding", list)]
-        emb_map = [str(s) for s in _require(emb_doc, "map", "embedding", list)]
+        coords = _names(emb_doc, "embedding.coords")
+        emb_map = [str(s) for s in _require(emb_doc, "embedding.map", list)]
         if len(emb_map) != N:
             raise ManifestError(f"embedding map must have {N} component expressions, got {len(emb_map)}")
         if len(coords) != N - 1:
@@ -139,8 +155,8 @@ def _parse(doc: dict, source: str) -> ManifoldModel | HypersurfaceBundle:
         embedding = Embedding(
             coords=coords,
             map=emb_map,
-            domain=_domain(_require(emb_doc, "domain", "embedding", list), N - 1, "embedding"),
-            orientation=int(emb_doc.get("orientation", 1)),
+            domain=_domain(_require(emb_doc, "embedding.domain", list), N - 1, "embedding"),
+            orientation=_require(emb_doc, "embedding.orientation", int) if "orientation" in emb_doc else 1,
         )
         bundle = HypersurfaceBundle(name=name, ambient=ambient, embedding=embedding,
                                     description=str(doc.get("description", "")))

@@ -3,25 +3,74 @@
 All randomness in a run flows from one master seed: every consumer derives
 its own counter-mode stream from (seed, purpose keys), so identical configs
 reproduce byte-identical reports regardless of evaluation order.
+
+derive_rng defines a stream.  derive_states gives the seed words of the
+streams of many counters in one vectorized pass, and _seed sets a reused
+PCG64 to the state derive_rng's generator starts in.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from typing import Sequence
 
 import numpy as np
 
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence constants (pool size 4, 16-bit xorshift) and PCG64's multiplier
+_INIT_A, _MULT_A, _MIX_MULT_L, _MIX_MULT_R = 0x43b0d7e5, 0x931e8875, 0xca01f9dd, 0x4973f715
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _entropy(seed: int, keys: tuple[str | int, ...]) -> list[int]:
+    return [int(seed) & _MASK32] + [k & _MASK32 if isinstance(k, int) else zlib.crc32(str(k).encode())
+                                    for k in keys]
+
 
 def derive_rng(seed: int, *keys: str | int) -> np.random.Generator:
     """Independent generator for (seed, *keys); stable across runs."""
-    entropy = [int(seed) & 0xFFFFFFFF]
-    for k in keys:
-        if isinstance(k, int):
-            entropy.append(k & 0xFFFFFFFF)
-        else:
-            entropy.append(zlib.crc32(str(k).encode()))
-    return np.random.default_rng(entropy)
+    return np.random.default_rng(_entropy(seed, keys))
+
+
+def derive_states(seed: int, *keys: str | int, counters: range) -> np.ndarray:
+    """(len(counters), 4) uint64: row i holds SeedSequence(entropy).generate_state(4, np.uint64),
+    the words that seed derive_rng(seed, *keys, counters[i]), by numpy's hash on uint64 arrays
+    masked to 32 bits."""
+    t = np.arange(counters.start, counters.stop, counters.step).astype(np.uint64) & _MASK32
+    words = [np.full_like(t, w) for w in _entropy(seed, keys)] + [t]
+    consts = [_INIT_A]
+
+    def hashmix(value: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+        value = value ^ consts[-1]
+        consts.append(consts[-1] * mult & _MASK32)
+        value = value * consts[-1] & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:   # L x - R y mod 2^32, never negative
+        r = ((_MIX_MULT_L * x & _MASK32) + (_MASK32 + 1) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in (words + [np.zeros_like(t)] * 4)[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(w))
+    consts.append(_INIT_B)
+    half = [hashmix(pool[i % 4], _MULT_B) for i in range(8)]
+    return np.stack([half[i] | half[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
+
+
+def _seed(bitgen: np.random.PCG64, words: np.ndarray) -> None:
+    """Set bitgen to the state PCG64 seeded with these words starts in: inc = 2 (w2, w3) + 1,
+    state (inc + (w0, w1)) MULT + inc, no buffered 32-bit half."""
+    w0, w1, w2, w3 = words.tolist()
+    inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
+    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
 
 
 def sample_points(domain: Sequence[tuple[float, float]], count: int, rng: np.random.Generator) -> np.ndarray:

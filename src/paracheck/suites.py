@@ -164,6 +164,8 @@ class RunConfig:
             raise ValueError(f"--tol-scale must be a finite number > 0, got {self.tol_scale}")
         if not math.isfinite(self.perturb_a):
             raise ValueError(f"--perturb-a must be finite, got {self.perturb_a}")
+        if self.dim > hl.SYNTHETIC_MAX_DIM:
+            raise ValueError(f"--dim must be at most {hl.SYNTHETIC_MAX_DIM}, got {self.dim}")
 
 
 def _merge(report: CheckReport, tol_scale: float, *results: StructureCheckResult):

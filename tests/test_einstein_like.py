@@ -18,11 +18,13 @@ from paracheck.einstein_like import (
     verify_scalar_ode,
     verify_trace_formula,
 )
-from paracheck.hypersurface_lab import evaluate_bundle, get_bundle, random_pointwise_structure
+from paracheck.hypersurface_lab import evaluate_bundle, get_bundle
 from paracheck.models import get_model
 from paracheck.paracontact_core import StructureCheckResult
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.suites import RunConfig, run_suite
+
+from pointwise import random_pointwise_structure
 
 MIN_NORM_E1 = np.array([-4.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0])
 FAMILY_DIR = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)

@@ -19,12 +19,11 @@ from paracheck.expr_jet import (
     UnknownIdentifierError,
     Var,
     eval_expr,
-    eval_expr_numeric,
     parse_expr,
 )
 from paracheck.tensor_algebra import invert_jet_matrix
 
-from fd_oracle import fd_partial
+from fd_oracle import eval_expr_numeric, fd_partial
 
 
 def _jet(expr, point, order):

@@ -19,16 +19,17 @@ from paracheck.hypersurface_lab import (
     get_bundle,
     pull_back,
     quasi_umbilical_check,
-    random_pointwise_structure,
     recover_shape_operator,
     shape_self_adjoint_residual,
     synthetic_gauss_check,
     verify_induced_derivatives,
 )
 from paracheck.paracontact_core import ParacontactStructure, check_axioms
-from paracheck.sampling import derive_rng, random_vectors, sample_points
+from paracheck.sampling import _seed, derive_rng, derive_states, random_vectors, sample_points
 from paracheck.suites import RunConfig, run_suite
 from paracheck.tensor_algebra import TensorValue
+
+from pointwise import random_pointwise_structure
 
 
 @pytest.fixture(scope="module")
@@ -435,8 +436,8 @@ class TestSyntheticGauss:
         """The chain on the x < y half gives the display maxima of the full
         tensors bit for bit, and every other record, k and the k residual to
         1e-14; perturbing A makes the display residuals non-zero."""
-        rngs = [derive_rng(11, "half-chain", eps + 1, n, t) for t in range(40)]
-        drawn = hypersurface_lab._pointwise_structures(rngs, n, eps)
+        draws = [hypersurface_lab._draw_trial(derive_rng(11, "half-chain", eps + 1, n, t), n) for t in range(40)]
+        drawn = hypersurface_lab._assemble_structures(draws, n, eps)
         ks = (0.0, 1.0, 2.0, 3.0)
         worst, k, k_resid = hypersurface_lab._gauss_chain(eps, *drawn, ks, perturb_a)
         ref_worst, ref_k, ref_resid = _full_gauss_chain(eps, *drawn, ks, perturb_a)
@@ -451,18 +452,56 @@ class TestSyntheticGauss:
         assert np.max(np.abs(k_resid - ref_resid)) <= 1e-14
 
     def test_rejected_draws_are_redrawn_from_their_own_stream(self, monkeypatch):
-        """With the |det g| floor raised, some draws are rejected; each
-        trial redraws from its own generator, as a per-trial loop would."""
-        floor, eps, n, trials, seed = 0.5, 1, 5, 60, 5
+        """With the |det g| floor raised, some draws are rejected, some of
+        them twice or more.  Each trial's accepted (g, phi, xi, eta) is, bit
+        for bit, the first draw above the floor from its own generator
+        derive_rng(seed, "synthetic-gauss", eps + 1, n, t), as a per-trial
+        loop gives it, at n = 3 and n = 5; a redraw that lost the
+        generator's buffered 32-bit half would differ."""
+        floor, eps, trials, seed = 0.5, 1, 60, 5
         monkeypatch.setattr(hypersurface_lab, "SYNTHETIC_DET_FLOOR", floor)
-        expected = 0
-        for t in range(trials):
-            rng = derive_rng(seed, "synthetic-gauss", eps + 1, n, t)
-            while abs(np.linalg.det(random_pointwise_structure(rng, n, eps)[0])) <= floor:
-                expected += 1
-        out = synthetic_gauss_check(eps, n, trials, seed)
-        assert 0 < out.resampled == expected
-        assert out.result.passed, out.result.failed_names()
+        chain, blocks = hypersurface_lab._gauss_chain, []
+
+        def recording_chain(epsilon, g, phi, xi, eta, *rest):
+            blocks.append((g, phi, xi, eta))
+            return chain(epsilon, g, phi, xi, eta, *rest)
+
+        monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
+        for n in (3, 5):
+            expected, rejections = [], []
+            for t in range(trials):
+                rng = derive_rng(seed, "synthetic-gauss", eps + 1, n, t)
+                rejections.append(0)
+                while abs(np.linalg.det((drawn := random_pointwise_structure(rng, n, eps))[0])) <= floor:
+                    rejections[-1] += 1
+                expected.append(drawn)
+            blocks.clear()
+            out = synthetic_gauss_check(eps, n, trials, seed)
+            assert max(rejections) >= 2
+            assert 0 < out.resampled == sum(rejections)
+            accepted = [np.concatenate(arrays) for arrays in zip(*blocks)]
+            for t in range(trials):
+                for want, got in zip(expected[t], accepted):
+                    assert want.tobytes() == got[t].tobytes(), (n, t)
+            assert out.result.passed, out.result.failed_names()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_seeded_generator_draws_as_derive_rng_does(self, n):
+        """One generator set by _seed from a derive_states row draws a trial,
+        and the trial after it, exactly as the trial's own derive_rng
+        generator does: the same p and the same raw arrays, bit for bit."""
+        bitgen = np.random.PCG64(0)
+        reused = np.random.Generator(bitgen)
+        for t, row in enumerate(derive_states(42, "synthetic-gauss", 2, n, counters=range(12))):
+            own = derive_rng(42, "synthetic-gauss", 2, n, t)
+            _seed(bitgen, row)
+            for _ in range(2):
+                (p, blocks, frame), (own_p, own_blocks, own_frame) = (
+                    hypersurface_lab._draw_trial(r, n) for r in (reused, own))
+                assert p == own_p and len(blocks) == len(own_blocks)
+                for a, b in zip([*(x for blk in blocks for x in blk), *frame],
+                                [*(x for blk in own_blocks for x in blk), *own_frame]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 1999])
     def test_signature_signs_draw_as_choice_does(self, seed):

@@ -1,10 +1,12 @@
 """Builtin catalog validation and the manifest file format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from paracheck.cli import main
 from paracheck.hypersurface_lab import HypersurfaceBundle, builtin_bundles, get_bundle
 from paracheck.manifest import ManifestError, load_manifest, manifest_dict, parse_manifest, save_manifest
 from paracheck.models import (
@@ -182,6 +184,36 @@ class TestManifestErrors:
         doc["embedding"]["map"] = doc["embedding"]["map"][:3]
         with pytest.raises(ManifestError, match="component expressions"):
             parse_manifest(doc)
+
+    @pytest.mark.parametrize("target,path,value,field", [
+        ("E1", ("coords",), ["x1", "x1", "y"], "coords"),
+        ("E1", ("xi",), ["0", "0", "y", "1"], "xi"),
+        ("E1", ("eta",), ["0", "1/y"], "eta"),
+        ("E2", ("index",), True, "index"),
+        ("E1", ("dim",), True, "dim"),
+        ("E3a", ("ambient", "coords"), ["u1", "u1", "v1", "v2"], "ambient.coords"),
+        ("E3a", ("embedding", "coords"), ["s", "s", "w"], "embedding.coords"),
+        ("E3a", ("embedding", "orientation"), True, "embedding.orientation"),
+    ], ids=["duplicate-coords", "xi-length", "eta-length", "index-true", "dim-true", "duplicate-ambient-coords",
+            "duplicate-embedding-coords", "orientation-true"])
+    def test_shape_error_names_the_field(self, tmp_path, capsys, target, path, value, field):
+        """A field of the wrong length, with repeated coordinate names, or
+        holding true where an integer belongs is a load error naming the
+        file and the field: the CLI exits 2 with one `error: <path>:
+        <field>: ...` line.  An index of true on the Lorentzian E2 would
+        otherwise read as its index 1 and pass."""
+        doc = manifest_dict(get_bundle(target) if target == "E3a" else builtin_models()[target])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        file = tmp_path / "shape.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(file))}: {re.escape(field)}: "):
+            load_manifest(file)
+        assert main(["check", str(file), "--suite", "structure", "--points", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {file}: {field}: ") and len(err.strip().splitlines()) == 1
 
     def test_unknown_kind(self):
         with pytest.raises(ManifestError, match="unknown manifest kind"):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from paracheck import paracontact_core, suites
+from paracheck import hypersurface_lab, paracontact_core, suites
 from paracheck.cli import main
 from paracheck.einstein_like import EinsteinLikeFit
 from paracheck.manifest import save_manifest
@@ -370,6 +370,23 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_synthetic_dim_above_its_bound_is_input_error(self, monkeypatch, capsys):
+        """--dim above SYNTHETIC_MAX_DIM is refused when the options are read,
+        before any trial is drawn: exit 2 with one error line.  The
+        synthetic check is replaced by one that fails if reached, so no
+        large request ever runs."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("synthetic_gauss_check was reached")
+
+        monkeypatch.setattr(hypersurface_lab, "synthetic_gauss_check", unreachable)
+        bound = hypersurface_lab.SYNTHETIC_MAX_DIM
+        assert bound == 40
+        RunConfig(dim=bound)
+        for dim in (bound + 1, 10 ** 9):
+            assert main(["synthetic", "--dim", str(dim), "--trials", "2"]) == EXIT_INPUT_ERROR
+            err = capsys.readouterr().err
+            assert err == f"error: --dim must be at most {bound}, got {dim}\n"
 
     def test_manifest_domain_error_is_input_error(self, tmp_path):
         """A metric entry outside its domain at a validation point is a
