@@ -13,6 +13,7 @@ input/validation errors (unknown model or suite, malformed manifest).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -71,7 +72,10 @@ def _common_run_args(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every
+    :func:`main` call, which only reads it."""
     p = argparse.ArgumentParser(prog="paracheck",
                                 description="verification suites for (eps)-almost paracontact "
                                             "metric structures and their hypersurfaces")

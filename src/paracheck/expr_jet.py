@@ -12,17 +12,19 @@ field at a point.  All higher geometry is built on these jets, so there is no
 finite differencing anywhere in the main computation path.
 
 A jet's order is its :class:`JetSpace`: every operation of a space works to
-that space's order, :meth:`JetSpace.diff` returns a jet of
-:attr:`JetSpace.lower`, and :meth:`JetSpace.restrict` truncates a jet to a
-lower space.  Truncation is a slice because the coefficients are listed by
-degree, so the order-k coefficients are a prefix of the order-(k+1) ones.
+that space's order, :meth:`JetSpace.grad` returns all first partials as jets
+of :attr:`JetSpace.lower` in one gather, and :meth:`JetSpace.restrict`
+truncates a jet to a lower space.  Truncation is a slice because the
+coefficients are listed by degree, so the order-k coefficients are a prefix
+of the order-(k+1) ones.
 
 Evaluation is vectorized: most helpers accept coefficient arrays of shape
 ``batch + (ncoeffs,)`` and broadcast over the leading axes.  A product is
 one gather of the pair operands of :attr:`JetSpace.pair_table` and one dense
 0/1 scatter matmul.  Every contraction is a jet matrix product
 (:meth:`JetSpace.matmul`): the same gather, one batched matmul with the pair
-axis in the batch, and the same scatter.
+axis in the batch, and the same scatter.  An order-0 jet is its value, so at
+order 0 both are the plain product of the values, with no pair table.
 """
 
 from __future__ import annotations
@@ -257,6 +259,8 @@ class _Parser:
     def base(self) -> tuple[ScalarExpr, int]:
         kind, text, pos = self.tok.take()
         if kind == "number":
+            if not math.isfinite(float(text)):
+                raise ExprSyntaxError(f"number {text} is not finite", pos)
             return Num(float(text)), 1
         if kind == "ident":
             nk, nt, _ = self.tok.peek()
@@ -282,9 +286,15 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
 
 
-def parse_expr(source: str, coords: Sequence[str]) -> ScalarExpr:
-    """Parse ``source`` against the declared coordinate names."""
-    return _Parser(source, coords).parse()
+def parse_expr(source: str, coords: Sequence[str], field: str | None = None) -> ScalarExpr:
+    """Parse ``source`` against the declared coordinate names; a syntax error
+    names ``field``, the entry that holds ``source``, when it is given."""
+    try:
+        return _Parser(source, coords).parse()
+    except ExprError as e:
+        if field:
+            e.args = (f"{field}: {e}",)
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -334,18 +344,13 @@ class JetSpace:
             raise ValueError(f"a JetSpace of order {self.order} has no order-{order} pair table")
         return self.pair_table
 
-    @cache
-    def diff_table(self, coord: int):
-        """(SRC, DST, FAC): coefficient moves for d/dx_coord."""
-        src, dst, fac = [], [], []
-        for i, a in enumerate(self.indices):
-            if a[coord] >= 1:
-                b = list(a)
-                b[coord] -= 1
-                src.append(i)
-                dst.append(self.index_of[tuple(b)])
-                fac.append(a[coord])
-        return np.array(src), np.array(dst), np.array(fac, dtype=float)
+    @cached_property
+    def grad_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(SRC, FAC), each (dim, lower.ncoeffs): coefficient b of d/dx_i is
+        FAC[i, b] * A[SRC[i, b]], the coefficient of b + e_i times (b_i + 1)."""
+        low = self.lower.indices
+        src = [[self.index_of[b[:i] + (b[i] + 1,) + b[i + 1:]] for b in low] for i in range(self.dim)]
+        return np.array(src), np.array([[b[i] + 1 for b in low] for i in range(self.dim)], dtype=float)
 
     # -- constructors --------------------------------------------------------
 
@@ -380,7 +385,10 @@ class JetSpace:
 
     def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Truncated product of jet coefficient arrays, broadcasting over
-        leading axes: one gather of the pair operands, one dense scatter matmul."""
+        leading axes: one gather of the pair operands, one dense scatter
+        matmul; at order 0, A * B."""
+        if self.order == 0:
+            return A * B
         I, J, _ = self.pair_table
         return self._scatter(A[..., I] * B[..., J])
 
@@ -388,10 +396,13 @@ class JetSpace:
         """Jet matrix product (..., r, k, m) x (..., k, c, m) -> (..., r, c, m),
         broadcasting over leading axes: the pair operands are gathered, one
         batched matmul forms every pair's (r x k) @ (k x c) with the pair axis
-        in the batch, and the products are scattered once."""
+        in the batch, and the products are scattered once.  The pair axis is
+        moved by swapaxes views; at order 0 the product is the values' matmul."""
+        if self.order == 0:
+            return (A[..., 0] @ B[..., 0])[..., None]
         I, J, _ = self.pair_table
-        ab = np.moveaxis(A[..., I], -1, -3) @ np.moveaxis(B[..., J], -1, -3)
-        return self._scatter(np.moveaxis(ab, -3, -1))
+        ab = A[..., I].swapaxes(-1, -3).swapaxes(-1, -2) @ B[..., J].swapaxes(-1, -3).swapaxes(-1, -2)
+        return self._scatter(ab.swapaxes(-3, -1).swapaxes(-3, -2))     # (..., pairs, r, c) -> (..., r, c, pairs)
 
     @cached_property
     def scatter_matrix(self) -> np.ndarray:
@@ -404,12 +415,12 @@ class JetSpace:
         out = pairs.reshape(-1, pairs.shape[-1]) @ self.scatter_matrix
         return out.reshape(pairs.shape[:-1] + (self.ncoeffs,))
 
-    def diff(self, A: np.ndarray, coord: int) -> np.ndarray:
-        """d/dx_coord, a jet of :attr:`lower`."""
-        src, dst, fac = self.diff_table(coord)
-        out = np.zeros(A.shape[:-1] + (self.lower.ncoeffs,))
-        out[..., dst] = A[..., src] * fac
-        return out
+    def grad(self, A: np.ndarray) -> np.ndarray:
+        """Every first partial d/dx_i of A, jets of :attr:`lower`, by one
+        gather of :attr:`grad_table`: shape (P, ...) + (ncoeffs,) ->
+        (P, dim, ...) + (lower.ncoeffs,), the derivative axis at position 1."""
+        src, fac = self.grad_table
+        return np.moveaxis(A[..., src] * fac, -2, 1)
 
     def gradient_values(self, A: np.ndarray) -> np.ndarray:
         """First partials at the center, shape batch + (dim,)."""

@@ -122,7 +122,7 @@ def christoffel(metric_jets: TensorValue, points: np.ndarray) -> ConnectionAtPoi
     lower = _lower(space, "christoffel")
     metric = MetricAtPoint.build(metric_jets.as_jet(lower))
     n = metric_jets.dim
-    dg = np.stack([space.diff(metric_jets.components, i) for i in range(n)], axis=1)  # [P, deriv, row, col, m]
+    dg = space.grad(metric_jets.components)             # [P, deriv, row, col, m]
     # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     t1 = dg                                             # d_i g_{jl}: (i, j, l)
     t2 = np.swapaxes(dg, 1, 2)                          # d_j g_{il}: axes (j, i, l)
@@ -138,7 +138,7 @@ def curvature(conn: ConnectionAtPoint) -> CurvatureAtPoint:
     space = conn.space
     lower = _lower(space, "curvature")
     n = conn.dim
-    dG = np.stack([space.diff(conn.gamma.components, i) for i in range(n)], axis=1)  # [P, i, l, j, k, m]
+    dG = space.grad(conn.gamma.components)                    # [P, i, l, j, k, m]
     term1 = np.moveaxis(dG, 1, 2)                             # [l, i, j, k]: d_i Gamma^l_{jk}
     term2 = np.swapaxes(term1, 2, 3)                          # d_j Gamma^l_{ik}
     gam = conn.gamma.as_jet(lower)
@@ -157,7 +157,7 @@ def covariant_derivative(T: TensorValue, conn: ConnectionAtPoint) -> TensorValue
     out = lowest_space(_lower(T.space, "covariant derivative"), conn.space)
     n = T.dim
     # derivative axis first (after the sample axis), moved into place at the end
-    dT = np.stack([out.restrict(T.space.diff(T.components, i)) for i in range(n)], axis=1)
+    dT = out.restrict(T.space.grad(T.components))
     gamma, T = conn.gamma.as_jet(out), T.as_jet(out)
     for s in range(T.p):
         term = contract_with(gamma, T, 2, s)                   # [a, i, (T minus s)]
@@ -189,9 +189,9 @@ def lie_derivative(T: TensorValue, X: TensorValue, conn: ConnectionAtPoint,
     n = T.dim
 
     if via_partials:
-        dT = np.stack([T.space.diff(T.components, i) for i in range(n)], axis=1)  # [k, slots...]
+        dT = T.space.grad(T.components)                                  # [k, slots...]
         first = contract_with(X, TensorValue(n, 0, T.q + 1, dT, out), 0, 0)
-        dX = np.stack([X.space.diff(X.components, i) for i in range(n)], axis=1)  # [i, a, m] = d_i X^a
+        dX = X.space.grad(X.components)                                  # [i, a, m] = d_i X^a
         gradX = TensorValue(n, 1, 1, np.swapaxes(dX, 1, 2), out)                   # [a, i]
     else:
         first = contract_with(X, covariant_derivative(T, conn), 0, 0)

@@ -24,7 +24,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .expr_jet import JetSpace, parse_expr
+from .expr_jet import JetSpace
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
 from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid
 from .paracontact_core import (
@@ -66,9 +66,6 @@ class AmbientProductModel:
     metric: list[list[str]]
     J: list[list[str]]
 
-    def parsed(self, source: str):
-        return parse_expr(source, self.coords)
-
 
 @dataclass
 class Embedding:
@@ -78,9 +75,6 @@ class Embedding:
     map: list[str]
     domain: list[tuple[float, float]]
     orientation: int = 1
-
-    def parsed(self, source: str):
-        return parse_expr(source, self.coords)
 
 
 @dataclass
@@ -196,8 +190,7 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> Hypersurf
 
     # embedding jets and tangent frame T_a^B = d_a F^B, jets of gspace
     F = _eval_grid(emb.map, emb.coords, space, space.point_jets(points), points)   # (P, N1, m)
-    T = np.stack([np.stack([space.diff(F[:, B], a) for B in range(N1)], axis=1)
-                  for a in range(n)], axis=1)       # (P, n, N1, m)
+    T = space.grad(F)                               # (P, n, N1, m)
 
     # ambient tensors along F, as chart jets
     F_jets = [gspace.restrict(F[:, B]) for B in range(N1)]

@@ -24,41 +24,31 @@ Bundle document:
                     "domain": [[lo, hi], ...]}
     }
 
-Loading validates everything a model declares: expression syntax against the
-declared coordinates, metric symmetry as written, finite non-empty domain
-intervals, and agreement of the declared index with the computed inertia at
-ten sampled points.  A bundle is checked at load for its shape and expression syntax
-only; the request's own evaluation of the bundle validates the embedding
-(rank, domain, a lightlike normal) and fails with an input error naming the
-file.  Errors name the file, the field (``<path>: xi: ...``) and positions
-(JSON line/column, or the expression position) so a file diagnoses itself.
+Loading validates everything a model declares: the JSON type and length of
+every field, expression syntax against the declared coordinates, metric
+symmetry as written, finite non-empty domain intervals, and a metric that is
+finite with the declared index at ten sampled points.  A bundle is checked
+at load for its shape and expression syntax only; the request's own
+evaluation of the bundle validates the embedding (rank, domain, a lightlike
+normal) and fails with an input error naming the file.  Errors name the
+file, the field (``<path>: xi: ...``, ``<path>: metric[4]: ...`` for an
+entry) and positions (JSON line/column, or the expression position) so a
+file diagnoses itself.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from pathlib import Path
 
-from .expr_jet import JetDomainError
+from .expr_jet import JetDomainError, parse_expr
 from .hypersurface_lab import AmbientProductModel, Embedding, HypersurfaceBundle
 from .models import ManifoldModel, validate_model
 
 
 class ManifestError(ValueError):
     pass
-
-
-def _grid(flat, n, what: str) -> list[list[str]]:
-    if isinstance(flat, list) and flat and isinstance(flat[0], list):
-        rows = [[str(x) for x in row] for row in flat]
-    else:
-        if len(flat) != n * n:
-            raise ManifestError(f"{what} must have {n * n} row-major entries, got {len(flat)}")
-        rows = [[str(flat[i * n + j]) for j in range(n)] for i in range(n)]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ManifestError(f"{what} must be a {n}x{n} grid")
-    return rows
 
 
 _JSON_TYPES = {list: "array", dict: "object", int: "integer"}
@@ -74,33 +64,73 @@ def _require(doc: dict, field: str, kind: type | None = None):
     return doc[key]
 
 
-def _names(doc: dict, field: str) -> list[str]:
-    names = [str(c) for c in _require(doc, field, list)]
+def _entries(doc: dict, field: str, n: int) -> list:
+    """doc's JSON array at field, of exactly n entries."""
+    entries = _require(doc, field, list)
+    if len(entries) != n:
+        raise ManifestError(f"{field}: must have {n} entries, got {len(entries)}")
+    return entries
+
+
+def _dim(doc: dict, field: str, least: int) -> int:
+    n = _require(doc, field, int)
+    if n < least:
+        raise ManifestError(f"{field}: must be at least {least}, got {n}")
+    return n
+
+
+def _sign(doc: dict, field: str) -> int:
+    s = _require(doc, field, int)
+    if s not in (1, -1):
+        raise ManifestError(f"{field}: must be 1 or -1, got {s}")
+    return s
+
+
+def _exprs(entries: list, field: str) -> list[str]:
+    """Expression strings; a JSON number stands for itself."""
+    for k, x in enumerate(entries):
+        if not isinstance(x, (str, int, float)) or isinstance(x, bool):
+            raise ManifestError(f"{field}[{k}]: must be an expression string, got {json.dumps(x)}")
+    return [str(x) for x in entries]
+
+
+def _names(doc: dict, field: str, n: int) -> list[str]:
+    names = _entries(doc, field, n)
+    if not all(isinstance(c, str) for c in names):
+        raise ManifestError(f"{field}: coordinate names must be strings, got {json.dumps(names)}")
     if len(set(names)) != len(names):
         raise ManifestError(f"{field}: coordinate names must be distinct, got {json.dumps(names)}")
     return names
 
 
 def _vector(doc: dict, field: str, n: int) -> list[str] | None:
-    if doc.get(field) is None:
-        return None
-    if len(_require(doc, field, list)) != n:
-        raise ManifestError(f"{field}: must have {n} entries, got {len(doc[field])}")
-    return [str(s) for s in doc[field]]
+    return None if doc.get(field) is None else _exprs(_entries(doc, field, n), field)
 
 
-def _domain(raw, n: int, what: str) -> list[tuple[float, float]]:
-    if len(raw) != n:
-        raise ManifestError(f"{what} domain must give one [lo, hi] interval per coordinate")
+def _grid(doc: dict, field: str, n: int) -> list[list[str]]:
+    """An n x n expression grid: n*n row-major entries, or n rows of n."""
+    flat = _require(doc, field, list)
+    if flat and isinstance(flat[0], list):
+        if len(flat) != n or not all(isinstance(row, list) and len(row) == n for row in flat):
+            raise ManifestError(f"{field}: must be a {n}x{n} grid")
+        flat = [x for row in flat for x in row]
+    elif len(flat) != n * n:
+        raise ManifestError(f"{field}: must have {n * n} row-major entries, got {len(flat)}")
+    flat = _exprs(flat, field)
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _domain(doc: dict, field: str, n: int) -> list[tuple[float, float]]:
     out = []
-    for k, pair in enumerate(raw):
-        if len(pair) != 2:
-            raise ManifestError(f"{what} domain entry {k} must be [lo, hi]")
+    for k, pair in enumerate(_entries(doc, field, n)):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
+            raise ManifestError(f"{field}[{k}]: must be [lo, hi] of two JSON numbers, got {json.dumps(pair)}")
+        if not all(abs(x) <= sys.float_info.max for x in pair):     # also an integer beyond the float range
+            raise ManifestError(f"{field}[{k}]: must have finite bounds, got {json.dumps(pair)}")
         lo, hi = float(pair[0]), float(pair[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ManifestError(f"{what} domain entry {k} must have finite bounds, got [{lo}, {hi}]")
         if lo > hi:
-            raise ManifestError(f"{what} domain entry {k} has lo > hi: [{lo}, {hi}]")
+            raise ManifestError(f"{field}[{k}]: has lo > hi: [{lo}, {hi}]")
         out.append((lo, hi))
     return out
 
@@ -119,19 +149,18 @@ def _parse(doc: dict, source: str) -> ManifoldModel | HypersurfaceBundle:
     kind = doc.get("kind", "bundle" if "ambient" in doc else "model")
     name = str(doc.get("name", Path(source).stem))
     if kind == "model":
-        n = _require(doc, "dim", int)
-        coords = _names(doc, "coords")
+        n = _dim(doc, "dim", 1)
         model = ManifoldModel(
             name=name,
             dim=n,
-            coords=coords,
-            epsilon=_require(doc, "epsilon", int),
+            coords=_names(doc, "coords", n),
+            epsilon=_sign(doc, "epsilon"),
             index=_require(doc, "index", int),
-            metric=_grid(_require(doc, "metric", list), n, "metric"),
-            phi=_grid(doc["phi"], n, "phi") if doc.get("phi") is not None else None,
+            metric=_grid(doc, "metric", n),
+            phi=_grid(doc, "phi", n) if doc.get("phi") is not None else None,
             xi=_vector(doc, "xi", n),
             eta=_vector(doc, "eta", n),
-            domain=_domain(_require(doc, "domain", list), n, "model"),
+            domain=_domain(doc, "domain", n),
             description=str(doc.get("description", "")),
         )
         validate_model(model)
@@ -139,33 +168,26 @@ def _parse(doc: dict, source: str) -> ManifoldModel | HypersurfaceBundle:
     if kind == "bundle":
         amb_doc = _require(doc, "ambient", dict)
         emb_doc = _require(doc, "embedding", dict)
-        N = _require(amb_doc, "ambient.dim", int)
+        N = _dim(amb_doc, "ambient.dim", 2)
         ambient = AmbientProductModel(
             dim=N,
-            coords=_names(amb_doc, "ambient.coords"),
-            metric=_grid(_require(amb_doc, "ambient.metric", list), N, "ambient metric"),
-            J=_grid(_require(amb_doc, "ambient.J", list), N, "ambient J"),
+            coords=_names(amb_doc, "ambient.coords", N),
+            metric=_grid(amb_doc, "ambient.metric", N),
+            J=_grid(amb_doc, "ambient.J", N),
         )
-        coords = _names(emb_doc, "embedding.coords")
-        emb_map = [str(s) for s in _require(emb_doc, "embedding.map", list)]
-        if len(emb_map) != N:
-            raise ManifestError(f"embedding map must have {N} component expressions, got {len(emb_map)}")
-        if len(coords) != N - 1:
-            raise ManifestError(f"embedding chart must have {N - 1} coordinates, got {len(coords)}")
         embedding = Embedding(
-            coords=coords,
-            map=emb_map,
-            domain=_domain(_require(emb_doc, "embedding.domain", list), N - 1, "embedding"),
-            orientation=_require(emb_doc, "embedding.orientation", int) if "orientation" in emb_doc else 1,
+            coords=_names(emb_doc, "embedding.coords", N - 1),
+            map=_exprs(_entries(emb_doc, "embedding.map", N), "embedding.map"),
+            domain=_domain(emb_doc, "embedding.domain", N - 1),
+            orientation=_sign(emb_doc, "embedding.orientation") if "orientation" in emb_doc else 1,
         )
-        bundle = HypersurfaceBundle(name=name, ambient=ambient, embedding=embedding,
-                                    description=str(doc.get("description", "")))
-        for row in ambient.metric + ambient.J:
-            for s in row:
-                ambient.parsed(s)
-        for s in embedding.map:
-            embedding.parsed(s)
-        return bundle
+        for field, entries, coords in (("ambient.metric", sum(ambient.metric, []), ambient.coords),
+                                       ("ambient.J", sum(ambient.J, []), ambient.coords),
+                                       ("embedding.map", embedding.map, embedding.coords)):
+            for k, s in enumerate(entries):
+                parse_expr(s, coords, f"{field}[{k}]")
+        return HypersurfaceBundle(name=name, ambient=ambient, embedding=embedding,
+                                  description=str(doc.get("description", "")))
     raise ManifestError(f"unknown manifest kind {kind!r}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr_jet import JetSpace, ScalarExpr, eval_expr, parse_expr
+from .expr_jet import JetSpace, eval_expr, parse_expr
 from .paracontact_core import ParacontactStructure
 from .tensor_algebra import TensorValue, inertia
 
@@ -37,8 +37,9 @@ class ManifoldModel:
     domain box, and the declared metric index.
 
     Invariants checked by :func:`validate_model`: the metric expression grid
-    is symmetric as written, the domain intervals are non-empty, and the
-    declared index matches the computed inertia at sampled points.
+    is symmetric as written, the domain intervals are non-empty, every
+    expression parses, and the metric is finite with the declared index at
+    sampled points.
     """
 
     name: str
@@ -52,9 +53,6 @@ class ManifoldModel:
     xi: list[str] | None = None
     eta: list[str] | None = None
     description: str = ""
-
-    def parsed(self, source: str) -> ScalarExpr:
-        return parse_expr(source, self.coords)
 
     @property
     def has_structure(self) -> bool:
@@ -85,19 +83,23 @@ def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None,
             raise ModelValidationError(f"{model.name}: empty domain interval for {model.coords[k]}")
     if model.epsilon not in (1, -1):
         raise ModelValidationError(f"{model.name}: epsilon must be +1 or -1")
-    # parse phi, xi and eta now so bad expressions fail at load time; the
-    # metric is parsed where it is evaluated below
-    for vec in [*(model.phi or []), model.xi, model.eta]:
-        if vec is not None:
-            for s in vec:
-                model.parsed(s)
-    # declared index vs computed inertia at sample points
+    # parse phi, xi and eta now so bad expressions fail at load time, naming
+    # their entry; the metric is parsed where it is evaluated below
+    phi = [s for row in model.phi or () for s in row]
+    for field, entries in (("phi", phi), ("xi", model.xi), ("eta", model.eta)):
+        for k, s in enumerate(entries or ()):
+            parse_expr(s, model.coords, f"{field}[{k}]")
+    # a finite metric, and its declared index vs computed inertia, at sample points
     rng = np.random.default_rng(20240101) if rng is None else rng
     lo = np.array([d[0] for d in model.domain])
     hi = np.array([d[1] for d in model.domain])
     pts = rng.uniform(lo, hi, size=(checks_points, n))
     space = JetSpace.get(n, 0)
-    g0 = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts)[..., 0]
+    with np.errstate(all="ignore"):
+        g0 = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts, "metric")[..., 0]
+    bad = np.flatnonzero(~np.isfinite(g0).all(axis=(1, 2)))
+    if bad.size:
+        raise ModelValidationError(f"metric: not finite at point {tuple(pts[bad[0]].tolist())}")
     bad = np.flatnonzero(inertia(g0) != model.index)
     if bad.size:
         raise ModelValidationError(
@@ -106,14 +108,17 @@ def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None,
 
 
 def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: list[np.ndarray],
-               points: np.ndarray) -> np.ndarray:
+               points: np.ndarray, field: str | None = None) -> np.ndarray:
     """Jets of a vector or matrix of expression strings over ``coords``, at
     the given coordinate jets (chart point jets, or jets of an embedding):
-    shape (P,) + grid shape + (ncoeffs,).  ``points`` locates domain errors."""
-    if isinstance(sources[0], str):
-        return np.stack([eval_expr(parse_expr(s, coords), space, coord_jets, points=points)
-                         for s in sources], axis=1)
-    return np.stack([_eval_grid(row, coords, space, coord_jets, points) for row in sources], axis=1)
+    shape (P,) + grid shape + (ncoeffs,).  ``points`` locates domain errors;
+    a syntax error names its entry, ``field[k]`` by row-major k, when
+    ``field`` is given."""
+    grid = isinstance(sources[0], list)
+    flat = [s for row in sources for s in row] if grid else sources
+    jets = np.stack([eval_expr(parse_expr(s, coords, field and f"{field}[{k}]"), space, coord_jets, points=points)
+                     for k, s in enumerate(flat)], axis=1)
+    return jets.reshape(jets.shape[:1] + ((len(sources), -1) if grid else (-1,)) + jets.shape[2:])
 
 
 def evaluate_structure(model: ManifoldModel, points: np.ndarray) -> ParacontactStructure:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 PASS = "pass"
@@ -90,7 +90,7 @@ class CheckReport:
             "points": self.points,
             "engine_version": self.engine_version,
             "generated_at": self.generated_at,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [dict(vars(c)) for c in self.checks],
         }
 
     def to_json(self) -> str:

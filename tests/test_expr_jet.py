@@ -281,8 +281,8 @@ def test_lower_order_jets_are_restrictions(src, point):
     for k in range(4):
         (sk, jk), (sk1, jk1) = jet(k), jet(k + 1)
         assert close(jk, sk.restrict(jk1)), k
-        for i in range(2 if k else 0):
-            assert close(sk.diff(jk, i), sk.lower.restrict(sk1.diff(jk1, i))), (k, i)
+        if k:
+            assert close(sk.grad(jk), sk.lower.restrict(sk1.grad(jk1))), k
 
 
 @settings(max_examples=25, deadline=None)
@@ -451,3 +451,87 @@ def test_pair_table_at_space_order(dim, order):
     assert space.mul_table(order) is space.pair_table
     with pytest.raises(ValueError):
         space.mul_table(order + 1)
+
+
+# --------------------------------------------------------------------------
+# gradients and the order-0 products
+# --------------------------------------------------------------------------
+
+
+def _partial(space, A, i):
+    """d/dx_i coefficient by coefficient: the jet of ``space.lower`` whose
+    coefficient alpha - e_i is alpha_i times A's coefficient alpha."""
+    low = space.lower
+    out = np.zeros(A.shape[:-1] + (low.ncoeffs,))
+    for k, alpha in enumerate(space.indices):
+        if alpha[i]:
+            out[..., low.index_of[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]] = A[..., k] * alpha[i]
+    return out
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (2, 3), (3, 1), (3, 4), (5, 2), (5, 4)])
+@pytest.mark.parametrize("lead", [(4,), (4, 3), (2, 3, 5)])
+def test_grad_is_the_stacked_partials(dim, order, lead):
+    """grad gives every first partial, the derivative axis at position 1,
+    equal bit for bit to the per-coordinate derivatives stacked there."""
+    space = JetSpace.get(dim, order)
+    A = np.random.default_rng(dim * 10 + order).standard_normal(lead + (space.ncoeffs,))
+    want = np.stack([_partial(space, A, i) for i in range(dim)], axis=1)
+    got = space.grad(A)
+    assert got.shape == lead[:1] + (dim,) + lead[1:] + (space.lower.ncoeffs,)
+    assert np.array_equal(got, want)
+
+
+def test_grad_of_an_order_zero_jet_is_refused():
+    with pytest.raises(ValueError, match="no derivative"):
+        JetSpace.get(3, 0).grad(np.ones((2, 1)))
+
+
+def _pair_route(space, A, B, matrix):
+    """The pair-table product at any order: gather the pair operands, form
+    their products (batched matmuls over the moved pair axis for a matrix
+    product), and scatter them with the 0/1 matrix."""
+    I, J, _ = space.pair_table
+    if matrix:
+        prods = np.moveaxis(np.moveaxis(A[..., I], -1, -3) @ np.moveaxis(B[..., J], -1, -3), -3, -1)
+    else:
+        prods = A[..., I] * B[..., J]
+    return (prods.reshape(-1, len(I)) @ space.scatter_matrix).reshape(prods.shape[:-1] + (space.ncoeffs,))
+
+
+def _with_zeros(rng, shape):
+    """Normal draws with some entries set to +0.0 and some to -0.0."""
+    X = rng.standard_normal(shape)
+    X[rng.random(shape) < 0.2] = 0.0
+    X[rng.random(shape) < 0.1] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+@pytest.mark.parametrize("shape_a,shape_b", _KERNEL_SHAPES)
+def test_order_zero_mul_is_the_pair_route(dim, shape_a, shape_b):
+    """At order 0, mul is A * B: equal to the pair-table route up to the sign of zero."""
+    space = JetSpace.get(dim, 0)
+    rng = np.random.default_rng(dim + len(shape_a) + len(shape_b))
+    A, B = _with_zeros(rng, shape_a + (1,)), _with_zeros(rng, shape_b + (1,))
+    got, want = space.mul(A, B), _pair_route(space, A, B, matrix=False)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,order", [(1, 0), (3, 0), (5, 0), (3, 1), (3, 2), (5, 3)])
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((4, 9, 3), (4, 3, 1)), ((4, 1, 3), (4, 3, 27)), ((2, 4, 3, 3), (2, 4, 3, 3)),
+    ((2, 1, 3, 4), (1, 5, 4, 2)), ((3, 4), (6, 4, 2)),
+])
+def test_matmul_is_the_pair_route(dim, order, shape_a, shape_b):
+    """matmul equals the pair-table route with np.moveaxis: at order 0 the
+    values' matmul, above it the same gather, batched matmul and scatter
+    through swapaxes views; equal up to the sign of zero."""
+    space = JetSpace.get(dim, order)
+    rng = np.random.default_rng(dim * 10 + order)
+    A = _with_zeros(rng, shape_a + (space.ncoeffs,))
+    B = _with_zeros(rng, shape_b + (space.ncoeffs,))
+    got, want = space.matmul(A, B), _pair_route(space, A, B, matrix=True)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)

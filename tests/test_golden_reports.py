@@ -23,6 +23,7 @@ not-applicable record 0.0.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -127,6 +128,21 @@ def test_tolerances_are_locked(target):
             if c["tolerance"] != want:
                 problems.append(f"{name}: {c['id']} ({c['status']}): tolerance {c['tolerance']!r}, locked {want!r}")
     assert not problems, "\n".join(problems)
+
+
+def test_to_json_is_the_asdict_serialization(monkeypatch, tmp_path):
+    """Every golden request's JSON report is byte for byte the report's
+    dataclasses.asdict copy, dumped with the same options."""
+    from paracheck import cli
+
+    reports, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, fmt, out: reports.append(report) or emit(report, fmt, out))
+    codes = [cli.main([*argv, "--seed", str(SEED), "--format", "json", "--out", str(tmp_path / "report.json")])
+             for group in cases().values() for argv in group.values()]
+    assert len(reports) == sum(code != 2 for code in codes) > 70
+    for report in reports:
+        text = report.to_json()
+        assert text == json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, allow_nan=False)
 
 
 def regenerate():

@@ -1,0 +1,170 @@
+"""Manifest fuzz: mutants of the builtin E1 chart and E3b bundle manifests.
+
+Every mutant is one CLI request, run in this process: it must return 0, 1
+or 2 and never raise.  Mutants of the fields whose errors name their field
+(lengths, coordinate names, JSON types, expression entries, domain bounds,
+a metric that is not finite) must exit 2 with one line
+``error: <path>: <field>: ...`` and no warning.  The fuzz is derandomized,
+so every run draws the same mutants.
+
+Reference: MacIver et al., *Hypothesis: A new approach to property-based
+testing*, JOSS 2019.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from paracheck.cli import main
+from paracheck.hypersurface_lab import get_bundle
+from paracheck.manifest import manifest_dict
+from paracheck.models import get_model
+
+BASES = {"E1": manifest_dict(get_model("E1")), "E3b": manifest_dict(get_bundle("E3b"))}
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# expressions that do not parse: a bad token, an open parenthesis, an
+# unknown name, a non-finite literal, nesting past the parser's bound
+BAD_EXPRESSIONS = ["1/(y^2", "y +", "q", "1e400", "inf", "nan", ")", "(" * 150 + "1" + ")" * 150]
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, containers and leaves."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _set(doc, path, value):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _run(tmp_path, capsys, doc) -> tuple[int, str, str]:
+    """Exit code and standard error of ``check <doc> --suite structure``."""
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["check", str(path), "--suite", "structure", "--points", "5"])
+    return code, capsys.readouterr().err, str(path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20) | st.sampled_from([2 ** 63, -10 ** 400])
+    | st.floats() | st.sampled_from(BAD_EXPRESSIONS) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def mutants(draw):
+    """A base manifest with one field replaced by any JSON value, a list
+    shortened, lengthened or given a repeated first entry, or a value
+    wrapped in a list."""
+    base = draw(st.sampled_from(sorted(BASES)))
+    doc = copy.deepcopy(BASES[base])
+    path = draw(st.sampled_from([p for p in _paths(doc) if p]))
+    old = _get(doc, path)
+    how = draw(st.sampled_from(["replace", "shorten", "lengthen", "repeat", "wrap"]))
+    if how == "replace" or not isinstance(old, list) or not old:
+        new = draw(json_values) if how != "wrap" else [old]
+    elif how == "shorten":
+        new = old[:-1]
+    elif how == "lengthen":
+        new = old + [copy.deepcopy(old[-1])]
+    elif how == "repeat":
+        new = [old[0]] + old[:-1] if len(old) > 1 else old + old
+    else:
+        new = [old]
+    _set(doc, path, new)
+    return doc
+
+
+@FUZZ
+@given(mutants())
+def test_every_mutant_exits_0_1_or_2(tmp_path, capsys, doc):
+    code, err, _ = _run(tmp_path, capsys, doc)
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+
+
+def _targeted(draw):
+    """(base, [(path, value)], field): a mutant of a field whose error names
+    it, and the field its one error line must name."""
+    e1 = BASES["E1"]
+    kind = draw(st.sampled_from(["metric", "phi", "xi", "eta", "domain", "phi-type", "coords",
+                                 "not-finite", "ambient", "embedding.map", "embedding.domain",
+                                 "ambient.coords"]))
+    if kind == "metric":           # an entry and its transpose, so the grid stays symmetric
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        bad = draw(st.sampled_from(BAD_EXPRESSIONS))
+        field = f"metric[{3 * min(i, j) + max(i, j)}]"          # the first of the two, row-major
+        return "E1", [(("metric", 3 * i + j), bad), (("metric", 3 * j + i), bad)], field
+    if kind in ("phi", "xi", "eta"):
+        k = draw(st.integers(0, len(e1[kind]) - 1))
+        return "E1", [((kind, k), draw(st.sampled_from(BAD_EXPRESSIONS)))], f"{kind}[{k}]"
+    if kind == "domain":
+        k, end = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        bad = draw(st.sampled_from([True, False, None, "1.0", float("inf"), float("nan"), 10 ** 400, [0.5]]))
+        return "E1", [(("domain", k, end), bad)], f"domain[{k}]"
+    if kind == "phi-type":
+        return "E1", [(("phi",), draw(st.sampled_from([True, False, 3, "x", {}, [], ["0"] * 8])))], "phi"
+    if kind == "coords":
+        value = draw(st.sampled_from([["x1", "x2"], ["x1", "x2", "y", "z"], ["x1", "x1", "y"],
+                                      ["x1", "x2", True]]))
+        return "E1", [(("coords",), value)], "coords"
+    if kind == "not-finite":
+        k = draw(st.sampled_from([0, 4, 8]))
+        return "E1", [(("metric", k), draw(st.sampled_from(["exp(1000)", "1/(y^2)*exp(800)^2"])))], "metric"
+    if kind == "ambient":
+        grid = draw(st.sampled_from(["metric", "J"]))
+        k = draw(st.integers(0, 15))
+        return "E3b", [(("ambient", grid, k), draw(st.sampled_from(BAD_EXPRESSIONS)))], f"ambient.{grid}[{k}]"
+    if kind == "embedding.map":
+        k = draw(st.integers(0, 3))
+        return "E3b", [(("embedding", "map", k), draw(st.sampled_from(BAD_EXPRESSIONS)))], f"embedding.map[{k}]"
+    if kind == "embedding.domain":
+        k, end = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        bad = draw(st.sampled_from([True, None, "0", float("-inf"), {}]))
+        return "E3b", [(("embedding", "domain", k, end), bad)], f"embedding.domain[{k}]"
+    coords = BASES["E3b"]["ambient"]["coords"]
+    value = draw(st.sampled_from([coords[:3], coords + ["w"], [coords[0]] * 4, coords[:3] + [7]]))
+    return "E3b", [(("ambient", "coords"), value)], "ambient.coords"
+
+
+@FUZZ
+@given(st.composite(_targeted)())
+def test_a_named_field_mutant_exits_2_naming_it(tmp_path, capsys, case):
+    base, edits, field = case
+    doc = copy.deepcopy(BASES[base])
+    for path, value in edits:
+        _set(doc, path, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err, path = _run(tmp_path, capsys, doc)
+    assert code == 2, err
+    assert err.startswith(f"error: {path}: {field}: ") and len(err.strip().splitlines()) == 1, err
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_unmutated_bases_pass(tmp_path, capsys, base):
+    code, err, _ = _run(tmp_path, capsys, copy.deepcopy(BASES[base]))
+    assert code == 0, err

@@ -182,7 +182,7 @@ class TestManifestErrors:
     def test_bundle_map_arity(self):
         doc = manifest_dict(get_bundle("E3a"))
         doc["embedding"]["map"] = doc["embedding"]["map"][:3]
-        with pytest.raises(ManifestError, match="component expressions"):
+        with pytest.raises(ManifestError, match="embedding.map: must have 4 entries, got 3"):
             parse_manifest(doc)
 
     @pytest.mark.parametrize("target,path,value,field", [
@@ -194,14 +194,28 @@ class TestManifestErrors:
         ("E3a", ("ambient", "coords"), ["u1", "u1", "v1", "v2"], "ambient.coords"),
         ("E3a", ("embedding", "coords"), ["s", "s", "w"], "embedding.coords"),
         ("E3a", ("embedding", "orientation"), True, "embedding.orientation"),
+        ("E3a", ("ambient", "coords"), ["u1", "u2", "v1"], "ambient.coords"),
+        ("E1", ("domain", 0), [True, 2.0], "domain[0]"),
+        ("E1", ("domain", 2), [0.5, 10 ** 400], "domain[2]"),
+        ("E1", ("phi",), True, "phi"),
+        ("E1", ("metric", 4), "1/(y^2", "metric[4]"),
+        ("E1", ("phi", 3), "x1 +", "phi[3]"),
+        ("E3a", ("ambient", "J", 5), "q", "ambient.J[5]"),
+        ("E1", ("metric", 0), "exp(1000)", "metric"),
+        ("E1", ("epsilon",), 2, "epsilon"),
+        ("E3a", ("embedding", "orientation"), 3, "embedding.orientation"),
     ], ids=["duplicate-coords", "xi-length", "eta-length", "index-true", "dim-true", "duplicate-ambient-coords",
-            "duplicate-embedding-coords", "orientation-true"])
+            "duplicate-embedding-coords", "orientation-true", "ambient-coords-length", "domain-bound-true",
+            "domain-bound-beyond-float", "phi-true", "metric-syntax", "phi-syntax", "ambient-J-unknown-name",
+            "metric-not-finite", "epsilon-2", "orientation-3"])
     def test_shape_error_names_the_field(self, tmp_path, capsys, target, path, value, field):
-        """A field of the wrong length, with repeated coordinate names, or
-        holding true where an integer belongs is a load error naming the
-        file and the field: the CLI exits 2 with one `error: <path>:
-        <field>: ...` line.  An index of true on the Lorentzian E2 would
-        otherwise read as its index 1 and pass."""
+        """A field of the wrong length or JSON type, with repeated coordinate
+        names, holding true where an integer or a number belongs, with an
+        expression that does not parse, or a metric that is not finite at a
+        sample point is a load error naming the file and the field: the CLI
+        exits 2 with one `error: <path>: <field>: ...` line.  An index of
+        true on the Lorentzian E2 would otherwise read as its index 1 and
+        pass, and a domain bound of true as 1.0."""
         doc = manifest_dict(get_bundle(target) if target == "E3a" else builtin_models()[target])
         parent = doc
         for key in path[:-1]:

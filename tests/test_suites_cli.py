@@ -3,6 +3,7 @@ and the negative-control fixtures for every suite."""
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from paracheck import hypersurface_lab, paracontact_core, suites
-from paracheck.cli import main
+from paracheck.cli import build_parser, main
 from paracheck.einstein_like import EinsteinLikeFit
 from paracheck.manifest import save_manifest
 from paracheck.models import get_model
@@ -402,18 +403,19 @@ class TestCli:
         assert str(path) in proc.stderr
 
     @pytest.mark.parametrize("target,field,value,message", [
-        ("E1", ("domain", 2), [0.5, 1e400], "domain entry 2 must have finite bounds"),
-        ("E1", ("domain", 0), [2.0, -2.0], "domain entry 0 has lo > hi"),
-        ("E3a", ("embedding", "domain", 1), ["-Infinity", 1.0], "domain entry 1 must have finite bounds"),
-        ("E1", ("metric", 0), "1/(y^2)" + "+0*x1" * 1500, "nests deeper than"),
-        ("E1", ("metric", 0), "(" * 3000 + "1/(y^2)" + ")" * 3000, "nests deeper than"),
-        ("E3a", ("embedding", "map", 0), "(" * 3000 + "s" + ")" * 3000, "nests deeper than"),
+        ("E1", ("domain", 2), [0.5, 1e400], "domain[2]: must have finite bounds"),
+        ("E1", ("domain", 0), [2.0, -2.0], "domain[0]: has lo > hi"),
+        ("E3a", ("embedding", "domain", 1), ["-Infinity", 1.0], "embedding.domain[1]: must have finite bounds"),
+        ("E1", ("metric", 0), "1/(y^2)" + "+0*x1" * 1500, "metric[0]: expression nests deeper than"),
+        ("E1", ("metric", 0), "(" * 3000 + "1/(y^2)" + ")" * 3000, "metric[0]: expression nests deeper than"),
+        ("E3a", ("embedding", "map", 0), "(" * 3000 + "s" + ")" * 3000,
+         "embedding.map[0]: expression nests deeper than"),
     ], ids=["infinite-bound", "inverted-interval", "embedding-infinite-bound", "flat-sum", "deep-parentheses",
             "embedding-deep-parentheses"])
     def test_bad_domain_or_over_deep_expression_is_input_error(self, tmp_path, target, field, value, message):
         """A domain bound that is not finite or an inverted interval, and an
         expression nested past the parser's depth bound, are one-line input
-        errors naming the manifest: exit 2, no traceback."""
+        errors naming the manifest and the field: exit 2, no traceback."""
         path = tmp_path / "bad.json"
         save_manifest(get_bundle(target) if target == "E3a" else get_model(target), path)
         doc = json.loads(path.read_text())
@@ -510,3 +512,25 @@ class TestCli:
         b = _cli("check", "E1", "--suite", "sasakian", "--points", "15",
                  "--seed", "5", "--format", "json")
         assert _strip_variable_fields(a.stdout) == _strip_variable_fields(b.stdout)
+
+    def test_one_process_writes_what_fresh_processes_do(self, tmp_path):
+        """Requests served one after another by one process's main, which
+        builds its parser once, write the bytes that a fresh process writes
+        for each, apart from generated_at."""
+        requests = [("check", "E1", "--suite", "structure", "--points", "5"),
+                    ("hypersurface", "E3a", "--suite", "induced", "--points", "5"),
+                    ("synthetic", "--dim", "4", "--trials", "5")]
+
+        def text(path):
+            return re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', path.read_text())
+
+        fresh = []
+        for k, argv in enumerate(requests):
+            out = tmp_path / f"fresh{k}.json"
+            assert _cli(*argv, "--seed", "5", "--format", "json", "--out", str(out)).returncode == EXIT_OK
+            fresh.append(text(out))
+        for k in (0, 1, 2, 0, 1):
+            out = tmp_path / f"served{k}.json"
+            assert main([*requests[k], "--seed", "5", "--format", "json", "--out", str(out)]) == EXIT_OK
+            assert text(out) == fresh[k]
+        assert build_parser() is build_parser()
