@@ -254,14 +254,23 @@ class _Parser:
             kind, text, pos = self.tok.take()
         if kind != "number":
             raise ExprSyntaxError("exponent must be a numeric constant", pos)
-        return sign * float(text)
+        return sign * self._number(text, pos)
+
+    def _number(self, text: str, pos: int) -> float:
+        """The finite value of a number token; a token that is no number
+        (".", "²") or overflows ("1e400") is a syntax error at the token."""
+        try:
+            value = float(text)
+        except ValueError:
+            raise ExprSyntaxError(f"malformed number {text!r}", pos) from None
+        if not math.isfinite(value):
+            raise ExprSyntaxError(f"number {text} is not finite", pos)
+        return value
 
     def base(self) -> tuple[ScalarExpr, int]:
         kind, text, pos = self.tok.take()
         if kind == "number":
-            if not math.isfinite(float(text)):
-                raise ExprSyntaxError(f"number {text} is not finite", pos)
-            return Num(float(text)), 1
+            return Num(self._number(text, pos)), 1
         if kind == "ident":
             nk, nt, _ = self.tok.peek()
             if nk == "op" and nt == "(":

@@ -113,18 +113,19 @@ class AmbientJets:
         self.model = model
         self.points = np.asarray(points, dtype=float)
 
-    def _jets(self, sources: list[list[str]], p: int, q: int, order: int) -> TensorValue:
+    def _jets(self, field: str, p: int, q: int, order: int) -> TensorValue:
         space = JetSpace.get(self.model.dim, order)
-        comps = _eval_grid(sources, self.model.coords, space, space.point_jets(self.points), self.points)
+        comps = _eval_grid(getattr(self.model, field), self.model.coords, space, space.point_jets(self.points),
+                           self.points, f"ambient.{field}")
         return TensorValue(self.model.dim, p, q, comps, space)
 
     @cached_property
     def g(self) -> TensorValue:
-        return self._jets(self.model.metric, 0, 2, AMBIENT_METRIC_ORDER)
+        return self._jets("metric", 0, 2, AMBIENT_METRIC_ORDER)
 
     @cached_property
     def J(self) -> TensorValue:
-        return self._jets(self.model.J, 1, 1, FIELD_ORDER)
+        return self._jets("J", 1, 1, FIELD_ORDER)
 
     @cached_property
     def connection(self) -> ConnectionAtPoint:
@@ -189,13 +190,13 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> Hypersurf
     fspace = JetSpace.get(n, FIELD_ORDER)
 
     # embedding jets and tangent frame T_a^B = d_a F^B, jets of gspace
-    F = _eval_grid(emb.map, emb.coords, space, space.point_jets(points), points)   # (P, N1, m)
+    F = _eval_grid(emb.map, emb.coords, space, space.point_jets(points), points, "embedding.map")   # (P, N1, m)
     T = space.grad(F)                               # (P, n, N1, m)
 
     # ambient tensors along F, as chart jets
     F_jets = [gspace.restrict(F[:, B]) for B in range(N1)]
-    g_amb = _eval_grid(amb.metric, amb.coords, gspace, F_jets, points)   # (P, N1, N1, m)
-    J_amb = _eval_grid(amb.J, amb.coords, fspace, [fspace.restrict(f) for f in F_jets], points)
+    g_amb = _eval_grid(amb.metric, amb.coords, gspace, F_jets, points, "ambient.metric")   # (P, N1, N1, m)
+    J_amb = _eval_grid(amb.J, amb.coords, fspace, [fspace.restrict(f) for f in F_jets], points, "ambient.J")
 
     # induced metric g_ab = g~(T_a, T_b)
     T_low = gspace.matmul(T, np.swapaxes(g_amb, 1, 2))     # (P, n, N1, m): g~(T_a, .)

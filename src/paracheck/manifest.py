@@ -26,14 +26,15 @@ Bundle document:
 
 Loading validates everything a model declares: the JSON type and length of
 every field, expression syntax against the declared coordinates, metric
-symmetry as written, finite non-empty domain intervals, and a metric that is
-finite with the declared index at ten sampled points.  A bundle is checked
-at load for its shape and expression syntax only; the request's own
-evaluation of the bundle validates the embedding (rank, domain, a lightlike
-normal) and fails with an input error naming the file.  Errors name the
-file, the field (``<path>: xi: ...``, ``<path>: metric[4]: ...`` for an
-entry) and positions (JSON line/column, or the expression position) so a
-file diagnoses itself.
+symmetry as written, finite non-empty domain intervals, fields that are
+finite at ten sampled points, and a metric with the declared index there.
+A bundle is checked at load for its shape and expression syntax only; the
+request's own evaluation of the bundle validates the embedding (rank,
+domain, a lightlike normal) and the finiteness of every field, and fails
+with an input error naming the file.  Errors name the file, the field
+(``<path>: xi: ...``, ``<path>: metric[4]: ...`` for an entry) and
+positions (JSON line/column, or the expression position) so a file
+diagnoses itself.
 """
 
 from __future__ import annotations
@@ -185,7 +186,8 @@ def _parse(doc: dict, source: str) -> ManifoldModel | HypersurfaceBundle:
                                        ("ambient.J", sum(ambient.J, []), ambient.coords),
                                        ("embedding.map", embedding.map, embedding.coords)):
             for k, s in enumerate(entries):
-                parse_expr(s, coords, f"{field}[{k}]")
+                if entries.index(s) == k:       # each distinct string once, at its first entry
+                    parse_expr(s, coords, f"{field}[{k}]")
         return HypersurfaceBundle(name=name, ambient=ambient, embedding=embedding,
                                   description=str(doc.get("description", "")))
     raise ManifestError(f"unknown manifest kind {kind!r}")

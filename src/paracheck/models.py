@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr_jet import JetSpace, eval_expr, parse_expr
+from .expr_jet import JetDomainError, JetSpace, _locate, eval_expr, parse_expr
 from .paracontact_core import ParacontactStructure
 from .tensor_algebra import TensorValue, inertia
 
@@ -38,8 +38,8 @@ class ManifoldModel:
 
     Invariants checked by :func:`validate_model`: the metric expression grid
     is symmetric as written, the domain intervals are non-empty, every
-    expression parses, and the metric is finite with the declared index at
-    sampled points.
+    expression parses and is finite at sampled points, and the metric has
+    the declared index there.
     """
 
     name: str
@@ -64,7 +64,10 @@ class ModelValidationError(ValueError):
 
 
 def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None, checks_points: int = 10):
-    """Raises ModelValidationError on any violated model invariant."""
+    """Raises ModelValidationError on any violated model invariant, and
+    ExprError or JetDomainError, naming the field, on an entry that does not
+    parse or is not finite at one of ``checks_points`` sampled points (the
+    fields are evaluated there at order 0)."""
     n = model.dim
     if len(model.coords) != n:
         raise ModelValidationError(f"{model.name}: expected {n} coordinate names, got {len(model.coords)}")
@@ -83,23 +86,18 @@ def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None,
             raise ModelValidationError(f"{model.name}: empty domain interval for {model.coords[k]}")
     if model.epsilon not in (1, -1):
         raise ModelValidationError(f"{model.name}: epsilon must be +1 or -1")
-    # parse phi, xi and eta now so bad expressions fail at load time, naming
-    # their entry; the metric is parsed where it is evaluated below
-    phi = [s for row in model.phi or () for s in row]
-    for field, entries in (("phi", phi), ("xi", model.xi), ("eta", model.eta)):
-        for k, s in enumerate(entries or ()):
-            parse_expr(s, model.coords, f"{field}[{k}]")
-    # a finite metric, and its declared index vs computed inertia, at sample points
+    # every field finite at sample points, so a bad entry fails at load time
+    # naming itself, and the declared index vs computed inertia there
     rng = np.random.default_rng(20240101) if rng is None else rng
     lo = np.array([d[0] for d in model.domain])
     hi = np.array([d[1] for d in model.domain])
     pts = rng.uniform(lo, hi, size=(checks_points, n))
     space = JetSpace.get(n, 0)
-    with np.errstate(all="ignore"):
-        g0 = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts, "metric")[..., 0]
-    bad = np.flatnonzero(~np.isfinite(g0).all(axis=(1, 2)))
-    if bad.size:
-        raise ModelValidationError(f"metric: not finite at point {tuple(pts[bad[0]].tolist())}")
+    coord_jets = space.point_jets(pts)
+    for field, sources in (("phi", model.phi), ("xi", model.xi), ("eta", model.eta)):
+        if sources is not None:
+            _eval_grid(sources, model.coords, space, coord_jets, pts, field)
+    g0 = _eval_grid(model.metric, model.coords, space, coord_jets, pts, "metric")[..., 0]
     bad = np.flatnonzero(inertia(g0) != model.index)
     if bad.size:
         raise ModelValidationError(
@@ -108,16 +106,29 @@ def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None,
 
 
 def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: list[np.ndarray],
-               points: np.ndarray, field: str | None = None) -> np.ndarray:
-    """Jets of a vector or matrix of expression strings over ``coords``, at
-    the given coordinate jets (chart point jets, or jets of an embedding):
-    shape (P,) + grid shape + (ncoeffs,).  ``points`` locates domain errors;
-    a syntax error names its entry, ``field[k]`` by row-major k, when
-    ``field`` is given."""
+               points: np.ndarray, field: str) -> np.ndarray:
+    """Jets of the vector or matrix ``field`` of expression strings over
+    ``coords``, at the given coordinate jets (chart point jets, or jets of an
+    embedding): shape (P,) + grid shape + (ncoeffs,).  Each distinct string
+    is parsed and evaluated once, at its first entry in row-major order, and
+    its jets fill every entry that repeats it.  A syntax or domain error
+    names that entry, ``field[k]`` by row-major k; jets that are not finite
+    raise JetDomainError ``field: not finite`` at the first such point."""
     grid = isinstance(sources[0], list)
     flat = [s for row in sources for s in row] if grid else sources
-    jets = np.stack([eval_expr(parse_expr(s, coords, field and f"{field}[{k}]"), space, coord_jets, points=points)
-                     for k, s in enumerate(flat)], axis=1)
+    first = {}
+    with np.errstate(all="ignore"):
+        for k, s in enumerate(flat):
+            if s in first:
+                continue
+            try:
+                first[s] = jets = eval_expr(parse_expr(s, coords, f"{field}[{k}]"), space, coord_jets, points=points)
+            except JetDomainError as e:
+                e.args = (f"{field}[{k}]: {e}",)
+                raise
+            if not np.isfinite(jets).all():
+                raise JetDomainError(f"{field}: not finite", _locate(~np.isfinite(jets), points))
+    jets = np.stack([first[s] for s in flat], axis=1)
     return jets.reshape(jets.shape[:1] + ((len(sources), -1) if grid else (-1,)) + jets.shape[2:])
 
 
@@ -128,14 +139,14 @@ def evaluate_structure(model: ManifoldModel, points: np.ndarray) -> ParacontactS
         raise ValueError(f"model {model.name} declares no (phi, xi, eta) structure")
     points = np.asarray(points, dtype=float)
 
-    def jets(sources, p, q, order):
+    def jets(field, p, q, order):
         space = JetSpace.get(model.dim, order)
-        comps = _eval_grid(sources, model.coords, space, space.point_jets(points), points)
+        comps = _eval_grid(getattr(model, field), model.coords, space, space.point_jets(points), points, field)
         return TensorValue(model.dim, p, q, comps, space)
 
-    return ParacontactStructure(points, model.epsilon, jets(model.metric, 0, 2, METRIC_ORDER),
-                                jets(model.phi, 1, 1, FIELD_ORDER), jets(model.xi, 1, 0, FIELD_ORDER),
-                                jets(model.eta, 0, 1, FIELD_ORDER))
+    return ParacontactStructure(points, model.epsilon, jets("metric", 0, 2, METRIC_ORDER),
+                                jets("phi", 1, 1, FIELD_ORDER), jets("xi", 1, 0, FIELD_ORDER),
+                                jets("eta", 0, 1, FIELD_ORDER))
 
 
 # --------------------------------------------------------------------------

@@ -81,6 +81,24 @@ class TestParser:
         with pytest.raises(UnknownIdentifierError):
             parse_expr("tan(x)", ["x"])
 
+    @pytest.mark.parametrize("source,position,message", [
+        (".", 0, "malformed number '.'"),
+        ("x^.", 2, "malformed number '.'"),
+        ("²", 0, "malformed number '²'"),
+        ("1 + x*²", 6, "malformed number '²'"),
+        ("1e400", 0, "number 1e400 is not finite"),
+        ("x^1e400", 2, "number 1e400 is not finite"),
+        ("x^-1e400", 3, "number 1e400 is not finite"),
+    ])
+    def test_number_token_that_is_no_finite_number_is_syntax_error(self, source, position, message):
+        """A token the tokenizer reads as a number but float() refuses, or
+        one that overflows, is a syntax error at that token, in a value
+        and in an exponent alike."""
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expr(source, ["x"], "phi[0]")
+        assert exc.value.position == position
+        assert str(exc.value) == f"phi[0]: {message} (at position {position})"
+
     @pytest.mark.parametrize("source", [
         "1/(y^2)" + "+0*x" * 1500,           # a flat sum: parsed in a loop, a 1500-deep tree
         "(" * 3000 + "x" + ")" * 3000,

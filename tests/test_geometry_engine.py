@@ -23,7 +23,7 @@ from fd_oracle import fd_christoffel, fd_curvature_package, fd_grad_vector_field
 
 def _metric_jets(model, pts, order=4):
     space = JetSpace.get(model.dim, order)
-    comps = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts)
+    comps = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts, "metric")
     return TensorValue(model.dim, 0, 2, comps, space)
 
 

@@ -3,8 +3,8 @@
 Every mutant is one CLI request, run in this process: it must return 0, 1
 or 2 and never raise.  Mutants of the fields whose errors name their field
 (lengths, coordinate names, JSON types, expression entries, domain bounds,
-a metric that is not finite) must exit 2 with one line
-``error: <path>: <field>: ...`` and no warning.  The fuzz is derandomized,
+any field that is not finite where it is evaluated) must exit 2 with one
+line ``error: <path>: <field>: ...`` and no warning.  The fuzz is derandomized,
 so every run draws the same mutants.
 
 Reference: MacIver et al., *Hypothesis: A new approach to property-based
@@ -31,8 +31,12 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 # expressions that do not parse: a bad token, an open parenthesis, an
-# unknown name, a non-finite literal, nesting past the parser's bound
-BAD_EXPRESSIONS = ["1/(y^2", "y +", "q", "1e400", "inf", "nan", ")", "(" * 150 + "1" + ")" * 150]
+# unknown name, a non-finite literal or exponent, a number token that is no
+# number, nesting past the parser's bound
+BAD_EXPRESSIONS = ["1/(y^2", "y +", "q", "1e400", "inf", "nan", ")", "(" * 150 + "1" + ")" * 150,
+                   ".", "2^1e400", "²"]
+# expressions that overflow at some or all sample points
+NOT_FINITE = ["exp(1000)", "exp(800)*y", "exp(1000*x1)", "1/(y^2)*exp(800)^2"]
 
 
 def _paths(node, prefix=()):
@@ -110,8 +114,8 @@ def _targeted(draw):
     it, and the field its one error line must name."""
     e1 = BASES["E1"]
     kind = draw(st.sampled_from(["metric", "phi", "xi", "eta", "domain", "phi-type", "coords",
-                                 "not-finite", "ambient", "embedding.map", "embedding.domain",
-                                 "ambient.coords"]))
+                                 "not-finite", "not-finite-field", "not-finite-bundle", "ambient",
+                                 "embedding.map", "embedding.domain", "ambient.coords"]))
     if kind == "metric":           # an entry and its transpose, so the grid stays symmetric
         i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
         bad = draw(st.sampled_from(BAD_EXPRESSIONS))
@@ -133,6 +137,16 @@ def _targeted(draw):
     if kind == "not-finite":
         k = draw(st.sampled_from([0, 4, 8]))
         return "E1", [(("metric", k), draw(st.sampled_from(["exp(1000)", "1/(y^2)*exp(800)^2"])))], "metric"
+    if kind == "not-finite-field":
+        field = draw(st.sampled_from(["phi", "xi", "eta"]))
+        k = draw(st.integers(0, len(e1[field]) - 1))
+        return "E1", [((field, k), draw(st.sampled_from(NOT_FINITE)))], field
+    if kind == "not-finite-bundle":     # first evaluated by the request, not at load
+        path, coord = draw(st.sampled_from([(("ambient", "metric"), "u1"), (("ambient", "J"), "v2"),
+                                            (("embedding", "map"), "t")]))
+        k = draw(st.integers(0, len(_get(BASES["E3b"], path)) - 1))
+        bad = draw(st.sampled_from(["exp(1000)", f"exp(800)*{coord}"]))
+        return "E3b", [(path + (k,), bad)], ".".join(path)
     if kind == "ambient":
         grid = draw(st.sampled_from(["metric", "J"]))
         k = draw(st.integers(0, 15))

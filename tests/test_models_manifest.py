@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -202,18 +203,26 @@ class TestManifestErrors:
         ("E1", ("phi", 3), "x1 +", "phi[3]"),
         ("E3a", ("ambient", "J", 5), "q", "ambient.J[5]"),
         ("E1", ("metric", 0), "exp(1000)", "metric"),
+        ("E1", ("phi", 0), "exp(1000)", "phi"),
+        ("E1", ("xi", 2), "exp(800)*y", "xi"),
+        ("E1", ("eta", 2), "exp(1000*x1)", "eta"),
+        ("E1", ("metric", 0), ".", "metric[0]"),
+        ("E1", ("phi", 0), "x1^.", "phi[0]"),
+        ("E1", ("xi", 2), "y^1e400", "xi[2]"),
         ("E1", ("epsilon",), 2, "epsilon"),
         ("E3a", ("embedding", "orientation"), 3, "embedding.orientation"),
     ], ids=["duplicate-coords", "xi-length", "eta-length", "index-true", "dim-true", "duplicate-ambient-coords",
             "duplicate-embedding-coords", "orientation-true", "ambient-coords-length", "domain-bound-true",
             "domain-bound-beyond-float", "phi-true", "metric-syntax", "phi-syntax", "ambient-J-unknown-name",
-            "metric-not-finite", "epsilon-2", "orientation-3"])
+            "metric-not-finite", "phi-not-finite", "xi-not-finite", "eta-not-finite", "metric-lone-dot",
+            "phi-exponent-dot", "xi-exponent-beyond-float", "epsilon-2", "orientation-3"])
     def test_shape_error_names_the_field(self, tmp_path, capsys, target, path, value, field):
         """A field of the wrong length or JSON type, with repeated coordinate
         names, holding true where an integer or a number belongs, with an
-        expression that does not parse, or a metric that is not finite at a
-        sample point is a load error naming the file and the field: the CLI
-        exits 2 with one `error: <path>: <field>: ...` line.  An index of
+        expression that does not parse, or a metric, phi, xi or eta that is
+        not finite at a sample point is a load error naming the file and the
+        field: the CLI exits 2 with one `error: <path>: <field>: ...` line
+        and no warning.  An index of
         true on the Lorentzian E2 would otherwise read as its index 1 and
         pass, and a domain bound of true as 1.0."""
         doc = manifest_dict(get_bundle(target) if target == "E3a" else builtin_models()[target])
@@ -225,9 +234,12 @@ class TestManifestErrors:
         file.write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match=f"^{re.escape(str(file))}: {re.escape(field)}: "):
             load_manifest(file)
-        assert main(["check", str(file), "--suite", "structure", "--points", "5"]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", str(file), "--suite", "structure", "--points", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {file}: {field}: ") and len(err.strip().splitlines()) == 1
+        assert not caught, [str(w.message) for w in caught]
 
     def test_unknown_kind(self):
         with pytest.raises(ManifestError, match="unknown manifest kind"):
