@@ -19,6 +19,7 @@ normative.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -39,16 +40,17 @@ from .paracontact_core import (
 from .sampling import _seed, derive_states
 from .tensor_algebra import TensorValue, degenerate, invert_jet_matrix
 
-# The ambient g~ is evaluated to order 2: the Gauss check reads R~ values,
-# and the Weingarten map and nabla J~ read Gamma~ values.
+# The ambient g~ is evaluated to at most order 2: the Gauss check reads R~
+# values, and the Weingarten map and nabla J~ read Gamma~ values.
 AMBIENT_METRIC_ORDER = 2
 LIGHTLIKE_FLOOR = 1e-6
 COMPONENT_SIGN_FLOOR = 1e-8
 SYNTHETIC_DET_FLOOR = 1e-4     # a synthetic trial's g with |det g| at most this is redrawn
 SYNTHETIC_MAX_DIM = 40         # synthetic memory grows as n^4: a request peaks near 173 MB at n = 40
 PS_POINT_THRESHOLD = 1e-7      # the characterization calls a point para-Sasakian when its rho is at most this
-# synthetic trials are drawn in blocks of max(1, _BLOCK_ELEMENTS // n**3) and evaluated in blocks
-# of max(1, _BLOCK_ELEMENTS // n**4), so the chain's full (trials, n, n, n, n) arrays stay near 128 KB
+# synthetic trials are drawn in blocks of max(1, _BLOCK_ELEMENTS // n**3), each evaluated in the fewest
+# near-equal blocks of at most max(1, _BLOCK_ELEMENTS // n**4), so the chain's full (trials, n, n, n, n)
+# arrays stay near 128 KB
 _BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -103,15 +105,16 @@ class ShapeData:
 
 
 class AmbientJets:
-    """The ambient g~ (jets of order 2: the Gauss check reads R~ values, and
-    the Weingarten map and nabla J~ read Gamma~ values) and J~ (order 1:
-    parallel J reads one derivative) at a batch of ambient points, with the
-    Levi-Civita connection and curvature; each is built on first use and
-    kept."""
+    """The ambient g~ (jets of min(order, AMBIENT_METRIC_ORDER): the Gauss
+    check reads R~ values, and the Weingarten map and nabla J~ read Gamma~
+    values) and J~ (min(order, FIELD_ORDER): parallel J reads one derivative)
+    at a batch of ambient points, with the Levi-Civita connection and
+    curvature; each is built on first use and kept."""
 
-    def __init__(self, model: AmbientProductModel, points: np.ndarray):
+    def __init__(self, model: AmbientProductModel, points: np.ndarray, order: int = AMBIENT_METRIC_ORDER):
         self.model = model
         self.points = np.asarray(points, dtype=float)
+        self.order = order
 
     def _jets(self, field: str, p: int, q: int, order: int) -> TensorValue:
         space = JetSpace.get(self.model.dim, order)
@@ -121,11 +124,11 @@ class AmbientJets:
 
     @cached_property
     def g(self) -> TensorValue:
-        return self._jets("metric", 0, 2, AMBIENT_METRIC_ORDER)
+        return self._jets("metric", 0, 2, min(self.order, AMBIENT_METRIC_ORDER))
 
     @cached_property
     def J(self) -> TensorValue:
-        return self._jets("J", 1, 1, FIELD_ORDER)
+        return self._jets("J", 1, 1, min(self.order, FIELD_ORDER))
 
     @cached_property
     def connection(self) -> ConnectionAtPoint:
@@ -138,17 +141,30 @@ class AmbientJets:
 
 @dataclass
 class HypersurfaceData:
-    """Everything evaluated along the embedding at a batch of chart points."""
+    """Everything evaluated along the embedding at a batch of chart points.
+    The tangency of JN and the ambient jets are measured at once; the induced
+    package, which exists only when JN is tangent, is built by
+    ``build_induced`` on the first read of any of its members: the induced
+    ``structure``, the ``shape`` operator data, ``frame_residual`` (the normal
+    part of the Weingarten derivative), ``epsilon_residual`` (max |g~(N, N) -
+    eps| over the samples) and ``tangent_frame`` ((P, n, n+1) values T_a^B =
+    d_a F^B)."""
 
     bundle: HypersurfaceBundle
     points: np.ndarray
-    structure: ParacontactStructure
-    shape: ShapeData
     tangency_residual: float       # max |g~(JN, N)| over the samples
-    frame_residual: float          # normal part of the Weingarten derivative
-    epsilon_residual: float        # max |g~(N, N) - eps| over the samples
-    tangent_frame: np.ndarray      # (P, n, n+1) values T_a^B = d_a F^B
     ambient: AmbientJets           # g~ and J~ at F(points)
+    build_induced: Callable[[], dict]
+
+    @cached_property
+    def induced(self) -> dict:
+        return self.build_induced()
+
+    structure = property(lambda self: self.induced["structure"])
+    shape = property(lambda self: self.induced["shape"])
+    frame_residual = property(lambda self: self.induced["frame_residual"])
+    epsilon_residual = property(lambda self: self.induced["epsilon_residual"])
+    tangent_frame = property(lambda self: self.induced["tangent_frame"])
 
 
 # --------------------------------------------------------------------------
@@ -170,12 +186,14 @@ def jet_det(space: JetSpace, M: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> HypersurfaceData:
+def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int = METRIC_ORDER) -> HypersurfaceData:
     """Push the embedding through the jet pipeline: tangent frames, unit
-    normal, induced (phi, xi, eta, g), and the shape operator.  The embedding
-    is evaluated to order METRIC_ORDER + 1 so that the induced g reaches
-    METRIC_ORDER; the normal, the frame split, phi, xi and eta are built at
-    FIELD_ORDER.
+    normal N and the tangency of JN at once; on first read, the induced (phi,
+    xi, eta, g) and the shape operator.  The embedding is evaluated to order
+    ``order`` + 1 so that the induced g reaches ``order``; the normal, the
+    frame split, phi, xi, eta and J~ are built at min(order, FIELD_ORDER),
+    which the Weingarten map reads to order 1, and the ambient jets at
+    F(points) to ``order`` at most.
 
     A JN that is not tangent is measured (``tangency_residual``), not
     rejected, so the induced structure is not validated at construction."""
@@ -185,26 +203,22 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> Hypersurf
     N1 = amb.dim
     points = np.asarray(points, dtype=float)
     P = points.shape[0]
-    space = JetSpace.get(n, METRIC_ORDER + 1)
+    space = JetSpace.get(n, order + 1)
     gspace = space.lower
-    fspace = JetSpace.get(n, FIELD_ORDER)
+    fspace = JetSpace.get(n, min(order, FIELD_ORDER))
 
     # embedding jets and tangent frame T_a^B = d_a F^B, jets of gspace
     F = _eval_grid(emb.map, emb.coords, space, space.point_jets(points), points, "embedding.map")   # (P, N1, m)
-    T = space.grad(F)                               # (P, n, N1, m)
+    T_g = space.grad(F)                             # (P, n, N1, m)
 
     # ambient tensors along F, as chart jets
     F_jets = [gspace.restrict(F[:, B]) for B in range(N1)]
-    g_amb = _eval_grid(amb.metric, amb.coords, gspace, F_jets, points, "ambient.metric")   # (P, N1, N1, m)
+    g_amb_g = _eval_grid(amb.metric, amb.coords, gspace, F_jets, points, "ambient.metric")   # (P, N1, N1, m)
     J_amb = _eval_grid(amb.J, amb.coords, fspace, [fspace.restrict(f) for f in F_jets], points, "ambient.J")
 
-    # induced metric g_ab = g~(T_a, T_b)
-    T_low = gspace.matmul(T, np.swapaxes(g_amb, 1, 2))     # (P, n, N1, m): g~(T_a, .)
-    gT = gspace.matmul(T_low, np.swapaxes(T, 1, 2))         # (P, n, n, m)
-    g_ind = TensorValue(n, 0, 2, gT, gspace)
-
     # from here on, jets of fspace
-    T, g_amb = fspace.restrict(T), fspace.restrict(g_amb)
+    T, g_amb = fspace.restrict(T_g), fspace.restrict(g_amb_g)
+
     # normal covector: cofactor cross product of the Jacobian rows
     nu = np.zeros((P, N1, fspace.ncoeffs))
     for B in range(N1):
@@ -226,7 +240,7 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> Hypersurf
     flip = np.where(big.any(axis=1) & (vals[np.arange(P), np.argmax(big, axis=1)] < 0), -1.0, 1.0)
     N_un = N_un * (emb.orientation * flip)[:, None, None]
 
-    # normalize to |g~(N, N)| = 1
+    # normalize to |g~(N, N)| = 1 and measure the tangency g~(N, JN) of JN = xi
     N_low = fspace.matmul(g_amb, N_un[:, :, None])[:, :, 0]
     q = fspace.matmul(N_low[:, None], N_un[:, :, None])[:, 0, 0]     # g~(N, N) jets
     q0 = q[..., 0]
@@ -241,49 +255,53 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray) -> Hypersurf
     eps = int(signs[0])
     scale = fspace.reciprocal(fspace.sqrt(eps * q))
     N_hat = fspace.mul(N_un, scale[:, None, :])
-
-    # frame matrix columns (T_1 .. T_n, N) and its jet inverse
-    frame = np.concatenate([np.moveaxis(T, 1, 2), N_hat[:, :, None, :]], axis=2)  # (P, N1, n+1, m)
-    frame_inv = invert_jet_matrix(fspace, frame)
-
-    # J N = xi (must be tangent), J T_a = phi^b_a T_b + eta_a N: the columns
-    # (J N, J T_1 .. J T_n) in the frame (T_1 .. T_n, N)
     JN = fspace.matmul(J_amb, N_hat[:, :, None])[:, :, 0]
-    tangency = float(np.max(np.abs(fspace.matmul(N_low[:, None], JN[:, :, None])[:, 0, 0, 0])))   # g~(N, JN)
-    JT = fspace.matmul(T, np.swapaxes(J_amb, 1, 2))                     # (P, n, N1, m): J T_a
-    V = np.concatenate([JN[:, None], JT], axis=1)                       # (P, n+1, N1, m)
-    x = fspace.matmul(V, np.swapaxes(frame_inv, 1, 2))                  # (P, n+1, n+1, m)
-    xi_c, phi_c, eta_c = x[:, 0, :n], np.swapaxes(x[:, 1:, :n], 1, 2), x[:, 1:, n]
+    tangency = float(np.max(np.abs(fspace.matmul(N_low[:, None], JN[:, :, None])[:, 0, 0, 0])))
+    ambient = AmbientJets(amb, F[..., 0], order)
 
-    structure = ParacontactStructure(
-        points, eps,
-        g=g_ind,
-        phi=TensorValue(n, 1, 1, phi_c, fspace),
-        xi=TensorValue(n, 1, 0, xi_c, fspace),
-        eta=TensorValue(n, 0, 1, eta_c, fspace),
-        validate=False,
-    )
+    def build_induced() -> dict:
+        # induced metric g_ab = g~(T_a, T_b)
+        T_low = gspace.matmul(T_g, np.swapaxes(g_amb_g, 1, 2))     # (P, n, N1, m): g~(T_a, .)
+        gT = gspace.matmul(T_low, np.swapaxes(T_g, 1, 2))           # (P, n, n, m)
 
-    # shape operator: nabla~_{T_a} N = -A T_a, ambient Christoffels at F(p)
-    ambient = AmbientJets(amb, F[..., 0])
-    Gam_amb = ambient.connection.gamma.components[..., 0]        # (P, C, A, B)
+        # frame matrix columns (T_1 .. T_n, N) and its jet inverse
+        frame = np.concatenate([np.moveaxis(T, 1, 2), N_hat[:, :, None, :]], axis=2)  # (P, N1, n+1, m)
+        frame_inv = invert_jet_matrix(fspace, frame)
 
-    N0 = N_hat[..., 0]
-    eps_res = float(np.max(np.abs(pair(g_amb[..., 0], N0[:, None], N0[:, None]) - eps)))
-    dN = fspace.gradient_values(N_hat)                 # (P, N1, n): d_a (N o F)^C
-    T0 = T[..., 0]                                     # (P, n, N1)
-    W = np.einsum('pca->pac', dN) + apply_op(Gam_amb, T0, N0[:, None])   # Gamma~^C_AB T_a^A N^B
-    frame0 = frame[..., 0]
-    x = np.linalg.solve(frame0, np.moveaxis(W, 1, 2))  # (P, n+1, n): coeffs of W_a
-    A = -x[:, :n, :]                                   # A^b_a
-    frame_res = float(np.max(np.abs(x[:, n, :])))
-    g0 = gT[..., 0]
-    h = eps * np.einsum('pma,pmb->pab', A, g0)
+        # J N = xi (must be tangent), J T_a = phi^b_a T_b + eta_a N: the columns
+        # (J N, J T_1 .. J T_n) in the frame (T_1 .. T_n, N)
+        JT = fspace.matmul(T, np.swapaxes(J_amb, 1, 2))                     # (P, n, N1, m): J T_a
+        V = np.concatenate([JN[:, None], JT], axis=1)                       # (P, n+1, N1, m)
+        x = fspace.matmul(V, np.swapaxes(frame_inv, 1, 2))                  # (P, n+1, n+1, m)
+        xi_c, phi_c, eta_c = x[:, 0, :n], np.swapaxes(x[:, 1:, :n], 1, 2), x[:, 1:, n]
 
-    shape = ShapeData(A=A, N=N0, epsilon=eps, h=h)
-    return HypersurfaceData(bundle=bundle, points=points, structure=structure, shape=shape,
-                            tangency_residual=tangency, frame_residual=frame_res,
-                            epsilon_residual=eps_res, tangent_frame=T0, ambient=ambient)
+        structure = ParacontactStructure(
+            points, eps,
+            g=TensorValue(n, 0, 2, gT, gspace),
+            phi=TensorValue(n, 1, 1, phi_c, fspace),
+            xi=TensorValue(n, 1, 0, xi_c, fspace),
+            eta=TensorValue(n, 0, 1, eta_c, fspace),
+            validate=False,
+        )
+
+        # shape operator: nabla~_{T_a} N = -A T_a, ambient Christoffels at F(p)
+        Gam_amb = ambient.connection.gamma.components[..., 0]        # (P, C, A, B)
+
+        N0 = N_hat[..., 0]
+        eps_res = float(np.max(np.abs(pair(g_amb[..., 0], N0[:, None], N0[:, None]) - eps)))
+        dN = fspace.gradient_values(N_hat)                 # (P, N1, n): d_a (N o F)^C
+        T0 = T[..., 0]                                     # (P, n, N1)
+        W = np.einsum('pca->pac', dN) + apply_op(Gam_amb, T0, N0[:, None])   # Gamma~^C_AB T_a^A N^B
+        frame0 = frame[..., 0]
+        x = np.linalg.solve(frame0, np.moveaxis(W, 1, 2))  # (P, n+1, n): coeffs of W_a
+        A = -x[:, :n, :]                                   # A^b_a
+        frame_res = float(np.max(np.abs(x[:, n, :])))
+        g0 = gT[..., 0]
+        h = eps * np.einsum('pma,pmb->pab', A, g0)
+        return dict(structure=structure, shape=ShapeData(A=A, N=N0, epsilon=eps, h=h), frame_residual=frame_res,
+                    epsilon_residual=eps_res, tangent_frame=T0)
+
+    return HypersurfaceData(bundle, points, tangency, ambient, build_induced)
 
 
 # --------------------------------------------------------------------------
@@ -652,8 +670,9 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
             for arr, new in zip(drawn, again):
                 arr[redraw] = new
             redraw = redraw[np.abs(np.linalg.det(again[0])) <= SYNTHETIC_DET_FLOOR]
-        for lo in range(start, stop, chain_block):
-            hi = min(lo + chain_block, stop)
+        parts = -(-(stop - start) // chain_block)
+        cuts = [start + (stop - start) * j // parts for j in range(parts + 1)]
+        for lo, hi in zip(cuts, cuts[1:]):
             block_worst, k_values[lo:hi], k_resid[lo:hi] = _gauss_chain(
                 epsilon, *(a[lo - start:hi - start] for a in drawn), ks, perturb_a)
             for name, value in block_worst.items():

@@ -24,8 +24,8 @@ from .expr_jet import JetDomainError, JetSpace, _locate, eval_expr, parse_expr
 from .paracontact_core import ParacontactStructure
 from .tensor_algebra import TensorValue, inertia
 
-# Jet orders of a chart model's fields.  The deepest check reads one
-# derivative of Ricci (dr, div Q, nabla Q, L_xi S, nabla and L_xi of C11), so g
+# Deepest jet orders of a chart model's fields (suites.METRIC_ORDERS gives the g order of each request).
+# The deepest check reads one derivative of Ricci (dr, div Q, nabla Q, L_xi S, nabla and L_xi of C11), so g
 # needs order 3; phi, xi and eta enter at most one covariant or Lie derivative.
 METRIC_ORDER = 3
 FIELD_ORDER = 1
@@ -132,9 +132,9 @@ def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: li
     return jets.reshape(jets.shape[:1] + ((len(sources), -1) if grid else (-1,)) + jets.shape[2:])
 
 
-def evaluate_structure(model: ManifoldModel, points: np.ndarray) -> ParacontactStructure:
+def evaluate_structure(model: ManifoldModel, points: np.ndarray, order: int = METRIC_ORDER) -> ParacontactStructure:
     """Evaluate the model's tensors as jets at the given points: g to
-    METRIC_ORDER, phi, xi and eta to FIELD_ORDER."""
+    ``order``, phi, xi and eta to min(order, FIELD_ORDER)."""
     if not model.has_structure:
         raise ValueError(f"model {model.name} declares no (phi, xi, eta) structure")
     points = np.asarray(points, dtype=float)
@@ -144,9 +144,9 @@ def evaluate_structure(model: ManifoldModel, points: np.ndarray) -> ParacontactS
         comps = _eval_grid(getattr(model, field), model.coords, space, space.point_jets(points), points, field)
         return TensorValue(model.dim, p, q, comps, space)
 
-    return ParacontactStructure(points, model.epsilon, jets("metric", 0, 2, METRIC_ORDER),
-                                jets("phi", 1, 1, FIELD_ORDER), jets("xi", 1, 0, FIELD_ORDER),
-                                jets("eta", 0, 1, FIELD_ORDER))
+    fo = min(order, FIELD_ORDER)
+    return ParacontactStructure(points, model.epsilon, jets("metric", 0, 2, order),
+                                jets("phi", 1, 1, fo), jets("xi", 1, 0, fo), jets("eta", 0, 1, fo))
 
 
 # --------------------------------------------------------------------------

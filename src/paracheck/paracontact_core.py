@@ -87,8 +87,8 @@ class StructureCheckResult:
 
 class ParacontactStructure:
     """Jet-valued structure tensors over a batch of sample points.  Each
-    tensor's jet space is the order it was evaluated to: g to the order of
-    the deepest curvature check, phi, xi and eta to one derivative.
+    tensor's jet space is the order it was evaluated to: g to the order the
+    requested suite reads, phi, xi and eta to at most one derivative.
 
     Basic invariants (eta(xi) = 1 and g(xi,xi) = eps, both to 1e-10) are
     enforced at construction; the geometric axioms are what the check
@@ -281,8 +281,9 @@ def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray) -> St
     return res
 
 
-def ps_curvature_gaps(struct: ParacontactStructure, vectors: np.ndarray) -> dict[str, float]:
-    """Raw normalized residuals of the four curvature identities."""
+def check_ps_curvature_identities(struct: ParacontactStructure, vectors: np.ndarray) -> StructureCheckResult:
+    """The four curvature identities of a para-Sasakian structure, evaluated
+    over random vector triples.  Runs even when the defining equations fail."""
     eps = struct.epsilon
     n = struct.dim
     cur = struct.curvature
@@ -292,12 +293,12 @@ def ps_curvature_gaps(struct: ParacontactStructure, vectors: np.ndarray) -> dict
     X = vectors[:, 0::2]
     Y = vectors[:, 1::2]
     Z = np.roll(Y, 1, axis=1)
-    out: dict[str, float] = {}
+    res = StructureCheckResult()
 
     # R(X,Y)xi = eta(X) Y - eta(Y) X
     RXYxi = apply_op(R, X, Y, xi[:, None])
     tgt = form(eta, X)[..., None] * Y - form(eta, Y)[..., None] * X
-    out["curvature.r-xy-xi"] = residual_norm(RXYxi - tgt, RXYxi, tgt, X, Y)
+    res.add("curvature.r-xy-xi", residual_norm(RXYxi - tgt, RXYxi, tgt, X, Y))
 
     # R(X,Y) phi Z expansion
     Phi = struct.Phi0
@@ -318,23 +319,14 @@ def ps_curvature_gaps(struct: ParacontactStructure, vectors: np.ndarray) -> dict
            - 2 * eps * PhiYZ * etaX * xi_b + 2 * eps * PhiXZ * etaY * xi_b
            - eps * gYZ * phiX + eps * gXZ * phiY
            + 2 * etaY * etaZ * phiX - 2 * etaX * etaZ * phiY)
-    out["curvature.r-xy-phi-z"] = residual_norm(RXYphiZ - rhs, RXYphiZ, rhs, X, Y, Z)
+    res.add("curvature.r-xy-phi-z", residual_norm(RXYphiZ - rhs, RXYphiZ, rhs, X, Y, Z))
 
     # S(X, phi Y) = S(phi X, Y)
     gap = pair(S, X, phiY) - pair(S, phiX, Y)
-    out["curvature.ricci-phi-symmetric"] = residual_norm(gap, pair(S, X, phiY))
+    res.add("curvature.ricci-phi-symmetric", residual_norm(gap, pair(S, X, phiY)))
 
     # S(X, xi) = -(n-1) eta(X)
     SXxi = pair(S, X, xi[:, None])
     gap = SXxi + (n - 1) * form(eta, X)
-    out["curvature.ricci-xi"] = residual_norm(gap, SXxi)
-    return out
-
-
-def check_ps_curvature_identities(struct: ParacontactStructure, vectors: np.ndarray) -> StructureCheckResult:
-    """The four curvature identities of a para-Sasakian structure, evaluated
-    over random vector triples.  Runs even when the defining equations fail."""
-    res = StructureCheckResult()
-    for name, value in ps_curvature_gaps(struct, vectors).items():
-        res.add(name, value)
+    res.add("curvature.ricci-xi", residual_norm(gap, SXxi))
     return res

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import einstein_like as el
 from . import hypersurface_lab as hl
-from .models import ManifoldModel, evaluate_structure
+from .models import METRIC_ORDER, ManifoldModel, evaluate_structure
 from .paracontact_core import (
     ParacontactStructure,
     StructureCheckResult,
@@ -52,6 +52,13 @@ GATES = {
 PS = ("para-sasakian",)
 PS_TRPHI = ("para-sasakian", "trace-phi-constant")
 SHAPE = ("shape-characterized",)
+
+# metric jet order each request kind reads: values for the axioms, Gamma values (order 1) for the para-Sasakian
+# and induced displays, R values (2) for the curvature identities and the Gauss equation, a derivative of Ricci
+# (3) for the Einstein-like and Lie displays; no gate reads above order 1
+METRIC_ORDERS = {"structure": 0, "sasakian": 1, "curvature": 2, "einstein": METRIC_ORDER, "lie": METRIC_ORDER,
+                 "all": METRIC_ORDER, "hypersurface induced": 1, "hypersurface characterization": 1,
+                 "hypersurface gauss": 2, "hypersurface all": 2}
 
 
 # tolerance tiers of the rows at scale 1, by the number of derivatives an
@@ -339,12 +346,13 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
     is_bundle = isinstance(target, hl.HypersurfaceBundle)
     if suite == "hypersurface" and not is_bundle:
         raise ValueError(f"suite 'hypersurface' needs a bundle target, got chart model {name!r}")
+    order = METRIC_ORDERS[f"hypersurface {cfg.hypersurface_subset}" if suite == "hypersurface" else suite]
     report = new_report(name, suite, cfg.seed, cfg.points)
     points = sample_points(target.embedding.domain if is_bundle else target.domain, cfg.points,
                            derive_rng(cfg.seed, name, "points"))
     data = None
     if is_bundle:
-        data = hl.evaluate_bundle(target, points)
+        data = hl.evaluate_bundle(target, points, max(order, 1))     # the Weingarten map reads dN
         if not data.tangency_residual <= CHECKS["hypersurface.jn-tangent"].tol * cfg.tol_scale:
             # induced-structure hypothesis violated: report just that and stop
             res = hl.check_ambient(data.ambient)
@@ -353,7 +361,7 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
             _merge(report, cfg.tol_scale, res)
             report.sort()
             return report
-    ctx = _ModelContext(data.structure if is_bundle else evaluate_structure(target, points), name, cfg, data)
+    ctx = _ModelContext(data.structure if is_bundle else evaluate_structure(target, points, order), name, cfg, data)
     if suite == "hypersurface":
         _run_hypersurface(report, ctx, cfg, cfg.hypersurface_subset)
     else:

@@ -13,7 +13,6 @@ from paracheck.paracontact_core import (
     check_para_sasakian,
     check_ps_curvature_identities,
     pair,
-    ps_curvature_gaps,
     residual_norm,
 )
 from paracheck.sampling import derive_rng, random_vectors, sample_points
@@ -158,7 +157,7 @@ class TestNegativeControlDiscipline:
         assert not check_para_sasakian(f0, vectors(f0)).passed
         assert not check_ps_curvature_identities(f0, vectors(f0)).passed
 
-    def test_gaps_exposed_for_suite_reuse(self, e1, vectors):
-        gaps = ps_curvature_gaps(e1, vectors(e1))
-        assert set(gaps) == {"curvature.r-xy-xi", "curvature.r-xy-phi-z", "curvature.ricci-phi-symmetric",
-                             "curvature.ricci-xi"}
+    def test_curvature_check_records_the_four_identities(self, e1, vectors):
+        ids = [c.id for c in check_ps_curvature_identities(e1, vectors(e1)).checks]
+        assert sorted(ids) == ["curvature.r-xy-phi-z", "curvature.r-xy-xi", "curvature.ricci-phi-symmetric",
+                               "curvature.ricci-xi"]

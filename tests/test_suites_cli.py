@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from paracheck import hypersurface_lab, paracontact_core, suites
+from paracheck import hypersurface_lab, suites
 from paracheck.cli import build_parser, main
 from paracheck.einstein_like import EinsteinLikeFit
 from paracheck.manifest import save_manifest
@@ -237,9 +237,14 @@ class TestNonFiniteResiduals:
     written as 1e300 in strict JSON; each reduction over residuals keeps it."""
 
     def test_chart_record(self, tmp_path, monkeypatch, bad):
-        gaps = paracontact_core.ps_curvature_gaps
-        monkeypatch.setattr(paracontact_core, "ps_curvature_gaps",
-                            lambda *a: {**gaps(*a), "curvature.ricci-xi": bad})
+        check = suites.check_ps_curvature_identities
+
+        def broken(*args):
+            res = check(*args)
+            res.get("curvature.ricci-xi").residual = bad
+            return res
+
+        monkeypatch.setattr(suites, "check_ps_curvature_identities", broken)
         code, checks = _json_run(tmp_path, "check", "E1", "--suite", "curvature", "--points", "5")
         assert code == EXIT_CHECK_FAILED
         assert checks["curvature.ricci-xi"]["status"] == "fail"
