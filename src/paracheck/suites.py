@@ -173,6 +173,8 @@ class RunConfig:
             raise ValueError(f"--perturb-a must be finite, got {self.perturb_a}")
         if self.dim > hl.SYNTHETIC_MAX_DIM:
             raise ValueError(f"--dim must be at most {hl.SYNTHETIC_MAX_DIM}, got {self.dim}")
+        if self.hypersurface_subset not in HYPERSURFACE_SUBSETS:
+            raise ValueError(f"unknown hypersurface subset {self.hypersurface_subset!r}")
 
 
 def _merge(report: CheckReport, tol_scale: float, *results: StructureCheckResult):

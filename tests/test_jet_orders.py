@@ -55,6 +55,8 @@ def test_the_table_covers_every_request_kind():
     kinds |= {f"hypersurface {s}" for s in suites.HYPERSURFACE_SUBSETS}
     assert set(METRIC_ORDERS) == kinds
     assert max(METRIC_ORDERS.values()) == METRIC_ORDER
+    with pytest.raises(ValueError, match="unknown hypersurface subset"):
+        RunConfig(hypersurface_subset="shape")
 
 
 def _floor(kind: str) -> int:
