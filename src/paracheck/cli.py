@@ -39,8 +39,9 @@ def _resolve(name: str) -> ManifoldModel | HypersurfaceBundle:
 
 
 def _run(name: str, suite: str, cfg: RunConfig, bundle_only: bool = False) -> CheckReport:
-    """Run ``suite`` on the builtin or manifest ``name``; an embedding or a
-    field that fails to evaluate is an input error naming ``name``."""
+    """Run ``suite`` on the builtin or manifest ``name``; an embedding, a
+    field, a metric or a structure that fails to evaluate or to validate is
+    an input error naming ``name``."""
     target = _resolve(name)
     if bundle_only and not isinstance(target, HypersurfaceBundle):
         raise ManifestError(f"{name!r} is a chart model, not a hypersurface bundle")
@@ -48,7 +49,7 @@ def _run(name: str, suite: str, cfg: RunConfig, bundle_only: bool = False) -> Ch
         return run_suite(target, suite, cfg)
     except InducedStructureError as e:
         raise ManifestError(f"{name}: embedding validation failed: {e}") from e
-    except JetDomainError as e:
+    except (ValueError, JetDomainError) as e:
         raise ManifestError(f"{name}: {e}") from e
 
 

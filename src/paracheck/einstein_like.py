@@ -12,7 +12,7 @@ verified intermediate identities yields (the eta(x)eta coefficient of the
 trace-contraction decomposition, and the placement of eps in two Lie-
 derivative right-hand sides).  For those, the re-derived form is normative
 for pass/fail and the printed form is evaluated informationally (their
-``suites.CHECKS`` rows are flagged informational).
+``report.CHECKS`` rows are flagged informational).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry_engine import covariant_derivative, lie_derivative
-from .paracontact_core import ParacontactStructure, StructureCheckResult, residual_norm
-from .report import VACUOUS
+from .paracontact_core import ParacontactStructure
+from .report import VACUOUS, StructureCheckResult, residual_norm
 from .tensor_algebra import TensorValue, contract_with, lowest_space
 
 RANK_THRESHOLD = 1e-10
@@ -91,12 +91,12 @@ def _add_over_family(res: StructureCheckResult, fit: EinsteinLikeFit, gaps, deta
     kept = [m for m in members if not (skip_c0 and abs(m[2]) < DEGENERATE_C)]
     if not kept:
         for cid in details:
-            res.add(cid, 0.0, "vacuous: every family member has c = 0", status=VACUOUS)
+            res.add(cid, 0.0, detail="vacuous: every family member has c = 0", status=VACUOUS)
         return
     skipped = len(members) - len(kept)
     note = f", {skipped} degenerate member(s) skipped" if skipped else ""
     for (cid, detail), worst in zip(details.items(), np.max([gaps(*m) for m in kept], axis=0)):
-        res.add(cid, worst, detail.format(n=len(kept), skipped=note))
+        res.add(cid, worst, detail=detail.format(n=len(kept), skipped=note))
 
 
 def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
@@ -154,7 +154,7 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Str
         grad_q = (-eps * b * np.einsum('px,ay->payx', eta, eye)
                   + c * np.einsum('px,pay->payx', eta, phi)
                   - np.einsum('pxy,pa->payx',
-                              b * g - 2 * eps * b * np.einsum('px,py->pxy', eta, eta)
+                              b * g - 2 * eps * b * struct.ee0
                               - eps * c * np.einsum('pmx,pmy->pxy', phi, g),
                               xi))
         return (abs(eps * a + c - (1 - n)),
@@ -186,7 +186,7 @@ def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure) -> 
     eps = struct.epsilon
     n = struct.dim
     trphi = struct.trace_phi()
-    _add_over_family(res, fit, lambda a, b, c: (np.max(np.abs(trphi - eps * (n - 1) * b / c)),),
+    _add_over_family(res, fit, lambda a, b, c: (residual_norm(trphi - eps * (n - 1) * b / c),),
                      {"einstein.trace-phi-formula": "{n} member(s) checked{skipped}"}, skip_c0=True)
     return res
 
@@ -222,15 +222,14 @@ def verify_c11_identities(c11: C11Tensor, struct: ParacontactStructure) -> Struc
     """Symmetry of the contraction and the S(Y, phi Z) display."""
     eps = struct.epsilon
     n = struct.dim
-    g, eta = struct.g0, struct.eta0
-    ee = np.einsum('pa,pb->pab', eta, eta)
+    g, ee = struct.g0, struct.ee0
     trphi = struct.trace_phi()[:, None, None]
     res = StructureCheckResult()
     res.add("einstein.c11-symmetric", c11.symmetry_residual())
     S = struct.curvature.ricci.components[..., 0]
     SphiZ = np.einsum('pym,pmz->pyz', S, struct.phi0)   # S(Y, phi Z)
     rhs = c11.values + eps * (n - 2) * struct.Phi0 + (2 * ee - eps * g) * trphi
-    res.add("einstein.s-phi-z-display", residual_norm(SphiZ - rhs, SphiZ, rhs))
+    res.add("einstein.s-phi-z-display", SphiZ - rhs, SphiZ, rhs)
     return res
 
 
@@ -241,9 +240,7 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor,
     printed one informational), and parallelism along xi."""
     eps = struct.epsilon
     n = struct.dim
-    g, eta = struct.g0, struct.eta0
-    Phi = struct.Phi0
-    ee = np.einsum('pa,pb->pab', eta, eta)
+    g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
     C = c11.values
     res = StructureCheckResult()
 
@@ -261,7 +258,7 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor,
 
     nabla_c11 = covariant_derivative(c11.tensor, struct.connection)
     par = np.einsum('piab,pi->pab', nabla_c11.components[..., 0], struct.xi0)
-    res.add("einstein.c11-parallel-along-xi", residual_norm(par, C))
+    res.add("einstein.c11-parallel-along-xi", par, C)
     return res
 
 
@@ -279,24 +276,22 @@ def verify_lie_formulas(struct: ParacontactStructure) -> StructureCheckResult:
     """
     eps = struct.epsilon
     conn = struct.connection
-    g, eta = struct.g0, struct.eta0
-    Phi = struct.Phi0
-    ee = np.einsum('pa,pb->pab', eta, eta)
+    g, eta, Phi, ee = struct.g0, struct.eta0, struct.Phi0, struct.ee0
     res = StructureCheckResult()
 
     Leta = lie_derivative(struct.eta, struct.xi, conn).components[..., 0]
-    res.add("lie.lie-eta", residual_norm(Leta, eta))
+    res.add("lie.lie-eta", Leta, eta)
 
     Lg = lie_derivative(struct.g, struct.xi, conn).components[..., 0]
-    res.add("lie.lie-g", residual_norm(Lg - 2 * eps * Phi, Lg, Phi))
+    res.add("lie.lie-g", Lg - 2 * eps * Phi, Lg, Phi)
 
     LPhi = lie_derivative(struct.Phi, struct.xi, conn).components[..., 0]
     derived = 2 * eps * (g - eps * ee)
     printed = 2 * eps * (g - ee)
-    res.add("lie.lie-phi-form-derived", residual_norm(LPhi - derived, LPhi, derived),
-            "re-derived right side 2 eps (g - eps eta(x) eta)")
-    res.add("lie.lie-phi-form-printed", residual_norm(LPhi - printed, LPhi, printed),
-            "printed right side 2 eps (g - eta(x)eta); informational")
+    res.add("lie.lie-phi-form-derived", LPhi - derived, LPhi, derived,
+            detail="re-derived right side 2 eps (g - eps eta(x) eta)")
+    res.add("lie.lie-phi-form-printed", LPhi - printed, LPhi, printed,
+            detail="printed right side 2 eps (g - eta(x)eta); informational")
     return res
 
 
@@ -304,8 +299,7 @@ def verify_lie_ricci(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Stru
     """L_xi S = 2 a eps Phi + 2 b eps (g - eps eta(x)eta) on a para-Sasakian
     structure."""
     eps = struct.epsilon
-    g, Phi = struct.g0, struct.Phi0
-    ee = np.einsum('pa,pb->pab', struct.eta0, struct.eta0)
+    g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
     LS = lie_derivative(struct.curvature.ricci, struct.xi, struct.connection).components[..., 0]
     res = StructureCheckResult()
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(
@@ -321,8 +315,7 @@ def verify_lie_c11(fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStru
     and, informationally, the printed variant with (g - eta(x)eta)."""
     eps = struct.epsilon
     n = struct.dim
-    g, Phi = struct.g0, struct.Phi0
-    ee = np.einsum('pa,pb->pab', struct.eta0, struct.eta0)
+    g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
     res = StructureCheckResult()
     LC = lie_derivative(c11.tensor, struct.xi, struct.connection).components[..., 0]
 

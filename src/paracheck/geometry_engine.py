@@ -120,7 +120,7 @@ def christoffel(metric_jets: TensorValue, points: np.ndarray) -> ConnectionAtPoi
     """
     space = metric_jets.space
     lower = _lower(space, "christoffel")
-    metric = MetricAtPoint.build(metric_jets.as_jet(lower))
+    metric = MetricAtPoint.build(metric_jets.as_jet(lower), points)
     n = metric_jets.dim
     dg = space.grad(metric_jets.components)             # [P, deriv, row, col, m]
     # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
@@ -172,30 +172,21 @@ def covariant_derivative(T: TensorValue, conn: ConnectionAtPoint) -> TensorValue
     return TensorValue(n, T.p, T.q + 1, np.moveaxis(dT, 1, 1 + T.p), out)
 
 
-def lie_derivative(T: TensorValue, X: TensorValue, conn: ConnectionAtPoint,
-                   via_partials: bool = False) -> TensorValue:
+def lie_derivative(T: TensorValue, X: TensorValue, conn: ConnectionAtPoint) -> TensorValue:
     """Lie derivative along X of a (0,1) form or (0,2) tensor, valid to
-    min(T's order - 1, X's order - 1, Gamma's order).
+    min(T's order - 1, X's order - 1, Gamma's order), by the covariant route
 
-    The default route is the covariant one,
-    (L_X T)(Y,Z) = (nabla_X T)(Y,Z) + T(nabla_Y X, Z) + T(Y, nabla_Z X);
-    ``via_partials`` switches to the coordinate form with plain partials,
-    which must agree for a torsion-free connection (asserted in tests).
+        (L_X T)(Y,Z) = (nabla_X T)(Y,Z) + T(nabla_Y X, Z) + T(Y, nabla_Z X);
+
+    the tests check it against the coordinate form with plain partials.
     """
     if (T.p, T.q) not in ((0, 1), (0, 2)):
         raise ValueError(f"lie_derivative supports valences (0,1) and (0,2), got ({T.p},{T.q})")
     out = lowest_space(_lower(T.space, "lie derivative"), _lower(X.space, "lie derivative"), conn.space)
     T, X = (V.as_jet(JetSpace.get(V.dim, out.order + 1)) for V in (T, X))
     n = T.dim
-
-    if via_partials:
-        dT = T.space.grad(T.components)                                  # [k, slots...]
-        first = contract_with(X, TensorValue(n, 0, T.q + 1, dT, out), 0, 0)
-        dX = X.space.grad(X.components)                                  # [i, a, m] = d_i X^a
-        gradX = TensorValue(n, 1, 1, np.swapaxes(dX, 1, 2), out)                   # [a, i]
-    else:
-        first = contract_with(X, covariant_derivative(T, conn), 0, 0)
-        gradX = covariant_derivative(X, conn)  # (1,1): (nabla X)^a_i
+    first = contract_with(X, covariant_derivative(T, conn), 0, 0)
+    gradX = covariant_derivative(X, conn)  # (1,1): (nabla X)^a_i
 
     if T.q == 1:
         lie = first + contract_with(gradX, T, 0, 0)            # eta_a (grad X)^a_i -> [i]

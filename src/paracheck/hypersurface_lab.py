@@ -28,15 +28,8 @@ import numpy as np
 from .expr_jet import JetSpace
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
 from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid
-from .paracontact_core import (
-    ParacontactStructure,
-    StructureCheckResult,
-    apply_op,
-    defining_equation_gap_per_point,
-    form,
-    pair,
-    residual_norm,
-)
+from .paracontact_core import ParacontactStructure, apply_op, defining_equation_gap_per_point, form, pair
+from .report import StructureCheckResult, residual_norm
 from .sampling import _seed, derive_states
 from .tensor_algebra import TensorValue, degenerate, invert_jet_matrix
 
@@ -225,8 +218,11 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
         minor = np.delete(T, B, axis=2)            # (P, n, n, m)
         sign = -1.0 if (n + B) % 2 else 1.0
         nu[:, B] = sign * jet_det(fspace, minor)
-    if np.max(np.abs(nu[..., 0])) < 1e-12:
-        raise InducedStructureError("embedding differential is rank-deficient at the samples")
+    # rank per point: |nu| against Hadamard's bound, the product of the Jacobian rows' norms
+    flat = ~(np.linalg.norm(nu[..., 0], axis=1) > 1e-12 * np.prod(np.linalg.norm(T[..., 0], axis=2), axis=1))
+    if np.any(flat):
+        raise InducedStructureError("embedding differential is rank-deficient "
+                                    f"at point {tuple(float(c) for c in points[np.argmax(flat)])}")
     singular = degenerate(g_amb[..., 0])
     if np.any(singular):
         raise InducedStructureError("degenerate ambient metric (smallest singular value at most 1e-12 of the largest) "
@@ -244,10 +240,12 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     N_low = fspace.matmul(g_amb, N_un[:, :, None])[:, :, 0]
     q = fspace.matmul(N_low[:, None], N_un[:, :, None])[:, 0, 0]     # g~(N, N) jets
     q0 = q[..., 0]
-    if np.min(np.abs(q0)) < LIGHTLIKE_FLOOR:
-        k = int(np.argmin(np.abs(q0)))
+    # |g~(N, N)| relative to |N|^2 max |g~|, which bounds it up to a factor n + 1
+    light = np.abs(q0) / (np.sum(N_un[..., 0] ** 2, axis=1) * np.max(np.abs(g_amb[..., 0]), axis=(1, 2)))
+    if np.min(light) < LIGHTLIKE_FLOOR:
+        k = int(np.argmin(light))
         raise InducedStructureError(
-            f"lightlike normal direction (|g~(N,N)| = {abs(q0[k]):.2e}) "
+            f"lightlike normal direction (|g~(N,N)| = {abs(q0[k]):.2e}, {light[k]:.2e} of |N|^2 max|g~|) "
             f"at point {tuple(float(c) for c in points[k])}: unsupported")
     signs = np.sign(q0)
     if len(set(signs.tolist())) != 1:
@@ -315,11 +313,11 @@ def check_ambient(ambient: AmbientJets) -> StructureCheckResult:
     J0 = ambient.J.components[..., 0]
     g0 = ambient.g.components[..., 0]
     JJ = np.einsum('pab,pbc->pac', J0, J0)
-    res.add("hypersurface.ambient-j-squared", residual_norm(JJ - np.eye(ambient.model.dim), J0))
+    res.add("hypersurface.ambient-j-squared", JJ - np.eye(ambient.model.dim), J0)
     pullback = np.swapaxes(J0, 1, 2) @ g0 @ J0
-    res.add("hypersurface.ambient-j-metric", residual_norm(pullback - g0, g0))
+    res.add("hypersurface.ambient-j-metric", pullback - g0, g0)
     nJ = covariant_derivative(ambient.J, ambient.connection)
-    res.add("hypersurface.ambient-j-parallel", residual_norm(nJ.components[..., 0], J0))
+    res.add("hypersurface.ambient-j-parallel", nJ.components[..., 0], J0)
     return res
 
 
@@ -341,14 +339,14 @@ def verify_induced_derivatives(data: HypersurfaceData, vectors: np.ndarray) -> S
     lhs = apply_op(s.nabla_phi, X, Y)
     AX = apply_op(A, X)
     rhs = form(eta, Y)[..., None] * AX + eps * pair(g, AX, Y)[..., None] * xi[:, None, :]
-    res.add("hypersurface.induced-grad-phi", residual_norm(lhs - rhs, lhs, rhs, X, Y))
+    res.add("hypersurface.induced-grad-phi", lhs - rhs, lhs, rhs, X, Y)
 
     lhs = pair(s.nabla_eta, X, Y)
     rhs = -eps * pair(g, AX, apply_op(phi, Y))
-    res.add("hypersurface.induced-grad-eta", residual_norm(lhs - rhs, lhs, rhs, X, Y))
+    res.add("hypersurface.induced-grad-eta", lhs - rhs, lhs, rhs, X, Y)
 
     rhs_xi = -np.einsum('pam,pmi->pai', phi, A)
-    res.add("hypersurface.induced-grad-xi", residual_norm(s.nabla_xi - rhs_xi, s.nabla_xi, rhs_xi))
+    res.add("hypersurface.induced-grad-xi", s.nabla_xi - rhs_xi, s.nabla_xi, rhs_xi)
     return res
 
 
@@ -384,12 +382,16 @@ def gauss_consistency_residual(data: HypersurfaceData) -> float:
 # --------------------------------------------------------------------------
 
 
-def shape_characterization_gap_per_point(struct: ParacontactStructure, A: np.ndarray) -> np.ndarray:
-    """Pointwise normalized residual of A = -eps I + eps eta(x)xi."""
+def characterized_shape(struct: ParacontactStructure) -> np.ndarray:
+    """The shape operator -eps I + eps eta(x)xi of a para-Sasakian
+    hypersurface, (P, n, n) values A^a_b."""
     eps = struct.epsilon
-    target = -eps * np.eye(struct.dim)[None] + eps * np.einsum('pa,pb->pab', struct.xi0, struct.eta0)
-    gap = np.max(np.abs(A - target), axis=(1, 2))
-    return gap / (1.0 + np.max(np.abs(A)))
+    return -eps * np.eye(struct.dim)[None] + eps * np.einsum('pa,pb->pab', struct.xi0, struct.eta0)
+
+
+def shape_characterization_gap_per_point(struct: ParacontactStructure, A: np.ndarray) -> np.ndarray:
+    """The residual of A = -eps I + eps eta(x)xi at each point, normalized by A."""
+    return residual_norm(A - characterized_shape(struct), A, axis=(1, 2))
 
 
 def _min_norm_solve(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,23 +434,22 @@ def check_ps_characterization(data: HypersurfaceData, vectors: np.ndarray) -> St
     """The equivalence "para-Sasakian iff A = -eps I + eps eta(x)xi", asserted
     pointwise, plus the constructive recovery of A from the displays."""
     s = data.structure
-    eps = s.epsilon
     res = StructureCheckResult()
     rho1 = defining_equation_gap_per_point(s, vectors)
     rho2 = shape_characterization_gap_per_point(s, data.shape.A)
     # a point where either side is NaN violates the equivalence
     mismatch = np.isnan(rho1 + rho2) | ((rho1 <= PS_POINT_THRESHOLD) != (rho2 <= PS_POINT_THRESHOLD))
     res.add("hypersurface.characterization-iff", np.sum(mismatch),
-            f"rho1 in [{rho1.min():.2e}, {rho1.max():.2e}], rho2 in [{rho2.min():.2e}, {rho2.max():.2e}]; "
+            detail=f"rho1 in [{rho1.min():.2e}, {rho1.max():.2e}], rho2 in [{rho2.min():.2e}, {rho2.max():.2e}]; "
             "residual counts points violating the equivalence")
 
     A_hat, rank = recover_shape_operator(s, vectors)
-    target = -eps * np.eye(s.dim)[None] + eps * np.einsum('pa,pb->pab', s.xi0, s.eta0)
-    rec = residual_norm(A_hat - target, A_hat, target)
+    target = characterized_shape(s)
     detail = f"linear system rank {rank} of {s.dim ** 2}"
     if rank < s.dim ** 2:
-        rec, detail = np.inf, detail + " (rank-deficient)"
-    res.add("hypersurface.characterization-linear-solve", rec, detail)
+        res.add("hypersurface.characterization-linear-solve", np.inf, detail=detail + " (rank-deficient)")
+    else:
+        res.add("hypersurface.characterization-linear-solve", A_hat - target, A_hat, target, detail=detail)
     return res
 
 
@@ -456,11 +457,8 @@ def quasi_umbilical_check(shape: ShapeData, struct: ParacontactStructure) -> Str
     """The quasi-umbilical decomposition h = -g + eps eta(x)eta (alpha = -1,
     beta = eps, u = eta), which holds when A is the characterized operator."""
     res = StructureCheckResult()
-    eps = struct.epsilon
-    ee = np.einsum('pa,pb->pab', struct.eta0, struct.eta0)
-    gap = shape.h + struct.g0 - eps * ee
-    res.add("hypersurface.quasi-umbilical", np.max(np.abs(gap)),
-            "h = -g + eps eta(x)eta with alpha = -1, beta = eps, u = eta")
+    res.add("hypersurface.quasi-umbilical", shape.h + struct.g0 - struct.epsilon * struct.ee0,
+            detail="h = -g + eps eta(x)eta with alpha = -1, beta = eps, u = eta")
     return res
 
 
@@ -694,7 +692,7 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
         ("eps-a-plus-c", "fitted coefficients of the computed Ricci satisfy eps a + c = 1 - n"),
         ("einstein-like-fit", "the computed Ricci is an exact constant-coefficient combination of g, Phi, eta(x)eta"),
     ):
-        res.add(f"synthetic.{name}", worst[name], detail)
+        res.add(f"synthetic.{name}", worst[name], detail=detail)
     return SyntheticGaussOutcome(result=res, k_recovered=k_values, k_solve_residual=k_resid,
                                  resampled=resampled)
 

@@ -6,83 +6,22 @@ operations measure, over the samples and random test vectors, the residuals
 of the structure axioms, of the defining covariant-derivative equations, and
 of the curvature identities those equations force.
 
-Residual convention: max over components of the identity gap, normalized by
-(1 + max magnitude of the tensors entering the identity).  This keeps the
-numbers comparable across models with very different metric scales.
+Each check hands its gaps, with the tensors entering each identity, to the
+one recorder, :class:`report.StructureCheckResult`, beside the check table
+:data:`report.CHECKS`; its residual rule, :func:`report.residual_norm`,
+normalizes the max gap by (1 + max magnitude of those tensors), which keeps
+the numbers comparable across models with very different metric scales.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
-from .report import FAIL, status_of
+from .report import StructureCheckResult, residual_norm
 from .tensor_algebra import TensorValue, contract_with
-
-
-def residual_norm(gap: np.ndarray, *inputs: np.ndarray) -> float:
-    """Scale-stable residual: max |gap| / (1 + max input magnitude); a NaN
-    in the gap or an input gives NaN."""
-    if not gap.size:
-        return 0.0
-    peaks = [float(np.max(np.abs(x))) for x in inputs if x.size]
-    if any(map(math.isnan, peaks)):
-        return math.nan
-    return float(np.max(np.abs(gap))) / (1.0 + max(peaks, default=0.0))
-
-
-@dataclass
-class IdentityResidual:
-    """One record under its full ``suites.CHECKS`` id.  ``status`` is set
-    only on a record with nothing measured (vacuous or not-applicable); a
-    measured record's status follows from its row."""
-
-    id: str
-    residual: float
-    detail: str = ""
-    status: str | None = None
-
-    @property
-    def effective_status(self) -> str:
-        """The status at tolerance scale 1."""
-        from .suites import CHECKS   # suites imports this module
-
-        row = CHECKS[self.id]
-        return self.status or status_of(self.residual, row.tol, row.informational)
-
-    @property
-    def passed(self) -> bool:
-        return self.effective_status != FAIL
-
-
-@dataclass
-class StructureCheckResult:
-    """Records by id, with their statuses at tolerance scale 1."""
-
-    checks: list[IdentityResidual] = field(default_factory=list)
-
-    def add(self, cid: str, residual: float, detail: str = "", status: str | None = None):
-        self.checks.append(IdentityResidual(cid, float(residual), detail, status))
-
-    def get(self, cid: str) -> IdentityResidual:
-        for c in self.checks:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
-    def residual(self, cid: str) -> float:
-        return self.get(cid).residual
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed_names(self) -> list[str]:
-        return [c.id for c in self.checks if not c.passed]
 
 
 class ParacontactStructure:
@@ -91,8 +30,9 @@ class ParacontactStructure:
     requested suite reads, phi, xi and eta to at most one derivative.
 
     Basic invariants (eta(xi) = 1 and g(xi,xi) = eps, both to 1e-10) are
-    enforced at construction; the geometric axioms are what the check
-    operations measure, so they are deliberately not enforced here.
+    enforced at construction, naming the first point where one fails; the
+    geometric axioms are what the check operations measure, so they are
+    deliberately not enforced here.
     """
 
     def __init__(self, points: np.ndarray, epsilon: int,
@@ -110,12 +50,14 @@ class ParacontactStructure:
             self._validate_basic()
 
     def _validate_basic(self):
-        eta_xi = np.einsum('pa,pa->p', self.eta0, self.xi0)
-        if np.max(np.abs(eta_xi - 1.0)) > 1e-10:
-            raise ValueError("structure invariant eta(xi) = 1 violated")
-        g_xi_xi = pair(self.g0, self.xi0[:, None], self.xi0[:, None])[:, 0]
-        if np.max(np.abs(g_xi_xi - self.epsilon)) > 1e-10:
-            raise ValueError("structure invariant g(xi,xi) = eps violated (xi must not be lightlike)")
+        xi = self.xi0
+        for gap, invariant in ((np.einsum('pa,pa->p', self.eta0, xi) - 1.0, "eta(xi) = 1"),
+                               (pair(self.g0, xi[:, None], xi[:, None])[:, 0] - self.epsilon,
+                                "g(xi,xi) = eps (xi must not be lightlike)")):
+            bad = np.flatnonzero(~(np.abs(gap) <= 1e-10))
+            if bad.size:
+                raise ValueError(f"structure invariant {invariant} violated at point "
+                                 f"{tuple(self.points[bad[0]].tolist())}")
 
     # -- numeric views ------------------------------------------------------
 
@@ -149,9 +91,14 @@ class ParacontactStructure:
         comps = contract_with(self.g, self.phi, 0, 0)  # g_{mb} phi^m_a -> [b, a]
         return TensorValue(self.dim, 0, 2, np.swapaxes(comps, 1, 2), self.phi.space)
 
-    @property
+    @cached_property
     def Phi0(self) -> np.ndarray:
         return np.einsum('pma,pmb->pab', self.phi0, self.g0)
+
+    @cached_property
+    def ee0(self) -> np.ndarray:
+        """Values of eta (x) eta, shape (P, n, n)."""
+        return np.einsum('pa,pb->pab', self.eta0, self.eta0)
 
     def trace_phi(self) -> np.ndarray:
         return np.einsum('paa->p', self.phi0)
@@ -226,30 +173,29 @@ def check_axioms(struct: ParacontactStructure, vectors: np.ndarray) -> Structure
     phiX = apply_op(phi, X)
     phi2X = apply_op(phi, phiX)
     gap = phi2X - X + form(eta, X)[..., None] * xi[:, None, :]
-    res.add("structure.phi-squared", residual_norm(gap, X, phi2X))
+    res.add("structure.phi-squared", gap, X, phi2X)
 
-    res.add("structure.eta-of-xi", residual_norm(np.einsum('pa,pa->p', eta, xi) - 1.0, xi, eta))
-    res.add("structure.phi-of-xi", residual_norm(apply_op(phi, xi[:, None, :]), xi))
-    res.add("structure.eta-after-phi", residual_norm(form(eta, phiX), X, eta))
+    res.add("structure.eta-of-xi", np.einsum('pa,pa->p', eta, xi) - 1.0, xi, eta)
+    res.add("structure.phi-of-xi", apply_op(phi, xi[:, None, :]), xi)
+    res.add("structure.eta-after-phi", form(eta, phiX), X, eta)
 
     phiY = apply_op(phi, Y)
     gap = pair(g, phiX, phiY) - pair(g, X, Y) + eps * form(eta, X) * form(eta, Y)
-    res.add("structure.metric-compatibility", residual_norm(gap, pair(g, X, Y)))
+    res.add("structure.metric-compatibility", gap, pair(g, X, Y))
 
     gap = pair(g, X, phiY) - pair(g, phiX, Y)
-    res.add("structure.phi-self-adjoint", residual_norm(gap, pair(g, X, phiY)))
+    res.add("structure.phi-self-adjoint", gap, pair(g, X, phiY))
 
     gXxi = pair(g, X, xi[:, None])
     gap = gXxi - eps * form(eta, X)
-    res.add("structure.metric-xi-eta", residual_norm(gap, gXxi))
+    res.add("structure.metric-xi-eta", gap, gXxi)
     return res
 
 
-def defining_equation_gap_per_point(struct: ParacontactStructure, vectors: np.ndarray) -> np.ndarray:
-    """Pointwise normalized residual of the para-Sasakian defining equation
+def _defining_equation_terms(struct: ParacontactStructure, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gap of the para-Sasakian defining equation
     (nabla_X phi) Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X over the
-    vector pairs (v[2k], v[2k+1]); one scale for all points, so the max is
-    the :func:`residual_norm` of the whole gap."""
+    vector pairs (v[2k], v[2k+1]), then the tensors entering it: lhs, rhs, X, Y."""
     eps = struct.epsilon
     phi, xi, eta, g = struct.phi0, struct.xi0, struct.eta0, struct.g0
     X = vectors[:, 0::2]
@@ -258,8 +204,14 @@ def defining_equation_gap_per_point(struct: ParacontactStructure, vectors: np.nd
     phiX = apply_op(phi, X)
     phi2X = apply_op(phi, phiX)
     rhs = -pair(g, phiX, apply_op(phi, Y))[..., None] * xi[:, None, :] - eps * form(eta, Y)[..., None] * phi2X
-    scale = 1.0 + np.max([np.max(np.abs(x)) for x in (lhs, rhs, X, Y)])
-    return np.max(np.abs(lhs - rhs), axis=(1, 2)) / scale
+    return lhs - rhs, lhs, rhs, X, Y
+
+
+def defining_equation_gap_per_point(struct: ParacontactStructure, vectors: np.ndarray) -> np.ndarray:
+    """The residual of the para-Sasakian defining equation at each point: one
+    scale for all points, so the max is the ``sasakian.defining-equation``
+    residual."""
+    return residual_norm(*_defining_equation_terms(struct, vectors), axis=(1, 2))
 
 
 def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray) -> StructureCheckResult:
@@ -272,12 +224,12 @@ def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray) -> St
     plus the symmetry of Phi.
     """
     res = StructureCheckResult()
-    res.add("sasakian.defining-equation", np.max(defining_equation_gap_per_point(struct, vectors)))
+    res.add("sasakian.defining-equation", *_defining_equation_terms(struct, vectors))
     phi = struct.phi0
-    res.add("sasakian.grad-xi", residual_norm(struct.nabla_xi - struct.epsilon * phi, phi))
+    res.add("sasakian.grad-xi", struct.nabla_xi - struct.epsilon * phi, phi)
     Phi = struct.Phi0
-    res.add("sasakian.grad-eta", residual_norm(struct.nabla_eta - Phi, Phi))
-    res.add("sasakian.fundamental-form-symmetric", residual_norm(Phi - np.swapaxes(Phi, 1, 2), Phi))
+    res.add("sasakian.grad-eta", struct.nabla_eta - Phi, Phi)
+    res.add("sasakian.fundamental-form-symmetric", Phi - np.swapaxes(Phi, 1, 2), Phi)
     return res
 
 
@@ -298,7 +250,7 @@ def check_ps_curvature_identities(struct: ParacontactStructure, vectors: np.ndar
     # R(X,Y)xi = eta(X) Y - eta(Y) X
     RXYxi = apply_op(R, X, Y, xi[:, None])
     tgt = form(eta, X)[..., None] * Y - form(eta, Y)[..., None] * X
-    res.add("curvature.r-xy-xi", residual_norm(RXYxi - tgt, RXYxi, tgt, X, Y))
+    res.add("curvature.r-xy-xi", RXYxi - tgt, RXYxi, tgt, X, Y)
 
     # R(X,Y) phi Z expansion
     Phi = struct.Phi0
@@ -319,14 +271,14 @@ def check_ps_curvature_identities(struct: ParacontactStructure, vectors: np.ndar
            - 2 * eps * PhiYZ * etaX * xi_b + 2 * eps * PhiXZ * etaY * xi_b
            - eps * gYZ * phiX + eps * gXZ * phiY
            + 2 * etaY * etaZ * phiX - 2 * etaX * etaZ * phiY)
-    res.add("curvature.r-xy-phi-z", residual_norm(RXYphiZ - rhs, RXYphiZ, rhs, X, Y, Z))
+    res.add("curvature.r-xy-phi-z", RXYphiZ - rhs, RXYphiZ, rhs, X, Y, Z)
 
     # S(X, phi Y) = S(phi X, Y)
     gap = pair(S, X, phiY) - pair(S, phiX, Y)
-    res.add("curvature.ricci-phi-symmetric", residual_norm(gap, pair(S, X, phiY)))
+    res.add("curvature.ricci-phi-symmetric", gap, pair(S, X, phiY))
 
     # S(X, xi) = -(n-1) eta(X)
     SXxi = pair(S, X, xi[:, None])
     gap = SXxi + (n - 1) * form(eta, X)
-    res.add("curvature.ricci-xi", residual_norm(gap, SXxi))
+    res.add("curvature.ricci-xi", gap, SXxi)
     return res

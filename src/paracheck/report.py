@@ -1,8 +1,17 @@
-"""Check reports: named records with residuals, tolerances, and statuses.
+"""Check reports: the check table, the one recorder, and serialization.
 
-:func:`status_of` is the one status rule of a measured record, applied to
-its ``suites.CHECKS`` row (tolerance times the run's scale, informational
-flag):
+:data:`CHECKS` is the one place a record is declared.  Its row for an id
+holds the anchor tying the record to the section and display it verifies,
+so reports can be audited line by line against the source text; the
+tolerance at scale 1; the gates it sits behind; and whether it is
+informational, a published display that the re-derived record overrules.
+
+:class:`StructureCheckResult` is the one recorder.  A check hands it a gap
+and the tensors entering the identity, and it records their
+:func:`residual_norm`, max |gap| / (1 + max |input|), or max |gap| with no
+inputs; a residual already reduced (a maximum over fit family members or
+synthetic blocks, a count) it records unchanged.  Each record carries its
+row's anchor, tolerance at scale 1, and the status of :func:`status_of`:
 
 - a non-finite residual is ``fail``;
 - a residual within tolerance is ``pass``;
@@ -12,7 +21,7 @@ flag):
 
 A record with nothing measured carries its own status and tolerance 0:
 ``vacuous`` when every family member was degenerate, ``not-applicable`` when
-a gate declared in ``suites.CHECKS`` fails.  Only ``fail`` affects the exit
+a gate declared in :data:`CHECKS` fails.  Only ``fail`` affects the exit
 code; an informational record never fails on a finite residual.
 
 Reports serialize to JSON deterministically: records sorted by id, keys
@@ -27,6 +36,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
+
+import numpy as np
 
 PASS = "pass"
 FAIL = "fail"
@@ -38,6 +50,103 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+# tolerance tiers of the rows at scale 1, by the number of derivatives an
+# identity reads: algebraic, one, two and three
+ALG, D1, D2, D3 = 1e-9, 1e-8, 1e-7, 1e-6
+# the gates a row sits behind, in the order they are decided; suites.GATES
+# says what each one measures
+PS = ("para-sasakian",)
+PS_TRPHI = ("para-sasakian", "trace-phi-constant")
+SHAPE = ("shape-characterized",)
+
+
+class Check(NamedTuple):
+    """One record id's row: its source anchor, its tolerance at scale 1, the
+    gates it sits behind in the order they are decided, and whether it is
+    informational."""
+
+    anchor: str
+    tol: float
+    gates: tuple[str, ...] = ()
+    informational: bool = False
+
+
+CHECKS = {
+    "structure.phi-squared": Check("§2 axioms: phi^2 = I - eta(x)xi", ALG),
+    "structure.eta-of-xi": Check("§2 axioms: eta(xi) = 1", ALG),
+    "structure.phi-of-xi": Check("§2 axioms: phi xi = 0", ALG),
+    "structure.eta-after-phi": Check("§2 axioms: eta o phi = 0", ALG),
+    "structure.metric-compatibility": Check("§2: g(phi X, phi Y) = g(X,Y) - eps eta(X)eta(Y)", ALG),
+    "structure.phi-self-adjoint": Check("§2: g(X, phi Y) = g(phi X, Y)", ALG),
+    "structure.metric-xi-eta": Check("§2: g(X, xi) = eps eta(X)", ALG),
+    "sasakian.defining-equation": Check("§2: (nabla_X phi)Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X", D1),
+    "sasakian.grad-xi": Check("§2: nabla xi = eps phi", D1),
+    "sasakian.grad-eta": Check("§2: Phi(X,Y) = (nabla_X eta) Y", D1),
+    "sasakian.fundamental-form-symmetric": Check("§2: Phi(X,Y) = Phi(Y,X)", ALG),
+    "curvature.r-xy-xi": Check("§3 proof: R(X,Y) xi = eta(X) Y - eta(Y) X", D2),
+    "curvature.r-xy-phi-z": Check("§3 proof: R(X,Y) phi Z expansion", D2),
+    "curvature.ricci-phi-symmetric": Check("§3 proof: S(X, phi Y) = S(phi X, Y)", D2),
+    "curvature.ricci-xi": Check("§3 proof: S(X, xi) = -(n-1) eta(X)", D2),
+    "einstein.fit": Check("§3 Defn: S = a g + b Phi + c eta(x)eta", D2),
+    "einstein.fit-stability": Check("§3 Defn: a, b, c constant across disjoint sample halves", 1e-6),
+    "einstein.ricci-phi-display": Check("§3 Prop: S(phi X, Y) = a g(phi X, Y) + b g(phi X, phi Y)", D1),
+    "einstein.ricci-xi-display": Check("§3 Prop: S(X, xi) = (eps a + c) eta(X)", D1),
+    "einstein.eps-a-plus-c": Check("§3 Prop: eps a + c = 1 - n", ALG, PS),
+    "einstein.scalar-curvature-formula": Check("§3 Prop: r = n a + b trace(phi) + eps c", D1, PS),
+    "einstein.ricci-operator-derivative": Check("§3 Thm proof: (nabla_Y Q) X display", D2, PS),
+    "einstein.div-q-display": Check("§3 Thm proof: (div Q) X = (eps(1-n) b + c trace(phi)) eta(X)", D2, PS),
+    "einstein.scalar-curvature-constant": Check("§3 Thm proof: r = b trace(phi) - eps(n-1)(c+n)", D1, PS),
+    "einstein.dr-display": Check("§3 Thm proof: dr = 2 (eps(1-n) b + c trace(phi)) eta", D2, PS),
+    "einstein.scalar-ode": Check("§3 Thm: b xi(r) - 2 c r = 2 eps (1-n)(b^2 - c^2 - c n)", D1, PS),
+    "einstein.trace-phi-formula": Check("§3 Thm: trace(phi) = eps (n-1) b / c", D1, PS_TRPHI),
+    "einstein.c11-symmetric": Check("§3: C11(phi R)(Y,Z) = C11(phi R)(Z,Y)", ALG),
+    "einstein.s-phi-z-display":
+        Check("§3: S(Y, phi Z) = C11(phi R) + eps(n-2) Phi + (2 eta eta - eps g) trace(phi)", D1),
+    "einstein.c11-decomposition-derived":
+        Check("§3 Thm: C11(phi R) = lin. comb. of g, Phi, eta(x)eta (re-derived coefficient)", D2, PS),
+    "einstein.c11-decomposition-printed": Check(
+        "§3 Thm: C11(phi R) = lin. comb. of g, Phi, eta(x)eta (printed coefficient)", D2, PS, informational=True),
+    "einstein.c11-parallel-along-xi": Check("§3 Cor: C11(phi R) parallel along xi", D2, PS),
+    "lie.lie-eta": Check("§3: L_xi eta = 0", ALG),
+    "lie.lie-g": Check("§3: L_xi g = 2 eps Phi", D1),
+    "lie.lie-phi-form-derived": Check("§3: L_xi Phi = 2 eps (g - eps eta(x)eta) (re-derived)", D1),
+    "lie.lie-phi-form-printed": Check("§3: L_xi Phi = 2 eps (g - eta(x)eta) (printed)", D1, informational=True),
+    "lie.lie-ricci": Check("§3 Thm: L_xi S = 2 a eps Phi + 2 b eps (g - eps eta(x)eta)", D2, PS),
+    "lie.lie-c11-derived": Check("§3 Thm: L_xi C11(phi R) display (re-derived second factor)", D2, PS_TRPHI),
+    "lie.lie-c11-printed":
+        Check("§3 Thm: L_xi C11(phi R) display (printed second factor)", D2, PS_TRPHI, informational=True),
+    "hypersurface.ambient-j-squared": Check("§4: J^2 = I", ALG),
+    "hypersurface.ambient-j-metric": Check("§4: g~(JX, JY) = g~(X, Y)", ALG),
+    "hypersurface.ambient-j-parallel": Check("§4: (nabla~_X J) Y = 0", D1),
+    "hypersurface.jn-tangent": Check("§4: JN = xi tangent to the hypersurface", D1),
+    "hypersurface.epsilon-consistent": Check("§4: g~(N, N) = eps constant over the samples", ALG),
+    "hypersurface.shape-self-adjoint": Check("§4: g(A X, Y) = g(X, A Y)", D1),
+    "hypersurface.weingarten-tangent": Check("§4: nabla~_X N is tangential", D1),
+    "hypersurface.induced-axioms":
+        Check("§4 Prop: induced (phi, xi, eta, g) is an almost paracontact metric structure", ALG),
+    "hypersurface.induced-grad-phi": Check("§4 Prop: (nabla_X phi) Y = eta(Y) A X + eps g(A X, Y) xi", D2),
+    "hypersurface.induced-grad-eta": Check("§4 Prop: (nabla_X eta) Y = -eps g(A X, phi Y)", D2),
+    "hypersurface.induced-grad-xi": Check("§4 Prop: nabla_X xi = -phi A X", D2),
+    "hypersurface.gauss-equation": Check("§4: Gauss equation R = R~|tan + eps (h wedge h)", D3),
+    "hypersurface.characterization-iff": Check("§4 Thm: para-Sasakian iff A = -eps I + eps eta(x)xi", 0.5),
+    "hypersurface.characterization-linear-solve": Check("§4 Thm proof: A recovered uniquely from the displays", D1),
+    "hypersurface.quasi-umbilical":
+        Check("§4 Rem: h = alpha g + beta u(x)u with alpha=-1, beta=eps, u=eta", ALG, SHAPE),
+    "synthetic.quasi-umbilical-exact": Check("§4 Rem: h = -g + eps eta(x)eta by substitution", 1e-12),
+    "synthetic.gauss-vs-derived-display":
+        Check("§4: Gauss reduction vs re-derived display (identically in k)", 1e-10),
+    "synthetic.gauss-vs-printed-display":
+        Check("§4: Gauss reduction vs printed display (identically in k)", 1e-10, informational=True),
+    "synthetic.k-vs-derived": Check("§4: k from R(X,Y)xi identity on the computed reduction (= -eps)", 1e-10),
+    "synthetic.k-vs-printed": Check("§4: printed expectation k = 2 - eps", 1e-10, informational=True),
+    "synthetic.ricci-vs-derived-form": Check("§4: induced Ricci vs re-derived form", 1e-10),
+    "synthetic.ricci-vs-printed-form": Check("§4 Thm: induced Ricci vs printed display", 1e-10, informational=True),
+    "synthetic.printed-chain-self-consistency":
+        Check("§4: printed display at k = 2-eps contracts to the printed Ricci", 1e-10),
+    "synthetic.eps-a-plus-c": Check("§3 Prop: eps a + c = 1 - n on the induced Ricci", 1e-10),
+    "synthetic.einstein-like-fit": Check("§4 Thm: the induced Ricci is Einstein like", 1e-10),
+}
+
 
 def status_of(residual: float, tol: float, informational: bool) -> str:
     """The status of a measured record; see the module docstring."""
@@ -48,6 +157,19 @@ def status_of(residual: float, tol: float, informational: bool) -> str:
     return PRINTED_FORM_MISMATCH if informational else FAIL
 
 
+def residual_norm(gap: np.ndarray, *inputs: np.ndarray, axis=None):
+    """The one residual rule: max |gap| / (1 + max |input|), the gap reduced
+    over ``axis`` (all of it by default) and each input over all of it, so
+    the max of the per-point values is the whole residual.  A NaN in the gap
+    or an input gives NaN; an empty gap gives 0."""
+    if not gap.size:
+        return 0.0
+    peaks = [float(np.max(np.abs(x))) for x in inputs if x.size]
+    scale = math.nan if any(map(math.isnan, peaks)) else 1.0 + max(peaks, default=0.0)
+    worst = np.max(np.abs(gap), axis=axis)
+    return float(worst) / scale if axis is None else worst / scale
+
+
 @dataclass
 class CheckRecord:
     id: str
@@ -56,6 +178,43 @@ class CheckRecord:
     tolerance: float
     status: str
     detail: str = ""
+
+
+@dataclass
+class StructureCheckResult:
+    """The one recorder: records in the order added, each at tolerance
+    scale 1."""
+
+    checks: list[CheckRecord] = field(default_factory=list)
+
+    def add(self, cid: str, gap, *inputs: np.ndarray, detail: str = "", status: str | None = None):
+        """Record ``cid`` with the :func:`residual_norm` of an array ``gap``
+        and its ``inputs``, or with a residual ``gap`` that is already
+        reduced, as it is.  A ``status`` (vacuous or not-applicable) marks a
+        record with nothing measured, at tolerance 0."""
+        row = CHECKS[cid]
+        residual = residual_norm(gap, *inputs) if isinstance(gap, np.ndarray) else float(gap)
+        tol = 0.0 if status else row.tol
+        self.checks.append(CheckRecord(cid, row.anchor, residual, tol,
+                                       status or status_of(residual, tol, row.informational), detail))
+
+    def get(self, cid: str) -> CheckRecord:
+        for c in self.checks:
+            if c.id == cid:
+                return c
+        raise KeyError(cid)
+
+    def residual(self, cid: str) -> float:
+        return self.get(cid).residual
+
+    @property
+    def passed(self) -> bool:
+        return all(c.status != FAIL for c in self.checks)
+
+
+def _written(residual: float) -> float:
+    """A residual as a report writes it: a non-finite one as 1e300."""
+    return residual if residual <= 1e300 else 1e300
 
 
 @dataclass
@@ -90,7 +249,7 @@ class CheckReport:
             "points": self.points,
             "engine_version": self.engine_version,
             "generated_at": self.generated_at,
-            "checks": [dict(vars(c)) for c in self.checks],
+            "checks": [{**vars(c), "residual": _written(c.residual)} for c in self.checks],
         }
 
     def to_json(self) -> str:
@@ -107,7 +266,7 @@ class CheckReport:
         st_w = max((len(c.status) for c in self.checks), default=4)
         for c in self.checks:
             lines.append(
-                f"  {c.id:<{id_w}}  {c.status:<{st_w}}  residual {c.residual:.3e}"
+                f"  {c.id:<{id_w}}  {c.status:<{st_w}}  residual {_written(c.residual):.3e}"
                 f"  (tol {c.tolerance:.1e})  {c.anchor}"
             )
             if c.detail:

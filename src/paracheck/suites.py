@@ -5,16 +5,13 @@ Suites: structure, sasakian, curvature, einstein, lie (chart models and
 bundles, run on the induced structure for bundles), hypersurface (bundles
 only), synthetic (standalone pointwise trials), all.
 
-:data:`CHECKS` is the one place a record is declared.  Its row for an id
-holds the anchor tying the record to the section and display it verifies,
-so reports can be audited line by line against the source text; the
-tolerance at scale 1; the gates it sits behind; and whether it is
-informational, a published display that the re-derived record overrules.
-The check functions only measure, adding records under their full ids.  The
-runner here calls a gated group only when its gates hold and otherwise
-reports each of its records ``not-applicable``, naming the gate that decided
-it; :func:`_merge` gives every measured record the row's tolerance times
-``--tol-scale`` and the status of :func:`report.status_of`.
+Each record is declared once, as a row of :data:`report.CHECKS`, and the
+check functions hand their gaps to the one recorder beside it,
+:class:`report.StructureCheckResult`, which gives each record its row's
+tolerance at scale 1 and its status.  The runner here calls a gated group
+only when its gates hold and otherwise reports each of its records
+``not-applicable``, naming the gate that decided it; :func:`_merge` only
+rescales each measured record's tolerance and status by ``--tol-scale``.
 """
 
 from __future__ import annotations
@@ -22,21 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import einstein_like as el
 from . import hypersurface_lab as hl
 from .models import METRIC_ORDER, ManifoldModel, evaluate_structure
-from .paracontact_core import (
-    ParacontactStructure,
-    StructureCheckResult,
-    check_axioms,
-    check_para_sasakian,
-    check_ps_curvature_identities,
-)
-from .report import NOT_APPLICABLE, CheckRecord, CheckReport, new_report, status_of
+from .paracontact_core import ParacontactStructure, check_axioms, check_para_sasakian, check_ps_curvature_identities
+from .report import (CHECKS, NOT_APPLICABLE, PS, PS_TRPHI, SHAPE, VACUOUS, CheckRecord, CheckReport,
+                     StructureCheckResult, new_report, status_of)
 from .sampling import derive_rng, random_vectors, sample_points
 
 SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "synthetic", "all")
@@ -49,9 +40,6 @@ GATES = {
     "trace-phi-constant": ("spread of trace(phi) over the samples", 1e-7),
     "shape-characterized": ("max gap of A to -eps I + eps eta(x)xi", 1e-2),
 }
-PS = ("para-sasakian",)
-PS_TRPHI = ("para-sasakian", "trace-phi-constant")
-SHAPE = ("shape-characterized",)
 
 # metric jet order each request kind reads: values for the axioms, Gamma values (order 1) for the para-Sasakian
 # and induced displays, R values (2) for the curvature identities and the Gauss equation, a derivative of Ricci
@@ -59,99 +47,6 @@ SHAPE = ("shape-characterized",)
 METRIC_ORDERS = {"structure": 0, "sasakian": 1, "curvature": 2, "einstein": METRIC_ORDER, "lie": METRIC_ORDER,
                  "all": METRIC_ORDER, "hypersurface induced": 1, "hypersurface characterization": 1,
                  "hypersurface gauss": 2, "hypersurface all": 2}
-
-
-# tolerance tiers of the rows at scale 1, by the number of derivatives an
-# identity reads: algebraic, one, two and three
-ALG, D1, D2, D3 = 1e-9, 1e-8, 1e-7, 1e-6
-
-
-class Check(NamedTuple):
-    """One record id's row: its source anchor, its tolerance at scale 1, the
-    gates it sits behind in the order they are decided, and whether it is
-    informational."""
-
-    anchor: str
-    tol: float
-    gates: tuple[str, ...] = ()
-    informational: bool = False
-
-
-CHECKS = {
-    "structure.phi-squared": Check("§2 axioms: phi^2 = I - eta(x)xi", ALG),
-    "structure.eta-of-xi": Check("§2 axioms: eta(xi) = 1", ALG),
-    "structure.phi-of-xi": Check("§2 axioms: phi xi = 0", ALG),
-    "structure.eta-after-phi": Check("§2 axioms: eta o phi = 0", ALG),
-    "structure.metric-compatibility": Check("§2: g(phi X, phi Y) = g(X,Y) - eps eta(X)eta(Y)", ALG),
-    "structure.phi-self-adjoint": Check("§2: g(X, phi Y) = g(phi X, Y)", ALG),
-    "structure.metric-xi-eta": Check("§2: g(X, xi) = eps eta(X)", ALG),
-    "sasakian.defining-equation": Check("§2: (nabla_X phi)Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X", D1),
-    "sasakian.grad-xi": Check("§2: nabla xi = eps phi", D1),
-    "sasakian.grad-eta": Check("§2: Phi(X,Y) = (nabla_X eta) Y", D1),
-    "sasakian.fundamental-form-symmetric": Check("§2: Phi(X,Y) = Phi(Y,X)", ALG),
-    "curvature.r-xy-xi": Check("§3 proof: R(X,Y) xi = eta(X) Y - eta(Y) X", D2),
-    "curvature.r-xy-phi-z": Check("§3 proof: R(X,Y) phi Z expansion", D2),
-    "curvature.ricci-phi-symmetric": Check("§3 proof: S(X, phi Y) = S(phi X, Y)", D2),
-    "curvature.ricci-xi": Check("§3 proof: S(X, xi) = -(n-1) eta(X)", D2),
-    "einstein.fit": Check("§3 Defn: S = a g + b Phi + c eta(x)eta", D2),
-    "einstein.fit-stability": Check("§3 Defn: a, b, c constant across disjoint sample halves", 1e-6),
-    "einstein.ricci-phi-display": Check("§3 Prop: S(phi X, Y) = a g(phi X, Y) + b g(phi X, phi Y)", D1),
-    "einstein.ricci-xi-display": Check("§3 Prop: S(X, xi) = (eps a + c) eta(X)", D1),
-    "einstein.eps-a-plus-c": Check("§3 Prop: eps a + c = 1 - n", ALG, PS),
-    "einstein.scalar-curvature-formula": Check("§3 Prop: r = n a + b trace(phi) + eps c", D1, PS),
-    "einstein.ricci-operator-derivative": Check("§3 Thm proof: (nabla_Y Q) X display", D2, PS),
-    "einstein.div-q-display": Check("§3 Thm proof: (div Q) X = (eps(1-n) b + c trace(phi)) eta(X)", D2, PS),
-    "einstein.scalar-curvature-constant": Check("§3 Thm proof: r = b trace(phi) - eps(n-1)(c+n)", D1, PS),
-    "einstein.dr-display": Check("§3 Thm proof: dr = 2 (eps(1-n) b + c trace(phi)) eta", D2, PS),
-    "einstein.scalar-ode": Check("§3 Thm: b xi(r) - 2 c r = 2 eps (1-n)(b^2 - c^2 - c n)", D1, PS),
-    "einstein.trace-phi-formula": Check("§3 Thm: trace(phi) = eps (n-1) b / c", D1, PS_TRPHI),
-    "einstein.c11-symmetric": Check("§3: C11(phi R)(Y,Z) = C11(phi R)(Z,Y)", ALG),
-    "einstein.s-phi-z-display":
-        Check("§3: S(Y, phi Z) = C11(phi R) + eps(n-2) Phi + (2 eta eta - eps g) trace(phi)", D1),
-    "einstein.c11-decomposition-derived":
-        Check("§3 Thm: C11(phi R) = lin. comb. of g, Phi, eta(x)eta (re-derived coefficient)", D2, PS),
-    "einstein.c11-decomposition-printed": Check(
-        "§3 Thm: C11(phi R) = lin. comb. of g, Phi, eta(x)eta (printed coefficient)", D2, PS, informational=True),
-    "einstein.c11-parallel-along-xi": Check("§3 Cor: C11(phi R) parallel along xi", D2, PS),
-    "lie.lie-eta": Check("§3: L_xi eta = 0", ALG),
-    "lie.lie-g": Check("§3: L_xi g = 2 eps Phi", D1),
-    "lie.lie-phi-form-derived": Check("§3: L_xi Phi = 2 eps (g - eps eta(x)eta) (re-derived)", D1),
-    "lie.lie-phi-form-printed": Check("§3: L_xi Phi = 2 eps (g - eta(x)eta) (printed)", D1, informational=True),
-    "lie.lie-ricci": Check("§3 Thm: L_xi S = 2 a eps Phi + 2 b eps (g - eps eta(x)eta)", D2, PS),
-    "lie.lie-c11-derived": Check("§3 Thm: L_xi C11(phi R) display (re-derived second factor)", D2, PS_TRPHI),
-    "lie.lie-c11-printed":
-        Check("§3 Thm: L_xi C11(phi R) display (printed second factor)", D2, PS_TRPHI, informational=True),
-    "hypersurface.ambient-j-squared": Check("§4: J^2 = I", ALG),
-    "hypersurface.ambient-j-metric": Check("§4: g~(JX, JY) = g~(X, Y)", ALG),
-    "hypersurface.ambient-j-parallel": Check("§4: (nabla~_X J) Y = 0", D1),
-    "hypersurface.jn-tangent": Check("§4: JN = xi tangent to the hypersurface", D1),
-    "hypersurface.epsilon-consistent": Check("§4: g~(N, N) = eps constant over the samples", ALG),
-    "hypersurface.shape-self-adjoint": Check("§4: g(A X, Y) = g(X, A Y)", D1),
-    "hypersurface.weingarten-tangent": Check("§4: nabla~_X N is tangential", D1),
-    "hypersurface.induced-axioms":
-        Check("§4 Prop: induced (phi, xi, eta, g) is an almost paracontact metric structure", ALG),
-    "hypersurface.induced-grad-phi": Check("§4 Prop: (nabla_X phi) Y = eta(Y) A X + eps g(A X, Y) xi", D2),
-    "hypersurface.induced-grad-eta": Check("§4 Prop: (nabla_X eta) Y = -eps g(A X, phi Y)", D2),
-    "hypersurface.induced-grad-xi": Check("§4 Prop: nabla_X xi = -phi A X", D2),
-    "hypersurface.gauss-equation": Check("§4: Gauss equation R = R~|tan + eps (h wedge h)", D3),
-    "hypersurface.characterization-iff": Check("§4 Thm: para-Sasakian iff A = -eps I + eps eta(x)xi", 0.5),
-    "hypersurface.characterization-linear-solve": Check("§4 Thm proof: A recovered uniquely from the displays", D1),
-    "hypersurface.quasi-umbilical":
-        Check("§4 Rem: h = alpha g + beta u(x)u with alpha=-1, beta=eps, u=eta", ALG, SHAPE),
-    "synthetic.quasi-umbilical-exact": Check("§4 Rem: h = -g + eps eta(x)eta by substitution", 1e-12),
-    "synthetic.gauss-vs-derived-display":
-        Check("§4: Gauss reduction vs re-derived display (identically in k)", 1e-10),
-    "synthetic.gauss-vs-printed-display":
-        Check("§4: Gauss reduction vs printed display (identically in k)", 1e-10, informational=True),
-    "synthetic.k-vs-derived": Check("§4: k from R(X,Y)xi identity on the computed reduction (= -eps)", 1e-10),
-    "synthetic.k-vs-printed": Check("§4: printed expectation k = 2 - eps", 1e-10, informational=True),
-    "synthetic.ricci-vs-derived-form": Check("§4: induced Ricci vs re-derived form", 1e-10),
-    "synthetic.ricci-vs-printed-form": Check("§4 Thm: induced Ricci vs printed display", 1e-10, informational=True),
-    "synthetic.printed-chain-self-consistency":
-        Check("§4: printed display at k = 2-eps contracts to the printed Ricci", 1e-10),
-    "synthetic.eps-a-plus-c": Check("§3 Prop: eps a + c = 1 - n on the induced Ricci", 1e-10),
-    "synthetic.einstein-like-fit": Check("§4 Thm: the induced Ricci is Einstein like", 1e-10),
-}
 
 
 @dataclass
@@ -167,6 +62,8 @@ class RunConfig:
     hypersurface_subset: str = "all"
 
     def __post_init__(self):
+        if self.points < 1:
+            raise ValueError(f"points must be >= 1, got {self.points}")
         if not 0.0 < self.tol_scale < math.inf:
             raise ValueError(f"--tol-scale must be a finite number > 0, got {self.tol_scale}")
         if not math.isfinite(self.perturb_a):
@@ -178,20 +75,13 @@ class RunConfig:
 
 
 def _merge(report: CheckReport, tol_scale: float, *results: StructureCheckResult):
-    """Report each record with its CHECKS row: a measured one at the row's
-    tolerance times ``tol_scale``, with a non-finite residual written as
-    1e300; one with nothing measured at tolerance 0 with its own status."""
+    """Add each result's records to the report, a measured one with its
+    tolerance and status rescaled by ``tol_scale``."""
     for c in (c for result in results for c in result.checks):
-        row = CHECKS[c.id]
-        tol = 0.0 if c.status else row.tol * tol_scale
-        report.checks.append(CheckRecord(
-            id=c.id,
-            anchor=row.anchor,
-            residual=c.residual if c.residual <= 1e300 else 1e300,
-            tolerance=tol,
-            status=c.status or status_of(c.residual, tol, row.informational),
-            detail=c.detail,
-        ))
+        if tol_scale != 1.0 and c.status not in (VACUOUS, NOT_APPLICABLE):
+            c.tolerance *= tol_scale
+            c.status = status_of(c.residual, c.tolerance, CHECKS[c.id].informational)
+        report.checks.append(c)
 
 
 class _ModelContext:
@@ -271,17 +161,17 @@ def _fit_with_stability(ctx: _ModelContext) -> StructureCheckResult:
     fit = ctx.fit
     res = StructureCheckResult()
     res.add("einstein.fit", fit.residual,
-            f"(a,b,c) = ({fit.a:+.9g}, {fit.b:+.9g}, {fit.c:+.9g}), rank {fit.gram_rank}, "
+            detail=f"(a,b,c) = ({fit.a:+.9g}, {fit.b:+.9g}, {fit.c:+.9g}), rank {fit.gram_rank}, "
             f"{len(fit.family)} family direction(s)")
     if ctx.struct.npoints >= 6:
         half_a, half_b = (el.fit_einstein_like(*(x[k::2] for x in ctx.fit_inputs)) for k in (0, 1))
-        gap = float(np.max(np.abs(half_a.min_norm - half_b.min_norm)))
         if half_a.gram_rank != half_b.gram_rank:
-            res.add("einstein.fit-stability", np.inf, "rank differs between sample halves")
+            res.add("einstein.fit-stability", np.inf, detail="rank differs between sample halves")
         else:
-            res.add("einstein.fit-stability", gap, "minimum-norm members of disjoint half fits agree")
+            res.add("einstein.fit-stability", half_a.min_norm - half_b.min_norm,
+                    detail="minimum-norm members of disjoint half fits agree")
     else:
-        res.add("einstein.fit-stability", 0.0, "too few samples to split", status=NOT_APPLICABLE)
+        res.add("einstein.fit-stability", 0.0, detail="too few samples to split", status=NOT_APPLICABLE)
     return res
 
 
@@ -324,9 +214,9 @@ def _run_hypersurface(report: CheckReport, ctx: _ModelContext, cfg: RunConfig, s
         res.add("hypersurface.weingarten-tangent", data.frame_residual)
         res.add("hypersurface.shape-self-adjoint", hl.shape_self_adjoint_residual(data))
         res.add("hypersurface.epsilon-consistent", data.epsilon_residual,
-                f"max |g~(N,N) - eps| over the samples, eps = {data.shape.epsilon:+d}")
+                detail=f"max |g~(N,N) - eps| over the samples, eps = {data.shape.epsilon:+d}")
         res.add("hypersurface.induced-axioms", np.max([c.residual for c in ctx.axioms.checks]),
-                "max over the seven structure axioms on the induced structure")
+                detail="max over the seven structure axioms on the induced structure")
         _merge(report, cfg.tol_scale, res, hl.verify_induced_derivatives(data, ctx.vectors))
     if subset in ("characterization", "all"):
         _merge(report, cfg.tol_scale, hl.check_ps_characterization(data, ctx.vectors))
@@ -342,8 +232,6 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
     if suite == "synthetic":
         return run_synthetic(cfg)
 
-    if cfg.points < 1:
-        raise ValueError(f"points must be >= 1, got {cfg.points}")
     name = target.name
     is_bundle = isinstance(target, hl.HypersurfaceBundle)
     if suite == "hypersurface" and not is_bundle:
@@ -359,7 +247,7 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
             # induced-structure hypothesis violated: report just that and stop
             res = hl.check_ambient(data.ambient)
             res.add("hypersurface.jn-tangent", data.tangency_residual,
-                    "g~(JN, N) != 0: JN is not tangent, the induced structure does not exist")
+                    detail="g~(JN, N) != 0: JN is not tangent, the induced structure does not exist")
             _merge(report, cfg.tol_scale, res)
             report.sort()
             return report

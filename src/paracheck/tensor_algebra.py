@@ -130,10 +130,14 @@ class MetricAtPoint:
     index: int
 
     @classmethod
-    def build(cls, g: TensorValue) -> "MetricAtPoint":
+    def build(cls, g: TensorValue, points: np.ndarray | None = None) -> "MetricAtPoint":
+        """The metric at the samples; a degenerate one is an error naming
+        the first degenerate sample of ``points`` when they are given."""
         g0 = g.components[..., 0]
-        if np.any(degenerate(g0)):
-            raise ValueError("degenerate metric (smallest singular value of g at most 1e-12 of the largest)")
+        singular = degenerate(g0)
+        if np.any(singular):
+            where = "" if points is None else f" at point {tuple(float(c) for c in points[np.argmax(singular)])}"
+            raise ValueError(f"degenerate metric (smallest singular value of g at most 1e-12 of the largest){where}")
         nus = sorted(set(inertia(g0).tolist()))
         if len(nus) != 1:
             raise ValueError(f"metric index is not constant over the sample set: {nus}")

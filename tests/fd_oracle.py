@@ -1,9 +1,11 @@
-"""Independent finite-difference oracles.
+"""Independent oracles.
 
 This is the second route the jet pipeline is checked against: plain numeric
 evaluation of the model expressions (no jets anywhere) and central
 differences for every derivative.  Conventions mirror the engine's
-definitions, but the code shares no derivative machinery with it.
+definitions, but the code shares no derivative machinery with it.  One
+oracle stays on jets: the Lie derivative by coordinate partials, which needs
+no connection, against the engine's covariant route.
 """
 
 import math
@@ -12,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from paracheck.expr_jet import BinOp, Call, JetDomainError, Neg, Num, Pow, ScalarExpr, Var, parse_expr
+from paracheck.tensor_algebra import TensorValue, contract_with, lowest_space
 
 FD_STEP_FIRST = 1e-4
 FD_STEP_SECOND = 1e-3
@@ -143,3 +146,23 @@ def signed_orthonormal_frame(g, rng, tries=50):
         if ok:
             return np.array(frame), np.array(signs)
     raise RuntimeError("could not build a signed orthonormal frame")
+
+
+def lie_derivative_by_partials(T: TensorValue, X: TensorValue) -> TensorValue:
+    """Lie derivative along X of a (0,1) form or (0,2) tensor in coordinates,
+    with plain partials and no connection:
+
+        (L_X T)_ij = X^k d_k T_ij + T_kj d_i X^k + T_ik d_j X^k,
+
+    valid to one order below the lower of T's and X's orders.  For a
+    torsion-free connection it equals the engine's covariant route."""
+    space = lowest_space(T.space, X.space)
+    out = space.lower
+    T, X = T.as_jet(space), X.as_jet(space)
+    n = T.dim
+    first = contract_with(X, TensorValue(n, 0, T.q + 1, space.grad(T.components), out), 0, 0)
+    gradX = TensorValue(n, 1, 1, np.swapaxes(space.grad(X.components), 1, 2), out)   # [a, i] = d_i X^a
+    lie = first + contract_with(gradX, T, 0, 0)
+    if T.q == 2:
+        lie = lie + np.swapaxes(contract_with(gradX, T, 0, 1), 1, 2)
+    return TensorValue(n, 0, T.q, lie, out)

@@ -223,7 +223,7 @@ def test_criterion_08_discrepancy_adjudication(e1_100, e2_100):
     c11 = compute_c11_phi_r(s1)
     res = verify_c11_decomposition(fit, c11, s1)
     ok = res.residual("einstein.c11-decomposition-derived") < 1e-7
-    ok &= res.get("einstein.c11-decomposition-printed").effective_status == "printed-form-mismatch"
+    ok &= res.get("einstein.c11-decomposition-printed").status == "printed-form-mismatch"
     a, b, c = fit.min_norm
     g, eta = s1.g0, s1.eta0
     ee = np.einsum('pa,pb->pab', eta, eta)
@@ -290,9 +290,9 @@ def test_criterion_10b_k_recovery(synthetic_outcomes):
     for (eps, n), out in synthetic_outcomes.items():
         ok &= out.k_recovered.shape == (100,)
         ok &= bool(np.max(np.abs(out.k_recovered - (-eps))) < 1e-12)
-        ok &= out.result.get("synthetic.k-vs-derived").effective_status == "pass"
+        ok &= out.result.get("synthetic.k-vs-derived").status == "pass"
         printed = out.result.get("synthetic.k-vs-printed")
-        ok &= printed.effective_status == "printed-form-mismatch"
+        ok &= printed.status == "printed-form-mismatch"
         ok &= abs(printed.residual - 2.0) < 1e-12
     assert _announce("10b (recovered k = -eps; printed 2 - eps adjudicated)", ok), (
         "expected k = -eps on every trial with k-vs-derived passing, and k-vs-printed "
@@ -314,7 +314,7 @@ def test_criterion_10c_ricci_display(synthetic_outcomes):
     ok = True
     for out in synthetic_outcomes.values():
         ok &= out.result.get("synthetic.ricci-vs-derived-form").residual < 1e-10
-        ok &= out.result.get("synthetic.ricci-vs-printed-form").effective_status == "printed-form-mismatch"
+        ok &= out.result.get("synthetic.ricci-vs-printed-form").status == "printed-form-mismatch"
         ok &= out.result.get("synthetic.printed-chain-self-consistency").residual < 1e-10
     assert _announce("10c (induced Ricci: derived form; printed display adjudicated)", ok), (
         "expected ricci-vs-derived-form below 1e-10, ricci-vs-printed-form marked "

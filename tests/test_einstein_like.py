@@ -20,7 +20,7 @@ from paracheck.einstein_like import (
 )
 from paracheck.hypersurface_lab import evaluate_bundle, get_bundle
 from paracheck.models import get_model
-from paracheck.paracontact_core import StructureCheckResult
+from paracheck.report import StructureCheckResult
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.suites import RunConfig, run_suite
 
@@ -225,7 +225,7 @@ class TestTraceFormula:
         fit = _fit(f0)
         assert fit.min_norm == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
         res = verify_trace_formula(fit, f0)
-        statuses = {c.effective_status for c in res.checks}
+        statuses = {c.status for c in res.checks}
         assert statuses <= {"vacuous", "pass"}
 
     def test_inconsistent_plant_fails(self, rng):
@@ -271,7 +271,7 @@ class TestC11:
         c11 = compute_c11_phi_r(e1)
         res = verify_c11_decomposition(fit, c11, e1)
         assert res.residual("einstein.c11-decomposition-derived") < 1e-7
-        assert res.get("einstein.c11-decomposition-printed").effective_status == "printed-form-mismatch"
+        assert res.get("einstein.c11-decomposition-printed").status == "printed-form-mismatch"
         a, b, c = fit.min_norm
         n, eps = 3, 1
         g, eta = e1.g0, e1.eta0
@@ -309,7 +309,7 @@ class TestLieFormulas:
         fit = _fit(e1)
         res = _lie_records(fit, e1)
         assert res.passed
-        assert all(c.effective_status == "pass" for c in res.checks)
+        assert all(c.status == "pass" for c in res.checks)
         assert max(c.residual for c in res.checks) < 1e-8
 
     def test_e2_printed_form_mismatches(self, e2):
@@ -318,8 +318,8 @@ class TestLieFormulas:
         fit = _fit(e2)
         res = _lie_records(fit, e2)
         assert res.residual("lie.lie-phi-form-derived") < 1e-8
-        assert res.get("lie.lie-phi-form-printed").effective_status == "printed-form-mismatch"
-        assert res.get("lie.lie-c11-printed").effective_status == "printed-form-mismatch"
+        assert res.get("lie.lie-phi-form-printed").status == "printed-form-mismatch"
+        assert res.get("lie.lie-c11-printed").status == "printed-form-mismatch"
         from paracheck.geometry_engine import lie_derivative
 
         LPhi = lie_derivative(e2.Phi, e2.xi, e2.connection).components[..., 0]

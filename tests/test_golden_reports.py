@@ -16,7 +16,8 @@ never from inside pytest:
 
 ``tests/golden/tolerances.json`` locks the tolerance of every record id these
 requests measure, as dumped once from their reports before tolerances moved
-into ``suites.CHECKS``; regenerating the goldens does not touch it.  Every
+into the check table, now ``report.CHECKS``; regenerating the goldens does
+not touch it.  Every
 measured record must report exactly that tolerance, and every vacuous or
 not-applicable record 0.0.
 """

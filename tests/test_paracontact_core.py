@@ -4,6 +4,8 @@ should."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paracheck.geometry_engine import covariant_derivative
 from paracheck.paracontact_core import (
@@ -13,8 +15,8 @@ from paracheck.paracontact_core import (
     check_para_sasakian,
     check_ps_curvature_identities,
     pair,
-    residual_norm,
 )
+from paracheck.report import CHECKS, StructureCheckResult, residual_norm
 from paracheck.sampling import derive_rng, random_vectors, sample_points
 from paracheck.hypersurface_lab import defining_equation_gap_per_point, evaluate_bundle, get_bundle
 
@@ -61,7 +63,7 @@ class TestCheckAxioms:
         before normalization."""
         res = check_axioms(n1, vectors(n1))
         assert not res.passed
-        assert "structure.phi-squared" in res.failed_names()
+        assert "structure.phi-squared" in [c.id for c in res.checks if c.status == "fail"]
         assert 5e-3 < res.residual("structure.phi-squared") < 5e-2
 
     def test_axiom_names_are_the_seven_displays(self, e1, vectors):
@@ -82,7 +84,7 @@ class TestCheckParaSasakian:
     def test_f0_fails(self, f0, vectors):
         res = check_para_sasakian(f0, vectors(f0))
         assert not res.passed
-        assert "sasakian.grad-xi" in res.failed_names()
+        assert "sasakian.grad-xi" in [c.id for c in res.checks if c.status == "fail"]
 
     def test_n1_fails(self, n1, vectors):
         res = check_para_sasakian(n1, vectors(n1))
@@ -111,7 +113,7 @@ class TestCurvatureIdentities:
         """R = 0 on the flat chart, so R(X,Y)xi = eta(X)Y - eta(Y)X cannot
         hold; the residual is the size of the right side."""
         res = check_ps_curvature_identities(f0, vectors(f0))
-        assert "curvature.r-xy-xi" in res.failed_names()
+        assert "curvature.r-xy-xi" in [c.id for c in res.checks if c.status == "fail"]
 
     def test_closed_form_oracle_constant_curvature(self, e1, e2, vectors):
         """Substituting R(X,Y)Z = -eps (g(Y,Z)X - g(X,Z)Y), the closed form
@@ -161,3 +163,53 @@ class TestNegativeControlDiscipline:
         ids = [c.id for c in check_ps_curvature_identities(e1, vectors(e1)).checks]
         assert sorted(ids) == ["curvature.r-xy-phi-z", "curvature.r-xy-xi", "curvature.ricci-phi-symmetric",
                                "curvature.ricci-xi"]
+
+
+class TestOneResidualRule:
+    """residual_norm is the one residual rule: the per-point form the
+    characterization reads and the whole form a record reads are one rule."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from([(4, 3, 5), (1, 6, 2), (7, 1, 1)]),
+           ninputs=st.integers(0, 3), axis=st.sampled_from([(1, 2), 1, 2, (0, 2)]))
+    def test_max_of_per_point_values_is_the_whole_residual(self, seed, shape, ninputs, axis):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-8, 8, size=ninputs + 1)
+        gap = scale[0] * rng.standard_normal(shape)
+        inputs = [s * rng.standard_normal(shape[:rng.integers(1, 4)]) for s in scale[1:]]
+        whole = residual_norm(gap, *inputs)
+        per_point = residual_norm(gap, *inputs, axis=axis)
+        assert np.max(per_point) == whole
+
+    def test_nan_input_makes_every_per_point_value_nan(self, rng):
+        gap = rng.standard_normal((5, 4, 3))
+        x = rng.standard_normal((5, 3))
+        x[3, 1] = np.nan
+        assert np.isnan(residual_norm(gap, gap, x, axis=(1, 2))).all()
+        assert np.isnan(residual_norm(gap, x))
+
+    def test_defining_equation_per_point_max_is_its_record(self, e1, n1, f0, vectors):
+        b = get_bundle("E3b")
+        e3b = evaluate_bundle(b, sample_points(b.embedding.domain, 12, derive_rng(42, "E3b", "points"))).structure
+        for s in (e1, n1, f0, e3b):
+            v = vectors(s)
+            record = check_para_sasakian(s, v).residual("sasakian.defining-equation")
+            assert defining_equation_gap_per_point(s, v).max() == record
+
+    def test_record_without_inputs_reads_max_gap(self, rng):
+        gap = rng.standard_normal((6, 3, 3))
+        res = StructureCheckResult()
+        res.add("hypersurface.quasi-umbilical", gap, detail="d")
+        res.add("hypersurface.characterization-iff", np.sum(gap > 0))
+        res.add("einstein.fit-stability", 0.0, detail="too few samples to split", status="not-applicable")
+        quasi, iff, stability = res.checks
+        assert quasi.residual == np.max(np.abs(gap))
+        assert (quasi.anchor, quasi.tolerance, quasi.status, quasi.detail) == (
+            CHECKS["hypersurface.quasi-umbilical"].anchor, 1e-9, "fail", "d")
+        assert iff.residual == float(np.sum(gap > 0)) and iff.status == "fail"
+        assert (stability.residual, stability.tolerance, stability.status) == (0.0, 0.0, "not-applicable")
+
+    def test_phi0_and_eta_eta_are_computed_once(self, e1):
+        assert e1.Phi0 is e1.Phi0
+        assert e1.ee0 is e1.ee0
+        assert np.array_equal(e1.ee0, np.einsum('pa,pb->pab', e1.eta0, e1.eta0))

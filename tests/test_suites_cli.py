@@ -16,9 +16,9 @@ from paracheck.einstein_like import EinsteinLikeFit
 from paracheck.manifest import save_manifest
 from paracheck.models import get_model
 from paracheck.hypersurface_lab import get_bundle, synthetic_gauss_check
-from paracheck.report import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, new_report, status_of
+from paracheck.report import CHECKS, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, new_report, status_of
 from paracheck.paracontact_core import ParacontactStructure
-from paracheck.suites import CHECKS, RunConfig, run_suite, run_synthetic
+from paracheck.suites import RunConfig, run_suite, run_synthetic
 
 CFG = RunConfig(points=30, seed=7)
 
@@ -230,6 +230,14 @@ def _json_run(tmp_path, *argv) -> tuple[int, dict]:
     return code, {c["id"]: c for c in _strict_json(out.read_text())["checks"]}
 
 
+def _recorded_again(res, cid, residual):
+    """``res`` with its ``cid`` record replaced by one the recorder makes from
+    ``residual``."""
+    res.checks = [c for c in res.checks if c.id != cid]
+    res.add(cid, residual)
+    return res
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 class TestNonFiniteResiduals:
@@ -240,9 +248,7 @@ class TestNonFiniteResiduals:
         check = suites.check_ps_curvature_identities
 
         def broken(*args):
-            res = check(*args)
-            res.get("curvature.ricci-xi").residual = bad
-            return res
+            return _recorded_again(check(*args), "curvature.ricci-xi", bad)
 
         monkeypatch.setattr(suites, "check_ps_curvature_identities", broken)
         code, checks = _json_run(tmp_path, "check", "E1", "--suite", "curvature", "--points", "5")
@@ -266,9 +272,7 @@ class TestNonFiniteResiduals:
         check = suites.check_para_sasakian
 
         def broken(*args):
-            res = check(*args)
-            res.get("sasakian.grad-eta").residual = bad
-            return res
+            return _recorded_again(check(*args), "sasakian.grad-eta", bad)
 
         monkeypatch.setattr(suites, "check_para_sasakian", broken)
         code, checks = _json_run(tmp_path, "check", "E1", "--suite", "all", "--points", "6")
@@ -464,6 +468,26 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert f"{path}: embedding validation failed: degenerate ambient metric" in proc.stderr
         assert "at point (" in proc.stderr
+
+    @pytest.mark.parametrize("field,value,suite,message", [
+        (("eta", 2), "1e307*sin(100*y)", "structure", "structure invariant eta(xi) = 1 violated at point ("),
+        (("metric", 0), "1/(y^2)+1e300*sin(1e8*x1)^2", "sasakian",
+         "degenerate metric (smallest singular value of g at most 1e-12 of the largest) at point ("),
+    ], ids=["eta-of-xi", "degenerate-metric"])
+    def test_request_time_input_error_names_file_and_point(self, tmp_path, capsys, field, value, suite, message):
+        """An E1 mutant that loads, since each field is finite and the metric
+        has its index at the validation points, but fails a structure
+        invariant or is degenerate at a request's samples: exit 2 with one
+        line naming the manifest and the point."""
+        path = tmp_path / "mutant.json"
+        save_manifest(get_model("E1"), path)
+        doc = json.loads(path.read_text())
+        doc[field[0]][field[1]] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(path), "--suite", suite, "--points", "5"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and len(err.strip().splitlines()) == 1, err
 
     def test_rescaled_metric_is_not_degenerate(self, tmp_path):
         """E1n5 with g scaled by 1e-3 (xi and eta rescaled to match) has
