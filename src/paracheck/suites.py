@@ -235,7 +235,7 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
     name = target.name
     is_bundle = isinstance(target, hl.HypersurfaceBundle)
     if suite == "hypersurface" and not is_bundle:
-        raise ValueError(f"suite 'hypersurface' needs a bundle target, got chart model {name!r}")
+        raise ValueError("suite 'hypersurface' needs a bundle target, not a chart model")
     order = METRIC_ORDERS[f"hypersurface {cfg.hypersurface_subset}" if suite == "hypersurface" else suite]
     report = new_report(name, suite, cfg.seed, cfg.points)
     points = sample_points(target.embedding.domain if is_bundle else target.domain, cfg.points,

@@ -370,11 +370,12 @@ class TestCli:
         (("synthetic", "--tol-scale", "inf"), "--tol-scale must be a finite number > 0"),
         (("synthetic", "--perturb-a", "nan"), "--perturb-a must be finite"),
         (("synthetic", "--perturb-a", "inf"), "--perturb-a must be finite"),
+        (("check", "E1", "--suite", "hypersurface"), "error: E1: suite 'hypersurface' needs a bundle target, not a"),
     ], ids=["points-0", "points-negative", "tol-scale-nan", "tol-scale-negative", "tol-scale-0",
-            "tol-scale-inf", "perturb-a-nan", "perturb-a-inf"])
+            "tol-scale-inf", "perturb-a-nan", "perturb-a-inf", "hypersurface-on-chart"])
     def test_bad_run_option_is_input_error(self, argv, message):
-        """A run option out of its range is a one-line input error: exit 2,
-        no traceback."""
+        """A run option out of its range, or a suite the target cannot run,
+        is a one-line input error: exit 2, no traceback."""
         proc = _cli(*argv)
         assert proc.returncode == EXIT_INPUT_ERROR
         assert "Traceback" not in proc.stderr
