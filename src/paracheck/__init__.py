@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .expr_jet import JetSpace, parse_expr
 from .models import ManifoldModel, builtin_models, evaluate_structure, get_model
-from .paracontact_core import ParacontactStructure, StructureCheckResult
-from .report import CheckRecord, CheckReport
+from .paracontact_core import ParacontactStructure
+from .report import CheckRecord, CheckReport, StructureCheckResult
 from .suites import RunConfig, run_suite, run_synthetic
 
 __all__ = [

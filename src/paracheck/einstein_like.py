@@ -18,10 +18,11 @@ for pass/fail and the printed form is evaluated informationally (their
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry_engine import covariant_derivative, lie_derivative
+from .geometry_engine import ConnectionAtPoint, covariant_derivative, lie_derivative
 from .paracontact_core import ParacontactStructure
 from .report import VACUOUS, StructureCheckResult, residual_norm
 from .tensor_algebra import TensorValue, contract_with, lowest_space
@@ -198,24 +199,27 @@ def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure) -> 
 
 @dataclass
 class C11Tensor:
-    """(0,2) contraction C(Y,Z) = trace of X -> phi R(X,Y) Z, jet-valued."""
+    """(0,2) contraction C(Y,Z) = trace of X -> phi R(X,Y) Z, jet-valued, and its connection."""
 
     tensor: TensorValue  # (0,2) jets
+    connection: ConnectionAtPoint
 
     @property
     def values(self) -> np.ndarray:
         return self.tensor.components[..., 0]
 
-    def symmetry_residual(self) -> float:
-        v = self.values
-        return residual_norm(v - np.swapaxes(v, 1, 2), v)
+    @cached_property
+    def nabla(self) -> np.ndarray:
+        """Values of nabla C11, read by the parallel-along-xi check and by L_xi C11."""
+        return covariant_derivative(self.tensor, self.connection).components[..., 0]
 
 
 def compute_c11_phi_r(struct: ParacontactStructure) -> C11Tensor:
     R = struct.curvature.riemann_ud
     phiR = contract_with(struct.phi, R, 1, 0)  # [p, l, i, j, k, m]
     comps = np.trace(phiR, axis1=1, axis2=2)   # trace l = i -> [p, j, k, m]
-    return C11Tensor(TensorValue(struct.dim, 0, 2, comps, lowest_space(struct.phi.space, R.space)))
+    return C11Tensor(TensorValue(struct.dim, 0, 2, comps, lowest_space(struct.phi.space, R.space)),
+                     struct.connection)
 
 
 def verify_c11_identities(c11: C11Tensor, struct: ParacontactStructure) -> StructureCheckResult:
@@ -224,11 +228,12 @@ def verify_c11_identities(c11: C11Tensor, struct: ParacontactStructure) -> Struc
     n = struct.dim
     g, ee = struct.g0, struct.ee0
     trphi = struct.trace_phi()[:, None, None]
+    C = c11.values
     res = StructureCheckResult()
-    res.add("einstein.c11-symmetric", c11.symmetry_residual())
+    res.add("einstein.c11-symmetric", C - np.swapaxes(C, 1, 2), C)
     S = struct.curvature.ricci.components[..., 0]
     SphiZ = np.einsum('pym,pmz->pyz', S, struct.phi0)   # S(Y, phi Z)
-    rhs = c11.values + eps * (n - 2) * struct.Phi0 + (2 * ee - eps * g) * trphi
+    rhs = C + eps * (n - 2) * struct.Phi0 + (2 * ee - eps * g) * trphi
     res.add("einstein.s-phi-z-display", SphiZ - rhs, SphiZ, rhs)
     return res
 
@@ -256,8 +261,7 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor,
             "printed eta(x)eta coefficient -(eps/c)(c + 2b(n-1)); informational{skipped}",
     }, skip_c0=True)
 
-    nabla_c11 = covariant_derivative(c11.tensor, struct.connection)
-    par = np.einsum('piab,pi->pab', nabla_c11.components[..., 0], struct.xi0)
+    par = np.einsum('piab,pi->pab', c11.nabla, struct.xi0)
     res.add("einstein.c11-parallel-along-xi", par, C)
     return res
 
@@ -274,18 +278,17 @@ def verify_lie_formulas(struct: ParacontactStructure) -> StructureCheckResult:
 
     The printed variant with (g - eta(x)eta) is evaluated informationally.
     """
-    eps = struct.epsilon
-    conn = struct.connection
+    eps, xi, nabla_xi = struct.epsilon, struct.xi0, struct.nabla_xi
     g, eta, Phi, ee = struct.g0, struct.eta0, struct.Phi0, struct.ee0
     res = StructureCheckResult()
 
-    Leta = lie_derivative(struct.eta, struct.xi, conn).components[..., 0]
+    Leta = lie_derivative(eta, struct.nabla_eta, xi, nabla_xi)
     res.add("lie.lie-eta", Leta, eta)
 
-    Lg = lie_derivative(struct.g, struct.xi, conn).components[..., 0]
+    Lg = lie_derivative(g, struct._nabla(struct.g), xi, nabla_xi)
     res.add("lie.lie-g", Lg - 2 * eps * Phi, Lg, Phi)
 
-    LPhi = lie_derivative(struct.Phi, struct.xi, conn).components[..., 0]
+    LPhi = lie_derivative(struct.Phi.components[..., 0], struct._nabla(struct.Phi), xi, nabla_xi)
     derived = 2 * eps * (g - eps * ee)
     printed = 2 * eps * (g - ee)
     res.add("lie.lie-phi-form-derived", LPhi - derived, LPhi, derived,
@@ -300,7 +303,8 @@ def verify_lie_ricci(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Stru
     structure."""
     eps = struct.epsilon
     g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
-    LS = lie_derivative(struct.curvature.ricci, struct.xi, struct.connection).components[..., 0]
+    S = struct.curvature.ricci
+    LS = lie_derivative(S.components[..., 0], struct._nabla(S), struct.xi0, struct.nabla_xi)
     res = StructureCheckResult()
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(
         LS - (2 * a * eps * Phi + 2 * b * eps * (g - eps * ee)), LS),), {"lie.lie-ricci": MAX_OVER})
@@ -317,7 +321,7 @@ def verify_lie_c11(fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStru
     n = struct.dim
     g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
     res = StructureCheckResult()
-    LC = lie_derivative(c11.tensor, struct.xi, struct.connection).components[..., 0]
+    LC = lie_derivative(c11.values, c11.nabla, struct.xi0, struct.nabla_xi)
 
     def gaps(a, b, c):
         lead = (2 * eps * b / c) * (c + n - 1) * Phi

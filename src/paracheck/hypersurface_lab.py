@@ -230,10 +230,10 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     g_amb_inv = invert_jet_matrix(fspace, g_amb)
     N_un = fspace.matmul(g_amb_inv, nu[:, :, None])[:, :, 0]   # N^A = g~^{AB} nu_B
 
-    # orientation: first component with |value| above threshold made positive
+    # orientation: first component above COMPONENT_SIGN_FLOOR of the largest made positive
     vals = N_un[..., 0]
-    big = np.abs(vals) > COMPONENT_SIGN_FLOOR
-    flip = np.where(big.any(axis=1) & (vals[np.arange(P), np.argmax(big, axis=1)] < 0), -1.0, 1.0)
+    big = np.abs(vals) > COMPONENT_SIGN_FLOOR * np.max(np.abs(vals), axis=1, keepdims=True)
+    flip = np.where(vals[np.arange(P), np.argmax(big, axis=1)] < 0, -1.0, 1.0)
     N_un = N_un * (emb.orientation * flip)[:, None, None]
 
     # normalize to |g~(N, N)| = 1 and measure the tangency g~(N, JN) of JN = xi

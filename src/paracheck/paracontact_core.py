@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
 from .report import StructureCheckResult, residual_norm
-from .tensor_algebra import TensorValue, contract_with
+from .tensor_algebra import TensorValue, contract_with, lowest_space
 
 
 class ParacontactStructure:
@@ -85,7 +85,7 @@ class ParacontactStructure:
     def eta0(self) -> np.ndarray:
         return self.eta.components[..., 0]
 
-    @property
+    @cached_property
     def Phi(self) -> TensorValue:
         """The fundamental 2-form Phi_{ab} = g(phi e_a, e_b) as jets."""
         comps = contract_with(self.g, self.phi, 0, 0)  # g_{mb} phi^m_a -> [b, a]
@@ -114,7 +114,9 @@ class ParacontactStructure:
         return curvature(self.connection)
 
     def _nabla(self, T: TensorValue) -> np.ndarray:
-        return covariant_derivative(T, self.connection).components[..., 0]
+        """Values of nabla T, with T restricted to at most the fields' order: all a Lie derivative along xi reads."""
+        return covariant_derivative(T.as_jet(lowest_space(T.space, self.xi.space)),
+                                    self.connection).components[..., 0]
 
     @cached_property
     def nabla_phi(self) -> np.ndarray:

@@ -32,6 +32,7 @@ from .sampling import derive_rng, random_vectors, sample_points
 
 SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "synthetic", "all")
 HYPERSURFACE_SUBSETS = ("induced", "gauss", "characterization", "all")
+VECTOR_TUPLES = 20     # random vector pairs per sample point
 
 # gate -> (what the run context measures for it, threshold); a gate holds
 # when the measured value is at most the threshold
@@ -54,7 +55,6 @@ class RunConfig:
     points: int = 100
     seed: int = 42
     tol_scale: float = 1.0
-    vector_tuples: int = 20
     trials: int = 100          # synthetic suite
     epsilon: int = 1           # synthetic suite
     dim: int = 3               # synthetic suite
@@ -97,7 +97,7 @@ class _ModelContext:
         self.struct = struct
         self.data = data
         rng = derive_rng(cfg.seed, name, "vectors")
-        self.vectors = random_vectors(rng, struct.npoints, 2 * cfg.vector_tuples, struct.dim)
+        self.vectors = random_vectors(rng, struct.npoints, 2 * VECTOR_TUPLES, struct.dim)
 
     @cached_property
     def axioms(self) -> StructureCheckResult:
@@ -224,6 +224,8 @@ def _run_hypersurface(report: CheckReport, ctx: _ModelContext, cfg: RunConfig, s
             _merge(report, cfg.tol_scale, hl.quasi_umbilical_check(data.shape, data.structure))
 
 
+# arithmetic that overflows runs quietly: the recorder fails every non-finite residual
+@np.errstate(over="ignore", invalid="ignore")
 def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: RunConfig | None = None) -> CheckReport:
     """Run one suite (or 'all') against a chart model or a bundle."""
     cfg = cfg or RunConfig()
@@ -263,6 +265,7 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
     return report
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_synthetic(cfg: RunConfig) -> CheckReport:
     """The pointwise Gauss-equation suite at (epsilon, dim) with the
     configured trial count."""

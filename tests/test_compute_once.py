@@ -1,9 +1,9 @@
 """Each geometric object of a request is built once, and only when a
-requested check reads it: the connection of every metric, the axiom checks,
-the para-Sasakian gate and C11(phi R); and each distinct expression string
-of a field grid is parsed and evaluated once per grid.  Call counts are
-taken by rebinding each function under every name the package imports it
-by."""
+requested check reads it: the connection of every metric, each covariant
+derivative, the axiom checks, the para-Sasakian gate and C11(phi R); and
+each distinct expression string of a field grid is parsed and evaluated
+once per grid.  Call counts are taken by rebinding each function under
+every name the package imports it by."""
 
 import functools
 import sys
@@ -82,6 +82,19 @@ def test_gauss_request_takes_one_covariant_derivative(monkeypatch):
     nabla = _count(monkeypatch, geometry_engine.covariant_derivative)
     run_suite(get_bundle("E3a"), "hypersurface", RunConfig(points=10, hypersurface_subset="gauss"))
     assert nabla["n"] == 1
+
+
+@pytest.mark.parametrize("name,count", [("E1", 8), ("N1", 5), ("E3a", 6)])
+def test_all_request_takes_each_covariant_derivative_once(monkeypatch, name, count):
+    """nabla phi, nabla xi and nabla eta (the para-Sasakian gate), nabla g and
+    nabla Phi (L_xi g, L_xi Phi), on the para-Sasakian E1 also nabla Q (div Q),
+    nabla C11 (parallel along xi, L_xi C11) and nabla S (L_xi S), and on the
+    bundle E3a nabla J~: the Lie derivatives read nabla xi, nabla eta and
+    nabla C11 from the structure and take no derivative themselves."""
+    nabla = _count(monkeypatch, geometry_engine.covariant_derivative)
+    target = get_bundle(name) if name == "E3a" else get_model(name)
+    run_suite(target, "all", RunConfig(points=10))
+    assert nabla["n"] == count
 
 
 def test_bundle_all_checks_the_axioms_once(monkeypatch):

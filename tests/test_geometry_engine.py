@@ -5,6 +5,7 @@ derivative identities, and the curvature invariants."""
 import numpy as np
 import pytest
 
+from paracheck.einstein_like import compute_c11_phi_r
 from paracheck.expr_jet import JetSpace
 from paracheck.geometry_engine import (
     InsufficientOrderError,
@@ -32,6 +33,12 @@ def _metric_jets(model, pts, order=4):
     space = JetSpace.get(model.dim, order)
     comps = _eval_grid(model.metric, model.coords, space, space.point_jets(pts), pts, "metric")
     return TensorValue(model.dim, 0, 2, comps, space)
+
+
+def _lie(T, X, conn):
+    """Values of L_X T from the values of T, X and their covariant derivatives."""
+    return lie_derivative(T.components[..., 0], covariant_derivative(T, conn).components[..., 0],
+                          X.components[..., 0], covariant_derivative(X, conn).components[..., 0])
 
 
 def _half_plane_2d():
@@ -235,12 +242,12 @@ class TestCovariantDerivative:
 class TestLieDerivative:
     def test_lie_eta_along_xi_vanishes(self, e1, e2):
         for s in (e1, e2):
-            L = lie_derivative(s.eta, s.xi, s.connection)
-            assert np.max(np.abs(L.components[..., 0])) < 1e-9
+            L = _lie(s.eta, s.xi, s.connection)
+            assert np.max(np.abs(L)) < 1e-9
 
     def test_lie_g_along_xi(self, e1, e2):
         for s in (e1, e2):
-            L = lie_derivative(s.g, s.xi, s.connection).components[..., 0]
+            L = _lie(s.g, s.xi, s.connection)
             assert np.max(np.abs(L - 2 * s.epsilon * s.Phi0)) < 1e-8
 
     def test_translation_is_flat_killing_field(self, f0):
@@ -248,19 +255,25 @@ class TestLieDerivative:
         X = np.zeros((f0.npoints, 3, space.ncoeffs))
         X[:, 0, 0] = 1.0  # d/dx1
         XT = TensorValue(3, 1, 0, X, space)
-        L = lie_derivative(f0.g, XT, f0.connection)
-        assert np.max(np.abs(L.components)) == 0.0
+        L = _lie(f0.g, XT, f0.connection)
+        assert np.max(np.abs(L)) == 0.0
 
-    def test_covariant_and_partials_routes_agree(self, e1, e2):
-        for s in (e1, e2):
-            for T in (s.g, s.eta):
-                a = lie_derivative(T, s.xi, s.connection).components[..., 0]
-                b = lie_derivative_by_partials(T, s.xi).components[..., 0]
-                assert np.max(np.abs(a - b)) < 1e-10
-
-    def test_unsupported_valence(self, e1):
-        with pytest.raises(ValueError):
-            lie_derivative(e1.phi, e1.xi, e1.connection)
+    def test_covariant_and_partials_routes_agree(self, models, e1, e2):
+        """The Lie checks' route (nabla T restricted to the fields' order, the
+        structure's cached nabla xi) against plain partials, on every tensor
+        whose Lie derivative along xi a check reads; and along the field
+        (x^a)^2 d_a, which moves every one of them, so that no term of the
+        route can stand in for another."""
+        for s in (e1, e2, evaluate_structure(models["E1n5"], sample_points(
+                models["E1n5"].domain, 6, derive_rng(5, "E1n5", "lie")))):
+            space = s.xi.space
+            sq = np.stack([space.mul(x, x) for x in space.point_jets(s.points)], axis=1)
+            sq = TensorValue(s.dim, 1, 0, sq, space)
+            for X, nabla_X in ((s.xi, s.nabla_xi), (sq, covariant_derivative(sq, s.connection).components[..., 0])):
+                for T in (s.g, s.eta, s.Phi, s.curvature.ricci, compute_c11_phi_r(s).tensor):
+                    a = lie_derivative(T.components[..., 0], s._nabla(T), X.components[..., 0], nabla_X)
+                    b = lie_derivative_by_partials(T, X).components[..., 0]
+                    assert np.max(np.abs(a - b)) < 1e-10
 
 
 class TestJetOrders:
@@ -274,7 +287,8 @@ class TestJetOrders:
         cur = e1.curvature
         assert [t.space.order for t in (cur.riemann_ud, cur.ricci, cur.ricci_op)] == [1, 1, 1]
         assert covariant_derivative(e1.g, e1.connection).space.order == 2
-        assert lie_derivative(e1.g, e1.xi, e1.connection).space.order == 0
+        # a Lie derivative along xi is values: it reads nabla g only to xi's order, one below
+        assert covariant_derivative(e1.g.as_jet(e1.xi.space), e1.connection).space.order == 0
 
     def test_bundle_orders(self):
         bundle = get_bundle("E3a")

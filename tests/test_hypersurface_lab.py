@@ -169,6 +169,18 @@ class TestInducedStructure:
         want = {c.id: c.status for c in run_suite(b, "hypersurface", cfg).checks}
         assert {c.id: c.status for c in run_suite(scaled, "hypersurface", cfg).checks} == want
 
+    def test_scaled_cone_keeps_its_orientation(self):
+        """The normal is oriented by a floor relative to its largest
+        component: the cone's map times 1e-3 is the same cone in the flat
+        ambient, with E3b's unit normal at every point.  The absolute floor
+        flipped it at 8 of these 10 points."""
+        b = get_bundle("E3b")
+        scaled = dataclasses.replace(b, embedding=dataclasses.replace(
+            b.embedding, map=[f"1e-3*({m})" for m in b.embedding.map]))
+        pts = sample_points(b.embedding.domain, 10, derive_rng(1, "E3b", "points"))
+        want, got = (evaluate_bundle(x, pts).shape.N for x in (b, scaled))
+        assert np.max(np.abs(got - want)) < 1e-9
+
     def test_rank_drop_at_one_point_is_named(self):
         """The rank is tested per point: t^3 has a critical point at t = 0,
         which is named although the other point is regular."""

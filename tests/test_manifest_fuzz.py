@@ -212,6 +212,18 @@ def test_finite_field_with_overflowing_derivative(tmp_path, capsys, suite):
         assert len(err.strip().splitlines()) == 1, err
 
 
+def test_overflowing_check_arithmetic_is_quiet(tmp_path, capsys):
+    """The structure suite's products of phi[0] = 1e307 sin(100 y) overflow;
+    the report fails those records and exits 1, and numpy warns of
+    nothing: every numpy warning is an error here."""
+    doc = copy.deepcopy(BASES["E1"])
+    doc["phi"][0] = "1e307*sin(100*y)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err, _ = _run(tmp_path, capsys, doc, ["check", "--suite", "structure"])
+    assert code == 1 and not err, err
+
+
 # each base's own passing request: E3b, whose shape operator is not the
 # para-Sasakian one, fails the chart suites by design
 PASSING = {"E1": ["check", "--suite", "all"], "E3b": ["hypersurface", "--suite", "all"]}

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,15 @@ class TestNonFiniteResiduals:
         assert checks.pop("synthetic.printed-chain-self-consistency")["status"] == "pass"
         assert {(c["status"], c["residual"]) for c in checks.values()} == {("fail", 1e300)}
         assert len(checks) == 9
+
+
+def test_overflowing_synthetic_arithmetic_is_quiet():
+    """--perturb-a 1e300 overflows the Gauss chain: the run fails and numpy
+    warns of nothing (every numpy warning is an error here)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_synthetic(RunConfig(trials=5, perturb_a=1e300))
+    assert report.exit_code == EXIT_CHECK_FAILED
 
 
 def _cli(*args):
