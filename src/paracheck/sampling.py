@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
+SEED_MAX = _MASK32   # a stream keeps its seed's low 32 bits, so a run takes seeds in 0..SEED_MAX only
 _MASK128 = (1 << 128) - 1
 # numpy's SeedSequence constants (pool size 4, 16-bit xorshift) and PCG64's multiplier
 _INIT_A, _MULT_A, _MIX_MULT_L, _MIX_MULT_R = 0x43b0d7e5, 0x931e8875, 0xca01f9dd, 0x4973f715

@@ -28,7 +28,7 @@ from .models import METRIC_ORDER, ManifoldModel, evaluate_structure
 from .paracontact_core import ParacontactStructure, check_axioms, check_para_sasakian, check_ps_curvature_identities
 from .report import (CHECKS, NOT_APPLICABLE, PS, PS_TRPHI, SHAPE, VACUOUS, CheckRecord, CheckReport,
                      StructureCheckResult, new_report, status_of)
-from .sampling import derive_rng, random_vectors, sample_points
+from .sampling import SEED_MAX, derive_rng, random_vectors, sample_points
 
 SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "synthetic", "all")
 HYPERSURFACE_SUBSETS = ("induced", "gauss", "characterization", "all")
@@ -68,8 +68,12 @@ class RunConfig:
             raise ValueError(f"--tol-scale must be a finite number > 0, got {self.tol_scale}")
         if not math.isfinite(self.perturb_a):
             raise ValueError(f"--perturb-a must be finite, got {self.perturb_a}")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ValueError(f"--seed must lie in 0..{SEED_MAX}, got {self.seed}")
         if self.dim > hl.SYNTHETIC_MAX_DIM:
             raise ValueError(f"--dim must be at most {hl.SYNTHETIC_MAX_DIM}, got {self.dim}")
+        if self.trials > hl.SYNTHETIC_MAX_TRIALS:
+            raise ValueError(f"--trials must be at most {hl.SYNTHETIC_MAX_TRIALS}, got {self.trials}")
         if self.hypersurface_subset not in HYPERSURFACE_SUBSETS:
             raise ValueError(f"unknown hypersurface subset {self.hypersurface_subset!r}")
 

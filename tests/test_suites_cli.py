@@ -409,6 +409,37 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == f"error: --dim must be at most {bound}, got {dim}\n"
 
+    @pytest.mark.parametrize("argv", [("check", "E1", "--suite", "structure", "--points", "3"),
+                                      ("hypersurface", "E3a", "--suite", "induced", "--points", "3"),
+                                      ("synthetic", "--trials", "2")], ids=["check", "hypersurface", "synthetic"])
+    def test_seed_outside_32_bits_is_input_error(self, argv, capsys):
+        """A stream keeps its seed's low 32 bits, so a seed outside
+        0..2^32 - 1 would write another seed's checks under its own seed
+        field: each command refuses it with exit 2 naming the range, and
+        takes both ends of the range."""
+        for seed in (-1, 2 ** 32, 2 ** 32 + 42):
+            assert main([*argv, "--seed", str(seed), "--format", "json"]) == EXIT_INPUT_ERROR
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: --seed must lie in 0..{2 ** 32 - 1}, got {seed}\n"
+        for seed in (0, 2 ** 32 - 1):
+            assert main([*argv, "--seed", str(seed), "--format", "json"]) in (0, 1)
+            assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+    def test_synthetic_trials_above_their_bound_is_input_error(self, monkeypatch, capsys):
+        """--trials above SYNTHETIC_MAX_TRIALS is refused when the options are
+        read, before any array is allocated: exit 2 with one error line."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("synthetic_gauss_check was reached")
+
+        monkeypatch.setattr(hypersurface_lab, "synthetic_gauss_check", unreachable)
+        bound = hypersurface_lab.SYNTHETIC_MAX_TRIALS
+        assert bound == 10 ** 6
+        RunConfig(trials=bound)
+        for trials in (bound + 1, 10 ** 13):
+            assert main(["synthetic", "--trials", str(trials)]) == EXIT_INPUT_ERROR
+            err = capsys.readouterr().err
+            assert err == f"error: --trials must be at most {bound}, got {trials}\n"
+
     def test_manifest_domain_error_is_input_error(self, tmp_path):
         """A metric entry outside its domain at a validation point is a
         malformed manifest: exit 2 with a message naming the file."""
