@@ -351,10 +351,20 @@ def verify_induced_derivatives(data: HypersurfaceData, vectors: np.ndarray) -> S
     return res
 
 
-def shape_self_adjoint_residual(data: HypersurfaceData) -> float:
-    A, g = data.shape.A, data.structure.g0
-    Alow = np.einsum('pma,pmb->pab', A, g)
-    return residual_norm(Alow - np.swapaxes(Alow, 1, 2), Alow)
+def check_induced_frame(data: HypersurfaceData, axioms: StructureCheckResult) -> StructureCheckResult:
+    """The induced frame: JN and the Weingarten map tangent, A self-adjoint,
+    g~(N, N) = eps at every sample, and the worst of the structure ``axioms``
+    checked on the induced structure."""
+    res = StructureCheckResult()
+    res.add("hypersurface.jn-tangent", data.tangency_residual)
+    res.add("hypersurface.weingarten-tangent", data.frame_residual)
+    Alow = np.einsum('pma,pmb->pab', data.shape.A, data.structure.g0)
+    res.add("hypersurface.shape-self-adjoint", Alow - np.swapaxes(Alow, 1, 2), Alow)
+    res.add("hypersurface.epsilon-consistent", data.epsilon_residual,
+            detail=f"max |g~(N,N) - eps| over the samples, eps = {data.shape.epsilon:+d}")
+    res.add("hypersurface.induced-axioms", np.max([c.residual for c in axioms.checks]),
+            detail="max over the seven structure axioms on the induced structure")
+    return res
 
 
 def pull_back(R: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -365,7 +375,7 @@ def pull_back(R: np.ndarray, T: np.ndarray) -> np.ndarray:
     return R
 
 
-def gauss_consistency_residual(data: HypersurfaceData) -> float:
+def check_gauss_equation(data: HypersurfaceData) -> StructureCheckResult:
     """Intrinsic R against ambient R restricted plus the eps (h wedge h)
     correction, classical index order."""
     s = data.structure
@@ -375,7 +385,9 @@ def gauss_consistency_residual(data: HypersurfaceData) -> float:
     R_amb = data.ambient.curvature.riemann_dddd.components[..., 0]
     R_res = pull_back(R_amb, data.tangent_frame)
     corr = eps * (np.einsum('pyz,pxw->pxyzw', h, h) - np.einsum('pxz,pyw->pxyzw', h, h))
-    return residual_norm(R_int - R_res - corr, R_int, R_res, corr)
+    res = StructureCheckResult()
+    res.add("hypersurface.gauss-equation", R_int - R_res - corr, R_int, R_res, corr)
+    return res
 
 
 # --------------------------------------------------------------------------

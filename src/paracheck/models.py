@@ -24,7 +24,7 @@ from .expr_jet import JetDomainError, JetSpace, _locate, eval_expr, parse_expr
 from .paracontact_core import ParacontactStructure
 from .tensor_algebra import TensorValue, inertia
 
-# Deepest jet orders of a chart model's fields (suites.METRIC_ORDERS gives the g order of each request).
+# Deepest jet orders of a chart model's fields (suites.REQUESTS gives the g order of each request).
 # The deepest check reads one derivative of Ricci (dr, div Q, nabla Q, L_xi S, nabla and L_xi of C11), so g
 # needs order 3; phi, xi and eta enter at most one covariant or Lie derivative.
 METRIC_ORDER = 3

@@ -8,8 +8,11 @@ only), synthetic (standalone pointwise trials), all.
 Each record is declared once, as a row of :data:`report.CHECKS`, and the
 check functions hand their gaps to the one recorder beside it,
 :class:`report.StructureCheckResult`, which gives each record its row's
-tolerance at scale 1 and its status.  The runner here calls a gated group
-only when its gates hold and otherwise reports each of its records
+tolerance at scale 1 and its status.  :data:`REQUESTS` maps each request
+kind to the metric jet order it reads and its ordered check groups, each a
+CHECKS prefix, the gates its rows sit behind, and the check calls that
+record them.  :func:`run_suite` runs one loop over the groups: it calls a
+group only when its gates hold and otherwise reports each of its records
 ``not-applicable``, naming the gate that decided it; :func:`_merge` only
 rescales each measured record's tolerance and status by ``--tol-scale``.
 """
@@ -26,8 +29,8 @@ from . import einstein_like as el
 from . import hypersurface_lab as hl
 from .models import METRIC_ORDER, ManifoldModel, evaluate_structure
 from .paracontact_core import ParacontactStructure, check_axioms, check_para_sasakian, check_ps_curvature_identities
-from .report import (CHECKS, NOT_APPLICABLE, PS, PS_TRPHI, SHAPE, VACUOUS, CheckRecord, CheckReport,
-                     StructureCheckResult, new_report, status_of)
+from .report import (CHECKS, NOT_APPLICABLE, PS, PS_TRPHI, SHAPE, VACUOUS, CheckReport, StructureCheckResult,
+                     new_report, status_of)
 from .sampling import SEED_MAX, derive_rng, random_vectors, sample_points
 
 SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "synthetic", "all")
@@ -41,14 +44,6 @@ GATES = {
     "trace-phi-constant": ("spread of trace(phi) over the samples", 1e-7),
     "shape-characterized": ("max gap of A to -eps I + eps eta(x)xi", 1e-2),
 }
-
-# metric jet order each request kind reads: values for the axioms, Gamma values (order 1) for the para-Sasakian
-# and induced displays, R values (2) for the curvature identities and the Gauss equation, a derivative of Ricci
-# (3) for the Einstein-like and Lie displays; no gate reads above order 1
-METRIC_ORDERS = {"structure": 0, "sasakian": 1, "curvature": 2, "einstein": METRIC_ORDER, "lie": METRIC_ORDER,
-                 "all": METRIC_ORDER, "hypersurface induced": 1, "hypersurface characterization": 1,
-                 "hypersurface gauss": 2, "hypersurface all": 2}
-
 
 @dataclass
 class RunConfig:
@@ -142,23 +137,13 @@ class _ModelContext:
             value = self.measured(gate)
             if not value <= threshold:
                 detail = f"gate {gate}: {what} {value:.3e} > {threshold:g}"
-                report.checks.extend(CheckRecord(cid, row.anchor, 0.0, 0.0, NOT_APPLICABLE, detail)
-                                     for cid, row in CHECKS.items()
-                                     if row.gates == gates and cid.startswith(prefix + "."))
+                res = StructureCheckResult()
+                for cid, row in CHECKS.items():
+                    if row.gates == gates and cid.startswith(prefix + "."):
+                        res.add(cid, 0.0, detail=detail, status=NOT_APPLICABLE)
+                report.checks.extend(res.checks)
                 return False
         return True
-
-
-def _run_structure(report, ctx, cfg):
-    _merge(report, cfg.tol_scale, ctx.axioms)
-
-
-def _run_sasakian(report, ctx, cfg):
-    _merge(report, cfg.tol_scale, ctx.ps_gate)
-
-
-def _run_curvature(report, ctx, cfg):
-    _merge(report, cfg.tol_scale, check_ps_curvature_identities(ctx.struct, ctx.vectors))
 
 
 def _fit_with_stability(ctx: _ModelContext) -> StructureCheckResult:
@@ -179,53 +164,37 @@ def _fit_with_stability(ctx: _ModelContext) -> StructureCheckResult:
     return res
 
 
-def _run_einstein(report, ctx, cfg):
-    s, fit = ctx.struct, ctx.fit
-    _merge(report, cfg.tol_scale, _fit_with_stability(ctx),
-           el.verify_coefficient_constraints(fit, s), el.verify_c11_identities(ctx.c11, s))
-    if ctx.gates_hold(report, "einstein", PS):
-        _merge(report, cfg.tol_scale, el.verify_scalar_ode(fit, s), el.verify_c11_decomposition(fit, ctx.c11, s))
-    if ctx.gates_hold(report, "einstein", PS_TRPHI):
-        _merge(report, cfg.tol_scale, el.verify_trace_formula(fit, s))
-
-
-def _run_lie(report, ctx, cfg):
-    _merge(report, cfg.tol_scale, el.verify_lie_formulas(ctx.struct))
-    if ctx.gates_hold(report, "lie", PS):
-        _merge(report, cfg.tol_scale, el.verify_lie_ricci(ctx.fit, ctx.struct))
-    if ctx.gates_hold(report, "lie", PS_TRPHI):
-        _merge(report, cfg.tol_scale, el.verify_lie_c11(ctx.fit, ctx.c11, ctx.struct))
-
-
-_MODEL_RUNNERS = {
-    "structure": _run_structure,
-    "sasakian": _run_sasakian,
-    "curvature": _run_curvature,
-    "einstein": _run_einstein,
-    "lie": _run_lie,
+# request kind -> (metric jet order, check groups in run order); a group is (CHECKS prefix, the gates of its
+# rows, ctx -> the results recording them).  The orders: values for the axioms, Gamma values (order 1) for
+# the para-Sasakian and induced displays, R values (2) for the curvature identities and the Gauss equation, a
+# derivative of Ricci (3) for the Einstein-like and Lie displays; no gate reads above order 1.
+REQUESTS = {
+    "structure": (0, (("structure", (), lambda ctx: [ctx.axioms]),)),
+    "sasakian": (1, (("sasakian", (), lambda ctx: [ctx.ps_gate]),)),
+    "curvature": (2, (("curvature", (), lambda ctx: [check_ps_curvature_identities(ctx.struct, ctx.vectors)]),)),
+    "einstein": (METRIC_ORDER, (
+        ("einstein", (), lambda ctx: [_fit_with_stability(ctx), el.verify_coefficient_constraints(ctx.fit, ctx.struct),
+                                      el.verify_c11_identities(ctx.c11, ctx.struct)]),
+        ("einstein", PS, lambda ctx: [el.verify_scalar_ode(ctx.fit, ctx.struct),
+                                      el.verify_c11_decomposition(ctx.fit, ctx.c11, ctx.struct)]),
+        ("einstein", PS_TRPHI, lambda ctx: [el.verify_trace_formula(ctx.fit, ctx.struct)]))),
+    "lie": (METRIC_ORDER, (
+        ("lie", (), lambda ctx: [el.verify_lie_formulas(ctx.struct)]),
+        ("lie", PS, lambda ctx: [el.verify_lie_ricci(ctx.fit, ctx.struct)]),
+        ("lie", PS_TRPHI, lambda ctx: [el.verify_lie_c11(ctx.fit, ctx.c11, ctx.struct)]))),
+    "hypersurface gauss": (2, (
+        ("hypersurface", (), lambda ctx: [hl.check_ambient(ctx.data.ambient), hl.check_gauss_equation(ctx.data)]),)),
+    "hypersurface induced": (1, (
+        ("hypersurface", (), lambda ctx: [hl.check_induced_frame(ctx.data, ctx.axioms),
+                                          hl.verify_induced_derivatives(ctx.data, ctx.vectors)]),)),
+    "hypersurface characterization": (1, (
+        ("hypersurface", (), lambda ctx: [hl.check_ps_characterization(ctx.data, ctx.vectors)]),
+        ("hypersurface", SHAPE, lambda ctx: [hl.quasi_umbilical_check(ctx.data.shape, ctx.data.structure)]))),
 }
-
-
-def _run_hypersurface(report: CheckReport, ctx: _ModelContext, cfg: RunConfig, subset: str):
-    data = ctx.data
-    if subset in ("gauss", "all"):
-        res = hl.check_ambient(data.ambient)
-        res.add("hypersurface.gauss-equation", hl.gauss_consistency_residual(data))
-        _merge(report, cfg.tol_scale, res)
-    if subset in ("induced", "all"):
-        res = StructureCheckResult()
-        res.add("hypersurface.jn-tangent", data.tangency_residual)
-        res.add("hypersurface.weingarten-tangent", data.frame_residual)
-        res.add("hypersurface.shape-self-adjoint", hl.shape_self_adjoint_residual(data))
-        res.add("hypersurface.epsilon-consistent", data.epsilon_residual,
-                detail=f"max |g~(N,N) - eps| over the samples, eps = {data.shape.epsilon:+d}")
-        res.add("hypersurface.induced-axioms", np.max([c.residual for c in ctx.axioms.checks]),
-                detail="max over the seven structure axioms on the induced structure")
-        _merge(report, cfg.tol_scale, res, hl.verify_induced_derivatives(data, ctx.vectors))
-    if subset in ("characterization", "all"):
-        _merge(report, cfg.tol_scale, hl.check_ps_characterization(data, ctx.vectors))
-        if ctx.gates_hold(report, "hypersurface", SHAPE):
-            _merge(report, cfg.tol_scale, hl.quasi_umbilical_check(data.shape, data.structure))
+# "all" runs the five model suites' groups, "hypersurface all" the three subsets' groups
+REQUESTS["all"] = (METRIC_ORDER, tuple(g for kind in SUITES[:5] for g in REQUESTS[kind][1]))
+REQUESTS["hypersurface all"] = (2, tuple(g for subset in ("gauss", "induced", "characterization")
+                                         for g in REQUESTS[f"hypersurface {subset}"][1]))
 
 
 # arithmetic that overflows runs quietly: the recorder fails every non-finite residual
@@ -242,7 +211,7 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
     is_bundle = isinstance(target, hl.HypersurfaceBundle)
     if suite == "hypersurface" and not is_bundle:
         raise ValueError("suite 'hypersurface' needs a bundle target, not a chart model")
-    order = METRIC_ORDERS[f"hypersurface {cfg.hypersurface_subset}" if suite == "hypersurface" else suite]
+    order, groups = REQUESTS[f"hypersurface {cfg.hypersurface_subset}" if suite == "hypersurface" else suite]
     report = new_report(name, suite, cfg.seed, cfg.points)
     points = sample_points(target.embedding.domain if is_bundle else target.domain, cfg.points,
                            derive_rng(cfg.seed, name, "points"))
@@ -258,13 +227,11 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
             report.sort()
             return report
     ctx = _ModelContext(data.structure if is_bundle else evaluate_structure(target, points, order), name, cfg, data)
-    if suite == "hypersurface":
-        _run_hypersurface(report, ctx, cfg, cfg.hypersurface_subset)
-    else:
-        for s in _MODEL_RUNNERS if suite == "all" else (suite,):
-            _MODEL_RUNNERS[s](report, ctx, cfg)
-        if suite == "all" and is_bundle:
-            _run_hypersurface(report, ctx, cfg, "all")
+    if suite == "all" and is_bundle:
+        groups += REQUESTS["hypersurface all"][1]
+    for prefix, gates, results in groups:
+        if ctx.gates_hold(report, prefix, gates):
+            _merge(report, cfg.tol_scale, *results(ctx))
     report.sort()
     return report
 

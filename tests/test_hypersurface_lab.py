@@ -16,14 +16,14 @@ from paracheck.hypersurface_lab import (
     HypersurfaceBundle,
     InducedStructureError,
     check_ambient,
+    check_gauss_equation,
+    check_induced_frame,
     check_ps_characterization,
     evaluate_bundle,
-    gauss_consistency_residual,
     get_bundle,
     pull_back,
     quasi_umbilical_check,
     recover_shape_operator,
-    shape_self_adjoint_residual,
     synthetic_gauss_check,
     verify_induced_derivatives,
 )
@@ -208,8 +208,9 @@ class TestShapeOperator:
         assert np.max(np.abs(Axi)) < 1e-9
 
     def test_self_adjointness(self, e3a_data, e3b_data):
-        assert shape_self_adjoint_residual(e3a_data) < 1e-8
-        assert shape_self_adjoint_residual(e3b_data) < 1e-8
+        for data in (e3a_data, e3b_data):
+            axioms = check_axioms(data.structure, _vectors(data.points.shape[0], "self-adjoint"))
+            assert check_induced_frame(data, axioms).residual("hypersurface.shape-self-adjoint") < 1e-8
 
     def test_h_is_eps_g_a(self, e3b_data):
         h = e3b_data.shape.h
@@ -318,8 +319,8 @@ class TestAmbient:
         assert res.residual("hypersurface.ambient-j-parallel") < 1e-8
 
     def test_gauss_equation_consistency(self, e3a_data, e3b_data):
-        assert gauss_consistency_residual(e3a_data) < 1e-6
-        assert gauss_consistency_residual(e3b_data) < 1e-6
+        for data in (e3a_data, e3b_data):
+            assert check_gauss_equation(data).residual("hypersurface.gauss-equation") < 1e-6
 
 
 class TestCharacterization:

@@ -1,7 +1,8 @@
 """Each request evaluates its jets only to the metric order its suite reads,
-``suites.METRIC_ORDERS``.  The declared orders give the same reports as the
-deepest order, every order above the floor is needed (one below it cannot
-evaluate the suite), and a request forms no jet product above its order."""
+declared in ``suites.REQUESTS``.  The declared orders give the same reports
+as the deepest order, every order above the floor is needed (one below it
+cannot evaluate the suite), and a request forms no jet product above its
+order."""
 
 import json
 import math
@@ -14,7 +15,7 @@ from paracheck.expr_jet import JetSpace
 from paracheck.geometry_engine import InsufficientOrderError
 from paracheck.hypersurface_lab import get_bundle
 from paracheck.models import METRIC_ORDER, get_model
-from paracheck.suites import METRIC_ORDERS, RunConfig, run_suite
+from paracheck.suites import REQUESTS, RunConfig, run_suite
 
 POINTS = {"E1": 10, "E2": 10, "E1n5": 6, "E2n5": 6, "N1": 10, "F0": 10, "E3a": 10, "E3b": 10, "B1": 10}
 CHECK_SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "all")
@@ -41,7 +42,7 @@ def _run(tmp_path, argv) -> tuple[int, dict]:
 @pytest.mark.parametrize("argv", requests(), ids=" ".join)
 def test_declared_order_reports_match_the_deepest_order(tmp_path, monkeypatch, argv):
     code, checks = _run(tmp_path, argv)
-    monkeypatch.setattr(suites, "METRIC_ORDERS", dict.fromkeys(METRIC_ORDERS, METRIC_ORDER))
+    monkeypatch.setattr(suites, "REQUESTS", {k: (METRIC_ORDER, groups) for k, (_, groups) in REQUESTS.items()})
     deep_code, deep = _run(tmp_path, argv)
     assert code == deep_code
     assert {k: v[0] for k, v in checks.items()} == {k: v[0] for k, v in deep.items()}
@@ -53,8 +54,8 @@ def test_declared_order_reports_match_the_deepest_order(tmp_path, monkeypatch, a
 def test_the_table_covers_every_request_kind():
     kinds = {s for s in suites.SUITES if s not in ("hypersurface", "synthetic")}
     kinds |= {f"hypersurface {s}" for s in suites.HYPERSURFACE_SUBSETS}
-    assert set(METRIC_ORDERS) == kinds
-    assert max(METRIC_ORDERS.values()) == METRIC_ORDER
+    assert set(REQUESTS) == kinds
+    assert max(order for order, _ in REQUESTS.values()) == METRIC_ORDER
     with pytest.raises(ValueError, match="unknown hypersurface subset"):
         RunConfig(hypersurface_subset="shape")
 
@@ -64,10 +65,11 @@ def _floor(kind: str) -> int:
     return 1 if kind.startswith("hypersurface") else 0
 
 
-@pytest.mark.parametrize("kind", [k for k, v in METRIC_ORDERS.items() if v > _floor(k)])
+@pytest.mark.parametrize("kind", [k for k, (order, _) in REQUESTS.items() if order > _floor(k)])
 def test_one_order_below_the_declared_order_cannot_evaluate(monkeypatch, kind):
     """Chart kinds run on E1, bundle subsets on E3b."""
-    monkeypatch.setitem(METRIC_ORDERS, kind, METRIC_ORDERS[kind] - 1)
+    order, groups = REQUESTS[kind]
+    monkeypatch.setitem(REQUESTS, kind, (order - 1, groups))
     if _floor(kind):
         target, suite = get_bundle("E3b"), "hypersurface"
         cfg = RunConfig(points=5, hypersurface_subset=kind.split()[1])

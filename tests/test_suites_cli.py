@@ -15,10 +15,11 @@ from paracheck import hypersurface_lab, suites
 from paracheck.cli import build_parser, main
 from paracheck.einstein_like import EinsteinLikeFit
 from paracheck.manifest import save_manifest
-from paracheck.models import get_model
+from paracheck.models import METRIC_ORDER, evaluate_structure, get_model
 from paracheck.hypersurface_lab import get_bundle, synthetic_gauss_check
 from paracheck.report import CHECKS, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, new_report, status_of
 from paracheck.paracontact_core import ParacontactStructure
+from paracheck.sampling import derive_rng, sample_points
 from paracheck.suites import RunConfig, run_suite, run_synthetic
 
 CFG = RunConfig(points=30, seed=7)
@@ -133,6 +134,64 @@ class TestRunSuite:
         report = run_suite(get_model("E1"), "all", CFG)
         ids = [c.id for c in report.checks]
         assert ids == sorted(ids)
+
+
+def _context(target: str) -> suites._ModelContext:
+    """The run context of a request on a builtin chart or bundle, at the
+    deepest metric order."""
+    cfg = RunConfig(points=10, seed=7)
+    if target.startswith("E3"):
+        bundle = get_bundle(target)
+        pts = sample_points(bundle.embedding.domain, cfg.points, derive_rng(cfg.seed, target, "points"))
+        data = hypersurface_lab.evaluate_bundle(bundle, pts, METRIC_ORDER)
+        return suites._ModelContext(data.structure, target, cfg, data)
+    model = get_model(target)
+    pts = sample_points(model.domain, cfg.points, derive_rng(cfg.seed, target, "points"))
+    return suites._ModelContext(evaluate_structure(model, pts, METRIC_ORDER), target, cfg)
+
+
+class TestRequestTable:
+    """``suites.REQUESTS`` agrees with the suites, the hypersurface subsets
+    and the gates each ``CHECKS`` row declares."""
+
+    MODEL_KINDS = ("structure", "sasakian", "curvature", "einstein", "lie")
+
+    def test_kinds_are_the_request_kinds(self):
+        assert set(suites.SUITES) == {*self.MODEL_KINDS, "all", "hypersurface", "synthetic"}
+        assert set(suites.REQUESTS) == {*self.MODEL_KINDS, "all", *(
+            f"hypersurface {s}" for s in suites.HYPERSURFACE_SUBSETS)}
+        table = suites.REQUESTS
+        assert table["all"][1] == tuple(g for k in self.MODEL_KINDS for g in table[k][1])
+        assert table["hypersurface all"][1] == tuple(
+            g for s in ("gauss", "induced", "characterization") for g in table[f"hypersurface {s}"][1])
+
+    @pytest.mark.parametrize("target, kinds", [("E1", ("all",)), ("E3b", ("all", "hypersurface all"))])
+    def test_each_group_records_the_rows_of_its_prefix_and_gates(self, target, kinds):
+        """Called past their gates, each group records only rows under its
+        prefix behind exactly its gates, and every non-synthetic row comes
+        from exactly one group."""
+        ctx = _context(target)
+        owners: dict[str, int] = {}
+        for prefix, gates, results in (g for k in kinds for g in suites.REQUESTS[k][1]):
+            ids = [c.id for res in results(ctx) for c in res.checks]
+            assert ids
+            for cid in ids:
+                assert cid.startswith(prefix + ".") and CHECKS[cid].gates == gates, (prefix, gates, cid)
+                owners[cid] = owners.get(cid, 0) + 1
+        if target == "E3b":
+            assert owners == dict.fromkeys((cid for cid in CHECKS if not cid.startswith("synthetic.")), 1)
+
+    @pytest.mark.parametrize("target", ["E1", "N1", "F0", "E3a", "E3b"])
+    def test_every_gate_forced_open_measures_every_record(self, tmp_path, monkeypatch, target):
+        monkeypatch.setattr(suites, "GATES", {g: (what, math.inf) for g, (what, _) in suites.GATES.items()})
+        out = tmp_path / "report.json"
+        code = main(["check", target, "--suite", "all", "--points", "10", "--seed", "7",
+                     "--format", "json", "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+        assert not [cid for cid, c in checks.items() if c["status"] == "not-applicable"]
+        if target == "E3b":
+            assert checks["hypersurface.quasi-umbilical"]["status"] == "fail"
 
 
 class TestDeterminism:
