@@ -312,8 +312,11 @@ def parse_expr(source: str, coords: Sequence[str], field: str | None = None) -> 
 
 
 def _multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
-    """Multi-indices of degree <= order, by degree, each degree in lexicographic order."""
-    return [a for deg in range(order + 1) for a in itertools.product(range(deg + 1), repeat=dim) if sum(a) == deg]
+    """Multi-indices of degree <= order, by degree, each degree in lexicographic order: the exponents of
+    the degree-deg monomials, one per multiset of deg coordinates."""
+    return [a for deg in range(order + 1)
+            for a in sorted(tuple(c.count(i) for i in range(dim))
+                            for c in itertools.combinations_with_replacement(range(dim), deg))]
 
 
 class JetSpace:
@@ -337,15 +340,13 @@ class JetSpace:
     @cached_property
     def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(I, J, T) index triples with deg(I) + deg(J) <= order and
-        indices[T] = indices[I] + indices[J]."""
-        I, J, T = [], [], []
-        for i, a in enumerate(self.indices):
-            for j, b in enumerate(self.indices):
-                if sum(a) + sum(b) <= self.order:
-                    I.append(i)
-                    J.append(j)
-                    T.append(self.index_of[tuple(x + y for x, y in zip(a, b))])
-        return np.array(I), np.array(J), np.array(T)
+        indices[T] = indices[I] + indices[J], ordered by I, then J: the
+        nonzero entries of the degree-sum mask, with T looked up on the summed
+        exponents, so no Python loop runs over all ncoeffs^2 pairs."""
+        alpha = np.array(self.indices)
+        deg = alpha.sum(axis=1)
+        I, J = np.nonzero(deg[:, None] + deg[None, :] <= self.order)
+        return I, J, np.array([self.index_of[tuple(a)] for a in (alpha[I] + alpha[J]).tolist()])
 
     def mul_table(self, order: int):
         """:attr:`pair_table` named by its order, the space's own (perfbench's tracer reads it)."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .expr_jet import JetSpace
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
-from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid
+from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid, _field_jets
 from .paracontact_core import ParacontactStructure, apply_op, defining_equation_gap_per_point, form, pair
 from .report import StructureCheckResult, residual_norm
 from .sampling import _seed, derive_states
@@ -110,19 +110,14 @@ class AmbientJets:
         self.points = np.asarray(points, dtype=float)
         self.order = order
 
-    def _jets(self, field: str, p: int, q: int, order: int) -> TensorValue:
-        space = JetSpace.get(self.model.dim, order)
-        comps = _eval_grid(getattr(self.model, field), self.model.coords, space, space.point_jets(self.points),
-                           self.points, f"ambient.{field}")
-        return TensorValue(self.model.dim, p, q, comps, space)
-
     @cached_property
     def g(self) -> TensorValue:
-        return self._jets("metric", 0, 2, min(self.order, AMBIENT_METRIC_ORDER))
+        return _field_jets(self.model, "metric", 0, 2, min(self.order, AMBIENT_METRIC_ORDER), self.points,
+                           "ambient.metric")
 
     @cached_property
     def J(self) -> TensorValue:
-        return self._jets("J", 1, 1, min(self.order, FIELD_ORDER))
+        return _field_jets(self.model, "J", 1, 1, min(self.order, FIELD_ORDER), self.points, "ambient.J")
 
     @cached_property
     def connection(self) -> ConnectionAtPoint:
@@ -159,20 +154,6 @@ class HypersurfaceData:
     frame_residual = property(lambda self: self.induced["frame_residual"])
     epsilon_residual = property(lambda self: self.induced["epsilon_residual"])
     tangent_frame = property(lambda self: self.induced["tangent_frame"])
-
-
-# --------------------------------------------------------------------------
-# jet linear algebra helpers
-# --------------------------------------------------------------------------
-
-
-def jet_det(space: JetSpace, M: np.ndarray) -> np.ndarray:
-    """Determinant of a jet matrix (..., k, k, m) by cofactor expansion along the first row."""
-    if M.shape[-2] == 1:
-        return M[..., 0, 0, :]
-    rest = np.delete(M, 0, axis=-3)
-    return sum((-1.0) ** j * space.mul(M[..., 0, j, :], jet_det(space, np.delete(rest, j, axis=-2)))
-               for j in range(M.shape[-2]))
 
 
 # --------------------------------------------------------------------------
@@ -213,17 +194,21 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     # from here on, jets of fspace
     T, g_amb = fspace.restrict(T_g), fspace.restrict(g_amb_g)
 
-    # normal covector: cofactor cross product of the Jacobian rows
-    nu = np.zeros((P, N1, fspace.ncoeffs))
-    for B in range(N1):
-        minor = np.delete(T, B, axis=2)            # (P, n, n, m)
-        sign = -1.0 if (n + B) % 2 else 1.0
-        nu[:, B] = sign * jet_det(fspace, minor)
-    # rank per point: |nu| against Hadamard's bound, the product of the Jacobian rows' norms
-    flat = ~(np.linalg.norm(nu[..., 0], axis=1) > 1e-12 * np.prod(np.linalg.norm(T[..., 0], axis=2), axis=1))
+    # normal covector nu, the signed cofactor vector of the Jacobian rows; its values nu0 from the numeric
+    # minors of T0, so the cost is polynomial in the ambient dimension
+    T0 = T[..., 0]                                                    # (P, n, N1)
+    minors = np.moveaxis(T0[:, :, [[c for c in range(N1) if c != B] for B in range(N1)]], 2, 1)   # (P, N1, n, n)
+    nu0 = (-1.0) ** (n + np.arange(N1)) * np.linalg.det(minors)
+    # rank per point: |nu0| against Hadamard's bound, the product of the Jacobian rows' norms
+    flat = ~(np.linalg.norm(nu0, axis=1) > 1e-12 * np.prod(np.linalg.norm(T0, axis=2), axis=1))
     if np.any(flat):
         raise InducedStructureError("embedding differential is rank-deficient "
                                     f"at point {tuple(float(c) for c in points[np.argmax(flat)])}")
+    # its jets: the last column of the jet inverse of the rows (T_1 .. T_n, nu0) annihilates every T_a and
+    # pairs to 1 with nu0, so times |nu0|^2 it is a multiple of nu whose values are nu0 (jn-tangent reads
+    # those values; every other use of nu is normalized, so the multiple cancels)
+    rows = np.concatenate([T, fspace.constant(nu0[:, None], (P, 1, N1))], axis=1)   # (P, N1, N1, m)
+    nu = invert_jet_matrix(fspace, rows)[:, :, n] * np.sum(nu0 ** 2, axis=1)[:, None, None]
     singular = degenerate(g_amb[..., 0])
     if np.any(singular):
         raise InducedStructureError("degenerate ambient metric (smallest singular value at most 1e-12 of the largest) "
@@ -289,7 +274,6 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
         N0 = N_hat[..., 0]
         eps_res = float(np.max(np.abs(pair(g_amb[..., 0], N0[:, None], N0[:, None]) - eps)))
         dN = fspace.gradient_values(N_hat)                 # (P, N1, n): d_a (N o F)^C
-        T0 = T[..., 0]                                     # (P, n, N1)
         W = np.einsum('pca->pac', dN) + apply_op(Gam_amb, T0, N0[:, None])   # Gamma~^C_AB T_a^A N^B
         frame0 = frame[..., 0]
         x = np.linalg.solve(frame0, np.moveaxis(W, 1, 2))  # (P, n+1, n): coeffs of W_a

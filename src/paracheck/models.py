@@ -138,15 +138,20 @@ def evaluate_structure(model: ManifoldModel, points: np.ndarray, order: int = ME
     if not model.has_structure:
         raise ValueError(f"model {model.name} declares no (phi, xi, eta) structure")
     points = np.asarray(points, dtype=float)
-
-    def jets(field, p, q, order):
-        space = JetSpace.get(model.dim, order)
-        comps = _eval_grid(getattr(model, field), model.coords, space, space.point_jets(points), points, field)
-        return TensorValue(model.dim, p, q, comps, space)
-
     fo = min(order, FIELD_ORDER)
-    return ParacontactStructure(points, model.epsilon, jets("metric", 0, 2, order),
-                                jets("phi", 1, 1, fo), jets("xi", 1, 0, fo), jets("eta", 0, 1, fo))
+    return ParacontactStructure(points, model.epsilon, _field_jets(model, "metric", 0, 2, order, points),
+                                _field_jets(model, "phi", 1, 1, fo, points), _field_jets(model, "xi", 1, 0, fo, points),
+                                _field_jets(model, "eta", 0, 1, fo, points))
+
+
+def _field_jets(model, field: str, p: int, q: int, order: int, points: np.ndarray,
+                name: str | None = None) -> TensorValue:
+    """The expression grid ``model.<field>`` (of a chart model or an ambient)
+    as a valence-(p, q) tensor of order-``order`` jets at the chart points
+    ``points``; its errors name ``name``, by default ``field``."""
+    space = JetSpace.get(model.dim, order)
+    comps = _eval_grid(getattr(model, field), model.coords, space, space.point_jets(points), points, name or field)
+    return TensorValue(model.dim, p, q, comps, space)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parser and jet-arithmetic tests, with finite differences and exact
 polynomial expansion as the independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -469,6 +470,43 @@ def test_pair_table_at_space_order(dim, order):
     assert space.mul_table(order) is space.pair_table
     with pytest.raises(ValueError):
         space.mul_table(order + 1)
+
+
+def _enumerated_indices(dim, order):
+    """Reference multi-indices: every tuple of entries 0..deg, kept when it sums to deg."""
+    return [a for deg in range(order + 1) for a in itertools.product(range(deg + 1), repeat=dim) if sum(a) == deg]
+
+
+def _looped_pair_table(space):
+    """Reference pair table: the double loop over every pair of coefficients."""
+    I, J, T = [], [], []
+    for i, a in enumerate(space.indices):
+        for j, b in enumerate(space.indices):
+            if sum(a) + sum(b) <= space.order:
+                I.append(i)
+                J.append(j)
+                T.append(space.index_of[tuple(x + y for x, y in zip(a, b))])
+    return np.array(I), np.array(J), np.array(T)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_tables_match_the_enumerations(dim):
+    """The multi-indices and the pair table are entry for entry, and dtype
+    for dtype, those of the exhaustive enumeration and the double loop."""
+    for order in range(6):
+        space = JetSpace(dim, order)
+        assert space.indices == _enumerated_indices(dim, order)
+        for got, want in zip(space.pair_table, _looped_pair_table(space)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_large_space_tables():
+    """A 12-dimensional order-3 space has comb(15, 3) coefficients and
+    comb(27, 3) pairs, built without walking (order + 1)^dim tuples."""
+    space = JetSpace(12, 3)
+    assert space.ncoeffs == math.comb(15, 3) == 455
+    assert len(space.pair_table[0]) == math.comb(27, 3) == 2925
 
 
 # --------------------------------------------------------------------------
