@@ -3,16 +3,21 @@ a fixed set of CLI requests, compared against the files in ``tests/golden/``.
 
 The requests cover every builtin target (E1, E2, E1n5, E2n5, N1, F0, E3a,
 E3b, B1) under every ``check`` suite, the three hypersurface subsets and
-``all`` on E3a and E3b, and the synthetic suite at eps = +-1, n in {3, 5}.
+``all`` on E3a and E3b, the synthetic suite at eps = +-1, n in {3, 5}, and
+``check --suite all`` on the test manifests of ``tests/fixtures/``: W1 is
+E1 with the x2 metric factor (1 + x1^2)^2 / y^2, para-Sasakian but not
+Einstein-like, so the fit fails there and the rows behind it are measured
+where they can fail.
 Statuses and exit codes must match exactly; residuals within 1e-12
 absolute.  Sizes are small so the whole comparison stays fast: 10 points
 for dim-3 targets, 6 for the dim-5 charts (enough for the fit-stability
 split), 50 synthetic trials.
 
 Regenerate the goldens only when the expected output really changes, and
-never from inside pytest:
+never from inside pytest, and only the targets whose output changed, so the
+other files keep their bytes:
 
-    python tests/test_golden_reports.py
+    python tests/test_golden_reports.py [TARGET ...]
 
 ``tests/golden/tolerances.json`` locks the tolerance of every record id these
 requests measure, as dumped once from their reports before tolerances moved
@@ -35,6 +40,7 @@ from pathlib import Path
 import pytest
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 GOLDEN_DIR = HERE / "golden"
 RESIDUAL_ATOL = 1e-12
 SEED = 42
@@ -45,6 +51,7 @@ HYPERSURFACE_SUBSETS = ("induced", "gauss", "characterization", "all")
 POINTS = {"E1": 10, "E2": 10, "E1n5": 6, "E2n5": 6, "N1": 10, "F0": 10,
           "E3a": 10, "E3b": 10, "B1": 10}
 SYNTHETIC_TRIALS = 50
+MANIFESTS = {"W1": 10}      # test manifest -> points of its check-all case
 
 
 def cases() -> dict[str, dict[str, list[str]]]:
@@ -63,7 +70,15 @@ def cases() -> dict[str, dict[str, list[str]]]:
                            "--trials", str(SYNTHETIC_TRIALS)]
         for eps in ("+1", "-1") for n in (3, 5)
     }
+    for name, points in MANIFESTS.items():
+        out[name] = {"check-all": ["check", f"tests/fixtures/{name}.json", "--suite", "all", "--points", str(points)]}
     return out
+
+
+def runnable(argv) -> list[str]:
+    """argv with a test manifest's path, stored relative to the repository
+    root, made absolute."""
+    return [str(ROOT / a) if a.startswith("tests/fixtures/") else a for a in argv]
 
 
 @functools.cache
@@ -73,7 +88,7 @@ def run_report(argv: tuple[str, ...]) -> tuple[int, list[dict]]:
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        code = main([*argv, "--seed", str(SEED), "--format", "json", "--out", str(out)])
+        code = main([*runnable(argv), "--seed", str(SEED), "--format", "json", "--out", str(out)])
         return code, json.loads(out.read_text())["checks"] if out.exists() else []
 
 
@@ -138,7 +153,8 @@ def test_to_json_is_the_asdict_serialization(monkeypatch, tmp_path):
 
     reports, emit = [], cli._emit
     monkeypatch.setattr(cli, "_emit", lambda report, fmt, out: reports.append(report) or emit(report, fmt, out))
-    codes = [cli.main([*argv, "--seed", str(SEED), "--format", "json", "--out", str(tmp_path / "report.json")])
+    codes = [cli.main([*runnable(argv), "--seed", str(SEED), "--format", "json",
+                       "--out", str(tmp_path / "report.json")])
              for group in cases().values() for argv in group.values()]
     assert len(reports) == sum(code != 2 for code in codes) > 70
     for report in reports:
@@ -146,9 +162,13 @@ def test_to_json_is_the_asdict_serialization(monkeypatch, tmp_path):
         assert text == json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, allow_nan=False)
 
 
-def regenerate():
+def regenerate(targets):
+    """Write the golden file of each of ``targets``, by default of every
+    target."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     for target, group in cases().items():
+        if targets and target not in targets:
+            continue
         data = {name: {"argv": argv, "report": run_case(argv)} for name, argv in group.items()}
         (GOLDEN_DIR / f"{target}.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
         print(f"wrote {target}.json ({len(data)} cases)")
@@ -156,4 +176,4 @@ def regenerate():
 
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent / "src"))
-    regenerate()
+    regenerate(sys.argv[1:])
