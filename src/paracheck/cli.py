@@ -66,7 +66,7 @@ def _emit(report: CheckReport, fmt: str, out: str | None) -> int:
 
 
 def _common_run_args(p: argparse.ArgumentParser):
-    p.add_argument("--points", type=int, default=100, help="sample points per suite (default 100)")
+    """The options every run command shares."""
     p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
     p.add_argument("--tol-scale", type=float, default=1.0, help="multiply all tolerances")
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -87,23 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="run a check suite on a chart model or bundle")
     pc.add_argument("model", help="builtin name or manifest path")
     pc.add_argument("--suite", default="all", choices=SUITES)
-    _common_run_args(pc)
 
     ph = sub.add_parser("hypersurface", help="run the hypersurface suite on a bundle")
     ph.add_argument("bundle", help="builtin bundle name or bundle-manifest path")
     ph.add_argument("--suite", default="all", choices=HYPERSURFACE_SUBSETS)
-    _common_run_args(ph)
+    for sp in (pc, ph):
+        sp.add_argument("--points", type=int, default=100, help="sample points per suite (default 100)")
+        _common_run_args(sp)
 
     ps = sub.add_parser("synthetic", help="pointwise Gauss-equation trials")
     ps.add_argument("--epsilon", default="+1", choices=("+1", "-1", "1"))
     ps.add_argument("--dim", type=int, default=3)
     ps.add_argument("--trials", type=int, default=100)
-    ps.add_argument("--seed", type=int, default=42)
-    ps.add_argument("--tol-scale", type=float, default=1.0)
     ps.add_argument("--perturb-a", type=float, default=0.0,
                     help="perturb the planted shape operator (negative control)")
-    ps.add_argument("--format", choices=("json", "text"), default="text")
-    ps.add_argument("--out")
+    _common_run_args(ps)
     return p
 
 

@@ -1,11 +1,14 @@
 """Einstein-like decomposition of the Ricci tensor and its consequences.
 
 The decomposition S = a g + b Phi + c eta(x)eta is fitted by rank-revealing
-least squares over the sample points.  On both closed-form models Phi is
-itself a combination of g and eta(x)eta, so the fit is rank 2 and (a, b, c)
-is a one-parameter family; the fit reports the minimum-norm member plus the
-nullspace direction rather than pretending the triple is unique, and every
-downstream constraint is evaluated for family members t in {-1, 0, 1}.
+least squares over the sample points, with the engine's one solver and rank
+rule, :func:`tensor_algebra.min_norm_solve`: singular values at most
+``report.RANK_CUTOFF`` of the largest are dropped.  On both closed-form
+models Phi is itself a combination of g and eta(x)eta, so the fit is rank 2
+and (a, b, c) is a one-parameter family; the fit reports the minimum-norm
+member plus the nullspace direction rather than pretending the triple is
+unique, and every downstream constraint is evaluated for family members t in
+{-1, 0, 1}.
 
 Two of the published displays disagree with what substitution of the
 verified intermediate identities yields (the eta(x)eta coefficient of the
@@ -25,9 +28,8 @@ import numpy as np
 from .geometry_engine import ConnectionAtPoint, covariant_derivative, lie_derivative
 from .paracontact_core import ParacontactStructure
 from .report import VACUOUS, StructureCheckResult, residual_norm
-from .tensor_algebra import TensorValue, contract_with, lowest_space
+from .tensor_algebra import TensorValue, contract_with, lowest_space, min_norm_solve
 
-RANK_THRESHOLD = 1e-10
 DEGENERATE_C = 1e-8
 
 
@@ -57,20 +59,17 @@ def fit_einstein_like(g: np.ndarray, Phi: np.ndarray, eta: np.ndarray, S: np.nda
     """Least-squares fit of S = a g + b Phi + c eta(x)eta over all sample
     points: g, Phi and S are (P, n, n) values, eta is (P, n).
 
-    Rank comes from the singular values with a 1e-10 relative threshold; the
-    returned solution is the minimum-norm one and ``family`` spans the
-    nullspace.  Residual is the max componentwise reconstruction gap.
+    One system for :func:`min_norm_solve`: the returned solution is the
+    minimum-norm one and ``family`` spans the nullspace.  Residual is the max
+    componentwise reconstruction gap.
     """
     ee = np.einsum('pa,pb->pab', eta, eta)
     M = np.stack([g.ravel(), Phi.ravel(), ee.ravel()], axis=1)
     y = S.ravel()
-    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(sv > RANK_THRESHOLD * sv[0]))
-    coef = Vt[:rank].T @ ((U[:, :rank].T @ y) / sv[:rank])
-    family = Vt[rank:]
+    (coef,), (rank,), (Vt,) = min_norm_solve(M[None], y[None])
     residual = float(np.max(np.abs(M @ coef - y)))
     return EinsteinLikeFit(a=float(coef[0]), b=float(coef[1]), c=float(coef[2]),
-                           residual=residual, gram_rank=rank, family=family.copy())
+                           residual=residual, gram_rank=int(rank), family=Vt[rank:])
 
 
 # --------------------------------------------------------------------------

@@ -28,10 +28,11 @@ import numpy as np
 from .expr_jet import JetSpace
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
 from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid, _field_jets
-from .paracontact_core import ParacontactStructure, apply_op, defining_equation_gap_per_point, form, pair
-from .report import StructureCheckResult, residual_norm
+from .paracontact_core import (ParacontactStructure, apply_op, defining_equation_gap_per_point, form, pair,
+                               para_sasakian_rhs)
+from .report import RANK_CUTOFF, StructureCheckResult, residual_norm
 from .sampling import _seed, derive_states
-from .tensor_algebra import TensorValue, degenerate, invert_jet_matrix
+from .tensor_algebra import TensorValue, degenerate, invert_jet_matrix, min_norm_solve
 
 # The ambient g~ is evaluated to at most order 2: the Gauss check reads R~
 # values, and the Weingarten map and nabla J~ read Gamma~ values.
@@ -391,15 +392,6 @@ def shape_characterization_gap_per_point(struct: ParacontactStructure, A: np.nda
     return residual_norm(A - characterized_shape(struct), A, axis=(1, 2))
 
 
-def _min_norm_solve(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched minimum-norm least-squares solutions of rows x = rhs, with
-    lstsq's default rank cutoff.  Returns (x, rank) per batch entry."""
-    U, sv, Vt = np.linalg.svd(rows, full_matrices=False)
-    kept = sv > sv[:, :1] * max(rows.shape[1:]) * np.finfo(float).eps
-    inv = np.where(kept, 1.0 / np.where(kept, sv, 1.0), 0.0)
-    return np.einsum('pji,pj->pi', Vt, inv * np.einsum('pkj,pk->pj', U, rhs)), kept.sum(axis=1)
-
-
 def recover_shape_operator(struct: ParacontactStructure, vectors: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve the induced (nabla phi) display against the para-Sasakian right
     side as a linear system in A over the vector pairs; at every point of any
@@ -407,9 +399,7 @@ def recover_shape_operator(struct: ParacontactStructure, vectors: np.ndarray) ->
 
     Returns (A_hat per point, min system rank over points).
     """
-    eps = struct.epsilon
     n = struct.dim
-    phi, xi, eta, g = struct.phi0, struct.xi0, struct.eta0, struct.g0
     X = vectors[:, 0::2]
     Y = vectors[:, 1::2]
     P, V = X.shape[:2]
@@ -417,13 +407,10 @@ def recover_shape_operator(struct: ParacontactStructure, vectors: np.ndarray) ->
         raise ValueError(f"need at least {n} vector pairs to determine A, got {V}")
     # row (v, l), unknown A^m_c:
     # eta(Y) A X + eps g(A X, Y) xi = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X
-    etaY = form(eta, Y)
-    coef = etaY[:, :, None, None] * np.eye(n) + eps * xi[:, None, :, None] * apply_op(g, Y)[:, :, None, :]
+    coef = (form(struct.eta0, Y)[:, :, None, None] * np.eye(n)
+            + struct.epsilon * struct.xi0[:, None, :, None] * apply_op(struct.g0, Y)[:, :, None, :])
     rows = np.einsum('pvlm,pvc->pvlmc', coef, X).reshape(P, V * n, n * n)
-    phiX = apply_op(phi, X)
-    rhs = (-pair(g, phiX, apply_op(phi, Y))[..., None] * xi[:, None, :]
-           - eps * etaY[..., None] * apply_op(phi, phiX)).reshape(P, V * n)
-    sol, rank = _min_norm_solve(rows, rhs)
+    sol, rank, _ = min_norm_solve(rows, para_sasakian_rhs(struct, X, Y).reshape(P, V * n))
     return sol.reshape(P, n, n), int(rank.min())
 
 
@@ -442,7 +429,8 @@ def check_ps_characterization(data: HypersurfaceData, vectors: np.ndarray) -> St
 
     A_hat, rank = recover_shape_operator(s, vectors)
     target = characterized_shape(s)
-    detail = f"linear system rank {rank} of {s.dim ** 2}"
+    detail = (f"linear system rank {rank} of {s.dim ** 2}; singular values at most {RANK_CUTOFF:g} "
+              "of the largest are dropped")
     if rank < s.dim ** 2:
         res.add("hypersurface.characterization-linear-solve", np.inf, detail=detail + " (rank-deficient)")
     else:
@@ -612,7 +600,7 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
 
     # Einstein-like fit of the computed Ricci and the coefficient constraint
     cols = np.stack([g.reshape(T, -1), Phi.reshape(T, -1), ee.reshape(T, -1)], axis=2)
-    coef, _ = _min_norm_solve(cols, S.reshape(T, -1))
+    coef, _, _ = min_norm_solve(cols, S.reshape(T, -1))
     worst["einstein-like-fit"] = np.max(np.abs(np.einsum('tij,tj->ti', cols, coef) - S.reshape(T, -1)))
     worst["eps-a-plus-c"] = np.max(np.abs(epsilon * coef[:, 0] + coef[:, 2] - (1 - n)))
     return worst, k_solved, k_resid

@@ -8,9 +8,9 @@ Chart model document:
       "name": "E1", "dim": 3, "coords": ["x1", "x2", "y"],
       "epsilon": 1, "index": 0,
       "metric": ["1/(y^2)", "0", ...],          # row-major, dim*dim entries
-      "phi":    [...],                          # optional, row-major
-      "xi":     ["0", "0", "y"],                # optional
-      "eta":    ["0", "0", "1/y"],              # optional
+      "phi":    [...],                          # optional (null: absent), row-major
+      "xi":     ["0", "0", "y"],                # optional (null: absent)
+      "eta":    ["0", "0", "1/y"],              # optional (null: absent)
       "domain": [[-2.0, 2.0], [-2.0, 2.0], [0.5, 3.0]]
     }
 
@@ -35,10 +35,16 @@ with an input error naming the file.  Errors name the file, the field
 (``<path>: xi: ...``, ``<path>: metric[4]: ...`` for an entry) and
 positions (JSON line/column, or the expression position) so a file
 diagnoses itself.
+
+Writing reads the document off the dataclasses: :func:`manifest_dict` is
+``kind`` plus ``dataclasses.asdict`` of the model or bundle, with each
+expression grid written row-major and each domain interval as a list, so
+every key written is a field the loader reads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -210,45 +216,21 @@ def load_manifest(path: str | Path) -> ManifoldModel | HypersurfaceBundle:
     return parse_manifest(doc, source=str(path))
 
 
+def _written(field: str, value):
+    """A dataclass field as a manifest writes it: an expression grid row-major
+    (flat), a domain interval as a list, anything else as it is."""
+    if field in ("metric", "phi", "J") and value is not None:
+        return [s for row in value for s in row]
+    return [list(interval) for interval in value] if field == "domain" else value
+
+
 def manifest_dict(obj: ManifoldModel | HypersurfaceBundle) -> dict:
-    if isinstance(obj, ManifoldModel):
-        doc = {
-            "kind": "model",
-            "name": obj.name,
-            "dim": obj.dim,
-            "coords": list(obj.coords),
-            "epsilon": obj.epsilon,
-            "index": obj.index,
-            "metric": [s for row in obj.metric for s in row],
-            "domain": [[lo, hi] for lo, hi in obj.domain],
-            "description": obj.description,
-        }
-        if obj.phi is not None:
-            doc["phi"] = [s for row in obj.phi for s in row]
-        if obj.xi is not None:
-            doc["xi"] = list(obj.xi)
-        if obj.eta is not None:
-            doc["eta"] = list(obj.eta)
-        return doc
-    if isinstance(obj, HypersurfaceBundle):
-        return {
-            "kind": "bundle",
-            "name": obj.name,
-            "description": obj.description,
-            "ambient": {
-                "dim": obj.ambient.dim,
-                "coords": list(obj.ambient.coords),
-                "metric": [s for row in obj.ambient.metric for s in row],
-                "J": [s for row in obj.ambient.J for s in row],
-            },
-            "embedding": {
-                "coords": list(obj.embedding.coords),
-                "map": list(obj.embedding.map),
-                "orientation": obj.embedding.orientation,
-                "domain": [[lo, hi] for lo, hi in obj.embedding.domain],
-            },
-        }
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """The manifest document of a chart model or bundle, read off its
+    dataclass fields; an absent phi, xi or eta is written null."""
+    kind = {ManifoldModel: "model", HypersurfaceBundle: "bundle"}.get(type(obj))
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return {"kind": kind, **dataclasses.asdict(obj, dict_factory=lambda items: {k: _written(k, v) for k, v in items})}
 
 
 def save_manifest(obj: ManifoldModel | HypersurfaceBundle, path: str | Path):

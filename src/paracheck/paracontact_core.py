@@ -194,18 +194,24 @@ def check_axioms(struct: ParacontactStructure, vectors: np.ndarray) -> Structure
     return res
 
 
+def para_sasakian_rhs(struct: ParacontactStructure, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The right side -g(phi X, phi Y) xi - eps eta(Y) phi^2 X of the
+    para-Sasakian defining equation, over bundles of vectors (P, V, n):
+    values only, so it serves structures whose index differs by point."""
+    phi = struct.phi0
+    phiX = apply_op(phi, X)
+    return (-pair(struct.g0, phiX, apply_op(phi, Y))[..., None] * struct.xi0[:, None, :]
+            - struct.epsilon * form(struct.eta0, Y)[..., None] * apply_op(phi, phiX))
+
+
 def _defining_equation_terms(struct: ParacontactStructure, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
     """The gap of the para-Sasakian defining equation
     (nabla_X phi) Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X over the
     vector pairs (v[2k], v[2k+1]), then the tensors entering it: lhs, rhs, X, Y."""
-    eps = struct.epsilon
-    phi, xi, eta, g = struct.phi0, struct.xi0, struct.eta0, struct.g0
     X = vectors[:, 0::2]
     Y = vectors[:, 1::2]
     lhs = apply_op(struct.nabla_phi, X, Y)
-    phiX = apply_op(phi, X)
-    phi2X = apply_op(phi, phiX)
-    rhs = -pair(g, phiX, apply_op(phi, Y))[..., None] * xi[:, None, :] - eps * form(eta, Y)[..., None] * phi2X
+    rhs = para_sasakian_rhs(struct, X, Y)
     return lhs - rhs, lhs, rhs, X, Y
 
 

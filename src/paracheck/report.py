@@ -53,6 +53,9 @@ EXIT_INPUT_ERROR = 2
 # tolerance tiers of the rows at scale 1, by the number of derivatives an
 # identity reads: algebraic, one, two and three
 ALG, D1, D2, D3 = 1e-9, 1e-8, 1e-7, 1e-6
+# a least-squares system's rank counts its singular values above this fraction of the largest
+# (tensor_algebra.min_norm_solve), a count that does not change when the system is rescaled
+RANK_CUTOFF = 1e-10
 # the gates a row sits behind, in the order they are decided; suites.GATES
 # says what each one measures
 PS = ("para-sasakian",)

@@ -11,9 +11,11 @@ check functions hand their gaps to the one recorder beside it,
 tolerance at scale 1 and its status.  :data:`REQUESTS` maps each request
 kind to the metric jet order it reads and its ordered check groups, each a
 CHECKS prefix, the gates its rows sit behind, and the check calls that
-record them.  :func:`run_suite` runs one loop over the groups: it calls a
-group only when its gates hold and otherwise reports each of its records
-``not-applicable``, naming the gate that decided it; :func:`_merge` only
+record them.  :data:`GATES` declares each gate once: what it measures, its
+threshold, and the measurement on the request's shared context.
+:func:`run_suite` runs one loop over the groups: it calls a group only when
+its gates hold and otherwise reports each of its records ``not-applicable``,
+naming the gate that decided it and its measured value; :func:`_merge` only
 rescales each measured record's tolerance and status by ``--tol-scale``.
 """
 
@@ -29,20 +31,23 @@ from . import einstein_like as el
 from . import hypersurface_lab as hl
 from .models import METRIC_ORDER, ManifoldModel, evaluate_structure
 from .paracontact_core import ParacontactStructure, check_axioms, check_para_sasakian, check_ps_curvature_identities
-from .report import (CHECKS, NOT_APPLICABLE, PS, PS_TRPHI, SHAPE, VACUOUS, CheckReport, StructureCheckResult,
-                     new_report, status_of)
+from .report import (CHECKS, NOT_APPLICABLE, PS, PS_TRPHI, RANK_CUTOFF, SHAPE, VACUOUS, CheckReport,
+                     StructureCheckResult, new_report, status_of)
 from .sampling import SEED_MAX, derive_rng, random_vectors, sample_points
 
 SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "synthetic", "all")
 HYPERSURFACE_SUBSETS = ("induced", "gauss", "characterization", "all")
 VECTOR_TUPLES = 20     # random vector pairs per sample point
 
-# gate -> (what the run context measures for it, threshold); a gate holds
-# when the measured value is at most the threshold
+# gate -> (what it measures, threshold, the measurement on a request's _ModelContext); a gate holds when
+# the measured value is at most the threshold
 GATES = {
-    "para-sasakian": ("defining-equation residual", 1e-6),
-    "trace-phi-constant": ("spread of trace(phi) over the samples", 1e-7),
-    "shape-characterized": ("max gap of A to -eps I + eps eta(x)xi", 1e-2),
+    "para-sasakian": ("defining-equation residual", 1e-6,
+                      lambda ctx: float(np.max([c.residual for c in ctx.ps_gate.checks]))),
+    "trace-phi-constant": ("spread of trace(phi) over the samples", 1e-7,
+                           lambda ctx: float(np.max(np.abs(ctx.struct.trace_phi() - ctx.struct.trace_phi()[0])))),
+    "shape-characterized": ("max gap of A to -eps I + eps eta(x)xi", 1e-2, lambda ctx: float(np.max(
+        hl.shape_characterization_gap_per_point(ctx.struct, ctx.data.shape.A)))),
 }
 
 @dataclass
@@ -87,9 +92,9 @@ class _ModelContext:
     """What every suite of one request shares: the structure (and, for a
     bundle, its hypersurface data) and the test vectors; the axiom checks
     (the structure suite and the induced-axioms record report them), the
-    para-Sasakian gate run (the sasakian suite reports it), the value
-    measured for each gate, and the Einstein-like fit and C11(phi R), each
-    built on first use."""
+    para-Sasakian gate run (the sasakian suite reports it), and the
+    Einstein-like fit and C11(phi R), each built on first use; the gates of
+    :data:`GATES` measure it."""
 
     def __init__(self, struct: ParacontactStructure, name: str, cfg: RunConfig,
                  data: hl.HypersurfaceData | None = None):
@@ -105,14 +110,6 @@ class _ModelContext:
     @cached_property
     def ps_gate(self) -> StructureCheckResult:
         return check_para_sasakian(self.struct, self.vectors)
-
-    def measured(self, gate: str) -> float:
-        if gate == "para-sasakian":
-            return float(np.max([c.residual for c in self.ps_gate.checks]))
-        if gate == "trace-phi-constant":
-            trphi = self.struct.trace_phi()
-            return float(np.max(np.abs(trphi - trphi[0])))
-        return float(np.max(hl.shape_characterization_gap_per_point(self.struct, self.data.shape.A)))
 
     @cached_property
     def fit_inputs(self) -> tuple[np.ndarray, ...]:
@@ -133,8 +130,8 @@ class _ModelContext:
         record for each CHECKS row of ``prefix`` behind exactly ``gates``,
         its detail naming the first failing gate and its measured value."""
         for gate in gates:
-            what, threshold = GATES[gate]
-            value = self.measured(gate)
+            what, threshold, measure = GATES[gate]
+            value = measure(self)
             if not value <= threshold:
                 detail = f"gate {gate}: {what} {value:.3e} > {threshold:g}"
                 res = StructureCheckResult()
@@ -151,7 +148,8 @@ def _fit_with_stability(ctx: _ModelContext) -> StructureCheckResult:
     res = StructureCheckResult()
     res.add("einstein.fit", fit.residual,
             detail=f"(a,b,c) = ({fit.a:+.9g}, {fit.b:+.9g}, {fit.c:+.9g}), rank {fit.gram_rank}, "
-            f"{len(fit.family)} family direction(s)")
+            f"{len(fit.family)} family direction(s); singular values at most {RANK_CUTOFF:g} of the largest "
+            "are dropped")
     if ctx.struct.npoints >= 6:
         half_a, half_b = (el.fit_einstein_like(*(x[k::2] for x in ctx.fit_inputs)) for k in (0, 1))
         if half_a.gram_rank != half_b.gram_rank:

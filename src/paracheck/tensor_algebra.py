@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr_jet import JetSpace
+from .report import RANK_CUTOFF
 
 
 @dataclass
@@ -93,6 +94,18 @@ def degenerate(g0: np.ndarray) -> np.ndarray:
     most 1e-12 times its largest: a test that does not change under rescaling."""
     sv = np.linalg.svd(g0, compute_uv=False)
     return sv[..., -1] <= 1e-12 * sv[..., 0]
+
+
+def min_norm_solve(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solutions of rows x = rhs, batched over the
+    leading axis: rows (B, m, k) and rhs (B, m).  Each system's rank counts
+    its singular values above RANK_CUTOFF times its largest.  Returns x (B, k),
+    the ranks (B,) and Vt (B, min(m, k), k), whose rows past a system's rank
+    span its solutions' family."""
+    U, sv, Vt = np.linalg.svd(rows, full_matrices=False)
+    kept = sv > RANK_CUTOFF * sv[:, :1]
+    inv = np.where(kept, 1.0 / np.where(kept, sv, 1.0), 0.0)
+    return np.einsum('pji,pj->pi', Vt, inv * np.einsum('pkj,pk->pj', U, rhs)), kept.sum(axis=1), Vt
 
 
 def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from paracheck.hypersurface_lab import (
 from paracheck.paracontact_core import ParacontactStructure, check_axioms
 from paracheck.sampling import _seed, derive_rng, derive_states, random_vectors, sample_points
 from paracheck.suites import RunConfig, run_suite
-from paracheck.tensor_algebra import TensorValue
+from paracheck.tensor_algebra import TensorValue, min_norm_solve
 
 from pointwise import random_pointwise_structure
 
@@ -119,7 +119,7 @@ def _full_gauss_chain(epsilon, g, phi, xi, eta, perturb_a):
     Rp = ((2 - epsilon) - 1) * Wgg + (2 - epsilon) * WPP + epsilon * cross
     worst["printed-chain-self-consistency"] = np.max(np.abs(np.einsum('tiw,tijkw->tjk', ginv, Rp) - S_printed))
     cols = np.stack([g.reshape(T, -1), Phi.reshape(T, -1), ee.reshape(T, -1)], axis=2)
-    coef, _ = hypersurface_lab._min_norm_solve(cols, S.reshape(T, -1))
+    coef, _, _ = min_norm_solve(cols, S.reshape(T, -1))
     worst["einstein-like-fit"] = np.max(np.abs(np.einsum('tij,tj->ti', cols, coef) - S.reshape(T, -1)))
     worst["eps-a-plus-c"] = np.max(np.abs(epsilon * coef[:, 0] + coef[:, 2] - (1 - n)))
     return worst, k_solved, k_resid, sampled

@@ -129,6 +129,67 @@ class TestManifestRoundTrip:
         assert [(c.id, c.status, c.residual) for c in got.checks] == [
             (c.id, c.status, c.residual) for c in want.checks]
 
+    @staticmethod
+    def _targets() -> dict:
+        """The 9 builtins and a metric-only chart model."""
+        e1 = builtin_models()["E1"]
+        metric_only = ManifoldModel(name="G1", dim=3, coords=e1.coords, epsilon=1, index=0,
+                                    metric=e1.metric, domain=e1.domain, description="E1's metric alone")
+        return {**builtin_models(), **builtin_bundles(), "G1": metric_only}
+
+    def test_manifest_dict_round_trips(self):
+        targets = self._targets()
+        assert len(targets) == 10
+        for name, obj in targets.items():
+            doc = manifest_dict(obj)
+            assert parse_manifest(doc) == obj, name
+            assert parse_manifest(json.loads(json.dumps(doc))) == obj, name
+
+    def test_manifest_dict_writes_flat_grids_and_list_intervals(self):
+        for name, obj in self._targets().items():
+            doc = manifest_dict(obj)
+            grids = ([doc["metric"], doc["phi"]] if doc["kind"] == "model"
+                     else [doc["ambient"]["metric"], doc["ambient"]["J"]])
+            rows = ([obj.metric, obj.phi] if doc["kind"] == "model" else [obj.ambient.metric, obj.ambient.J])
+            for grid, want in zip(grids, rows):
+                if want is None:
+                    assert grid is None, name
+                else:
+                    assert grid == [s for row in want for s in row], name
+            domain = doc["domain"] if doc["kind"] == "model" else doc["embedding"]["domain"]
+            assert all(type(interval) is list and len(interval) == 2 for interval in domain), name
+
+    def test_manifest_dict_writes_only_keys_the_loader_reads(self):
+        """Each key written, nested ones by dotted path, is one the loader
+        asks its document for."""
+        read: set[str] = set()
+
+        class Recording(dict):
+            def __init__(self, doc, prefix=""):
+                super().__init__({k: Recording(v, f"{prefix}{k}.") if isinstance(v, dict) else v
+                                  for k, v in doc.items()})
+                self.prefix = prefix
+
+            def __getitem__(self, key):
+                read.add(self.prefix + key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(self.prefix + key)
+                return super().get(key, default)
+
+        def keys(doc, prefix=""):
+            for k, v in doc.items():
+                yield prefix + k
+                if isinstance(v, dict):
+                    yield from keys(v, f"{prefix}{k}.")
+
+        for name, obj in self._targets().items():
+            read.clear()
+            doc = manifest_dict(obj)
+            assert parse_manifest(Recording(doc)) == obj
+            assert set(keys(doc)) <= read, (name, set(keys(doc)) - read)
+
     def test_flat_row_major_metric_accepted(self, tmp_path):
         doc = manifest_dict(builtin_models()["E1"])
         assert isinstance(doc["metric"], list) and isinstance(doc["metric"][0], str)

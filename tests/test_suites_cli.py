@@ -183,7 +183,8 @@ class TestRequestTable:
 
     @pytest.mark.parametrize("target", ["E1", "N1", "F0", "E3a", "E3b"])
     def test_every_gate_forced_open_measures_every_record(self, tmp_path, monkeypatch, target):
-        monkeypatch.setattr(suites, "GATES", {g: (what, math.inf) for g, (what, _) in suites.GATES.items()})
+        monkeypatch.setattr(suites, "GATES", {g: (what, math.inf, measure)
+                                             for g, (what, _, measure) in suites.GATES.items()})
         out = tmp_path / "report.json"
         code = main(["check", target, "--suite", "all", "--points", "10", "--seed", "7",
                      "--format", "json", "--out", str(out)])
@@ -371,7 +372,31 @@ def _cli(*args):
     return proc
 
 
+# each subcommand's options: option strings -> (default, type, choices)
+_RUN_OPTIONS = {("--seed",): (42, int, None), ("--tol-scale",): (1.0, float, None),
+                ("--format",): ("text", None, ("json", "text")), ("--out",): (None, None, None)}
+_CLI_OPTIONS = {
+    "list-models": {},
+    "check": {("--suite",): ("all", None, suites.SUITES), ("--points",): (100, int, None), **_RUN_OPTIONS},
+    "hypersurface": {("--suite",): ("all", None, suites.HYPERSURFACE_SUBSETS), ("--points",): (100, int, None),
+                     **_RUN_OPTIONS},
+    "synthetic": {("--epsilon",): ("+1", None, ("+1", "-1", "1")), ("--dim",): (3, int, None),
+                  ("--trials",): (100, int, None), ("--perturb-a",): (0.0, float, None), **_RUN_OPTIONS},
+}
+
+
 class TestCli:
+    def test_each_subcommand_keeps_its_options_and_defaults(self):
+        """The options shared by the run commands are declared once; each
+        subcommand still takes the same option strings with the same
+        defaults, types and choices."""
+        sub = next(a for a in build_parser()._actions if a.choices and "check" in a.choices)
+        assert set(sub.choices) == set(_CLI_OPTIONS)
+        for command, parser in sub.choices.items():
+            got = {tuple(a.option_strings): (a.default, a.type, a.choices and tuple(a.choices))
+                   for a in parser._actions if a.option_strings and a.dest != "help"}
+            assert got == _CLI_OPTIONS[command], command
+
     def test_list_models(self):
         proc = _cli("list-models")
         assert proc.returncode == 0

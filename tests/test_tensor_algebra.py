@@ -1,20 +1,24 @@
 """Tensor value semantics: contraction (which also raises and lowers indices
-against the metric), the metric package, the jet matrix inverse, and the
-frame-sum cross-validation that justifies replacing signed orthonormal frame
-sums with index contractions."""
+against the metric), the metric package, the jet matrix inverse, the one
+least-squares solver and its rank rule, and the frame-sum cross-validation
+that justifies replacing signed orthonormal frame sums with index
+contractions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paracheck.einstein_like import fit_einstein_like
 from paracheck.expr_jet import JetSpace, eval_expr, parse_expr
+from paracheck.report import RANK_CUTOFF
 from paracheck.tensor_algebra import (
     MetricAtPoint,
     TensorValue,
     contract_with,
     inertia,
     invert_jet_matrix,
+    min_norm_solve,
 )
 
 from fd_oracle import signed_orthonormal_frame
@@ -130,6 +134,58 @@ class TestMetricAtPoint:
         eye = np.zeros((2, 2, space.ncoeffs))
         eye[..., 0] = np.eye(2)
         assert np.max(np.abs(prod - eye)) < 1e-12
+
+
+class TestMinNormSolve:
+    @staticmethod
+    def _near_rank_two(rng, ratio):
+        """Einstein-like fit inputs (g, Phi, eta, S) over 10 points of dim 3
+        whose columns g, Phi, eta(x)eta have sigma_3 / sigma_1 = ratio: Phi is
+        g + eta(x)eta plus a small part orthogonal to both."""
+        g = rng.normal(size=(10, 3, 3))
+        eta = rng.normal(size=(10, 3))
+        ee = np.einsum('pa,pb->pab', eta, eta)
+        base = np.stack([g.ravel(), ee.ravel()], axis=1)
+        w = rng.normal(size=base.shape[0])
+        w -= base @ np.linalg.lstsq(base, w, rcond=None)[0]
+        cols = np.stack([g.ravel(), (g + ee).ravel(), ee.ravel()], axis=1)
+        sv = np.linalg.svd(cols, compute_uv=False)
+        # with w orthogonal to g and eta(x)eta, sigma_3 is delta |w| / sqrt(3) to first order
+        delta = ratio * sv[0] * np.sqrt(3) / np.linalg.norm(w)
+        Phi = g + ee + delta * w.reshape(g.shape)
+        return g, Phi, eta, 2 * g - ee
+
+    def test_rank_drops_singular_values_at_most_the_cutoff(self, rng):
+        """sigma_3 / sigma_1 = 1e-12 lies below RANK_CUTOFF but far above
+        lstsq's max(m, n) eps: both the solver and the fit count rank 2."""
+        g, Phi, eta, S = self._near_rank_two(rng, 1e-12)
+        cols = np.stack([g.ravel(), Phi.ravel(), np.einsum('pa,pb->pab', eta, eta).ravel()], axis=1)
+        sv = np.linalg.svd(cols, compute_uv=False)
+        assert sv[2] / sv[0] == pytest.approx(1e-12, rel=1e-3)
+        assert sv[2] / sv[0] > 10 * max(cols.shape) * np.finfo(float).eps
+        assert sv[2] / sv[0] < RANK_CUTOFF < sv[1] / sv[0]
+        x, rank, Vt = min_norm_solve(cols[None], S.ravel()[None])
+        assert rank.tolist() == [2] and x.shape == (1, 3) and Vt.shape == (1, 3, 3)
+        fit = fit_einstein_like(g, Phi, eta, S)
+        assert fit.gram_rank == 2 and fit.family.shape == (1, 3)
+        np.testing.assert_allclose(abs(fit.family[0] @ Vt[0, 2]), 1.0)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_rank_does_not_change_with_scale(self, rng, scale):
+        g, Phi, eta, S = self._near_rank_two(rng, 1e-12)
+        cols = np.stack([g.ravel(), Phi.ravel(), np.einsum('pa,pb->pab', eta, eta).ravel()], axis=1)
+        assert min_norm_solve(scale * cols[None], S.ravel()[None])[1].tolist() == [2]
+        assert fit_einstein_like(scale * g, scale * Phi, np.sqrt(scale) * eta, S).gram_rank == 2
+
+    def test_batch_entries_are_solved_independently(self, rng):
+        rows = rng.normal(size=(4, 6, 3))
+        rows[1, :, 2] = rows[1, :, 0] - rows[1, :, 1]         # one rank-2 system in the batch
+        rhs = rng.normal(size=(4, 6))
+        x, rank, Vt = min_norm_solve(rows, rhs)
+        assert rank.tolist() == [3, 2, 3, 3]
+        for b in range(4):
+            np.testing.assert_allclose(x[b], np.linalg.lstsq(rows[b], rhs[b], rcond=None)[0], atol=1e-12)
+        np.testing.assert_allclose(rows[1] @ Vt[1, 2], 0.0, atol=1e-12)
 
 
 class TestFrameIndependence:
