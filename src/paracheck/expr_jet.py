@@ -23,8 +23,9 @@ Evaluation is vectorized: most helpers accept coefficient arrays of shape
 one gather of the pair operands of :attr:`JetSpace.pair_table` and one dense
 0/1 scatter matmul.  Every contraction is a jet matrix product
 (:meth:`JetSpace.matmul`): the same gather, one batched matmul with the pair
-axis in the batch, and the same scatter.  An order-0 jet is its value, so at
-order 0 both are the plain product of the values, with no pair table.
+axis in the batch, and the same scatter.  An operand whose derivative part
+is all zero (an order-0 jet, a flat ambient's metric, a literal factor) is a
+constant: both multiply by its values instead, with no pair table.
 """
 
 from __future__ import annotations
@@ -396,9 +397,13 @@ class JetSpace:
     def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Truncated product of jet coefficient arrays, broadcasting over
         leading axes: one gather of the pair operands, one dense scatter
-        matmul; at order 0, A * B."""
-        if self.order == 0:
-            return A * B
+        matmul.  A constant operand (derivative part all zero; a NaN or inf
+        there is not) multiplies by its values instead, so it never spreads
+        0 * inf = NaN into coefficients whose exact value is finite."""
+        if not A[..., 1:].any():
+            return A[..., :1] * B
+        if not B[..., 1:].any():
+            return A * B[..., :1]
         I, J, _ = self.pair_table
         return self._scatter(A[..., I] * B[..., J])
 
@@ -407,9 +412,15 @@ class JetSpace:
         broadcasting over leading axes: the pair operands are gathered, one
         batched matmul forms every pair's (r x k) @ (k x c) with the pair axis
         in the batch, and the products are scattered once.  The pair axis is
-        moved by swapaxes views; at order 0 the product is the values' matmul."""
-        if self.order == 0:
-            return (A[..., 0] @ B[..., 0])[..., None]
+        moved by swapaxes views.  A constant operand, as in :meth:`mul`, takes
+        one matmul of its values, the other operand's coefficients folded
+        into its columns or rows, and spreads no 0 * inf = NaN either."""
+        if not A[..., 1:].any():
+            ab = A[..., 0] @ B.reshape(B.shape[:-2] + (-1,))
+            return ab.reshape(ab.shape[:-1] + B.shape[-2:])
+        if not B[..., 1:].any():
+            ab = A.swapaxes(-1, -2).reshape(A.shape[:-3] + (-1, A.shape[-2])) @ B[..., 0]
+            return ab.reshape(ab.shape[:-2] + (A.shape[-3], A.shape[-1], -1)).swapaxes(-1, -2)
         I, J, _ = self.pair_table
         ab = A[..., I].swapaxes(-1, -3).swapaxes(-1, -2) @ B[..., J].swapaxes(-1, -3).swapaxes(-1, -2)
         return self._scatter(ab.swapaxes(-3, -1).swapaxes(-3, -2))     # (..., pairs, r, c) -> (..., r, c, pairs)

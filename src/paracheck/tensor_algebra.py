@@ -114,7 +114,8 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
     Seeds with the exact numeric inverse of the constant term, then Newton
     iterations X <- X (2I - G X), each product one :meth:`JetSpace.matmul`;
     the error degree doubles each step, so ceil(log2(order+1)) steps reach
-    exactness at the space's order.
+    exactness at the space's order.  On a constant G (a flat ambient's
+    metric) X stays constant, so every product is a value matmul.
     """
     G0 = G[..., 0]
     X0 = np.linalg.inv(G0)

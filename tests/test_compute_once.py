@@ -2,7 +2,8 @@
 requested check reads it: the connection of every metric, each covariant
 derivative, the axiom checks, the para-Sasakian gate and C11(phi R); and
 each distinct expression string of a field grid is parsed and evaluated
-once per grid.  Call counts are taken by rebinding each function under
+once per grid; and a jet product takes the pair table only when neither
+operand is constant.  Call counts are taken by rebinding each function under
 every name the package imports it by."""
 
 import functools
@@ -113,6 +114,30 @@ def test_manifest_bundle_request_evaluates_the_bundle_once(monkeypatch, tmp_path
                "--format", "json", "--out", str(tmp_path / "report.json")])
     assert rc == 0
     assert evals["n"] == 1
+
+
+@pytest.mark.parametrize("target,pair_products", [
+    ("E1", 8), ("E2", 11), ("E1n5", 8), ("E2n5", 11), ("N1", 7), ("F0", 0),
+    ("E3a", 0), ("E3b", 28), ("B1", 35),
+])
+def test_all_request_takes_the_pair_table_only_between_non_constants(monkeypatch, tmp_path, target, pair_products):
+    """A jet product goes through the pair table (one JetSpace._scatter)
+    only when neither operand is constant.  E3a's flat ambient g~ and J~,
+    its linear embedding's frame and F0's flat chart are constants, so they
+    take none; on the other targets the constants (ambient connections and
+    curvatures, Newton steps on a constant metric, literal factors) take
+    none either, which the counts lock at seed 42."""
+    scatters = {"n": 0}
+    scatter = JetSpace._scatter
+
+    def counted(self, pairs):
+        scatters["n"] += 1
+        return scatter(self, pairs)
+
+    monkeypatch.setattr(JetSpace, "_scatter", counted)
+    main(["check", target, "--suite", "all", "--points", "5", "--seed", "42", "--format", "json",
+          "--out", str(tmp_path / "report.json")])
+    assert scatters["n"] == pair_products
 
 
 # sources over x0 and x1, finite with a finite jet on [-1, 1]^dim

@@ -591,3 +591,84 @@ def test_matmul_is_the_pair_route(dim, order, shape_a, shape_b):
     got, want = space.matmul(A, B), _pair_route(space, A, B, matrix=True)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+# --------------------------------------------------------------------------
+# the constant route
+# --------------------------------------------------------------------------
+
+
+def _constant_operands(space, rng, shape_a, shape_b, constant):
+    """Operands from _with_zeros whose derivative parts are zeroed, keeping
+    the signs, in A, B or both, as ``constant`` says."""
+    A = _with_zeros(rng, shape_a + (space.ncoeffs,))
+    B = _with_zeros(rng, shape_b + (space.ncoeffs,))
+    for X, which in ((A, "A"), (B, "B")):
+        if which in constant:
+            X[..., 1:] *= 0.0
+    return A, B
+
+
+_CONSTANT_SPACES = [(1, 1), (3, 1), (3, 3), (3, 4), (5, 3)]
+_CONSTANT_MATMUL_SHAPES = [
+    ((4, 9, 3), (4, 3, 1)), ((4, 1, 3), (4, 3, 27)), ((2, 4, 3, 3), (2, 4, 3, 3)),
+    ((2, 1, 3, 4), (1, 5, 4, 2)), ((3, 4), (6, 4, 2)),
+    ((50, 3, 4), (50, 4, 4)),           # evaluate_bundle: T @ g~^T on the flat ambient
+]
+
+
+@pytest.mark.parametrize("dim,order", _CONSTANT_SPACES)
+@pytest.mark.parametrize("shape_a,shape_b", _KERNEL_SHAPES)
+@pytest.mark.parametrize("constant", ["A", "B", "AB"])
+def test_mul_of_a_constant_is_the_pair_route(dim, order, shape_a, shape_b, constant):
+    """With a constant operand, mul multiplies by its values and is equal
+    bit for bit, up to the sign of zero, to the pair-table route."""
+    space = JetSpace.get(dim, order)
+    rng = np.random.default_rng([dim, order, len(shape_a), len(shape_b), len(constant)])
+    A, B = _constant_operands(space, rng, shape_a, shape_b, constant)
+    got, want = space.mul(A, B), _pair_route(space, A, B, matrix=False)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,order", _CONSTANT_SPACES)
+@pytest.mark.parametrize("shape_a,shape_b", _CONSTANT_MATMUL_SHAPES)
+@pytest.mark.parametrize("constant", ["A", "B", "AB"])
+def test_matmul_of_a_constant_is_the_pair_route(dim, order, shape_a, shape_b, constant):
+    """With a constant operand, matmul is one matmul of values against the
+    other operand with its coefficients folded in.  Its inner sums may run
+    in another order than the pair route's (numpy picks another kernel for
+    a vector-shaped operand), so the two agree to 4 ulp of the largest
+    entry."""
+    space = JetSpace.get(dim, order)
+    rng = np.random.default_rng([dim, order, len(shape_a), shape_b[-1], len(constant)])
+    A, B = _constant_operands(space, rng, shape_a, shape_b, constant)
+    got, want = space.matmul(A, B), _pair_route(space, A, B, matrix=True)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("op", ["mul", "matmul"])
+def test_a_non_finite_derivative_part_takes_the_pair_route(monkeypatch, bad, op):
+    """An operand that is constant but for one NaN or inf derivative
+    coefficient is not a constant: the product takes the pair table and
+    equals its route, NaNs included; made constant, it takes none."""
+    space = JetSpace.get(3, 2)
+    rng = np.random.default_rng(5)
+    A, B = _constant_operands(space, rng, (4, 3, 3), (4, 3, 2) if op == "matmul" else (4, 3, 3), "A")
+    scatters = {"n": 0}
+    scatter = JetSpace._scatter
+
+    def counted(self, pairs):
+        scatters["n"] += 1
+        return scatter(self, pairs)
+
+    monkeypatch.setattr(JetSpace, "_scatter", counted)
+    getattr(space, op)(A, B)
+    assert scatters["n"] == 0
+    A[1, 2, 0, 4] = bad
+    with np.errstate(invalid="ignore"):                 # 0 * inf on the pair route
+        got, want = getattr(space, op)(A, B), _pair_route(space, A, B, matrix=op == "matmul")
+    assert scatters["n"] == 1
+    assert np.array_equal(got, want, equal_nan=True)

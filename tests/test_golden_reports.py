@@ -19,6 +19,15 @@ other files keep their bytes:
 
     python tests/test_golden_reports.py [TARGET ...]
 
+The golden files hold residuals only to 1e-12, so a claim that a change
+leaves reports alone is checked against the parent commit instead: run every
+golden case under this tree's ``src/`` and under ``DIR/src/`` (a checkout of
+the parent, say from ``git archive``), print each case's exit-code and status
+differences and its largest residual drift, and exit 1 on any exit or status
+difference or a drift above 1e-12:
+
+    python tests/test_golden_reports.py --against DIR
+
 ``tests/golden/tolerances.json`` locks the tolerance of every record id these
 requests measure, as dumped once from their reports before tolerances moved
 into the check table, now ``report.CHECKS``; regenerating the goldens does
@@ -33,6 +42,7 @@ import dataclasses
 import functools
 import json
 import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -174,6 +184,57 @@ def regenerate(targets):
         print(f"wrote {target}.json ({len(data)} cases)")
 
 
+def collect(out: str):
+    """Write every golden case's exit code, statuses and residuals to ``out``,
+    as ``{target: {case: run_case(argv)}}``."""
+    data = {target: {name: run_case(argv) for name, argv in group.items()} for target, group in cases().items()}
+    Path(out).write_text(json.dumps(data))
+
+
+def _drift(a: float, b: float) -> float:
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    return 0.0 if a == b else abs(a - b)
+
+
+def against(other: Path) -> int:
+    """Compare every golden case under this tree's ``src/`` with the same case
+    under ``other/src/``, one line per case; 1 on any exit or status
+    difference or a residual drift above RESIDUAL_ATOL, else 0."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, src in enumerate((ROOT / "src", other / "src")):
+            out = Path(tmp) / f"{i}.json"
+            proc = subprocess.run([sys.executable, __file__, "--collect", str(src), str(out)],
+                                  capture_output=True, text=True)     # exit-2 cases print their errors
+            if proc.returncode:
+                sys.exit(f"collecting under {src} failed:\n{proc.stderr}")
+            runs.append(json.loads(out.read_text()))
+    bad, worst = 0, 0.0
+    for target, group in cases().items():
+        for name in group:
+            here, there = runs[0][target][name], runs[1][target][name]
+            ids = sorted(set(here["status"]) | set(there["status"]))
+            moved = [f"{cid} {there['status'].get(cid)} -> {here['status'].get(cid)}"
+                     for cid in ids if here["status"].get(cid) != there["status"].get(cid)]
+            if here["exit"] != there["exit"]:
+                moved.insert(0, f"exit {there['exit']} -> {here['exit']}")
+            drift = max((_drift(r, there["residual"][cid]) for cid, r in here["residual"].items()
+                         if cid in there["residual"]), default=0.0)
+            worst = max(worst, drift)
+            bad += bool(moved) or drift > RESIDUAL_ATOL
+            print(f"{target} {name}: exit {here['exit']}, {len(moved)} differences, drift {drift:.3g}"
+                  + "".join(f"\n    {m}" for m in moved))
+    print(f"{bad} cases differ; largest residual drift {worst:.3g}")
+    return int(bad > 0)
+
+
 if __name__ == "__main__":
-    sys.path.insert(0, str(HERE.parent / "src"))
-    regenerate(sys.argv[1:])
+    if sys.argv[1:2] == ["--collect"]:
+        sys.path.insert(0, sys.argv[2])
+        collect(sys.argv[3])
+    elif sys.argv[1:2] == ["--against"]:
+        sys.exit(against(Path(sys.argv[2]).resolve()))
+    else:
+        sys.path.insert(0, str(HERE.parent / "src"))
+        regenerate(sys.argv[1:])

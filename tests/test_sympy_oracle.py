@@ -1,4 +1,4 @@
-"""Symbolic oracle for the synthetic Gauss-equation chain of criterion 10.
+"""Symbolic oracles for the synthetic Gauss chain of criterion 10 and the W1 manifest.
 
 Independent of the numeric pipeline (no `_wedge` or
 `synthetic_gauss_check`): sympy builds the canonical frame of an
@@ -21,9 +21,17 @@ This is the evidence for the adjudication that criteria 10b and 10c follow:
 - derived minus published Ricci is
   -((2-eps)(n-2)-n) g - 2 trace(phi) Phi + ((2-n) + eps(n-4)) eta(x)eta,
   which vanishes only at eps = -1, n = 3, trace(phi) = 0.
+
+It is also the exact oracle for the W1 test manifest (tests/fixtures/W1.json,
+E1 with the x2 metric factor (1 + x1^2)^2 / y^2): its para-Sasakian defining
+equation holds identically, and its Ricci tensor is no constant combination
+of g, Phi and eta(x)eta, so the Einstein-like fit fails there because W1 is
+not Einstein-like.
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,3 +144,86 @@ def test_gauss_chain_symbolic(eps, p, q, rng):
     gap = S_num - Sp_num - D_num
     scale = 1.0 + np.max(np.abs(S_num)) + np.max(np.abs(Sp_num))
     assert np.max(np.abs(gap)) / scale < 5e-15
+
+
+# --------------------------------------------------------------------------
+# W1: para-Sasakian, not Einstein-like
+# --------------------------------------------------------------------------
+
+W1 = Path(__file__).resolve().parent / "fixtures" / "W1.json"
+
+
+def _chart(metric_xx2=None):
+    """(coordinate symbols, g, phi, xi, eta, eps) of the W1 manifest, read
+    from its JSON and parsed by sympy with exact rationals; eta is a row, and
+    phi[a, b] is phi^a_b.  ``metric_xx2`` replaces the x2 metric factor."""
+    m = json.loads(W1.read_text())
+    n = m["dim"]
+    coords = sp.symbols(m["coords"], real=True)
+    names = dict(zip(m["coords"], coords))
+
+    def parse(src):
+        return sp.sympify(src.replace("^", "**"), locals=names, rational=True)
+
+    metric = list(m["metric"])
+    if metric_xx2 is not None:
+        metric[n + 1] = metric_xx2
+    g = sp.Matrix(n, n, [parse(s) for s in metric])
+    phi = sp.Matrix(n, n, [parse(s) for s in m["phi"]])
+    return coords, g, phi, sp.Matrix([parse(s) for s in m["xi"]]), sp.Matrix([[parse(s) for s in m["eta"]]]), m["epsilon"]
+
+
+def _levi_civita(g, coords):
+    """Gamma[k][i][j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
+    n, ginv = len(coords), g.inv()
+    return [[[sp.cancel(sum(ginv[k, l] * (sp.diff(g[j, l], coords[i]) + sp.diff(g[i, l], coords[j])
+                                          - sp.diff(g[i, j], coords[l])) for l in range(n)) / 2)
+              for j in range(n)] for i in range(n)] for k in range(n)]
+
+
+def _ricci_of(G, coords):
+    """S_jk = R^i_ijk, R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
+    n = len(coords)
+
+    def R(l, i, j, k):
+        return (sp.diff(G[l][j][k], coords[i]) - sp.diff(G[l][i][k], coords[j])
+                + sum(G[l][i][m] * G[m][j][k] - G[l][j][m] * G[m][i][k] for m in range(n)))
+
+    return sp.Matrix(n, n, lambda j, k: sp.cancel(sum(R(i, i, j, k) for i in range(n))))
+
+
+def _fit_equations(S, g, Phi, ee, coords):
+    """The conditions on constants (a, b, c) for S = a g + b Phi + c eta(x)eta
+    at every point: each monomial coefficient of each component's numerator."""
+    a, b, c = sp.symbols("a b c")
+    equations = []
+    for entry in S - a * g - b * Phi - c * ee:
+        numerator = sp.numer(sp.together(sp.expand(entry)))
+        equations += sp.Poly(sp.expand(numerator), *coords).coeffs()
+    return equations, [a, b, c]
+
+
+@pytest.mark.parametrize("factor,einstein_like", [(None, False), ("1/(y^2)", True)])
+def test_w1_is_para_sasakian_and_not_einstein_like(factor, einstein_like):
+    """W1 satisfies (nabla_X phi) Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X
+    identically in (x1, x2, y), and its Ricci tensor is no constant
+    combination a g + b Phi + c eta(x)eta: the conditions on (a, b, c) that
+    every component's numerator, as a polynomial in x1 and y, imposes are
+    inconsistent.  With E1's x2 factor 1/y^2 in its place the same chart is
+    Einstein-like, so the system has a solution (the positive control)."""
+    coords, g, phi, xi, eta, eps = _chart(factor)
+    n = len(coords)
+    G = _levi_civita(g, coords)
+    # (nabla_i phi)^k_j = d_i phi^k_j + G^k_il phi^l_j - G^l_ij phi^k_l
+    gpp = phi.T * g * phi                                   # g(phi e_i, phi e_j)
+    phi2 = phi * phi
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = (sp.diff(phi[k, j], coords[i]) + sum(G[k][i][l] * phi[l, j] - G[l][i][j] * phi[k, l]
+                                                   for l in range(n)))
+        rhs = -gpp[i, j] * xi[k] - eps * eta[j] * phi2[k, i]
+        assert sp.cancel(lhs - rhs) == 0, (i, j, k)
+
+    S = _ricci_of(G, coords)
+    equations, unknowns = _fit_equations(S, g, phi.T * g, eta.T * eta, coords)
+    solutions = sp.linsolve(equations, unknowns)
+    assert (solutions != sp.EmptySet) == einstein_like
