@@ -112,10 +112,11 @@ def run_case(argv: list[str]) -> dict:
     }
 
 
-def _same_residual(a: float, b: float) -> bool:
+def _drift(a: float, b: float) -> float:
+    """|a - b|, 0 for two NaNs or equal values, inf for one NaN."""
     if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b or abs(a - b) <= RESIDUAL_ATOL
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    return 0.0 if a == b else abs(a - b)
 
 
 def differences(want: dict, got: dict) -> list[str]:
@@ -128,7 +129,7 @@ def differences(want: dict, got: dict) -> list[str]:
             problems.append(f"{cid}: status {a}, golden {b}")
     for cid, r in want["residual"].items():
         g = got["residual"].get(cid)
-        if g is not None and not _same_residual(g, r):
+        if g is not None and _drift(g, r) > RESIDUAL_ATOL:
             problems.append(f"{cid}: residual {g!r}, golden {r!r}")
     return problems
 
@@ -189,12 +190,6 @@ def collect(out: str):
     as ``{target: {case: run_case(argv)}}``."""
     data = {target: {name: run_case(argv) for name, argv in group.items()} for target, group in cases().items()}
     Path(out).write_text(json.dumps(data))
-
-
-def _drift(a: float, b: float) -> float:
-    if math.isnan(a) or math.isnan(b):
-        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
-    return 0.0 if a == b else abs(a - b)
 
 
 def against(other: Path) -> int:
