@@ -7,7 +7,7 @@ E3b, B1) under every ``check`` suite, the three hypersurface subsets and
 ``check --suite all`` on the test manifests of ``tests/fixtures/``: W1 is
 E1 with the x2 metric factor (1 + x1^2)^2 / y^2, para-Sasakian but not
 Einstein-like, so the fit fails there and the rows behind it are measured
-where they can fail.
+where they can fail; W2 is its eps = -1 twin, E2 with the same factor.
 Statuses and exit codes must match exactly; residuals within 1e-12
 absolute.  Sizes are small so the whole comparison stays fast: 10 points
 for dim-3 targets, 6 for the dim-5 charts (enough for the fit-stability
@@ -61,7 +61,7 @@ HYPERSURFACE_SUBSETS = ("induced", "gauss", "characterization", "all")
 POINTS = {"E1": 10, "E2": 10, "E1n5": 6, "E2n5": 6, "N1": 10, "F0": 10,
           "E3a": 10, "E3b": 10, "B1": 10}
 SYNTHETIC_TRIALS = 50
-MANIFESTS = {"W1": 10}      # test manifest -> points of its check-all case
+MANIFESTS = {"W1": 10, "W2": 10}      # test manifest -> points of its check-all case
 
 
 def cases() -> dict[str, dict[str, list[str]]]:
