@@ -44,10 +44,13 @@ def _lower(space: JetSpace, what: str) -> JetSpace:
 @dataclass
 class ConnectionAtPoint:
     """Christoffel symbols Gamma^k_ij (symmetric in ij) as a jet (1,2)
-    tensor, together with the metric they came from."""
+    tensor, together with the metric they came from; ``flat`` when that
+    metric is constant, so Gamma and the curvature are zero and nabla is the
+    plain gradient."""
 
     gamma: TensorValue
     metric: MetricAtPoint
+    flat: bool
 
     @property
     def space(self) -> JetSpace:
@@ -116,34 +119,44 @@ def christoffel(metric_jets: TensorValue, points: np.ndarray) -> ConnectionAtPoi
     """Levi-Civita connection of a jet-valued metric.
 
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), jet-valued one
-    order below the metric jets; g is inverted only to that order.
+    order below the metric jets; g is inverted only to that order.  A
+    constant metric (derivative part all zero, as in :meth:`JetSpace.mul`)
+    gives Gamma = 0 with no derivative taken and a flat connection.
     """
     space = metric_jets.space
     lower = _lower(space, "christoffel")
     metric = MetricAtPoint.build(metric_jets.as_jet(lower), points)
     n = metric_jets.dim
-    dg = space.grad(metric_jets.components)             # [P, deriv, row, col, m]
-    # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    t1 = dg                                             # d_i g_{jl}: (i, j, l)
-    t2 = np.swapaxes(dg, 1, 2)                          # d_j g_{il}: axes (j, i, l)
-    t3 = np.moveaxis(dg, (1, 2, 3), (3, 1, 2))          # d_l g_{ij}: axes (l, i, j)
-    symT = TensorValue(n, 0, 3, t1 + t2 - t3, lower)
-    # Gamma^k_{ij} = 1/2 g^{kl} sym_{ijl}
-    gamma = TensorValue(n, 1, 2, 0.5 * contract_with(metric.g_inv, symT, 1, 2), lower)
-    return ConnectionAtPoint(gamma=gamma, metric=metric)
+    flat = not metric_jets.components[..., 1:].any()
+    if flat:
+        gamma = np.zeros((len(metric_jets.components),) + (n,) * 3 + (lower.ncoeffs,))
+    else:
+        dg = space.grad(metric_jets.components)             # [P, deriv, row, col, m]
+        # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+        t1 = dg                                             # d_i g_{jl}: (i, j, l)
+        t2 = np.swapaxes(dg, 1, 2)                          # d_j g_{il}: axes (j, i, l)
+        t3 = np.moveaxis(dg, (1, 2, 3), (3, 1, 2))          # d_l g_{ij}: axes (l, i, j)
+        symT = TensorValue(n, 0, 3, t1 + t2 - t3, lower)
+        # Gamma^k_{ij} = 1/2 g^{kl} sym_{ijl}
+        gamma = 0.5 * contract_with(metric.g_inv, symT, 1, 2)
+    return ConnectionAtPoint(TensorValue(n, 1, 2, gamma, lower), metric, flat)
 
 
 def curvature(conn: ConnectionAtPoint) -> CurvatureAtPoint:
-    """Riemann and Ricci of a connection, one order below it."""
+    """Riemann and Ricci of a connection, one order below it; zero for a
+    flat one."""
     space = conn.space
     lower = _lower(space, "curvature")
     n = conn.dim
-    dG = space.grad(conn.gamma.components)                    # [P, i, l, j, k, m]
-    term1 = np.moveaxis(dG, 1, 2)                             # [l, i, j, k]: d_i Gamma^l_{jk}
-    term2 = np.swapaxes(term1, 2, 3)                          # d_j Gamma^l_{ik}
-    gam = conn.gamma.as_jet(lower)
-    gg = contract_with(gam, gam, 2, 0)                        # [l, i, j, k]: G^l_{im} G^m_{jk}
-    R = term1 - term2 + gg - np.swapaxes(gg, 2, 3)
+    if conn.flat:
+        R = np.zeros((len(conn.gamma.components),) + (n,) * 4 + (lower.ncoeffs,))
+    else:
+        dG = space.grad(conn.gamma.components)                    # [P, i, l, j, k, m]
+        term1 = np.moveaxis(dG, 1, 2)                             # [l, i, j, k]: d_i Gamma^l_{jk}
+        term2 = np.swapaxes(term1, 2, 3)                          # d_j Gamma^l_{ik}
+        gam = conn.gamma.as_jet(lower)
+        gg = contract_with(gam, gam, 2, 0)                        # [l, i, j, k]: G^l_{im} G^m_{jk}
+        R = term1 - term2 + gg - np.swapaxes(gg, 2, 3)
     S = np.trace(R, axis1=1, axis2=2)                         # S_{jk} = R^a_{ajk}
     return CurvatureAtPoint(TensorValue(n, 1, 3, R, lower), TensorValue(n, 0, 2, S, lower), conn)
 
@@ -152,19 +165,20 @@ def covariant_derivative(T: TensorValue, conn: ConnectionAtPoint) -> TensorValue
     """Levi-Civita covariant derivative; the direction becomes the first
     covariant slot, so (nabla T)(X, ...) = (nabla_X T)(...).
 
-    The result is valid to min(T's order - 1, Gamma's order).
+    The result is valid to min(T's order - 1, Gamma's order); along a flat
+    connection it is the plain gradient.
     """
     out = lowest_space(_lower(T.space, "covariant derivative"), conn.space)
     n = T.dim
     # derivative axis first (after the sample axis), moved into place at the end
     dT = out.restrict(T.space.grad(T.components))
     gamma, T = conn.gamma.as_jet(out), T.as_jet(out)
-    for s in range(T.p):
+    for s in range(0 if conn.flat else T.p):
         term = contract_with(gamma, T, 2, s)                   # [a, i, (T minus s)]
         term = np.moveaxis(term, 2, 1)                         # [i, a, ...]
         term = np.moveaxis(term, 2, 2 + s)                     # slot a into position s
         dT = dT + term
-    for s in range(T.q):
+    for s in range(0 if conn.flat else T.q):
         term = contract_with(gamma, T, 0, T.p + s)             # [i, b, (T minus p+s)]
         term = np.moveaxis(term, 2, 2 + T.p + s)
         dT = dT - term

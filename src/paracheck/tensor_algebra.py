@@ -114,8 +114,9 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
     Seeds with the exact numeric inverse of the constant term, then Newton
     iterations X <- X (2I - G X), each product one :meth:`JetSpace.matmul`;
     the error degree doubles each step, so ceil(log2(order+1)) steps reach
-    exactness at the space's order.  On a constant G (a flat ambient's
-    metric) X stays constant, so every product is a value matmul.
+    exactness at the space's order.  A constant G (derivative part all zero,
+    as in :meth:`JetSpace.mul`; a flat ambient's metric) takes no step: its
+    seed is already its exact inverse.
     """
     G0 = G[..., 0]
     X0 = np.linalg.inv(G0)
@@ -124,7 +125,7 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
     n = G.shape[-2]
     eye = np.zeros(G.shape[-3:])
     eye[..., 0] = np.eye(n)
-    steps = int(np.ceil(np.log2(space.order + 1)))
+    steps = int(np.ceil(np.log2(space.order + 1))) if G[..., 1:].any() else 0
     for _ in range(steps):
         X = space.matmul(X, 2 * eye - space.matmul(G, X))
     return X

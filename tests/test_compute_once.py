@@ -2,9 +2,10 @@
 requested check reads it: the connection of every metric, each covariant
 derivative, the axiom checks, the para-Sasakian gate and C11(phi R); and
 each distinct expression string of a field grid is parsed and evaluated
-once per grid; and a jet product takes the pair table only when neither
-operand is constant.  Call counts are taken by rebinding each function under
-every name the package imports it by."""
+once per grid; a jet product takes the pair table only when neither
+operand is constant; and a constant metric takes no connection work, nor a
+constant matrix a Newton step.  Call counts are taken by rebinding each
+function under every name the package imports it by."""
 
 import functools
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paracheck import einstein_like, expr_jet, geometry_engine, hypersurface_lab, paracontact_core
+from paracheck import einstein_like, expr_jet, geometry_engine, hypersurface_lab, paracontact_core, tensor_algebra
 from paracheck.cli import main
 from paracheck.expr_jet import ExprSyntaxError, JetDomainError, JetSpace, eval_expr, parse_expr
 from paracheck.hypersurface_lab import get_bundle
@@ -24,13 +25,15 @@ from paracheck.sampling import derive_rng, sample_points
 from paracheck.suites import RunConfig, run_suite
 
 
-def _count(monkeypatch, fn) -> dict:
+def _count(monkeypatch, fn, when=lambda out, *args: True) -> dict:
+    """Counts the calls of ``fn`` whose result and arguments satisfy ``when``."""
     calls = {"n": 0}
 
     @functools.wraps(fn)
     def counted(*args, **kwargs):
-        calls["n"] += 1
-        return fn(*args, **kwargs)
+        out = fn(*args, **kwargs)
+        calls["n"] += bool(when(out, *args))
+        return out
 
     for name, mod in list(sys.modules.items()):
         if mod is None or not (name == "paracheck" or name.startswith("paracheck.")):
@@ -138,6 +141,22 @@ def test_all_request_takes_the_pair_table_only_between_non_constants(monkeypatch
     main(["check", target, "--suite", "all", "--points", "5", "--seed", "42", "--format", "json",
           "--out", str(tmp_path / "report.json")])
     assert scatters["n"] == pair_products
+
+
+@pytest.mark.parametrize("target,flat,constant", [
+    ("F0", 1, 1), ("E3a", 2, 5), ("E3b", 1, 2), ("B1", 1, 2),
+    ("E1", 0, 0), ("E2", 0, 0), ("E1n5", 0, 0), ("E2n5", 0, 0), ("N1", 0, 0),
+])
+def test_all_request_takes_the_flat_route_on_constant_metrics(monkeypatch, tmp_path, target, flat, constant):
+    """A connection of a constant metric is flat, and a constant jet matrix
+    is inverted by its seed.  The flat ambient of every bundle, F0's chart,
+    E3a's induced metric and the rows and frame of its linear embedding are
+    constant; the curved charts have none, which the counts lock at seed 42."""
+    flats = _count(monkeypatch, geometry_engine.christoffel, lambda conn, *args: conn.flat)
+    constants = _count(monkeypatch, tensor_algebra.invert_jet_matrix, lambda X, space, G: not G[..., 1:].any())
+    main(["check", target, "--suite", "all", "--points", "5", "--seed", "42", "--format", "json",
+          "--out", str(tmp_path / "report.json")])
+    assert (flats["n"], constants["n"]) == (flat, constant)
 
 
 # sources over x0 and x1, finite with a finite jet on [-1, 1]^dim

@@ -1,6 +1,9 @@
 """Engine tests: golden Christoffels, curvature on the constant-curvature
 models with the finite-difference pipeline as the oracle, covariant and Lie
-derivative identities, and the curvature invariants."""
+derivative identities, the curvature invariants, and the flat route a
+constant metric takes."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -237,6 +240,88 @@ class TestCovariantDerivative:
         ones = TensorValue(3, 0, 0, space.constant(1.0, (e1.npoints,)), space)
         grad = covariant_derivative(ones, e1.connection)
         assert np.max(np.abs(grad.components)) == 0.0
+
+
+
+class TestFlatRoute:
+    """A metric whose jets have an all-zero derivative part gives a flat
+    connection: Gamma = 0, R = S = 0 and nabla = d, with no connection work
+    and the jet spaces of the general route.  Only an exactly constant
+    metric takes it."""
+
+    @staticmethod
+    def _model(g11, g22):
+        return ManifoldModel(name="M", dim=3, coords=["x1", "x2", "y"], epsilon=1, index=0,
+                             metric=[[g11, "0", "0"], ["0", g22, "0"], ["0", "0", "1"]],
+                             domain=[(-1.0, 1.0), (-1.0, 1.0), (0.5, 2.0)])
+
+    def test_vanishing_first_derivatives_keep_the_general_route(self):
+        """g_22 = 1 + x1^2 at x1 = 0: every first derivative of g vanishes at
+        every sample, so Gamma's values are zero, but R reads the second
+        derivatives and must match the finite-difference oracle."""
+        model = self._model("1", "1 + x1^2")
+        pts = np.array([[0.0, 0.3, 1.0], [0.0, -0.5, 1.7], [0.0, 0.9, 0.6]])
+        conn = christoffel(_metric_jets(model, pts), pts)
+        assert not conn.flat
+        assert np.max(np.abs(conn.gamma.components[..., 0])) == 0.0
+        R = curvature(conn).riemann_ud.components[..., 0]
+        assert np.max(np.abs(R)) > 0.5
+        for k, pt in enumerate(pts):
+            assert np.max(np.abs(R[k] - fd_curvature_package(metric_fn(model), pt)[3])) < 1e-4
+
+    def test_constant_up_to_rounding_keeps_the_general_route(self):
+        """cos(x1)^2 + sin(x1)^2 is 1, but its jets carry rounding in their
+        derivative part, so the test that picks the route does not fire."""
+        pts = np.array([[1.7, 0.0, 1.0], [-2.2, 0.0, 1.5]])
+        g = _metric_jets(self._model("cos(x1)^2 + sin(x1)^2", "1"), pts)
+        assert g.components[..., 1:].any()
+        conn = christoffel(g, pts)
+        assert not conn.flat
+        assert np.max(np.abs(conn.gamma.components)) < 1e-14
+        assert np.max(np.abs(curvature(conn).riemann_ud.components)) < 1e-14
+
+    def test_constant_metric_gives_the_plain_gradient(self, f0):
+        """Along F0's flat connection nabla T is the plain gradient, in the
+        jet space the general route gives: the same components as that route
+        over the same zero Gamma."""
+        conn = f0.connection
+        assert conn.flat and not np.any(conn.gamma.components)
+        space = f0.g.space
+        xs = space.point_jets(f0.points)
+        T = TensorValue(3, 1, 1, np.stack([np.stack([space.mul(a, b) for b in xs], 1) for a in xs], 1), space)
+        nabla = covariant_derivative(T, conn)
+        assert nabla.space is conn.space
+        assert np.array_equal(nabla.components, np.moveaxis(conn.space.restrict(space.grad(T.components)), 1, 2))
+        general = covariant_derivative(T, dataclasses.replace(conn, flat=False))
+        assert general.space is nabla.space
+        assert np.array_equal(general.components, nabla.components)
+
+    def test_flat_route_keeps_the_jet_orders(self, models):
+        """Gamma one order below g, R one below Gamma, and an order-0
+        connection has no curvature."""
+        model = models["F0"]
+        pts = np.array([[0.3, -0.4, 1.1]])
+        conn = christoffel(_metric_jets(model, pts, order=2), pts)
+        assert conn.flat and conn.space.order == 1
+        cur = curvature(conn)
+        assert cur.riemann_ud.space.order == cur.ricci.space.order == 0
+        assert not np.any(cur.riemann_ud.components) and not np.any(cur.ricci.components)
+        with pytest.raises(InsufficientOrderError):
+            curvature(christoffel(_metric_jets(model, pts, order=1), pts))
+        with pytest.raises(InsufficientOrderError):
+            christoffel(_metric_jets(model, pts, order=0), pts)
+
+    def test_constant_metric_with_changing_index_rejected(self):
+        """The flat route runs MetricAtPoint.build's checks first: a
+        constant metric of index 0 at one sample and 1 at another is
+        rejected, as test_degenerate_metric_rejected's constant degenerate
+        one is."""
+        space = JetSpace.get(2, 2)
+        pts = np.array([[1.0, 1.0], [0.5, 2.0]])
+        comps = np.zeros((2, 2, 2, space.ncoeffs))
+        comps[:, 0, 0, 0], comps[:, 1, 1, 0] = 1.0, [1.0, -1.0]
+        with pytest.raises(ValueError, match="index is not constant"):
+            christoffel(TensorValue(2, 0, 2, comps, space), pts)
 
 
 class TestLieDerivative:

@@ -136,6 +136,40 @@ class TestMetricAtPoint:
         assert np.max(np.abs(prod - eye)) < 1e-12
 
 
+    @staticmethod
+    def _constant(rng, space):
+        """Jets of well-conditioned matrices over 6 points with a zero derivative part."""
+        G = np.zeros((6, 3, 3, space.ncoeffs))
+        G[..., 0] = rng.uniform(-1, 1, (6, 3, 3)) + 3 * np.eye(3)
+        return G
+
+    def test_constant_jet_matrix_inverse_is_its_value_inverse(self, rng):
+        """A constant G takes no Newton step: its inverse is inv(G0) with a
+        zero derivative part, and the Newton steps agree with it to rounding."""
+        space = JetSpace.get(3, 3)
+        G = self._constant(rng, space)
+        X = invert_jet_matrix(space, G)
+        assert np.array_equal(X[..., 0], np.linalg.inv(G[..., 0]))
+        assert not X[..., 1:].any()
+        eye = np.zeros((3, 3, space.ncoeffs))
+        eye[..., 0] = np.eye(3)
+        newton = X.copy()
+        for _ in range(2):
+            newton = space.matmul(newton, 2 * eye - space.matmul(G, newton))
+        assert np.max(np.abs(newton - X)) < 1e-14 * np.max(np.abs(X))
+
+    def test_nan_derivative_part_keeps_the_newton_steps(self, rng):
+        """A NaN in G's derivative part is not a constant: the Newton steps
+        run and carry it into X's derivative part at that point alone."""
+        space = JetSpace.get(3, 3)
+        G = self._constant(rng, space)
+        G[2, 0, 1, 4] = np.nan
+        X = invert_jet_matrix(space, G)
+        assert np.isnan(X[2, ..., 1:]).any()
+        rest = [0, 1, 3, 4, 5]
+        assert np.allclose(X[rest], invert_jet_matrix(space, G[rest]), rtol=0, atol=1e-14)
+
+
 class TestMinNormSolve:
     @staticmethod
     def _near_rank_two(rng, ratio):
