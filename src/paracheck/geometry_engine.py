@@ -17,6 +17,9 @@ a covariant derivative is valid to min(operand order - 1, Gamma's order);
 operands are restricted to that order first, so no product is formed above
 it.  A derivative of an order-0 jet raises :class:`InsufficientOrderError`.
 A Lie derivative is values built from covariant derivatives the caller holds.
+A metric whose jets have an all-zero derivative part (:meth:`JetSpace.mul`'s
+test) gives a flat connection: Gamma, R and S are zeros in the same spaces and
+nabla is the plain gradient, with no derivative or contraction of Gamma taken.
 """
 
 from __future__ import annotations
@@ -44,9 +47,7 @@ def _lower(space: JetSpace, what: str) -> JetSpace:
 @dataclass
 class ConnectionAtPoint:
     """Christoffel symbols Gamma^k_ij (symmetric in ij) as a jet (1,2)
-    tensor, together with the metric they came from; ``flat`` when that
-    metric is constant, so Gamma and the curvature are zero and nabla is the
-    plain gradient."""
+    tensor, the metric they came from, and whether that metric is constant."""
 
     gamma: TensorValue
     metric: MetricAtPoint
@@ -120,8 +121,7 @@ def christoffel(metric_jets: TensorValue, points: np.ndarray) -> ConnectionAtPoi
 
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), jet-valued one
     order below the metric jets; g is inverted only to that order.  A
-    constant metric (derivative part all zero, as in :meth:`JetSpace.mul`)
-    gives Gamma = 0 with no derivative taken and a flat connection.
+    constant metric gives Gamma = 0 and a flat connection.
     """
     space = metric_jets.space
     lower = _lower(space, "christoffel")
@@ -143,8 +143,7 @@ def christoffel(metric_jets: TensorValue, points: np.ndarray) -> ConnectionAtPoi
 
 
 def curvature(conn: ConnectionAtPoint) -> CurvatureAtPoint:
-    """Riemann and Ricci of a connection, one order below it; zero for a
-    flat one."""
+    """Riemann and Ricci of a connection, one order below it; zero if it is flat."""
     space = conn.space
     lower = _lower(space, "curvature")
     n = conn.dim

@@ -115,8 +115,7 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
     iterations X <- X (2I - G X), each product one :meth:`JetSpace.matmul`;
     the error degree doubles each step, so ceil(log2(order+1)) steps reach
     exactness at the space's order.  A constant G (derivative part all zero,
-    as in :meth:`JetSpace.mul`; a flat ambient's metric) takes no step: its
-    seed is already its exact inverse.
+    as in :meth:`JetSpace.mul`) takes no step: the seed is its exact inverse.
     """
     G0 = G[..., 0]
     X0 = np.linalg.inv(G0)
