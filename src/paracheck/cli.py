@@ -38,13 +38,11 @@ def _resolve(name: str) -> ManifoldModel | HypersurfaceBundle:
     raise ManifestError(f"unknown model {name!r}: not a builtin ({known}) and no such file")
 
 
-def _run(name: str, suite: str, cfg: RunConfig, bundle_only: bool = False) -> CheckReport:
+def _run(name: str, suite: str, cfg: RunConfig) -> CheckReport:
     """Run ``suite`` on the builtin or manifest ``name``; an embedding, a
-    field, a metric or a structure that fails to evaluate or to validate is
-    an input error naming ``name``."""
+    field, a metric or a structure that fails to evaluate or to validate, or
+    a suite the target cannot run, is an input error naming ``name``."""
     target = _resolve(name)
-    if bundle_only and not isinstance(target, HypersurfaceBundle):
-        raise ManifestError(f"{name!r} is a chart model, not a hypersurface bundle")
     try:
         return run_suite(target, suite, cfg)
     except InducedStructureError as e:
@@ -130,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "hypersurface":
             cfg = RunConfig(points=args.points, seed=args.seed, tol_scale=args.tol_scale,
                             hypersurface_subset=args.suite)
-            return _emit(_run(args.bundle, "hypersurface", cfg, bundle_only=True), args.format, args.out)
+            return _emit(_run(args.bundle, "hypersurface", cfg), args.format, args.out)
         if args.command == "synthetic":
             eps = 1 if args.epsilon in ("+1", "1") else -1
             cfg = RunConfig(seed=args.seed, tol_scale=args.tol_scale, trials=args.trials,

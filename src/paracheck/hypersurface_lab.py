@@ -140,7 +140,6 @@ class HypersurfaceData:
     eps| over the samples) and ``tangent_frame`` ((P, n, n+1) values T_a^B =
     d_a F^B)."""
 
-    bundle: HypersurfaceBundle
     points: np.ndarray
     tangency_residual: float       # max |g~(JN, N)| over the samples
     ambient: AmbientJets           # g~ and J~ at F(points)
@@ -285,7 +284,7 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
         return dict(structure=structure, shape=ShapeData(A=A, N=N0, epsilon=eps, h=h), frame_residual=frame_res,
                     epsilon_residual=eps_res, tangent_frame=T0)
 
-    return HypersurfaceData(bundle, points, tangency, ambient, build_induced)
+    return HypersurfaceData(points, tangency, ambient, build_induced)
 
 
 # --------------------------------------------------------------------------
@@ -639,6 +638,8 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     """
     if n < 3:
         raise ValueError("synthetic check needs n >= 3")
+    if epsilon not in (1, -1):
+        raise ValueError(f"synthetic check needs epsilon +1 or -1, got {epsilon}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k_values = np.zeros(trials)
@@ -753,10 +754,3 @@ def builtin_bundles() -> dict[str, HypersurfaceBundle]:
         ),
     }
     return bundles
-
-
-def get_bundle(name: str) -> HypersurfaceBundle:
-    bundles = builtin_bundles()
-    if name not in bundles:
-        raise KeyError(f"unknown bundle {name!r}; builtin: {', '.join(sorted(bundles))}")
-    return bundles[name]

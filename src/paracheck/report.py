@@ -210,10 +210,6 @@ class StructureCheckResult:
     def residual(self, cid: str) -> float:
         return self.get(cid).residual
 
-    @property
-    def passed(self) -> bool:
-        return all(c.status != FAIL for c in self.checks)
-
 
 def _written(residual: float) -> float:
     """A residual as a report writes it: a non-finite one as 1e300."""

@@ -3,7 +3,7 @@ assemble a deterministic report.
 
 Suites: structure, sasakian, curvature, einstein, lie (chart models and
 bundles, run on the induced structure for bundles), hypersurface (bundles
-only), synthetic (standalone pointwise trials), all.
+only), all.  :func:`run_synthetic` runs the target-free synthetic trials.
 
 Each record is declared once, as a row of :data:`report.CHECKS`, and the
 check functions hand their gaps to the one recorder beside it,
@@ -35,7 +35,7 @@ from .report import (CHECKS, NOT_APPLICABLE, PS, PS_TRPHI, RANK_CUTOFF, SHAPE, V
                      StructureCheckResult, new_report, status_of)
 from .sampling import SEED_MAX, derive_rng, random_vectors, sample_points
 
-SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "synthetic", "all")
+SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "all")
 HYPERSURFACE_SUBSETS = ("induced", "gauss", "characterization", "all")
 VECTOR_TUPLES = 20     # random vector pairs per sample point
 
@@ -202,9 +202,6 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
     cfg = cfg or RunConfig()
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    if suite == "synthetic":
-        return run_synthetic(cfg)
-
     name = target.name
     is_bundle = isinstance(target, hl.HypersurfaceBundle)
     if suite == "hypersurface" and not is_bundle:

@@ -29,9 +29,9 @@ from paracheck.einstein_like import (
 )
 from paracheck.geometry_engine import lie_derivative
 from paracheck.hypersurface_lab import (
+    builtin_bundles,
     defining_equation_gap_per_point,
     evaluate_bundle,
-    get_bundle,
     shape_characterization_gap_per_point,
     synthetic_gauss_check,
 )
@@ -40,6 +40,8 @@ from paracheck.paracontact_core import check_axioms, check_para_sasakian
 from paracheck.report import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR
 from paracheck.sampling import derive_rng, random_vectors, sample_points
 from paracheck.suites import RunConfig, run_suite, run_synthetic
+
+from records import passed
 
 SEED = 42
 POINTS = 100
@@ -75,14 +77,14 @@ def e2_100():
 
 @pytest.fixture(scope="module")
 def e3a_100():
-    b = get_bundle("E3a")
+    b = builtin_bundles()["E3a"]
     pts = sample_points(b.embedding.domain, POINTS, derive_rng(SEED, "E3a", "acc-pts"))
     return evaluate_bundle(b, pts)
 
 
 @pytest.fixture(scope="module")
 def e3b_100():
-    b = get_bundle("E3b")
+    b = builtin_bundles()["E3b"]
     pts = sample_points(b.embedding.domain, POINTS, derive_rng(SEED, "E3b", "acc-pts"))
     pts = np.vstack([[1.0, 0.0, 0.0], pts])
     return evaluate_bundle(b, pts)
@@ -176,7 +178,7 @@ def test_criterion_05_scalar_ode(e1_100):
     ok = bool(np.max(np.abs(lhs - (-8.0))) < 1e-8)
     ok &= abs(rhs - (-8.0)) < 1e-8
     ok &= bool(np.max(np.abs(s.curvature.div_q)) < 1e-7)
-    ok &= verify_scalar_ode(fit, s).passed
+    ok &= passed(verify_scalar_ode(fit, s))
     assert _announce("5 (scalar-curvature ODE on E1)", ok)
 
 
@@ -194,7 +196,7 @@ def test_criterion_06_trace_formula(e1_100):
         checked += 1
         ok &= abs(1 * 2 * b / c - (-2.0)) < 1e-8
     ok &= checked >= 1
-    ok &= verify_trace_formula(fit, s).passed
+    ok &= passed(verify_trace_formula(fit, s))
     assert _announce("6 (trace formula on E1)", ok)
 
 
@@ -251,11 +253,11 @@ def test_criterion_09_hypersurface_suite(e3a_100, e3b_100):
 
     ok = True
     vec_a = random_vectors(derive_rng(SEED, "E3a", "acc-vec"), e3a_100.points.shape[0], 2 * TUPLES, 3)
-    ok &= check_axioms(e3a_100.structure, vec_a).passed
+    ok &= passed(check_axioms(e3a_100.structure, vec_a))
     ok &= float(np.max(np.abs(e3a_100.shape.A))) == 0.0
 
     vec_b = random_vectors(derive_rng(SEED, "E3b", "acc-vec"), e3b_100.points.shape[0], 2 * TUPLES, 3)
-    ok &= check_axioms(e3b_100.structure, vec_b).passed
+    ok &= passed(check_axioms(e3b_100.structure, vec_b))
     eig = np.sort(np.linalg.eigvals(e3b_100.shape.A[0]).real)
     ok &= bool(np.max(np.abs(eig - np.array([-1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)]))) < 1e-6)
     ind = verify_induced_derivatives(e3b_100, vec_b)
@@ -353,9 +355,9 @@ def test_criterion_11_negative_controls():
         "structure": run_suite(get_model("N1"), "structure", cfg).exit_code,
         "sasakian": run_suite(get_model("N1"), "sasakian", cfg).exit_code,
         "curvature": f0_report.exit_code,
-        "einstein": run_suite(get_bundle("E3b"), "einstein", cfg).exit_code,
+        "einstein": run_suite(builtin_bundles()["E3b"], "einstein", cfg).exit_code,
         "lie": run_suite(get_model("F0"), "lie", cfg).exit_code,
-        "hypersurface": run_suite(get_bundle("B1"), "hypersurface", cfg).exit_code,
+        "hypersurface": run_suite(builtin_bundles()["B1"], "hypersurface", cfg).exit_code,
         "synthetic": run_synthetic(RunConfig(seed=SEED, trials=3, epsilon=1, dim=3,
                                              perturb_a=5e-3)).exit_code,
     }
@@ -392,7 +394,7 @@ def test_runtime_budget():
     budget_ok = True
     timings = {}
     for name, suite in (("E1", "all"), ("E2", "all"), ("E3b", "all")):
-        target = get_model(name) if name.startswith("E1") or name.startswith("E2") else get_bundle(name)
+        target = get_model(name) if name.startswith("E1") or name.startswith("E2") else builtin_bundles()[name]
         t0 = time.time()
         run_suite(target, suite, RunConfig(points=POINTS, seed=SEED))
         timings[f"{name}:{suite}"] = time.time() - t0

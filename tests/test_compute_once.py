@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from paracheck import einstein_like, expr_jet, geometry_engine, hypersurface_lab, paracontact_core, tensor_algebra
 from paracheck.cli import main
 from paracheck.expr_jet import ExprSyntaxError, JetDomainError, JetSpace, eval_expr, parse_expr
-from paracheck.hypersurface_lab import get_bundle
+from paracheck.hypersurface_lab import builtin_bundles
 from paracheck.manifest import save_manifest
 from paracheck.models import _eval_grid, evaluate_structure, get_model
 from paracheck.sampling import derive_rng, sample_points
@@ -52,7 +52,7 @@ def _counts(monkeypatch):
 
 def test_bundle_all_builds_ambient_and_induced_connection_once(monkeypatch):
     conn, gate, _ = _counts(monkeypatch)
-    run_suite(get_bundle("E3a"), "all", RunConfig(points=10))
+    run_suite(builtin_bundles()["E3a"], "all", RunConfig(points=10))
     assert conn["n"] == 2
     assert gate["n"] == 1
 
@@ -84,7 +84,7 @@ def test_gauss_request_takes_one_covariant_derivative(monkeypatch):
     """The gauss subset reads nabla J~ and the curvature values of the
     ambient and induced metrics, neither curvature's div Q."""
     nabla = _count(monkeypatch, geometry_engine.covariant_derivative)
-    run_suite(get_bundle("E3a"), "hypersurface", RunConfig(points=10, hypersurface_subset="gauss"))
+    run_suite(builtin_bundles()["E3a"], "hypersurface", RunConfig(points=10, hypersurface_subset="gauss"))
     assert nabla["n"] == 1
 
 
@@ -96,14 +96,14 @@ def test_all_request_takes_each_covariant_derivative_once(monkeypatch, name, cou
     bundle E3a nabla J~: the Lie derivatives read nabla xi, nabla eta and
     nabla C11 from the structure and take no derivative themselves."""
     nabla = _count(monkeypatch, geometry_engine.covariant_derivative)
-    target = get_bundle(name) if name == "E3a" else get_model(name)
+    target = builtin_bundles()[name] if name == "E3a" else get_model(name)
     run_suite(target, "all", RunConfig(points=10))
     assert nabla["n"] == count
 
 
 def test_bundle_all_checks_the_axioms_once(monkeypatch):
     axioms = _count(monkeypatch, paracontact_core.check_axioms)
-    run_suite(get_bundle("E3a"), "all", RunConfig(points=10))
+    run_suite(builtin_bundles()["E3a"], "all", RunConfig(points=10))
     assert axioms["n"] == 1
 
 
@@ -111,7 +111,7 @@ def test_manifest_bundle_request_evaluates_the_bundle_once(monkeypatch, tmp_path
     """Loading a bundle manifest parses it; the request's own evaluation
     is the only one."""
     path = tmp_path / "e3b.json"
-    save_manifest(get_bundle("E3b"), path)
+    save_manifest(builtin_bundles()["E3b"], path)
     evals = _count(monkeypatch, hypersurface_lab.evaluate_bundle)
     rc = main(["hypersurface", str(path), "--suite", "induced", "--points", "10",
                "--format", "json", "--out", str(tmp_path / "report.json")])
@@ -221,7 +221,7 @@ def test_manifest_request_parses_each_distinct_source_once_per_grid(monkeypatch,
     """Loading parses or evaluates each distinct string of a grid once,
     and the request's evaluation once more: 8 + 8 for the E1 manifest."""
     path = tmp_path / f"{argv[1]}.json"
-    save_manifest(get_bundle(argv[1]) if argv[0] == "hypersurface" else get_model(argv[1]), path)
+    save_manifest(builtin_bundles()[argv[1]] if argv[0] == "hypersurface" else get_model(argv[1]), path)
     parses = _count(monkeypatch, expr_jet.parse_expr)
     rc = main([argv[0], str(path), *argv[2:], "--points", "10", "--format", "json",
                "--out", str(tmp_path / "report.json")])

@@ -18,13 +18,14 @@ from paracheck.einstein_like import (
     verify_scalar_ode,
     verify_trace_formula,
 )
-from paracheck.hypersurface_lab import evaluate_bundle, get_bundle
+from paracheck.hypersurface_lab import builtin_bundles, evaluate_bundle
 from paracheck.models import get_model
 from paracheck.report import StructureCheckResult
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.suites import RunConfig, run_suite
 
 from pointwise import random_pointwise_structure
+from records import passed
 
 MIN_NORM_E1 = np.array([-4.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0])
 FAMILY_DIR = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
@@ -92,7 +93,7 @@ class TestFit:
         """The cone's Ricci scales like 1/t^2, so no constant triple fits;
         brute force over the stacked system bounds the best residual away
         from zero."""
-        bundle = get_bundle("E3b")
+        bundle = builtin_bundles()["E3b"]
         pts = sample_points(bundle.embedding.domain, 12, derive_rng(6, "E3b", "elpts"))
         data = evaluate_bundle(bundle, pts)
         fit = _fit(data.structure)
@@ -127,9 +128,9 @@ class TestCoefficientConstraints:
         """eps a + c = -4/3 - 2/3 = -2 = 1 - n, and r = 3a + b tr(phi) + eps c
         = -6, for all family members."""
         fit = _fit(e1)
-        assert verify_coefficient_constraints(fit, e1).passed
+        assert passed(verify_coefficient_constraints(fit, e1))
         res = verify_scalar_ode(fit, e1)
-        assert res.passed
+        assert passed(res)
         assert res.residual("einstein.eps-a-plus-c") < 1e-9
         a, b, c = fit.min_norm
         assert a + c == pytest.approx(-2.0, abs=1e-9)
@@ -137,9 +138,9 @@ class TestCoefficientConstraints:
 
     def test_e2_constraint(self, e2):
         fit = _fit(e2)
-        assert verify_coefficient_constraints(fit, e2).passed
+        assert passed(verify_coefficient_constraints(fit, e2))
         res = verify_scalar_ode(fit, e2)
-        assert res.passed
+        assert passed(res)
         assert res.residual("einstein.eps-a-plus-c") < 1e-8
         a, b, c = fit.min_norm
         assert -a + c == pytest.approx(-2.0, abs=1e-9)
@@ -168,7 +169,7 @@ class TestScalarOde:
         assert lhs == pytest.approx(-8.0, abs=1e-8)
         assert rhs == pytest.approx(-8.0, abs=1e-12)
         res = verify_scalar_ode(fit, e1)
-        assert res.passed
+        assert passed(res)
         assert res.residual("einstein.scalar-ode") < 1e-8
 
     def test_e1_div_q_coefficient_vanishes(self, e1):
@@ -184,7 +185,7 @@ class TestScalarOde:
     def test_e2_ode(self, e2):
         fit = _fit(e2)
         res = verify_scalar_ode(fit, e2)
-        assert res.passed
+        assert passed(res)
 
     def test_gated_when_not_para_sasakian(self):
         report = run_suite(get_model("F0"), "einstein", RunConfig(points=20, seed=7))
@@ -203,7 +204,7 @@ class TestTraceFormula:
         fit = _fit(e1)
         assert e1.trace_phi()[0] == pytest.approx(-2.0, abs=1e-12)
         res = verify_trace_formula(fit, e1)
-        assert res.passed
+        assert passed(res)
         assert res.residual("einstein.trace-phi-formula") < 1e-8
 
     def test_degenerate_member_skipped(self, e1):
@@ -216,7 +217,7 @@ class TestTraceFormula:
         assert member[1] == pytest.approx(0.0, abs=1e-12)
         assert member[2] == pytest.approx(0.0, abs=1e-12)
         res = verify_trace_formula(fit, e1)
-        assert res.passed  # remaining members carry the check
+        assert passed(res)  # remaining members carry the check
 
     def test_vacuous_when_all_members_degenerate(self, f0):
         """On the flat formal model the fit family passes through c = 0 at
@@ -246,7 +247,7 @@ class TestTraceFormula:
 
         res = verify_trace_formula(fit, FakeStruct())
         # trace(phi) = 0 here while eps(n-1) b/c = -15, so the check fails
-        assert not res.passed
+        assert not passed(res)
 
 
 class TestC11:
@@ -308,7 +309,7 @@ class TestLieFormulas:
         everything passes."""
         fit = _fit(e1)
         res = _lie_records(fit, e1)
-        assert res.passed
+        assert passed(res)
         assert all(c.status == "pass" for c in res.checks)
         assert max(c.residual for c in res.checks) < 1e-8
 
@@ -364,4 +365,4 @@ class TestRepresentationIndependence:
             fit = _fit(s)
             assert verify_scalar_ode(fit, s).residual("einstein.eps-a-plus-c") < 1e-9
             assert verify_scalar_ode(fit, s).residual("einstein.scalar-ode") < 1e-8
-            assert verify_trace_formula(fit, s).passed
+            assert passed(verify_trace_formula(fit, s))

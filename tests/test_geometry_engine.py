@@ -17,7 +17,7 @@ from paracheck.geometry_engine import (
     curvature,
     lie_derivative,
 )
-from paracheck.hypersurface_lab import evaluate_bundle, get_bundle
+from paracheck.hypersurface_lab import builtin_bundles, evaluate_bundle
 from paracheck.models import ManifoldModel, _eval_grid, evaluate_structure, get_model
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.tensor_algebra import TensorValue
@@ -376,7 +376,7 @@ class TestJetOrders:
         assert covariant_derivative(e1.g.as_jet(e1.xi.space), e1.connection).space.order == 0
 
     def test_bundle_orders(self):
-        bundle = get_bundle("E3a")
+        bundle = builtin_bundles()["E3a"]
         pts = sample_points(bundle.embedding.domain, 4, derive_rng(2, "E3a", "orders"))
         data = evaluate_bundle(bundle, pts)
         s = data.structure

@@ -2,16 +2,17 @@
 a fixed set of CLI requests, compared against the files in ``tests/golden/``.
 
 The requests cover every builtin target (E1, E2, E1n5, E2n5, N1, F0, E3a,
-E3b, B1) under every ``check`` suite, the three hypersurface subsets and
-``all`` on E3a and E3b, the synthetic suite at eps = +-1, n in {3, 5}, and
-``check --suite all`` on the test manifests of ``tests/fixtures/``: W1 is
-E1 with the x2 metric factor (1 + x1^2)^2 / y^2, para-Sasakian but not
-Einstein-like, so the fit fails there and the rows behind it are measured
-where they can fail; W2 is its eps = -1 twin, E2 with the same factor.
-Statuses and exit codes must match exactly; residuals within 1e-12
-absolute.  Sizes are small so the whole comparison stays fast: 10 points
-for dim-3 targets, 6 for the dim-5 charts (enough for the fit-stability
-split), 50 synthetic trials.
+E3b, B1) under the seven ``check`` suites of CHECK_SUITES, the three
+hypersurface subsets and ``all`` on E3a and E3b, the ``synthetic`` command at
+eps = +-1, n in {3, 5}, and ``check --suite all`` on the test manifests of
+``tests/fixtures/``: W1 is E1 with the x2 metric factor (1 + x1^2)^2 / y^2,
+para-Sasakian but not Einstein-like, so the fit fails there and the rows
+behind it are measured where they can fail; W2 is its eps = -1 twin, E2 with
+the same factor.  Every request runs at seed 42 unless its argv names its own
+seed, as W1's second case does (seed 7).  Statuses and exit codes must match
+exactly; residuals within 1e-12 absolute.  Sizes are small so the whole
+comparison stays fast: 10 points for dim-3 targets, 6 for the dim-5 charts
+(enough for the fit-stability split), 50 synthetic trials.
 
 Regenerate the goldens only when the expected output really changes, and
 never from inside pytest, and only the targets whose output changed, so the
@@ -55,8 +56,7 @@ GOLDEN_DIR = HERE / "golden"
 RESIDUAL_ATOL = 1e-12
 SEED = 42
 
-CHECK_SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface",
-                "synthetic", "all")
+CHECK_SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "all")
 HYPERSURFACE_SUBSETS = ("induced", "gauss", "characterization", "all")
 POINTS = {"E1": 10, "E2": 10, "E1n5": 6, "E2n5": 6, "N1": 10, "F0": 10,
           "E3a": 10, "E3b": 10, "B1": 10}
@@ -82,13 +82,15 @@ def cases() -> dict[str, dict[str, list[str]]]:
     }
     for name, points in MANIFESTS.items():
         out[name] = {"check-all": ["check", f"tests/fixtures/{name}.json", "--suite", "all", "--points", str(points)]}
+    out["W1"]["check-all-seed7"] = [*out["W1"]["check-all"], "--seed", "7"]
     return out
 
 
 def runnable(argv) -> list[str]:
     """argv with a test manifest's path, stored relative to the repository
-    root, made absolute."""
-    return [str(ROOT / a) if a.startswith("tests/fixtures/") else a for a in argv]
+    root, made absolute, and with ``--seed SEED`` unless it names its own."""
+    out = [str(ROOT / a) if a.startswith("tests/fixtures/") else a for a in argv]
+    return out if "--seed" in out else [*out, "--seed", str(SEED)]
 
 
 @functools.cache
@@ -98,7 +100,7 @@ def run_report(argv: tuple[str, ...]) -> tuple[int, list[dict]]:
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        code = main([*runnable(argv), "--seed", str(SEED), "--format", "json", "--out", str(out)])
+        code = main([*runnable(argv), "--format", "json", "--out", str(out)])
         return code, json.loads(out.read_text())["checks"] if out.exists() else []
 
 
@@ -164,8 +166,7 @@ def test_to_json_is_the_asdict_serialization(monkeypatch, tmp_path):
 
     reports, emit = [], cli._emit
     monkeypatch.setattr(cli, "_emit", lambda report, fmt, out: reports.append(report) or emit(report, fmt, out))
-    codes = [cli.main([*runnable(argv), "--seed", str(SEED), "--format", "json",
-                       "--out", str(tmp_path / "report.json")])
+    codes = [cli.main([*runnable(argv), "--format", "json", "--out", str(tmp_path / "report.json")])
              for group in cases().values() for argv in group.values()]
     assert len(reports) == sum(code != 2 for code in codes) > 70
     for report in reports:

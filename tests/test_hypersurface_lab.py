@@ -20,8 +20,8 @@ from paracheck.hypersurface_lab import (
     check_gauss_equation,
     check_induced_frame,
     check_ps_characterization,
+    builtin_bundles,
     evaluate_bundle,
-    get_bundle,
     pull_back,
     quasi_umbilical_check,
     recover_shape_operator,
@@ -34,18 +34,19 @@ from paracheck.suites import RunConfig, run_suite
 from paracheck.tensor_algebra import TensorValue, min_norm_solve
 
 from pointwise import random_pointwise_structure
+from records import passed
 
 
 @pytest.fixture(scope="module")
 def e3a_data():
-    b = get_bundle("E3a")
+    b = builtin_bundles()["E3a"]
     pts = sample_points(b.embedding.domain, 20, derive_rng(7, "E3a", "pts"))
     return evaluate_bundle(b, pts)
 
 
 @pytest.fixture(scope="module")
 def e3b_data():
-    b = get_bundle("E3b")
+    b = builtin_bundles()["E3b"]
     pts = sample_points(b.embedding.domain, 20, derive_rng(7, "E3b", "pts"))
     pts = np.vstack([[1.0, 0.0, 0.0], pts])  # reference chart point over (1,0,1,0)
     return evaluate_bundle(b, pts)
@@ -134,7 +135,7 @@ class TestInducedStructure:
 
     def test_hyperplane_induced_axioms(self, e3a_data):
         res = check_axioms(e3a_data.structure, _vectors(e3a_data.points.shape[0], "E3a"))
-        assert res.passed
+        assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
     def test_cone_tangency_identity(self, e3b_data):
@@ -146,7 +147,7 @@ class TestInducedStructure:
 
     def test_cone_induced_axioms_and_radial_xi(self, e3b_data):
         res = check_axioms(e3b_data.structure, _vectors(e3b_data.points.shape[0], "E3b"))
-        assert res.passed
+        assert passed(res)
         # xi is the radial direction: in the (t, a, b) chart xi ~ dt/sqrt(2)
         xi0 = e3b_data.structure.xi0
         expected = np.zeros_like(xi0)
@@ -154,7 +155,7 @@ class TestInducedStructure:
         assert np.max(np.abs(np.abs(xi0) - expected)) < 1e-10
 
     def test_sphere_patch_jn_not_tangent(self):
-        b = get_bundle("B1")
+        b = builtin_bundles()["B1"]
         pts = sample_points(b.embedding.domain, 5, derive_rng(7, "B1", "pts"))
         assert evaluate_bundle(b, pts).tangency_residual > 1e-8
 
@@ -185,7 +186,7 @@ class TestInducedStructure:
         constant is the same hyperplane, and the hypersurface suite reports
         E3a's statuses on it.  Absolute thresholds would call it
         rank-deficient at 1e-5 and lightlike at 1e-3 and 1e-2."""
-        b = get_bundle("E3a")
+        b = builtin_bundles()["E3a"]
         scaled = dataclasses.replace(b, embedding=dataclasses.replace(
             b.embedding, map=[f"{factor}*({m})" for m in b.embedding.map]))
         cfg = RunConfig(points=10)
@@ -197,7 +198,7 @@ class TestInducedStructure:
         component: the cone's map times 1e-3 is the same cone in the flat
         ambient, with E3b's unit normal at every point.  The absolute floor
         flipped it at 8 of these 10 points."""
-        b = get_bundle("E3b")
+        b = builtin_bundles()["E3b"]
         scaled = dataclasses.replace(b, embedding=dataclasses.replace(
             b.embedding, map=[f"1e-3*({m})" for m in b.embedding.map]))
         pts = sample_points(b.embedding.domain, 10, derive_rng(1, "E3b", "points"))
@@ -207,7 +208,7 @@ class TestInducedStructure:
     def test_rank_drop_at_one_point_is_named(self):
         """The rank is tested per point: t^3 has a critical point at t = 0,
         which is named although the other point is regular."""
-        b = get_bundle("E3a")
+        b = builtin_bundles()["E3a"]
         emb = dataclasses.replace(b.embedding, map=[b.embedding.map[0], "t^3", *b.embedding.map[2:]])
         pts = np.array([[0.5, 1.0, 0.2], [0.25, 0.0, -0.5]])
         with pytest.raises(InducedStructureError, match=r"rank-deficient at point \(0\.25, 0\.0, -0\.5\)"):
@@ -238,7 +239,7 @@ class TestInducedStructure:
         whole hypersurface suite at every k: every record passes but the
         quasi-umbilical one, which is not applicable."""
         cfg = RunConfig(points=10)
-        want = {c.id: c.status for c in run_suite(get_bundle("E3a"), "hypersurface", cfg).checks}
+        want = {c.id: c.status for c in run_suite(builtin_bundles()["E3a"], "hypersurface", cfg).checks}
         assert {cid: status for cid, status in want.items() if status != "pass"} == {
             "hypersurface.quasi-umbilical": "not-applicable"}
         for k in (2, 3, 4):
@@ -269,7 +270,7 @@ class TestShapeOperator:
     def test_weingarten_matches_finite_differences(self):
         """Independent oracle: differentiate the explicit unit normal of the
         cone numerically and project; compare with the jet-built A."""
-        b = get_bundle("E3b")
+        b = builtin_bundles()["E3b"]
         pts = np.array([[1.0, 0.0, 0.0], [0.9, 0.7, 1.3], [1.4, 2.0, 0.5]])
         data = evaluate_bundle(b, pts)
 
@@ -304,7 +305,7 @@ class TestShapeOperator:
     def test_graph_amplitude_continuity(self):
         """A graph hypersurface u2 = amp * f(s, t, w): A -> 0 with the
         amplitude."""
-        amb = get_bundle("E3a").ambient
+        amb = builtin_bundles()["E3a"].ambient
         norms = []
         for amp in (0.2, 0.1, 0.05):
             emb = Embedding(coords=["s", "t", "w"],
@@ -321,12 +322,12 @@ class TestShapeOperator:
 class TestInducedDerivatives:
     def test_hyperplane_trivial(self, e3a_data):
         res = verify_induced_derivatives(e3a_data, _vectors(e3a_data.points.shape[0], "E3a-ind"))
-        assert res.passed
+        assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
     def test_cone_displays(self, e3b_data):
         res = verify_induced_derivatives(e3b_data, _vectors(e3b_data.points.shape[0], "E3b-ind"))
-        assert res.passed
+        assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-7
 
     def test_wrong_epsilon_sign_detected(self, e3b_data):
@@ -346,7 +347,7 @@ class TestInducedDerivatives:
 class TestAmbient:
     def test_flat_product_ambient(self, e3a_data):
         res = check_ambient(e3a_data.ambient)
-        assert res.passed
+        assert passed(res)
 
     def test_curved_product_ambient_has_parallel_j(self):
         """Block-diagonal J over a product metric (flat R^2 times a curved
@@ -363,7 +364,7 @@ class TestAmbient:
         pts = np.column_stack([rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6),
                                rng.uniform(-1, 1, 6), rng.uniform(0.5, 2.0, 6)])
         res = check_ambient(AmbientJets(amb, pts))
-        assert res.passed
+        assert passed(res)
         assert res.residual("hypersurface.ambient-j-parallel") < 1e-8
 
     def test_gauss_equation_consistency(self, e3a_data, e3b_data):
@@ -375,12 +376,12 @@ class TestCharacterization:
     def test_cone_iff_both_sides_false(self, e3b_data):
         vec = _vectors(e3b_data.points.shape[0], "E3b-char")
         res = check_ps_characterization(e3b_data, vec)
-        assert res.passed
+        assert passed(res)
         assert res.residual("hypersurface.characterization-iff") == 0.0
 
     def test_hyperplane_iff_both_sides_false(self, e3a_data):
         res = check_ps_characterization(e3a_data, _vectors(e3a_data.points.shape[0], "E3a-char"))
-        assert res.passed
+        assert passed(res)
 
     def test_planted_operator_satisfies_defining_equation_exactly(self, rng):
         """Substituting A = -eps I + eps eta(x)xi into the induced (nabla phi)
@@ -449,12 +450,12 @@ class TestQuasiUmbilical:
         h = eps * np.einsum('ma,mb->ab', A, g)
         shape = ShapeData(A=A[None], N=np.zeros((1, 5)), epsilon=eps, h=h[None])
         res = quasi_umbilical_check(shape, struct)
-        assert res.passed
+        assert passed(res)
         assert res.residual("hypersurface.quasi-umbilical") < 1e-12
 
     def test_hyperplane_not_applicable(self):
         cfg = RunConfig(points=10, seed=7, hypersurface_subset="characterization")
-        report = run_suite(get_bundle("E3a"), "hypersurface", cfg)
+        report = run_suite(builtin_bundles()["E3a"], "hypersurface", cfg)
         rec = next(c for c in report.checks if c.id == "hypersurface.quasi-umbilical")
         assert rec.status == "not-applicable"
         assert rec.detail.startswith("gate shape-characterized: ")
@@ -468,7 +469,7 @@ class TestQuasiUmbilical:
         h = np.einsum('ma,mb->ab', A, g)
         shape = ShapeData(A=A[None], N=np.zeros((1, 4)), epsilon=1, h=h[None])
         res = quasi_umbilical_check(shape, struct)
-        assert not res.passed
+        assert not passed(res)
 
 
 class TestSyntheticGauss:
@@ -586,7 +587,7 @@ class TestSyntheticGauss:
             for t in range(trials):
                 for want, got in zip(expected[t], accepted):
                     assert want.tobytes() == got[t].tobytes(), (n, t)
-            assert out.result.passed, [c.id for c in out.result.checks if c.status == "fail"]
+            assert passed(out.result), [c.id for c in out.result.checks if c.status == "fail"]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_seeded_generator_draws_as_derive_rng_does(self, n):

@@ -13,7 +13,7 @@ from paracheck import paracontact_core, suites
 from paracheck.cli import main
 from paracheck.expr_jet import JetSpace
 from paracheck.geometry_engine import InsufficientOrderError
-from paracheck.hypersurface_lab import get_bundle
+from paracheck.hypersurface_lab import builtin_bundles
 from paracheck.models import METRIC_ORDER, get_model
 from paracheck.suites import REQUESTS, RunConfig, run_suite
 
@@ -52,7 +52,7 @@ def test_declared_order_reports_match_the_deepest_order(tmp_path, monkeypatch, a
 
 
 def test_the_table_covers_every_request_kind():
-    kinds = {s for s in suites.SUITES if s not in ("hypersurface", "synthetic")}
+    kinds = {s for s in suites.SUITES if s != "hypersurface"}
     kinds |= {f"hypersurface {s}" for s in suites.HYPERSURFACE_SUBSETS}
     assert set(REQUESTS) == kinds
     assert max(order for order, _ in REQUESTS.values()) == METRIC_ORDER
@@ -71,7 +71,7 @@ def test_one_order_below_the_declared_order_cannot_evaluate(monkeypatch, kind):
     order, groups = REQUESTS[kind]
     monkeypatch.setitem(REQUESTS, kind, (order - 1, groups))
     if _floor(kind):
-        target, suite = get_bundle("E3b"), "hypersurface"
+        target, suite = builtin_bundles()["E3b"], "hypersurface"
         cfg = RunConfig(points=5, hypersurface_subset=kind.split()[1])
     else:
         target, suite, cfg = get_model("E1"), kind, RunConfig(points=5)

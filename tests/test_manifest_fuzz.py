@@ -25,11 +25,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paracheck.cli import main
-from paracheck.hypersurface_lab import get_bundle
+from paracheck.hypersurface_lab import builtin_bundles
 from paracheck.manifest import manifest_dict
 from paracheck.models import get_model
 
-BASES = {"E1": manifest_dict(get_model("E1")), "E3b": manifest_dict(get_bundle("E3b"))}
+BASES = {"E1": manifest_dict(get_model("E1")), "E3b": manifest_dict(builtin_bundles()["E3b"])}
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from paracheck.cli import main
-from paracheck.hypersurface_lab import HypersurfaceBundle, builtin_bundles, get_bundle
+from paracheck.hypersurface_lab import HypersurfaceBundle, builtin_bundles
 from paracheck.manifest import ManifestError, load_manifest, manifest_dict, parse_manifest, save_manifest
 from paracheck.models import (
     ManifoldModel,
@@ -37,8 +37,6 @@ class TestBuiltins:
     def test_get_model_unknown(self):
         with pytest.raises(KeyError):
             get_model("nope")
-        with pytest.raises(KeyError):
-            get_bundle("nope")
 
 
 class TestModelValidation:
@@ -106,7 +104,7 @@ class TestManifestRoundTrip:
 
     def test_bundle_round_trip(self, tmp_path):
         for name in ("E3a", "E3b"):
-            bundle = get_bundle(name)
+            bundle = builtin_bundles()[name]
             path = tmp_path / f"{name}.json"
             save_manifest(bundle, path)
             loaded = load_manifest(path)
@@ -118,14 +116,14 @@ class TestManifestRoundTrip:
         constant still loads, its key ignored like any unknown key, and its
         request reports what the builtin bundle does."""
         path = tmp_path / "E3a.json"
-        save_manifest(get_bundle("E3a"), path)
+        save_manifest(builtin_bundles()["E3a"], path)
         doc = json.loads(path.read_text())
         doc["ambient"]["curvature_constant"] = "junk"
         path.write_text(json.dumps(doc))
         loaded = load_manifest(path)
-        assert loaded == get_bundle("E3a")
+        assert loaded == builtin_bundles()["E3a"]
         cfg = RunConfig(points=5, seed=3)
-        got, want = run_suite(loaded, "all", cfg), run_suite(get_bundle("E3a"), "all", cfg)
+        got, want = run_suite(loaded, "all", cfg), run_suite(builtin_bundles()["E3a"], "all", cfg)
         assert [(c.id, c.status, c.residual) for c in got.checks] == [
             (c.id, c.status, c.residual) for c in want.checks]
 
@@ -242,7 +240,7 @@ class TestManifestErrors:
             })
 
     def test_bundle_map_arity(self):
-        doc = manifest_dict(get_bundle("E3a"))
+        doc = manifest_dict(builtin_bundles()["E3a"])
         doc["embedding"]["map"] = doc["embedding"]["map"][:3]
         with pytest.raises(ManifestError, match="embedding.map: must have 4 entries, got 3"):
             parse_manifest(doc)
@@ -286,7 +284,7 @@ class TestManifestErrors:
         and no warning.  An index of
         true on the Lorentzian E2 would otherwise read as its index 1 and
         pass, and a domain bound of true as 1.0."""
-        doc = manifest_dict(get_bundle(target) if target == "E3a" else builtin_models()[target])
+        doc = manifest_dict(builtin_bundles()[target] if target == "E3a" else builtin_models()[target])
         parent = doc
         for key in path[:-1]:
             parent = parent[key]

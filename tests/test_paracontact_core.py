@@ -18,7 +18,9 @@ from paracheck.paracontact_core import (
 )
 from paracheck.report import CHECKS, StructureCheckResult, residual_norm
 from paracheck.sampling import derive_rng, random_vectors, sample_points
-from paracheck.hypersurface_lab import defining_equation_gap_per_point, evaluate_bundle, get_bundle
+from paracheck.hypersurface_lab import builtin_bundles, defining_equation_gap_per_point, evaluate_bundle
+
+from records import passed
 
 
 _P, _V, _N = 4, 6, 5
@@ -50,19 +52,19 @@ def test_value_helpers_match_their_einsum(name):
 class TestCheckAxioms:
     def test_e1_all_axioms_tight(self, e1, vectors):
         res = check_axioms(e1, vectors(e1))
-        assert res.passed
+        assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
     def test_e2_all_axioms_tight(self, e2, vectors):
         res = check_axioms(e2, vectors(e2))
-        assert res.passed
+        assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
     def test_n1_fails_with_expected_magnitude(self, n1, vectors):
         """phi scaled by 1.01 leaves a phi^2 gap of about (1.01)^2 - 1 ~ 0.02
         before normalization."""
         res = check_axioms(n1, vectors(n1))
-        assert not res.passed
+        assert not passed(res)
         assert "structure.phi-squared" in [c.id for c in res.checks if c.status == "fail"]
         assert 5e-3 < res.residual("structure.phi-squared") < 5e-2
 
@@ -78,23 +80,23 @@ class TestCheckParaSasakian:
     def test_e1_e2_defining_equations(self, e1, e2, vectors):
         for s in (e1, e2):
             res = check_para_sasakian(s, vectors(s))
-            assert res.passed
+            assert passed(res)
             assert max(c.residual for c in res.checks) < 1e-8
 
     def test_f0_fails(self, f0, vectors):
         res = check_para_sasakian(f0, vectors(f0))
-        assert not res.passed
+        assert not passed(res)
         assert "sasakian.grad-xi" in [c.id for c in res.checks if c.status == "fail"]
 
     def test_n1_fails(self, n1, vectors):
         res = check_para_sasakian(n1, vectors(n1))
-        assert not res.passed
+        assert not passed(res)
 
     def test_cone_induced_structure_is_not_para_sasakian(self):
         """The cone's shape operator has eigenvalues {0, +-1/(t sqrt 2)}, so
         the defining-equation residual is bounded well away from zero at
         every sample point."""
-        bundle = get_bundle("E3b")
+        bundle = builtin_bundles()["E3b"]
         pts = sample_points(bundle.embedding.domain, 40, derive_rng(4, "E3b", "core"))
         data = evaluate_bundle(bundle, pts)
         vec = random_vectors(derive_rng(4, "E3b", "corev"), 40, 40, 3)
@@ -106,7 +108,7 @@ class TestCurvatureIdentities:
     def test_e1_e2_all_four(self, e1, e2, vectors):
         for s in (e1, e2):
             res = check_ps_curvature_identities(s, vectors(s))
-            assert res.passed
+            assert passed(res)
             assert max(c.residual for c in res.checks) < 1e-7
 
     def test_flat_formal_fails_r_identity(self, f0, vectors):
@@ -155,9 +157,9 @@ class TestNegativeControlDiscipline:
     def test_every_check_operation_fails_on_some_negative_model(self, n1, f0, vectors):
         """A check that cannot fail is a defect: each of the three operations
         must reject at least one planted-defect fixture."""
-        assert not check_axioms(n1, vectors(n1)).passed
-        assert not check_para_sasakian(f0, vectors(f0)).passed
-        assert not check_ps_curvature_identities(f0, vectors(f0)).passed
+        assert not passed(check_axioms(n1, vectors(n1)))
+        assert not passed(check_para_sasakian(f0, vectors(f0)))
+        assert not passed(check_ps_curvature_identities(f0, vectors(f0)))
 
     def test_curvature_check_records_the_four_identities(self, e1, vectors):
         ids = [c.id for c in check_ps_curvature_identities(e1, vectors(e1)).checks]
@@ -189,7 +191,7 @@ class TestOneResidualRule:
         assert np.isnan(residual_norm(gap, x))
 
     def test_defining_equation_per_point_max_is_its_record(self, e1, n1, f0, vectors):
-        b = get_bundle("E3b")
+        b = builtin_bundles()["E3b"]
         e3b = evaluate_bundle(b, sample_points(b.embedding.domain, 12, derive_rng(42, "E3b", "points"))).structure
         for s in (e1, n1, f0, e3b):
             v = vectors(s)

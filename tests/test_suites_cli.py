@@ -16,7 +16,7 @@ from paracheck.cli import build_parser, main
 from paracheck.einstein_like import EinsteinLikeFit
 from paracheck.manifest import save_manifest
 from paracheck.models import METRIC_ORDER, evaluate_structure, get_model
-from paracheck.hypersurface_lab import get_bundle, synthetic_gauss_check
+from paracheck.hypersurface_lab import builtin_bundles, synthetic_gauss_check
 from paracheck.report import CHECKS, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, new_report, status_of
 from paracheck.paracontact_core import ParacontactStructure
 from paracheck.sampling import derive_rng, sample_points
@@ -51,8 +51,22 @@ class TestRunSuite:
         assert report.exit_code == EXIT_CHECK_FAILED
 
     def test_unknown_suite(self):
-        with pytest.raises(ValueError, match="unknown suite"):
-            run_suite(get_model("E1"), "everything", CFG)
+        """Synthetic is no suite of a target: ``run_synthetic`` is its one entry."""
+        for suite in ("everything", "synthetic"):
+            with pytest.raises(ValueError, match="unknown suite"):
+                run_suite(get_model("E1"), suite, CFG)
+
+    @pytest.mark.parametrize("eps", [0, 2])
+    def test_synthetic_epsilon_outside_pm1_is_refused(self, eps, monkeypatch):
+        """The canonical metric's xi-xi entry is eps, so eps = 0 would redraw
+        every trial forever: eps outside {+1, -1} is refused before any trial
+        is seeded."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("derive_states was reached")
+
+        monkeypatch.setattr(hypersurface_lab, "derive_states", unreachable)
+        with pytest.raises(ValueError, match=f"epsilon \\+1 or -1, got {eps}"):
+            run_synthetic(RunConfig(epsilon=eps, trials=2))
 
     def test_hypersurface_needs_bundle(self):
         with pytest.raises(ValueError, match="bundle"):
@@ -65,9 +79,9 @@ class TestRunSuite:
             "structure": run_suite(get_model("N1"), "structure", CFG),
             "sasakian": run_suite(get_model("N1"), "sasakian", CFG),
             "curvature": run_suite(get_model("F0"), "curvature", CFG),
-            "einstein": run_suite(get_bundle("E3b"), "einstein", CFG),
+            "einstein": run_suite(builtin_bundles()["E3b"], "einstein", CFG),
             "lie": run_suite(get_model("F0"), "lie", CFG),
-            "hypersurface": run_suite(get_bundle("B1"), "hypersurface", CFG),
+            "hypersurface": run_suite(builtin_bundles()["B1"], "hypersurface", CFG),
             "synthetic": run_synthetic(RunConfig(seed=7, trials=3, epsilon=1, dim=3,
                                                  perturb_a=5e-3)),
         }
@@ -80,7 +94,7 @@ class TestRunSuite:
         assert "curvature.r-xy-xi" in failed
 
     def test_bundle_all_runs_every_family(self):
-        report = run_suite(get_bundle("E3a"), "all", RunConfig(points=15, seed=7))
+        report = run_suite(builtin_bundles()["E3a"], "all", RunConfig(points=15, seed=7))
         prefixes = {c.id.split(".")[0] for c in report.checks}
         assert prefixes == {"structure", "sasakian", "curvature", "einstein", "lie", "hypersurface"}
 
@@ -91,13 +105,13 @@ class TestRunSuite:
             ("characterization", {"hypersurface.characterization-iff", "hypersurface.quasi-umbilical"}),
         ]:
             cfg = RunConfig(points=10, seed=7, hypersurface_subset=subset)
-            report = run_suite(get_bundle("E3b"), "hypersurface", cfg)
+            report = run_suite(builtin_bundles()["E3b"], "hypersurface", cfg)
             ids = {c.id for c in report.checks}
             assert expected_ids <= ids, subset
 
     def test_every_record_has_an_anchor(self):
         for report in (run_suite(get_model("E1"), "all", CFG),
-                       run_suite(get_bundle("E3b"), "all", RunConfig(points=10, seed=7)),
+                       run_suite(builtin_bundles()["E3b"], "all", RunConfig(points=10, seed=7)),
                        run_synthetic(RunConfig(seed=7, trials=2, epsilon=-1, dim=3))):
             for c in report.checks:
                 assert c.anchor, c.id
@@ -141,7 +155,7 @@ def _context(target: str) -> suites._ModelContext:
     deepest metric order."""
     cfg = RunConfig(points=10, seed=7)
     if target.startswith("E3"):
-        bundle = get_bundle(target)
+        bundle = builtin_bundles()[target]
         pts = sample_points(bundle.embedding.domain, cfg.points, derive_rng(cfg.seed, target, "points"))
         data = hypersurface_lab.evaluate_bundle(bundle, pts, METRIC_ORDER)
         return suites._ModelContext(data.structure, target, cfg, data)
@@ -157,7 +171,7 @@ class TestRequestTable:
     MODEL_KINDS = ("structure", "sasakian", "curvature", "einstein", "lie")
 
     def test_kinds_are_the_request_kinds(self):
-        assert set(suites.SUITES) == {*self.MODEL_KINDS, "all", "hypersurface", "synthetic"}
+        assert set(suites.SUITES) == {*self.MODEL_KINDS, "all", "hypersurface"}
         assert set(suites.REQUESTS) == {*self.MODEL_KINDS, "all", *(
             f"hypersurface {s}" for s in suites.HYPERSURFACE_SUBSETS)}
         table = suites.REQUESTS
@@ -442,7 +456,7 @@ class TestCli:
         """A manifest field of the wrong JSON type is a one-line input error
         naming the file."""
         path = tmp_path / "typed.json"
-        save_manifest(get_bundle(target) if target == "E3a" else get_model(target), path)
+        save_manifest(builtin_bundles()[target] if target == "E3a" else get_model(target), path)
         doc = json.loads(path.read_text())
         parent = doc
         for key in field[:-1]:
@@ -465,8 +479,10 @@ class TestCli:
         (("synthetic", "--perturb-a", "nan"), "--perturb-a must be finite"),
         (("synthetic", "--perturb-a", "inf"), "--perturb-a must be finite"),
         (("check", "E1", "--suite", "hypersurface"), "error: E1: suite 'hypersurface' needs a bundle target, not a"),
+        (("hypersurface", "E1"), "error: E1: suite 'hypersurface' needs a bundle target, not a"),
     ], ids=["points-0", "points-negative", "tol-scale-nan", "tol-scale-negative", "tol-scale-0",
-            "tol-scale-inf", "perturb-a-nan", "perturb-a-inf", "hypersurface-on-chart"])
+            "tol-scale-inf", "perturb-a-nan", "perturb-a-inf", "hypersurface-on-chart",
+            "hypersurface-command-on-chart"])
     def test_bad_run_option_is_input_error(self, argv, message):
         """A run option out of its range, or a suite the target cannot run,
         is a one-line input error: exit 2, no traceback."""
@@ -475,6 +491,14 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_synthetic_is_no_check_suite(self):
+        """``check --suite synthetic`` is argparse's invalid choice: exit 2,
+        a usage line, and the valid suites."""
+        proc = _cli("check", "E1", "--suite", "synthetic")
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert "invalid choice: 'synthetic'" in proc.stderr and "'hypersurface', 'all'" in proc.stderr
 
     def test_synthetic_dim_above_its_bound_is_input_error(self, monkeypatch, capsys):
         """--dim above SYNTHETIC_MAX_DIM is refused when the options are read,
@@ -552,7 +576,7 @@ class TestCli:
         expression nested past the parser's depth bound, are one-line input
         errors naming the manifest and the field: exit 2, no traceback."""
         path = tmp_path / "bad.json"
-        save_manifest(get_bundle(target) if target == "E3a" else get_model(target), path)
+        save_manifest(builtin_bundles()[target] if target == "E3a" else get_model(target), path)
         doc = json.loads(path.read_text())
         parent = doc
         for key in field[:-1]:
@@ -570,7 +594,7 @@ class TestCli:
         """An embedding whose differential drops rank is found by the
         request's evaluation of the bundle: exit 2, no traceback."""
         path = tmp_path / "flat.json"
-        save_manifest(get_bundle("E3a"), path)
+        save_manifest(builtin_bundles()["E3a"], path)
         doc = json.loads(path.read_text())
         doc["embedding"]["map"][1] = "0"  # F no longer depends on t
         path.write_text(json.dumps(doc))
@@ -585,7 +609,7 @@ class TestCli:
         with the manifest's path and the first bad point: exit 2, no
         traceback."""
         path = tmp_path / "singular.json"
-        save_manifest(get_bundle("E3a"), path)
+        save_manifest(builtin_bundles()["E3a"], path)
         doc = json.loads(path.read_text())
         doc["ambient"]["metric"][-1] = "0"  # last diagonal entry of g~
         path.write_text(json.dumps(doc))

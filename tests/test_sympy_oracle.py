@@ -26,7 +26,8 @@ It is also the exact oracle for the W1 test manifest (tests/fixtures/W1.json,
 E1 with the x2 metric factor (1 + x1^2)^2 / y^2): its para-Sasakian defining
 equation holds identically, and its Ricci tensor is no constant combination
 of g, Phi and eta(x)eta, so the Einstein-like fit fails there because W1 is
-not Einstein-like.
+not Einstein-like.  The same exact Gamma, Ricci and nabla phi of W1 and of
+E1 check the chart pipeline's values at dyadic points.
 """
 
 import itertools
@@ -35,6 +36,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from paracheck.manifest import load_manifest
+from paracheck.models import evaluate_structure, get_model
 
 sp = pytest.importorskip("sympy")
 
@@ -192,6 +196,14 @@ def _ricci_of(G, coords):
     return sp.Matrix(n, n, lambda j, k: sp.cancel(sum(R(i, i, j, k) for i in range(n))))
 
 
+def _nabla_phi(G, phi, coords):
+    """N[k][i][j] = (nabla_i phi)^k_j = d_i phi^k_j + G^k_il phi^l_j - G^l_ij phi^k_l."""
+    n = len(coords)
+    return [[[sp.diff(phi[k, j], coords[i]) + sum(G[k][i][l] * phi[l, j] - G[l][i][j] * phi[k, l]
+                                                  for l in range(n))
+              for j in range(n)] for i in range(n)] for k in range(n)]
+
+
 def _fit_equations(S, g, Phi, ee, coords):
     """The conditions on constants (a, b, c) for S = a g + b Phi + c eta(x)eta
     at every point: each monomial coefficient of each component's numerator."""
@@ -214,16 +226,40 @@ def test_w1_is_para_sasakian_and_not_einstein_like(factor, einstein_like):
     coords, g, phi, xi, eta, eps = _chart(factor)
     n = len(coords)
     G = _levi_civita(g, coords)
-    # (nabla_i phi)^k_j = d_i phi^k_j + G^k_il phi^l_j - G^l_ij phi^k_l
+    nabla_phi = _nabla_phi(G, phi, coords)
     gpp = phi.T * g * phi                                   # g(phi e_i, phi e_j)
     phi2 = phi * phi
     for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = (sp.diff(phi[k, j], coords[i]) + sum(G[k][i][l] * phi[l, j] - G[l][i][j] * phi[k, l]
-                                                   for l in range(n)))
         rhs = -gpp[i, j] * xi[k] - eps * eta[j] * phi2[k, i]
-        assert sp.cancel(lhs - rhs) == 0, (i, j, k)
+        assert sp.cancel(nabla_phi[k][i][j] - rhs) == 0, (i, j, k)
 
     S = _ricci_of(G, coords)
     equations, unknowns = _fit_equations(S, g, phi.T * g, eta.T * eta, coords)
     solutions = sp.linsolve(equations, unknowns)
     assert (solutions != sp.EmptySet) == einstein_like
+
+
+DYADIC_POINTS = [(sp.Rational(1, 2), sp.Rational(-3, 4), sp.Rational(5, 4)),
+                 (sp.Rational(-3, 2), sp.Rational(1, 4), sp.Integer(2))]
+
+
+@pytest.mark.parametrize("target", ["W1", "E1"])
+def test_chart_pipeline_matches_the_exact_geometry(target):
+    """The jet pipeline's Gamma^k_ij, S_jk and (nabla_i phi)^k_j of W1 and of
+    its Einstein-like control E1 (W1's chart with the x2 factor 1/y^2) equal
+    the exact ones at dyadic points, to 1e-12 relative to the largest exact
+    entry.  W1's x2 factor varies with x1, so an index slip that commutes
+    with a conformally flat metric shows here."""
+    coords, g, phi, *_ = _chart(None if target == "W1" else "1/(y^2)")
+    G = _levi_civita(g, coords)
+    exact = {"gamma": G, "ricci": _ricci_of(G, coords).tolist(), "nabla_phi": _nabla_phi(G, phi, coords)}
+    struct = evaluate_structure(load_manifest(W1) if target == "W1" else get_model("E1"),
+                                np.array(DYADIC_POINTS, dtype=float), 2)
+    got = {"gamma": struct.connection.gamma.components[..., 0],
+           "ricci": struct.curvature.ricci.components[..., 0], "nabla_phi": struct.nabla_phi}
+    for p, point in enumerate(DYADIC_POINTS):
+        at = dict(zip(coords, point))
+        for name, tensor in exact.items():
+            want = np.vectorize(lambda e: float(e.subs(at)), otypes=[float])(np.array(tensor, dtype=object))
+            gap = np.max(np.abs(got[name][p] - want))
+            assert gap <= 1e-12 * np.max(np.abs(want)), (target, name, point, gap)
