@@ -43,9 +43,10 @@ SYNTHETIC_DET_FLOOR = 1e-4     # a synthetic trial's g with |det g| at most this
 SYNTHETIC_MAX_DIM = 40         # synthetic memory grows as n^4: a request peaks near 107 MB RSS at n = 40
 SYNTHETIC_MAX_TRIALS = 10 ** 6  # each trial keeps its k and k residual: 16 MB at the bound
 PS_POINT_THRESHOLD = 1e-7      # the characterization calls a point para-Sasakian when its rho is at most this
-# synthetic trials are drawn in blocks of max(1, _BLOCK_ELEMENTS // n**3), each evaluated in the fewest
-# near-equal blocks of at most max(1, _BLOCK_ELEMENTS // (n**3 (n-1)/2)), so the chain's largest arrays,
-# the (trials, n(n-1)/2, n, n) x < y halves of curvature-shaped tensors, stay near 128 KB
+# synthetic trials are drawn into block arrays of max(1, _BLOCK_ELEMENTS // n**3) rows, about 3 n^2 floats
+# a row, and each draw block is evaluated in the fewest near-equal blocks of at most
+# max(1, _BLOCK_ELEMENTS // (n**3 (n-1)/2)) trials, so the chain's largest arrays, the
+# (trials, n(n-1)/2, n, n) x < y halves of curvature-shaped tensors, stay near 128 KB
 _BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -458,43 +459,57 @@ def _rand_orth(Z: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _draw_trial(rng: np.random.Generator, n: int, plus_dim: int | None = None) -> tuple:
-    """One trial's raw draws, in stream order: the +1 eigenspace dimension p
-    (unless given), then normal, uniform and integers for each nonempty block
-    of ker eta (dimensions p and n-1-p), then normal, uniform, normal for the
-    frame change L.  The integers are the signs, still raw."""
-    p = min(int(rng.integers(0, n)) if plus_dim is None else plus_dim, n - 1)
-    blocks = [(rng.standard_normal((k, k)), rng.uniform(0.5, 2.0, k), rng.integers(0, 2, k))
-              for k in (p, n - 1 - p) if k]
-    return p, blocks, (rng.standard_normal((n, n)), rng.uniform(0.75, 1.35, n), rng.standard_normal((n, n)))
+def _draw_block(rng: np.random.Generator, rows: np.ndarray, n: int, times: int = 1) -> tuple:
+    """The raw draws of one trial per derive_states row, each stream set by _seed and drawn
+    `times` times, keeping the last draw.  Stream order: the +1 eigenspace dimension p, then
+    normal, uniform and integers for each nonempty block of ker eta (dimensions p and n-1-p),
+    then normal, uniform, normal for the frame change L.  Row i of the block arrays holds trial
+    i: p (T,), the block normals one after the other in Z (T, (n-1)^2), the raw uniforms of
+    the weights and then of L in u (T, 2n-1), the sign bits in s (T, n-1) and L's two normals
+    in F (T, 2, n, n)."""
+    T = len(rows)
+    p, s = np.zeros(T, dtype=np.int64), np.zeros((T, n - 1), dtype=np.int64)
+    Z, u, F = np.empty((T, (n - 1) ** 2)), np.empty((T, 2 * n - 1)), np.empty((T, 2, n, n))
+    for i, row in enumerate(rows):
+        _seed(rng.bit_generator, row)
+        for _ in range(times):
+            p[i] = q = int(rng.integers(0, n))
+            for k, at, lo in ((q, 0, 0), (n - 1 - q, q * q, q)):
+                if k:
+                    rng.standard_normal(out=Z[i, at:at + k * k])
+                    rng.random(out=u[i, lo:lo + k])
+                    s[i, lo:lo + k] = rng.integers(0, 2, k)
+            rng.standard_normal(out=F[i, 0])
+            rng.random(out=u[i, n - 1:])
+            rng.standard_normal(out=F[i, 1])
+    return p, Z, u, s, F
 
 
-def _assemble_structures(draws: list[tuple], n: int,
-                         epsilon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One (g, phi, xi, eta) per _draw_trial draw, stacked on a leading trial
-    axis and satisfying the structure axioms: built in the canonical frame (phi
-    diagonal +-1 on ker eta, g block diagonal Q diag(w) Q^T with random
-    signature) and conjugated by L.  The QRs, products and inverses run on the
-    whole stack, the blocks grouped by p, so a trial's structure does not
-    depend on the other trials drawn with it."""
-    ps = np.array([d[0] for d in draws])
-    T = len(ps)
-    # each trial's blocks hold n - 1 weights between them, so one where signs all of them
-    raw = [b for d in draws for b in d[1]]
-    w = np.concatenate([b[1] for b in raw]) * np.where(np.concatenate([b[2] for b in raw]) == 1, 1.0, -1.0)
-    w = w.reshape(T, n - 1)
+def _assemble_block(raw: tuple, n: int, epsilon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One (g, phi, xi, eta) per _draw_block row, satisfying the structure axioms: built in the
+    canonical frame (phi diagonal +-1 on ker eta, g block diagonal Q diag(w) Q^T with random
+    signature) and conjugated by L.  The uniforms are scaled as rng.uniform(lo, hi) scales
+    them, lo + (hi - lo) r, bit for bit.  One QR serves every block of size k, first or second,
+    and one both factors of L; each matrix's QR and products read that matrix alone, so a
+    trial's structure does not depend on the other trials drawn with it."""
+    p, Z, u, s, F = raw
+    T = len(p)
+    w = (0.5 + (2.0 - 0.5) * u[:, :n - 1]) * np.where(s == 1, 1.0, -1.0)
+    diag = np.arange(n)
+    phi0 = np.zeros((T, n, n))
+    phi0[:, diag, diag] = np.where(diag < p[:, None], 1.0, np.where(diag < n - 1, -1.0, 0.0))
     g0 = np.zeros((T, n, n))
     g0[:, -1, -1] = epsilon
-    phi0 = np.zeros((T, n, n))
-    for p in sorted(set(ps.tolist())):
-        idx = np.flatnonzero(ps == p)
-        phi0[idx] = np.diag([1.0] * p + [-1.0] * (n - 1 - p) + [0.0])
-        for j, (lo, hi) in enumerate(b for b in ((0, p), (p, n - 1)) if b[1] > b[0]):
-            Q = _rand_orth(np.stack([draws[t][1][j][0] for t in idx]))
-            g0[idx, lo:hi, lo:hi] = (Q * w[idx, lo:hi][:, None, :]) @ np.swapaxes(Q, 1, 2)
+    for k in range(1, n):
+        # first blocks of size k start at 0, second ones at lo = n-1-k in g0 and w, at lo^2 in Z
+        first, second, lo = np.flatnonzero(p == k), np.flatnonzero(p == n - 1 - k), n - 1 - k
+        if first.size + second.size:
+            Q = _rand_orth(np.concatenate([Z[first, :k * k], Z[second, lo * lo:lo * lo + k * k]]).reshape(-1, k, k))
+            G = (Q * np.concatenate([w[first, :k], w[second, lo:]])[:, None, :]) @ np.swapaxes(Q, 1, 2)
+            g0[first, :k, :k], g0[second, lo:-1, lo:-1] = G[:first.size], G[first.size:]
     # generic but well-conditioned change of frame L = Q1 diag(d) Q2
-    Z1, d, Z2 = (np.stack(f) for f in zip(*(trial[2] for trial in draws)))
-    L = (_rand_orth(Z1) * d[:, None, :]) @ _rand_orth(Z2)
+    Q = _rand_orth(F.reshape(-1, n, n)).reshape(T, 2, n, n)
+    L = (Q[:, 0] * (0.75 + (1.35 - 0.75) * u[:, None, n - 1:])) @ Q[:, 1]
     Linv = np.linalg.inv(L)
     # xi = L e_n and eta = e_n^T L^-1, since xi and eta are e_n in the canonical frame
     return np.swapaxes(Linv, 1, 2) @ g0 @ Linv, L @ phi0 @ Linv, L[:, :, -1].copy(), Linv[:, -1, :].copy()
@@ -633,8 +648,10 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     eps + 1, n, t), redrawing while |det g| <= SYNTHETIC_DET_FLOOR; the
     trials are drawn and evaluated in blocks, so no record depends on a block size.
     A block's streams are seeded in one derive_states pass and drawn through one
-    reused generator; a trial rejected k times is reseeded from its row and drawn
-    k + 1 times, keeping the last draw, as its own generator would give it.
+    reused generator straight into the block arrays (_draw_block), from which
+    _assemble_block builds every structure of the block at once; a trial
+    rejected k times is reseeded from its row and drawn k + 1 times, keeping
+    the last draw, as its own generator would give it.
     """
     if n < 3:
         raise ValueError("synthetic check needs n >= 3")
@@ -647,23 +664,17 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     resampled = 0
     worst: dict[str, float] = {}
     draw_block, chain_block = (max(1, _BLOCK_ELEMENTS // size) for size in (n ** 3, n ** 3 * (n - 1) // 2))
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-
-    def draw(row: np.ndarray, times: int = 1) -> tuple:
-        _seed(bitgen, row)
-        return [_draw_trial(rng, n) for _ in range(times)][-1]
-
+    rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, trials, draw_block):
         stop = min(start + draw_block, trials)
         rows = derive_states(seed, "synthetic-gauss", epsilon + 1, n, counters=range(start, stop))
-        drawn = _assemble_structures([draw(row) for row in rows], n, epsilon)
+        drawn = _assemble_block(_draw_block(rng, rows, n), n, epsilon)
         redraw = np.flatnonzero(np.abs(np.linalg.det(drawn[0])) <= SYNTHETIC_DET_FLOOR)
         times = 1
         while redraw.size:
             resampled += redraw.size
             times += 1
-            again = _assemble_structures([draw(rows[i], times) for i in redraw], n, epsilon)
+            again = _assemble_block(_draw_block(rng, rows[redraw], n, times), n, epsilon)
             for arr, new in zip(drawn, again):
                 arr[redraw] = new
             redraw = redraw[np.abs(np.linalg.det(again[0])) <= SYNTHETIC_DET_FLOOR]

@@ -672,3 +672,21 @@ def test_a_non_finite_derivative_part_takes_the_pair_route(monkeypatch, bad, op)
         got, want = getattr(space, op)(A, B), _pair_route(space, A, B, matrix=op == "matmul")
     assert scatters["n"] == 1
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the pair route sums its products by a dense 0/1 scatter "
+                                       "matmul, whose zeros turn an inf pair product into NaN in every coefficient")
+def test_an_inf_coefficient_leaves_the_finite_coefficients_finite():
+    """x0 at 1 with its x0^2 coefficient set to inf, times x1 at 2, in
+    JetSpace(2, 2): only the x0^2 coefficient of the product is infinite,
+    and the others are exact, the value 2 among them.  The pair route gives
+    NaN for all five."""
+    space = JetSpace.get(2, 2)
+    x0, x1 = space.point_jets(np.array([1.0, 2.0]))
+    x0[space.index_of[(2, 0)]] = np.inf
+    want = np.zeros(space.ncoeffs)
+    for alpha, value in {(0, 0): 2.0, (0, 1): 1.0, (1, 0): 2.0, (1, 1): 1.0, (2, 0): np.inf}.items():
+        want[space.index_of[alpha]] = value
+    with np.errstate(invalid="ignore"):
+        got = space.mul(x0, x1)
+    assert np.array_equal(got, want)

@@ -16,7 +16,9 @@ comparison stays fast: 10 points for dim-3 targets, 6 for the dim-5 charts
 
 Regenerate the goldens only when the expected output really changes, and
 never from inside pytest, and only the targets whose output changed, so the
-other files keep their bytes:
+other files keep their bytes.  Within a file, a stored case whose new run
+has the same exit code and statuses and every residual within 1e-12 keeps
+its bytes too (``merge``):
 
     python tests/test_golden_reports.py [TARGET ...]
 
@@ -174,16 +176,51 @@ def test_to_json_is_the_asdict_serialization(monkeypatch, tmp_path):
         assert text == json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, allow_nan=False)
 
 
+def merge(stored: dict, fresh: dict) -> dict:
+    """The golden cases to write: the fresh ones, except that a stored case
+    with the same argv whose report the fresh run matches (the same exit code
+    and statuses, every residual within RESIDUAL_ATOL) stays as stored, so a
+    regeneration rewrites only the cases whose output really changed."""
+    return {name: stored[name] if name in stored and stored[name]["argv"] == case["argv"]
+            and not differences(stored[name]["report"], case["report"]) else case
+            for name, case in fresh.items()}
+
+
+def test_regeneration_keeps_matching_cases():
+    """merge keeps a stored case whose fresh run has the same exit code and
+    statuses and residuals within RESIDUAL_ATOL, and takes the fresh case
+    when any of them, or the argv, moved; a new case is added and a case no
+    longer listed is dropped."""
+    def case(argv="check E1", code=0, status="pass", residual=1e-15):
+        return {"argv": [argv], "report": {"exit": code, "status": {"a": status, "b": "pass"},
+                                           "residual": {"a": residual, "b": 2.0}}}
+
+    stored = {"same": case(), "drift": case(), "moved": case(), "status": case(), "exit": case(),
+              "argv": case(), "gone": case()}
+    fresh = {"same": case(residual=1e-15), "drift": case(residual=1e-15 + RESIDUAL_ATOL / 2),
+             "moved": case(residual=1e-15 + 2 * RESIDUAL_ATOL), "status": case(status="fail"),
+             "exit": case(code=1), "argv": case(argv="check E2"), "new": case()}
+    merged = merge(stored, fresh)
+    assert sorted(merged) == sorted(fresh)
+    for name in ("same", "drift"):
+        assert merged[name] is stored[name], name
+    for name in ("moved", "status", "exit", "argv", "new"):
+        assert merged[name] is fresh[name], name
+
+
 def regenerate(targets):
     """Write the golden file of each of ``targets``, by default of every
-    target."""
+    target, keeping each stored case that still matches (``merge``)."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     for target, group in cases().items():
         if targets and target not in targets:
             continue
-        data = {name: {"argv": argv, "report": run_case(argv)} for name, argv in group.items()}
-        (GOLDEN_DIR / f"{target}.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {target}.json ({len(data)} cases)")
+        path = GOLDEN_DIR / f"{target}.json"
+        stored = json.loads(path.read_text()) if path.exists() else {}
+        data = merge(stored, {name: {"argv": argv, "report": run_case(argv)} for name, argv in group.items()})
+        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        kept = sum(data[name] is stored.get(name) for name in data)
+        print(f"wrote {target}.json ({len(data)} cases, {kept} kept as stored)")
 
 
 def collect(out: str):

@@ -3,6 +3,7 @@ finite-difference Weingarten oracle, the characterization theorem, the
 quasi-umbilical decomposition, and the synthetic Gauss-equation trials."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from paracheck.sampling import _seed, derive_rng, derive_states, random_vectors,
 from paracheck.suites import RunConfig, run_suite
 from paracheck.tensor_algebra import TensorValue, min_norm_solve
 
-from pointwise import random_pointwise_structure
+from pointwise import assemble_structures, draw_trial, random_pointwise_structure
 from records import passed
 
 
@@ -513,26 +514,37 @@ class TestSyntheticGauss:
         once; on the full tensors it matches, to 1e-12, the maximum gap of the
         reduction against the display at k = 0, 1, 2 and 3, whether the
         derived display holds (perturb_a 0) or not (5e-3)."""
-        draws = [hypersurface_lab._draw_trial(derive_rng(13, "k-sampled", eps + 1, n, t), n) for t in range(40)]
-        drawn = hypersurface_lab._assemble_structures(draws, n, eps)
+        drawn = assemble_structures([draw_trial(derive_rng(13, "k-sampled", eps + 1, n, t), n) for t in range(40)],
+                                    n, eps)
         worst, _, _, sampled = _full_gauss_chain(eps, *drawn, perturb_a)
         assert (sampled["gauss-vs-derived-display"] > 1e-6) == bool(perturb_a)
         assert sampled["gauss-vs-printed-display"] > 1e-2
         for name, value in sampled.items():
             assert abs(worst[name] - value) <= 1e-12, name
 
-    def test_trials_do_not_depend_on_their_block(self):
+    def test_trials_do_not_depend_on_their_block(self, monkeypatch):
         """Trial t gives the same k and k residual, bit for bit, whether it
         runs alone in its draw block or chain block, or inside a full one:
-        the request crosses a chain-block and a draw-block boundary."""
+        the request crosses a chain-block and a draw-block boundary.  The
+        whole request gives the same records, k and k residuals whether its
+        blocks hold one trial each (_BLOCK_ELEMENTS 2**6) or all of them
+        (2**20)."""
         draw_block = max(1, hypersurface_lab._BLOCK_ELEMENTS // 5 ** 3)
         chain_block = max(1, hypersurface_lab._BLOCK_ELEMENTS // (5 ** 3 * (5 - 1) // 2))
         assert 1 < chain_block < draw_block
-        full = synthetic_gauss_check(-1, 5, trials=draw_block + chain_block + 3, seed=3)
+        trials = draw_block + chain_block + 3
+        full = synthetic_gauss_check(-1, 5, trials=trials, seed=3)
         for m in (1, chain_block + 1, draw_block + 1):
             prefix = synthetic_gauss_check(-1, 5, trials=m, seed=3)
             assert np.array_equal(full.k_recovered[:m], prefix.k_recovered)
             assert np.array_equal(full.k_solve_residual[:m], prefix.k_solve_residual)
+        records = [(c.id, c.status, c.residual) for c in full.result.checks]
+        for elements in (2 ** 6, 2 ** 20):
+            monkeypatch.setattr(hypersurface_lab, "_BLOCK_ELEMENTS", elements)
+            other = synthetic_gauss_check(-1, 5, trials=trials, seed=3)
+            assert [(c.id, c.status, c.residual) for c in other.result.checks] == records
+            assert full.k_recovered.tobytes() == other.k_recovered.tobytes()
+            assert full.k_solve_residual.tobytes() == other.k_solve_residual.tobytes()
 
     @pytest.mark.parametrize("perturb_a", [0.0, 5e-3])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -541,8 +553,8 @@ class TestSyntheticGauss:
         """The chain on the x < y half gives the display maxima of the full
         tensors bit for bit, and every other record, k and the k residual to
         1e-14; perturbing A makes the display residuals non-zero."""
-        draws = [hypersurface_lab._draw_trial(derive_rng(11, "half-chain", eps + 1, n, t), n) for t in range(40)]
-        drawn = hypersurface_lab._assemble_structures(draws, n, eps)
+        drawn = assemble_structures([draw_trial(derive_rng(11, "half-chain", eps + 1, n, t), n) for t in range(40)],
+                                    n, eps)
         worst, k, k_resid = hypersurface_lab._gauss_chain(eps, *drawn, perturb_a)
         ref_worst, ref_k, ref_resid, _ = _full_gauss_chain(eps, *drawn, perturb_a)
         assert worst.keys() == ref_worst.keys()
@@ -556,38 +568,39 @@ class TestSyntheticGauss:
         assert np.max(np.abs(k_resid - ref_resid)) <= 1e-14
 
     def test_rejected_draws_are_redrawn_from_their_own_stream(self, monkeypatch):
-        """With the |det g| floor raised, some draws are rejected, some of
-        them twice or more.  Each trial's accepted (g, phi, xi, eta) is, bit
-        for bit, the first draw above the floor from its own generator
-        derive_rng(seed, "synthetic-gauss", eps + 1, n, t), as a per-trial
-        loop gives it, at n = 3 and n = 5; a redraw that lost the
-        generator's buffered 32-bit half would differ."""
-        floor, eps, trials, seed = 0.5, 1, 60, 5
-        monkeypatch.setattr(hypersurface_lab, "SYNTHETIC_DET_FLOOR", floor)
-        chain, blocks = hypersurface_lab._gauss_chain, []
+        """The block path (_draw_block, _assemble_block) hands the chain, bit
+        for bit, the (g, phi, xi, eta) of the per-trial reference
+        (pointwise.draw_trial, assemble_structures): each trial's first draw
+        above the |det g| floor from its own generator derive_rng(seed,
+        "synthetic-gauss", eps + 1, n, t), for n in {3, 4, 5, 9}, eps = +-1
+        and seeds {0, 1, 42}, 40 trials each (at n = 9 two draw blocks).  At
+        the default floor no draw is rejected; with the floor raised to 0.5
+        many are, some twice or more, and a redraw that lost the generator's
+        buffered 32-bit half would differ."""
+        chain, blocks, trials = hypersurface_lab._gauss_chain, [], 40
 
         def recording_chain(epsilon, g, phi, xi, eta, *rest):
             blocks.append((g, phi, xi, eta))
             return chain(epsilon, g, phi, xi, eta, *rest)
 
         monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
-        for n in (3, 5):
-            expected, rejections = [], []
-            for t in range(trials):
-                rng = derive_rng(seed, "synthetic-gauss", eps + 1, n, t)
-                rejections.append(0)
-                while abs(np.linalg.det((drawn := random_pointwise_structure(rng, n, eps))[0])) <= floor:
-                    rejections[-1] += 1
-                expected.append(drawn)
-            blocks.clear()
-            out = synthetic_gauss_check(eps, n, trials, seed)
-            assert max(rejections) >= 2
-            assert 0 < out.resampled == sum(rejections)
-            accepted = [np.concatenate(arrays) for arrays in zip(*blocks)]
-            for t in range(trials):
-                for want, got in zip(expected[t], accepted):
-                    assert want.tobytes() == got[t].tobytes(), (n, t)
-            assert passed(out.result), [c.id for c in out.result.checks if c.status == "fail"]
+        for floor in (hypersurface_lab.SYNTHETIC_DET_FLOOR, 0.5):
+            monkeypatch.setattr(hypersurface_lab, "SYNTHETIC_DET_FLOOR", floor)
+            rejections = []
+            for n, eps, seed in itertools.product((3, 4, 5, 9), (1, -1), (0, 1, 42)):
+                blocks.clear()
+                out = synthetic_gauss_check(eps, n, trials, seed)
+                accepted = [np.concatenate(arrays) for arrays in zip(*blocks)]
+                for t in range(trials):
+                    rng = derive_rng(seed, "synthetic-gauss", eps + 1, n, t)
+                    rejections.append(0)
+                    while abs(np.linalg.det((drawn := random_pointwise_structure(rng, n, eps))[0])) <= floor:
+                        rejections[-1] += 1
+                    for want, got in zip(drawn, accepted):
+                        assert want.tobytes() == got[t].tobytes(), (floor, n, eps, seed, t)
+                assert out.resampled == sum(rejections[-trials:])
+                assert passed(out.result), [c.id for c in out.result.checks if c.status == "fail"]
+            assert (max(rejections) >= 2) == (floor == 0.5) == (sum(rejections) > 0)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_seeded_generator_draws_as_derive_rng_does(self, n):
@@ -600,8 +613,7 @@ class TestSyntheticGauss:
             own = derive_rng(42, "synthetic-gauss", 2, n, t)
             _seed(bitgen, row)
             for _ in range(2):
-                (p, blocks, frame), (own_p, own_blocks, own_frame) = (
-                    hypersurface_lab._draw_trial(r, n) for r in (reused, own))
+                (p, blocks, frame), (own_p, own_blocks, own_frame) = (draw_trial(r, n) for r in (reused, own))
                 assert p == own_p and len(blocks) == len(own_blocks)
                 for a, b in zip([*(x for blk in blocks for x in blk), *frame],
                                 [*(x for blk in own_blocks for x in blk), *own_frame]):
@@ -620,6 +632,21 @@ class TestSyntheticGauss:
                 b = np.where(by_integers.integers(0, 2, k) == 1, 1.0, -1.0)
                 assert np.array_equal(a, b)
                 assert by_choice.bit_generator.state == by_integers.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 1999])
+    def test_weights_scale_as_uniform_does(self, seed):
+        """The block weights and frame scales are drawn as lo + (hi - lo) *
+        rng.random(k): the numbers rng.uniform(lo, hi, k) draws, bit for bit,
+        leaving the generator in the same state, so the synthetic trials keep
+        their numbers."""
+        for lo, hi in ((0.5, 2.0), (0.75, 1.35)):
+            for k in range(1, 8):
+                by_uniform, by_random = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    a = by_uniform.uniform(lo, hi, k)
+                    b = lo + (hi - lo) * by_random.random(k)
+                    assert a.tobytes() == b.tobytes()
+                    assert by_uniform.bit_generator.state == by_random.bit_generator.state
 
     def test_largest_request_stays_on_the_half(self):
         """One trial at n = SYNTHETIC_MAX_DIM allocates at most 84 MiB at its
