@@ -172,7 +172,7 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     F(points) to ``order`` at most.
 
     A JN that is not tangent is measured (``tangency_residual``), not
-    rejected, so the induced structure is not validated at construction."""
+    rejected; the induced structure's axioms are what the checks measure."""
     amb = bundle.ambient
     emb = bundle.embedding
     n = bundle.dim
@@ -266,7 +266,6 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
             phi=TensorValue(n, 1, 1, phi_c, fspace),
             xi=TensorValue(n, 1, 0, xi_c, fspace),
             eta=TensorValue(n, 0, 1, eta_c, fspace),
-            validate=False,
         )
 
         # shape operator: nabla~_{T_a} N = -A T_a, ambient Christoffels at F(p)

@@ -24,17 +24,16 @@ Bundle document:
                     "domain": [[lo, hi], ...]}
     }
 
-Loading validates everything a model declares: the JSON type and length of
-every field, expression syntax against the declared coordinates, metric
-symmetry as written, finite non-empty domain intervals, fields that are
-finite at ten sampled points, and a metric with the declared index there.
-A bundle is checked at load for its shape and expression syntax only; the
-request's own evaluation of the bundle validates the embedding (rank,
-domain, a lightlike normal) and the finiteness of every field, and fails
-with an input error naming the file.  Errors name the file, the field
-(``<path>: xi: ...``, ``<path>: metric[4]: ...`` for an entry) and
-positions (JSON line/column, or the expression position) so a file
-diagnoses itself.
+Loading checks what a document declares, for models and bundles alike: the
+JSON type and length of every field, expression syntax against the declared
+coordinates, every metric grid symmetric as written, and finite domain
+intervals with lo <= hi.  The request checks the values it reads, at its own
+points (``models.evaluate_structure``, ``hypersurface_lab.evaluate_bundle``):
+finite fields, a chart's declared index, eta(xi) = 1 and g(xi, xi) = eps, a
+bundle's embedding rank and a normal that is not lightlike.  Errors name the
+file, the field (``<path>: xi: ...``, ``<path>: metric[4]: ...`` for an
+entry) and the JSON line/column, the expression position or the first
+failing point, so a file diagnoses itself.
 
 Writing reads the document off the dataclasses: :func:`manifest_dict` is
 ``kind`` plus ``dataclasses.asdict`` of the model or bundle, with each
@@ -51,7 +50,7 @@ from pathlib import Path
 
 from .expr_jet import JetDomainError, parse_expr
 from .hypersurface_lab import AmbientProductModel, Embedding, HypersurfaceBundle
-from .models import ManifoldModel, validate_model
+from .models import ManifoldModel
 
 
 class ManifestError(ValueError):
@@ -127,6 +126,30 @@ def _grid(doc: dict, field: str, n: int) -> list[list[str]]:
     return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
+def _parse_expressions(coords: list[str], fields: dict[str, list | None]):
+    """Parse each distinct string of each expression vector or grid over
+    ``coords`` once, at its first entry in row-major order, so that a syntax
+    error names that entry (``metric[4]: ...``); an absent field is skipped."""
+    for field, sources in fields.items():
+        if sources is None:
+            continue
+        flat = [s for row in sources for s in row] if isinstance(sources[0], list) else sources
+        seen = set()
+        for k, s in enumerate(flat):
+            if s not in seen:
+                seen.add(s)
+                parse_expr(s, coords, f"{field}[{k}]")
+
+
+def _symmetric(grid: list[list[str]], field: str):
+    """A metric grid must be symmetric as written, blanks aside."""
+    for i, row in enumerate(grid):
+        for j in range(i + 1, len(grid)):
+            if row[j].replace(" ", "") != grid[j][i].replace(" ", ""):
+                raise ManifestError(f"{field}: entry ({i},{j}) is not symmetric as written: "
+                                    f"{row[j]!r} vs {grid[j][i]!r}")
+
+
 def _domain(doc: dict, field: str, n: int) -> list[tuple[float, float]]:
     out = []
     for k, pair in enumerate(_entries(doc, field, n)):
@@ -145,7 +168,8 @@ def _domain(doc: dict, field: str, n: int) -> list[tuple[float, float]]:
 def parse_manifest(doc: dict, source: str = "<manifest>") -> ManifoldModel | HypersurfaceBundle:
     """The model or bundle a manifest document declares.  Every error is a
     :class:`ManifestError` naming ``source``: a missing field, a field of
-    the wrong JSON type, a bad expression, or a failed model validation."""
+    the wrong JSON type or length, a bad expression, or a metric grid that
+    is not symmetric as written."""
     try:
         return _parse(doc, source)
     except (ValueError, TypeError, JetDomainError) as e:
@@ -170,7 +194,8 @@ def _parse(doc: dict, source: str) -> ManifoldModel | HypersurfaceBundle:
             domain=_domain(doc, "domain", n),
             description=str(doc.get("description", "")),
         )
-        validate_model(model)
+        _parse_expressions(model.coords, {"metric": model.metric, "phi": model.phi, "xi": model.xi, "eta": model.eta})
+        _symmetric(model.metric, "metric")
         return model
     if kind == "bundle":
         amb_doc = _require(doc, "ambient", dict)
@@ -188,12 +213,9 @@ def _parse(doc: dict, source: str) -> ManifoldModel | HypersurfaceBundle:
             domain=_domain(emb_doc, "embedding.domain", N - 1),
             orientation=_sign(emb_doc, "embedding.orientation") if "orientation" in emb_doc else 1,
         )
-        for field, entries, coords in (("ambient.metric", sum(ambient.metric, []), ambient.coords),
-                                       ("ambient.J", sum(ambient.J, []), ambient.coords),
-                                       ("embedding.map", embedding.map, embedding.coords)):
-            for k, s in enumerate(entries):
-                if entries.index(s) == k:       # each distinct string once, at its first entry
-                    parse_expr(s, coords, f"{field}[{k}]")
+        _parse_expressions(ambient.coords, {"ambient.metric": ambient.metric, "ambient.J": ambient.J})
+        _parse_expressions(embedding.coords, {"embedding.map": embedding.map})
+        _symmetric(ambient.metric, "ambient.metric")
         return HypersurfaceBundle(name=name, ambient=ambient, embedding=embedding,
                                   description=str(doc.get("description", "")))
     raise ManifestError(f"unknown manifest kind {kind!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr_jet import JetDomainError, JetSpace, _locate, eval_expr, parse_expr
-from .paracontact_core import ParacontactStructure
+from .paracontact_core import ParacontactStructure, pair
 from .tensor_algebra import TensorValue, inertia
 
 # Deepest jet orders of a chart model's fields (suites.REQUESTS gives the g order of each request).
@@ -36,10 +36,10 @@ class ManifoldModel:
     """A chart model: coordinate names, expression-valued tensors, a sample
     domain box, and the declared metric index.
 
-    Invariants checked by :func:`validate_model`: the metric expression grid
-    is symmetric as written, the domain intervals are non-empty, every
-    expression parses and is finite at sampled points, and the metric has
-    the declared index there.
+    What a manifest declares is checked when it is parsed (shapes, syntax,
+    a metric grid symmetric as written); what its fields evaluate to, by
+    :func:`evaluate_structure` at the request's points (finite fields, the
+    declared index, eta(xi) = 1 and g(xi, xi) = eps).
     """
 
     name: str
@@ -57,52 +57,6 @@ class ManifoldModel:
     @property
     def has_structure(self) -> bool:
         return self.phi is not None and self.xi is not None and self.eta is not None
-
-
-class ModelValidationError(ValueError):
-    pass
-
-
-def validate_model(model: ManifoldModel, rng: np.random.Generator | None = None, checks_points: int = 10):
-    """Raises ModelValidationError on any violated model invariant, and
-    ExprError or JetDomainError, naming the field, on an entry that does not
-    parse or is not finite at one of ``checks_points`` sampled points (the
-    fields are evaluated there at order 0)."""
-    n = model.dim
-    if len(model.coords) != n:
-        raise ModelValidationError(f"{model.name}: expected {n} coordinate names, got {len(model.coords)}")
-    if len(model.metric) != n or any(len(row) != n for row in model.metric):
-        raise ModelValidationError(f"{model.name}: metric must be an {n}x{n} expression grid")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if model.metric[i][j].replace(" ", "") != model.metric[j][i].replace(" ", ""):
-                raise ModelValidationError(
-                    f"{model.name}: metric entry ({i},{j}) is not symmetric as written: "
-                    f"{model.metric[i][j]!r} vs {model.metric[j][i]!r}")
-    if len(model.domain) != n:
-        raise ModelValidationError(f"{model.name}: domain must give one interval per coordinate")
-    for k, (lo, hi) in enumerate(model.domain):
-        if not (hi > lo):
-            raise ModelValidationError(f"{model.name}: empty domain interval for {model.coords[k]}")
-    if model.epsilon not in (1, -1):
-        raise ModelValidationError(f"{model.name}: epsilon must be +1 or -1")
-    # every field finite at sample points, so a bad entry fails at load time
-    # naming itself, and the declared index vs computed inertia there
-    rng = np.random.default_rng(20240101) if rng is None else rng
-    lo = np.array([d[0] for d in model.domain])
-    hi = np.array([d[1] for d in model.domain])
-    pts = rng.uniform(lo, hi, size=(checks_points, n))
-    space = JetSpace.get(n, 0)
-    coord_jets = space.point_jets(pts)
-    for field, sources in (("phi", model.phi), ("xi", model.xi), ("eta", model.eta)):
-        if sources is not None:
-            _eval_grid(sources, model.coords, space, coord_jets, pts, field)
-    g0 = _eval_grid(model.metric, model.coords, space, coord_jets, pts, "metric")[..., 0]
-    bad = np.flatnonzero(inertia(g0) != model.index)
-    if bad.size:
-        raise ModelValidationError(
-            f"{model.name}: declared index {model.index} but computed inertia {inertia(g0[bad[0]])} "
-            f"at point {tuple(pts[bad[0]].tolist())}")
 
 
 def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: list[np.ndarray],
@@ -134,14 +88,31 @@ def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: li
 
 def evaluate_structure(model: ManifoldModel, points: np.ndarray, order: int = METRIC_ORDER) -> ParacontactStructure:
     """Evaluate the model's tensors as jets at the given points: g to
-    ``order``, phi, xi and eta to min(order, FIELD_ORDER)."""
+    ``order``, phi, xi and eta to min(order, FIELD_ORDER).  The metric must
+    have the declared index, and the structure eta(xi) = 1 and g(xi, xi) =
+    eps (both to 1e-10), at every point; a violation is a ValueError naming
+    the first point where it fails."""
     if not model.has_structure:
         raise ValueError(f"model {model.name} declares no (phi, xi, eta) structure")
     points = np.asarray(points, dtype=float)
     fo = min(order, FIELD_ORDER)
-    return ParacontactStructure(points, model.epsilon, _field_jets(model, "metric", 0, 2, order, points),
-                                _field_jets(model, "phi", 1, 1, fo, points), _field_jets(model, "xi", 1, 0, fo, points),
-                                _field_jets(model, "eta", 0, 1, fo, points))
+    struct = ParacontactStructure(
+        points, model.epsilon, _field_jets(model, "metric", 0, 2, order, points),
+        _field_jets(model, "phi", 1, 1, fo, points), _field_jets(model, "xi", 1, 0, fo, points),
+        _field_jets(model, "eta", 0, 1, fo, points))
+    g0, xi0 = struct.g0, struct.xi0
+    nus = inertia(g0)
+    bad = np.flatnonzero(nus != model.index)
+    if bad.size:
+        raise ValueError(f"{model.name}: declared index {model.index} but computed inertia {nus[bad[0]]} "
+                         f"at point {tuple(points[bad[0]].tolist())}")
+    for gap, invariant in ((np.einsum('pa,pa->p', struct.eta0, xi0) - 1.0, "eta(xi) = 1"),
+                           (pair(g0, xi0[:, None], xi0[:, None])[:, 0] - model.epsilon,
+                            "g(xi,xi) = eps (xi must not be lightlike)")):
+        bad = np.flatnonzero(~(np.abs(gap) <= 1e-10))
+        if bad.size:
+            raise ValueError(f"structure invariant {invariant} violated at point {tuple(points[bad[0]].tolist())}")
+    return struct
 
 
 def _field_jets(model, field: str, p: int, q: int, order: int, points: np.ndarray,

@@ -29,15 +29,14 @@ class ParacontactStructure:
     tensor's jet space is the order it was evaluated to: g to the order the
     requested suite reads, phi, xi and eta to at most one derivative.
 
-    Basic invariants (eta(xi) = 1 and g(xi,xi) = eps, both to 1e-10) are
-    enforced at construction, naming the first point where one fails; the
-    geometric axioms are what the check operations measure, so they are
-    deliberately not enforced here.
+    Only eps = +-1 is enforced here.  A chart's eta(xi) = 1 and g(xi, xi) =
+    eps are checked where its fields are evaluated
+    (:func:`models.evaluate_structure`); the geometric axioms, and an
+    induced structure's, are what the check operations measure.
     """
 
     def __init__(self, points: np.ndarray, epsilon: int,
-                 g: TensorValue, phi: TensorValue, xi: TensorValue, eta: TensorValue,
-                 validate: bool = True):
+                 g: TensorValue, phi: TensorValue, xi: TensorValue, eta: TensorValue):
         if epsilon not in (1, -1):
             raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
         self.points = np.asarray(points)
@@ -46,18 +45,6 @@ class ParacontactStructure:
         self.phi = phi
         self.xi = xi
         self.eta = eta
-        if validate:
-            self._validate_basic()
-
-    def _validate_basic(self):
-        xi = self.xi0
-        for gap, invariant in ((np.einsum('pa,pa->p', self.eta0, xi) - 1.0, "eta(xi) = 1"),
-                               (pair(self.g0, xi[:, None], xi[:, None])[:, 0] - self.epsilon,
-                                "g(xi,xi) = eps (xi must not be lightlike)")):
-            bad = np.flatnonzero(~(np.abs(gap) <= 1e-10))
-            if bad.size:
-                raise ValueError(f"structure invariant {invariant} violated at point "
-                                 f"{tuple(self.points[bad[0]].tolist())}")
 
     # -- numeric views ------------------------------------------------------
 

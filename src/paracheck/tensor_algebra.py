@@ -80,12 +80,12 @@ def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int) -> n
 # --------------------------------------------------------------------------
 
 
-def inertia(sym: np.ndarray, tol_scale: float = 1e-12) -> int | np.ndarray:
+def inertia(sym: np.ndarray) -> int | np.ndarray:
     """Count of negative eigenvalues of each symmetric matrix of the stack
-    (..., n, n), those below -tol_scale times its largest magnitude: a count
+    (..., n, n), those below -1e-12 times its largest magnitude: a count
     that does not change when a matrix is rescaled.  One int for one matrix."""
     w = np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
-    nu = np.sum(w < -tol_scale * np.max(np.abs(w), axis=-1, keepdims=True), axis=-1)
+    nu = np.sum(w < -1e-12 * np.max(np.abs(w), axis=-1, keepdims=True), axis=-1)
     return int(nu) if nu.ndim == 0 else nu
 
 

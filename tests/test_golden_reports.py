@@ -208,9 +208,26 @@ def test_regeneration_keeps_matching_cases():
         assert merged[name] is fresh[name], name
 
 
+def test_regeneration_refuses_unknown_targets(monkeypatch, tmp_path):
+    """regenerate exits non-zero naming every requested target that is not
+    a golden target, before it runs a case or writes a file."""
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN_DIR", tmp_path / "golden")
+    monkeypatch.setattr(module, "run_case", lambda argv: pytest.fail(f"ran {argv}"))
+    with pytest.raises(SystemExit) as stop:
+        regenerate(["W3", "E1", "e1"])
+    assert str(stop.value).startswith("unknown golden targets: W3, e1 (targets: B1, E1, ")
+    assert not (tmp_path / "golden").exists()
+
+
 def regenerate(targets):
     """Write the golden file of each of ``targets``, by default of every
-    target, keeping each stored case that still matches (``merge``)."""
+    target, keeping each stored case that still matches (``merge``).  A
+    requested target with no golden cases exits non-zero, naming every such
+    target, before any case runs or any file is written."""
+    unknown = [t for t in targets if t not in cases()]
+    if unknown:
+        sys.exit(f"unknown golden targets: {', '.join(unknown)} (targets: {', '.join(sorted(cases()))})")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for target, group in cases().items():
         if targets and target not in targets:

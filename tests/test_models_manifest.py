@@ -1,22 +1,23 @@
-"""Builtin catalog validation and the manifest file format."""
+"""Builtin catalog validation and the manifest file format.
+
+The parser checks what a manifest declares (shapes, syntax, metric grids
+symmetric as written, intervals with lo <= hi); the request checks the
+values its fields take at its own sample points (finite fields, the
+declared metric index, eta(xi) = 1 and g(xi, xi) = eps)."""
 
 import json
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from paracheck.cli import main
+from paracheck.cli import _run, main
 from paracheck.hypersurface_lab import HypersurfaceBundle, builtin_bundles
 from paracheck.manifest import ManifestError, load_manifest, manifest_dict, parse_manifest, save_manifest
-from paracheck.models import (
-    ManifoldModel,
-    ModelValidationError,
-    builtin_models,
-    get_model,
-    validate_model,
-)
+from paracheck.models import ManifoldModel, builtin_models, evaluate_structure, get_model
+from paracheck.sampling import derive_rng, sample_points
 from paracheck.suites import RunConfig, run_suite
 
 
@@ -26,8 +27,11 @@ class TestBuiltins:
         assert set(builtin_bundles()) == {"E3a", "E3b", "B1"}
 
     def test_all_builtin_models_validate(self, models):
-        for model in models.values():
-            validate_model(model)
+        """Every builtin chart parses back from its manifest, and at sampled
+        points has its declared index, eta(xi) = 1 and g(xi, xi) = eps."""
+        for name, model in models.items():
+            assert parse_manifest(manifest_dict(model)) == model, name
+            evaluate_structure(model, sample_points(model.domain, 10, derive_rng(42, name, "points")), 0)
 
     def test_epsilon_and_index_declarations(self, models):
         assert models["E1"].epsilon == 1 and models["E1"].index == 0
@@ -40,58 +44,63 @@ class TestBuiltins:
 
 
 class TestModelValidation:
-    def _base(self, **overrides):
-        doc = dict(
-            name="T", dim=2, coords=["x", "y"], epsilon=1, index=0,
-            metric=[["1", "0"], ["0", "1"]],
-            domain=[(-1.0, 1.0), (0.5, 2.0)],
-        )
+    @staticmethod
+    def _doc(**overrides) -> dict:
+        doc = dict(kind="model", name="T", dim=2, coords=["x", "y"], epsilon=1, index=0,
+                   metric=["1", "0", "0", "1"], domain=[[-1.0, 1.0], [0.5, 2.0]])
         doc.update(overrides)
-        return ManifoldModel(**doc)
+        return doc
 
     def test_asymmetric_metric_rejected(self):
-        model = self._base(metric=[["1", "x"], ["0", "1"]])
-        with pytest.raises(ModelValidationError, match="not symmetric"):
-            validate_model(model)
+        with pytest.raises(ManifestError, match=r"^<manifest>: metric: entry \(0,1\) is not symmetric as written: "
+                                                r"'x' vs '0'$"):
+            parse_manifest(self._doc(metric=["1", "x", "0", "1"]))
 
     def test_index_mismatch_rejected(self):
-        model = self._base(metric=[["1", "0"], ["0", "-1"]])  # Lorentzian, declared index 0
-        with pytest.raises(ModelValidationError, match="inertia"):
-            validate_model(model)
+        """E2 declared Riemannian loads; its request fails at its first point."""
+        doc = manifest_dict(get_model("E2"))
+        doc["index"] = 0
+        model = parse_manifest(doc)
+        with pytest.raises(ValueError, match=r"^E2: declared index 0 but computed inertia 1 at point \("):
+            run_suite(model, "structure", RunConfig(points=5))
 
     def test_index_mismatch_names_first_point(self):
-        """diag(1, x) declared Riemannian: the error names the first of the
-        sampled points with x < 0, as plain floats."""
-        model = self._base(metric=[["1", "0"], ["0", "x"]])
-        pts = np.random.default_rng(4).uniform([-1.0, 0.5], [1.0, 2.0], size=(10, 2))
-        first = np.flatnonzero(pts[:, 0] < 0)[0]
-        assert first > 0
-        with pytest.raises(ModelValidationError) as err:
-            validate_model(model, rng=np.random.default_rng(4))
-        x, y = (float(c) for c in pts[first])
-        assert str(err.value) == f"T: declared index 0 but computed inertia 1 at point ({x!r}, {y!r})"
+        """E1 with g_11 = x1 declared Riemannian: the error names the first
+        of the request's points with x1 < 0, as plain floats."""
+        model = get_model("E1")
+        model.metric[0][0] = "x1"
+        points = np.array([[0.5, 0.0, 1.0], [-0.25, 1.0, 2.0], [-1.0, 0.0, 1.0]])
+        with pytest.raises(ValueError) as err:
+            evaluate_structure(model, points, 0)
+        assert str(err.value) == "E1: declared index 0 but computed inertia 1 at point (-0.25, 1.0, 2.0)"
 
     def test_rescaled_metric_index_accepted(self):
-        """The declared index holds at any scale: E2 with every metric
-        entry scaled by 1e-13 still has index 1."""
-        model = get_model("E2")
-        model.metric = [[s if s == "0" else f"1e-13*({s})" for s in row] for row in model.metric]
-        validate_model(model)
+        """The declared index holds at any scale: E2 with every metric entry
+        scaled by 1e-13 (xi and eta rescaled to match) still has index 1, and
+        its structure suite passes."""
+        doc = manifest_dict(get_model("E2"))
+        factor = math.sqrt(1e13)
+        for key, scale in (("metric", 1e-13), ("xi", factor), ("eta", 1 / factor)):
+            doc[key] = [s if s == "0" else f"{scale!r}*({s})" for s in doc[key]]
+        report = run_suite(parse_manifest(doc), "structure", RunConfig(points=6))
+        assert [c.status for c in report.checks] == ["pass"] * 7
 
     def test_empty_domain_rejected(self):
-        model = self._base(domain=[(-1.0, 1.0), (2.0, 0.5)])
-        with pytest.raises(ModelValidationError, match="empty domain"):
-            validate_model(model)
+        with pytest.raises(ManifestError, match=r"domain\[1\]: has lo > hi: \[2.0, 0.5\]"):
+            parse_manifest(self._doc(domain=[[-1.0, 1.0], [2.0, 0.5]]))
+
+    def test_point_domain_interval_loads(self):
+        """lo > hi is the one domain rule: a chart interval with lo == hi
+        loads, as a bundle's does."""
+        assert parse_manifest(self._doc(domain=[[-1.0, 1.0], [0.5, 0.5]])).domain[1] == (0.5, 0.5)
 
     def test_unknown_coordinate_in_expression(self):
-        model = self._base(metric=[["1", "0"], ["0", "1+z"]])
-        with pytest.raises(Exception, match="unknown identifier"):
-            validate_model(model)
+        with pytest.raises(ManifestError, match=r"metric\[3\]: .*unknown identifier"):
+            parse_manifest(self._doc(metric=["1", "0", "0", "1+z"]))
 
     def test_bad_epsilon(self):
-        model = self._base(epsilon=0)
-        with pytest.raises(ModelValidationError, match="epsilon"):
-            validate_model(model)
+        with pytest.raises(ManifestError, match="epsilon: must be 1 or -1, got 0"):
+            parse_manifest(self._doc(epsilon=0))
 
 
 class TestManifestRoundTrip:
@@ -215,13 +224,37 @@ class TestManifestErrors:
         with pytest.raises(ManifestError, match="not symmetric"):
             load_manifest(path)
 
-    def test_index_mismatch_manifest(self, tmp_path):
+    def test_index_mismatch_manifest(self, tmp_path, capsys):
+        """A declared index is checked by the request: the manifest loads,
+        and a request exits 2 naming the file and the first point."""
         doc = manifest_dict(builtin_models()["E2"])
         doc["index"] = 0  # the metric is Lorentzian
         path = tmp_path / "numis.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ManifestError, match="inertia"):
-            load_manifest(path)
+        assert load_manifest(path).index == 0
+        assert main(["check", str(path), "--suite", "structure", "--points", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: E2: declared index 0 but computed inertia 1 at point (")
+
+    def test_a_field_is_checked_only_at_the_request_points(self, tmp_path, capsys):
+        """E1 with phi[0] = exp(1000 (x1 - 1)), which overflows only where
+        x1 > 1.7098: the manifest loads, a request whose points all miss that
+        part of the domain runs, and one whose points reach it exits 2
+        naming phi and the point."""
+        doc = manifest_dict(get_model("E1"))
+        doc["phi"][0] = "exp(1000*(x1-1))"
+        path = tmp_path / "part.json"
+        path.write_text(json.dumps(doc))
+        load_manifest(path)
+        for points, reaches in ((5, False), (40, True)):
+            x1 = sample_points(get_model("E1").domain, points, derive_rng(42, "E1", "points"))[:, 0]
+            assert (np.max(x1) > 1.72 if reaches else np.max(x1) < 1.70), (points, np.max(x1))
+            code = main(["check", str(path), "--suite", "structure", "--points", str(points), "--seed", "42"])
+            err = capsys.readouterr().err
+            if reaches:
+                assert code == 2 and err.startswith(f"error: {path}: phi: not finite at point ("), err
+            else:
+                assert code in (0, 1) and not err, err
 
     def test_expression_error_positions(self, tmp_path):
         doc = manifest_dict(builtin_models()["E1"])
@@ -270,20 +303,23 @@ class TestManifestErrors:
         ("E1", ("xi", 2), "y^1e400", "xi[2]"),
         ("E1", ("epsilon",), 2, "epsilon"),
         ("E3a", ("embedding", "orientation"), 3, "embedding.orientation"),
+        ("E3a", ("ambient", "metric", 1), "0.3", "ambient.metric"),
     ], ids=["duplicate-coords", "xi-length", "eta-length", "index-true", "dim-true", "duplicate-ambient-coords",
             "duplicate-embedding-coords", "orientation-true", "ambient-coords-length", "domain-bound-true",
             "domain-bound-beyond-float", "phi-true", "metric-syntax", "phi-syntax", "ambient-J-unknown-name",
             "metric-not-finite", "phi-not-finite", "xi-not-finite", "eta-not-finite", "metric-lone-dot",
-            "phi-exponent-dot", "xi-exponent-beyond-float", "epsilon-2", "orientation-3"])
+            "phi-exponent-dot", "xi-exponent-beyond-float", "epsilon-2", "orientation-3",
+            "ambient-metric-asymmetric"])
     def test_shape_error_names_the_field(self, tmp_path, capsys, target, path, value, field):
         """A field of the wrong length or JSON type, with repeated coordinate
         names, holding true where an integer or a number belongs, with an
-        expression that does not parse, or a metric, phi, xi or eta that is
-        not finite at a sample point is a load error naming the file and the
-        field: the CLI exits 2 with one `error: <path>: <field>: ...` line
-        and no warning.  An index of
-        true on the Lorentzian E2 would otherwise read as its index 1 and
-        pass, and a domain bound of true as 1.0."""
+        expression that does not parse, a metric grid (chart or ambient)
+        that is not symmetric as written, or a metric, phi, xi or eta that
+        is not finite at a request's sample point is an input error naming
+        the file and the field: the CLI exits 2 with one `error: <path>:
+        <field>: ...` line and no warning.  An index of true on the
+        Lorentzian E2 would otherwise read as its index 1 and pass, and a
+        domain bound of true as 1.0."""
         doc = manifest_dict(builtin_bundles()[target] if target == "E3a" else builtin_models()[target])
         parent = doc
         for key in path[:-1]:
@@ -292,7 +328,7 @@ class TestManifestErrors:
         file = tmp_path / "shape.json"
         file.write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match=f"^{re.escape(str(file))}: {re.escape(field)}: "):
-            load_manifest(file)
+            _run(str(file), "structure", RunConfig(points=5))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["check", str(file), "--suite", "structure", "--points", "5"]) == 2

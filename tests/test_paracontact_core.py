@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paracheck.geometry_engine import covariant_derivative
+from paracheck.models import evaluate_structure, get_model
 from paracheck.paracontact_core import (
     ParacontactStructure,
     apply_op,
@@ -147,10 +148,20 @@ class TestStructureInvariants:
         with pytest.raises(ValueError):
             ParacontactStructure(e1.points, 2, e1.g, e1.phi, e1.xi, e1.eta)
 
-    def test_constructor_rejects_unnormalized_eta(self, e1):
-        bad_eta = type(e1.eta)(e1.eta.dim, 0, 1, 2.0 * e1.eta.components, e1.eta.space)
-        with pytest.raises(ValueError):
-            ParacontactStructure(e1.points, 1, e1.g, e1.phi, e1.xi, bad_eta)
+    @pytest.mark.parametrize("xi_scale,eta_scale,invariant", [
+        ("1", "2", "eta(xi) = 1"),
+        ("2", "0.5", "g(xi,xi) = eps (xi must not be lightlike)"),
+    ], ids=["unnormalized-eta", "xi-of-length-2"])
+    def test_evaluate_structure_rejects_a_broken_invariant(self, xi_scale, eta_scale, invariant):
+        """eta(xi) = 1 and g(xi, xi) = eps are checked where a chart's fields
+        are evaluated, naming the first of the request's points."""
+        model = get_model("E1")
+        model.xi = [s if s == "0" else f"{xi_scale}*({s})" for s in model.xi]
+        model.eta = [s if s == "0" else f"{eta_scale}*({s})" for s in model.eta]
+        points = np.array([[0.5, 0.0, 1.0], [-1.0, 1.0, 2.0]])
+        with pytest.raises(ValueError) as err:
+            evaluate_structure(model, points, 0)
+        assert str(err.value) == f"structure invariant {invariant} violated at point (0.5, 0.0, 1.0)"
 
 
 class TestNegativeControlDiscipline:

@@ -549,8 +549,8 @@ class TestCli:
             assert err == f"error: --trials must be at most {bound}, got {trials}\n"
 
     def test_manifest_domain_error_is_input_error(self, tmp_path):
-        """A metric entry outside its domain at a validation point is a
-        malformed manifest: exit 2 with a message naming the file."""
+        """A metric entry outside its domain at a request's sample point is
+        an input error: exit 2 with a message naming the file."""
         path = tmp_path / "e1.json"
         save_manifest(get_model("E1"), path)
         doc = json.loads(path.read_text())
@@ -625,10 +625,11 @@ class TestCli:
          "degenerate metric (smallest singular value of g at most 1e-12 of the largest) at point ("),
     ], ids=["eta-of-xi", "degenerate-metric"])
     def test_request_time_input_error_names_file_and_point(self, tmp_path, capsys, field, value, suite, message):
-        """An E1 mutant that loads, since each field is finite and the metric
-        has its index at the validation points, but fails a structure
-        invariant or is degenerate at a request's samples: exit 2 with one
-        line naming the manifest and the point."""
+        """An E1 mutant that loads, since the parser checks only what a
+        manifest declares, and whose fields are finite and whose metric has
+        its index at the request's samples, but fails a structure invariant
+        or is degenerate there: exit 2 with one line naming the manifest and
+        the point."""
         path = tmp_path / "mutant.json"
         save_manifest(get_model("E1"), path)
         doc = json.loads(path.read_text())

@@ -1,4 +1,4 @@
-"""Symbolic oracles for the synthetic Gauss chain of criterion 10 and the W1 manifest.
+"""Symbolic oracles for the synthetic Gauss chain of criterion 10 and the W1 and W2 manifests.
 
 Independent of the numeric pipeline (no `_wedge` or
 `synthetic_gauss_check`): sympy builds the canonical frame of an
@@ -27,7 +27,8 @@ E1 with the x2 metric factor (1 + x1^2)^2 / y^2): its para-Sasakian defining
 equation holds identically, and its Ricci tensor is no constant combination
 of g, Phi and eta(x)eta, so the Einstein-like fit fails there because W1 is
 not Einstein-like.  The same exact Gamma, Ricci and nabla phi of W1 and of
-E1 check the chart pipeline's values at dyadic points.
+E1, and of their eps = -1 twins W2 and E2 (tests/fixtures/W2.json), check
+the chart pipeline's values at dyadic points.
 """
 
 import itertools
@@ -154,14 +155,15 @@ def test_gauss_chain_symbolic(eps, p, q, rng):
 # W1: para-Sasakian, not Einstein-like
 # --------------------------------------------------------------------------
 
-W1 = Path(__file__).resolve().parent / "fixtures" / "W1.json"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def _chart(metric_xx2=None):
-    """(coordinate symbols, g, phi, xi, eta, eps) of the W1 manifest, read
-    from its JSON and parsed by sympy with exact rationals; eta is a row, and
-    phi[a, b] is phi^a_b.  ``metric_xx2`` replaces the x2 metric factor."""
-    m = json.loads(W1.read_text())
+def _chart(path: Path, metric_xx2=None):
+    """(coordinate symbols, g, phi, xi, eta, eps) of the manifest at
+    ``path``, read from its JSON and parsed by sympy with exact rationals; eta
+    is a row, and phi[a, b] is phi^a_b.  ``metric_xx2`` replaces the x2
+    metric factor."""
+    m = json.loads(path.read_text())
     n = m["dim"]
     coords = sp.symbols(m["coords"], real=True)
     names = dict(zip(m["coords"], coords))
@@ -223,7 +225,7 @@ def test_w1_is_para_sasakian_and_not_einstein_like(factor, einstein_like):
     every component's numerator, as a polynomial in x1 and y, imposes are
     inconsistent.  With E1's x2 factor 1/y^2 in its place the same chart is
     Einstein-like, so the system has a solution (the positive control)."""
-    coords, g, phi, xi, eta, eps = _chart(factor)
+    coords, g, phi, xi, eta, eps = _chart(FIXTURES / "W1.json", factor)
     n = len(coords)
     G = _levi_civita(g, coords)
     nabla_phi = _nabla_phi(G, phi, coords)
@@ -243,17 +245,21 @@ DYADIC_POINTS = [(sp.Rational(1, 2), sp.Rational(-3, 4), sp.Rational(5, 4)),
                  (sp.Rational(-3, 2), sp.Rational(1, 4), sp.Integer(2))]
 
 
-@pytest.mark.parametrize("target", ["W1", "E1"])
+@pytest.mark.parametrize("target", ["W1", "E1", "W2", "E2"])
 def test_chart_pipeline_matches_the_exact_geometry(target):
     """The jet pipeline's Gamma^k_ij, S_jk and (nabla_i phi)^k_j of W1 and of
-    its Einstein-like control E1 (W1's chart with the x2 factor 1/y^2) equal
-    the exact ones at dyadic points, to 1e-12 relative to the largest exact
-    entry.  W1's x2 factor varies with x1, so an index slip that commutes
-    with a conformally flat metric shows here."""
-    coords, g, phi, *_ = _chart(None if target == "W1" else "1/(y^2)")
+    its Einstein-like control E1 (W1's chart with the x2 factor 1/y^2), and
+    of their Lorentzian (eps = -1, index 1) twins W2 and E2, equal the exact
+    ones at dyadic points, to 1e-12 relative to the largest exact entry.
+    W1's x2 factor varies with x1, so an index slip that commutes with a
+    conformally flat metric shows here.  W1 and W2 load through the manifest
+    parser, so the request's index check runs on a Lorentzian chart too."""
+    fixture = FIXTURES / ("W1.json" if target in ("W1", "E1") else "W2.json")
+    manifest = target.startswith("W")
+    coords, g, phi, *_ = _chart(fixture, None if manifest else "1/(y^2)")
     G = _levi_civita(g, coords)
     exact = {"gamma": G, "ricci": _ricci_of(G, coords).tolist(), "nabla_phi": _nabla_phi(G, phi, coords)}
-    struct = evaluate_structure(load_manifest(W1) if target == "W1" else get_model("E1"),
+    struct = evaluate_structure(load_manifest(fixture) if manifest else get_model(target),
                                 np.array(DYADIC_POINTS, dtype=float), 2)
     got = {"gamma": struct.connection.gamma.components[..., 0],
            "ricci": struct.curvature.ricci.components[..., 0], "nabla_phi": struct.nabla_phi}
