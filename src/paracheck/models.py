@@ -22,7 +22,7 @@ import numpy as np
 
 from .expr_jet import JetDomainError, JetSpace, _locate, eval_expr, parse_expr
 from .paracontact_core import ParacontactStructure, pair
-from .tensor_algebra import TensorValue, inertia
+from .tensor_algebra import TensorValue, degenerate, inertia
 
 # Deepest jet orders of a chart model's fields (suites.REQUESTS gives the g order of each request).
 # The deepest check reads one derivative of Ricci (dr, div Q, nabla Q, L_xi S, nabla and L_xi of C11), so g
@@ -89,9 +89,9 @@ def _eval_grid(sources: list, coords: list[str], space: JetSpace, coord_jets: li
 def evaluate_structure(model: ManifoldModel, points: np.ndarray, order: int = METRIC_ORDER) -> ParacontactStructure:
     """Evaluate the model's tensors as jets at the given points: g to
     ``order``, phi, xi and eta to min(order, FIELD_ORDER).  The metric must
-    have the declared index, and the structure eta(xi) = 1 and g(xi, xi) =
-    eps (both to 1e-10), at every point; a violation is a ValueError naming
-    the first point where it fails."""
+    have the declared index wherever it is not degenerate, and the structure
+    eta(xi) = 1 and g(xi, xi) = eps (both to 1e-10), at every point; a
+    violation is a ValueError naming the first point where it fails."""
     if not model.has_structure:
         raise ValueError(f"model {model.name} declares no (phi, xi, eta) structure")
     points = np.asarray(points, dtype=float)
@@ -102,8 +102,9 @@ def evaluate_structure(model: ManifoldModel, points: np.ndarray, order: int = ME
         _field_jets(model, "eta", 0, 1, fo, points))
     g0, xi0 = struct.g0, struct.xi0
     nus = inertia(g0)
-    bad = np.flatnonzero(nus != model.index)
-    if bad.size:
+    # a degenerate g is named as such when its connection is built
+    bad = [p for p in np.flatnonzero(nus != model.index) if not degenerate(g0[p])]
+    if bad:
         raise ValueError(f"{model.name}: declared index {model.index} but computed inertia {nus[bad[0]]} "
                          f"at point {tuple(points[bad[0]].tolist())}")
     for gap, invariant in ((np.einsum('pa,pa->p', struct.eta0, xi0) - 1.0, "eta(xi) = 1"),

@@ -278,46 +278,49 @@ class TestManifestErrors:
         with pytest.raises(ManifestError, match="embedding.map: must have 4 entries, got 3"):
             parse_manifest(doc)
 
-    @pytest.mark.parametrize("target,path,value,field", [
-        ("E1", ("coords",), ["x1", "x1", "y"], "coords"),
-        ("E1", ("xi",), ["0", "0", "y", "1"], "xi"),
-        ("E1", ("eta",), ["0", "1/y"], "eta"),
-        ("E2", ("index",), True, "index"),
-        ("E1", ("dim",), True, "dim"),
-        ("E3a", ("ambient", "coords"), ["u1", "u1", "v1", "v2"], "ambient.coords"),
-        ("E3a", ("embedding", "coords"), ["s", "s", "w"], "embedding.coords"),
-        ("E3a", ("embedding", "orientation"), True, "embedding.orientation"),
-        ("E3a", ("ambient", "coords"), ["u1", "u2", "v1"], "ambient.coords"),
-        ("E1", ("domain", 0), [True, 2.0], "domain[0]"),
-        ("E1", ("domain", 2), [0.5, 10 ** 400], "domain[2]"),
-        ("E1", ("phi",), True, "phi"),
-        ("E1", ("metric", 4), "1/(y^2", "metric[4]"),
-        ("E1", ("phi", 3), "x1 +", "phi[3]"),
-        ("E3a", ("ambient", "J", 5), "q", "ambient.J[5]"),
-        ("E1", ("metric", 0), "exp(1000)", "metric"),
-        ("E1", ("phi", 0), "exp(1000)", "phi"),
-        ("E1", ("xi", 2), "exp(800)*y", "xi"),
-        ("E1", ("eta", 2), "exp(1000*x1)", "eta"),
-        ("E1", ("metric", 0), ".", "metric[0]"),
-        ("E1", ("phi", 0), "x1^.", "phi[0]"),
-        ("E1", ("xi", 2), "y^1e400", "xi[2]"),
-        ("E1", ("epsilon",), 2, "epsilon"),
-        ("E3a", ("embedding", "orientation"), 3, "embedding.orientation"),
-        ("E3a", ("ambient", "metric", 1), "0.3", "ambient.metric"),
+    @pytest.mark.parametrize("target,path,value,field,at", [
+        ("E1", ("coords",), ["x1", "x1", "y"], "coords", "load"),
+        ("E1", ("xi",), ["0", "0", "y", "1"], "xi", "load"),
+        ("E1", ("eta",), ["0", "1/y"], "eta", "load"),
+        ("E2", ("index",), True, "index", "load"),
+        ("E1", ("dim",), True, "dim", "load"),
+        ("E3a", ("ambient", "coords"), ["u1", "u1", "v1", "v2"], "ambient.coords", "load"),
+        ("E3a", ("embedding", "coords"), ["s", "s", "w"], "embedding.coords", "load"),
+        ("E3a", ("embedding", "orientation"), True, "embedding.orientation", "load"),
+        ("E3a", ("ambient", "coords"), ["u1", "u2", "v1"], "ambient.coords", "load"),
+        ("E1", ("domain", 0), [True, 2.0], "domain[0]", "load"),
+        ("E1", ("domain", 2), [0.5, 10 ** 400], "domain[2]", "load"),
+        ("E1", ("phi",), True, "phi", "load"),
+        ("E1", ("metric", 4), "1/(y^2", "metric[4]", "load"),
+        ("E1", ("phi", 3), "x1 +", "phi[3]", "load"),
+        ("E3a", ("ambient", "J", 5), "q", "ambient.J[5]", "load"),
+        ("E1", ("metric", 0), "exp(1000)", "metric", "request"),
+        ("E1", ("phi", 0), "exp(1000)", "phi", "request"),
+        ("E1", ("xi", 2), "exp(800)*y", "xi", "request"),
+        ("E1", ("eta", 2), "exp(1000*x1)", "eta", "request"),
+        ("E1", ("metric", 0), ".", "metric[0]", "load"),
+        ("E1", ("phi", 0), "x1^.", "phi[0]", "load"),
+        ("E1", ("xi", 2), "y^1e400", "xi[2]", "load"),
+        ("E1", ("eta", 2), "1/y)", "eta[2]", "load"),
+        ("E1", ("epsilon",), 2, "epsilon", "load"),
+        ("E3a", ("embedding", "orientation"), 3, "embedding.orientation", "load"),
+        ("E3a", ("ambient", "metric", 1), "0.3", "ambient.metric", "load"),
     ], ids=["duplicate-coords", "xi-length", "eta-length", "index-true", "dim-true", "duplicate-ambient-coords",
             "duplicate-embedding-coords", "orientation-true", "ambient-coords-length", "domain-bound-true",
             "domain-bound-beyond-float", "phi-true", "metric-syntax", "phi-syntax", "ambient-J-unknown-name",
             "metric-not-finite", "phi-not-finite", "xi-not-finite", "eta-not-finite", "metric-lone-dot",
-            "phi-exponent-dot", "xi-exponent-beyond-float", "epsilon-2", "orientation-3",
+            "phi-exponent-dot", "xi-exponent-beyond-float", "eta-syntax", "epsilon-2", "orientation-3",
             "ambient-metric-asymmetric"])
-    def test_shape_error_names_the_field(self, tmp_path, capsys, target, path, value, field):
+    def test_shape_error_names_the_field(self, tmp_path, capsys, target, path, value, field, at):
         """A field of the wrong length or JSON type, with repeated coordinate
         names, holding true where an integer or a number belongs, with an
         expression that does not parse, a metric grid (chart or ambient)
         that is not symmetric as written, or a metric, phi, xi or eta that
         is not finite at a request's sample point is an input error naming
         the file and the field: the CLI exits 2 with one `error: <path>:
-        <field>: ...` line and no warning.  An index of true on the
+        <field>: ...` line and no warning.  Each is raised where its check
+        runs: a not-finite value by the request (the manifest loads), every
+        other row by load_manifest.  An index of true on the
         Lorentzian E2 would otherwise read as its index 1 and pass, and a
         domain bound of true as 1.0."""
         doc = manifest_dict(builtin_bundles()[target] if target == "E3a" else builtin_models()[target])
@@ -327,8 +330,13 @@ class TestManifestErrors:
         parent[path[-1]] = value
         file = tmp_path / "shape.json"
         file.write_text(json.dumps(doc))
+        if at == "request":
+            load_manifest(file)
         with pytest.raises(ManifestError, match=f"^{re.escape(str(file))}: {re.escape(field)}: "):
-            _run(str(file), "structure", RunConfig(points=5))
+            if at == "load":
+                load_manifest(file)
+            else:
+                _run(str(file), "structure", RunConfig(points=5))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["check", str(file), "--suite", "structure", "--points", "5"]) == 2

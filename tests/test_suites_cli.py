@@ -619,19 +619,23 @@ class TestCli:
         assert f"{path}: embedding validation failed: degenerate ambient metric" in proc.stderr
         assert "at point (" in proc.stderr
 
-    @pytest.mark.parametrize("field,value,suite,message", [
-        (("eta", 2), "1e307*sin(100*y)", "structure", "structure invariant eta(xi) = 1 violated at point ("),
-        (("metric", 0), "1/(y^2)+1e300*sin(1e8*x1)^2", "sasakian",
+    @pytest.mark.parametrize("model,field,value,suite,message", [
+        ("E1", ("eta", 2), "1e307*sin(100*y)", "structure", "structure invariant eta(xi) = 1 violated at point ("),
+        ("E1", ("metric", 0), "1/(y^2)+1e300*sin(1e8*x1)^2", "sasakian",
          "degenerate metric (smallest singular value of g at most 1e-12 of the largest) at point ("),
-    ], ids=["eta-of-xi", "degenerate-metric"])
-    def test_request_time_input_error_names_file_and_point(self, tmp_path, capsys, field, value, suite, message):
-        """An E1 mutant that loads, since the parser checks only what a
-        manifest declares, and whose fields are finite and whose metric has
-        its index at the request's samples, but fails a structure invariant
-        or is degenerate there: exit 2 with one line naming the manifest and
-        the point."""
+        ("E2", ("metric", 0), "1/(y^2)+1e300*sin(1e8*x1)^2", "sasakian",
+         "degenerate metric (smallest singular value of g at most 1e-12 of the largest) at point ("),
+    ], ids=["eta-of-xi", "degenerate-metric", "degenerate-lorentzian-metric"])
+    def test_request_time_input_error_names_file_and_point(self, tmp_path, capsys, model, field, value, suite,
+                                                           message):
+        """An E1 or E2 mutant that loads, since the parser checks only what
+        a manifest declares, and whose fields are finite at the request's
+        samples, but fails a structure invariant or is degenerate there:
+        exit 2 with one line naming the manifest and the point.  On E2 the
+        timelike eigenvalue is below 1e-12 of the largest, so the inertia
+        reads 0; the metric is named degenerate, not of the wrong index."""
         path = tmp_path / "mutant.json"
-        save_manifest(get_model("E1"), path)
+        save_manifest(get_model(model), path)
         doc = json.loads(path.read_text())
         doc[field[0]][field[1]] = value
         path.write_text(json.dumps(doc))
