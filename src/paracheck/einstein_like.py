@@ -109,11 +109,10 @@ def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStru
     g, phi, eta, xi = struct.g0, struct.phi0, struct.eta0, struct.xi0
     S = struct.curvature.ricci.components[..., 0]
     Sphi = np.einsum('pmb,pma->pab', S, phi)        # S(phi e_a, e_b)
-    gphi = np.einsum('pmb,pma->pab', g, phi)        # g(phi e_a, e_b)
     gphiphi = np.swapaxes(phi, 1, 2) @ g @ phi      # g(phi e_a, phi e_b)
     Sxi = np.einsum('pab,pb->pa', S, xi)
     res = StructureCheckResult()
-    _add_over_family(res, fit, lambda a, b, c: (residual_norm(Sphi - a * gphi - b * gphiphi, Sphi, g),
+    _add_over_family(res, fit, lambda a, b, c: (residual_norm(Sphi - a * struct.Phi0 - b * gphiphi, Sphi, g),
                                                 residual_norm(Sxi - (eps * a + c) * eta, Sxi, eta)),
                      {"einstein.ricci-phi-display": MAX_OVER, "einstein.ricci-xi-display": MAX_OVER})
     return res
@@ -155,7 +154,7 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Str
                   + c * np.einsum('px,pay->payx', eta, phi)
                   - np.einsum('pxy,pa->payx',
                               b * g - 2 * eps * b * struct.ee0
-                              - eps * c * np.einsum('pmx,pmy->pxy', phi, g),
+                              - eps * c * struct.Phi0,
                               xi))
         return (abs(eps * a + c - (1 - n)),
                 residual_norm(r - (n * a + b * trphi + eps * c), r),

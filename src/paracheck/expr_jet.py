@@ -169,6 +169,24 @@ class _Tokenizer:
         return kind, text, pos
 
 
+def _bounded(node: ScalarExpr, depth: int, pos: int) -> tuple[ScalarExpr, int]:
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+    return node, depth
+
+
+def _number(text: str, pos: int) -> float:
+    """The finite value of a number token; a token that is no number
+    (".", "²") or overflows ("1e400") is a syntax error at the token."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ExprSyntaxError(f"malformed number {text!r}", pos) from None
+    if not math.isfinite(value):
+        raise ExprSyntaxError(f"number {text} is not finite", pos)
+    return value
+
+
 class _Parser:
     """Recursive descent for the grammar
 
@@ -196,15 +214,10 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing token {text!r}", pos)
         return node
 
-    def _bounded(self, node: ScalarExpr, depth: int, pos: int) -> tuple[ScalarExpr, int]:
-        if depth > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
-        return node, depth
-
     def _nested(self, rule, pos: int) -> tuple[ScalarExpr, int]:
         # rule() one level down (parenthesis, call, unary minus), refused before the descent can exhaust the stack
         self.nesting += 1
-        self._bounded(None, self.nesting, pos)
+        _bounded(None, self.nesting, pos)
         out = rule()
         self.nesting -= 1
         return out
@@ -216,7 +229,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.tok.take()
                 right, rdepth = self.term()
-                node, depth = self._bounded(BinOp(text, node, right), 1 + max(depth, rdepth), pos)
+                node, depth = _bounded(BinOp(text, node, right), 1 + max(depth, rdepth), pos)
             else:
                 return node, depth
 
@@ -227,7 +240,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.tok.take()
                 right, rdepth = self.factor()
-                node, depth = self._bounded(BinOp(text, node, right), 1 + max(depth, rdepth), pos)
+                node, depth = _bounded(BinOp(text, node, right), 1 + max(depth, rdepth), pos)
             else:
                 return node, depth
 
@@ -236,7 +249,7 @@ class _Parser:
         if kind == "op" and text == "-":
             self.tok.take()
             arg, depth = self._nested(self.factor, pos)
-            return self._bounded(Neg(arg), depth + 1, pos)
+            return _bounded(Neg(arg), depth + 1, pos)
         return self.power()
 
     def power(self) -> tuple[ScalarExpr, int]:
@@ -244,7 +257,7 @@ class _Parser:
         kind, text, pos = self.tok.peek()
         if kind == "op" and text == "^":
             self.tok.take()
-            node, depth = self._bounded(Pow(node, self._exponent()), depth + 1, pos)
+            node, depth = _bounded(Pow(node, self._exponent()), depth + 1, pos)
         return node, depth
 
     def _exponent(self) -> float:
@@ -255,23 +268,12 @@ class _Parser:
             kind, text, pos = self.tok.take()
         if kind != "number":
             raise ExprSyntaxError("exponent must be a numeric constant", pos)
-        return sign * self._number(text, pos)
-
-    def _number(self, text: str, pos: int) -> float:
-        """The finite value of a number token; a token that is no number
-        (".", "²") or overflows ("1e400") is a syntax error at the token."""
-        try:
-            value = float(text)
-        except ValueError:
-            raise ExprSyntaxError(f"malformed number {text!r}", pos) from None
-        if not math.isfinite(value):
-            raise ExprSyntaxError(f"number {text} is not finite", pos)
-        return value
+        return sign * _number(text, pos)
 
     def base(self) -> tuple[ScalarExpr, int]:
         kind, text, pos = self.tok.take()
         if kind == "number":
-            return Num(self._number(text, pos)), 1
+            return Num(_number(text, pos)), 1
         if kind == "ident":
             nk, nt, _ = self.tok.peek()
             if nk == "op" and nt == "(":
@@ -280,7 +282,7 @@ class _Parser:
                 self.tok.take()
                 arg, depth = self._nested(self.expr, pos)
                 self._expect(")")
-                return self._bounded(Call(text, arg), depth + 1, pos)
+                return _bounded(Call(text, arg), depth + 1, pos)
             if text not in self.coords:
                 raise UnknownIdentifierError(text, pos)
             return Var(text, self.coords[text]), 1
@@ -459,11 +461,6 @@ class JetSpace:
             out[..., 0] += series[..., k]
         return out
 
-    def _check_positive(self, a0: np.ndarray, what: str, points: np.ndarray | None):
-        bad = ~(a0 > 0)
-        if np.any(bad):
-            raise JetDomainError(f"{what} of non-positive constant term", _locate(bad, points))
-
     def reciprocal(self, A: np.ndarray, points=None) -> np.ndarray:
         a0 = A[..., 0]
         bad = a0 == 0
@@ -475,7 +472,7 @@ class JetSpace:
 
     def ln(self, A: np.ndarray, points=None) -> np.ndarray:
         a0 = A[..., 0]
-        self._check_positive(a0, "ln", points)
+        _check_positive(a0, "ln", points)
         series = np.empty(a0.shape + (self.order + 1,))
         series[..., 0] = np.log(a0)
         for k in range(1, self.order + 1):
@@ -519,13 +516,19 @@ class JetSpace:
                 return out
             return self.reciprocal(self.power(A, -p), points)
         a0 = A[..., 0]
-        self._check_positive(a0, what or f"non-integer power {exponent}", points)
+        _check_positive(a0, what or f"non-integer power {exponent}", points)
         series = np.empty(a0.shape + (self.order + 1,))
         coef = 1.0
         for k in range(self.order + 1):
             series[..., k] = coef * a0 ** (exponent - k)
             coef *= (exponent - k) / (k + 1)
         return self._compose(series, A)
+
+
+def _check_positive(a0: np.ndarray, what: str, points: np.ndarray | None):
+    bad = ~(a0 > 0)
+    if np.any(bad):
+        raise JetDomainError(f"{what} of non-positive constant term", _locate(bad, points))
 
 
 def _locate(bad_mask: np.ndarray, points: np.ndarray | None):

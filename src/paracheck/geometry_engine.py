@@ -116,7 +116,7 @@ class CurvatureAtPoint:
         return np.trace(self.nabla_ricci_op.components[..., 0], axis1=1, axis2=2)
 
 
-def christoffel(metric_jets: TensorValue, points: np.ndarray) -> ConnectionAtPoint:
+def christoffel(metric_jets: TensorValue) -> ConnectionAtPoint:
     """Levi-Civita connection of a jet-valued metric.
 
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), jet-valued one
@@ -125,7 +125,7 @@ def christoffel(metric_jets: TensorValue, points: np.ndarray) -> ConnectionAtPoi
     """
     space = metric_jets.space
     lower = _lower(space, "christoffel")
-    metric = MetricAtPoint.build(metric_jets.as_jet(lower), points)
+    metric = MetricAtPoint.build(metric_jets.as_jet(lower))
     n = metric_jets.dim
     flat = not metric_jets.components[..., 1:].any()
     if flat:

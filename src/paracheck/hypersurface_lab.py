@@ -25,14 +25,14 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .expr_jet import JetSpace
+from .expr_jet import JetSpace, _locate
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
 from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid, _field_jets
 from .paracontact_core import (ParacontactStructure, apply_op, defining_equation_gap_per_point, form, pair,
                                para_sasakian_rhs)
 from .report import RANK_CUTOFF, StructureCheckResult, residual_norm
 from .sampling import _seed, derive_states
-from .tensor_algebra import TensorValue, degenerate, invert_jet_matrix, min_norm_solve
+from .tensor_algebra import TensorValue, check_metric, invert_jet_matrix, min_norm_solve
 
 # The ambient g~ is evaluated to at most order 2: the Gauss check reads R~
 # values, and the Weingarten map and nabla J~ read Gamma~ values.
@@ -123,7 +123,7 @@ class AmbientJets:
 
     @cached_property
     def connection(self) -> ConnectionAtPoint:
-        return christoffel(self.g, self.points)
+        return christoffel(self.g)
 
     @cached_property
     def curvature(self) -> CurvatureAtPoint:
@@ -171,8 +171,10 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     which the Weingarten map reads to order 1, and the ambient jets at
     F(points) to ``order`` at most.
 
-    A JN that is not tangent is measured (``tangency_residual``), not
-    rejected; the induced structure's axioms are what the checks measure."""
+    The ambient metric at F(points) and the induced one must pass
+    :func:`check_metric`, and the normal must be neither lightlike nor flip its
+    causal character.  A JN that is not tangent is measured
+    (``tangency_residual``), not rejected; the checks measure the induced axioms."""
     amb = bundle.ambient
     emb = bundle.embedding
     n = bundle.dim
@@ -203,17 +205,13 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     # rank per point: |nu0| against Hadamard's bound, the product of the Jacobian rows' norms
     flat = ~(np.linalg.norm(nu0, axis=1) > 1e-12 * np.prod(np.linalg.norm(T0, axis=2), axis=1))
     if np.any(flat):
-        raise InducedStructureError("embedding differential is rank-deficient "
-                                    f"at point {tuple(float(c) for c in points[np.argmax(flat)])}")
+        raise InducedStructureError(f"embedding differential is rank-deficient at point {_locate(flat, points)}")
     # its jets: the last column of the jet inverse of the rows (T_1 .. T_n, nu0) annihilates every T_a and
     # pairs to 1 with nu0, so times |nu0|^2 it is a multiple of nu whose values are nu0 (jn-tangent reads
     # those values; every other use of nu is normalized, so the multiple cancels)
     rows = np.concatenate([T, fspace.constant(nu0[:, None], (P, 1, N1))], axis=1)   # (P, N1, N1, m)
     nu = invert_jet_matrix(fspace, rows)[:, :, n] * np.sum(nu0 ** 2, axis=1)[:, None, None]
-    singular = degenerate(g_amb[..., 0])
-    if np.any(singular):
-        raise InducedStructureError("degenerate ambient metric (smallest singular value at most 1e-12 of the largest) "
-                                    f"at point {tuple(float(c) for c in points[np.argmax(singular)])}")
+    check_metric(g_amb[..., 0], points, "ambient.metric")
     g_amb_inv = invert_jet_matrix(fspace, g_amb)
     N_un = fspace.matmul(g_amb_inv, nu[:, :, None])[:, :, 0]   # N^A = g~^{AB} nu_B
 
@@ -234,10 +232,11 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
         raise InducedStructureError(
             f"lightlike normal direction (|g~(N,N)| = {abs(q0[k]):.2e}, {light[k]:.2e} of |N|^2 max|g~|) "
             f"at point {tuple(float(c) for c in points[k])}: unsupported")
-    signs = np.sign(q0)
-    if len(set(signs.tolist())) != 1:
-        raise InducedStructureError("normal causal character flips over the sample set")
-    eps = int(signs[0])
+    eps = int(np.sign(q0[0]))
+    flips = np.sign(q0) != eps
+    if np.any(flips):
+        raise InducedStructureError(f"normal causal character flips: g~(N,N) has sign {-eps:+d} at point "
+                                    f"{_locate(flips, points)}, {eps:+d} at the first")
     scale = fspace.reciprocal(fspace.sqrt(eps * q))
     N_hat = fspace.mul(N_un, scale[:, None, :])
     JN = fspace.matmul(J_amb, N_hat[:, :, None])[:, :, 0]
@@ -248,6 +247,7 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
         # induced metric g_ab = g~(T_a, T_b)
         T_low = gspace.matmul(T_g, np.swapaxes(g_amb_g, 1, 2))     # (P, n, N1, m): g~(T_a, .)
         gT = gspace.matmul(T_low, np.swapaxes(T_g, 1, 2))           # (P, n, n, m)
+        check_metric(gT[..., 0], points, "induced metric")
 
         # frame matrix columns (T_1 .. T_n, N) and its jet inverse
         frame = np.concatenate([np.moveaxis(T, 1, 2), N_hat[:, :, None, :]], axis=2)  # (P, N1, n+1, m)
@@ -342,7 +342,7 @@ def check_induced_frame(data: HypersurfaceData, axioms: StructureCheckResult) ->
     res = StructureCheckResult()
     res.add("hypersurface.jn-tangent", data.tangency_residual)
     res.add("hypersurface.weingarten-tangent", data.frame_residual)
-    Alow = np.einsum('pma,pmb->pab', data.shape.A, data.structure.g0)
+    Alow = data.shape.epsilon * data.shape.h                         # g(A., .)
     res.add("hypersurface.shape-self-adjoint", Alow - np.swapaxes(Alow, 1, 2), Alow)
     res.add("hypersurface.epsilon-consistent", data.epsilon_residual,
             detail=f"max |g~(N,N) - eps| over the samples, eps = {data.shape.epsilon:+d}")

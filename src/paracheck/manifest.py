@@ -24,16 +24,18 @@ Bundle document:
                     "domain": [[lo, hi], ...]}
     }
 
-Loading checks what a document declares, for models and bundles alike: the
-JSON type and length of every field, expression syntax against the declared
+Loading checks what a document declares, for models and bundles alike: the JSON
+type and length of every field, expression syntax against the declared
 coordinates, every metric grid symmetric as written, and finite domain
 intervals with lo <= hi.  The request checks the values it reads, at its own
 points (``models.evaluate_structure``, ``hypersurface_lab.evaluate_bundle``):
-finite fields, a chart's declared index, eta(xi) = 1 and g(xi, xi) = eps, a
-bundle's embedding rank and a normal that is not lightlike.  Errors name the
-file, the field (``<path>: xi: ...``, ``<path>: metric[4]: ...`` for an
-entry) and the JSON line/column, the expression position or the first
-failing point, so a file diagnoses itself.
+finite fields; every metric it reads non-degenerate with one index (a chart's
+g, of its declared index, in every suite; a bundle's ambient and induced
+metrics); eta(xi) = 1 and g(xi, xi) = eps; a bundle's embedding rank and a
+normal neither lightlike nor of changing causal character.  Errors name the
+file, the field (``<path>: xi: ...``, ``<path>: metric[4]: ...`` for an entry)
+and the JSON line/column, the expression position or the first failing point,
+so a file diagnoses itself.
 
 Writing reads the document off the dataclasses: :func:`manifest_dict` is
 ``kind`` plus ``dataclasses.asdict`` of the model or bundle, with each

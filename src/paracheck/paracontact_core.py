@@ -94,7 +94,7 @@ class ParacontactStructure:
 
     @cached_property
     def connection(self) -> ConnectionAtPoint:
-        return christoffel(self.g, self.points)
+        return christoffel(self.g)
 
     @cached_property
     def curvature(self) -> CurvatureAtPoint:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr_jet import JetSpace
+from .expr_jet import JetSpace, _locate
 from .report import RANK_CUTOFF
 
 
@@ -80,13 +80,12 @@ def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int) -> n
 # --------------------------------------------------------------------------
 
 
-def inertia(sym: np.ndarray) -> int | np.ndarray:
+def inertia(sym: np.ndarray) -> np.ndarray:
     """Count of negative eigenvalues of each symmetric matrix of the stack
     (..., n, n), those below -1e-12 times its largest magnitude: a count
-    that does not change when a matrix is rescaled.  One int for one matrix."""
+    that does not change when a matrix is rescaled."""
     w = np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
-    nu = np.sum(w < -1e-12 * np.max(np.abs(w), axis=-1, keepdims=True), axis=-1)
-    return int(nu) if nu.ndim == 0 else nu
+    return np.sum(w < -1e-12 * np.max(np.abs(w), axis=-1, keepdims=True), axis=-1)
 
 
 def degenerate(g0: np.ndarray) -> np.ndarray:
@@ -94,6 +93,21 @@ def degenerate(g0: np.ndarray) -> np.ndarray:
     most 1e-12 times its largest: a test that does not change under rescaling."""
     sv = np.linalg.svd(g0, compute_uv=False)
     return sv[..., -1] <= 1e-12 * sv[..., 0]
+
+
+def check_metric(g0: np.ndarray, points: np.ndarray, field: str, index: int | None = None) -> None:
+    """That the metric values g0 (P, n, n) at ``points`` are semi-Riemannian: not :func:`degenerate`,
+    then of :func:`inertia` ``index``, or the first point's when none is declared.  A failure is a
+    ValueError naming ``field`` and the first failing point."""
+    singular = degenerate(g0)
+    if singular.any():
+        raise ValueError(f"{field}: degenerate (smallest singular value at most 1e-12 of the largest) "
+                         f"at point {_locate(singular, points)}")
+    nus = inertia(g0)
+    other = nus != (nus[0] if index is None else index)
+    if other.any():
+        raise ValueError(f"{field}: index {nus[np.argmax(other)]} at point {_locate(other, points)}, not the "
+                         + (f"first point's {nus[0]}" if index is None else f"declared {index}"))
 
 
 def min_norm_solve(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,28 +146,13 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MetricAtPoint:
-    """Metric and its inverse at the sample points, with the signature
-    bookkeeping the indefinite checks need.
-
-    Invariant: g . g_inv = identity within 1e-10 at the constant term, and g
-    is non-degenerate: its smallest singular value exceeds 1e-12 times its
-    largest, a test that does not change when g is rescaled."""
+    """Metric and its jet inverse at the sample points, g . g_inv = identity
+    within 1e-10 at the constant term; g passed :func:`check_metric` where it was evaluated."""
 
     g: TensorValue
     g_inv: TensorValue
-    index: int
 
     @classmethod
-    def build(cls, g: TensorValue, points: np.ndarray | None = None) -> "MetricAtPoint":
-        """The metric at the samples; a degenerate one is an error naming
-        the first degenerate sample of ``points`` when they are given."""
-        g0 = g.components[..., 0]
-        singular = degenerate(g0)
-        if np.any(singular):
-            where = "" if points is None else f" at point {tuple(float(c) for c in points[np.argmax(singular)])}"
-            raise ValueError(f"degenerate metric (smallest singular value of g at most 1e-12 of the largest){where}")
-        nus = sorted(set(inertia(g0).tolist()))
-        if len(nus) != 1:
-            raise ValueError(f"metric index is not constant over the sample set: {nus}")
-        g_inv = TensorValue(g.dim, 2, 0, invert_jet_matrix(g.space, g.components), g.space)
-        return cls(g=g, g_inv=g_inv, index=nus[0])
+    def build(cls, g: TensorValue) -> "MetricAtPoint":
+        """The metric at the samples and its jet inverse."""
+        return cls(g=g, g_inv=TensorValue(g.dim, 2, 0, invert_jet_matrix(g.space, g.components), g.space))

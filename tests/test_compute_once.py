@@ -2,7 +2,7 @@
 requested check reads it: the connection of every metric, each covariant
 derivative, the axiom checks, the para-Sasakian gate and C11(phi R); and
 each distinct expression string of a field grid is parsed and evaluated
-once per grid; a jet product takes the pair table only when neither
+once per grid; each metric is checked once, where it is evaluated; a jet product takes the pair table only when neither
 operand is constant; and a constant metric takes no connection work, nor a
 constant matrix a Newton step.  Call counts are taken by rebinding each
 function under every name the package imports it by."""
@@ -63,6 +63,22 @@ def test_chart_all_builds_connection_gate_and_c11_once(monkeypatch):
     assert conn["n"] == 1
     assert gate["n"] == 1
     assert c11["n"] == 1
+
+
+@pytest.mark.parametrize("argv,metrics", [
+    (["check", "E1", "--suite", "structure"], 1),
+    (["check", "E1", "--suite", "sasakian"], 1),
+    (["check", "E3a", "--suite", "all"], 2),
+])
+def test_each_metric_is_checked_once(monkeypatch, tmp_path, argv, metrics):
+    """Each metric's degeneracy and index are tested once, where it is
+    evaluated: a chart's g at any jet order, a bundle's ambient g~ at
+    F(points) and its induced g.  Building a connection tests neither
+    again."""
+    inertias = _count(monkeypatch, tensor_algebra.inertia)
+    degenerates = _count(monkeypatch, tensor_algebra.degenerate)
+    assert main([*argv, "--points", "10", "--format", "json", "--out", str(tmp_path / "report.json")]) in (0, 1)
+    assert (inertias["n"], degenerates["n"]) == (metrics, metrics)
 
 
 def test_structure_request_builds_no_connection_and_runs_no_gate(monkeypatch):

@@ -206,6 +206,18 @@ class TestInducedStructure:
         want, got = (evaluate_bundle(x, pts).shape.N for x in (b, scaled))
         assert np.max(np.abs(got - want)) < 1e-9
 
+    def test_ambient_index_change_is_named(self):
+        """The ambient metric is checked at F(points) before its jet
+        inverse: g~_11 = u1 has index 0 where u1 > 0 and 1 where u1 < 0, an
+        error naming ambient.metric and the first point whose index is not
+        the first point's."""
+        bundle = builtin_bundles()["E3a"]
+        bundle.ambient.metric[0][0] = "u1"
+        points = np.array([[1.0, 0.0, 0.0], [0.5, 0.2, 0.1], [-1.0, 0.3, 0.2], [-0.5, 0.0, 0.0]])
+        with pytest.raises(ValueError) as err:
+            evaluate_bundle(bundle, points, 1)
+        assert str(err.value) == "ambient.metric: index 1 at point (-1.0, 0.3, 0.2), not the first point's 0"
+
     def test_rank_drop_at_one_point_is_named(self):
         """The rank is tested per point: t^3 has a critical point at t = 0,
         which is named although the other point is regular."""

@@ -61,7 +61,7 @@ class TestModelValidation:
         doc = manifest_dict(get_model("E2"))
         doc["index"] = 0
         model = parse_manifest(doc)
-        with pytest.raises(ValueError, match=r"^E2: declared index 0 but computed inertia 1 at point \("):
+        with pytest.raises(ValueError, match=r"^metric: index 1 at point \(.*\), not the declared 0$"):
             run_suite(model, "structure", RunConfig(points=5))
 
     def test_index_mismatch_names_first_point(self):
@@ -72,7 +72,21 @@ class TestModelValidation:
         points = np.array([[0.5, 0.0, 1.0], [-0.25, 1.0, 2.0], [-1.0, 0.0, 1.0]])
         with pytest.raises(ValueError) as err:
             evaluate_structure(model, points, 0)
-        assert str(err.value) == "E1: declared index 0 but computed inertia 1 at point (-0.25, 1.0, 2.0)"
+        assert str(err.value) == "metric: index 1 at point (-0.25, 1.0, 2.0), not the declared 0"
+
+    def test_degenerate_metric_rejected_at_every_order(self):
+        """E1 with g_11 = 0 is degenerate everywhere.  The metric is checked
+        where it is evaluated, at every jet order, so a request that builds
+        no connection (order 0) refuses it as one that does; the error names
+        the field and the first point."""
+        model = get_model("E1")
+        model.metric[0][0] = "0"
+        points = np.array([[0.5, 0.0, 1.0], [-0.25, 1.0, 2.0]])
+        for order in range(4):
+            with pytest.raises(ValueError) as err:
+                evaluate_structure(model, points, order)
+            assert str(err.value) == ("metric: degenerate (smallest singular value at most 1e-12 of the largest) "
+                                      "at point (0.5, 0.0, 1.0)")
 
     def test_rescaled_metric_index_accepted(self):
         """The declared index holds at any scale: E2 with every metric entry
@@ -234,7 +248,7 @@ class TestManifestErrors:
         assert load_manifest(path).index == 0
         assert main(["check", str(path), "--suite", "structure", "--points", "5"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: E2: declared index 0 but computed inertia 1 at point (")
+        assert err.startswith(f"error: {path}: metric: index 1 at point (") and "not the declared 0" in err
 
     def test_a_field_is_checked_only_at_the_request_points(self, tmp_path, capsys):
         """E1 with phi[0] = exp(1000 (x1 - 1)), which overflows only where

@@ -616,28 +616,44 @@ class TestCli:
         proc = _cli("hypersurface", str(path), "--suite", "all", "--points", "5")
         assert proc.returncode == EXIT_INPUT_ERROR
         assert "Traceback" not in proc.stderr
-        assert f"{path}: embedding validation failed: degenerate ambient metric" in proc.stderr
+        assert f"{path}: ambient.metric: degenerate (smallest singular value" in proc.stderr
         assert "at point (" in proc.stderr
 
-    @pytest.mark.parametrize("model,field,value,suite,message", [
-        ("E1", ("eta", 2), "1e307*sin(100*y)", "structure", "structure invariant eta(xi) = 1 violated at point ("),
-        ("E1", ("metric", 0), "1/(y^2)+1e300*sin(1e8*x1)^2", "sasakian",
-         "degenerate metric (smallest singular value of g at most 1e-12 of the largest) at point ("),
-        ("E2", ("metric", 0), "1/(y^2)+1e300*sin(1e8*x1)^2", "sasakian",
-         "degenerate metric (smallest singular value of g at most 1e-12 of the largest) at point ("),
-    ], ids=["eta-of-xi", "degenerate-metric", "degenerate-lorentzian-metric"])
-    def test_request_time_input_error_names_file_and_point(self, tmp_path, capsys, model, field, value, suite,
-                                                           message):
-        """An E1 or E2 mutant that loads, since the parser checks only what
-        a manifest declares, and whose fields are finite at the request's
-        samples, but fails a structure invariant or is degenerate there:
-        exit 2 with one line naming the manifest and the point.  On E2 the
-        timelike eigenvalue is below 1e-12 of the largest, so the inertia
-        reads 0; the metric is named degenerate, not of the wrong index."""
+    @pytest.mark.parametrize("target,edits,suite,message", [
+        ("E1", {("eta", 2): "1e307*sin(100*y)"}, "structure", "structure invariant eta(xi) = 1 violated at point ("),
+        ("E1", {("metric", 0): "1/(y^2)+1e300*sin(1e8*x1)^2"}, "sasakian",
+         "metric: degenerate (smallest singular value at most 1e-12 of the largest) at point ("),
+        ("E2", {("metric", 0): "1/(y^2)+1e300*sin(1e8*x1)^2"}, "sasakian",
+         "metric: degenerate (smallest singular value at most 1e-12 of the largest) at point ("),
+        *[("E1", {("metric", 0): "0"}, suite,
+           "metric: degenerate (smallest singular value at most 1e-12 of the largest) at point (")
+          for suite in ("structure", "sasakian", "curvature", "einstein", "lie")],
+        ("E3b", {("ambient", "metric", 5): "-1", ("ambient", "metric", 10): "-1"}, "structure",
+         "embedding validation failed: normal causal character flips: g~(N,N) has sign +1 at point ("),
+        ("E3a", {("ambient", "metric", 0): "u1"}, "structure", "ambient.metric: index 0 at point ("),
+    ], ids=["eta-of-xi", "degenerate-metric", "degenerate-lorentzian-metric",
+            *[f"degenerate-everywhere-{suite}" for suite in ("structure", "sasakian", "curvature", "einstein", "lie")],
+            "normal-flips", "ambient-index-changes"])
+    def test_request_time_input_error_names_file_and_point(self, tmp_path, capsys, target, edits, suite, message):
+        """A mutant that loads, since the parser checks only what a manifest
+        declares, and whose fields are finite at the request's samples, but
+        fails there: exit 2 with one line naming the manifest and the point.
+        The chart's metric is checked in every suite, also one that builds
+        no connection: E1 with g_11 = 0 is degenerate everywhere.  On E2 the
+        timelike eigenvalue is below 1e-12 of the largest; degeneracy is
+        tested before the index, so the metric is named degenerate, not of
+        the wrong index.  E3b in the ambient diag(1, -1, -1, 1), of index 2
+        everywhere, has a normal that is spacelike at some samples and
+        timelike at others; E3a with g~_11 = u1 has an ambient index that
+        changes over the samples."""
         path = tmp_path / "mutant.json"
-        save_manifest(get_model(model), path)
+        save_manifest(builtin_bundles()[target] if target.startswith("E3") else get_model(target), path)
         doc = json.loads(path.read_text())
-        doc[field[0]][field[1]] = value
+        for field, value in edits.items():
+            parent = doc
+            for key in field[:-1]:
+                parent = parent[key]
+            parent[field[-1]] = value
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["check", str(path), "--suite", suite, "--points", "5"]) == EXIT_INPUT_ERROR

@@ -15,6 +15,7 @@ from paracheck.report import RANK_CUTOFF
 from paracheck.tensor_algebra import (
     MetricAtPoint,
     TensorValue,
+    check_metric,
     contract_with,
     inertia,
     invert_jet_matrix,
@@ -69,22 +70,35 @@ class TestMetricConvert:
 
 
 class TestMetricAtPoint:
+    """The metric package: check_metric, the one test of a metric's
+    degeneracy and index where it is evaluated, the inertia it counts, and
+    the jet inverse MetricAtPoint builds."""
+
     def test_inverse_and_index(self, e2):
+        check_metric(e2.g0, e2.points, "metric", 1)
+        check_metric(e2.g0, e2.points, "metric")
+        with pytest.raises(ValueError, match=r"^metric: index 1 at point \(.*\), not the declared 0$"):
+            check_metric(e2.g0, e2.points, "metric", 0)
         metric = MetricAtPoint.build(e2.g)
         prod = np.einsum('pik,pkj->pij', e2.g0, metric.g_inv.components[..., 0])
-        assert metric.index == 1
         assert np.allclose(prod, np.broadcast_to(np.eye(3), prod.shape), atol=1e-10)
 
     def test_degenerate_rejected(self):
-        g = np.diag([1.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            MetricAtPoint.build(_jets0(3, 0, 2, g))
+        """Degeneracy is tested before the index, whose count a degenerate
+        matrix leaves undefined; the error names the field and the first
+        degenerate point."""
+        g = np.stack([np.eye(3), np.diag([1.0, 0.0, 1.0]), np.diag([1.0, 0.0, -1.0])])
+        with pytest.raises(ValueError) as err:
+            check_metric(g, np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), "ambient.metric", 0)
+        assert str(err.value) == ("ambient.metric: degenerate (smallest singular value at most 1e-12 of the "
+                                  "largest) at point (2.0, 3.0)")
 
     def test_rescaled_metric_accepted(self):
         """Degeneracy is relative: 1e-6 g has det 2e-18 and is as well
         conditioned as g."""
-        metric = MetricAtPoint.build(_jets0(3, 0, 2, 1e-6 * np.diag([1.0, -1.0, 2.0])))
-        assert metric.index == 1
+        g = 1e-6 * np.diag([1.0, -1.0, 2.0])
+        check_metric(g[None], np.zeros((1, 3)), "metric", 1)
+        metric = MetricAtPoint.build(_jets0(3, 0, 2, g))
         assert np.allclose(_value(metric.g_inv.components), 1e6 * np.diag([1.0, -1.0, 0.5]))
 
     def test_inertia(self):
@@ -110,12 +124,17 @@ class TestMetricAtPoint:
 
     def test_index_not_constant_rejected(self):
         """diag(1, x) sampled on both sides of x = 0 has index 0 at x > 0
-        and 1 at x < 0."""
+        and 1 at x < 0; with no declared index, the first point's is the
+        one every point must have.  Only values are read, so a metric given
+        as constants at each sample is checked as any other."""
         x = np.array([0.5, -0.25, 0.75, -1.0])
-        g = np.zeros((x.size, 2, 2, 1))
-        g[:, 0, 0, 0], g[:, 1, 1, 0] = 1.0, x
-        with pytest.raises(ValueError, match=r"metric index is not constant over the sample set: \[0, 1\]$"):
-            MetricAtPoint.build(TensorValue(2, 0, 2, g, JetSpace.get(2, 0)))
+        g = np.zeros((x.size, 2, 2))
+        g[:, 0, 0], g[:, 1, 1] = 1.0, x
+        points = np.column_stack([x, 2 * x])
+        with pytest.raises(ValueError) as err:
+            check_metric(g, points, "induced metric")
+        assert str(err.value) == "induced metric: index 1 at point (-0.25, -0.5), not the first point's 0"
+        check_metric(g[::2], points[::2], "induced metric", 0)
 
     def test_jet_matrix_inverse_exact_to_order(self, rng):
         space = JetSpace.get(2, 4)
