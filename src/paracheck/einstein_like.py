@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry_engine import ConnectionAtPoint, covariant_derivative, lie_derivative
 from .paracontact_core import ParacontactStructure
-from .report import VACUOUS, StructureCheckResult, residual_norm
+from .report import VACUOUS, StructureCheckResult, _max_abs, residual_norm
 from .tensor_algebra import TensorValue, contract_with, lowest_space, min_norm_solve
 
 DEGENERATE_C = 1e-8
@@ -67,7 +67,7 @@ def fit_einstein_like(g: np.ndarray, Phi: np.ndarray, eta: np.ndarray, S: np.nda
     M = np.stack([g.ravel(), Phi.ravel(), ee.ravel()], axis=1)
     y = S.ravel()
     (coef,), (rank,), (Vt,) = min_norm_solve(M[None], y[None])
-    residual = float(np.max(np.abs(M @ coef - y)))
+    residual = float(_max_abs(M @ coef - y))
     return EinsteinLikeFit(a=float(coef[0]), b=float(coef[1]), c=float(coef[2]),
                            residual=residual, gram_rank=int(rank), family=Vt[rank:])
 
@@ -95,7 +95,7 @@ def _add_over_family(res: StructureCheckResult, fit: EinsteinLikeFit, gaps, deta
         return
     skipped = len(members) - len(kept)
     note = f", {skipped} degenerate member(s) skipped" if skipped else ""
-    for (cid, detail), worst in zip(details.items(), np.max([gaps(*m) for m in kept], axis=0)):
+    for (cid, detail), worst in zip(details.items(), np.maximum.reduce([gaps(*m) for m in kept], axis=0)):
         res.add(cid, worst, detail=detail.format(n=len(kept), skipped=note))
 
 
@@ -109,7 +109,7 @@ def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStru
     g, phi, eta, xi = struct.g0, struct.phi0, struct.eta0, struct.xi0
     S = struct.curvature.ricci.components[..., 0]
     Sphi = np.einsum('pmb,pma->pab', S, phi)        # S(phi e_a, e_b)
-    gphiphi = np.swapaxes(phi, 1, 2) @ g @ phi      # g(phi e_a, phi e_b)
+    gphiphi = phi.swapaxes(1, 2) @ g @ phi          # g(phi e_a, phi e_b)
     Sxi = np.einsum('pab,pb->pa', S, xi)
     res = StructureCheckResult()
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(Sphi - a * struct.Phi0 - b * gphiphi, Sphi, g),
@@ -215,7 +215,7 @@ class C11Tensor:
 def compute_c11_phi_r(struct: ParacontactStructure) -> C11Tensor:
     R = struct.curvature.riemann_ud
     phiR = contract_with(struct.phi, R, 1, 0)  # [p, l, i, j, k, m]
-    comps = np.trace(phiR, axis1=1, axis2=2)   # trace l = i -> [p, j, k, m]
+    comps = phiR.trace(axis1=1, axis2=2)       # trace l = i -> [p, j, k, m]
     return C11Tensor(TensorValue(struct.dim, 0, 2, comps, lowest_space(struct.phi.space, R.space)),
                      struct.connection)
 
@@ -228,7 +228,7 @@ def verify_c11_identities(c11: C11Tensor, struct: ParacontactStructure) -> Struc
     trphi = struct.trace_phi()[:, None, None]
     C = c11.values
     res = StructureCheckResult()
-    res.add("einstein.c11-symmetric", C - np.swapaxes(C, 1, 2), C)
+    res.add("einstein.c11-symmetric", C - C.swapaxes(1, 2), C)
     S = struct.curvature.ricci.components[..., 0]
     SphiZ = np.einsum('pym,pmz->pyz', S, struct.phi0)   # S(Y, phi Z)
     rhs = C + eps * (n - 2) * struct.Phi0 + (2 * ee - eps * g) * trphi

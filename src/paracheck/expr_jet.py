@@ -21,7 +21,8 @@ of the order-(k+1) ones.
 Evaluation is vectorized: most helpers accept coefficient arrays of shape
 ``batch + (ncoeffs,)`` and broadcast over the leading axes.  A product is
 one gather of the pair operands of :attr:`JetSpace.pair_table` and one dense
-0/1 scatter matmul.  Every contraction is a jet matrix product
+0/1 scatter matmul, whose rows that come out not finite are summed again by
+target, so that an inf or NaN product spreads to no other coefficient.  Every contraction is a jet matrix product
 (:meth:`JetSpace.matmul`): the same gather, one batched matmul with the pair
 axis in the batch, and the same scatter.  An operand whose derivative part
 is all zero (an order-0 jet, a flat ambient's metric, a literal factor) is a
@@ -37,6 +38,7 @@ from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 
 FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos")
 
@@ -434,8 +436,18 @@ class JetSpace:
         return (self.pair_table[2][:, None] == np.arange(self.ncoeffs)).astype(float)
 
     def _scatter(self, pairs: np.ndarray) -> np.ndarray:
-        """Pair products summed into their coefficients by one matmul over the flattened batch."""
-        out = pairs.reshape(-1, pairs.shape[-1]) @ self.scatter_matrix
+        """Pair products summed into their coefficients by one matmul over the flattened batch.
+        The matmul multiplies each product by every zero of its matrix column, and 0 * inf = NaN,
+        so when one sum finds the output not finite, each row with a non-finite coefficient is
+        summed again by target: a non-finite product then reaches only its own coefficient, and
+        every finite row keeps the matmul's bits."""
+        flat = pairs.reshape(-1, pairs.shape[-1])
+        out = flat @ self.scatter_matrix
+        if not math.isfinite(np.add.reduce(out, axis=None)):
+            rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
+            sums = np.zeros((self.ncoeffs, len(rows)))
+            np.add.at(sums, self.pair_table[2], flat[rows].T)
+            out[rows] = sums.T
         return out.reshape(pairs.shape[:-1] + (self.ncoeffs,))
 
     def grad(self, A: np.ndarray) -> np.ndarray:
@@ -443,7 +455,7 @@ class JetSpace:
         gather of :attr:`grad_table`: shape (P, ...) + (ncoeffs,) ->
         (P, dim, ...) + (lower.ncoeffs,), the derivative axis at position 1."""
         src, fac = self.grad_table
-        return np.moveaxis(A[..., src] * fac, -2, 1)
+        return _moveaxis(A[..., src] * fac, -2, 1)
 
     def gradient_values(self, A: np.ndarray) -> np.ndarray:
         """First partials at the center, shape batch + (dim,)."""
@@ -464,7 +476,7 @@ class JetSpace:
     def reciprocal(self, A: np.ndarray, points=None) -> np.ndarray:
         a0 = A[..., 0]
         bad = a0 == 0
-        if np.any(bad):
+        if bad.any():
             raise JetDomainError("division by a jet with zero constant term", _locate(bad, points))
         ks = np.arange(self.order + 1)
         series = (-1.0) ** ks * a0[..., None] ** (-(ks + 1))
@@ -525,9 +537,28 @@ class JetSpace:
         return self._compose(series, A)
 
 
+@cache
+def _axis_order(ndim: int, source, destination) -> tuple[int, ...]:
+    """The axis order np.moveaxis(x, source, destination) transposes an x of ``ndim`` axes by,
+    computed as numpy computes it; source and destination are axes or equal-length tuples of axes."""
+    source, destination = normalize_axis_tuple(source, ndim), normalize_axis_tuple(destination, ndim)
+    if len(source) != len(destination):
+        raise ValueError("source and destination must name the same number of axes")
+    order = [a for a in range(ndim) if a not in source]
+    for dest, src in sorted(zip(destination, source)):
+        order.insert(dest, src)
+    return tuple(order)
+
+
+def _moveaxis(x: np.ndarray, source, destination) -> np.ndarray:
+    """np.moveaxis(x, source, destination), the same view, as one transpose by the cached
+    :func:`_axis_order`, without numpy's per-call axis normalization."""
+    return x.transpose(_axis_order(x.ndim, source, destination))
+
+
 def _check_positive(a0: np.ndarray, what: str, points: np.ndarray | None):
     bad = ~(a0 > 0)
-    if np.any(bad):
+    if bad.any():
         raise JetDomainError(f"{what} of non-positive constant term", _locate(bad, points))
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr_jet import JetSpace
+from .expr_jet import JetSpace, _moveaxis
 from .tensor_algebra import MetricAtPoint, TensorValue, contract_with, lowest_space
 
 
@@ -86,7 +86,7 @@ class CurvatureAtPoint:
     @cached_property
     def riemann_dddd(self) -> TensorValue:
         low = contract_with(self.connection.metric.g, self.riemann_ud, 1, 0)   # [l, i, j, k]
-        return TensorValue(self.ricci.dim, 0, 4, np.moveaxis(low, 1, 4), self.space)
+        return TensorValue(self.ricci.dim, 0, 4, _moveaxis(low, 1, 4), self.space)
 
     @cached_property
     def ricci_op(self) -> TensorValue:
@@ -97,7 +97,7 @@ class CurvatureAtPoint:
     @cached_property
     def scalar(self) -> np.ndarray:
         """Jet coefficients of the scalar curvature, shape (P, ncoeffs)."""
-        return np.trace(self.ricci_op.components, axis1=1, axis2=2)
+        return self.ricci_op.components.trace(axis1=1, axis2=2)
 
     @cached_property
     def dr(self) -> np.ndarray:
@@ -113,7 +113,7 @@ class CurvatureAtPoint:
     @cached_property
     def div_q(self) -> np.ndarray:
         """Values of div Q_b = (nabla_a Q)^a_b, shape (P, n)."""
-        return np.trace(self.nabla_ricci_op.components[..., 0], axis1=1, axis2=2)
+        return self.nabla_ricci_op.components[..., 0].trace(axis1=1, axis2=2)
 
 
 def christoffel(metric_jets: TensorValue) -> ConnectionAtPoint:
@@ -134,8 +134,8 @@ def christoffel(metric_jets: TensorValue) -> ConnectionAtPoint:
         dg = space.grad(metric_jets.components)             # [P, deriv, row, col, m]
         # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
         t1 = dg                                             # d_i g_{jl}: (i, j, l)
-        t2 = np.swapaxes(dg, 1, 2)                          # d_j g_{il}: axes (j, i, l)
-        t3 = np.moveaxis(dg, (1, 2, 3), (3, 1, 2))          # d_l g_{ij}: axes (l, i, j)
+        t2 = dg.swapaxes(1, 2)                              # d_j g_{il}: axes (j, i, l)
+        t3 = _moveaxis(dg, (1, 2, 3), (3, 1, 2))            # d_l g_{ij}: axes (l, i, j)
         symT = TensorValue(n, 0, 3, t1 + t2 - t3, lower)
         # Gamma^k_{ij} = 1/2 g^{kl} sym_{ijl}
         gamma = 0.5 * contract_with(metric.g_inv, symT, 1, 2)
@@ -151,12 +151,12 @@ def curvature(conn: ConnectionAtPoint) -> CurvatureAtPoint:
         R = np.zeros((len(conn.gamma.components),) + (n,) * 4 + (lower.ncoeffs,))
     else:
         dG = space.grad(conn.gamma.components)                    # [P, i, l, j, k, m]
-        term1 = np.moveaxis(dG, 1, 2)                             # [l, i, j, k]: d_i Gamma^l_{jk}
-        term2 = np.swapaxes(term1, 2, 3)                          # d_j Gamma^l_{ik}
+        term1 = _moveaxis(dG, 1, 2)                               # [l, i, j, k]: d_i Gamma^l_{jk}
+        term2 = term1.swapaxes(2, 3)                              # d_j Gamma^l_{ik}
         gam = conn.gamma.as_jet(lower)
         gg = contract_with(gam, gam, 2, 0)                        # [l, i, j, k]: G^l_{im} G^m_{jk}
-        R = term1 - term2 + gg - np.swapaxes(gg, 2, 3)
-    S = np.trace(R, axis1=1, axis2=2)                         # S_{jk} = R^a_{ajk}
+        R = term1 - term2 + gg - gg.swapaxes(2, 3)
+    S = R.trace(axis1=1, axis2=2)                             # S_{jk} = R^a_{ajk}
     return CurvatureAtPoint(TensorValue(n, 1, 3, R, lower), TensorValue(n, 0, 2, S, lower), conn)
 
 
@@ -174,15 +174,15 @@ def covariant_derivative(T: TensorValue, conn: ConnectionAtPoint) -> TensorValue
     gamma, T = conn.gamma.as_jet(out), T.as_jet(out)
     for s in range(0 if conn.flat else T.p):
         term = contract_with(gamma, T, 2, s)                   # [a, i, (T minus s)]
-        term = np.moveaxis(term, 2, 1)                         # [i, a, ...]
-        term = np.moveaxis(term, 2, 2 + s)                     # slot a into position s
+        term = _moveaxis(term, 2, 1)                           # [i, a, ...]
+        term = _moveaxis(term, 2, 2 + s)                       # slot a into position s
         dT = dT + term
     for s in range(0 if conn.flat else T.q):
         term = contract_with(gamma, T, 0, T.p + s)             # [i, b, (T minus p+s)]
-        term = np.moveaxis(term, 2, 2 + T.p + s)
+        term = _moveaxis(term, 2, 2 + T.p + s)
         dT = dT - term
     # direction axis becomes the first covariant slot
-    return TensorValue(n, T.p, T.q + 1, np.moveaxis(dT, 1, 1 + T.p), out)
+    return TensorValue(n, T.p, T.q + 1, _moveaxis(dT, 1, 1 + T.p), out)
 
 
 def lie_derivative(T: np.ndarray, nabla_T: np.ndarray, X: np.ndarray, nabla_X: np.ndarray) -> np.ndarray:
@@ -193,8 +193,8 @@ def lie_derivative(T: np.ndarray, nabla_T: np.ndarray, X: np.ndarray, nabla_X: n
 
     for a torsion-free connection, checked in the tests against the coordinate form with plain partials."""
     P, n = X.shape
-    dX = np.swapaxes(nabla_X, 1, 2)                                     # [i, a]: (nabla_i X)^a
+    dX = nabla_X.swapaxes(1, 2)                                         # [i, a]: (nabla_i X)^a
     lie = (X[:, None] @ nabla_T.reshape(P, n, -1)).reshape(T.shape) + (dX @ T.reshape(P, n, -1)).reshape(T.shape)
     if T.ndim == 3:
-        lie = lie + np.swapaxes(dX @ np.swapaxes(T, 1, 2), 1, 2)        # T(Y, nabla_Z X)
+        lie = lie + (dX @ T.swapaxes(1, 2)).swapaxes(1, 2)              # T(Y, nabla_Z X)
     return lie

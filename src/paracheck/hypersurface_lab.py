@@ -25,12 +25,12 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .expr_jet import JetSpace, _locate
+from .expr_jet import JetSpace, _locate, _moveaxis
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
 from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid, _field_jets
 from .paracontact_core import (ParacontactStructure, apply_op, defining_equation_gap_per_point, form, pair,
                                para_sasakian_rhs)
-from .report import RANK_CUTOFF, StructureCheckResult, residual_norm
+from .report import RANK_CUTOFF, StructureCheckResult, _max_abs, residual_norm
 from .sampling import _seed, derive_states
 from .tensor_algebra import TensorValue, check_metric, invert_jet_matrix, min_norm_solve
 
@@ -200,24 +200,24 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     # normal covector nu, the signed cofactor vector of the Jacobian rows; its values nu0 from the numeric
     # minors of T0, so the cost is polynomial in the ambient dimension
     T0 = T[..., 0]                                                    # (P, n, N1)
-    minors = np.moveaxis(T0[:, :, [[c for c in range(N1) if c != B] for B in range(N1)]], 2, 1)   # (P, N1, n, n)
+    minors = _moveaxis(T0[:, :, [[c for c in range(N1) if c != B] for B in range(N1)]], 2, 1)   # (P, N1, n, n)
     nu0 = (-1.0) ** (n + np.arange(N1)) * np.linalg.det(minors)
     # rank per point: |nu0| against Hadamard's bound, the product of the Jacobian rows' norms
-    flat = ~(np.linalg.norm(nu0, axis=1) > 1e-12 * np.prod(np.linalg.norm(T0, axis=2), axis=1))
-    if np.any(flat):
+    flat = ~(np.linalg.norm(nu0, axis=1) > 1e-12 * np.linalg.norm(T0, axis=2).prod(axis=1))
+    if flat.any():
         raise InducedStructureError(f"embedding differential is rank-deficient at point {_locate(flat, points)}")
     # its jets: the last column of the jet inverse of the rows (T_1 .. T_n, nu0) annihilates every T_a and
     # pairs to 1 with nu0, so times |nu0|^2 it is a multiple of nu whose values are nu0 (jn-tangent reads
     # those values; every other use of nu is normalized, so the multiple cancels)
     rows = np.concatenate([T, fspace.constant(nu0[:, None], (P, 1, N1))], axis=1)   # (P, N1, N1, m)
-    nu = invert_jet_matrix(fspace, rows)[:, :, n] * np.sum(nu0 ** 2, axis=1)[:, None, None]
+    nu = invert_jet_matrix(fspace, rows)[:, :, n] * (nu0 ** 2).sum(axis=1)[:, None, None]
     check_metric(g_amb[..., 0], points, "ambient.metric")
     g_amb_inv = invert_jet_matrix(fspace, g_amb)
     N_un = fspace.matmul(g_amb_inv, nu[:, :, None])[:, :, 0]   # N^A = g~^{AB} nu_B
 
     # orientation: first component above COMPONENT_SIGN_FLOOR of the largest made positive
     vals = N_un[..., 0]
-    big = np.abs(vals) > COMPONENT_SIGN_FLOOR * np.max(np.abs(vals), axis=1, keepdims=True)
+    big = np.abs(vals) > COMPONENT_SIGN_FLOOR * _max_abs(vals, 1)[:, None]
     flip = np.where(vals[np.arange(P), np.argmax(big, axis=1)] < 0, -1.0, 1.0)
     N_un = N_un * (emb.orientation * flip)[:, None, None]
 
@@ -226,39 +226,39 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     q = fspace.matmul(N_low[:, None], N_un[:, :, None])[:, 0, 0]     # g~(N, N) jets
     q0 = q[..., 0]
     # |g~(N, N)| relative to |N|^2 max |g~|, which bounds it up to a factor n + 1
-    light = np.abs(q0) / (np.sum(N_un[..., 0] ** 2, axis=1) * np.max(np.abs(g_amb[..., 0]), axis=(1, 2)))
-    if np.min(light) < LIGHTLIKE_FLOOR:
+    light = np.abs(q0) / ((N_un[..., 0] ** 2).sum(axis=1) * _max_abs(g_amb[..., 0], (1, 2)))
+    if light.min() < LIGHTLIKE_FLOOR:
         k = int(np.argmin(light))
         raise InducedStructureError(
             f"lightlike normal direction (|g~(N,N)| = {abs(q0[k]):.2e}, {light[k]:.2e} of |N|^2 max|g~|) "
             f"at point {tuple(float(c) for c in points[k])}: unsupported")
     eps = int(np.sign(q0[0]))
     flips = np.sign(q0) != eps
-    if np.any(flips):
+    if flips.any():
         raise InducedStructureError(f"normal causal character flips: g~(N,N) has sign {-eps:+d} at point "
                                     f"{_locate(flips, points)}, {eps:+d} at the first")
     scale = fspace.reciprocal(fspace.sqrt(eps * q))
     N_hat = fspace.mul(N_un, scale[:, None, :])
     JN = fspace.matmul(J_amb, N_hat[:, :, None])[:, :, 0]
-    tangency = float(np.max(np.abs(fspace.matmul(N_low[:, None], JN[:, :, None])[:, 0, 0, 0])))
+    tangency = float(_max_abs(fspace.matmul(N_low[:, None], JN[:, :, None])[:, 0, 0, 0]))
     ambient = AmbientJets(amb, F[..., 0], order)
 
     def build_induced() -> dict:
         # induced metric g_ab = g~(T_a, T_b)
-        T_low = gspace.matmul(T_g, np.swapaxes(g_amb_g, 1, 2))     # (P, n, N1, m): g~(T_a, .)
-        gT = gspace.matmul(T_low, np.swapaxes(T_g, 1, 2))           # (P, n, n, m)
+        T_low = gspace.matmul(T_g, g_amb_g.swapaxes(1, 2))         # (P, n, N1, m): g~(T_a, .)
+        gT = gspace.matmul(T_low, T_g.swapaxes(1, 2))               # (P, n, n, m)
         check_metric(gT[..., 0], points, "induced metric")
 
         # frame matrix columns (T_1 .. T_n, N) and its jet inverse
-        frame = np.concatenate([np.moveaxis(T, 1, 2), N_hat[:, :, None, :]], axis=2)  # (P, N1, n+1, m)
+        frame = np.concatenate([_moveaxis(T, 1, 2), N_hat[:, :, None, :]], axis=2)  # (P, N1, n+1, m)
         frame_inv = invert_jet_matrix(fspace, frame)
 
         # J N = xi (must be tangent), J T_a = phi^b_a T_b + eta_a N: the columns
         # (J N, J T_1 .. J T_n) in the frame (T_1 .. T_n, N)
-        JT = fspace.matmul(T, np.swapaxes(J_amb, 1, 2))                     # (P, n, N1, m): J T_a
+        JT = fspace.matmul(T, J_amb.swapaxes(1, 2))                         # (P, n, N1, m): J T_a
         V = np.concatenate([JN[:, None], JT], axis=1)                       # (P, n+1, N1, m)
-        x = fspace.matmul(V, np.swapaxes(frame_inv, 1, 2))                  # (P, n+1, n+1, m)
-        xi_c, phi_c, eta_c = x[:, 0, :n], np.swapaxes(x[:, 1:, :n], 1, 2), x[:, 1:, n]
+        x = fspace.matmul(V, frame_inv.swapaxes(1, 2))                      # (P, n+1, n+1, m)
+        xi_c, phi_c, eta_c = x[:, 0, :n], x[:, 1:, :n].swapaxes(1, 2), x[:, 1:, n]
 
         structure = ParacontactStructure(
             points, eps,
@@ -272,13 +272,13 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
         Gam_amb = ambient.connection.gamma.components[..., 0]        # (P, C, A, B)
 
         N0 = N_hat[..., 0]
-        eps_res = float(np.max(np.abs(pair(g_amb[..., 0], N0[:, None], N0[:, None]) - eps)))
+        eps_res = float(_max_abs(pair(g_amb[..., 0], N0[:, None], N0[:, None]) - eps))
         dN = fspace.gradient_values(N_hat)                 # (P, N1, n): d_a (N o F)^C
         W = np.einsum('pca->pac', dN) + apply_op(Gam_amb, T0, N0[:, None])   # Gamma~^C_AB T_a^A N^B
         frame0 = frame[..., 0]
-        x = np.linalg.solve(frame0, np.moveaxis(W, 1, 2))  # (P, n+1, n): coeffs of W_a
+        x = np.linalg.solve(frame0, _moveaxis(W, 1, 2))  # (P, n+1, n): coeffs of W_a
         A = -x[:, :n, :]                                   # A^b_a
-        frame_res = float(np.max(np.abs(x[:, n, :])))
+        frame_res = float(_max_abs(x[:, n, :]))
         g0 = gT[..., 0]
         h = eps * np.einsum('pma,pmb->pab', A, g0)
         return dict(structure=structure, shape=ShapeData(A=A, N=N0, epsilon=eps, h=h), frame_residual=frame_res,
@@ -299,7 +299,7 @@ def check_ambient(ambient: AmbientJets) -> StructureCheckResult:
     g0 = ambient.g.components[..., 0]
     JJ = np.einsum('pab,pbc->pac', J0, J0)
     res.add("hypersurface.ambient-j-squared", JJ - np.eye(ambient.model.dim), J0)
-    pullback = np.swapaxes(J0, 1, 2) @ g0 @ J0
+    pullback = J0.swapaxes(1, 2) @ g0 @ J0
     res.add("hypersurface.ambient-j-metric", pullback - g0, g0)
     nJ = covariant_derivative(ambient.J, ambient.connection)
     res.add("hypersurface.ambient-j-parallel", nJ.components[..., 0], J0)
@@ -343,10 +343,10 @@ def check_induced_frame(data: HypersurfaceData, axioms: StructureCheckResult) ->
     res.add("hypersurface.jn-tangent", data.tangency_residual)
     res.add("hypersurface.weingarten-tangent", data.frame_residual)
     Alow = data.shape.epsilon * data.shape.h                         # g(A., .)
-    res.add("hypersurface.shape-self-adjoint", Alow - np.swapaxes(Alow, 1, 2), Alow)
+    res.add("hypersurface.shape-self-adjoint", Alow - Alow.swapaxes(1, 2), Alow)
     res.add("hypersurface.epsilon-consistent", data.epsilon_residual,
             detail=f"max |g~(N,N) - eps| over the samples, eps = {data.shape.epsilon:+d}")
-    res.add("hypersurface.induced-axioms", np.max([c.residual for c in axioms.checks]),
+    res.add("hypersurface.induced-axioms", np.maximum.reduce([c.residual for c in axioms.checks]),
             detail="max over the seven structure axioms on the induced structure")
     return res
 
@@ -355,7 +355,7 @@ def pull_back(R: np.ndarray, T: np.ndarray) -> np.ndarray:
     """R(T_x, T_y, T_z, T_w) of a covariant 4-tensor R (P, N, N, N, N) along frames T (P, n, N):
     four matmuls, each pulling back the first ambient slot and moving the new tangent slot last."""
     for _ in range(4):
-        R = np.moveaxis(T @ R.reshape(R.shape[:2] + (-1,)), 1, -1).reshape(R.shape[:1] + R.shape[2:] + T.shape[1:2])
+        R = _moveaxis(T @ R.reshape(R.shape[:2] + (-1,)), 1, -1).reshape(R.shape[:1] + R.shape[2:] + T.shape[1:2])
     return R
 
 
@@ -422,7 +422,7 @@ def check_ps_characterization(data: HypersurfaceData, vectors: np.ndarray) -> St
     rho2 = shape_characterization_gap_per_point(s, data.shape.A)
     # a point where either side is NaN violates the equivalence
     mismatch = np.isnan(rho1 + rho2) | ((rho1 <= PS_POINT_THRESHOLD) != (rho2 <= PS_POINT_THRESHOLD))
-    res.add("hypersurface.characterization-iff", np.sum(mismatch),
+    res.add("hypersurface.characterization-iff", mismatch.sum(),
             detail=f"rho1 in [{rho1.min():.2e}, {rho1.max():.2e}], rho2 in [{rho2.min():.2e}, {rho2.max():.2e}]; "
             "residual counts points violating the equivalence")
 
@@ -477,7 +477,9 @@ def _draw_block(rng: np.random.Generator, rows: np.ndarray, n: int, times: int =
                 if k:
                     rng.standard_normal(out=Z[i, at:at + k * k])
                     rng.random(out=u[i, lo:lo + k])
-                    s[i, lo:lo + k] = rng.integers(0, 2, k)
+                    # k scalar draws take the bits integers(0, 2, k) takes, without its Python-level np.prod
+                    for j in range(lo, lo + k):
+                        s[i, j] = rng.integers(0, 2)
             rng.standard_normal(out=F[i, 0])
             rng.random(out=u[i, n - 1:])
             rng.standard_normal(out=F[i, 1])
@@ -504,14 +506,14 @@ def _assemble_block(raw: tuple, n: int, epsilon: int) -> tuple[np.ndarray, np.nd
         first, second, lo = np.flatnonzero(p == k), np.flatnonzero(p == n - 1 - k), n - 1 - k
         if first.size + second.size:
             Q = _rand_orth(np.concatenate([Z[first, :k * k], Z[second, lo * lo:lo * lo + k * k]]).reshape(-1, k, k))
-            G = (Q * np.concatenate([w[first, :k], w[second, lo:]])[:, None, :]) @ np.swapaxes(Q, 1, 2)
+            G = (Q * np.concatenate([w[first, :k], w[second, lo:]])[:, None, :]) @ Q.swapaxes(1, 2)
             g0[first, :k, :k], g0[second, lo:-1, lo:-1] = G[:first.size], G[first.size:]
     # generic but well-conditioned change of frame L = Q1 diag(d) Q2
     Q = _rand_orth(F.reshape(-1, n, n)).reshape(T, 2, n, n)
     L = (Q[:, 0] * (0.75 + (1.35 - 0.75) * u[:, None, n - 1:])) @ Q[:, 1]
     Linv = np.linalg.inv(L)
     # xi = L e_n and eta = e_n^T L^-1, since xi and eta are e_n in the canonical frame
-    return np.swapaxes(Linv, 1, 2) @ g0 @ Linv, L @ phi0 @ Linv, L[:, :, -1].copy(), Linv[:, -1, :].copy()
+    return Linv.swapaxes(1, 2) @ g0 @ Linv, L @ phi0 @ Linv, L[:, :, -1].copy(), Linv[:, -1, :].copy()
 
 
 @cache
@@ -566,14 +568,14 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     propagates NaN."""
     T, n = g.shape[:2]
     xs, ys = _pairs(n)
-    Phi = np.swapaxes(phi, 1, 2) @ g
+    Phi = phi.swapaxes(1, 2) @ g
     ee = np.einsum('ta,tb->tab', eta, eta)
     xe = np.einsum('ta,tb->tab', xi, eta)
     A = -epsilon * np.eye(n) + epsilon * xe
     if perturb_a:
         A = A + perturb_a * xe
     h = epsilon * np.einsum('tma,tmb->tab', A, g)
-    worst = {"quasi-umbilical-exact": np.max(np.abs(h + g - epsilon * ee))}
+    worst = {"quasi-umbilical-exact": _max_abs(h + g - epsilon * ee)}
 
     Wgg, WPP = _wedge(g, g), _wedge(Phi, Phi)
     M1 = Wgg + WPP                               # coefficient of k
@@ -582,8 +584,8 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     # the reduction k M1 + M0 and both displays, (k + eps)[gg] + k[PhiPhi] + {eta-cross} and
     # (k - 1)[gg] + k[PhiPhi] + eps{eta-cross}, share the k-coefficient Wgg + WPP = M1, so each
     # display's gap is its constant term, the same at every k
-    worst["gauss-vs-derived-display"] = np.max(np.abs(M0 - epsilon * Wgg - cross))
-    worst["gauss-vs-printed-display"] = np.max(np.abs(M0 + Wgg - epsilon * cross))
+    worst["gauss-vs-derived-display"] = _max_abs(M0 - epsilon * Wgg - cross)
+    worst["gauss-vs-printed-display"] = _max_abs(M0 + Wgg - epsilon * cross)
 
     # solve R(X,Y)xi = eta(X) Y - eta(Y) X for k on the computed reduction
     lhs1 = np.einsum('tpzw,tz->tpw', M1, xi)
@@ -591,31 +593,31 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     target = eta[:, xs, None] * g[:, ys] - eta[:, ys, None] * g[:, xs]
     av = lhs1.reshape(T, -1)
     bv = (target - lhs0).reshape(T, -1)
-    k_solved = np.sum(av * bv, axis=1) / np.sum(av * av, axis=1)
-    k_resid = np.max(np.abs(k_solved[:, None, None] * lhs1 + lhs0 - target), axis=(1, 2))
-    worst["k-vs-derived"] = np.maximum(np.max(np.abs(k_solved - (-epsilon))), np.max(k_resid))
-    worst["k-vs-printed"] = np.max(np.abs(k_solved - (2 - epsilon)))
+    k_solved = (av * bv).sum(axis=1) / (av * av).sum(axis=1)
+    k_resid = _max_abs(k_solved[:, None, None] * lhs1 + lhs0 - target, (1, 2))
+    worst["k-vs-derived"] = np.maximum(_max_abs(k_solved - (-epsilon)), np.maximum.reduce(k_resid))
+    worst["k-vs-printed"] = _max_abs(k_solved - (2 - epsilon))
 
     # Ricci of the computed reduction at the recovered k
     ginv = np.linalg.inv(g)
     S = _ricci(ginv, k_solved[:, None, None, None] * M1 + M0)
-    trphi = np.trace(phi, axis1=1, axis2=2)[:, None, None]
+    trphi = phi.trace(axis1=1, axis2=2)[:, None, None]
     S_derived = -epsilon * trphi * Phi + (1 - n) * ee
     S_printed = (((2 - epsilon) * (n - 2) - n) * g + (2 - epsilon) * trphi * Phi
                  + epsilon * (4 - epsilon - n) * ee)
-    worst["ricci-vs-derived-form"] = np.max(np.abs(S - S_derived))
-    worst["ricci-vs-printed-form"] = np.max(np.abs(S - S_printed))
+    worst["ricci-vs-derived-form"] = _max_abs(S - S_derived)
+    worst["ricci-vs-printed-form"] = _max_abs(S - S_printed)
 
     # internal consistency of the printed chain: contracting the printed
     # display at k = 2 - eps reproduces the printed Ricci display
     Rp = ((2 - epsilon) - 1) * Wgg + (2 - epsilon) * WPP + epsilon * cross
-    worst["printed-chain-self-consistency"] = np.max(np.abs(_ricci(ginv, Rp) - S_printed))
+    worst["printed-chain-self-consistency"] = _max_abs(_ricci(ginv, Rp) - S_printed)
 
     # Einstein-like fit of the computed Ricci and the coefficient constraint
     cols = np.stack([g.reshape(T, -1), Phi.reshape(T, -1), ee.reshape(T, -1)], axis=2)
     coef, _, _ = min_norm_solve(cols, S.reshape(T, -1))
-    worst["einstein-like-fit"] = np.max(np.abs(np.einsum('tij,tj->ti', cols, coef) - S.reshape(T, -1)))
-    worst["eps-a-plus-c"] = np.max(np.abs(epsilon * coef[:, 0] + coef[:, 2] - (1 - n)))
+    worst["einstein-like-fit"] = _max_abs(np.einsum('tij,tj->ti', cols, coef) - S.reshape(T, -1))
+    worst["eps-a-plus-c"] = _max_abs(epsilon * coef[:, 0] + coef[:, 2] - (1 - n))
     return worst, k_solved, k_resid
 
 

@@ -76,7 +76,7 @@ class ParacontactStructure:
     def Phi(self) -> TensorValue:
         """The fundamental 2-form Phi_{ab} = g(phi e_a, e_b) as jets."""
         comps = contract_with(self.g, self.phi, 0, 0)  # g_{mb} phi^m_a -> [b, a]
-        return TensorValue(self.dim, 0, 2, np.swapaxes(comps, 1, 2), self.phi.space)
+        return TensorValue(self.dim, 0, 2, comps.swapaxes(1, 2), self.phi.space)
 
     @cached_property
     def Phi0(self) -> np.ndarray:
@@ -132,12 +132,12 @@ def apply_op(op: np.ndarray, *vectors: np.ndarray) -> np.ndarray:
     for v in vectors[1:]:
         outer = outer[..., :, None] * v[..., None, :]
         outer = outer.reshape(outer.shape[:-2] + (-1,))
-    return outer @ np.swapaxes(op.reshape(op.shape[:2] + (-1,)), 1, 2)
+    return outer @ op.reshape(op.shape[:2] + (-1,)).swapaxes(1, 2)
 
 
 def pair(g: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """g(X, Y) over bundles of vectors: (P,n,n), (P,V,n), (P,V,n) -> (P,V)."""
-    return np.sum((X @ g) * Y, axis=-1)
+    return np.add.reduce((X @ g) * Y, axis=-1)
 
 
 def form(eta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -224,7 +224,7 @@ def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray) -> St
     res.add("sasakian.grad-xi", struct.nabla_xi - struct.epsilon * phi, phi)
     Phi = struct.Phi0
     res.add("sasakian.grad-eta", struct.nabla_eta - Phi, Phi)
-    res.add("sasakian.fundamental-form-symmetric", Phi - np.swapaxes(Phi, 1, 2), Phi)
+    res.add("sasakian.fundamental-form-symmetric", Phi - Phi.swapaxes(1, 2), Phi)
     return res
 
 

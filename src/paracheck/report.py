@@ -27,7 +27,13 @@ code; an informational record never fails on a finite residual.
 Reports serialize to JSON deterministically: records sorted by id, keys
 sorted, floats via repr, and a non-finite residual as 1e300, so the output
 is strict JSON.  The ``engine_version`` and ``generated_at`` fields are the
-only run-to-run variable parts.
+only run-to-run variable parts.  The bytes are those of
+``json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)``,
+but written without json's pure-Python encoder, which it runs whenever an
+indent is set: :meth:`CheckReport.to_json` encodes each record in one call of
+the C encoder, whose item separator carries the newline and indent of the
+record's level (an encoded string holds no raw newline, since json escapes
+it), and lays the records out around the other fields.
 """
 
 from __future__ import annotations
@@ -167,10 +173,16 @@ def residual_norm(gap: np.ndarray, *inputs: np.ndarray, axis=None):
     or an input gives NaN; an empty gap gives 0."""
     if not gap.size:
         return 0.0
-    peaks = [float(np.max(np.abs(x))) for x in inputs if x.size]
+    peaks = [float(_max_abs(x)) for x in inputs if x.size]
     scale = math.nan if any(map(math.isnan, peaks)) else 1.0 + max(peaks, default=0.0)
-    worst = np.max(np.abs(gap), axis=axis)
+    worst = _max_abs(gap, axis)
     return float(worst) / scale if axis is None else worst / scale
+
+
+def _max_abs(x, axis=None):
+    """max |x| over ``axis``, all of x by default, NaN propagating: np.max(np.abs(x), axis) by the
+    ufunc's own reduce, without numpy's Python-level wrapper."""
+    return np.maximum.reduce(np.abs(x), axis=axis)
 
 
 @dataclass
@@ -209,6 +221,13 @@ class StructureCheckResult:
 
     def residual(self, cid: str) -> float:
         return self.get(cid).residual
+
+
+# JSON encoders of a record's fields and of the report's other fields: without an indent, json
+# encodes through its C encoder, and an item separator that holds the newline and indent
+# json.dumps(indent=2) writes at that level lays the fields out as it does
+_RECORD = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n      ", ": ")).encode
+_FIELDS = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n  ", ": ")).encode
 
 
 def _written(residual: float) -> float:
@@ -252,7 +271,14 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)``, byte for byte:
+        each record, and the other fields together, in one call of the C encoder (see the module
+        docstring), laid out in the report's fixed two-level shape, whose first key is "checks"."""
+        doc = self.to_dict()
+        checks = doc.pop("checks")
+        records = ",\n    ".join("{\n      " + _RECORD(r)[1:-1] + "\n    }" for r in checks)
+        return ('{\n  "checks": ' + (f"[\n    {records}\n  ]" if checks else "[]") + ",\n  "
+                + _FIELDS(doc)[1:-1] + "\n}")
 
     def to_text(self) -> str:
         self.sort()

@@ -79,7 +79,7 @@ def sample_points(domain: Sequence[tuple[float, float]], count: int, rng: np.ran
     downstream reductions are order-independent."""
     lo = np.array([d[0] for d in domain])
     hi = np.array([d[1] for d in domain])
-    if np.any(hi < lo):
+    if (hi < lo).any():
         raise ValueError("empty domain interval")
     pts = rng.uniform(lo, hi, size=(count, len(domain)))
     order = np.lexsort(pts.T[::-1])
@@ -90,7 +90,7 @@ def random_vectors(rng: np.random.Generator, npoints: int, nvectors: int, dim: i
     """Components uniform in [-1, 1], resampled while any norm < 1e-3."""
     v = rng.uniform(-1.0, 1.0, size=(npoints, nvectors, dim))
     bad = np.linalg.norm(v, axis=-1) < 1e-3
-    while np.any(bad):
+    while bad.any():
         v[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), dim))
         bad = np.linalg.norm(v, axis=-1) < 1e-3
     return v

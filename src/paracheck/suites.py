@@ -32,7 +32,7 @@ from . import hypersurface_lab as hl
 from .models import METRIC_ORDER, ManifoldModel, evaluate_structure
 from .paracontact_core import ParacontactStructure, check_axioms, check_para_sasakian, check_ps_curvature_identities
 from .report import (CHECKS, NOT_APPLICABLE, PS, PS_TRPHI, RANK_CUTOFF, SHAPE, VACUOUS, CheckReport,
-                     StructureCheckResult, new_report, status_of)
+                     StructureCheckResult, _max_abs, new_report, status_of)
 from .sampling import SEED_MAX, derive_rng, random_vectors, sample_points
 
 SUITES = ("structure", "sasakian", "curvature", "einstein", "lie", "hypersurface", "all")
@@ -43,10 +43,10 @@ VECTOR_TUPLES = 20     # random vector pairs per sample point
 # the measured value is at most the threshold
 GATES = {
     "para-sasakian": ("defining-equation residual", 1e-6,
-                      lambda ctx: float(np.max([c.residual for c in ctx.ps_gate.checks]))),
+                      lambda ctx: float(np.maximum.reduce([c.residual for c in ctx.ps_gate.checks]))),
     "trace-phi-constant": ("spread of trace(phi) over the samples", 1e-7,
-                           lambda ctx: float(np.max(np.abs(ctx.struct.trace_phi() - ctx.struct.trace_phi()[0])))),
-    "shape-characterized": ("max gap of A to -eps I + eps eta(x)xi", 1e-2, lambda ctx: float(np.max(
+                           lambda ctx: float(_max_abs(ctx.struct.trace_phi() - ctx.struct.trace_phi()[0]))),
+    "shape-characterized": ("max gap of A to -eps I + eps eta(x)xi", 1e-2, lambda ctx: float(np.maximum.reduce(
         hl.shape_characterization_gap_per_point(ctx.struct, ctx.data.shape.A)))),
 }
 

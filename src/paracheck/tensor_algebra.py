@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr_jet import JetSpace, _locate
-from .report import RANK_CUTOFF
+from .expr_jet import JetSpace, _locate, _moveaxis
+from .report import RANK_CUTOFF, _max_abs
 
 
 @dataclass
@@ -69,8 +69,8 @@ def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int) -> n
     space = lowest_space(A.space, B.space)
     A, B = A.as_jet(space), B.as_jet(space)
     n, m = A.dim, space.ncoeffs
-    ca = np.moveaxis(A.components, 1 + slot_a, -2)                  # (P, A free..., k, m)
-    cb = np.moveaxis(B.components, 1 + slot_b, 1)                   # (P, k, B free..., m)
+    ca = _moveaxis(A.components, 1 + slot_a, -2)                    # (P, A free..., k, m)
+    cb = _moveaxis(B.components, 1 + slot_b, 1)                     # (P, k, B free..., m)
     out = space.matmul(ca.reshape(len(ca), -1, n, m), cb.reshape(len(cb), n, -1, m))
     return out.reshape(out.shape[:1] + (n,) * (A.rank + B.rank - 2) + (m,))
 
@@ -84,8 +84,8 @@ def inertia(sym: np.ndarray) -> np.ndarray:
     """Count of negative eigenvalues of each symmetric matrix of the stack
     (..., n, n), those below -1e-12 times its largest magnitude: a count
     that does not change when a matrix is rescaled."""
-    w = np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
-    return np.sum(w < -1e-12 * np.max(np.abs(w), axis=-1, keepdims=True), axis=-1)
+    w = np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(-1, -2)))
+    return (w < -1e-12 * _max_abs(w, -1)[..., None]).sum(axis=-1)
 
 
 def degenerate(g0: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Parser and jet-arithmetic tests, with finite differences and exact
 polynomial expansion as the independent oracles."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from paracheck.expr_jet import (
     Num,
     UnknownIdentifierError,
     Var,
+    _moveaxis,
     eval_expr,
     parse_expr,
 )
@@ -543,15 +546,20 @@ def test_grad_of_an_order_zero_jet_is_refused():
         JetSpace.get(3, 0).grad(np.ones((2, 1)))
 
 
-def _pair_route(space, A, B, matrix):
+def _pair_route(space, A, B, matrix, by_target=False):
     """The pair-table product at any order: gather the pair operands, form
     their products (batched matmuls over the moved pair axis for a matrix
-    product), and scatter them with the 0/1 matrix."""
-    I, J, _ = space.pair_table
+    product), and scatter them with the 0/1 matrix, or, ``by_target``, add
+    each product into its own coefficient in pair order."""
+    I, J, T = space.pair_table
     if matrix:
         prods = np.moveaxis(np.moveaxis(A[..., I], -1, -3) @ np.moveaxis(B[..., J], -1, -3), -3, -1)
     else:
         prods = A[..., I] * B[..., J]
+    if by_target:
+        out = np.zeros(prods.shape[:-1] + (space.ncoeffs,))
+        np.add.at(out, (..., T), prods)
+        return out
     return (prods.reshape(-1, len(I)) @ space.scatter_matrix).reshape(prods.shape[:-1] + (space.ncoeffs,))
 
 
@@ -652,8 +660,10 @@ def test_matmul_of_a_constant_is_the_pair_route(dim, order, shape_a, shape_b, co
 @pytest.mark.parametrize("op", ["mul", "matmul"])
 def test_a_non_finite_derivative_part_takes_the_pair_route(monkeypatch, bad, op):
     """An operand that is constant but for one NaN or inf derivative
-    coefficient is not a constant: the product takes the pair table and
-    equals its route, NaNs included; made constant, it takes none."""
+    coefficient is not a constant: the product takes the pair table, and
+    equals its route bit for bit on every finite output row and its target
+    sums, NaNs included, on the others, which keep finite coefficients;
+    made constant, it takes none."""
     space = JetSpace.get(3, 2)
     rng = np.random.default_rng(5)
     A, B = _constant_operands(space, rng, (4, 3, 3), (4, 3, 2) if op == "matmul" else (4, 3, 3), "A")
@@ -669,18 +679,20 @@ def test_a_non_finite_derivative_part_takes_the_pair_route(monkeypatch, bad, op)
     assert scatters["n"] == 0
     A[1, 2, 0, 4] = bad
     with np.errstate(invalid="ignore"):                 # 0 * inf on the pair route
-        got, want = getattr(space, op)(A, B), _pair_route(space, A, B, matrix=op == "matmul")
+        got = getattr(space, op)(A, B)
+        dense, by_target = (_pair_route(space, A, B, op == "matmul", by_target) for by_target in (False, True))
     assert scatters["n"] == 1
-    assert np.array_equal(got, want, equal_nan=True)
+    finite_rows = np.isfinite(dense).all(axis=-1, keepdims=True)
+    assert not finite_rows.all()
+    assert np.array_equal(got, np.where(finite_rows, dense, by_target), equal_nan=True)
+    assert np.isfinite(got[~finite_rows[..., 0]]).any()
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the pair route sums its products by a dense 0/1 scatter "
-                                       "matmul, whose zeros turn an inf pair product into NaN in every coefficient")
 def test_an_inf_coefficient_leaves_the_finite_coefficients_finite():
     """x0 at 1 with its x0^2 coefficient set to inf, times x1 at 2, in
     JetSpace(2, 2): only the x0^2 coefficient of the product is infinite,
-    and the others are exact, the value 2 among them.  The pair route gives
-    NaN for all five."""
+    and the others are exact, the value 2 among them.  The dense scatter
+    matmul alone gives NaN for all five."""
     space = JetSpace.get(2, 2)
     x0, x1 = space.point_jets(np.array([1.0, 2.0]))
     x0[space.index_of[(2, 0)]] = np.inf
@@ -690,3 +702,54 @@ def test_an_inf_coefficient_leaves_the_finite_coefficients_finite():
     with np.errstate(invalid="ignore"):
         got = space.mul(x0, x1)
     assert np.array_equal(got, want)
+
+
+# --------------------------------------------------------------------------
+# axis moves
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def _axis_moves(draw):
+    """(ndim, source, destination) for np.moveaxis: ndim 1 to 8, k distinct source and k distinct
+    destination axes, each written as itself or as its negative form, and a single axis as an
+    int or as a 1-tuple."""
+    ndim = draw(st.integers(1, 8))
+    k = draw(st.integers(1, ndim))
+
+    def axes():
+        picked = [a - ndim if draw(st.booleans()) else a for a in draw(st.permutations(range(ndim)))[:k]]
+        return picked[0] if k == 1 and draw(st.booleans()) else tuple(picked)
+
+    return ndim, axes(), axes()
+
+
+@given(_axis_moves())
+@settings(max_examples=400, deadline=None)
+def test_moveaxis_is_numpys(move):
+    """The cached-order transpose is np.moveaxis's view: the same shape and strides on the same
+    memory (distinct axis lengths make the shape name the order)."""
+    ndim, source, destination = move
+    x = np.empty(tuple(range(2, 2 + ndim)))
+    got, want = _moveaxis(x, source, destination), np.moveaxis(x, source, destination)
+    assert (got.shape, got.strides) == (want.shape, want.strides)
+    assert np.shares_memory(got, x)
+
+
+@pytest.mark.parametrize("source,destination,error", [
+    ((0, 1), 0, ValueError), (0, 3, np.exceptions.AxisError), ((0, 0), (1, 2), ValueError)])
+def test_moveaxis_refuses_what_numpy_refuses(source, destination, error):
+    x = np.empty((2, 3, 4))
+    for move in (_moveaxis, np.moveaxis):
+        with pytest.raises(error):
+            move(x, source, destination)
+
+
+def test_src_moves_no_axis_through_np_moveaxis():
+    """Layout code in src/ moves axes with expr_jet._moveaxis, whose order is cached, not with
+    np.moveaxis, which normalizes its axes in Python on every call."""
+    src = Path(__file__).resolve().parents[1] / "src" / "paracheck"
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "moveaxis"]
+    assert calls == []

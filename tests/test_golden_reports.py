@@ -176,6 +176,40 @@ def test_to_json_is_the_asdict_serialization(monkeypatch, tmp_path):
         assert text == json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, allow_nan=False)
 
 
+def _written_reports():
+    """Reports the goldens do not hold: one with no checks; non-finite residuals, which a report
+    writes as 1e300; and a model name and details holding quotes, a backslash, a newline, a tab,
+    a control character, non-ASCII text and a character outside the Basic Multilingual Plane."""
+    from paracheck.report import NOT_APPLICABLE, StructureCheckResult, new_report
+
+    empty = new_report("E1", "all", 42, 5)
+    non_finite = new_report("E1n5", "einstein", 0, 6)
+    res = StructureCheckResult()
+    res.add("einstein.fit", math.inf, detail="rank differs")
+    res.add("einstein.fit-stability", math.nan)
+    res.add("einstein.eps-a-plus-c", 0.0, detail="gate", status=NOT_APPLICABLE)
+    non_finite.checks = res.checks
+    odd = new_report('W "1" \\ \u00e9', "structure", 7, 10)
+    res = StructureCheckResult()
+    res.add("structure.phi-squared", 1.5e-17, detail='a "quoted" word, a back\\slash,\na newline\tand a tab')
+    res.add("structure.eta-of-xi", 2.0, detail="\x01 \u00a7 \u03c6\u00b2 = I \u2212 \u03b7\u2297\u03be, \U0001d524")
+    odd.checks = res.checks
+    return {"empty": empty, "non-finite": non_finite, "odd-text": odd}
+
+
+@pytest.mark.parametrize("name", ["empty", "non-finite", "odd-text"])
+def test_to_json_writes_what_json_dumps_writes(name):
+    """The report writer's bytes are json.dumps(to_dict(), indent=2, sort_keys=True,
+    allow_nan=False) also where the goldens reach nothing: no checks, non-finite residuals and
+    text that JSON escapes."""
+    report = _written_reports()[name]
+    text = report.to_json()
+    assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+    assert json.loads(text) == report.to_dict()
+    if name == "non-finite":
+        assert [c["residual"] for c in json.loads(text)["checks"]] == [0.0, 1e300, 1e300]
+
+
 def merge(stored: dict, fresh: dict) -> dict:
     """The golden cases to write: the fresh ones, except that a stored case
     with the same argv whose report the fresh run matches (the same exit code
