@@ -21,12 +21,13 @@ of the order-(k+1) ones.
 Evaluation is vectorized: most helpers accept coefficient arrays of shape
 ``batch + (ncoeffs,)`` and broadcast over the leading axes.  A product is
 one gather of the pair operands of :attr:`JetSpace.pair_table` and one dense
-0/1 scatter matmul, whose rows that come out not finite are summed again by
-target, so that an inf or NaN product spreads to no other coefficient.  Every contraction is a jet matrix product
-(:meth:`JetSpace.matmul`): the same gather, one batched matmul with the pair
-axis in the batch, and the same scatter.  An operand whose derivative part
-is all zero (an order-0 jet, a flat ambient's metric, a literal factor) is a
-constant: both multiply by its values instead, with no pair table.
+0/1 scatter matmul; an output row that is not finite is summed again by
+target, so an inf or NaN product reaches no other coefficient.  Every
+contraction is a jet matrix product (:meth:`JetSpace.matmul`): the same
+gather, one batched matmul with the pair axis in the batch, and the same
+scatter.  An operand whose derivative part is all zero (an order-0 jet, a
+flat ambient's metric, a literal factor) is a constant: both multiply by its
+values instead, with no pair table.
 """
 
 from __future__ import annotations
@@ -437,10 +438,9 @@ class JetSpace:
 
     def _scatter(self, pairs: np.ndarray) -> np.ndarray:
         """Pair products summed into their coefficients by one matmul over the flattened batch.
-        The matmul multiplies each product by every zero of its matrix column, and 0 * inf = NaN,
-        so when one sum finds the output not finite, each row with a non-finite coefficient is
-        summed again by target: a non-finite product then reaches only its own coefficient, and
-        every finite row keeps the matmul's bits."""
+        The matmul multiplies each product by the zeros of its row of the matrix too, and
+        0 * inf = NaN, so when one sum of the output is not finite, the output rows that are not
+        finite are summed again by target; every finite row keeps the matmul's bits."""
         flat = pairs.reshape(-1, pairs.shape[-1])
         out = flat @ self.scatter_matrix
         if not math.isfinite(np.add.reduce(out, axis=None)):

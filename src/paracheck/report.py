@@ -27,13 +27,10 @@ code; an informational record never fails on a finite residual.
 Reports serialize to JSON deterministically: records sorted by id, keys
 sorted, floats via repr, and a non-finite residual as 1e300, so the output
 is strict JSON.  The ``engine_version`` and ``generated_at`` fields are the
-only run-to-run variable parts.  The bytes are those of
-``json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)``,
-but written without json's pure-Python encoder, which it runs whenever an
-indent is set: :meth:`CheckReport.to_json` encodes each record in one call of
-the C encoder, whose item separator carries the newline and indent of the
-record's level (an encoded string holds no raw newline, since json escapes
-it), and lays the records out around the other fields.
+only run-to-run variable parts.  :meth:`CheckReport.to_json` writes the
+bytes of ``json.dumps(report.to_dict(), indent=2, sort_keys=True,
+allow_nan=False)`` through json's C encoder, one call per record, since json
+runs its pure-Python encoder whenever an indent is set.
 """
 
 from __future__ import annotations
@@ -223,9 +220,9 @@ class StructureCheckResult:
         return self.get(cid).residual
 
 
-# JSON encoders of a record's fields and of the report's other fields: without an indent, json
-# encodes through its C encoder, and an item separator that holds the newline and indent
-# json.dumps(indent=2) writes at that level lays the fields out as it does
+# json's C encoder for a record's fields and for the report's other fields: it runs only without an
+# indent, so each item separator holds the newline and indent json.dumps(indent=2) writes at that
+# level (an encoded string holds no raw newline: json escapes it)
 _RECORD = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n      ", ": ")).encode
 _FIELDS = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n  ", ": ")).encode
 
@@ -271,9 +268,8 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)``, byte for byte:
-        each record, and the other fields together, in one call of the C encoder (see the module
-        docstring), laid out in the report's fixed two-level shape, whose first key is "checks"."""
+        """The JSON report (see the module docstring): the encoded records in a list under
+        "checks", the report's first key, then the other fields."""
         doc = self.to_dict()
         checks = doc.pop("checks")
         records = ",\n    ".join("{\n      " + _RECORD(r)[1:-1] + "\n    }" for r in checks)
