@@ -39,7 +39,6 @@ from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_tuple
 
 FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos")
 
@@ -539,15 +538,9 @@ class JetSpace:
 
 @cache
 def _axis_order(ndim: int, source, destination) -> tuple[int, ...]:
-    """The axis order np.moveaxis(x, source, destination) transposes an x of ``ndim`` axes by,
-    computed as numpy computes it; source and destination are axes or equal-length tuples of axes."""
-    source, destination = normalize_axis_tuple(source, ndim), normalize_axis_tuple(destination, ndim)
-    if len(source) != len(destination):
-        raise ValueError("source and destination must name the same number of axes")
-    order = [a for a in range(ndim) if a not in source]
-    for dest, src in sorted(zip(destination, source)):
-        order.insert(dest, src)
-    return tuple(order)
+    """The axis order np.moveaxis(x, source, destination) transposes an x of ``ndim`` axes by:
+    the moved shape of an empty array whose axis lengths are their own indices."""
+    return np.moveaxis(np.empty(tuple(range(ndim))), source, destination).shape
 
 
 def _moveaxis(x: np.ndarray, source, destination) -> np.ndarray:

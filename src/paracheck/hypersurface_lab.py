@@ -477,9 +477,7 @@ def _draw_block(rng: np.random.Generator, rows: np.ndarray, n: int, times: int =
                 if k:
                     rng.standard_normal(out=Z[i, at:at + k * k])
                     rng.random(out=u[i, lo:lo + k])
-                    # k scalar draws take the bits integers(0, 2, k) takes, without its Python-level np.prod
-                    for j in range(lo, lo + k):
-                        s[i, j] = rng.integers(0, 2)
+                    s[i, lo:lo + k] = rng.integers(0, 2, k)
             rng.standard_normal(out=F[i, 0])
             rng.random(out=u[i, n - 1:])
             rng.standard_normal(out=F[i, 1])
