@@ -404,9 +404,9 @@ class JetSpace:
         matmul.  A constant operand (derivative part all zero; a NaN or inf
         there is not) multiplies by its values instead, so it never spreads
         0 * inf = NaN into coefficients whose exact value is finite."""
-        if not A[..., 1:].any():
+        if _is_constant(A):
             return A[..., :1] * B
-        if not B[..., 1:].any():
+        if _is_constant(B):
             return A * B[..., :1]
         I, J, _ = self.pair_table
         return self._scatter(A[..., I] * B[..., J])
@@ -419,10 +419,10 @@ class JetSpace:
         moved by swapaxes views.  A constant operand, as in :meth:`mul`, takes
         one matmul of its values, the other operand's coefficients folded
         into its columns or rows, and spreads no 0 * inf = NaN either."""
-        if not A[..., 1:].any():
+        if _is_constant(A):
             ab = A[..., 0] @ B.reshape(B.shape[:-2] + (-1,))
             return ab.reshape(ab.shape[:-1] + B.shape[-2:])
-        if not B[..., 1:].any():
+        if _is_constant(B):
             ab = A.swapaxes(-1, -2).reshape(A.shape[:-3] + (-1, A.shape[-2])) @ B[..., 0]
             return ab.reshape(ab.shape[:-2] + (A.shape[-3], A.shape[-1], -1)).swapaxes(-1, -2)
         I, J, _ = self.pair_table
@@ -547,6 +547,12 @@ def _moveaxis(x: np.ndarray, source, destination) -> np.ndarray:
     """np.moveaxis(x, source, destination), the same view, as one transpose by the cached
     :func:`_axis_order`, without numpy's per-call axis normalization."""
     return x.transpose(_axis_order(x.ndim, source, destination))
+
+
+def _is_constant(A: np.ndarray) -> bool:
+    """Whether every derivative coefficient of the jets in A is zero (+-0.0; a NaN or inf is not):
+    ``not A[..., 1:].any()``, by the ufunc's own reduce, without ndarray.any's Python wrapper."""
+    return not np.logical_or.reduce(A[..., 1:], axis=None)
 
 
 def _check_positive(a0: np.ndarray, what: str, points: np.ndarray | None):

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr_jet import JetSpace, _moveaxis
+from .expr_jet import JetSpace, _is_constant, _moveaxis
 from .tensor_algebra import MetricAtPoint, TensorValue, contract_with, lowest_space
 
 
@@ -127,7 +127,7 @@ def christoffel(metric_jets: TensorValue) -> ConnectionAtPoint:
     lower = _lower(space, "christoffel")
     metric = MetricAtPoint.build(metric_jets.as_jet(lower))
     n = metric_jets.dim
-    flat = not metric_jets.components[..., 1:].any()
+    flat = _is_constant(metric_jets.components)
     if flat:
         gamma = np.zeros((len(metric_jets.components),) + (n,) * 3 + (lower.ncoeffs,))
     else:

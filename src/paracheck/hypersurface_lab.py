@@ -31,7 +31,7 @@ from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid, _field_jets
 from .paracontact_core import (ParacontactStructure, apply_op, defining_equation_gap_per_point, form, pair,
                                para_sasakian_rhs)
 from .report import RANK_CUTOFF, StructureCheckResult, _max_abs, residual_norm
-from .sampling import _seed, derive_states
+from .sampling import _halves, _seed, derive_states
 from .tensor_algebra import TensorValue, check_metric, invert_jet_matrix, min_norm_solve
 
 # The ambient g~ is evaluated to at most order 2: the Gauss check reads R~
@@ -465,23 +465,32 @@ def _draw_block(rng: np.random.Generator, rows: np.ndarray, n: int, times: int =
     then normal, uniform, normal for the frame change L.  Row i of the block arrays holds trial
     i: p (T,), the block normals one after the other in Z (T, (n-1)^2), the raw uniforms of
     the weights and then of L in u (T, 2n-1), the sign bits in s (T, n-1) and L's two normals
-    in F (T, 2, n, n)."""
-    T = len(rows)
-    p, s = np.zeros(T, dtype=np.int64), np.zeros((T, n - 1), dtype=np.int64)
+    in F (T, 2, n, n).  Only the normals and L's uniforms are Generator calls: p, the weights
+    and the signs are read from raw words by numpy's rules (_halves), p by Lemire's, a weight as
+    (w >> 11) 2^-53 of a word w, a sign as the top bit h >> 31 of a 32-bit half, with the half
+    numpy would buffer kept in `half`, empty at _seed and carried over blocks and redraws."""
+    T, bitgen = len(rows), rng.bit_generator
+    p = np.zeros(T, dtype=np.int64)
     Z, u, F = np.empty((T, (n - 1) ** 2)), np.empty((T, 2 * n - 1)), np.empty((T, 2, n, n))
+    words, signs = [None] * T, [None] * T
     for i, row in enumerate(rows):
-        _seed(rng.bit_generator, row)
+        _seed(bitgen, row)
+        half = None
         for _ in range(times):
-            p[i] = q = int(rng.integers(0, n))
-            for k, at, lo in ((q, 0, 0), (n - 1 - q, q * q, q)):
+            _, (h,), half = _halves(bitgen, n, 1, half)
+            p[i] = q = h * n >> 32
+            words[i], signs[i] = [], []
+            for k, at in ((q, 0), (n - 1 - q, q * q)):
                 if k:
                     rng.standard_normal(out=Z[i, at:at + k * k])
-                    rng.random(out=u[i, lo:lo + k])
-                    s[i, lo:lo + k] = rng.integers(0, 2, k)
+                    block_words, block_signs, half = _halves(bitgen, 2, k, half, lead=k)
+                    words[i] += block_words
+                    signs[i] += block_signs
             rng.standard_normal(out=F[i, 0])
             rng.random(out=u[i, n - 1:])
             rng.standard_normal(out=F[i, 1])
-    return p, Z, u, s, F
+    u[:, :n - 1] = (np.array(words, dtype=np.uint64) >> 11) * 2.0 ** -53
+    return p, Z, u, np.array(signs, dtype=np.int64) >> 31, F
 
 
 def _assemble_block(raw: tuple, n: int, epsilon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -650,7 +659,8 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     reused generator straight into the block arrays (_draw_block), from which
     _assemble_block builds every structure of the block at once; a trial
     rejected k times is reseeded from its row and drawn k + 1 times, keeping
-    the last draw, as its own generator would give it.
+    the last draw, as its own generator would give it.  p, the ker-eta weights
+    and the signs are read from raw words by numpy's own rules, bit for bit.
     """
     if n < 3:
         raise ValueError("synthetic check needs n >= 3")

@@ -6,7 +6,10 @@ reproduce byte-identical reports regardless of evaluation order.
 
 derive_rng defines a stream.  derive_states gives the seed words of the
 streams of many counters in one vectorized pass, and _seed sets a reused
-PCG64 to the state derive_rng's generator starts in.
+PCG64 to the state derive_rng's generator starts in.  _halves reads
+Generator.integers from PCG64's raw words: the 32-bit halves numpy's
+next_uint32 takes, low half first with the high half buffered, mapped to
+[0, n) by Lemire's rule (Lemire, ACM TOMACS 29(1), 2019).
 """
 
 from __future__ import annotations
@@ -72,6 +75,33 @@ def _seed(bitgen: np.random.PCG64, words: np.ndarray) -> None:
     state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
     bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                     "has_uint32": 0, "uinteger": 0}
+
+
+def _halves(bitgen: np.random.PCG64, n: int, count: int, half: int | None,
+            lead: int = 0) -> tuple[list[int], list[int], int | None]:
+    """The 32-bit halves behind Generator.integers(0, n, count), for 2 <= n <= 2**32, read from
+    bitgen's raw words as numpy reads them, after `lead` raw words that come back as they are, all
+    in one random_raw call.  numpy's next_uint32 hands out each word low half first and buffers the
+    high half (`half` on entry and on return, None when there is none).  Lemire's rule rejects a
+    half h while (h n) mod 2**32 < 2**32 mod n, which never happens when n is a power of two, and
+    an accepted half gives the value (h n) >> 32.  Returns the lead words, the `count` accepted
+    halves and the half left buffered.  The buffered half lives here, never in bitgen's state:
+    random(), standard_normal() and the like neither read it nor clear it."""
+    size = lead + (count - (half is not None) + 1) // 2
+    words = bitgen.random_raw(size).tolist()
+    halves = [] if half is None else [half]
+    for w in words[lead:]:
+        halves += (w & _MASK32, w >> 32)
+    threshold, i = (1 << 32) % n, 0
+    while threshold and i < count:
+        if halves[i] * n & _MASK32 < threshold:
+            del halves[i]
+            if len(halves) < count:
+                w = bitgen.random_raw()
+                halves += (w & _MASK32, w >> 32)
+        else:
+            i += 1
+    return words[:lead], halves[:count], halves[count] if len(halves) > count else None
 
 
 def sample_points(domain: Sequence[tuple[float, float]], count: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr_jet import JetSpace, _locate, _moveaxis
+from .expr_jet import JetSpace, _is_constant, _locate, _moveaxis
 from .report import RANK_CUTOFF, _max_abs
 
 
@@ -138,7 +138,7 @@ def invert_jet_matrix(space: JetSpace, G: np.ndarray) -> np.ndarray:
     n = G.shape[-2]
     eye = np.zeros(G.shape[-3:])
     eye[..., 0] = np.eye(n)
-    steps = int(np.ceil(np.log2(space.order + 1))) if G[..., 1:].any() else 0
+    steps = 0 if _is_constant(G) else int(np.ceil(np.log2(space.order + 1)))
     for _ in range(steps):
         X = space.matmul(X, 2 * eye - space.matmul(G, X))
     return X

@@ -21,6 +21,7 @@ from paracheck.expr_jet import (
     Num,
     UnknownIdentifierError,
     Var,
+    _is_constant,
     _moveaxis,
     eval_expr,
     parse_expr,
@@ -686,6 +687,19 @@ def test_a_non_finite_derivative_part_takes_the_pair_route(monkeypatch, bad, op)
     assert not finite_rows.all()
     assert np.array_equal(got, np.where(finite_rows, dense, by_target), equal_nan=True)
     assert np.isfinite(got[~finite_rows[..., 0]]).any()
+
+
+@pytest.mark.parametrize("derivative", [0.0, -0.0, 1e-300, -5e-324, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_is_constant_is_not_any(order, derivative):
+    """_is_constant reads a jet's derivative part as ``not A[..., 1:].any()`` does: a signed zero is
+    zero, a subnormal, NaN or inf is not, and an order-0 jet, with an empty derivative part, is
+    constant."""
+    space = JetSpace.get(3, order)
+    A = np.zeros((4, 2, space.ncoeffs))
+    A[..., 0] = -2.5
+    A[3, 1, -1] = derivative
+    assert _is_constant(A) is (not A[..., 1:].any()) is (order == 0 or derivative == 0.0)
 
 
 def test_an_inf_coefficient_leaves_the_finite_coefficients_finite():

@@ -584,11 +584,14 @@ class TestSyntheticGauss:
         for bit, the (g, phi, xi, eta) of the per-trial reference
         (pointwise.draw_trial, assemble_structures): each trial's first draw
         above the |det g| floor from its own generator derive_rng(seed,
-        "synthetic-gauss", eps + 1, n, t), for n in {3, 4, 5, 9}, eps = +-1
-        and seeds {0, 1, 42}, 40 trials each (at n = 9 two draw blocks).  At
-        the default floor no draw is rejected; with the floor raised to 0.5
-        many are, some twice or more, and a redraw that lost the generator's
-        buffered 32-bit half would differ."""
+        "synthetic-gauss", eps + 1, n, t), for n in {3, 4, 5, 9, 12}, eps =
+        +-1 and seeds {0, 1, 42}, 40 trials each (two draw blocks at n = 9,
+        five at n = 12).  At the default floor no draw is rejected; with the
+        floor raised to 0.5 many are, some twice or more, and a redraw that
+        lost the generator's buffered 32-bit half would differ.  At n = 12 a
+        block of ker eta takes up to 11 sign bits, so odd and even counts of
+        sign words carry the buffered half from block to block and from draw
+        to redraw."""
         chain, blocks, trials = hypersurface_lab._gauss_chain, [], 40
 
         def recording_chain(epsilon, g, phi, xi, eta, *rest):
@@ -599,7 +602,7 @@ class TestSyntheticGauss:
         for floor in (hypersurface_lab.SYNTHETIC_DET_FLOOR, 0.5):
             monkeypatch.setattr(hypersurface_lab, "SYNTHETIC_DET_FLOOR", floor)
             rejections = []
-            for n, eps, seed in itertools.product((3, 4, 5, 9), (1, -1), (0, 1, 42)):
+            for n, eps, seed in itertools.product((3, 4, 5, 9, 12), (1, -1), (0, 1, 42)):
                 blocks.clear()
                 out = synthetic_gauss_check(eps, n, trials, seed)
                 accepted = [np.concatenate(arrays) for arrays in zip(*blocks)]

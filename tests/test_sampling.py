@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paracheck.sampling import _seed, derive_rng, derive_states
+from paracheck.sampling import _halves, _seed, derive_rng, derive_states
 
 KEYS = [("vectors",), ("synthetic-gauss", 2), ("synthetic-gauss", 0, 5), ("E1", "points", 7, 2 ** 40 + 3),
         (1, "a", 2, "b", 3)]
@@ -51,3 +51,81 @@ def test_states_seed_random_streams(seed, keys, start, size):
     beyond 32 bits or negative, which derive_rng masks to their low word."""
     counters = range(start, start + size)
     _assert_seeds_streams(_quiet_states(seed, keys, counters), seed, keys, counters)
+
+
+def _numpy_half(bitgen):
+    """The 32-bit half numpy's next_uint32 holds buffered in bitgen, None when it holds none."""
+    state = bitgen.state
+    return state["uinteger"] if state["has_uint32"] else None
+
+
+_DRAWS = st.one_of(st.tuples(st.just("integers"), st.integers(2, 64), st.none() | st.integers(1, 40)),
+                   st.tuples(st.just("signs"), st.integers(1, 40)),
+                   st.tuples(st.just("random"), st.integers(0, 40), st.booleans()),
+                   st.tuples(st.just("normal"), st.integers(1, 40)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), draws=st.lists(_DRAWS, min_size=1, max_size=12))
+def test_halves_draw_numpys_integers(seed, draws):
+    """Generator.integers(0, n) and integers(0, n, k), integers(0, 2, k), random(m) (alone, or
+    followed by integers(0, 2, m) as _draw_block reads a block's weights and signs, in one
+    random_raw call) and standard_normal(m), interleaved on one generator: _halves on a twin
+    generator gives the same values, and after every draw it holds the half numpy's next_uint32
+    holds buffered, and the twin's PCG64 state is numpy's."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    half = None
+    for draw in draws:
+        kind, size = draw[0], draw[-1] if draw[0] != "random" else draw[1]
+        if kind == "integers":
+            n = draw[1]
+            want = rng.integers(0, n, size)
+            _, halves, half = _halves(twin.bit_generator, n, size or 1, half)
+            got = [h * n >> 32 for h in halves]
+            assert np.array_equal(np.atleast_1d(want), got), draw
+        elif kind == "signs":
+            want = rng.integers(0, 2, size)
+            _, halves, half = _halves(twin.bit_generator, 2, size, half)
+            assert want.tolist() == [h >> 31 for h in halves], draw
+        elif kind == "random":
+            signs = draw[2]
+            want = rng.random(size), rng.integers(0, 2, size if signs else 0)
+            words, halves, half = _halves(twin.bit_generator, 2, size if signs else 0, half, lead=size)
+            assert want[0].tobytes() == ((np.array(words, dtype=np.uint64) >> 11) * 2.0 ** -53).tobytes(), draw
+            assert want[1].tolist() == [h >> 31 for h in halves], draw
+        else:
+            assert rng.standard_normal(size).tobytes() == twin.standard_normal(size).tobytes(), draw
+        assert half == _numpy_half(rng.bit_generator), draw
+        assert rng.bit_generator.state["state"] == twin.bit_generator.state["state"], draw
+    assert _numpy_half(twin.bit_generator) is None
+
+
+class _FakeWords:
+    """A bit generator whose raw words are the given ones, in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.words.pop(0)
+        taken, self.words = self.words[:size], self.words[size:]
+        return np.array(taken, dtype=np.uint64)
+
+
+def test_halves_rejects_as_lemire():
+    """Lemire's rejection on a made-up word source.  At n = 3 the threshold is 2**32 mod 3 = 1,
+    so a half h is rejected exactly when h = 0: the next half is read, from a new word once the
+    fetched ones run out, and the half after the accepted one stays buffered.  A real stream
+    rejects a half with chance about n / 2**32, so no feasible sample of one reaches this branch,
+    and the hypothesis test above never does."""
+    lead, zeros, word = 0x1234_5678_9ABC_DEF0, 0, 7 << 32 | 0x8000_0000
+    source = _FakeWords([lead, zeros, word])
+    assert _halves(source, 3, 1, None, lead=1) == ([lead], [0x8000_0000], 7)   # both zero halves rejected
+    assert 0x8000_0000 * 3 >> 32 == 1 and source.words == []
+    source = _FakeWords([5 << 32])
+    assert _halves(source, 3, 1, 0) == ([], [5], None)   # the buffered zero, then the new word's low half, rejected
+    source = _FakeWords([9 << 32 | 4, 6])
+    assert _halves(source, 3, 2, 0) == ([], [4, 9], None)   # a new word only once the fetched halves run out
+    assert source.words == [6]
+    assert _halves(_FakeWords([0, 0, 1]), 2, 3, None) == ([], [0, 0, 0], 0)   # n = 2 rejects nothing
