@@ -472,25 +472,25 @@ def _draw_block(rng: np.random.Generator, rows: np.ndarray, n: int, times: int =
     T, bitgen = len(rows), rng.bit_generator
     p = np.zeros(T, dtype=np.int64)
     Z, u, F = np.empty((T, (n - 1) ** 2)), np.empty((T, 2 * n - 1)), np.empty((T, 2, n, n))
-    words, signs = [None] * T, [None] * T
+    words, signs = [], []      # n - 1 weight words and sign halves a trial, trial i's from i (n - 1) on
     for i, row in enumerate(rows):
         _seed(bitgen, row)
         half = None
         for _ in range(times):
+            del words[i * (n - 1):], signs[i * (n - 1):]
             _, (h,), half = _halves(bitgen, n, 1, half)
             p[i] = q = h * n >> 32
-            words[i], signs[i] = [], []
             for k, at in ((q, 0), (n - 1 - q, q * q)):
                 if k:
                     rng.standard_normal(out=Z[i, at:at + k * k])
                     block_words, block_signs, half = _halves(bitgen, 2, k, half, lead=k)
-                    words[i] += block_words
-                    signs[i] += block_signs
+                    words += block_words
+                    signs += block_signs
             rng.standard_normal(out=F[i, 0])
             rng.random(out=u[i, n - 1:])
             rng.standard_normal(out=F[i, 1])
-    u[:, :n - 1] = (np.array(words, dtype=np.uint64) >> 11) * 2.0 ** -53
-    return p, Z, u, np.array(signs, dtype=np.int64) >> 31, F
+    u[:, :n - 1] = ((np.array(words, dtype=np.uint64) >> 11) * 2.0 ** -53).reshape(T, n - 1)
+    return p, Z, u, (np.array(signs, dtype=np.int64) >> 31).reshape(T, n - 1), F
 
 
 def _assemble_block(raw: tuple, n: int, epsilon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -59,10 +59,12 @@ def _numpy_half(bitgen):
     return state["uinteger"] if state["has_uint32"] else None
 
 
-_DRAWS = st.one_of(st.tuples(st.just("integers"), st.integers(2, 64), st.none() | st.integers(1, 40)),
-                   st.tuples(st.just("signs"), st.integers(1, 40)),
+# (kind, size, n or with_signs): integers(0, n, size) with size None for a scalar, integers(0, 2, k),
+# random(m) alone or followed by integers(0, 2, m), standard_normal(m)
+_DRAWS = st.one_of(st.tuples(st.just("integers"), st.none() | st.integers(1, 40), st.integers(2, 64)),
+                   st.tuples(st.just("signs"), st.integers(1, 40), st.just(2)),
                    st.tuples(st.just("random"), st.integers(0, 40), st.booleans()),
-                   st.tuples(st.just("normal"), st.integers(1, 40)))
+                   st.tuples(st.just("normal"), st.integers(1, 40), st.none()))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -72,31 +74,28 @@ def test_halves_draw_numpys_integers(seed, draws):
     followed by integers(0, 2, m) as _draw_block reads a block's weights and signs, in one
     random_raw call) and standard_normal(m), interleaved on one generator: _halves on a twin
     generator gives the same values, and after every draw it holds the half numpy's next_uint32
-    holds buffered, and the twin's PCG64 state is numpy's."""
+    holds buffered, and the twin's PCG64 state is numpy's.  The twin's own buffer stays empty."""
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     half = None
-    for draw in draws:
-        kind, size = draw[0], draw[-1] if draw[0] != "random" else draw[1]
+    for kind, size, arg in draws:
         if kind == "integers":
-            n = draw[1]
-            want = rng.integers(0, n, size)
-            _, halves, half = _halves(twin.bit_generator, n, size or 1, half)
-            got = [h * n >> 32 for h in halves]
-            assert np.array_equal(np.atleast_1d(want), got), draw
+            want = np.atleast_1d(rng.integers(0, arg, size)).tolist()
+            _, halves, half = _halves(twin.bit_generator, arg, size or 1, half)
+            assert want == [h * arg >> 32 for h in halves], (kind, size, arg)
         elif kind == "signs":
-            want = rng.integers(0, 2, size)
+            want = rng.integers(0, 2, size).tolist()
             _, halves, half = _halves(twin.bit_generator, 2, size, half)
-            assert want.tolist() == [h >> 31 for h in halves], draw
+            assert want == [h >> 31 for h in halves], (kind, size)
         elif kind == "random":
-            signs = draw[2]
-            want = rng.random(size), rng.integers(0, 2, size if signs else 0)
-            words, halves, half = _halves(twin.bit_generator, 2, size if signs else 0, half, lead=size)
-            assert want[0].tobytes() == ((np.array(words, dtype=np.uint64) >> 11) * 2.0 ** -53).tobytes(), draw
-            assert want[1].tolist() == [h >> 31 for h in halves], draw
+            count = size if arg else 0
+            weights, signs = rng.random(size), rng.integers(0, 2, count).tolist()
+            words, halves, half = _halves(twin.bit_generator, 2, count, half, lead=size)
+            assert weights.tobytes() == ((np.array(words, dtype=np.uint64) >> 11) * 2.0 ** -53).tobytes()
+            assert signs == [h >> 31 for h in halves], (kind, size, arg)
         else:
-            assert rng.standard_normal(size).tobytes() == twin.standard_normal(size).tobytes(), draw
-        assert half == _numpy_half(rng.bit_generator), draw
-        assert rng.bit_generator.state["state"] == twin.bit_generator.state["state"], draw
+            assert rng.standard_normal(size).tobytes() == twin.standard_normal(size).tobytes()
+        assert half == _numpy_half(rng.bit_generator), (kind, size, arg)
+        assert rng.bit_generator.state["state"] == twin.bit_generator.state["state"], (kind, size, arg)
     assert _numpy_half(twin.bit_generator) is None
 
 
@@ -122,7 +121,7 @@ def test_halves_rejects_as_lemire():
     lead, zeros, word = 0x1234_5678_9ABC_DEF0, 0, 7 << 32 | 0x8000_0000
     source = _FakeWords([lead, zeros, word])
     assert _halves(source, 3, 1, None, lead=1) == ([lead], [0x8000_0000], 7)   # both zero halves rejected
-    assert 0x8000_0000 * 3 >> 32 == 1 and source.words == []
+    assert source.words == []
     source = _FakeWords([5 << 32])
     assert _halves(source, 3, 1, 0) == ([], [5], None)   # the buffered zero, then the new word's low half, rejected
     source = _FakeWords([9 << 32 | 4, 6])
