@@ -1,9 +1,10 @@
 """Scalar-field expressions over chart coordinates and truncated Taylor-jet
 arithmetic.
 
-An expression is parsed once against a declared coordinate list and can then
-be evaluated as jets (tests/fd_oracle.py keeps a plain numeric evaluator as an
-independent oracle): truncated multivariate Taylor expansions
+An expression is parsed once against a declared coordinate list (its tree is
+cached by both, failed parses aside) and can then be evaluated as jets
+(tests/fd_oracle.py keeps a plain numeric evaluator as an independent
+oracle): truncated multivariate Taylor expansions
 
     coeffs[alpha] = (d^alpha f / alpha!)(center),   |alpha| <= order,
 
@@ -27,7 +28,9 @@ contraction is a jet matrix product (:meth:`JetSpace.matmul`): the same
 gather, one batched matmul with the pair axis in the batch, and the same
 scatter.  An operand whose derivative part is all zero (an order-0 jet, a
 flat ambient's metric, a literal factor) is a constant: both multiply by its
-values instead, with no pair table.
+values instead, with no pair table.  A function of one argument composes its
+series by Horner's loop of products, or, when the argument's derivative part
+is one coordinate x_i, writes it into the x_i^k coefficients, as the loop would.
 """
 
 from __future__ import annotations
@@ -304,11 +307,17 @@ def parse_expr(source: str, coords: Sequence[str], field: str | None = None) -> 
     """Parse ``source`` against the declared coordinate names; a syntax error
     names ``field``, the entry that holds ``source``, when it is given."""
     try:
-        return _Parser(source, coords).parse()
+        return _parse(source, tuple(coords))
     except ExprError as e:
         if field:
             e.args = (f"{field}: {e}",)
         raise
+
+
+@cache
+def _parse(source: str, coords: tuple[str, ...]) -> ScalarExpr:
+    """The tree of ``source`` over ``coords``, built once: trees are frozen, and a failed parse is not stored."""
+    return _Parser(source, coords).parse()
 
 
 # --------------------------------------------------------------------------
@@ -463,9 +472,17 @@ class JetSpace:
     # -- analytic primitives ---------------------------------------------------
 
     def _compose(self, series: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """Horner evaluation of sum_k series[..., k] * (A - A0)^k."""
+        """sum_k series[..., k] * (A - A0)^k by Horner's loop; or, when A - A0 is exactly one coordinate
+        monomial x_i at every batch element, where each product and sum of that loop is exact (a factor
+        1.0 or 0, one nonzero addend), by writing series[..., k] into the x_i^k coefficients."""
         H = A.copy()
         H[..., 0] = 0.0
+        e = H.reshape(-1)[:self.ncoeffs]                       # the first batch element's A - A0
+        c = np.flatnonzero(e)
+        if len(c) == 1 and c[0] <= self.dim and e[c[0]] == 1.0 and not np.logical_or.reduce(H != e, axis=None):
+            out = np.zeros(A.shape)
+            out[..., [self.index_of[tuple(k * a for a in self.indices[c[0]])] for k in range(self.order + 1)]] = series
+            return out
         out = self.constant(series[..., self.order], batch_shape=A.shape[:-1])
         for k in range(self.order - 1, -1, -1):
             out = self.mul(out, H)

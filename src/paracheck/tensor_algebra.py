@@ -10,7 +10,8 @@ this layout.
 Frame sums never appear here: every trace the checks need is realized as an
 index contraction against g or its inverse, which is frame-independent by
 construction (the cross-validation against signed orthonormal frames lives in
-the test suite).
+the test suite).  A metric's degeneracy and index come from one
+eigendecomposition of its values; the one SVD is the least-squares solver's.
 """
 
 from __future__ import annotations
@@ -82,28 +83,29 @@ def contract_with(A: TensorValue, B: TensorValue, slot_a: int, slot_b: int) -> n
 
 def inertia(sym: np.ndarray) -> np.ndarray:
     """Count of negative eigenvalues of each symmetric matrix of the stack
-    (..., n, n), those below -1e-12 times its largest magnitude: a count
-    that does not change when a matrix is rescaled."""
+    (..., n, n), those below -1e-12 times its largest magnitude, or -1 where
+    the matrix is degenerate, its smallest magnitude at most 1e-12 times its
+    largest: tests that do not change when a matrix is rescaled.  One
+    eigendecomposition of the symmetric part decides both, as the singular
+    values of a symmetric matrix are its eigenvalues' magnitudes."""
     w = np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(-1, -2)))
-    return (w < -1e-12 * _max_abs(w, -1)[..., None]).sum(axis=-1)
-
-
-def degenerate(g0: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack g0, whether its smallest singular value is at
-    most 1e-12 times its largest: a test that does not change under rescaling."""
-    sv = np.linalg.svd(g0, compute_uv=False)
-    return sv[..., -1] <= 1e-12 * sv[..., 0]
+    top = _max_abs(w, -1)
+    nus = (w < -1e-12 * top[..., None]).sum(axis=-1)
+    return np.where(np.minimum.reduce(np.abs(w), axis=-1) <= 1e-12 * top, -1, nus)
 
 
 def check_metric(g0: np.ndarray, points: np.ndarray, field: str, index: int | None = None) -> None:
-    """That the metric values g0 (P, n, n) at ``points`` are semi-Riemannian: not :func:`degenerate`,
+    """That the metric values g0 (P, n, n) at ``points`` are semi-Riemannian: finite, not degenerate,
     then of :func:`inertia` ``index``, or the first point's when none is declared.  A failure is a
     ValueError naming ``field`` and the first failing point."""
-    singular = degenerate(g0)
+    nonfinite = ~np.isfinite(g0).all(axis=(-2, -1))
+    if nonfinite.any():
+        raise ValueError(f"{field}: not finite at point {_locate(nonfinite, points)}")
+    nus = inertia(g0)
+    singular = nus < 0
     if singular.any():
         raise ValueError(f"{field}: degenerate (smallest singular value at most 1e-12 of the largest) "
                          f"at point {_locate(singular, points)}")
-    nus = inertia(g0)
     other = nus != (nus[0] if index is None else index)
     if other.any():
         raise ValueError(f"{field}: index {nus[np.argmax(other)]} at point {_locate(other, points)}, not the "

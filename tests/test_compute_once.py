@@ -2,12 +2,15 @@
 requested check reads it: the connection of every metric, each covariant
 derivative, the axiom checks, the para-Sasakian gate and C11(phi R); and
 each distinct expression string of a field grid is parsed and evaluated
-once per grid; each metric is checked once, where it is evaluated; a jet product takes the pair table only when neither
-operand is constant; and a constant metric takes no connection work, nor a
-constant matrix a Newton step.  Call counts are taken by rebinding each
-function under every name the package imports it by."""
+once per grid, its tree built once per process; each metric is checked once,
+where it is evaluated, by one eigendecomposition; a jet product takes the
+pair table only when neither operand is constant; and a constant metric
+takes no connection work, nor a constant matrix a Newton step.  Call
+counts are taken by rebinding each function under every name the package
+imports it by."""
 
 import functools
+import json
 import sys
 
 import numpy as np
@@ -72,13 +75,20 @@ def test_chart_all_builds_connection_gate_and_c11_once(monkeypatch):
 ])
 def test_each_metric_is_checked_once(monkeypatch, tmp_path, argv, metrics):
     """Each metric's degeneracy and index are tested once, where it is
-    evaluated: a chart's g at any jet order, a bundle's ambient g~ at
-    F(points) and its induced g.  Building a connection tests neither
-    again."""
+    evaluated, by one eigendecomposition: a chart's g at any jet order, a
+    bundle's ambient g~ at F(points) and its induced g.  Building a
+    connection tests neither again."""
     inertias = _count(monkeypatch, tensor_algebra.inertia)
-    degenerates = _count(monkeypatch, tensor_algebra.degenerate)
+    eigvalsh = np.linalg.eigvalsh
+    eigs = {"n": 0}
+
+    def counted(a, *args, **kwargs):
+        eigs["n"] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert main([*argv, "--points", "10", "--format", "json", "--out", str(tmp_path / "report.json")]) in (0, 1)
-    assert (inertias["n"], degenerates["n"]) == (metrics, metrics)
+    assert (inertias["n"], eigs["n"]) == (metrics, metrics)
 
 
 def test_structure_request_builds_no_connection_and_runs_no_gate(monkeypatch):
@@ -137,7 +147,7 @@ def test_manifest_bundle_request_evaluates_the_bundle_once(monkeypatch, tmp_path
 
 @pytest.mark.parametrize("target,pair_products", [
     ("E1", 8), ("E2", 11), ("E1n5", 8), ("E2n5", 11), ("N1", 7), ("F0", 0),
-    ("E3a", 0), ("E3b", 28), ("B1", 35),
+    ("E3a", 0), ("E3b", 16), ("B1", 8),
 ])
 def test_all_request_takes_the_pair_table_only_between_non_constants(monkeypatch, tmp_path, target, pair_products):
     """A jet product goes through the pair table (one JetSpace._scatter)
@@ -145,7 +155,8 @@ def test_all_request_takes_the_pair_table_only_between_non_constants(monkeypatch
     its linear embedding's frame and F0's flat chart are constants, so they
     take none; on the other targets the constants (ambient connections and
     curvatures, Newton steps on a constant metric, literal factors) take
-    none either, which the counts lock at seed 42."""
+    none either, nor does a function of one coordinate (the sin and cos of
+    the E3b and B1 maps), which the counts lock at seed 42."""
     scatters = {"n": 0}
     scatter = JetSpace._scatter
 
@@ -243,3 +254,46 @@ def test_manifest_request_parses_each_distinct_source_once_per_grid(monkeypatch,
                "--out", str(tmp_path / "report.json")])
     assert rc == 0
     assert parses["n"] <= most
+
+
+@pytest.mark.parametrize("argv", [["check", "E1", "--suite", "structure"],
+                                  ["hypersurface", "E3b", "--suite", "induced"]])
+def test_a_request_run_twice_builds_one_parser_per_distinct_source(monkeypatch, tmp_path, argv):
+    """Trees are cached by (source, coords): a manifest request run twice in one process builds
+    one parser for each distinct source of each coordinate list, at the first load, and none
+    after."""
+    target = builtin_bundles()[argv[1]] if argv[0] == "hypersurface" else get_model(argv[1])
+    path = tmp_path / f"{argv[1]}.json"
+    save_manifest(target, path)
+    doc = json.loads(path.read_text())
+    grids = ([(doc["ambient"]["coords"], doc["ambient"][f]) for f in ("metric", "J")]
+             + [(doc["embedding"]["coords"], doc["embedding"]["map"])] if argv[0] == "hypersurface"
+             else [(doc["coords"], doc[f]) for f in ("metric", "phi", "xi", "eta")])
+    distinct = {(s, tuple(coords)) for coords, grid in grids for s in grid}
+    parsers = {"n": 0}
+
+    class Counted(expr_jet._Parser):
+        def __init__(self, *args):
+            parsers["n"] += 1
+            super().__init__(*args)
+
+    expr_jet._parse.cache_clear()
+    monkeypatch.setattr(expr_jet, "_Parser", Counted)
+    for _ in range(2):
+        assert main([argv[0], str(path), *argv[2:], "--points", "10", "--format", "json",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert parsers["n"] == len(distinct)
+
+
+def test_a_syntax_error_names_its_entry_on_every_request(tmp_path, capsys):
+    """A failed parse is not cached: the same bad manifest, requested twice, is refused twice
+    with the entry named."""
+    path = tmp_path / "bad.json"
+    save_manifest(get_model("E1"), path)
+    doc = json.loads(path.read_text())
+    doc["metric"][4] = "1/(y^2"
+    path.write_text(json.dumps(doc))
+    for _ in range(2):
+        capsys.readouterr()
+        assert main(["check", str(path), "--suite", "structure", "--points", "5"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: metric[4]: expected ')'")

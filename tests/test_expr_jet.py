@@ -26,6 +26,7 @@ from paracheck.expr_jet import (
     eval_expr,
     parse_expr,
 )
+from paracheck.models import _eval_grid
 from paracheck.tensor_algebra import invert_jet_matrix
 
 from fd_oracle import eval_expr_numeric, fd_partial
@@ -759,3 +760,123 @@ def test_src_moves_no_axis_through_np_moveaxis():
              for stmt in ast.parse(path.read_text()).body if getattr(stmt, "name", None) != "_axis_order"
              for node in ast.walk(stmt) if isinstance(node, ast.Attribute) and node.attr == "moveaxis"]
     assert calls == []
+
+
+# --------------------------------------------------------------------------
+# functions of one coordinate: the closed form against Horner's loop
+# --------------------------------------------------------------------------
+
+
+def _horner(space, series, A):
+    """sum_k series[..., k] * (A - A0)^k by Horner's loop on JetSpace.mul, for every argument."""
+    H = A.copy()
+    H[..., 0] = 0.0
+    out = space.constant(series[..., space.order], A.shape[:-1])
+    for k in range(space.order - 1, -1, -1):
+        out = space.mul(out, H)
+        out[..., 0] += series[..., k]
+    return out
+
+
+def _closed_and_horner(src, coords, space, coord_jets, points):
+    """The jets of ``src`` as evaluated, with the count of pair-table products they took, and the
+    jets of the same evaluation with every series composed by :func:`_horner`."""
+    expr = parse_expr(src, coords)
+    products = {"n": 0}
+    scatter = JetSpace._scatter
+
+    def counted(self, pairs):
+        products["n"] += 1
+        return scatter(self, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(JetSpace, "_scatter", counted)
+        got = eval_expr(expr, space, coord_jets, points=points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(JetSpace, "_compose", _horner)
+        want = eval_expr(expr, space, coord_jets, points=points)
+    return got, products["n"], want
+
+
+# each function of one argument u, with the interval its sample coordinates are drawn from
+_UNARY = {"exp({u})": (-5.0, 5.0), "ln({u})": (0.05, 4.0), "sqrt({u})": (0.05, 4.0), "sin({u})": (-4.0, 4.0),
+          "cos({u})": (-4.0, 4.0), "1/{u}": (0.05, 4.0), "{u}^0.37": (0.05, 4.0)}
+
+
+def _points(data, dim, interval, min_size=1):
+    return np.array(data.draw(st.lists(st.tuples(*[st.floats(*interval)] * dim), min_size=min_size, max_size=4)))
+
+
+@pytest.mark.parametrize("fn", list(_UNARY))
+@pytest.mark.parametrize("dim", range(1, 6))
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_function_of_a_coordinate_is_horners_loop_bit_for_bit(fn, dim, data):
+    """exp, ln, sqrt, sin, cos, 1/x and x^0.37 of each chart coordinate, at orders 0-4, have the
+    jets of Horner's loop (+0 and -0 equal), and form no pair-table product: the series is
+    written into the x_i^k coefficients."""
+    points = _points(data, dim, _UNARY[fn])
+    coords = [f"x{i}" for i in range(dim)]
+    for order in range(5):
+        space = JetSpace.get(dim, order)
+        for c in coords:
+            got, products, want = _closed_and_horner(fn.format(u=c), coords, space, space.point_jets(points), points)
+            assert np.array_equal(got, want), (order, c)
+            assert products == 0
+
+
+@pytest.mark.parametrize("fn", list(_UNARY))
+@pytest.mark.parametrize("arg", ["2*{x}", "{x} + {y}", "{x}^2", "embedding", "first point"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@given(data=st.data())
+def test_other_arguments_take_horners_loop(fn, arg, data):
+    """An argument that is not one coordinate monomial at every point is composed by Horner's
+    loop, bit for bit: 2x, x + y, x^2, x over the coordinate jets of an embedding
+    (x0 + x0 x1 / 4, x1 + x1 x0 / 4), and x over jets that are the chart's at the first point
+    only (twice its derivative part at the others)."""
+    points = _points(data, 2, _UNARY[fn], min_size=2)
+    coords = ["x0", "x1"]
+    src = fn.format(u=f"({arg.format(x='x0', y='x1')})" if "{" in arg else "x0")
+    for order in range(5):
+        space = JetSpace.get(2, order)
+        jets = space.point_jets(points)
+        if arg == "embedding":
+            jets = [eval_expr(parse_expr(f"{a} + {a}*{b}/4", coords), space, jets) for a, b in (coords, coords[::-1])]
+        if arg == "first point":
+            for j in jets:
+                j[1:, 1:] *= 2
+        got, _, want = _closed_and_horner(src, coords, space, jets, points)
+        assert np.array_equal(got, want), order
+
+
+@pytest.mark.parametrize("fn", ["exp({u})", "sin({u})", "cos({u})"])
+@pytest.mark.parametrize("arg", ["x0^2", "x0*x1"])
+def test_one_monomial_of_higher_degree_takes_horners_loop(fn, arg):
+    """At the origin x0^2 and x0 x1 are one monomial with coefficient 1.0 at every point, but not
+    of degree 1, so Horner's loop composes them, bit for bit."""
+    points = np.zeros((3, 2))
+    for order in range(5):
+        space = JetSpace.get(2, order)
+        got, _, want = _closed_and_horner(fn.format(u=f"({arg})"), ["x0", "x1"], space, space.point_jets(points),
+                                          points)
+        assert np.array_equal(got, want), order
+
+
+@pytest.mark.parametrize("src,message", [
+    ("exp(x)", "phi: not finite at point (800.0, -1.0)"),
+    ("ln(y)", "phi[1]: ln of non-positive constant term at point (800.0, -1.0)"),
+    ("sqrt(y)", "phi[1]: sqrt of non-positive constant term at point (800.0, -1.0)"),
+    ("1/y", "phi[1]: division by a jet with zero constant term at point (0.5, 0.0)"),
+])
+def test_domain_errors_of_a_function_of_a_coordinate(src, message):
+    """exp overflowing at one point, and ln, sqrt or 1/x of a coordinate at a point outside its
+    domain, raise the same error, at the same point, with the closed form as with Horner's loop."""
+    points = np.array([[0.5, 2.0], [800.0, -1.0], [0.5, 0.0]])
+    space = JetSpace.get(2, 4)
+    errors = []
+    for compose in (JetSpace._compose, _horner):
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(JetDomainError) as err:
+            mp.setattr(JetSpace, "_compose", compose)
+            _eval_grid(["1", src], ["x", "y"], space, space.point_jets(points), points, "phi")
+        errors.append(str(err.value))
+    assert errors == [message, message]

@@ -660,6 +660,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {message}") and len(err.strip().splitlines()) == 1, err
 
+    @pytest.mark.parametrize("edits,message", [
+        ({("metric", 4): "ln(x2)"}, "metric[4]: ln of non-positive constant term at point ("),
+        ({("metric", 4): "sqrt(x2)"}, "metric[4]: sqrt of non-positive constant term at point ("),
+        ({("metric", 4): "exp(x2)", ("domain", 1): [710.0, 720.0]}, "metric: not finite at point ("),
+    ], ids=["ln", "sqrt", "exp-overflow"])
+    def test_function_of_a_coordinate_outside_its_domain_is_input_error(self, tmp_path, capsys, edits, message):
+        """E1 with g_22 = ln(x2) or sqrt(x2) over samples with x2 < 0, or exp(x2) over samples
+        where it overflows, exits 2 with one line naming the manifest, the entry and the point."""
+        path = tmp_path / "mutant.json"
+        save_manifest(get_model("E1"), path)
+        doc = json.loads(path.read_text())
+        for (key, k), value in edits.items():
+            doc[key][k] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(path), "--suite", "structure", "--points", "5"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and len(err.strip().splitlines()) == 1, err
+
     def test_rescaled_metric_is_not_degenerate(self, tmp_path):
         """E1n5 with g scaled by 1e-3 (xi and eta rescaled to match) has
         det g below 1e-14 but is as well conditioned as E1n5: the structure

@@ -26,18 +26,24 @@ It is also the exact oracle for the W1 test manifest (tests/fixtures/W1.json,
 E1 with the x2 metric factor (1 + x1^2)^2 / y^2): its para-Sasakian defining
 equation holds identically, and its Ricci tensor is no constant combination
 of g, Phi and eta(x)eta, so the Einstein-like fit fails there because W1 is
-not Einstein-like.  The same exact Gamma, Ricci and nabla phi of W1 and of
-E1, and of their eps = -1 twins W2 and E2 (tests/fixtures/W2.json), check
-the chart pipeline's values at dyadic points.
+not Einstein-like.  The same exact Gamma, Riemann, Ricci, scalar curvature,
+nabla phi and L_xi g of W1 and of E1, and of their eps = -1 twins W2 and E2
+(tests/fixtures/W2.json), check the chart pipeline's values at dyadic points;
+the exact Taylor coefficients of the builtin bundles' embedding maps check
+their order-4 jets.
 """
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from paracheck.expr_jet import JetSpace, eval_expr, parse_expr
+from paracheck.geometry_engine import lie_derivative
+from paracheck.hypersurface_lab import builtin_bundles
 from paracheck.manifest import load_manifest
 from paracheck.models import evaluate_structure, get_model
 
@@ -187,15 +193,16 @@ def _levi_civita(g, coords):
               for j in range(n)] for i in range(n)] for k in range(n)]
 
 
+def _riemann(G, coords, l, i, j, k):
+    """R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
+    return (sp.diff(G[l][j][k], coords[i]) - sp.diff(G[l][i][k], coords[j])
+            + sum(G[l][i][m] * G[m][j][k] - G[l][j][m] * G[m][i][k] for m in range(len(coords))))
+
+
 def _ricci_of(G, coords):
-    """S_jk = R^i_ijk, R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
+    """S_jk = R^i_ijk."""
     n = len(coords)
-
-    def R(l, i, j, k):
-        return (sp.diff(G[l][j][k], coords[i]) - sp.diff(G[l][i][k], coords[j])
-                + sum(G[l][i][m] * G[m][j][k] - G[l][j][m] * G[m][i][k] for m in range(n)))
-
-    return sp.Matrix(n, n, lambda j, k: sp.cancel(sum(R(i, i, j, k) for i in range(n))))
+    return sp.Matrix(n, n, lambda j, k: sp.cancel(sum(_riemann(G, coords, i, i, j, k) for i in range(n))))
 
 
 def _nabla_phi(G, phi, coords):
@@ -247,25 +254,70 @@ DYADIC_POINTS = [(sp.Rational(1, 2), sp.Rational(-3, 4), sp.Rational(5, 4)),
 
 @pytest.mark.parametrize("target", ["W1", "E1", "W2", "E2"])
 def test_chart_pipeline_matches_the_exact_geometry(target):
-    """The jet pipeline's Gamma^k_ij, S_jk and (nabla_i phi)^k_j of W1 and of
-    its Einstein-like control E1 (W1's chart with the x2 factor 1/y^2), and
-    of their Lorentzian (eps = -1, index 1) twins W2 and E2, equal the exact
-    ones at dyadic points, to 1e-12 relative to the largest exact entry.
-    W1's x2 factor varies with x1, so an index slip that commutes with a
-    conformally flat metric shows here.  W1 and W2 load through the manifest
+    """The jet pipeline's Gamma^k_ij, R^l_ijk, S_jk, r, (nabla_i phi)^k_j and L_xi g of W1 and of
+    its Einstein-like control E1 (W1's chart with the x2 factor 1/y^2), and of their Lorentzian
+    (eps = -1, index 1) twins W2 and E2, equal the exact ones at dyadic points, to 1e-12
+    relative to the largest exact entry.  W1's x2 factor varies with x1, so an index slip that
+    commutes with a conformally flat metric shows here.  W1 and W2 load through the manifest
     parser, so the request's index check runs on a Lorentzian chart too."""
     fixture = FIXTURES / ("W1.json" if target in ("W1", "E1") else "W2.json")
     manifest = target.startswith("W")
-    coords, g, phi, *_ = _chart(fixture, None if manifest else "1/(y^2)")
+    coords, g, phi, xi, *_ = _chart(fixture, None if manifest else "1/(y^2)")
+    n = len(coords)
     G = _levi_civita(g, coords)
-    exact = {"gamma": G, "ricci": _ricci_of(G, coords).tolist(), "nabla_phi": _nabla_phi(G, phi, coords)}
+    S = _ricci_of(G, coords)
+    exact = {"gamma": G, "riemann": [[[[sp.cancel(_riemann(G, coords, l, i, j, k)) for k in range(n)]
+                                       for j in range(n)] for i in range(n)] for l in range(n)],
+             "ricci": S.tolist(), "scalar": sp.cancel(sum(g.inv()[j, k] * S[j, k] for j in range(n) for k in range(n))),
+             "nabla_phi": _nabla_phi(G, phi, coords),
+             "lie_g": [[sum(xi[k] * sp.diff(g[i, j], coords[k]) + g[k, j] * sp.diff(xi[k], coords[i])
+                            + g[i, k] * sp.diff(xi[k], coords[j]) for k in range(n)) for j in range(n)]
+                       for i in range(n)]}
     struct = evaluate_structure(load_manifest(fixture) if manifest else get_model(target),
                                 np.array(DYADIC_POINTS, dtype=float), 2)
-    got = {"gamma": struct.connection.gamma.components[..., 0],
-           "ricci": struct.curvature.ricci.components[..., 0], "nabla_phi": struct.nabla_phi}
+    curv = struct.curvature
+    got = {"gamma": struct.connection.gamma.components[..., 0], "riemann": curv.riemann_ud.components[..., 0],
+           "ricci": curv.ricci.components[..., 0], "scalar": curv.scalar[..., 0], "nabla_phi": struct.nabla_phi,
+           "lie_g": lie_derivative(struct.g0, struct._nabla(struct.g), struct.xi0, struct.nabla_xi)}
     for p, point in enumerate(DYADIC_POINTS):
         at = dict(zip(coords, point))
         for name, tensor in exact.items():
             want = np.vectorize(lambda e: float(e.subs(at)), otypes=[float])(np.array(tensor, dtype=object))
             gap = np.max(np.abs(got[name][p] - want))
             assert gap <= 1e-12 * np.max(np.abs(want)), (target, name, point, gap)
+
+
+# --------------------------------------------------------------------------
+# the embedding maps of the builtin bundles
+# --------------------------------------------------------------------------
+
+BUNDLE_POINTS = {
+    "E3a": [(0.5, -0.75, 1.25), (-1.25, 0.25, -0.5)],
+    "E3b": [(1.0, 0.5, 2.25), (1.25, 3.0, 5.5)],
+    "B1": [(0.5, 0.75, 1.0), (1.125, 0.625, 0.875)],
+}
+
+
+@pytest.mark.parametrize("name", list(BUNDLE_POINTS))
+def test_embedding_jets_are_the_taylor_coefficients(name):
+    """The order-4 jets of the E3a, E3b and B1 embedding maps, which a bundle's evaluation reads
+    (the sin and cos of one coordinate written in closed form), equal the exact Taylor
+    coefficients d^alpha F / alpha! at dyadic points of each domain, to 1e-12 relative to the
+    largest exact coefficient of each component."""
+    emb = builtin_bundles()[name].embedding
+    coords = sp.symbols(emb.coords, real=True)
+    space = JetSpace.get(len(coords), 4)
+    points = np.array(BUNDLE_POINTS[name])
+    for src in emb.map:
+        got = eval_expr(parse_expr(src, emb.coords), space, space.point_jets(points), points=points)
+        f = sp.sympify(src, locals=dict(zip(emb.coords, coords)), rational=True)
+        for p, point in enumerate(BUNDLE_POINTS[name]):
+            at = {c: sp.Rational(x) for c, x in zip(coords, point)}
+            want = []
+            for alpha in space.indices:
+                d = f
+                for c, a in zip(coords, alpha):
+                    d = sp.diff(d, c, a) if a else d
+                want.append(float(d.subs(at)) / math.prod(math.factorial(a) for a in alpha))
+            gap = np.max(np.abs(got[p] - want))
+            assert gap <= 1e-12 * np.max(np.abs(want)), (name, src, point, gap)

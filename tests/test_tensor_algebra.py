@@ -4,6 +4,9 @@ least-squares solver and its rank rule, and the frame-sum cross-validation
 that justifies replacing signed orthonormal frame sums with index
 contractions."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +138,33 @@ class TestMetricAtPoint:
             check_metric(g, points, "induced metric")
         assert str(err.value) == "induced metric: index 1 at point (-0.25, -0.5), not the first point's 0"
         check_metric(g[::2], points[::2], "induced metric", 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_values_rejected(self, bad):
+        """Values that are not finite are refused before they are decomposed, with the field and
+        the first point holding one, not with numpy's convergence error."""
+        g = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.eye(3)])
+        g[1, 0, 2] = g[1, 2, 0] = bad
+        g[2, 1, 1] = bad
+        with pytest.raises(ValueError) as err:
+            check_metric(g, np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), "induced metric", 0)
+        assert str(err.value) == "induced metric: not finite at point (2.0, 3.0)"
+
+    def test_inertia_of_a_degenerate_matrix(self):
+        """A matrix whose smallest eigenvalue magnitude is at most 1e-12 of its largest, its
+        smallest singular value, has no index: -1, at any scale."""
+        stack = np.stack([np.diag([1.0, 0.0, -1.0]), 1e-20 * np.diag([1.0, 1e-13, -1.0]),
+                          1e20 * np.diag([1.0, 1e-11, -1.0])])
+        assert inertia(stack).tolist() == [-1, -1, 1]
+
+    def test_src_takes_no_svd_outside_min_norm_solve(self):
+        """A metric's degeneracy and index come from one eigendecomposition; the one SVD of the
+        package is the least-squares solver's."""
+        src = Path(__file__).resolve().parents[1] / "src" / "paracheck"
+        calls = [f"{path.name}:{stmt.name}" for path in sorted(src.glob("*.py"))
+                 for stmt in ast.parse(path.read_text()).body
+                 for node in ast.walk(stmt) if isinstance(node, ast.Attribute) and node.attr == "svd"]
+        assert calls == ["tensor_algebra.py:min_norm_solve"]
 
     def test_jet_matrix_inverse_exact_to_order(self, rng):
         space = JetSpace.get(2, 4)
