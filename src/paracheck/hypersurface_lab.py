@@ -40,13 +40,13 @@ AMBIENT_METRIC_ORDER = 2
 LIGHTLIKE_FLOOR = 1e-6
 COMPONENT_SIGN_FLOOR = 1e-8
 SYNTHETIC_DET_FLOOR = 1e-4     # a synthetic trial's g with |det g| at most this is redrawn
-SYNTHETIC_MAX_DIM = 40         # synthetic memory grows as n^4: a request peaks near 107 MB RSS at n = 40
+SYNTHETIC_MAX_DIM = 40         # synthetic memory grows as n^4: a request peaks near 91 MB RSS at n = 40
 SYNTHETIC_MAX_TRIALS = 10 ** 6  # each trial keeps its k and k residual: 16 MB at the bound
 PS_POINT_THRESHOLD = 1e-7      # the characterization calls a point para-Sasakian when its rho is at most this
 # synthetic trials are drawn into block arrays of max(1, _BLOCK_ELEMENTS // n**3) rows, about 3 n^2 floats
 # a row, and each draw block is evaluated in the fewest near-equal blocks of at most
-# max(1, _BLOCK_ELEMENTS // (n**3 (n-1)/2)) trials, so the chain's largest arrays, the
-# (trials, n(n-1)/2, n, n) x < y halves of curvature-shaped tensors, stay near 128 KB
+# max(1, _BLOCK_ELEMENTS // P**2) trials, P = n(n-1)/2, so the chain's largest arrays, the (trials, P, P)
+# x < y, z < w quarters of curvature-shaped tensors, stay near 128 KB, and _ricci's spread is 2n/(n-1) times that
 _BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -524,37 +524,38 @@ def _assemble_block(raw: tuple, n: int, epsilon: int) -> tuple[np.ndarray, np.nd
 
 
 @cache
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1), built once per n; read-only, since every caller shares it."""
+def _pair_table(n: int) -> tuple[np.ndarray, ...]:
+    """xs, ys = np.triu_indices(n, 1), the P = n(n-1)/2 pairs x < y; their (P, n) one-hot rows X and Y;
+    and the (n, n) tables at and sign: entry [z, w] of a pair antisymmetric in (z, w) is sign[z, w]
+    times its quarter's entry at[z, w].  Built once per n; read-only, since every caller shares it."""
     xs, ys = np.triu_indices(n, 1)
-    xs.flags.writeable = ys.flags.writeable = False
-    return xs, ys
+    at = np.zeros((n, n), dtype=np.intp)
+    at[xs, ys] = at[ys, xs] = np.arange(len(xs))
+    table = xs, ys, np.eye(n)[xs], np.eye(n)[ys], at, np.sign(np.arange(n) - np.arange(n)[:, None])
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pattern a(Y,Z) b(X,W) - a(X,Z) b(Y,W) in classical order [x,y,z,w], per trial, on the pairs
-    x = xs[p] < y = ys[p] of np.triu_indices(n, 1): (T, n, n) operands, a (T, n(n-1)/2, n, n) result.
-    The full pattern is antisymmetric in (x, y) bit for bit, fl(p - q) = -fl(q - p), and 0 at x = y."""
-    xs, ys = _pairs(a.shape[-1])
-    return a[:, ys, :, None] * b[:, xs, None, :] - a[:, xs, :, None] * b[:, ys, None, :]
-
-
-@cache
-def _pair_scatter(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, n(n-1)/2) one-hot matrices of _pairs' xs and ys, built once per n; read-only."""
-    to_x, to_y = (np.eye(n)[:, idx] for idx in _pairs(n))
-    to_x.flags.writeable = to_y.flags.writeable = False
-    return to_x, to_y
+    """Pattern a(Y,Z) b(X,W) - a(X,Z) b(Y,W) in classical order [x,y,z,w], per trial, on the quarter x < y,
+    z < w: (T, n, n) operands, a (T, P, P) result, entry [p, q] at (xs[p], ys[p], xs[q], ys[q]).  As
+    fl(p - q) = -fl(q - p) and products commute, the full pattern is antisymmetric in (x, y) and 0 at
+    x = y, and wedge(a, b) at (w, z) is -wedge(b, a) at (z, w), bit for bit."""
+    xs, ys = _pair_table(a.shape[-1])[:2]
+    az, bw = a[:, :, xs], b[:, :, ys]
+    return az[:, ys] * bw[:, xs] - az[:, xs] * bw[:, ys]
 
 
 def _ricci(ginv: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """S[j,k] = sum_{i,w} g^{iw} R[i,j,k,w] per trial, from the x < y half R (T, n(n-1)/2, n, n)
-    of _wedge: as R[y,x] = -R[x,y], pair p = (x, y) adds sum_w g^{xw} R_p[k,w] to S[y,k] and
-    subtracts sum_w g^{yw} R_p[k,w] from S[x,k]."""
-    xs, ys = _pairs(ginv.shape[-1])
-    to_x, to_y = _pair_scatter(ginv.shape[-1])
-    U = R @ np.stack([ginv[:, xs], ginv[:, ys]], axis=-1)    # (T, n(n-1)/2, n, 2)
-    return to_y @ U[..., 0] - to_x @ U[..., 1]
+    """S[j,k] = sum_{i,w} g^{iw} R[i,j,k,w] per trial, from the quarter R (T, P, P) of _wedge with its
+    second pair spread to (T, P, n, n): as R[y,x] = -R[x,y], pair p = (x, y) adds sum_w g^{xw} R_p[k,w]
+    to S[y,k] and subtracts sum_w g^{yw} R_p[k,w] from S[x,k]."""
+    xs, ys, X, Y, at, sign = _pair_table(ginv.shape[-1])
+    spread = R[..., at]
+    spread *= sign
+    U = spread @ np.stack([ginv[:, xs], ginv[:, ys]], axis=-1)    # (T, P, n, 2)
+    return Y.T @ U[..., 0] - X.T @ U[..., 1]
 
 
 @dataclass
@@ -569,12 +570,12 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
                  perturb_a: float) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
     """The synthetic Gauss chain on a block of trials (leading axis of g, phi, xi, eta).
     Returns the block maximum of each record's residual, the recovered k per trial and the
-    residual of its solve per trial.  Curvature-shaped arrays live on _wedge's x < y half;
-    scaling and summing keep negated entries negated and zeros zero, so each maximum is the
-    full one bit for bit.  Ricci contracts the half directly (_ricci).  Every maximum
-    propagates NaN."""
+    residual of its solve per trial.  Curvature-shaped arrays live on _wedge's quarter x < y,
+    z < w; scaling and summing keep negated entries negated and zeros zero, so each maximum is
+    the full one bit for bit.  The xi-contraction reads the quarter through the one-hot pair
+    rows X and Y, Ricci through _ricci.  Every maximum propagates NaN."""
     T, n = g.shape[:2]
-    xs, ys = _pairs(n)
+    xs, ys, X, Y = _pair_table(n)[:4]
     Phi = phi.swapaxes(1, 2) @ g
     ee = np.einsum('ta,tb->tab', eta, eta)
     xe = np.einsum('ta,tb->tab', xi, eta)
@@ -594,9 +595,10 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     worst["gauss-vs-derived-display"] = _max_abs(M0 - epsilon * Wgg - cross)
     worst["gauss-vs-printed-display"] = _max_abs(M0 + Wgg - epsilon * cross)
 
-    # solve R(X,Y)xi = eta(X) Y - eta(Y) X for k on the computed reduction
-    lhs1 = np.einsum('tpzw,tz->tpw', M1, xi)
-    lhs0 = np.einsum('tpzw,tz->tpw', M0, xi)
+    # solve R(X,Y)xi = eta(X) Y - eta(Y) X for k on the computed reduction: as M[p,w,z] =
+    # -M[p,z,w], sum_z M[p,z,w] xi[z] is M @ B with B[q] = xi[xs[q]] e_ys[q] - xi[ys[q]] e_xs[q]
+    B = xi[:, xs, None] * Y - xi[:, ys, None] * X
+    lhs1, lhs0 = M1 @ B, M0 @ B
     target = eta[:, xs, None] * g[:, ys] - eta[:, ys, None] * g[:, xs]
     av = lhs1.reshape(T, -1)
     bv = (target - lhs0).reshape(T, -1)
@@ -607,7 +609,7 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
 
     # Ricci of the computed reduction at the recovered k
     ginv = np.linalg.inv(g)
-    S = _ricci(ginv, k_solved[:, None, None, None] * M1 + M0)
+    S = _ricci(ginv, k_solved[:, None, None] * M1 + M0)
     trphi = phi.trace(axis1=1, axis2=2)[:, None, None]
     S_derived = -epsilon * trphi * Phi + (1 - n) * ee
     S_printed = (((2 - epsilon) * (n - 2) - n) * g + (2 - epsilon) * trphi * Phi
@@ -649,14 +651,14 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
 
     The reduction and both displays share the k-coefficient [gg] + [PhiPhi],
     so each display record measures its constant term once, a gap that holds
-    at every k.  Curvature-shaped tensors are held only on their x < y half,
-    and both Ricci contractions read that half.
+    at every k.  Curvature-shaped tensors are held only on their x < y, z < w
+    quarter, and the xi-contraction and both Ricci contractions read it.
 
     Trial t draws from its own stream derive_rng(seed, "synthetic-gauss",
     eps + 1, n, t), redrawing while |det g| <= SYNTHETIC_DET_FLOOR; the
     trials are drawn and evaluated in blocks, so no record depends on a block size.
-    A block's streams are seeded in one derive_states pass and drawn through one
-    reused generator straight into the block arrays (_draw_block), from which
+    Up to max(draw block, _BLOCK_ELEMENTS // 4) streams are seeded in one derive_states
+    pass and drawn through one reused generator straight into the block arrays (_draw_block), from which
     _assemble_block builds every structure of the block at once; a trial
     rejected k times is reseeded from its row and drawn k + 1 times, keeping
     the last draw, as its own generator would give it.  p, the ker-eta weights
@@ -672,11 +674,15 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     k_resid = np.zeros(trials)
     resampled = 0
     worst: dict[str, float] = {}
-    draw_block, chain_block = (max(1, _BLOCK_ELEMENTS // size) for size in (n ** 3, n ** 3 * (n - 1) // 2))
+    draw_block, chain_block = (max(1, _BLOCK_ELEMENTS // size) for size in (n ** 3, (n * (n - 1) // 2) ** 2))
+    # one derive_states call costs about as much at any length, so it seeds many draw blocks
+    seed_block = draw_block * max(1, _BLOCK_ELEMENTS // 4 // draw_block)
     rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, trials, draw_block):
         stop = min(start + draw_block, trials)
-        rows = derive_states(seed, "synthetic-gauss", epsilon + 1, n, counters=range(start, stop))
+        if start % seed_block == 0:
+            states = derive_states(seed, "synthetic-gauss", epsilon + 1, n, counters=range(start, trials)[:seed_block])
+        rows = states[start % seed_block:][:stop - start]
         drawn = _assemble_block(_draw_block(rng, rows, n), n, epsilon)
         redraw = np.flatnonzero(np.abs(np.linalg.det(drawn[0])) <= SYNTHETIC_DET_FLOOR)
         times = 1

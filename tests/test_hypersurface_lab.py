@@ -536,35 +536,66 @@ class TestSyntheticGauss:
 
     def test_trials_do_not_depend_on_their_block(self, monkeypatch):
         """Trial t gives the same k and k residual, bit for bit, whether it
-        runs alone in its draw block or chain block, or inside a full one:
-        the request crosses a chain-block and a draw-block boundary.  The
-        whole request gives the same records, k and k residuals whether its
-        blocks hold one trial each (_BLOCK_ELEMENTS 2**6) or all of them
-        (2**20)."""
-        draw_block = max(1, hypersurface_lab._BLOCK_ELEMENTS // 5 ** 3)
-        chain_block = max(1, hypersurface_lab._BLOCK_ELEMENTS // (5 ** 3 * (5 - 1) // 2))
-        assert 1 < chain_block < draw_block
-        trials = draw_block + chain_block + 3
-        full = synthetic_gauss_check(-1, 5, trials=trials, seed=3)
+        runs alone in its draw block or chain block, or inside a full one.  At
+        n = 6 the request crosses a draw-block boundary and a chain-block
+        boundary inside a draw block, as the row counts _draw_block and
+        _gauss_chain receive show.  The whole request gives the same records,
+        k and k residuals whether its blocks hold one trial each
+        (_BLOCK_ELEMENTS 2**6) or all of them (2**20)."""
+        draw, chain, trials = hypersurface_lab._draw_block, hypersurface_lab._gauss_chain, 150
+        drawn_rows, chain_rows = [], []
+
+        def recording_draw(rng, rows, *rest):
+            drawn_rows.append(len(rows))
+            return draw(rng, rows, *rest)
+
+        def recording_chain(epsilon, g, *rest):
+            chain_rows.append(len(g))
+            return chain(epsilon, g, *rest)
+
+        monkeypatch.setattr(hypersurface_lab, "_draw_block", recording_draw)
+        monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
+        full = synthetic_gauss_check(-1, 6, trials=trials, seed=3)
+        assert full.resampled == 0 and sum(drawn_rows) == sum(chain_rows) == trials
+        draw_block, chain_block = drawn_rows[0], chain_rows[0]
+        assert 1 < chain_block < draw_block < trials
         for m in (1, chain_block + 1, draw_block + 1):
-            prefix = synthetic_gauss_check(-1, 5, trials=m, seed=3)
+            prefix = synthetic_gauss_check(-1, 6, trials=m, seed=3)
             assert np.array_equal(full.k_recovered[:m], prefix.k_recovered)
             assert np.array_equal(full.k_solve_residual[:m], prefix.k_solve_residual)
         records = [(c.id, c.status, c.residual) for c in full.result.checks]
         for elements in (2 ** 6, 2 ** 20):
             monkeypatch.setattr(hypersurface_lab, "_BLOCK_ELEMENTS", elements)
-            other = synthetic_gauss_check(-1, 5, trials=trials, seed=3)
+            other = synthetic_gauss_check(-1, 6, trials=trials, seed=3)
             assert [(c.id, c.status, c.residual) for c in other.result.checks] == records
             assert full.k_recovered.tobytes() == other.k_recovered.tobytes()
             assert full.k_solve_residual.tobytes() == other.k_solve_residual.tobytes()
 
+    @pytest.mark.parametrize("eps, n, trials", [(1, 30, 8), (-1, 5, 400)])
+    def test_one_derive_states_call_seeds_many_draw_blocks(self, eps, n, trials, monkeypatch):
+        """derive_states costs about as much for one row as for thousands, so
+        one call seeds up to max(draw block, _BLOCK_ELEMENTS // 4) trials: the
+        eight one-trial draw blocks at n = 30 take one call, and so do the
+        four draw blocks of 400 trials at n = 5."""
+        seeded, states = [], hypersurface_lab.derive_states
+
+        def counting(*args, counters):
+            seeded.append(counters)
+            return states(*args, counters=counters)
+
+        monkeypatch.setattr(hypersurface_lab, "derive_states", counting)
+        synthetic_gauss_check(eps, n, trials, seed=0)
+        assert seeded == [range(trials)]
+
     @pytest.mark.parametrize("perturb_a", [0.0, 5e-3])
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 9])
     @pytest.mark.parametrize("eps", [1, -1])
     def test_half_chain_matches_full_tensor_oracle(self, eps, n, perturb_a):
-        """The chain on the x < y half gives the display maxima of the full
-        tensors bit for bit, and every other record, k and the k residual to
-        1e-14; perturbing A makes the display residuals non-zero."""
+        """The chain on the x < y, z < w quarter gives the display maxima of
+        the full tensors bit for bit, and every other record, k and the k
+        residual to 1e-14; perturbing A makes the display residuals non-zero.
+        At n = 9 the quarter has P = 36 pairs, so a pair index read as a
+        coordinate, or the other way round, cannot pass unseen."""
         drawn = assemble_structures([draw_trial(derive_rng(11, "half-chain", eps + 1, n, t), n) for t in range(40)],
                                     n, eps)
         worst, k, k_resid = hypersurface_lab._gauss_chain(eps, *drawn, perturb_a)
@@ -663,18 +694,19 @@ class TestSyntheticGauss:
                     assert a.tobytes() == b.tobytes()
                     assert by_uniform.bit_generator.state == by_random.bit_generator.state
 
-    def test_largest_request_stays_on_the_half(self):
-        """One trial at n = SYNTHETIC_MAX_DIM allocates at most 84 MiB at its
-        peak: 68 MiB when every curvature-shaped array is an x < y half, 98
-        MiB when Ricci gathers the full (n, n, n, n) tensor again, and 145 MiB
-        with those gathers and the four-k display loop."""
+    def test_largest_request_stays_on_the_quarter(self):
+        """One trial at n = SYNTHETIC_MAX_DIM allocates at most 56 MiB at its
+        peak: 43.6 MiB when every curvature-shaped array is an x < y, z < w
+        quarter, 68.9 MiB on the x < y half, 98 MiB when Ricci gathers the
+        full (n, n, n, n) tensor again, and 145 MiB with those gathers and the
+        four-k display loop."""
         tracemalloc.start()
         try:
             synthetic_gauss_check(-1, hypersurface_lab.SYNTHETIC_MAX_DIM, trials=1, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 84 * 2 ** 20
+        assert peak < 56 * 2 ** 20
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
