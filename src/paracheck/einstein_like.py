@@ -77,26 +77,23 @@ def fit_einstein_like(g: np.ndarray, Phi: np.ndarray, eta: np.ndarray, S: np.nda
 # --------------------------------------------------------------------------
 
 
-MAX_OVER = "max over {n} family member(s)"
-
-
-def _add_over_family(res: StructureCheckResult, fit: EinsteinLikeFit, gaps, details: dict[str, str],
+def _add_over_family(res: StructureCheckResult, fit: EinsteinLikeFit, gaps, ids: tuple[str, ...],
                      skip_c0: bool = False):
-    """Add one record for each id of ``details``: the max over the fit's
-    family members of the matching residual that gaps(a, b, c) returns, NaN
+    """Add one record for each of ``ids``: the max over the fit's family
+    members of the matching residual that gaps(a, b, c) returns, NaN
     propagating.  With skip_c0 the members with c = 0 are skipped, and every
-    record is vacuous when that skips them all.  In a detail, {n} is the
-    number of members measured and {skipped} notes the skipped ones."""
+    record is vacuous when that skips them all.  The detail is what was
+    measured: the number of members, and of those skipped."""
     members = fit.members()
     kept = [m for m in members if not (skip_c0 and abs(m[2]) < DEGENERATE_C)]
     if not kept:
-        for cid in details:
+        for cid in ids:
             res.add(cid, 0.0, detail="vacuous: every family member has c = 0", status=VACUOUS)
         return
     skipped = len(members) - len(kept)
-    note = f", {skipped} degenerate member(s) skipped" if skipped else ""
-    for (cid, detail), worst in zip(details.items(), np.maximum.reduce([gaps(*m) for m in kept], axis=0)):
-        res.add(cid, worst, detail=detail.format(n=len(kept), skipped=note))
+    detail = f"max over {len(kept)} family member(s)" + (f", {skipped} with c = 0 skipped" if skipped else "")
+    for cid, worst in zip(ids, np.maximum.reduce([gaps(*m) for m in kept], axis=0)):
+        res.add(cid, worst, detail=detail)
 
 
 def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
@@ -114,7 +111,7 @@ def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStru
     res = StructureCheckResult()
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(Sphi - a * struct.Phi0 - b * gphiphi, Sphi, g),
                                                 residual_norm(Sxi - (eps * a + c) * eta, Sxi, eta)),
-                     {"einstein.ricci-phi-display": MAX_OVER, "einstein.ricci-xi-display": MAX_OVER})
+                     ("einstein.ricci-phi-display", "einstein.ricci-xi-display"))
     return res
 
 
@@ -129,10 +126,6 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Str
         r = b trace(phi) - eps (n-1)(c + n)
         dr = 2 (eps (1-n) b + c trace(phi)) eta
         b xi(r) - 2 c r = 2 eps (1-n)(b^2 - c^2 - c n)
-
-    The theorem's statement announces two differential equations but displays
-    exactly one; only the displayed equation is checked (recorded on the ode
-    record's detail).
     """
     res = StructureCheckResult()
     eps = struct.epsilon
@@ -164,16 +157,10 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Str
                 residual_norm(dr - 2 * ((eps * (1 - n) * b + c * trphi) * eta.T).T, dr, eta),
                 residual_norm(b * xir - 2 * c * r - 2 * eps * (1 - n) * (b**2 - c**2 - c * n), r))
 
-    _add_over_family(res, fit, gaps, {
-        "einstein.eps-a-plus-c": MAX_OVER,
-        "einstein.scalar-curvature-formula": MAX_OVER,
-        "einstein.ricci-operator-derivative": MAX_OVER,
-        "einstein.div-q-display": MAX_OVER,
-        "einstein.scalar-curvature-constant": MAX_OVER,
-        "einstein.dr-display": MAX_OVER,
-        "einstein.scalar-ode": MAX_OVER + "; statement announces two differential equations, displays one; "
-                                          "the displayed one is checked",
-    })
+    _add_over_family(res, fit, gaps, ("einstein.eps-a-plus-c", "einstein.scalar-curvature-formula",
+                                      "einstein.ricci-operator-derivative", "einstein.div-q-display",
+                                      "einstein.scalar-curvature-constant", "einstein.dr-display",
+                                      "einstein.scalar-ode"))
     return res
 
 
@@ -186,7 +173,7 @@ def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure) -> 
     n = struct.dim
     trphi = struct.trace_phi()
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(trphi - eps * (n - 1) * b / c),),
-                     {"einstein.trace-phi-formula": "{n} member(s) checked{skipped}"}, skip_c0=True)
+                     ("einstein.trace-phi-formula",), skip_c0=True)
     return res
 
 
@@ -253,11 +240,8 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor,
         printed = common - (eps / c) * (c + 2 * b * (n - 1)) * ee
         return residual_norm(C - derived, C, derived), residual_norm(C - printed, C, printed)
 
-    _add_over_family(res, fit, gaps, {
-        "einstein.c11-decomposition-derived": "re-derived eta(x)eta coefficient -(eps b/c)(c + 2(n-1)){skipped}",
-        "einstein.c11-decomposition-printed":
-            "printed eta(x)eta coefficient -(eps/c)(c + 2b(n-1)); informational{skipped}",
-    }, skip_c0=True)
+    _add_over_family(res, fit, gaps, ("einstein.c11-decomposition-derived", "einstein.c11-decomposition-printed"),
+                     skip_c0=True)
 
     par = np.einsum('piab,pi->pab', c11.nabla, struct.xi0)
     res.add("einstein.c11-parallel-along-xi", par, C)
@@ -289,10 +273,8 @@ def verify_lie_formulas(struct: ParacontactStructure) -> StructureCheckResult:
     LPhi = lie_derivative(struct.Phi.components[..., 0], struct._nabla(struct.Phi), xi, nabla_xi)
     derived = 2 * eps * (g - eps * ee)
     printed = 2 * eps * (g - ee)
-    res.add("lie.lie-phi-form-derived", LPhi - derived, LPhi, derived,
-            detail="re-derived right side 2 eps (g - eps eta(x) eta)")
-    res.add("lie.lie-phi-form-printed", LPhi - printed, LPhi, printed,
-            detail="printed right side 2 eps (g - eta(x)eta); informational")
+    res.add("lie.lie-phi-form-derived", LPhi - derived, LPhi, derived)
+    res.add("lie.lie-phi-form-printed", LPhi - printed, LPhi, printed)
     return res
 
 
@@ -305,7 +287,7 @@ def verify_lie_ricci(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Stru
     LS = lie_derivative(S.components[..., 0], struct._nabla(S), struct.xi0, struct.nabla_xi)
     res = StructureCheckResult()
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(
-        LS - (2 * a * eps * Phi + 2 * b * eps * (g - eps * ee)), LS),), {"lie.lie-ricci": MAX_OVER})
+        LS - (2 * a * eps * Phi + 2 * b * eps * (g - eps * ee)), LS),), ("lie.lie-ricci",))
     return res
 
 
@@ -326,8 +308,5 @@ def verify_lie_c11(fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStru
         return (residual_norm(LC - (lead + 2 * eps * (a - eps * (n - 2)) * (g - eps * ee)), LC),
                 residual_norm(LC - (lead + 2 * eps * (a - eps * (n - 2)) * (g - ee)), LC))
 
-    _add_over_family(res, fit, gaps, {
-        "lie.lie-c11-derived": "re-derived second factor (g - eps eta(x)eta){skipped}",
-        "lie.lie-c11-printed": "printed second factor (g - eta(x)eta); informational{skipped}",
-    }, skip_c0=True)
+    _add_over_family(res, fit, gaps, ("lie.lie-c11-derived", "lie.lie-c11-printed"), skip_c0=True)
     return res

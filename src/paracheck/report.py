@@ -5,6 +5,9 @@ holds the anchor tying the record to the section and display it verifies,
 so reports can be audited line by line against the source text; the
 tolerance at scale 1; the gates it sits behind; and whether it is
 informational, a published display that the re-derived record overrules.
+Every fixed word about a record is in its anchor: the display, the rule
+its residual follows.  A record's detail holds only what its run measured
+(member counts, fit coefficients, ranks, gate values) or a state it reached.
 
 :class:`StructureCheckResult` is the one recorder.  A check hands it a gap
 and the tensors entering the identity, and it records their
@@ -93,8 +96,10 @@ CHECKS = {
     "curvature.r-xy-phi-z": Check("§3 proof: R(X,Y) phi Z expansion", D2),
     "curvature.ricci-phi-symmetric": Check("§3 proof: S(X, phi Y) = S(phi X, Y)", D2),
     "curvature.ricci-xi": Check("§3 proof: S(X, xi) = -(n-1) eta(X)", D2),
-    "einstein.fit": Check("§3 Defn: S = a g + b Phi + c eta(x)eta", D2),
-    "einstein.fit-stability": Check("§3 Defn: a, b, c constant across disjoint sample halves", 1e-6),
+    "einstein.fit": Check("§3 Defn: S = a g + b Phi + c eta(x)eta; its rank counts singular values above "
+                          f"{RANK_CUTOFF:g} of the largest", D2),
+    "einstein.fit-stability": Check("§3 Defn: a, b, c constant across disjoint sample halves: half fits of one rank "
+                                    "and equal minimum-norm members", 1e-6),
     "einstein.ricci-phi-display": Check("§3 Prop: S(phi X, Y) = a g(phi X, Y) + b g(phi X, phi Y)", D1),
     "einstein.ricci-xi-display": Check("§3 Prop: S(X, xi) = (eps a + c) eta(X)", D1),
     "einstein.eps-a-plus-c": Check("§3 Prop: eps a + c = 1 - n", ALG, PS),
@@ -103,54 +108,63 @@ CHECKS = {
     "einstein.div-q-display": Check("§3 Thm proof: (div Q) X = (eps(1-n) b + c trace(phi)) eta(X)", D2, PS),
     "einstein.scalar-curvature-constant": Check("§3 Thm proof: r = b trace(phi) - eps(n-1)(c+n)", D1, PS),
     "einstein.dr-display": Check("§3 Thm proof: dr = 2 (eps(1-n) b + c trace(phi)) eta", D2, PS),
-    "einstein.scalar-ode": Check("§3 Thm: b xi(r) - 2 c r = 2 eps (1-n)(b^2 - c^2 - c n)", D1, PS),
+    "einstein.scalar-ode": Check("§3 Thm: b xi(r) - 2 c r = 2 eps (1-n)(b^2 - c^2 - c n), the one displayed of "
+                                 "the two differential equations the statement announces", D1, PS),
     "einstein.trace-phi-formula": Check("§3 Thm: trace(phi) = eps (n-1) b / c", D1, PS_TRPHI),
     "einstein.c11-symmetric": Check("§3: C11(phi R)(Y,Z) = C11(phi R)(Z,Y)", ALG),
     "einstein.s-phi-z-display":
         Check("§3: S(Y, phi Z) = C11(phi R) + eps(n-2) Phi + (2 eta eta - eps g) trace(phi)", D1),
-    "einstein.c11-decomposition-derived":
-        Check("§3 Thm: C11(phi R) = lin. comb. of g, Phi, eta(x)eta (re-derived coefficient)", D2, PS),
-    "einstein.c11-decomposition-printed": Check(
-        "§3 Thm: C11(phi R) = lin. comb. of g, Phi, eta(x)eta (printed coefficient)", D2, PS, informational=True),
+    "einstein.c11-decomposition-derived": Check("§3 Thm: C11(phi R) = lin. comb. of g, Phi, eta(x)eta, re-derived "
+                                                "eta(x)eta coefficient -(eps b/c)(c + 2(n-1))", D2, PS),
+    "einstein.c11-decomposition-printed": Check("§3 Thm: C11(phi R) = lin. comb. of g, Phi, eta(x)eta, printed "
+                                                "eta(x)eta coefficient -(eps/c)(c + 2b(n-1))", D2, PS,
+                                                informational=True),
     "einstein.c11-parallel-along-xi": Check("§3 Cor: C11(phi R) parallel along xi", D2, PS),
     "lie.lie-eta": Check("§3: L_xi eta = 0", ALG),
     "lie.lie-g": Check("§3: L_xi g = 2 eps Phi", D1),
     "lie.lie-phi-form-derived": Check("§3: L_xi Phi = 2 eps (g - eps eta(x)eta) (re-derived)", D1),
     "lie.lie-phi-form-printed": Check("§3: L_xi Phi = 2 eps (g - eta(x)eta) (printed)", D1, informational=True),
     "lie.lie-ricci": Check("§3 Thm: L_xi S = 2 a eps Phi + 2 b eps (g - eps eta(x)eta)", D2, PS),
-    "lie.lie-c11-derived": Check("§3 Thm: L_xi C11(phi R) display (re-derived second factor)", D2, PS_TRPHI),
-    "lie.lie-c11-printed":
-        Check("§3 Thm: L_xi C11(phi R) display (printed second factor)", D2, PS_TRPHI, informational=True),
+    "lie.lie-c11-derived":
+        Check("§3 Thm: L_xi C11(phi R) display, re-derived second factor (g - eps eta(x)eta)", D2, PS_TRPHI),
+    "lie.lie-c11-printed": Check("§3 Thm: L_xi C11(phi R) display, printed second factor (g - eta(x)eta)", D2,
+                                 PS_TRPHI, informational=True),
     "hypersurface.ambient-j-squared": Check("§4: J^2 = I", ALG),
     "hypersurface.ambient-j-metric": Check("§4: g~(JX, JY) = g~(X, Y)", ALG),
     "hypersurface.ambient-j-parallel": Check("§4: (nabla~_X J) Y = 0", D1),
-    "hypersurface.jn-tangent": Check("§4: JN = xi tangent to the hypersurface", D1),
-    "hypersurface.epsilon-consistent": Check("§4: g~(N, N) = eps constant over the samples", ALG),
+    "hypersurface.jn-tangent": Check("§4: JN = xi tangent to the hypersurface; else no induced structure exists", D1),
+    "hypersurface.epsilon-consistent": Check("§4: g~(N, N) = eps at every sample: max |g~(N,N) - eps|", ALG),
     "hypersurface.shape-self-adjoint": Check("§4: g(A X, Y) = g(X, A Y)", D1),
     "hypersurface.weingarten-tangent": Check("§4: nabla~_X N is tangential", D1),
-    "hypersurface.induced-axioms":
-        Check("§4 Prop: induced (phi, xi, eta, g) is an almost paracontact metric structure", ALG),
+    "hypersurface.induced-axioms": Check("§4 Prop: induced (phi, xi, eta, g) is an almost paracontact metric "
+                                         "structure: max over the seven structure axioms", ALG),
     "hypersurface.induced-grad-phi": Check("§4 Prop: (nabla_X phi) Y = eta(Y) A X + eps g(A X, Y) xi", D2),
     "hypersurface.induced-grad-eta": Check("§4 Prop: (nabla_X eta) Y = -eps g(A X, phi Y)", D2),
     "hypersurface.induced-grad-xi": Check("§4 Prop: nabla_X xi = -phi A X", D2),
     "hypersurface.gauss-equation": Check("§4: Gauss equation R = R~|tan + eps (h wedge h)", D3),
-    "hypersurface.characterization-iff": Check("§4 Thm: para-Sasakian iff A = -eps I + eps eta(x)xi", 0.5),
-    "hypersurface.characterization-linear-solve": Check("§4 Thm proof: A recovered uniquely from the displays", D1),
-    "hypersurface.quasi-umbilical":
-        Check("§4 Rem: h = alpha g + beta u(x)u with alpha=-1, beta=eps, u=eta", ALG, SHAPE),
-    "synthetic.quasi-umbilical-exact": Check("§4 Rem: h = -g + eps eta(x)eta by substitution", 1e-12),
-    "synthetic.gauss-vs-derived-display":
-        Check("§4: Gauss reduction vs re-derived display (identically in k)", 1e-10),
-    "synthetic.gauss-vs-printed-display":
-        Check("§4: Gauss reduction vs printed display (identically in k)", 1e-10, informational=True),
-    "synthetic.k-vs-derived": Check("§4: k from R(X,Y)xi identity on the computed reduction (= -eps)", 1e-10),
+    "hypersurface.characterization-iff":
+        Check("§4 Thm: para-Sasakian iff A = -eps I + eps eta(x)xi; counts points violating the equivalence", 0.5),
+    "hypersurface.characterization-linear-solve": Check("§4 Thm proof: A recovered uniquely (full rank) from the "
+                                                        f"displays; rank counts singular values above {RANK_CUTOFF:g} "
+                                                        "of the largest", D1),
+    "hypersurface.quasi-umbilical": Check("§4 Rem: h = alpha g + beta u(x)u, alpha=-1, beta=eps, u=eta", ALG, SHAPE),
+    "synthetic.quasi-umbilical-exact": Check("§4 Rem: h = -g + eps eta(x)eta on substituting the planted A", 1e-12),
+    "synthetic.gauss-vs-derived-display": Check("§4: Gauss reduction vs re-derived display (k+eps)[gg] + k[PhiPhi] "
+                                                "+ {eta-cross}, identically in k", 1e-10),
+    "synthetic.gauss-vs-printed-display": Check("§4: Gauss reduction vs printed display (k-1)[gg] + k[PhiPhi] "
+                                                "+ eps{eta-cross}, identically in k", 1e-10, informational=True),
+    "synthetic.k-vs-derived":
+        Check("§4: the k solving R(X,Y)xi = eta(X) Y - eta(Y) X on the computed reduction is -eps", 1e-10),
     "synthetic.k-vs-printed": Check("§4: printed expectation k = 2 - eps", 1e-10, informational=True),
-    "synthetic.ricci-vs-derived-form": Check("§4: induced Ricci vs re-derived form", 1e-10),
-    "synthetic.ricci-vs-printed-form": Check("§4 Thm: induced Ricci vs printed display", 1e-10, informational=True),
+    "synthetic.ricci-vs-derived-form": Check("§4: induced Ricci vs re-derived -eps trace(phi) Phi + (1-n) eta(x)eta",
+                                             1e-10),
+    "synthetic.ricci-vs-printed-form": Check("§4 Thm: induced Ricci vs printed ((2-eps)(n-2)-n) g + (2-eps) "
+                                             "trace(phi) Phi + eps(4-eps-n) eta(x)eta", 1e-10, informational=True),
     "synthetic.printed-chain-self-consistency":
         Check("§4: printed display at k = 2-eps contracts to the printed Ricci", 1e-10),
-    "synthetic.eps-a-plus-c": Check("§3 Prop: eps a + c = 1 - n on the induced Ricci", 1e-10),
-    "synthetic.einstein-like-fit": Check("§4 Thm: the induced Ricci is Einstein like", 1e-10),
+    "synthetic.eps-a-plus-c": Check("§3 Prop: eps a + c = 1 - n on the fit of the induced Ricci", 1e-10),
+    "synthetic.einstein-like-fit": Check("§4 Thm: the induced Ricci is an exact constant-coefficient "
+                                         "combination of g, Phi, eta(x)eta", 1e-10),
 }
 
 

@@ -194,7 +194,7 @@ class TestScalarOde:
             "div-q-display", "scalar-curvature-constant", "dr-display", "scalar-ode")]
         assert len(ode) == 7
         assert all(c.status == "not-applicable" for c in ode)
-        assert all(c.detail.startswith("gate para-sasakian: defining-equation residual ") for c in ode)
+        assert all(c.detail.startswith("gate para-sasakian: largest sasakian.* residual ") for c in ode)
 
 
 class TestTraceFormula:

@@ -27,7 +27,8 @@ leaves reports alone is checked against the parent commit instead: run every
 golden case under this tree's ``src/`` and under ``DIR/src/`` (a checkout of
 the parent, say from ``git archive``), print each case's exit-code and status
 differences and its largest residual drift, and exit 1 on any exit or status
-difference or a drift above 1e-12:
+difference or a drift above 1e-12.  Each case's line also lists the record
+ids whose anchor or detail text differs, which never changes the exit code:
 
     python tests/test_golden_reports.py --against DIR
 
@@ -42,6 +43,7 @@ not-applicable record 0.0.
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import functools
 import json
 import math
@@ -147,6 +149,21 @@ def test_golden_reports(target):
     for name, argv in group.items():
         problems += [f"{name}: {p}" for p in differences(golden[name]["report"], run_case(argv))]
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("target", sorted(cases()))
+def test_details_hold_no_fixed_text(target):
+    """Each record is declared once: its fixed text lives in its CHECKS anchor, and its detail holds
+    only what the run measured or a state it reached.  So no detail shares a run of 12 or more
+    characters with its anchor, or says "informational", which the row's flag and the status carry."""
+    problems = set()
+    for argv in cases()[target].values():
+        for c in run_report(tuple(argv))[1]:
+            a, d = c["anchor"], c["detail"]
+            run = difflib.SequenceMatcher(None, a, d, autojunk=False).find_longest_match(0, len(a), 0, len(d))
+            if run.size >= 12 or "informational" in d:
+                problems.add(f"{c['id']}: {d!r} repeats {a[run.a:run.a + run.size]!r}")
+    assert not problems, "\n".join(sorted(problems))
 
 
 @pytest.mark.parametrize("target", sorted(cases()))
@@ -275,16 +292,20 @@ def regenerate(targets):
 
 
 def collect(out: str):
-    """Write every golden case's exit code, statuses and residuals to ``out``,
-    as ``{target: {case: run_case(argv)}}``."""
-    data = {target: {name: run_case(argv) for name, argv in group.items()} for target, group in cases().items()}
+    """Write every golden case's exit code, statuses and residuals, and each
+    record's [anchor, detail] under "text", to ``out``, as ``{target: {case:
+    run_case(argv) + text}}``."""
+    data = {target: {name: {**run_case(argv), "text": {c["id"]: [c["anchor"], c["detail"]]
+                                                       for c in run_report(tuple(argv))[1]}}
+                     for name, argv in group.items()} for target, group in cases().items()}
     Path(out).write_text(json.dumps(data))
 
 
 def against(other: Path) -> int:
     """Compare every golden case under this tree's ``src/`` with the same case
-    under ``other/src/``, one line per case; 1 on any exit or status
-    difference or a residual drift above RESIDUAL_ATOL, else 0."""
+    under ``other/src/``, one line per case, listing the ids whose anchor or
+    detail text differs; 1 on any exit or status difference or a residual
+    drift above RESIDUAL_ATOL, else 0."""
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, src in enumerate((ROOT / "src", other / "src")):
@@ -307,8 +328,10 @@ def against(other: Path) -> int:
                          if cid in there["residual"]), default=0.0)
             worst = max(worst, drift)
             bad += bool(moved) or drift > RESIDUAL_ATOL
+            texts = [cid for cid in ids if here["text"].get(cid) != there["text"].get(cid)]
             print(f"{target} {name}: exit {here['exit']}, {len(moved)} differences, drift {drift:.3g}"
-                  + "".join(f"\n    {m}" for m in moved))
+                  + "".join(f"\n    {m}" for m in moved)
+                  + (f"\n    text differs: {', '.join(texts)}" if texts else ""))
     print(f"{bad} cases differ; largest residual drift {worst:.3g}")
     return int(bad > 0)
 

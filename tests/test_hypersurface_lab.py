@@ -80,50 +80,52 @@ def _full_wedge(a, b):
 
 def _full_gauss_chain(epsilon, g, phi, xi, eta, perturb_a):
     """Test-only oracle of hypersurface_lab._gauss_chain on full
-    (T, n, n, n, n) tensors: the same chain with no x < y half, Ricci by the
-    full contraction.  Also returns each display's gap maximum over the
-    reduction sampled at k in {0, 1, 2, 3}, the definition the constant-term
-    records replace."""
+    (T, n, n, n, n) tensors, keyed like it by the synthetic.* record ids: the
+    same chain with no x < y half, Ricci by the full contraction.  Also
+    returns each display's gap maximum over the reduction sampled at k in
+    {0, 1, 2, 3}, the definition the constant-term records replace."""
     T, n = g.shape[:2]
     Phi = np.swapaxes(phi, 1, 2) @ g
     ee = np.einsum('ta,tb->tab', eta, eta)
     xe = np.einsum('ta,tb->tab', xi, eta)
     A = -epsilon * np.eye(n) + epsilon * xe + perturb_a * xe
     h = epsilon * np.einsum('tma,tmb->tab', A, g)
-    worst = {"quasi-umbilical-exact": np.max(np.abs(h + g - epsilon * ee))}
+    worst = {"synthetic.quasi-umbilical-exact": np.max(np.abs(h + g - epsilon * ee))}
     Wgg, WPP = _full_wedge(g, g), _full_wedge(Phi, Phi)
     M1, M0 = Wgg + WPP, epsilon * _full_wedge(h, h)
     cross = -(_full_wedge(g, ee) + _full_wedge(ee, g))
-    worst["gauss-vs-derived-display"] = np.max(np.abs(M0 - epsilon * Wgg - cross))
-    worst["gauss-vs-printed-display"] = np.max(np.abs(M0 + Wgg - epsilon * cross))
-    sampled = dict.fromkeys(("gauss-vs-derived-display", "gauss-vs-printed-display"), 0.0)
+    derived_id, printed_id = "synthetic.gauss-vs-derived-display", "synthetic.gauss-vs-printed-display"
+    worst[derived_id] = np.max(np.abs(M0 - epsilon * Wgg - cross))
+    worst[printed_id] = np.max(np.abs(M0 + Wgg - epsilon * cross))
+    sampled = dict.fromkeys((derived_id, printed_id), 0.0)
     for k in (0.0, 1.0, 2.0, 3.0):
         Rk = k * M1 + M0
         derived = (k + epsilon) * Wgg + k * WPP + cross
         printed = (k - 1) * Wgg + k * WPP + epsilon * cross
-        sampled["gauss-vs-derived-display"] = max(sampled["gauss-vs-derived-display"], np.max(np.abs(Rk - derived)))
-        sampled["gauss-vs-printed-display"] = max(sampled["gauss-vs-printed-display"], np.max(np.abs(Rk - printed)))
+        sampled[derived_id] = max(sampled[derived_id], np.max(np.abs(Rk - derived)))
+        sampled[printed_id] = max(sampled[printed_id], np.max(np.abs(Rk - printed)))
     lhs1 = np.einsum('txyzw,tz->txyw', M1, xi)
     lhs0 = np.einsum('txyzw,tz->txyw', M0, xi)
     target = np.einsum('tx,tyw->txyw', eta, g) - np.einsum('ty,txw->txyw', eta, g)
     av, bv = lhs1.reshape(T, -1), (target - lhs0).reshape(T, -1)
     k_solved = np.sum(av * bv, axis=1) / np.sum(av * av, axis=1)
     k_resid = np.max(np.abs(k_solved[:, None, None, None] * lhs1 + lhs0 - target), axis=(1, 2, 3))
-    worst["k-vs-derived"] = max(np.max(np.abs(k_solved - (-epsilon))), np.max(k_resid))
-    worst["k-vs-printed"] = np.max(np.abs(k_solved - (2 - epsilon)))
+    worst["synthetic.k-vs-derived"] = max(np.max(np.abs(k_solved - (-epsilon))), np.max(k_resid))
+    worst["synthetic.k-vs-printed"] = np.max(np.abs(k_solved - (2 - epsilon)))
     ginv = np.linalg.inv(g)
     S = np.einsum('tiw,tijkw->tjk', ginv, k_solved[:, None, None, None, None] * M1 + M0)
     trphi = np.trace(phi, axis1=1, axis2=2)[:, None, None]
     S_printed = (((2 - epsilon) * (n - 2) - n) * g + (2 - epsilon) * trphi * Phi
                  + epsilon * (4 - epsilon - n) * ee)
-    worst["ricci-vs-derived-form"] = np.max(np.abs(S - (-epsilon * trphi * Phi + (1 - n) * ee)))
-    worst["ricci-vs-printed-form"] = np.max(np.abs(S - S_printed))
+    worst["synthetic.ricci-vs-derived-form"] = np.max(np.abs(S - (-epsilon * trphi * Phi + (1 - n) * ee)))
+    worst["synthetic.ricci-vs-printed-form"] = np.max(np.abs(S - S_printed))
     Rp = ((2 - epsilon) - 1) * Wgg + (2 - epsilon) * WPP + epsilon * cross
-    worst["printed-chain-self-consistency"] = np.max(np.abs(np.einsum('tiw,tijkw->tjk', ginv, Rp) - S_printed))
+    worst["synthetic.printed-chain-self-consistency"] = np.max(np.abs(np.einsum('tiw,tijkw->tjk', ginv, Rp)
+                                                                      - S_printed))
     cols = np.stack([g.reshape(T, -1), Phi.reshape(T, -1), ee.reshape(T, -1)], axis=2)
     coef, _, _ = min_norm_solve(cols, S.reshape(T, -1))
-    worst["einstein-like-fit"] = np.max(np.abs(np.einsum('tij,tj->ti', cols, coef) - S.reshape(T, -1)))
-    worst["eps-a-plus-c"] = np.max(np.abs(epsilon * coef[:, 0] + coef[:, 2] - (1 - n)))
+    worst["synthetic.einstein-like-fit"] = np.max(np.abs(np.einsum('tij,tj->ti', cols, coef) - S.reshape(T, -1)))
+    worst["synthetic.eps-a-plus-c"] = np.max(np.abs(epsilon * coef[:, 0] + coef[:, 2] - (1 - n)))
     return worst, k_solved, k_resid, sampled
 
 
@@ -529,8 +531,8 @@ class TestSyntheticGauss:
         drawn = assemble_structures([draw_trial(derive_rng(13, "k-sampled", eps + 1, n, t), n) for t in range(40)],
                                     n, eps)
         worst, _, _, sampled = _full_gauss_chain(eps, *drawn, perturb_a)
-        assert (sampled["gauss-vs-derived-display"] > 1e-6) == bool(perturb_a)
-        assert sampled["gauss-vs-printed-display"] > 1e-2
+        assert (sampled["synthetic.gauss-vs-derived-display"] > 1e-6) == bool(perturb_a)
+        assert sampled["synthetic.gauss-vs-printed-display"] > 1e-2
         for name, value in sampled.items():
             assert abs(worst[name] - value) <= 1e-12, name
 
@@ -602,8 +604,9 @@ class TestSyntheticGauss:
         ref_worst, ref_k, ref_resid, _ = _full_gauss_chain(eps, *drawn, perturb_a)
         assert worst.keys() == ref_worst.keys()
         if perturb_a:
-            assert ref_worst["gauss-vs-derived-display"] > 1e-6
-        for name in ("quasi-umbilical-exact", "gauss-vs-derived-display", "gauss-vs-printed-display"):
+            assert ref_worst["synthetic.gauss-vs-derived-display"] > 1e-6
+        for name in ("synthetic.quasi-umbilical-exact", "synthetic.gauss-vs-derived-display",
+                     "synthetic.gauss-vs-printed-display"):
             assert worst[name] == ref_worst[name], name
         for name in worst:
             assert abs(worst[name] - ref_worst[name]) <= 1e-14, name

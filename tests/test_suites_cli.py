@@ -357,7 +357,7 @@ class TestNonFiniteResiduals:
         assert gated
         for cid in gated:
             assert checks[cid]["status"] == "not-applicable", cid
-            assert checks[cid]["detail"].startswith(f"gate para-sasakian: defining-equation residual {bad:.3e}")
+            assert checks[cid]["detail"].startswith(f"gate para-sasakian: largest sasakian.* residual {bad:.3e}")
 
     def test_synthetic_block(self, bad):
         outcome = synthetic_gauss_check(1, 3, 2, 42, perturb_a=bad)
