@@ -4,7 +4,7 @@
     paracheck check <model|manifest.json> --suite all [--points N] [--seed S]
                     [--tol-scale X] [--format json|text] [--out PATH]
     paracheck hypersurface <bundle|manifest.json> --suite induced|gauss|characterization|all
-    paracheck synthetic --epsilon +1 --dim 3 --trials 100 --seed 42   (3 <= dim <= 40)
+    paracheck synthetic --epsilon +1 --dim 3 --trials 100 --seed 42
 
 Exit codes: 0 when no check failed, 1 when any check failed, 2 on
 input/validation errors (unknown model or suite, malformed manifest).
@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 
 from .expr_jet import JetDomainError
-from .hypersurface_lab import HypersurfaceBundle, InducedStructureError, builtin_bundles
+from .hypersurface_lab import (SYNTHETIC_MAX_DIM, SYNTHETIC_MAX_TRIALS, HypersurfaceBundle, InducedStructureError,
+                               builtin_bundles)
 from .manifest import ManifestError, load_manifest
 from .models import ManifoldModel, builtin_models
 from .report import EXIT_INPUT_ERROR, CheckReport
@@ -95,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("synthetic", help="pointwise Gauss-equation trials")
     ps.add_argument("--epsilon", default="+1", choices=("+1", "-1", "1"))
-    ps.add_argument("--dim", type=int, default=3)
-    ps.add_argument("--trials", type=int, default=100)
+    ps.add_argument("--dim", type=int, default=3, help=f"structure dimension n, 3..{SYNTHETIC_MAX_DIM} (default 3)")
+    ps.add_argument("--trials", type=int, default=100, help=f"random trials, 1..{SYNTHETIC_MAX_TRIALS} (default 100)")
     ps.add_argument("--perturb-a", type=float, default=0.0,
                     help="perturb the planted shape operator (negative control)")
     _common_run_args(ps)

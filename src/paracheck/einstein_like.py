@@ -50,9 +50,9 @@ class EinsteinLikeFit:
     def min_norm(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
 
-    def members(self, ts=(-1.0, 0.0, 1.0)) -> list[np.ndarray]:
-        """Family members min_norm + t * direction for each direction."""
-        return [self.min_norm] + [self.min_norm + t * v for v in self.family for t in ts if t != 0.0]
+    def members(self) -> list[np.ndarray]:
+        """The min-norm member, then min_norm - v and min_norm + v for each family direction v."""
+        return [self.min_norm] + [m for v in self.family for m in (self.min_norm - v, self.min_norm + v)]
 
 
 def fit_einstein_like(g: np.ndarray, Phi: np.ndarray, eta: np.ndarray, S: np.ndarray) -> EinsteinLikeFit:

@@ -39,7 +39,6 @@ from .tensor_algebra import TensorValue, check_metric, invert_jet_matrix, min_no
 AMBIENT_METRIC_ORDER = 2
 LIGHTLIKE_FLOOR = 1e-6
 COMPONENT_SIGN_FLOOR = 1e-8
-SYNTHETIC_DET_FLOOR = 1e-4     # a synthetic trial's g with |det g| at most this is redrawn
 SYNTHETIC_MAX_DIM = 40         # synthetic memory grows as n^4: a request peaks near 91 MB RSS at n = 40
 SYNTHETIC_MAX_TRIALS = 10 ** 6  # each trial keeps its k and k residual: 16 MB at the bound
 PS_POINT_THRESHOLD = 1e-7      # the characterization calls a point para-Sasakian when its rho is at most this
@@ -450,37 +449,33 @@ def _rand_orth(Z: np.ndarray) -> np.ndarray:
     return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _draw_block(rng: np.random.Generator, rows: np.ndarray, n: int, times: int = 1) -> tuple:
-    """The raw draws of one trial per derive_states row, each stream set by _seed and drawn
-    `times` times, keeping the last draw.  Stream order: the +1 eigenspace dimension p, then
-    normal, uniform and integers for each nonempty block of ker eta (dimensions p and n-1-p),
-    then normal, uniform, normal for the frame change L.  Row i of the block arrays holds trial
-    i: p (T,), the block normals one after the other in Z (T, (n-1)^2), the raw uniforms of
-    the weights and then of L in u (T, 2n-1), the sign bits in s (T, n-1) and L's two normals
-    in F (T, 2, n, n).  Only the normals and L's uniforms are Generator calls: p, the weights
+def _draw_block(rng: np.random.Generator, rows: np.ndarray, n: int) -> tuple:
+    """The raw draws of one trial per derive_states row, each stream set by _seed.  Stream order: the +1
+    eigenspace dimension p, then normal, uniform and integers for each nonempty block of ker eta
+    (dimensions p and n-1-p), then normal, uniform, normal for the frame change L.  Row i of the block
+    arrays holds trial i: p (T,), the block normals one after the other in Z (T, (n-1)^2), the raw
+    uniforms of the weights and then of L in u (T, 2n-1), the sign bits in s (T, n-1) and L's two
+    normals in F (T, 2, n, n).  Only the normals and L's uniforms are Generator calls: p, the weights
     and the signs are read from raw words by numpy's rules (_halves), p by Lemire's, a weight as
-    (w >> 11) 2^-53 of a word w, a sign as the top bit h >> 31 of a 32-bit half, with the half
-    numpy would buffer kept in `half`, empty at _seed and carried over blocks and redraws."""
+    (w >> 11) 2^-53 of a word w, a sign as the top bit h >> 31 of a 32-bit half, with the half numpy
+    would buffer kept in `half`, empty at _seed and carried from one block of ker eta to the next."""
     T, bitgen = len(rows), rng.bit_generator
     p = np.zeros(T, dtype=np.int64)
     Z, u, F = np.empty((T, (n - 1) ** 2)), np.empty((T, 2 * n - 1)), np.empty((T, 2, n, n))
     words, signs = [], []      # n - 1 weight words and sign halves a trial, trial i's from i (n - 1) on
     for i, row in enumerate(rows):
         _seed(bitgen, row)
-        half = None
-        for _ in range(times):
-            del words[i * (n - 1):], signs[i * (n - 1):]
-            _, (h,), half = _halves(bitgen, n, 1, half)
-            p[i] = q = h * n >> 32
-            for k, at in ((q, 0), (n - 1 - q, q * q)):
-                if k:
-                    rng.standard_normal(out=Z[i, at:at + k * k])
-                    block_words, block_signs, half = _halves(bitgen, 2, k, half, lead=k)
-                    words += block_words
-                    signs += block_signs
-            rng.standard_normal(out=F[i, 0])
-            rng.random(out=u[i, n - 1:])
-            rng.standard_normal(out=F[i, 1])
+        _, (h,), half = _halves(bitgen, n, 1, None)
+        p[i] = q = h * n >> 32
+        for k, at in ((q, 0), (n - 1 - q, q * q)):
+            if k:
+                rng.standard_normal(out=Z[i, at:at + k * k])
+                block_words, block_signs, half = _halves(bitgen, 2, k, half, lead=k)
+                words += block_words
+                signs += block_signs
+        rng.standard_normal(out=F[i, 0])
+        rng.random(out=u[i, n - 1:])
+        rng.standard_normal(out=F[i, 1])
     u[:, :n - 1] = ((np.array(words, dtype=np.uint64) >> 11) * 2.0 ** -53).reshape(T, n - 1)
     return p, Z, u, (np.array(signs, dtype=np.int64) >> 31).reshape(T, n - 1), F
 
@@ -556,7 +551,6 @@ class SyntheticGaussOutcome:
     result: StructureCheckResult
     k_recovered: np.ndarray       # per trial, from the computed Gauss reduction
     k_solve_residual: np.ndarray  # lsq residual of the k fit per trial
-    resampled: int
 
 
 def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray,
@@ -652,25 +646,16 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     at every k.  Curvature-shaped tensors are held only on their x < y, z < w
     quarter, and the xi-contraction and both Ricci contractions read it.
 
-    Trial t draws from its own stream derive_rng(seed, "synthetic-gauss",
-    eps + 1, n, t), redrawing while |det g| <= SYNTHETIC_DET_FLOOR; the
-    trials are drawn and evaluated in blocks, so no record depends on a block size.
-    Up to max(draw block, _BLOCK_ELEMENTS // 4) streams are seeded in one derive_states
-    pass and drawn through one reused generator straight into the block arrays (_draw_block), from which
-    _assemble_block builds every structure of the block at once; a trial
-    rejected k times is reseeded from its row and drawn k + 1 times, keeping
-    the last draw, as its own generator would give it.  p, the ker-eta weights
-    and the signs are read from raw words by numpy's own rules, bit for bit.
+    Trial t is the first draw of its own stream derive_rng(seed, "synthetic-gauss", eps + 1, n, t).
+    None is degenerate: g = L^-T g0 L^-1, with |w| in [0.5, 2] and L's singular values in
+    [0.75, 1.35], has its singular values in [0.5/1.35^2, 2/0.75^2].  The trials are drawn and
+    evaluated in blocks, so no record depends on a block size.  Up to max(draw block,
+    _BLOCK_ELEMENTS // 4) streams are seeded in one derive_states pass and drawn through one reused
+    generator straight into the block arrays (_draw_block), from which _assemble_block builds every
+    structure of the block at once; p, the ker-eta weights and the signs are read from raw words
+    by numpy's own rules, bit for bit.  RunConfig checks n >= 3, trials >= 1 and eps = +-1.
     """
-    if n < 3:
-        raise ValueError("synthetic check needs n >= 3")
-    if epsilon not in (1, -1):
-        raise ValueError(f"synthetic check needs epsilon +1 or -1, got {epsilon}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    k_values = np.zeros(trials)
-    k_resid = np.zeros(trials)
-    resampled = 0
+    k_values, k_resid = np.zeros(trials), np.zeros(trials)
     worst: dict[str, float] = {}
     draw_block, chain_block = (max(1, _BLOCK_ELEMENTS // size) for size in (n ** 3, (n * (n - 1) // 2) ** 2))
     # one derive_states call costs about as much at any length, so it seeds many draw blocks
@@ -680,17 +665,7 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
         stop = min(start + draw_block, trials)
         if start % seed_block == 0:
             states = derive_states(seed, "synthetic-gauss", epsilon + 1, n, counters=range(start, trials)[:seed_block])
-        rows = states[start % seed_block:][:stop - start]
-        drawn = _assemble_block(_draw_block(rng, rows, n), n, epsilon)
-        redraw = np.flatnonzero(np.abs(np.linalg.det(drawn[0])) <= SYNTHETIC_DET_FLOOR)
-        times = 1
-        while redraw.size:
-            resampled += redraw.size
-            times += 1
-            again = _assemble_block(_draw_block(rng, rows[redraw], n, times), n, epsilon)
-            for arr, new in zip(drawn, again):
-                arr[redraw] = new
-            redraw = redraw[np.abs(np.linalg.det(again[0])) <= SYNTHETIC_DET_FLOOR]
+        drawn = _assemble_block(_draw_block(rng, states[start % seed_block:][:stop - start], n), n, epsilon)
         parts = -(-(stop - start) // chain_block)
         cuts = [start + (stop - start) * j // parts for j in range(parts + 1)]
         for lo, hi in zip(cuts, cuts[1:]):
@@ -702,7 +677,7 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     res = StructureCheckResult()
     for cid, value in worst.items():
         res.add(cid, value)
-    return SyntheticGaussOutcome(res, k_values, k_resid, resampled)
+    return SyntheticGaussOutcome(res, k_values, k_resid)
 
 
 # --------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def sample_points(domain: Sequence[tuple[float, float]], count: int, rng: np.ran
 
 
 def random_vectors(rng: np.random.Generator, npoints: int, nvectors: int, dim: int) -> np.ndarray:
-    """Components uniform in [-1, 1], resampled while any norm < 1e-3."""
+    """Components uniform in [-1, 1]; a vector of norm < 1e-3 is drawn again."""
     v = rng.uniform(-1.0, 1.0, size=(npoints, nvectors, dim))
     bad = np.linalg.norm(v, axis=-1) < 1e-3
     while bad.any():

@@ -45,7 +45,7 @@ GATES = {
     "para-sasakian": ("largest sasakian.* residual", 1e-6,
                       lambda ctx: float(np.maximum.reduce([c.residual for c in ctx.ps_gate.checks]))),
     "trace-phi-constant": ("spread of trace(phi) over the samples", 1e-7,
-                           lambda ctx: float(_max_abs(ctx.struct.trace_phi() - ctx.struct.trace_phi()[0]))),
+                           lambda ctx: float(_max_abs((tr := ctx.struct.trace_phi()) - tr[0]))),
     "shape-characterized": ("max gap of A to -eps I + eps eta(x)xi", 1e-2, lambda ctx: float(np.maximum.reduce(
         hl.shape_characterization_gap_per_point(ctx.struct, ctx.data.shape.A)))),
 }
@@ -70,10 +70,16 @@ class RunConfig:
             raise ValueError(f"--perturb-a must be finite, got {self.perturb_a}")
         if not 0 <= self.seed <= SEED_MAX:
             raise ValueError(f"--seed must lie in 0..{SEED_MAX}, got {self.seed}")
+        if self.dim < 3:
+            raise ValueError(f"--dim must be at least 3, got {self.dim}")
         if self.dim > hl.SYNTHETIC_MAX_DIM:
             raise ValueError(f"--dim must be at most {hl.SYNTHETIC_MAX_DIM}, got {self.dim}")
+        if self.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {self.trials}")
         if self.trials > hl.SYNTHETIC_MAX_TRIALS:
             raise ValueError(f"--trials must be at most {hl.SYNTHETIC_MAX_TRIALS}, got {self.trials}")
+        if self.epsilon not in (1, -1):
+            raise ValueError(f"synthetic check needs epsilon +1 or -1, got {self.epsilon}")
         if self.hypersurface_subset not in HYPERSURFACE_SUBSETS:
             raise ValueError(f"unknown hypersurface subset {self.hypersurface_subset!r}")
 

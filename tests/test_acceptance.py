@@ -160,7 +160,7 @@ def test_criterion_04_einstein_like_fit(e1_100):
     d = fit.family[0] / np.linalg.norm(fit.family[0])
     ref = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
     ok &= bool(min(np.max(np.abs(d - ref)), np.max(np.abs(d + ref))) < 1e-8)
-    for a, b, c in fit.members((-1.0, 0.0, 1.0)):
+    for a, b, c in fit.members():
         ok &= abs(a + c - (-2.0)) < 1e-9
     assert _announce("4 (Einstein-like fit on E1)", ok)
 
@@ -190,7 +190,7 @@ def test_criterion_06_trace_formula(e1_100):
     trphi = s.trace_phi()
     ok = bool(np.max(np.abs(trphi - (-2.0))) < 1e-12)
     checked = 0
-    for a, b, c in fit.members((-1.0, 0.0, 1.0)):
+    for a, b, c in fit.members():
         if abs(c) < 1e-8:
             continue
         checked += 1

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from paracheck import hypersurface_lab
+from paracheck.cli import main
 from paracheck.expr_jet import JetSpace
 from paracheck.hypersurface_lab import (
     AmbientJets,
@@ -30,6 +31,7 @@ from paracheck.hypersurface_lab import (
     verify_induced_derivatives,
 )
 from paracheck.paracontact_core import ParacontactStructure, check_axioms
+from paracheck.report import EXIT_INPUT_ERROR
 from paracheck.sampling import _seed, derive_rng, derive_states, random_vectors, sample_points
 from paracheck.suites import RunConfig, run_suite
 from paracheck.tensor_algebra import TensorValue, min_norm_solve
@@ -487,6 +489,21 @@ class TestQuasiUmbilical:
         assert not passed(res)
 
 
+def _chain_inputs(monkeypatch, epsilon, n, trials, seed):
+    """synthetic_gauss_check's outcome and the (g, phi, xi, eta) it hands
+    _gauss_chain, each concatenated over the chain blocks."""
+    chain, blocks = hypersurface_lab._gauss_chain, []
+
+    def recording_chain(epsilon, g, phi, xi, eta, *rest):
+        blocks.append((g, phi, xi, eta))
+        return chain(epsilon, g, phi, xi, eta, *rest)
+
+    monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
+    out = synthetic_gauss_check(epsilon, n, trials, seed)
+    monkeypatch.setattr(hypersurface_lab, "_gauss_chain", chain)
+    return out, [np.concatenate(arrays) for arrays in zip(*blocks)]
+
+
 class TestSyntheticGauss:
     @pytest.mark.parametrize("eps,n", [(1, 3), (1, 5), (-1, 3), (-1, 5)])
     def test_trials(self, eps, n):
@@ -558,7 +575,7 @@ class TestSyntheticGauss:
         monkeypatch.setattr(hypersurface_lab, "_draw_block", recording_draw)
         monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
         full = synthetic_gauss_check(-1, 6, trials=trials, seed=3)
-        assert full.resampled == 0 and sum(drawn_rows) == sum(chain_rows) == trials
+        assert sum(drawn_rows) == sum(chain_rows) == trials
         draw_block, chain_block = drawn_rows[0], chain_rows[0]
         assert 1 < chain_block < draw_block < trials
         for m in (1, chain_block + 1, draw_block + 1):
@@ -613,43 +630,45 @@ class TestSyntheticGauss:
         assert np.max(np.abs(k - ref_k)) <= 1e-14
         assert np.max(np.abs(k_resid - ref_resid)) <= 1e-14
 
-    def test_rejected_draws_are_redrawn_from_their_own_stream(self, monkeypatch):
+    def test_block_draws_match_the_per_trial_reference(self, monkeypatch):
         """The block path (_draw_block, _assemble_block) hands the chain, bit
         for bit, the (g, phi, xi, eta) of the per-trial reference
         (pointwise.draw_trial, assemble_structures): each trial's first draw
-        above the |det g| floor from its own generator derive_rng(seed,
-        "synthetic-gauss", eps + 1, n, t), for n in {3, 4, 5, 9, 12}, eps =
-        +-1 and seeds {0, 1, 42}, 40 trials each (two draw blocks at n = 9,
-        five at n = 12).  At the default floor no draw is rejected; with the
-        floor raised to 0.5 many are, some twice or more, and a redraw that
-        lost the generator's buffered 32-bit half would differ.  At n = 12 a
+        from its own generator derive_rng(seed, "synthetic-gauss", eps + 1, n,
+        t), for n in {3, 4, 5, 9, 12}, eps = +-1 and seeds {0, 1, 42}, 40
+        trials each (two draw blocks at n = 9, five at n = 12).  At n = 12 a
         block of ker eta takes up to 11 sign bits, so odd and even counts of
-        sign words carry the buffered half from block to block and from draw
-        to redraw."""
-        chain, blocks, trials = hypersurface_lab._gauss_chain, [], 40
+        sign words carry the buffered half from block to block."""
+        trials = 40
+        for n, eps, seed in itertools.product((3, 4, 5, 9, 12), (1, -1), (0, 1, 42)):
+            out, accepted = _chain_inputs(monkeypatch, eps, n, trials, seed)
+            for t in range(trials):
+                drawn = random_pointwise_structure(derive_rng(seed, "synthetic-gauss", eps + 1, n, t), n, eps)
+                for want, got in zip(drawn, accepted):
+                    assert want.tobytes() == got[t].tobytes(), (n, eps, seed, t)
+            assert passed(out.result), [c.id for c in out.result.checks if c.status == "fail"]
 
-        def recording_chain(epsilon, g, phi, xi, eta, *rest):
-            blocks.append((g, phi, xi, eta))
-            return chain(epsilon, g, phi, xi, eta, *rest)
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_drawn_metrics_are_well_conditioned(self, eps):
+        """g = L^-T g0 L^-1 with |w| in [0.5, 2] and L's singular values in
+        [0.75, 1.35], so every drawn g has its singular values in
+        [0.5/1.35^2, 2/0.75^2] at any n: no trial is degenerate, though |det
+        g| falls below 1e-4 from n = 8 on.  1,000 trials at n = 3, 8, 12 and
+        20, 200 at n = 40, straight from _draw_block and _assemble_block."""
+        rng = np.random.Generator(np.random.PCG64(0))
+        for n, trials in ((3, 1000), (8, 1000), (12, 1000), (20, 1000), (40, 200)):
+            rows = derive_states(42, "synthetic-gauss", eps + 1, n, counters=range(trials))
+            g = hypersurface_lab._assemble_block(hypersurface_lab._draw_block(rng, rows, n), n, eps)[0]
+            sv = np.linalg.svd(g, compute_uv=False)
+            assert sv.min() >= 0.5 / 1.35 ** 2 and sv.max() <= 2 / 0.75 ** 2, n
 
-        monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
-        for floor in (hypersurface_lab.SYNTHETIC_DET_FLOOR, 0.5):
-            monkeypatch.setattr(hypersurface_lab, "SYNTHETIC_DET_FLOOR", floor)
-            rejections = []
-            for n, eps, seed in itertools.product((3, 4, 5, 9, 12), (1, -1), (0, 1, 42)):
-                blocks.clear()
-                out = synthetic_gauss_check(eps, n, trials, seed)
-                accepted = [np.concatenate(arrays) for arrays in zip(*blocks)]
-                for t in range(trials):
-                    rng = derive_rng(seed, "synthetic-gauss", eps + 1, n, t)
-                    rejections.append(0)
-                    while abs(np.linalg.det((drawn := random_pointwise_structure(rng, n, eps))[0])) <= floor:
-                        rejections[-1] += 1
-                    for want, got in zip(drawn, accepted):
-                        assert want.tobytes() == got[t].tobytes(), (floor, n, eps, seed, t)
-                assert out.resampled == sum(rejections[-trials:])
-                assert passed(out.result), [c.id for c in out.result.checks if c.status == "fail"]
-            assert (max(rejections) >= 2) == (floor == 0.5) == (sum(rejections) > 0)
+    def test_trial_is_the_first_draw_of_its_stream_at_n_40(self, monkeypatch):
+        """Trial 1 of synthetic(+1, n = 40) at seed 13943 has |det g| = 4.4e-5,
+        yet singular values in 0.37..1.88: the chain receives the first draw
+        of its own stream, bit for bit, not a redraw."""
+        _, accepted = _chain_inputs(monkeypatch, 1, 40, 2, 13943)
+        want = random_pointwise_structure(derive_rng(13943, "synthetic-gauss", 2, 40, 1), 40, 1)
+        assert all(w.tobytes() == got[1].tobytes() for w, got in zip(want, accepted))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_seeded_generator_draws_as_derive_rng_does(self, n):
@@ -711,11 +730,17 @@ class TestSyntheticGauss:
             tracemalloc.stop()
         assert peak < 56 * 2 ** 20
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            synthetic_gauss_check(1, 2, trials=1, seed=0)
-        with pytest.raises(ValueError):
-            synthetic_gauss_check(1, 3, trials=0, seed=0)
+    def test_input_validation(self, capsys):
+        """RunConfig refuses n < 3 and trials < 1, where library and CLI
+        input arrive; the CLI exits 2 with one error line."""
+        with pytest.raises(ValueError, match="--dim must be at least 3, got 2"):
+            RunConfig(dim=2)
+        with pytest.raises(ValueError, match="--trials must be at least 1, got 0"):
+            RunConfig(trials=0)
+        for argv, err in ((["--dim", "2"], "--dim must be at least 3, got 2"),
+                          (["--trials", "0"], "--trials must be at least 1, got 0")):
+            assert main(["synthetic", *argv]) == EXIT_INPUT_ERROR
+            assert capsys.readouterr().err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -58,9 +58,9 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("eps", [0, 2])
     def test_synthetic_epsilon_outside_pm1_is_refused(self, eps, monkeypatch):
-        """The canonical metric's xi-xi entry is eps, so eps = 0 would redraw
-        every trial forever: eps outside {+1, -1} is refused before any trial
-        is seeded."""
+        """The canonical metric's xi-xi entry is eps, so eps = 0 would make
+        every drawn g degenerate: eps outside {+1, -1} is refused before any
+        trial is seeded."""
         def unreachable(*args, **kwargs):
             raise AssertionError("derive_states was reached")
 
