@@ -109,18 +109,11 @@ def sample_points(domain: Sequence[tuple[float, float]], count: int, rng: np.ran
     downstream reductions are order-independent."""
     lo = np.array([d[0] for d in domain])
     hi = np.array([d[1] for d in domain])
-    if (hi < lo).any():
-        raise ValueError("empty domain interval")
     pts = rng.uniform(lo, hi, size=(count, len(domain)))
     order = np.lexsort(pts.T[::-1])
     return pts[order]
 
 
 def random_vectors(rng: np.random.Generator, npoints: int, nvectors: int, dim: int) -> np.ndarray:
-    """Components uniform in [-1, 1]; a vector of norm < 1e-3 is drawn again."""
-    v = rng.uniform(-1.0, 1.0, size=(npoints, nvectors, dim))
-    bad = np.linalg.norm(v, axis=-1) < 1e-3
-    while bad.any():
-        v[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), dim))
-        bad = np.linalg.norm(v, axis=-1) < 1e-3
-    return v
+    """Components uniform in [-1, 1]."""
+    return rng.uniform(-1.0, 1.0, size=(npoints, nvectors, dim))

@@ -237,8 +237,7 @@ def run_synthetic(cfg: RunConfig) -> CheckReport:
     configured trial count."""
     name = f"synthetic(eps={cfg.epsilon:+d}, n={cfg.dim})"
     report = new_report(name, "synthetic", cfg.seed, cfg.trials)
-    outcome = hl.synthetic_gauss_check(cfg.epsilon, cfg.dim, cfg.trials, cfg.seed,
-                                       perturb_a=cfg.perturb_a)
-    _merge(report, cfg.tol_scale, outcome.result)
+    _merge(report, cfg.tol_scale,
+           hl.synthetic_gauss_check(cfg.epsilon, cfg.dim, cfg.trials, cfg.seed, perturb_a=cfg.perturb_a))
     report.sort()
     return report

@@ -252,11 +252,11 @@ def test_criterion_09_hypersurface_suite(e3a_100, e3b_100):
     from paracheck.hypersurface_lab import verify_induced_derivatives
 
     ok = True
-    vec_a = random_vectors(derive_rng(SEED, "E3a", "acc-vec"), e3a_100.points.shape[0], 2 * TUPLES, 3)
+    vec_a = random_vectors(derive_rng(SEED, "E3a", "acc-vec"), e3a_100.structure.npoints, 2 * TUPLES, 3)
     ok &= passed(check_axioms(e3a_100.structure, vec_a))
     ok &= float(np.max(np.abs(e3a_100.shape.A))) == 0.0
 
-    vec_b = random_vectors(derive_rng(SEED, "E3b", "acc-vec"), e3b_100.points.shape[0], 2 * TUPLES, 3)
+    vec_b = random_vectors(derive_rng(SEED, "E3b", "acc-vec"), e3b_100.structure.npoints, 2 * TUPLES, 3)
     ok &= passed(check_axioms(e3b_100.structure, vec_b))
     eig = np.sort(np.linalg.eigvals(e3b_100.shape.A[0]).real)
     ok &= bool(np.max(np.abs(eig - np.array([-1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)]))) < 1e-6)
@@ -273,16 +273,17 @@ def test_criterion_09_hypersurface_suite(e3a_100, e3b_100):
 def test_criterion_10a_quasi_umbilical(synthetic_outcomes):
     """h = -g + eps eta(x)eta exact to 1e-12 across all four configurations,
     100 trials each."""
-    ok = all(out.result.get("synthetic.quasi-umbilical-exact").residual < 1e-12
+    ok = all(out.get("synthetic.quasi-umbilical-exact").residual < 1e-12
              for out in synthetic_outcomes.values())
     assert _announce("10a (quasi-umbilical decomposition)", ok)
 
 
 def test_criterion_10b_k_recovery(synthetic_outcomes):
     """The k recovered from R(X,Y)xi = eta(X)Y - eta(Y)X on the Gauss-equation
-    reduction equals -eps within 1e-12 on every trial (4 x 100), k-vs-derived
-    passes, and the published k = 2 - eps is reported printed-form-mismatch
-    with residual |-eps - (2 - eps)| = 2 within 1e-12.
+    reduction equals -eps within 1e-12 on every trial (4 x 100): k-vs-derived,
+    the largest of |k + eps| and of the solve residual over the trials, is
+    below 1e-12 and passes, and the published k = 2 - eps is reported
+    printed-form-mismatch with residual |-eps - (2 - eps)| = 2 within 1e-12.
 
     The planted A = -eps I + eps eta(x)xi gives h(., xi) = 0, so the
     correction eps(h wedge h) vanishes on R(X,Y)xi and the ansatz alone must
@@ -290,11 +291,10 @@ def test_criterion_10b_k_recovery(synthetic_outcomes):
     k = -eps.  k is a least-squares quotient, so it agrees with -eps to the
     last bits only, hence the 1e-12 of sibling criterion 10a."""
     ok = True
-    for (eps, n), out in synthetic_outcomes.items():
-        ok &= out.k_recovered.shape == (100,)
-        ok &= bool(np.max(np.abs(out.k_recovered - (-eps))) < 1e-12)
-        ok &= out.result.get("synthetic.k-vs-derived").status == "pass"
-        printed = out.result.get("synthetic.k-vs-printed")
+    for out in synthetic_outcomes.values():
+        ok &= out.get("synthetic.k-vs-derived").residual < 1e-12
+        ok &= out.get("synthetic.k-vs-derived").status == "pass"
+        printed = out.get("synthetic.k-vs-printed")
         ok &= printed.status == "printed-form-mismatch"
         ok &= abs(printed.residual - 2.0) < 1e-12
     assert _announce("10b (recovered k = -eps; printed 2 - eps adjudicated)", ok), (
@@ -316,9 +316,9 @@ def test_criterion_10c_ricci_display(synthetic_outcomes):
     trace(phi) = 0, which some eps = -1, n = 3 trials draw."""
     ok = True
     for out in synthetic_outcomes.values():
-        ok &= out.result.get("synthetic.ricci-vs-derived-form").residual < 1e-10
-        ok &= out.result.get("synthetic.ricci-vs-printed-form").status == "printed-form-mismatch"
-        ok &= out.result.get("synthetic.printed-chain-self-consistency").residual < 1e-10
+        ok &= out.get("synthetic.ricci-vs-derived-form").residual < 1e-10
+        ok &= out.get("synthetic.ricci-vs-printed-form").status == "printed-form-mismatch"
+        ok &= out.get("synthetic.printed-chain-self-consistency").residual < 1e-10
     assert _announce("10c (induced Ricci: derived form; printed display adjudicated)", ok), (
         "expected ricci-vs-derived-form below 1e-10, ricci-vs-printed-form marked "
         "printed-form-mismatch, and the printed chain self-consistent below 1e-10"
@@ -328,16 +328,17 @@ def test_criterion_10c_ricci_display(synthetic_outcomes):
 def test_criterion_10_remaining_synthetic_invariants(synthetic_outcomes):
     """The portions of the synthetic check that do hold: the computed
     reduction matches the re-derived display identically in k, the recovered
-    k is the same for every trial, the computed Ricci is Einstein-like, and
+    k is the same for every trial (every trial's k within 5e-13 of -eps, so
+    any two within 1e-12), the computed Ricci is Einstein-like, and
     eps a + c = 1 - n."""
     ok = True
-    for (eps, n), out in synthetic_outcomes.items():
-        ok &= out.result.get("synthetic.gauss-vs-derived-display").residual < 1e-10
-        ok &= bool(np.max(np.abs(out.k_recovered - out.k_recovered[0])) < 1e-12)
-        ok &= out.result.get("synthetic.einstein-like-fit").residual < 1e-10
-        ok &= out.result.get("synthetic.eps-a-plus-c").residual < 1e-10
-        ok &= out.result.get("synthetic.ricci-vs-derived-form").residual < 1e-10
-        ok &= out.result.get("synthetic.printed-chain-self-consistency").residual < 1e-10
+    for out in synthetic_outcomes.values():
+        ok &= out.get("synthetic.gauss-vs-derived-display").residual < 1e-10
+        ok &= out.get("synthetic.k-vs-derived").residual < 5e-13
+        ok &= out.get("synthetic.einstein-like-fit").residual < 1e-10
+        ok &= out.get("synthetic.eps-a-plus-c").residual < 1e-10
+        ok &= out.get("synthetic.ricci-vs-derived-form").residual < 1e-10
+        ok &= out.get("synthetic.printed-chain-self-consistency").residual < 1e-10
     assert _announce("10d (synthetic invariants that do hold)", ok)
 
 
@@ -350,7 +351,7 @@ def test_criterion_11_negative_controls():
     f0_report = run_suite(get_model("F0"), "curvature", cfg)
     ok &= any(c.id == "curvature.r-xy-xi" and c.status == "fail" for c in f0_report.checks)
     perturbed = synthetic_gauss_check(1, 3, trials=5, seed=SEED, perturb_a=5e-3)
-    ok &= perturbed.result.get("synthetic.quasi-umbilical-exact").residual > 1e-12
+    ok &= perturbed.get("synthetic.quasi-umbilical-exact").residual > 1e-12
     per_suite = {
         "structure": run_suite(get_model("N1"), "structure", cfg).exit_code,
         "sasakian": run_suite(get_model("N1"), "sasakian", cfg).exit_code,

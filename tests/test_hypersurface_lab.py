@@ -133,13 +133,13 @@ def _full_gauss_chain(epsilon, g, phi, xi, eta, perturb_a):
 
 class TestInducedStructure:
     def test_hyperplane_is_totally_geodesic(self, e3a_data):
-        assert e3a_data.shape.epsilon == 1
+        assert e3a_data.structure.epsilon == 1
         assert np.max(np.abs(e3a_data.shape.A)) == 0.0
         assert e3a_data.tangency_residual < 1e-12
         assert e3a_data.epsilon_residual < 1e-12
 
     def test_hyperplane_induced_axioms(self, e3a_data):
-        res = check_axioms(e3a_data.structure, _vectors(e3a_data.points.shape[0], "E3a"))
+        res = check_axioms(e3a_data.structure, _vectors(e3a_data.structure.npoints, "E3a"))
         assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
@@ -147,11 +147,11 @@ class TestInducedStructure:
         """On |x| = |y| the normal is (x, -y)/|.| and J maps it to the radial
         direction, so g~(JN, N) = 0 identically."""
         assert e3b_data.tangency_residual < 1e-10
-        assert e3b_data.shape.epsilon == 1
+        assert e3b_data.structure.epsilon == 1
         assert e3b_data.epsilon_residual < 1e-12
 
     def test_cone_induced_axioms_and_radial_xi(self, e3b_data):
-        res = check_axioms(e3b_data.structure, _vectors(e3b_data.points.shape[0], "E3b"))
+        res = check_axioms(e3b_data.structure, _vectors(e3b_data.structure.npoints, "E3b"))
         assert passed(res)
         # xi is the radial direction: in the (t, a, b) chart xi ~ dt/sqrt(2)
         xi0 = e3b_data.structure.xi0
@@ -201,14 +201,16 @@ class TestInducedStructure:
     def test_scaled_cone_keeps_its_orientation(self):
         """The normal is oriented by a floor relative to its largest
         component: the cone's map times 1e-3 is the same cone in the flat
-        ambient, with E3b's unit normal at every point.  The absolute floor
-        flipped it at 8 of these 10 points."""
+        ambient, with E3b's unit normal at every point.  xi = JN flips with N,
+        and its chart components grow by 1e3 as the frame T_a shrinks by
+        1e-3, so 1e-3 xi of the scaled map is E3b's xi.  The absolute floor
+        flipped N at 8 of these 10 points."""
         b = builtin_bundles()["E3b"]
         scaled = dataclasses.replace(b, embedding=dataclasses.replace(
             b.embedding, map=[f"1e-3*({m})" for m in b.embedding.map]))
         pts = sample_points(b.embedding.domain, 10, derive_rng(1, "E3b", "points"))
-        want, got = (evaluate_bundle(x, pts).shape.N for x in (b, scaled))
-        assert np.max(np.abs(got - want)) < 1e-9
+        want, got = (evaluate_bundle(x, pts).structure.xi0 for x in (b, scaled))
+        assert np.max(np.abs(1e-3 * got - want)) < 1e-9
 
     def test_ambient_index_change_is_named(self):
         """The ambient metric is checked at F(points) before its jet
@@ -275,14 +277,14 @@ class TestShapeOperator:
 
     def test_self_adjointness(self, e3a_data, e3b_data):
         for data in (e3a_data, e3b_data):
-            axioms = check_axioms(data.structure, _vectors(data.points.shape[0], "self-adjoint"))
+            axioms = check_axioms(data.structure, _vectors(data.structure.npoints, "self-adjoint"))
             assert check_induced_frame(data, axioms).residual("hypersurface.shape-self-adjoint") < 1e-8
 
     def test_h_is_eps_g_a(self, e3b_data):
         h = e3b_data.shape.h
         g = e3b_data.structure.g0
         A = e3b_data.shape.A
-        assert np.max(np.abs(h - e3b_data.shape.epsilon * np.einsum('pma,pmb->pab', A, g))) < 1e-12
+        assert np.max(np.abs(h - e3b_data.structure.epsilon * np.einsum('pma,pmb->pab', A, g))) < 1e-12
 
     def test_weingarten_matches_finite_differences(self):
         """Independent oracle: differentiate the explicit unit normal of the
@@ -338,12 +340,12 @@ class TestShapeOperator:
 
 class TestInducedDerivatives:
     def test_hyperplane_trivial(self, e3a_data):
-        res = verify_induced_derivatives(e3a_data, _vectors(e3a_data.points.shape[0], "E3a-ind"))
+        res = verify_induced_derivatives(e3a_data, _vectors(e3a_data.structure.npoints, "E3a-ind"))
         assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
     def test_cone_displays(self, e3b_data):
-        res = verify_induced_derivatives(e3b_data, _vectors(e3b_data.points.shape[0], "E3b-ind"))
+        res = verify_induced_derivatives(e3b_data, _vectors(e3b_data.structure.npoints, "E3b-ind"))
         assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-7
 
@@ -353,9 +355,8 @@ class TestInducedDerivatives:
         s = e3b_data.structure
 
         class Flipped:
-            structure = s
-            shape = type(e3b_data.shape)(A=e3b_data.shape.A, N=e3b_data.shape.N,
-                                         epsilon=-e3b_data.shape.epsilon, h=e3b_data.shape.h)
+            structure = ParacontactStructure(s.points, -s.epsilon, s.g, s.phi, s.xi, s.eta)
+            shape = e3b_data.shape
 
         res = verify_induced_derivatives(Flipped, _vectors(s.npoints, "E3b-flip"))
         assert "hypersurface.induced-grad-eta" in [c.id for c in res.checks if c.status == "fail"]
@@ -391,13 +392,13 @@ class TestAmbient:
 
 class TestCharacterization:
     def test_cone_iff_both_sides_false(self, e3b_data):
-        vec = _vectors(e3b_data.points.shape[0], "E3b-char")
+        vec = _vectors(e3b_data.structure.npoints, "E3b-char")
         res = check_ps_characterization(e3b_data, vec)
         assert passed(res)
         assert res.residual("hypersurface.characterization-iff") == 0.0
 
     def test_hyperplane_iff_both_sides_false(self, e3a_data):
-        res = check_ps_characterization(e3a_data, _vectors(e3a_data.points.shape[0], "E3a-char"))
+        res = check_ps_characterization(e3a_data, _vectors(e3a_data.structure.npoints, "E3a-char"))
         assert passed(res)
 
     def test_planted_operator_satisfies_defining_equation_exactly(self, rng):
@@ -465,7 +466,7 @@ class TestQuasiUmbilical:
         A = -eps * np.eye(4) + eps * np.outer(xi, eta)
         struct = _pointwise_structure(g, phi, xi, eta, eps)
         h = eps * np.einsum('ma,mb->ab', A, g)
-        shape = ShapeData(A=A[None], N=np.zeros((1, 5)), epsilon=eps, h=h[None])
+        shape = ShapeData(A=A[None], h=h[None])
         res = quasi_umbilical_check(shape, struct)
         assert passed(res)
         assert res.residual("hypersurface.quasi-umbilical") < 1e-12
@@ -484,13 +485,13 @@ class TestQuasiUmbilical:
         A = -np.eye(3) + np.outer(xi, eta) + 5e-3 * np.outer(xi, eta)
         struct = _pointwise_structure(g, phi, xi, eta, 1)
         h = np.einsum('ma,mb->ab', A, g)
-        shape = ShapeData(A=A[None], N=np.zeros((1, 4)), epsilon=1, h=h[None])
+        shape = ShapeData(A=A[None], h=h[None])
         res = quasi_umbilical_check(shape, struct)
         assert not passed(res)
 
 
 def _chain_inputs(monkeypatch, epsilon, n, trials, seed):
-    """synthetic_gauss_check's outcome and the (g, phi, xi, eta) it hands
+    """synthetic_gauss_check's records and the (g, phi, xi, eta) it hands
     _gauss_chain, each concatenated over the chain blocks."""
     chain, blocks = hypersurface_lab._gauss_chain, []
 
@@ -507,13 +508,12 @@ def _chain_inputs(monkeypatch, epsilon, n, trials, seed):
 class TestSyntheticGauss:
     @pytest.mark.parametrize("eps,n", [(1, 3), (1, 5), (-1, 3), (-1, 5)])
     def test_trials(self, eps, n):
-        out = synthetic_gauss_check(eps, n, trials=25, seed=42)
-        res = out.result
+        res = synthetic_gauss_check(eps, n, trials=25, seed=42)
         assert res.get("synthetic.quasi-umbilical-exact").residual < 1e-12
         assert res.get("synthetic.gauss-vs-derived-display").residual < 1e-10
         assert res.get("synthetic.gauss-vs-printed-display").status == "printed-form-mismatch"
         # the xi identity on the computed reduction forces k = -eps, every trial
-        assert np.max(np.abs(out.k_recovered - (-eps))) < 1e-10
+        assert res.get("synthetic.k-vs-derived").residual < 1e-10
         assert res.get("synthetic.k-vs-printed").status == "printed-form-mismatch"
         assert abs(res.get("synthetic.k-vs-printed").residual - abs(-eps - (2 - eps))) < 1e-10
         assert res.get("synthetic.ricci-vs-derived-form").residual < 1e-10
@@ -534,8 +534,8 @@ class TestSyntheticGauss:
                 assert xi @ g @ xi == pytest.approx(eps)
 
     def test_perturbed_negative_control(self):
-        out = synthetic_gauss_check(1, 3, trials=5, seed=42, perturb_a=5e-3)
-        assert out.result.get("synthetic.quasi-umbilical-exact").residual > 1e-12
+        res = synthetic_gauss_check(1, 3, trials=5, seed=42, perturb_a=5e-3)
+        assert res.get("synthetic.quasi-umbilical-exact").residual > 1e-12
 
     @pytest.mark.parametrize("perturb_a", [0.0, 5e-3])
     @pytest.mark.parametrize("n", [3, 5])
@@ -554,41 +554,43 @@ class TestSyntheticGauss:
             assert abs(worst[name] - value) <= 1e-12, name
 
     def test_trials_do_not_depend_on_their_block(self, monkeypatch):
-        """Trial t gives the same k and k residual, bit for bit, whether it
-        runs alone in its draw block or chain block, or inside a full one.  At
-        n = 6 the request crosses a draw-block boundary and a chain-block
-        boundary inside a draw block, as the row counts _draw_block and
-        _gauss_chain receive show.  The whole request gives the same records,
-        k and k residuals whether its blocks hold one trial each
+        """Each trial's chain values do not depend on the trials evaluated
+        with it: the maxima _gauss_chain returns for each chain block equal,
+        bit for bit, the maxima of its values on the block's single-trial
+        slices.  At n = 6 the request crosses a draw-block boundary and a
+        chain-block boundary inside a draw block, as the row counts
+        _draw_block and _gauss_chain receive show.  The whole request gives
+        the same records whether its blocks hold one trial each
         (_BLOCK_ELEMENTS 2**6) or all of them (2**20)."""
         draw, chain, trials = hypersurface_lab._draw_block, hypersurface_lab._gauss_chain, 150
-        drawn_rows, chain_rows = [], []
+        drawn_rows, chain_calls = [], []
 
         def recording_draw(rng, rows, *rest):
             drawn_rows.append(len(rows))
             return draw(rng, rows, *rest)
 
-        def recording_chain(epsilon, g, *rest):
-            chain_rows.append(len(g))
-            return chain(epsilon, g, *rest)
+        def recording_chain(epsilon, g, phi, xi, eta, perturb_a):
+            worst = chain(epsilon, g, phi, xi, eta, perturb_a)
+            chain_calls.append(((g, phi, xi, eta), worst))
+            return worst
 
         monkeypatch.setattr(hypersurface_lab, "_draw_block", recording_draw)
         monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
         full = synthetic_gauss_check(-1, 6, trials=trials, seed=3)
+        chain_rows = [len(drawn[0]) for drawn, _ in chain_calls]
         assert sum(drawn_rows) == sum(chain_rows) == trials
         draw_block, chain_block = drawn_rows[0], chain_rows[0]
         assert 1 < chain_block < draw_block < trials
-        for m in (1, chain_block + 1, draw_block + 1):
-            prefix = synthetic_gauss_check(-1, 6, trials=m, seed=3)
-            assert np.array_equal(full.k_recovered[:m], prefix.k_recovered)
-            assert np.array_equal(full.k_solve_residual[:m], prefix.k_solve_residual)
-        records = [(c.id, c.status, c.residual) for c in full.result.checks]
+        for drawn, worst in chain_calls:
+            singles = [chain(-1, *(a[t:t + 1] for a in drawn), 0.0) for t in range(len(drawn[0]))]
+            assert worst.keys() == singles[0].keys()
+            for cid, value in worst.items():
+                assert value == max(single[cid] for single in singles), cid
+        records = [(c.id, c.status, c.residual) for c in full.checks]
         for elements in (2 ** 6, 2 ** 20):
             monkeypatch.setattr(hypersurface_lab, "_BLOCK_ELEMENTS", elements)
             other = synthetic_gauss_check(-1, 6, trials=trials, seed=3)
-            assert [(c.id, c.status, c.residual) for c in other.result.checks] == records
-            assert full.k_recovered.tobytes() == other.k_recovered.tobytes()
-            assert full.k_solve_residual.tobytes() == other.k_solve_residual.tobytes()
+            assert [(c.id, c.status, c.residual) for c in other.checks] == records
 
     @pytest.mark.parametrize("eps, n, trials", [(1, 30, 8), (-1, 5, 400)])
     def test_one_derive_states_call_seeds_many_draw_blocks(self, eps, n, trials, monkeypatch):
@@ -611,13 +613,15 @@ class TestSyntheticGauss:
     @pytest.mark.parametrize("eps", [1, -1])
     def test_half_chain_matches_full_tensor_oracle(self, eps, n, perturb_a):
         """The chain on the x < y, z < w quarter gives the display maxima of
-        the full tensors bit for bit, and every other record, k and the k
-        residual to 1e-14; perturbing A makes the display residuals non-zero.
-        At n = 9 the quarter has P = 36 pairs, so a pair index read as a
-        coordinate, or the other way round, cannot pass unseen."""
+        the full tensors bit for bit, and every other record to 1e-14;
+        perturbing A makes the display residuals non-zero.  Run on each trial
+        alone, its two k records give that trial's |k + eps|, |k - (2 - eps)|
+        and k residual to 1e-14.  At n = 9 the quarter has P = 36 pairs, so a
+        pair index read as a coordinate, or the other way round, cannot pass
+        unseen."""
         drawn = assemble_structures([draw_trial(derive_rng(11, "half-chain", eps + 1, n, t), n) for t in range(40)],
                                     n, eps)
-        worst, k, k_resid = hypersurface_lab._gauss_chain(eps, *drawn, perturb_a)
+        worst = hypersurface_lab._gauss_chain(eps, *drawn, perturb_a)
         ref_worst, ref_k, ref_resid, _ = _full_gauss_chain(eps, *drawn, perturb_a)
         assert worst.keys() == ref_worst.keys()
         if perturb_a:
@@ -627,8 +631,11 @@ class TestSyntheticGauss:
             assert worst[name] == ref_worst[name], name
         for name in worst:
             assert abs(worst[name] - ref_worst[name]) <= 1e-14, name
-        assert np.max(np.abs(k - ref_k)) <= 1e-14
-        assert np.max(np.abs(k_resid - ref_resid)) <= 1e-14
+        for t in range(40):
+            single = hypersurface_lab._gauss_chain(eps, *(a[t:t + 1] for a in drawn), perturb_a)
+            derived = max(abs(ref_k[t] + eps), ref_resid[t])
+            assert abs(single["synthetic.k-vs-derived"] - derived) <= 1e-14, t
+            assert abs(single["synthetic.k-vs-printed"] - abs(ref_k[t] - (2 - eps))) <= 1e-14, t
 
     def test_block_draws_match_the_per_trial_reference(self, monkeypatch):
         """The block path (_draw_block, _assemble_block) hands the chain, bit
@@ -646,7 +653,7 @@ class TestSyntheticGauss:
                 drawn = random_pointwise_structure(derive_rng(seed, "synthetic-gauss", eps + 1, n, t), n, eps)
                 for want, got in zip(drawn, accepted):
                     assert want.tobytes() == got[t].tobytes(), (n, eps, seed, t)
-            assert passed(out.result), [c.id for c in out.result.checks if c.status == "fail"]
+            assert passed(out), [c.id for c in out.checks if c.status == "fail"]
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_drawn_metrics_are_well_conditioned(self, eps):
@@ -729,6 +736,23 @@ class TestSyntheticGauss:
         finally:
             tracemalloc.stop()
         assert peak < 56 * 2 ** 20
+
+    def test_memory_does_not_grow_with_the_trials(self):
+        """No array of synthetic_gauss_check grows with the trial count: its
+        tracemalloc peak at n = 3 grows by less than 32 KB from 5,000 to
+        15,000 trials.  Two float arrays of one entry a trial grew it by
+        157 KB.  A one-trial call first builds what every call shares, such
+        as the pair table, so that neither measured call does."""
+        synthetic_gauss_check(1, 3, 1, 0)
+        peaks = []
+        for trials in (5000, 15000):
+            tracemalloc.start()
+            try:
+                synthetic_gauss_check(1, 3, trials, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 32 * 2 ** 10
 
     def test_input_validation(self, capsys):
         """RunConfig refuses n < 3 and trials < 1, where library and CLI

@@ -10,6 +10,11 @@ not scanned.
 Every parameter of a ``def`` in the package, ``self`` included, is read in
 its body: a parameter nothing reads is one more thing every caller passes
 for no effect, and a method that does not read ``self`` is a function.
+
+Every field of a dataclass or NamedTuple and every property defined in the
+package is read as an attribute (``x.name``) somewhere in it: a field only
+tests read is state the engine builds for them alone.  The match is by
+attribute name, whatever the object; exception attributes are not scanned.
 """
 
 import ast
@@ -76,3 +81,42 @@ def unread_parameters() -> set[tuple[str, str]]:
 
 def test_every_parameter_is_read():
     assert unread_parameters() == set(UNREAD_PARAMETERS)
+
+
+def _decorator_name(node: ast.expr) -> str:
+    """dataclass for @dataclass, @dataclass(...) and @dataclasses.dataclass; likewise any name."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def fields_and_properties(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, name) of every dataclass or NamedTuple field and every property,
+    cached_property or ``name = property(...)`` the module's classes define."""
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        record = ("dataclass" in map(_decorator_name, cls.decorator_list)
+                  or "NamedTuple" in map(_decorator_name, cls.bases))
+        for node in cls.body:
+            if record and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                found.add((cls.name, node.target.id))
+            elif isinstance(node, ast.FunctionDef) and {"property", "cached_property"} & set(
+                    map(_decorator_name, node.decorator_list)):
+                found.add((cls.name, node.name))
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                    and _decorator_name(node.value) == "property":
+                found |= {(cls.name, t.id) for t in node.targets if isinstance(t, ast.Name)}
+    return found
+
+
+def unread_fields() -> set[tuple[str, str]]:
+    """Fields and properties whose name is never read as an attribute in the package."""
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return {(cls, name) for tree in trees for cls, name in fields_and_properties(tree) if name not in read}
+
+
+def test_every_field_and_property_is_read_in_src():
+    assert unread_fields() == set()

@@ -360,9 +360,8 @@ class TestNonFiniteResiduals:
             assert checks[cid]["detail"].startswith(f"gate para-sasakian: largest sasakian.* residual {bad:.3e}")
 
     def test_synthetic_block(self, bad):
-        outcome = synthetic_gauss_check(1, 3, 2, 42, perturb_a=bad)
         report = new_report("synthetic", "synthetic", 42, 2)
-        suites._merge(report, 1.0, outcome.result)
+        suites._merge(report, 1.0, synthetic_gauss_check(1, 3, 2, 42, perturb_a=bad))
         assert report.exit_code == EXIT_CHECK_FAILED
         checks = {c["id"]: c for c in _strict_json(report.to_json())["checks"]}
         # the printed chain's self-consistency does not read the planted operator
