@@ -90,8 +90,8 @@ class HypersurfaceBundle:
 class ShapeData:
     """Shape operator and second fundamental form at the sample points.
 
-    Invariants: g(AX, Y) = g(X, AY) and h = eps g(A., .), both enforced by
-    tests rather than construction."""
+    Invariants: g(AX, Y) = g(X, AY) and h = eps g(A., .), eps the structure's, both
+    enforced by tests rather than construction."""
 
     A: np.ndarray        # (P, n, n) values, A^a_b
     h: np.ndarray        # (P, n, n)

@@ -615,10 +615,11 @@ class TestSyntheticGauss:
         """The chain on the x < y, z < w quarter gives the display maxima of
         the full tensors bit for bit, and every other record to 1e-14;
         perturbing A makes the display residuals non-zero.  Run on each trial
-        alone, its two k records give that trial's |k + eps|, |k - (2 - eps)|
-        and k residual to 1e-14.  At n = 9 the quarter has P = 36 pairs, so a
-        pair index read as a coordinate, or the other way round, cannot pass
-        unseen."""
+        alone, the chain's k-vs-derived record is that trial's max(|k + eps|,
+        k residual) and its k-vs-printed record |k - (2 - eps)|, to 1e-14, so a
+        per-trial k error still shows.  At n = 9 the quarter has P = 36 pairs,
+        so a pair index read as a coordinate, or the other way round, cannot
+        pass unseen."""
         drawn = assemble_structures([draw_trial(derive_rng(11, "half-chain", eps + 1, n, t), n) for t in range(40)],
                                     n, eps)
         worst = hypersurface_lab._gauss_chain(eps, *drawn, perturb_a)
