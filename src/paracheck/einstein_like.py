@@ -132,7 +132,7 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Str
     n = struct.dim
     cur = struct.curvature
     g, phi, eta, xi = struct.g0, struct.phi0, struct.eta0, struct.xi0
-    trphi = struct.trace_phi()
+    trphi = struct.trace_phi
     r = cur.scalar[:, 0]
     dr = cur.dr
     divq = cur.div_q
@@ -171,7 +171,7 @@ def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure) -> 
     res = StructureCheckResult()
     eps = struct.epsilon
     n = struct.dim
-    trphi = struct.trace_phi()
+    trphi = struct.trace_phi
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(trphi - eps * (n - 1) * b / c),),
                      ("einstein.trace-phi-formula",), skip_c0=True)
     return res
@@ -212,7 +212,7 @@ def verify_c11_identities(c11: C11Tensor, struct: ParacontactStructure) -> Struc
     eps = struct.epsilon
     n = struct.dim
     g, ee = struct.g0, struct.ee0
-    trphi = struct.trace_phi()[:, None, None]
+    trphi = struct.trace_phi[:, None, None]
     C = c11.values
     res = StructureCheckResult()
     res.add("einstein.c11-symmetric", C - C.swapaxes(1, 2), C)

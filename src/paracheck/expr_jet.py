@@ -96,7 +96,6 @@ class Num:
 
 @dataclass(frozen=True)
 class Var:
-    name: str
     index: int
 
 
@@ -290,7 +289,7 @@ class _Parser:
                 return _bounded(Call(text, arg), depth + 1, pos)
             if text not in self.coords:
                 raise UnknownIdentifierError(text, pos)
-            return Var(text, self.coords[text]), 1
+            return Var(self.coords[text]), 1
         if kind == "op" and text == "(":
             out = self._nested(self.expr, pos)
             self._expect(")")

@@ -28,8 +28,7 @@ import numpy as np
 from .expr_jet import JetSpace, _locate, _moveaxis
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
 from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid, _field_jets
-from .paracontact_core import (ParacontactStructure, apply_op, defining_equation_gap_per_point, form, pair,
-                               para_sasakian_rhs)
+from .paracontact_core import ParacontactStructure, VectorPairs, apply_op, defining_equation_gap_per_point, form, pair
 from .report import StructureCheckResult, _max_abs, residual_norm
 from .sampling import _halves, _seed, derive_states
 from .tensor_algebra import TensorValue, check_metric, invert_jet_matrix, min_norm_solve
@@ -136,7 +135,7 @@ class HypersurfaceData:
     ``structure``, the ``shape`` operator data, ``frame_residual`` (the normal
     part of the Weingarten derivative), ``epsilon_residual`` (max |g~(N, N) -
     eps| over the samples) and ``tangent_frame`` ((P, n, n+1) values T_a^B =
-    d_a F^B)."""
+    d_a F^B); ``shape_gap``, rho2 of the characterization, on its own first read."""
 
     tangency_residual: float       # max |g~(JN, N)| over the samples
     ambient: AmbientJets           # g~ and J~ at F(points)
@@ -151,6 +150,7 @@ class HypersurfaceData:
     frame_residual = property(lambda self: self.induced["frame_residual"])
     epsilon_residual = property(lambda self: self.induced["epsilon_residual"])
     tangent_frame = property(lambda self: self.induced["tangent_frame"])
+    shape_gap = cached_property(lambda self: shape_characterization_gap_per_point(self.structure, self.shape.A))
 
 
 # --------------------------------------------------------------------------
@@ -302,28 +302,27 @@ def check_ambient(ambient: AmbientJets) -> StructureCheckResult:
     return res
 
 
-def verify_induced_derivatives(data: HypersurfaceData, vectors: np.ndarray) -> StructureCheckResult:
+def verify_induced_derivatives(data: HypersurfaceData, v: VectorPairs) -> StructureCheckResult:
     """The three induced covariant-derivative displays:
 
         (nabla_X phi) Y = eta(Y) A X + eps g(A X, Y) xi
         (nabla_X eta) Y = -eps g(A X, phi Y)
         nabla_X xi      = -phi A X
     """
-    s = data.structure
+    s = v.struct
     eps = s.epsilon
     A = data.shape.A
     phi, xi, eta, g = s.phi0, s.xi0, s.eta0, s.g0
-    X = vectors[:, 0::2]
-    Y = vectors[:, 1::2]
+    X, Y = v.X, v.Y
     res = StructureCheckResult()
 
-    lhs = apply_op(s.nabla_phi, X, Y)
+    lhs = v.grad_phi
     AX = apply_op(A, X)
     rhs = form(eta, Y)[..., None] * AX + eps * pair(g, AX, Y)[..., None] * xi[:, None, :]
     res.add("hypersurface.induced-grad-phi", lhs - rhs, lhs, rhs, X, Y)
 
     lhs = pair(s.nabla_eta, X, Y)
-    rhs = -eps * pair(g, AX, apply_op(phi, Y))
+    rhs = -eps * pair(g, AX, v.phiY)
     res.add("hypersurface.induced-grad-eta", lhs - rhs, lhs, rhs, X, Y)
 
     rhs_xi = -np.einsum('pam,pmi->pai', phi, A)
@@ -385,16 +384,15 @@ def shape_characterization_gap_per_point(struct: ParacontactStructure, A: np.nda
     return residual_norm(A - characterized_shape(struct), A, axis=(1, 2))
 
 
-def recover_shape_operator(struct: ParacontactStructure, vectors: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve the induced (nabla phi) display against the para-Sasakian right
-    side as a linear system in A over the vector pairs; at every point of any
-    valid structure this has the unique solution -eps I + eps eta(x)xi.
+def recover_shape_operator(v: VectorPairs) -> tuple[np.ndarray, int]:
+    """Solve the induced (nabla phi) display against the pairs' para-Sasakian
+    right side as a linear system in A; at every point of any valid structure
+    this has the unique solution -eps I + eps eta(x)xi.
 
     Returns (A_hat per point, min system rank over points).
     """
+    struct, X, Y = v.struct, v.X, v.Y
     n = struct.dim
-    X = vectors[:, 0::2]
-    Y = vectors[:, 1::2]
     P, V = X.shape[:2]
     if V * n < n * n:
         raise ValueError(f"need at least {n} vector pairs to determine A, got {V}")
@@ -403,23 +401,23 @@ def recover_shape_operator(struct: ParacontactStructure, vectors: np.ndarray) ->
     coef = (form(struct.eta0, Y)[:, :, None, None] * np.eye(n)
             + struct.epsilon * struct.xi0[:, None, :, None] * apply_op(struct.g0, Y)[:, :, None, :])
     rows = np.einsum('pvlm,pvc->pvlmc', coef, X).reshape(P, V * n, n * n)
-    sol, rank, _ = min_norm_solve(rows, para_sasakian_rhs(struct, X, Y).reshape(P, V * n))
+    sol, rank, _ = min_norm_solve(rows, v.rhs.reshape(P, V * n))
     return sol.reshape(P, n, n), int(rank.min())
 
 
-def check_ps_characterization(data: HypersurfaceData, vectors: np.ndarray) -> StructureCheckResult:
+def check_ps_characterization(data: HypersurfaceData, v: VectorPairs) -> StructureCheckResult:
     """The equivalence "para-Sasakian iff A = -eps I + eps eta(x)xi", asserted
     pointwise, plus the constructive recovery of A from the displays."""
     s = data.structure
     res = StructureCheckResult()
-    rho1 = defining_equation_gap_per_point(s, vectors)
-    rho2 = shape_characterization_gap_per_point(s, data.shape.A)
+    rho1 = defining_equation_gap_per_point(v)
+    rho2 = data.shape_gap
     # a point where either side is NaN violates the equivalence
     mismatch = np.isnan(rho1 + rho2) | ((rho1 <= PS_POINT_THRESHOLD) != (rho2 <= PS_POINT_THRESHOLD))
     res.add("hypersurface.characterization-iff", mismatch.sum(),
             detail=f"rho1 in [{rho1.min():.2e}, {rho1.max():.2e}], rho2 in [{rho2.min():.2e}, {rho2.max():.2e}]")
 
-    A_hat, rank = recover_shape_operator(s, vectors)
+    A_hat, rank = recover_shape_operator(v)
     target = characterized_shape(s)
     res.add("hypersurface.characterization-linear-solve", A_hat - target if rank == s.dim ** 2 else np.inf, A_hat,
             target, detail=f"linear system rank {rank} of {s.dim ** 2}")

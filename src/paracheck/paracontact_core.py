@@ -4,7 +4,11 @@ A :class:`ParacontactStructure` bundles jet-valued (phi, xi, eta, g) over a
 batch of sample points with the sign eps = g(xi, xi).  The three check
 operations measure, over the samples and random test vectors, the residuals
 of the structure axioms, of the defining covariant-derivative equations, and
-of the curvature identities those equations force.
+of the curvature identities those equations force.  A request draws its
+test vectors once, as one :class:`VectorPairs`, which builds on first read
+the products its checks share: phi X, phi Y, phi^2 X, (nabla_X phi) Y, the
+defining equation's right side and R(X, Y).  The structure caches nabla phi,
+nabla xi, nabla eta, its curvature and trace(phi) the same way.
 
 Each check hands its gaps, with the tensors entering each identity, to the
 one recorder, :class:`report.StructureCheckResult`, beside the check table
@@ -87,6 +91,7 @@ class ParacontactStructure:
         """Values of eta (x) eta, shape (P, n, n)."""
         return np.einsum('pa,pb->pab', self.eta0, self.eta0)
 
+    @cached_property
     def trace_phi(self) -> np.ndarray:
         return np.einsum('paa->p', self.phi0)
 
@@ -125,14 +130,17 @@ class ParacontactStructure:
 
 
 def apply_op(op: np.ndarray, *vectors: np.ndarray) -> np.ndarray:
-    """A (1,k) tensor op[p, a, b1, ..., bk] fed k bundles of vectors (P, V, n)
-    (or (P, 1, n), broadcast): (P, V, n).  One matmul of the vectors' outer
-    product against op's transpose; apply_op(phi, X) is phi X = X @ phi^T."""
+    """A (1,k) tensor op[p, a, b1, ..., bk] fed its first j bundles of vectors
+    (P, V, n) (or (P, 1, n), broadcast): (P, V, n) at j = k, else the
+    (P, V, n, n^(k-j)) operators on its open slots.  One matmul of the vectors'
+    outer product against op's transpose; apply_op(phi, X) is phi X = X @ phi^T."""
     outer = vectors[0]
     for v in vectors[1:]:
         outer = outer[..., :, None] * v[..., None, :]
         outer = outer.reshape(outer.shape[:-2] + (-1,))
-    return outer @ op.reshape(op.shape[:2] + (-1,)).swapaxes(1, 2)
+    (P, n), m = op.shape[:2], outer.shape[-1]
+    out = outer @ op.reshape(P, n, m, -1).swapaxes(1, 2).reshape(P, m, -1)
+    return out if len(vectors) == op.ndim - 2 else out.reshape(out.shape[:-1] + (n, -1))
 
 
 def pair(g: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -144,23 +152,36 @@ def form(eta: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.einsum('pa,pva->pv', eta, X)
 
 
+class VectorPairs:
+    """A request's random vector pairs (X, Y) = (v[2k], v[2k+1]) at the points
+    of ``struct``, Z = Y shifted by one pair, and what the checks read of them,
+    each built once, on first read: phi X, phi Y, phi^2 X, (nabla_X phi) Y, the
+    para-Sasakian right side, and R(X, Y) as (P, V, n, n) operators."""
+
+    def __init__(self, struct: ParacontactStructure, vectors: np.ndarray):
+        self.struct = struct
+        self.X, self.Y = vectors[:, 0::2], vectors[:, 1::2]
+
+    Z = cached_property(lambda self: np.roll(self.Y, 1, axis=1))
+    phiX = cached_property(lambda self: apply_op(self.struct.phi0, self.X))
+    phiY = cached_property(lambda self: apply_op(self.struct.phi0, self.Y))
+    phi2X = cached_property(lambda self: apply_op(self.struct.phi0, self.phiX))
+    grad_phi = cached_property(lambda self: apply_op(self.struct.nabla_phi, self.X, self.Y))
+    rhs = cached_property(lambda self: para_sasakian_rhs(self))
+    R = cached_property(lambda self: apply_op(self.struct.curvature.riemann_ud.components[..., 0], self.X, self.Y))
+
+
 # -- check operations ------------------------------------------------------------
 
 
-def check_axioms(struct: ParacontactStructure, vectors: np.ndarray) -> StructureCheckResult:
-    """Residuals of the seven structure axioms over random vector pairs.
-
-    vectors has shape (npoints, nvectors, dim); pairs are consumed as
-    (v[2k], v[2k+1]).
-    """
-    eps = struct.epsilon
-    phi, xi, eta, g = struct.phi0, struct.xi0, struct.eta0, struct.g0
-    X = vectors[:, 0::2]
-    Y = vectors[:, 1::2]
+def check_axioms(v: VectorPairs) -> StructureCheckResult:
+    """Residuals of the seven structure axioms over the vector pairs."""
+    s = v.struct
+    eps = s.epsilon
+    phi, xi, eta, g = s.phi0, s.xi0, s.eta0, s.g0
+    X, Y, phiX, phiY, phi2X = v.X, v.Y, v.phiX, v.phiY, v.phi2X
     res = StructureCheckResult()
 
-    phiX = apply_op(phi, X)
-    phi2X = apply_op(phi, phiX)
     gap = phi2X - X + form(eta, X)[..., None] * xi[:, None, :]
     res.add("structure.phi-squared", gap, X, phi2X)
 
@@ -168,7 +189,6 @@ def check_axioms(struct: ParacontactStructure, vectors: np.ndarray) -> Structure
     res.add("structure.phi-of-xi", apply_op(phi, xi[:, None, :]), xi)
     res.add("structure.eta-after-phi", form(eta, phiX), X, eta)
 
-    phiY = apply_op(phi, Y)
     gap = pair(g, phiX, phiY) - pair(g, X, Y) + eps * form(eta, X) * form(eta, Y)
     res.add("structure.metric-compatibility", gap, pair(g, X, Y))
 
@@ -181,35 +201,24 @@ def check_axioms(struct: ParacontactStructure, vectors: np.ndarray) -> Structure
     return res
 
 
-def para_sasakian_rhs(struct: ParacontactStructure, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def para_sasakian_rhs(v: VectorPairs) -> np.ndarray:
     """The right side -g(phi X, phi Y) xi - eps eta(Y) phi^2 X of the
-    para-Sasakian defining equation, over bundles of vectors (P, V, n):
-    values only, so it serves structures whose index differs by point."""
-    phi = struct.phi0
-    phiX = apply_op(phi, X)
-    return (-pair(struct.g0, phiX, apply_op(phi, Y))[..., None] * struct.xi0[:, None, :]
-            - struct.epsilon * form(struct.eta0, Y)[..., None] * apply_op(phi, phiX))
+    para-Sasakian defining equation over the pairs, (P, V, n): values only,
+    so it serves structures whose index differs by point."""
+    s = v.struct
+    return (-pair(s.g0, v.phiX, v.phiY)[..., None] * s.xi0[:, None, :]
+            - s.epsilon * form(s.eta0, v.Y)[..., None] * v.phi2X)
 
 
-def _defining_equation_terms(struct: ParacontactStructure, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The gap of the para-Sasakian defining equation
-    (nabla_X phi) Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X over the
-    vector pairs (v[2k], v[2k+1]), then the tensors entering it: lhs, rhs, X, Y."""
-    X = vectors[:, 0::2]
-    Y = vectors[:, 1::2]
-    lhs = apply_op(struct.nabla_phi, X, Y)
-    rhs = para_sasakian_rhs(struct, X, Y)
-    return lhs - rhs, lhs, rhs, X, Y
+def defining_equation_gap_per_point(v: VectorPairs) -> np.ndarray:
+    """The residual of the para-Sasakian defining equation
+    (nabla_X phi) Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X at each point,
+    its inputs lhs, rhs, X and Y: one scale for all points, so the max is the
+    ``sasakian.defining-equation`` residual."""
+    return residual_norm(v.grad_phi - v.rhs, v.grad_phi, v.rhs, v.X, v.Y, axis=(1, 2))
 
 
-def defining_equation_gap_per_point(struct: ParacontactStructure, vectors: np.ndarray) -> np.ndarray:
-    """The residual of the para-Sasakian defining equation at each point: one
-    scale for all points, so the max is the ``sasakian.defining-equation``
-    residual."""
-    return residual_norm(*_defining_equation_terms(struct, vectors), axis=(1, 2))
-
-
-def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray) -> StructureCheckResult:
+def check_para_sasakian(v: VectorPairs) -> StructureCheckResult:
     """Residuals of the defining covariant-derivative equations:
 
         (nabla_X phi) Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X
@@ -218,42 +227,39 @@ def check_para_sasakian(struct: ParacontactStructure, vectors: np.ndarray) -> St
 
     plus the symmetry of Phi.
     """
+    s = v.struct
     res = StructureCheckResult()
-    res.add("sasakian.defining-equation", *_defining_equation_terms(struct, vectors))
-    phi = struct.phi0
-    res.add("sasakian.grad-xi", struct.nabla_xi - struct.epsilon * phi, phi)
-    Phi = struct.Phi0
-    res.add("sasakian.grad-eta", struct.nabla_eta - Phi, Phi)
+    res.add("sasakian.defining-equation", np.maximum.reduce(defining_equation_gap_per_point(v)))
+    phi = s.phi0
+    res.add("sasakian.grad-xi", s.nabla_xi - s.epsilon * phi, phi)
+    Phi = s.Phi0
+    res.add("sasakian.grad-eta", s.nabla_eta - Phi, Phi)
     res.add("sasakian.fundamental-form-symmetric", Phi - Phi.swapaxes(1, 2), Phi)
     return res
 
 
-def check_ps_curvature_identities(struct: ParacontactStructure, vectors: np.ndarray) -> StructureCheckResult:
+def check_ps_curvature_identities(v: VectorPairs) -> StructureCheckResult:
     """The four curvature identities of a para-Sasakian structure, evaluated
-    over random vector triples.  Runs even when the defining equations fail."""
-    eps = struct.epsilon
-    n = struct.dim
-    cur = struct.curvature
-    R = cur.riemann_ud.components[..., 0]  # [p, l, i, j, k]
-    S = cur.ricci.components[..., 0]
-    phi, xi, eta, g = struct.phi0, struct.xi0, struct.eta0, struct.g0
-    X = vectors[:, 0::2]
-    Y = vectors[:, 1::2]
-    Z = np.roll(Y, 1, axis=1)
+    over the vector triples (X, Y, Z), each R(X, Y) W one mat-vec of the
+    pairs' R(X, Y).  Runs even when the defining equations fail."""
+    s = v.struct
+    eps = s.epsilon
+    n = s.dim
+    S = s.curvature.ricci.components[..., 0]
+    phi, xi, eta, g = s.phi0, s.xi0, s.eta0, s.g0
+    X, Y, Z, phiX, phiY = v.X, v.Y, v.Z, v.phiX, v.phiY
     res = StructureCheckResult()
 
     # R(X,Y)xi = eta(X) Y - eta(Y) X
-    RXYxi = apply_op(R, X, Y, xi[:, None])
+    RXYxi = (v.R @ xi[:, None, :, None])[..., 0]
     tgt = form(eta, X)[..., None] * Y - form(eta, Y)[..., None] * X
     res.add("curvature.r-xy-xi", RXYxi - tgt, RXYxi, tgt, X, Y)
 
     # R(X,Y) phi Z expansion
-    Phi = struct.Phi0
-    phiX = apply_op(phi, X)
-    phiY = apply_op(phi, Y)
+    Phi = s.Phi0
     phiZ = apply_op(phi, Z)
-    RXYphiZ = apply_op(R, X, Y, phiZ)
-    phiRXYZ = apply_op(phi, apply_op(R, X, Y, Z))
+    RXYphiZ = (v.R @ phiZ[..., None])[..., 0]
+    phiRXYZ = apply_op(phi, (v.R @ Z[..., None])[..., 0])
     PhiYZ = pair(Phi, Y, Z)[..., None]
     PhiXZ = pair(Phi, X, Z)[..., None]
     etaX = form(eta, X)[..., None]

@@ -11,7 +11,9 @@ check functions hand their gaps to the one recorder beside it,
 tolerance at scale 1 and its status.  :data:`REQUESTS` maps each request
 kind to the metric jet order it reads and its ordered check groups, each a
 CHECKS prefix, the gates its rows sit behind, and the check calls that
-record them.  :data:`GATES` declares each gate once: what it measures, its
+record them.  A request evaluates its fields only to that order (a bundle's
+to at least 1, as its Weingarten map reads dN), so a field whose derivatives
+overflow fails only in the suites that read them.  :data:`GATES` declares each gate once: what it measures, its
 threshold, and the measurement on the request's shared context.
 :func:`run_suite` runs one loop over the groups: it calls a group only when
 its gates hold and otherwise reports each of its records ``not-applicable``,
@@ -30,7 +32,8 @@ import numpy as np
 from . import einstein_like as el
 from . import hypersurface_lab as hl
 from .models import METRIC_ORDER, ManifoldModel, evaluate_structure
-from .paracontact_core import ParacontactStructure, check_axioms, check_para_sasakian, check_ps_curvature_identities
+from .paracontact_core import (ParacontactStructure, VectorPairs, check_axioms, check_para_sasakian,
+                               check_ps_curvature_identities)
 from .report import (CHECKS, NOT_APPLICABLE, PS, PS_TRPHI, SHAPE, VACUOUS, CheckReport,
                      StructureCheckResult, _max_abs, new_report, status_of)
 from .sampling import SEED_MAX, derive_rng, random_vectors, sample_points
@@ -45,9 +48,9 @@ GATES = {
     "para-sasakian": ("largest sasakian.* residual", 1e-6,
                       lambda ctx: float(np.maximum.reduce([c.residual for c in ctx.ps_gate.checks]))),
     "trace-phi-constant": ("spread of trace(phi) over the samples", 1e-7,
-                           lambda ctx: float(_max_abs((tr := ctx.struct.trace_phi()) - tr[0]))),
-    "shape-characterized": ("max gap of A to -eps I + eps eta(x)xi", 1e-2, lambda ctx: float(np.maximum.reduce(
-        hl.shape_characterization_gap_per_point(ctx.struct, ctx.data.shape.A)))),
+                           lambda ctx: float(_max_abs((tr := ctx.struct.trace_phi) - tr[0]))),
+    "shape-characterized": ("max gap of A to -eps I + eps eta(x)xi", 1e-2,
+                            lambda ctx: float(np.maximum.reduce(ctx.data.shape_gap))),
 }
 
 @dataclass
@@ -96,7 +99,8 @@ def _merge(report: CheckReport, tol_scale: float, *results: StructureCheckResult
 
 class _ModelContext:
     """What every suite of one request shares: the structure (and, for a
-    bundle, its hypersurface data) and the test vectors; the axiom checks
+    bundle, its hypersurface data) and the test vector pairs with their
+    products (:class:`paracontact_core.VectorPairs`); the axiom checks
     (the structure suite and the induced-axioms record report them), the
     para-Sasakian gate run (the sasakian suite reports it), and the
     Einstein-like fit and C11(phi R), each built on first use; the gates of
@@ -107,15 +111,15 @@ class _ModelContext:
         self.struct = struct
         self.data = data
         rng = derive_rng(cfg.seed, name, "vectors")
-        self.vectors = random_vectors(rng, struct.npoints, 2 * VECTOR_TUPLES, struct.dim)
+        self.pairs = VectorPairs(struct, random_vectors(rng, struct.npoints, 2 * VECTOR_TUPLES, struct.dim))
 
     @cached_property
     def axioms(self) -> StructureCheckResult:
-        return check_axioms(self.struct, self.vectors)
+        return check_axioms(self.pairs)
 
     @cached_property
     def ps_gate(self) -> StructureCheckResult:
-        return check_para_sasakian(self.struct, self.vectors)
+        return check_para_sasakian(self.pairs)
 
     @cached_property
     def fit_inputs(self) -> tuple[np.ndarray, ...]:
@@ -170,7 +174,7 @@ def _fit_with_stability(ctx: _ModelContext) -> StructureCheckResult:
 REQUESTS = {
     "structure": (0, (("structure", (), lambda ctx: [ctx.axioms]),)),
     "sasakian": (1, (("sasakian", (), lambda ctx: [ctx.ps_gate]),)),
-    "curvature": (2, (("curvature", (), lambda ctx: [check_ps_curvature_identities(ctx.struct, ctx.vectors)]),)),
+    "curvature": (2, (("curvature", (), lambda ctx: [check_ps_curvature_identities(ctx.pairs)]),)),
     "einstein": (METRIC_ORDER, (
         ("einstein", (), lambda ctx: [_fit_with_stability(ctx), el.verify_coefficient_constraints(ctx.fit, ctx.struct),
                                       el.verify_c11_identities(ctx.c11, ctx.struct)]),
@@ -185,9 +189,9 @@ REQUESTS = {
         ("hypersurface", (), lambda ctx: [hl.check_ambient(ctx.data.ambient), hl.check_gauss_equation(ctx.data)]),)),
     "hypersurface induced": (1, (
         ("hypersurface", (), lambda ctx: [hl.check_induced_frame(ctx.data, ctx.axioms),
-                                          hl.verify_induced_derivatives(ctx.data, ctx.vectors)]),)),
+                                          hl.verify_induced_derivatives(ctx.data, ctx.pairs)]),)),
     "hypersurface characterization": (1, (
-        ("hypersurface", (), lambda ctx: [hl.check_ps_characterization(ctx.data, ctx.vectors)]),
+        ("hypersurface", (), lambda ctx: [hl.check_ps_characterization(ctx.data, ctx.pairs)]),
         ("hypersurface", SHAPE, lambda ctx: [hl.quasi_umbilical_check(ctx.data.shape, ctx.data.structure)]))),
 }
 # "all" runs the five model suites' groups, "hypersurface all" the three subsets' groups

@@ -36,7 +36,7 @@ from paracheck.hypersurface_lab import (
     synthetic_gauss_check,
 )
 from paracheck.models import evaluate_structure, get_model
-from paracheck.paracontact_core import check_axioms, check_para_sasakian
+from paracheck.paracontact_core import VectorPairs, check_axioms, check_para_sasakian
 from paracheck.report import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR
 from paracheck.sampling import derive_rng, random_vectors, sample_points
 from paracheck.suites import RunConfig, run_suite, run_synthetic
@@ -104,9 +104,9 @@ def test_criterion_01_structure_and_defining_equations(e1_100, e2_100):
     1e-9 and the three defining-equation residuals below 1e-8 at 100 points."""
     ok = True
     for s, vec in (e1_100, e2_100):
-        axioms = check_axioms(s, vec)
+        axioms = check_axioms(VectorPairs(s, vec))
         ok &= len(axioms.checks) == 7 and max(c.residual for c in axioms.checks) < 1e-9
-        ps = check_para_sasakian(s, vec)
+        ps = check_para_sasakian(VectorPairs(s, vec))
         three = [ps.residual(f"sasakian.{name}") for name in ("defining-equation", "grad-xi", "grad-eta")]
         ok &= max(three) < 1e-8
     assert _announce("1 (structure + defining equations)", ok)
@@ -187,7 +187,7 @@ def test_criterion_06_trace_formula(e1_100):
     family member, residual below 1e-8."""
     s, _ = e1_100
     fit = _fit(s)
-    trphi = s.trace_phi()
+    trphi = s.trace_phi
     ok = bool(np.max(np.abs(trphi - (-2.0))) < 1e-12)
     checked = 0
     for a, b, c in fit.members():
@@ -253,17 +253,18 @@ def test_criterion_09_hypersurface_suite(e3a_100, e3b_100):
 
     ok = True
     vec_a = random_vectors(derive_rng(SEED, "E3a", "acc-vec"), e3a_100.structure.npoints, 2 * TUPLES, 3)
-    ok &= passed(check_axioms(e3a_100.structure, vec_a))
+    ok &= passed(check_axioms(VectorPairs(e3a_100.structure, vec_a)))
     ok &= float(np.max(np.abs(e3a_100.shape.A))) == 0.0
 
     vec_b = random_vectors(derive_rng(SEED, "E3b", "acc-vec"), e3b_100.structure.npoints, 2 * TUPLES, 3)
-    ok &= passed(check_axioms(e3b_100.structure, vec_b))
+    pairs_b = VectorPairs(e3b_100.structure, vec_b)
+    ok &= passed(check_axioms(pairs_b))
     eig = np.sort(np.linalg.eigvals(e3b_100.shape.A[0]).real)
     ok &= bool(np.max(np.abs(eig - np.array([-1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)]))) < 1e-6)
-    ind = verify_induced_derivatives(e3b_100, vec_b)
+    ind = verify_induced_derivatives(e3b_100, pairs_b)
     ok &= max(c.residual for c in ind.checks) < 1e-7
     tol = 1e-7
-    rho1 = defining_equation_gap_per_point(e3b_100.structure, vec_b)
+    rho1 = defining_equation_gap_per_point(pairs_b)
     rho2 = shape_characterization_gap_per_point(e3b_100.structure, e3b_100.shape.A)
     ok &= bool(np.min(rho1) > 10 * tol and np.min(rho2) > 10 * tol)
     ok &= bool(np.all((rho1 <= tol) == (rho2 <= tol)))

@@ -1,6 +1,8 @@
 """Each geometric object of a request is built once, and only when a
 requested check reads it: the connection of every metric, each covariant
-derivative, the axiom checks, the para-Sasakian gate and C11(phi R); and
+derivative, the axiom checks, the para-Sasakian gate, C11(phi R), trace(phi),
+the terms built from the vector pairs ((nabla_X phi) Y, the para-Sasakian
+right side, R(X, Y)) and a bundle's shape gap; and
 each distinct expression string of a field grid is parsed and evaluated
 once per grid, its tree built once per process; each metric is checked once,
 where it is evaluated, by one eigendecomposition; a jet product takes the
@@ -12,6 +14,7 @@ imports it by."""
 import functools
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from paracheck.hypersurface_lab import builtin_bundles
 from paracheck.manifest import save_manifest
 from paracheck.models import _eval_grid, evaluate_structure, get_model
 from paracheck.sampling import derive_rng, sample_points
-from paracheck.suites import RunConfig, run_suite
+from paracheck.suites import VECTOR_TUPLES, RunConfig, run_suite
 
 
 def _count(monkeypatch, fn, when=lambda out, *args: True) -> dict:
@@ -131,6 +134,56 @@ def test_bundle_all_checks_the_axioms_once(monkeypatch):
     axioms = _count(monkeypatch, paracontact_core.check_axioms)
     run_suite(builtin_bundles()["E3a"], "all", RunConfig(points=10))
     assert axioms["n"] == 1
+
+
+def _pair_builds(monkeypatch) -> tuple[Counter, dict, dict]:
+    """Counts what a request builds from its vector pairs: (nabla_X phi) Y,
+    the apply_op of the (1,2) tensor nabla phi on the pairs, and R contracted
+    with the pairs, an apply_op of the (1,3) tensor R; then the para-Sasakian
+    right sides and the per-point shape gaps of a bundle."""
+    builds = Counter()
+
+    def kind(out, op, *vectors):
+        builds["grad-phi"] += op.ndim == 4 and vectors[0].shape[1] == VECTOR_TUPLES
+        builds["R(X,Y)"] += op.ndim == 5
+        return True
+
+    _count(monkeypatch, paracontact_core.apply_op, kind)
+    return (builds, _count(monkeypatch, paracontact_core.para_sasakian_rhs),
+            _count(monkeypatch, hypersurface_lab.shape_characterization_gap_per_point))
+
+
+@pytest.mark.parametrize("name", ["E3a", "E3b"])
+def test_bundle_all_builds_each_vector_pair_term_once(monkeypatch, name):
+    """The para-Sasakian gate, the characterization's rho1, the shape
+    recovery, the induced (nabla phi) display and the curvature identities
+    share one (nabla_X phi) Y, one right side and one R(X, Y); the
+    shape-characterized gate and rho2 share one shape gap."""
+    builds, rhs, gap = _pair_builds(monkeypatch)
+    run_suite(builtin_bundles()[name], "all", RunConfig(points=10))
+    assert (builds["grad-phi"], rhs["n"], builds["R(X,Y)"], gap["n"]) == (1, 1, 1, 1)
+
+
+def test_chart_all_contracts_r_with_the_pairs_once(monkeypatch):
+    """R(X, Y) xi, R(X, Y) phi Z and R(X, Y) Z are mat-vecs of one R(X, Y)."""
+    builds, rhs, gap = _pair_builds(monkeypatch)
+    run_suite(get_model("E1n5"), "all", RunConfig(points=6))
+    assert (builds["grad-phi"], rhs["n"], builds["R(X,Y)"], gap["n"]) == (1, 1, 1, 0)
+
+
+def test_chart_all_takes_trace_phi_once(monkeypatch):
+    """The trace-phi-constant gate, the scalar ODE, the trace formula and
+    the C11 identities read one trace(phi)."""
+    einsum = np.einsum
+    traces = {"n": 0}
+
+    def counted(subscripts, *operands, **kwargs):
+        traces["n"] += subscripts == "paa->p"
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    run_suite(get_model("E1"), "all", RunConfig(points=10))
+    assert traces["n"] == 1
 
 
 def test_manifest_bundle_request_evaluates_the_bundle_once(monkeypatch, tmp_path):

@@ -202,7 +202,7 @@ class TestTraceFormula:
         """tr(phi) = -2 and eps(n-1) b / c = 2 (2/3)/(-2/3) = -2 for every
         member with c != 0."""
         fit = _fit(e1)
-        assert e1.trace_phi()[0] == pytest.approx(-2.0, abs=1e-12)
+        assert e1.trace_phi[0] == pytest.approx(-2.0, abs=1e-12)
         res = verify_trace_formula(fit, e1)
         assert passed(res)
         assert res.residual("einstein.trace-phi-formula") < 1e-8
@@ -241,9 +241,7 @@ class TestTraceFormula:
         class FakeStruct:
             dim = 4
             epsilon = 1
-
-            def trace_phi(self):
-                return np.array([float(np.trace(phi))] * 3)
+            trace_phi = np.array([float(np.trace(phi))] * 3)
 
         res = verify_trace_formula(fit, FakeStruct())
         # trace(phi) = 0 here while eps(n-1) b/c = -15, so the check fails

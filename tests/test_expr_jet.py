@@ -45,13 +45,13 @@ class TestParser:
         tree = parse_expr("1/(y*y)", ["x", "y"])
         assert isinstance(tree, BinOp) and tree.op == "/"
         assert tree.left == Num(1.0)
-        assert tree.right == BinOp("*", Var("y", 1), Var("y", 1))
+        assert tree.right == BinOp("*", Var(1), Var(1))
 
     def test_sum_of_product_and_call(self):
         tree = parse_expr("x*y + sin(x)", ["x", "y"])
         assert isinstance(tree, BinOp) and tree.op == "+"
-        assert tree.left == BinOp("*", Var("x", 0), Var("y", 1))
-        assert tree.right == Call("sin", Var("x", 0))
+        assert tree.left == BinOp("*", Var(0), Var(1))
+        assert tree.right == Call("sin", Var(0))
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError) as exc:

@@ -30,7 +30,7 @@ from paracheck.hypersurface_lab import (
     synthetic_gauss_check,
     verify_induced_derivatives,
 )
-from paracheck.paracontact_core import ParacontactStructure, check_axioms
+from paracheck.paracontact_core import ParacontactStructure, VectorPairs, check_axioms
 from paracheck.report import EXIT_INPUT_ERROR
 from paracheck.sampling import _seed, derive_rng, derive_states, random_vectors, sample_points
 from paracheck.suites import RunConfig, run_suite
@@ -57,6 +57,10 @@ def e3b_data():
 
 def _vectors(npoints, tag, dim=3, tuples=20):
     return random_vectors(derive_rng(7, tag, "v"), npoints, 2 * tuples, dim)
+
+
+def _pairs(struct, tag):
+    return VectorPairs(struct, _vectors(struct.npoints, tag, struct.dim))
 
 
 def _split_hyperplane(k):
@@ -139,7 +143,7 @@ class TestInducedStructure:
         assert e3a_data.epsilon_residual < 1e-12
 
     def test_hyperplane_induced_axioms(self, e3a_data):
-        res = check_axioms(e3a_data.structure, _vectors(e3a_data.structure.npoints, "E3a"))
+        res = check_axioms(_pairs(e3a_data.structure, "E3a"))
         assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
@@ -151,7 +155,7 @@ class TestInducedStructure:
         assert e3b_data.epsilon_residual < 1e-12
 
     def test_cone_induced_axioms_and_radial_xi(self, e3b_data):
-        res = check_axioms(e3b_data.structure, _vectors(e3b_data.structure.npoints, "E3b"))
+        res = check_axioms(_pairs(e3b_data.structure, "E3b"))
         assert passed(res)
         # xi is the radial direction: in the (t, a, b) chart xi ~ dt/sqrt(2)
         xi0 = e3b_data.structure.xi0
@@ -277,7 +281,7 @@ class TestShapeOperator:
 
     def test_self_adjointness(self, e3a_data, e3b_data):
         for data in (e3a_data, e3b_data):
-            axioms = check_axioms(data.structure, _vectors(data.structure.npoints, "self-adjoint"))
+            axioms = check_axioms(_pairs(data.structure, "self-adjoint"))
             assert check_induced_frame(data, axioms).residual("hypersurface.shape-self-adjoint") < 1e-8
 
     def test_h_is_eps_g_a(self, e3b_data):
@@ -340,12 +344,12 @@ class TestShapeOperator:
 
 class TestInducedDerivatives:
     def test_hyperplane_trivial(self, e3a_data):
-        res = verify_induced_derivatives(e3a_data, _vectors(e3a_data.structure.npoints, "E3a-ind"))
+        res = verify_induced_derivatives(e3a_data, _pairs(e3a_data.structure, "E3a-ind"))
         assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
     def test_cone_displays(self, e3b_data):
-        res = verify_induced_derivatives(e3b_data, _vectors(e3b_data.structure.npoints, "E3b-ind"))
+        res = verify_induced_derivatives(e3b_data, _pairs(e3b_data.structure, "E3b-ind"))
         assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-7
 
@@ -358,7 +362,7 @@ class TestInducedDerivatives:
             structure = ParacontactStructure(s.points, -s.epsilon, s.g, s.phi, s.xi, s.eta)
             shape = e3b_data.shape
 
-        res = verify_induced_derivatives(Flipped, _vectors(s.npoints, "E3b-flip"))
+        res = verify_induced_derivatives(Flipped, _pairs(Flipped.structure, "E3b-flip"))
         assert "hypersurface.induced-grad-eta" in [c.id for c in res.checks if c.status == "fail"]
 
 
@@ -392,13 +396,12 @@ class TestAmbient:
 
 class TestCharacterization:
     def test_cone_iff_both_sides_false(self, e3b_data):
-        vec = _vectors(e3b_data.structure.npoints, "E3b-char")
-        res = check_ps_characterization(e3b_data, vec)
+        res = check_ps_characterization(e3b_data, _pairs(e3b_data.structure, "E3b-char"))
         assert passed(res)
         assert res.residual("hypersurface.characterization-iff") == 0.0
 
     def test_hyperplane_iff_both_sides_false(self, e3a_data):
-        res = check_ps_characterization(e3a_data, _vectors(e3a_data.structure.npoints, "E3a-char"))
+        res = check_ps_characterization(e3a_data, _pairs(e3a_data.structure, "E3a-char"))
         assert passed(res)
 
     def test_planted_operator_satisfies_defining_equation_exactly(self, rng):
@@ -420,7 +423,7 @@ class TestCharacterization:
             g, phi, xi, eta = random_pointwise_structure(rng, 3, eps)
             struct = _pointwise_structure(g, phi, xi, eta, eps)
             vec = random_vectors(rng, 1, 24, 3)
-            A_hat, rank = recover_shape_operator(struct, vec)
+            A_hat, rank = recover_shape_operator(VectorPairs(struct, vec))
             assert rank == 9
             target = -eps * np.eye(3) + eps * np.outer(xi, eta)
             assert np.max(np.abs(A_hat[0] - target)) < 1e-10
@@ -429,7 +432,7 @@ class TestCharacterization:
             draws = [random_pointwise_structure(rng, 3, eps) for _ in range(6)]
             g, phi, xi, eta = (np.stack(t) for t in zip(*draws))
             struct = _pointwise_structure(g, phi, xi, eta, eps)
-            A_hat, rank = recover_shape_operator(struct, random_vectors(rng, 6, 24, 3))
+            A_hat, rank = recover_shape_operator(VectorPairs(struct, random_vectors(rng, 6, 24, 3)))
             assert rank == 9
             for p in range(6):
                 target = -eps * np.eye(3) + eps * np.outer(xi[p], eta[p])

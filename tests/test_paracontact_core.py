@@ -11,10 +11,12 @@ from paracheck.geometry_engine import covariant_derivative
 from paracheck.models import evaluate_structure, get_model
 from paracheck.paracontact_core import (
     ParacontactStructure,
+    VectorPairs,
     apply_op,
     check_axioms,
     check_para_sasakian,
     check_ps_curvature_identities,
+    form,
     pair,
 )
 from paracheck.report import CHECKS, StructureCheckResult, residual_norm
@@ -52,25 +54,25 @@ def test_value_helpers_match_their_einsum(name):
 
 class TestCheckAxioms:
     def test_e1_all_axioms_tight(self, e1, vectors):
-        res = check_axioms(e1, vectors(e1))
+        res = check_axioms(VectorPairs(e1, vectors(e1)))
         assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
     def test_e2_all_axioms_tight(self, e2, vectors):
-        res = check_axioms(e2, vectors(e2))
+        res = check_axioms(VectorPairs(e2, vectors(e2)))
         assert passed(res)
         assert max(c.residual for c in res.checks) < 1e-9
 
     def test_n1_fails_with_expected_magnitude(self, n1, vectors):
         """phi scaled by 1.01 leaves a phi^2 gap of about (1.01)^2 - 1 ~ 0.02
         before normalization."""
-        res = check_axioms(n1, vectors(n1))
+        res = check_axioms(VectorPairs(n1, vectors(n1)))
         assert not passed(res)
         assert "structure.phi-squared" in [c.id for c in res.checks if c.status == "fail"]
         assert 5e-3 < res.residual("structure.phi-squared") < 5e-2
 
     def test_axiom_names_are_the_seven_displays(self, e1, vectors):
-        res = check_axioms(e1, vectors(e1))
+        res = check_axioms(VectorPairs(e1, vectors(e1)))
         assert [c.id for c in res.checks] == [f"structure.{name}" for name in (
             "phi-squared", "eta-of-xi", "phi-of-xi", "eta-after-phi",
             "metric-compatibility", "phi-self-adjoint", "metric-xi-eta",
@@ -80,17 +82,17 @@ class TestCheckAxioms:
 class TestCheckParaSasakian:
     def test_e1_e2_defining_equations(self, e1, e2, vectors):
         for s in (e1, e2):
-            res = check_para_sasakian(s, vectors(s))
+            res = check_para_sasakian(VectorPairs(s, vectors(s)))
             assert passed(res)
             assert max(c.residual for c in res.checks) < 1e-8
 
     def test_f0_fails(self, f0, vectors):
-        res = check_para_sasakian(f0, vectors(f0))
+        res = check_para_sasakian(VectorPairs(f0, vectors(f0)))
         assert not passed(res)
         assert "sasakian.grad-xi" in [c.id for c in res.checks if c.status == "fail"]
 
     def test_n1_fails(self, n1, vectors):
-        res = check_para_sasakian(n1, vectors(n1))
+        res = check_para_sasakian(VectorPairs(n1, vectors(n1)))
         assert not passed(res)
 
     def test_cone_induced_structure_is_not_para_sasakian(self):
@@ -101,21 +103,21 @@ class TestCheckParaSasakian:
         pts = sample_points(bundle.embedding.domain, 40, derive_rng(4, "E3b", "core"))
         data = evaluate_bundle(bundle, pts)
         vec = random_vectors(derive_rng(4, "E3b", "corev"), 40, 40, 3)
-        rho = defining_equation_gap_per_point(data.structure, vec)
+        rho = defining_equation_gap_per_point(VectorPairs(data.structure, vec))
         assert float(np.min(rho)) > 0.1
 
 
 class TestCurvatureIdentities:
     def test_e1_e2_all_four(self, e1, e2, vectors):
         for s in (e1, e2):
-            res = check_ps_curvature_identities(s, vectors(s))
+            res = check_ps_curvature_identities(VectorPairs(s, vectors(s)))
             assert passed(res)
             assert max(c.residual for c in res.checks) < 1e-7
 
     def test_flat_formal_fails_r_identity(self, f0, vectors):
         """R = 0 on the flat chart, so R(X,Y)xi = eta(X)Y - eta(Y)X cannot
         hold; the residual is the size of the right side."""
-        res = check_ps_curvature_identities(f0, vectors(f0))
+        res = check_ps_curvature_identities(VectorPairs(f0, vectors(f0)))
         assert "curvature.r-xy-xi" in [c.id for c in res.checks if c.status == "fail"]
 
     def test_closed_form_oracle_constant_curvature(self, e1, e2, vectors):
@@ -129,6 +131,65 @@ class TestCurvatureIdentities:
                 - np.einsum('pik,lj->plijk', s.g0, np.eye(3))
             )
             assert np.max(np.abs(R - closed)) < 1e-10
+
+
+def _curvature_identities_by_three_contractions(v: VectorPairs) -> StructureCheckResult:
+    """The four curvature identities with R(X, Y) xi, R(X, Y) phi Z and
+    R(X, Y) Z each a contraction apply_op(R, X, Y, .) of its own: the
+    reference for check_ps_curvature_identities, which shares one R(X, Y)."""
+    s = v.struct
+    eps, n = s.epsilon, s.dim
+    R = s.curvature.riemann_ud.components[..., 0]
+    S = s.curvature.ricci.components[..., 0]
+    phi, xi, eta, g, Phi = s.phi0, s.xi0, s.eta0, s.g0, s.Phi0
+    X, Y, Z = v.X, v.Y, np.roll(v.Y, 1, axis=1)
+    phiX, phiY, phiZ = (apply_op(phi, W) for W in (X, Y, Z))
+    res = StructureCheckResult()
+    RXYxi = apply_op(R, X, Y, xi[:, None])
+    tgt = form(eta, X)[..., None] * Y - form(eta, Y)[..., None] * X
+    res.add("curvature.r-xy-xi", RXYxi - tgt, RXYxi, tgt, X, Y)
+    RXYphiZ = apply_op(R, X, Y, phiZ)
+    PhiYZ, PhiXZ = pair(Phi, Y, Z)[..., None], pair(Phi, X, Z)[..., None]
+    etaX, etaY, etaZ = (form(eta, W)[..., None] for W in (X, Y, Z))
+    gYZ, gXZ = pair(g, Y, Z)[..., None], pair(g, X, Z)[..., None]
+    xi_b = xi[:, None, :]
+    rhs = (apply_op(phi, apply_op(R, X, Y, Z)) + eps * PhiYZ * X - eps * PhiXZ * Y
+           - 2 * eps * PhiYZ * etaX * xi_b + 2 * eps * PhiXZ * etaY * xi_b
+           - eps * gYZ * phiX + eps * gXZ * phiY
+           + 2 * etaY * etaZ * phiX - 2 * etaX * etaZ * phiY)
+    res.add("curvature.r-xy-phi-z", RXYphiZ - rhs, RXYphiZ, rhs, X, Y, Z)
+    res.add("curvature.ricci-phi-symmetric", pair(S, X, phiY) - pair(S, phiX, Y), pair(S, X, phiY))
+    SXxi = pair(S, X, xi[:, None])
+    res.add("curvature.ricci-xi", SXxi + (n - 1) * form(eta, X), SXxi)
+    return res
+
+
+def test_shared_r_xy_matches_three_contractions():
+    """On E1n5, the cone E3b and the negative controls N1 and F0, every
+    curvature record and status computed from the pairs' one R(X, Y) equals
+    the three-contraction reference within 1e-13 (residuals are already
+    relative to the identity's scale), and each R(X, Y) W within 1e-13 of
+    the largest entry, on passing and failing rows alike."""
+    statuses = set()
+    for name in ("E1n5", "E3b", "N1", "F0"):
+        if name == "E3b":
+            bundle = builtin_bundles()[name]
+            pts = sample_points(bundle.embedding.domain, 12, derive_rng(42, name, "points"))
+            struct = evaluate_bundle(bundle, pts, 2).structure
+        else:
+            model = get_model(name)
+            struct = evaluate_structure(model, sample_points(model.domain, 12, derive_rng(42, name, "points")), 2)
+        v = VectorPairs(struct, random_vectors(derive_rng(42, name, "vectors"), 12, 40, struct.dim))
+        got, ref = check_ps_curvature_identities(v).checks, _curvature_identities_by_three_contractions(v).checks
+        assert [(c.id, c.status) for c in got] == [(c.id, c.status) for c in ref]
+        for c, r in zip(got, ref):
+            assert abs(c.residual - r.residual) <= 1e-13 * max(1.0, r.residual), (name, c.id)
+        statuses |= {c.status for c in got}
+        R = struct.curvature.riemann_ud.components[..., 0]
+        for W in (struct.xi0[:, None], apply_op(struct.phi0, v.Z), v.Z):
+            want = apply_op(R, v.X, v.Y, W)
+            assert np.max(np.abs((v.R @ W[..., None])[..., 0] - want)) <= 1e-13 * np.max(np.abs(want)), name
+    assert statuses == {"pass", "fail"}
 
 
 class TestStructureInvariants:
@@ -168,12 +229,12 @@ class TestNegativeControlDiscipline:
     def test_every_check_operation_fails_on_some_negative_model(self, n1, f0, vectors):
         """A check that cannot fail is a defect: each of the three operations
         must reject at least one planted-defect fixture."""
-        assert not passed(check_axioms(n1, vectors(n1)))
-        assert not passed(check_para_sasakian(f0, vectors(f0)))
-        assert not passed(check_ps_curvature_identities(f0, vectors(f0)))
+        assert not passed(check_axioms(VectorPairs(n1, vectors(n1))))
+        assert not passed(check_para_sasakian(VectorPairs(f0, vectors(f0))))
+        assert not passed(check_ps_curvature_identities(VectorPairs(f0, vectors(f0))))
 
     def test_curvature_check_records_the_four_identities(self, e1, vectors):
-        ids = [c.id for c in check_ps_curvature_identities(e1, vectors(e1)).checks]
+        ids = [c.id for c in check_ps_curvature_identities(VectorPairs(e1, vectors(e1))).checks]
         assert sorted(ids) == ["curvature.r-xy-phi-z", "curvature.r-xy-xi", "curvature.ricci-phi-symmetric",
                                "curvature.ricci-xi"]
 
@@ -205,9 +266,9 @@ class TestOneResidualRule:
         b = builtin_bundles()["E3b"]
         e3b = evaluate_bundle(b, sample_points(b.embedding.domain, 12, derive_rng(42, "E3b", "points"))).structure
         for s in (e1, n1, f0, e3b):
-            v = vectors(s)
-            record = check_para_sasakian(s, v).residual("sasakian.defining-equation")
-            assert defining_equation_gap_per_point(s, v).max() == record
+            v = VectorPairs(s, vectors(s))
+            record = check_para_sasakian(v).residual("sasakian.defining-equation")
+            assert defining_equation_gap_per_point(v).max() == record
 
     def test_record_without_inputs_reads_max_gap(self, rng):
         gap = rng.standard_normal((6, 3, 3))

@@ -133,9 +133,9 @@ class TestRunSuite:
     def test_trace_phi_gate(self, monkeypatch):
         """A trace(phi) that drifts by 1e-6 over the samples turns off exactly
         the three records behind the trace-phi-constant gate."""
-        trace_phi = ParacontactStructure.trace_phi
+        trace_phi = ParacontactStructure.trace_phi.func
         monkeypatch.setattr(ParacontactStructure, "trace_phi",
-                            lambda self: trace_phi(self) + np.linspace(0.0, 1e-6, self.npoints))
+                            property(lambda self: trace_phi(self) + np.linspace(0.0, 1e-6, self.npoints)))
         report = run_suite(get_model("E1"), "all", RunConfig(points=10, seed=7))
         gated = [c for c in report.checks if c.status == "not-applicable"]
         assert sorted(c.id for c in gated) == [

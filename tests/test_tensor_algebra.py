@@ -40,7 +40,7 @@ def _value(components):
 
 class TestContract:
     def test_trace_of_phi_on_e1(self, e1):
-        assert e1.trace_phi()[0] == pytest.approx(-2.0)
+        assert e1.trace_phi[0] == pytest.approx(-2.0)
 
     def test_pairing_identity(self, rng):
         v = rng.uniform(-1, 1, 4)
