@@ -142,7 +142,9 @@ class _Types:
     package gives that name elsewhere; ``self`` by its class; a local by
     what it is assigned, iterated over or bound to in a comprehension.  An
     expression ``e.a`` takes the annotation of field or property ``a`` of
-    e's class, or the value an ``__init__`` assigns to ``self.a``; a call of
+    e's class, or the type of the value an ``__init__`` assigns to
+    ``self.a``, else the one annotation the package gives the name ``a``
+    (``data.shape``, an unannotated property, is a ShapeData); a call of
     a class, its class; a call of a function or method, its return
     annotation; a subscript or an iteration of a container, its items."""
 
