@@ -8,7 +8,8 @@ models Phi is itself a combination of g and eta(x)eta, so the fit is rank 2
 and (a, b, c) is a one-parameter family; the fit reports the minimum-norm
 member plus the nullspace direction rather than pretending the triple is
 unique, and every downstream constraint is evaluated for family members t in
-{-1, 0, 1}.
+{-1, 0, 1}: each member's residual is added to the one recorder,
+:class:`report.StructureCheckResult`, which keeps the largest.
 
 Two of the published displays disagree with what substitution of the
 verified intermediate identities yields (the eta(x)eta coefficient of the
@@ -79,11 +80,10 @@ def fit_einstein_like(g: np.ndarray, Phi: np.ndarray, eta: np.ndarray, S: np.nda
 
 def _add_over_family(res: StructureCheckResult, fit: EinsteinLikeFit, gaps, ids: tuple[str, ...],
                      skip_c0: bool = False):
-    """Add one record for each of ``ids``: the max over the fit's family
-    members of the matching residual that gaps(a, b, c) returns, NaN
-    propagating.  With skip_c0 the members with c = 0 are skipped, and every
-    record is vacuous when that skips them all.  The detail is what was
-    measured: the number of members, and of those skipped."""
+    """Add each kept family member's residuals gaps(a, b, c) under ``ids``,
+    so each record keeps its largest.  With skip_c0 the members with c = 0
+    are skipped, and every record is vacuous when that skips them all.  The
+    detail is what was measured: the number of members, and of those skipped."""
     members = fit.members()
     kept = [m for m in members if not (skip_c0 and abs(m[2]) < DEGENERATE_C)]
     if not kept:
@@ -92,8 +92,9 @@ def _add_over_family(res: StructureCheckResult, fit: EinsteinLikeFit, gaps, ids:
         return
     skipped = len(members) - len(kept)
     detail = f"max over {len(kept)} family member(s)" + (f", {skipped} with c = 0 skipped" if skipped else "")
-    for cid, worst in zip(ids, np.maximum.reduce([gaps(*m) for m in kept], axis=0)):
-        res.add(cid, worst, detail=detail)
+    for m in kept:
+        for cid, residual in zip(ids, gaps(*m)):
+            res.add(cid, residual, detail=detail)
 
 
 def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:

@@ -14,7 +14,8 @@ the resulting displays are compared coefficient by coefficient.  Where the
 published displays disagree with the computed reduction (they do: the gg
 coefficient and the eta-cross prefactor, hence the recovered constant and
 the final Ricci form), both variants are reported, with the re-derived one
-normative.
+normative.  Each block of trials adds its gaps to the one recorder, which
+keeps each record's largest over the trials.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .expr_jet import JetSpace, _locate, _moveaxis
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
 from .models import FIELD_ORDER, METRIC_ORDER, _eval_grid, _field_jets
-from .paracontact_core import ParacontactStructure, VectorPairs, apply_op, defining_equation_gap_per_point, form, pair
+from .paracontact_core import ParacontactStructure, VectorPairs, apply_op, form, pair
 from .report import StructureCheckResult, _max_abs, residual_norm
 from .sampling import _halves, _seed, derive_states
 from .tensor_algebra import TensorValue, check_metric, invert_jet_matrix, min_norm_solve
@@ -41,10 +42,10 @@ COMPONENT_SIGN_FLOOR = 1e-8
 SYNTHETIC_MAX_DIM = 40         # synthetic memory grows as n^4: a request peaks near 91 MB RSS at n = 40
 SYNTHETIC_MAX_TRIALS = 10 ** 6  # bounds run time: about 22 us a trial at n = 3 (22 s at the bound), 60 ms at n = 40
 PS_POINT_THRESHOLD = 1e-7      # the characterization calls a point para-Sasakian when its rho is at most this
-# synthetic trials are drawn into block arrays of max(1, _BLOCK_ELEMENTS // n**3) rows, about 3 n^2 floats
-# a row, and each draw block is evaluated in the fewest near-equal blocks of at most
-# max(1, _BLOCK_ELEMENTS // P**2) trials, P = n(n-1)/2, so the chain's largest arrays, the (trials, P, P)
-# x < y, z < w quarters of curvature-shaped tensors, stay near 128 KB, and _ricci's spread is 2n/(n-1) times that
+# synthetic trials are drawn and evaluated in blocks of max(1, _BLOCK_ELEMENTS // max(n**3, P**2)) trials,
+# P = n(n-1)/2, so a block's draws, about 3 n^2 <= n^3 floats a trial, and the chain's largest arrays, the
+# (trials, P, P) x < y, z < w quarters of curvature-shaped tensors, stay within 128 KB (n**3 is the larger
+# term up to n = 5, P**2 from n = 6 on); _ricci's spread is 2n/(n-1) times a quarter
 _BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -340,7 +341,8 @@ def check_induced_frame(data: HypersurfaceData, axioms: StructureCheckResult) ->
     Alow = data.structure.epsilon * data.shape.h                     # g(A., .)
     res.add("hypersurface.shape-self-adjoint", Alow - Alow.swapaxes(1, 2), Alow)
     res.add("hypersurface.epsilon-consistent", data.epsilon_residual, detail=f"eps = {data.structure.epsilon:+d}")
-    res.add("hypersurface.induced-axioms", np.maximum.reduce([c.residual for c in axioms.checks]))
+    for c in axioms.checks:
+        res.add("hypersurface.induced-axioms", c.residual)
     return res
 
 
@@ -410,8 +412,7 @@ def check_ps_characterization(data: HypersurfaceData, v: VectorPairs) -> Structu
     pointwise, plus the constructive recovery of A from the displays."""
     s = data.structure
     res = StructureCheckResult()
-    rho1 = defining_equation_gap_per_point(v)
-    rho2 = data.shape_gap
+    rho1, rho2 = v.rho1, data.shape_gap
     # a point where either side is NaN violates the equivalence
     mismatch = np.isnan(rho1 + rho2) | ((rho1 <= PS_POINT_THRESHOLD) != (rho2 <= PS_POINT_THRESHOLD))
     res.add("hypersurface.characterization-iff", mismatch.sum(),
@@ -541,16 +542,16 @@ def _ricci(ginv_rows: np.ndarray, R: np.ndarray) -> np.ndarray:
     return Y.T @ U[..., 0] - X.T @ U[..., 1]
 
 
-def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray,
-                 perturb_a: float) -> dict[str, float]:
+def _gauss_chain(res: StructureCheckResult, epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray,
+                 eta: np.ndarray, perturb_a: float):
     """The synthetic Gauss chain on a block of trials (leading axis of g, phi, xi, eta).
-    Returns the block maximum of each synthetic.* record's residual, keyed by its CHECKS id.  The
-    recovered k per trial and its solve residual live only inside the block: both feed the two k
+    Adds each synthetic.* record's gaps on the block to ``res`` under its CHECKS id, at absolute
+    scale (no inputs), so the recorder keeps each record's maximum over the blocks.  The
+    recovered k per trial and its solve gap live only inside the block: both feed the two k
     records, and k the Ricci contraction.  Curvature-shaped arrays live on
     _wedge's quarter x < y, z < w; scaling and summing keep negated entries negated and zeros zero,
     so each maximum is the full one bit for bit.  The xi-contraction reads the quarter through the
-    one-hot pair rows X and Y, both Ricci contractions through _ricci and one stack of g^-1 rows.
-    Every maximum propagates NaN."""
+    one-hot pair rows X and Y, both Ricci contractions through _ricci and one stack of g^-1 rows."""
     T, n = g.shape[:2]
     xs, ys, X, Y = _pair_table(n)[:4]
     Phi = phi.swapaxes(1, 2) @ g
@@ -560,7 +561,7 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     if perturb_a:
         A = A + perturb_a * xe
     h = epsilon * np.einsum('tma,tmb->tab', A, g)
-    worst = {"synthetic.quasi-umbilical-exact": _max_abs(h + g - epsilon * ee)}
+    res.add("synthetic.quasi-umbilical-exact", h + g - epsilon * ee)
 
     Wgg, WPP = _wedge(g, g), _wedge(Phi, Phi)
     M1 = Wgg + WPP                               # coefficient of k
@@ -569,8 +570,8 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     # the reduction k M1 + M0 and both displays, (k + eps)[gg] + k[PhiPhi] + {eta-cross} and
     # (k - 1)[gg] + k[PhiPhi] + eps{eta-cross}, share the k-coefficient Wgg + WPP = M1, so each
     # display's gap is its constant term, the same at every k
-    worst["synthetic.gauss-vs-derived-display"] = _max_abs(M0 - epsilon * Wgg - cross)
-    worst["synthetic.gauss-vs-printed-display"] = _max_abs(M0 + Wgg - epsilon * cross)
+    res.add("synthetic.gauss-vs-derived-display", M0 - epsilon * Wgg - cross)
+    res.add("synthetic.gauss-vs-printed-display", M0 + Wgg - epsilon * cross)
 
     # solve R(X,Y)xi = eta(X) Y - eta(Y) X for k on the computed reduction: as M[p,w,z] =
     # -M[p,z,w], sum_z M[p,z,w] xi[z] is M @ B with B[q] = xi[xs[q]] e_ys[q] - xi[ys[q]] e_xs[q]
@@ -580,9 +581,9 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     av = lhs1.reshape(T, -1)
     bv = (target - lhs0).reshape(T, -1)
     k_solved = (av * bv).sum(axis=1) / (av * av).sum(axis=1)
-    k_resid = _max_abs(k_solved[:, None, None] * lhs1 + lhs0 - target, (1, 2))
-    worst["synthetic.k-vs-derived"] = np.maximum(_max_abs(k_solved - (-epsilon)), np.maximum.reduce(k_resid))
-    worst["synthetic.k-vs-printed"] = _max_abs(k_solved - (2 - epsilon))
+    res.add("synthetic.k-vs-derived", k_solved - (-epsilon))
+    res.add("synthetic.k-vs-derived", k_solved[:, None, None] * lhs1 + lhs0 - target)
+    res.add("synthetic.k-vs-printed", k_solved - (2 - epsilon))
 
     # Ricci of the computed reduction at the recovered k
     ginv = np.linalg.inv(g)
@@ -592,20 +593,19 @@ def _gauss_chain(epsilon: int, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, e
     S_derived = -epsilon * trphi * Phi + (1 - n) * ee
     S_printed = (((2 - epsilon) * (n - 2) - n) * g + (2 - epsilon) * trphi * Phi
                  + epsilon * (4 - epsilon - n) * ee)
-    worst["synthetic.ricci-vs-derived-form"] = _max_abs(S - S_derived)
-    worst["synthetic.ricci-vs-printed-form"] = _max_abs(S - S_printed)
+    res.add("synthetic.ricci-vs-derived-form", S - S_derived)
+    res.add("synthetic.ricci-vs-printed-form", S - S_printed)
 
     # internal consistency of the printed chain: contracting the printed
     # display at k = 2 - eps reproduces the printed Ricci display
     Rp = ((2 - epsilon) - 1) * Wgg + (2 - epsilon) * WPP + epsilon * cross
-    worst["synthetic.printed-chain-self-consistency"] = _max_abs(_ricci(ginv_rows, Rp) - S_printed)
+    res.add("synthetic.printed-chain-self-consistency", _ricci(ginv_rows, Rp) - S_printed)
 
     # Einstein-like fit of the computed Ricci and the coefficient constraint
     cols = np.stack([g.reshape(T, -1), Phi.reshape(T, -1), ee.reshape(T, -1)], axis=2)
     coef, _, _ = min_norm_solve(cols, S.reshape(T, -1))
-    worst["synthetic.einstein-like-fit"] = _max_abs(np.einsum('tij,tj->ti', cols, coef) - S.reshape(T, -1))
-    worst["synthetic.eps-a-plus-c"] = _max_abs(epsilon * coef[:, 0] + coef[:, 2] - (1 - n))
-    return worst
+    res.add("synthetic.einstein-like-fit", np.einsum('tij,tj->ti', cols, coef) - S.reshape(T, -1))
+    res.add("synthetic.eps-a-plus-c", epsilon * coef[:, 0] + coef[:, 2] - (1 - n))
 
 
 def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
@@ -625,10 +625,10 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     solving R(X,Y)xi = eta(X) Y - eta(Y) X on the computed reduction forces
     k = -eps (printed chain: k = 2 - eps).  Both chains are reported; the
     derived one is normative.  The quasi-umbilical form h = -g + eps eta(x)eta
-    and the constraint eps a + c = 1 - n hold on both chains.  Each
-    synthetic.* record is the maximum over the blocks of its _gauss_chain
-    value, added under its CHECKS id; the display it compares is its anchor,
-    and it carries no detail.
+    and the constraint eps a + c = 1 - n hold on both chains.  Each block's
+    _gauss_chain adds its gaps to the request's recorder under their CHECKS
+    ids, so each synthetic.* record is its maximum over the blocks; the display
+    it compares is its anchor, and it carries no detail.
 
     The reduction and both displays share the k-coefficient [gg] + [PhiPhi],
     so each display record measures its constant term once, a gap that holds
@@ -638,32 +638,23 @@ def synthetic_gauss_check(epsilon: int, n: int, trials: int, seed: int,
     Trial t is the first draw of its own stream derive_rng(seed, "synthetic-gauss", eps + 1, n, t).
     None is degenerate: g = L^-T g0 L^-1, with |w| in [0.5, 2] and L's singular values in
     [0.75, 1.35], has its singular values in [0.5/1.35^2, 2/0.75^2].  The trials are drawn and
-    evaluated in blocks, so no record depends on a block size.  Up to max(draw block,
+    evaluated in blocks, so no record depends on a block size.  Up to max(block,
     _BLOCK_ELEMENTS // 4) streams are seeded in one derive_states pass and drawn through one reused
     generator straight into the block arrays (_draw_block), from which _assemble_block builds every
     structure of the block at once; p, the ker-eta weights and the signs are read from raw words
-    by numpy's own rules, bit for bit.  No array grows with the trial count: each block's
-    maxima are folded into the running ones.  RunConfig checks n >= 3, trials >= 1 and eps = +-1.
+    by numpy's own rules, bit for bit.  No array grows with the trial count: the recorder folds
+    each block's maxima into the running ones.  RunConfig checks n >= 3, trials >= 1 and eps = +-1.
     """
-    worst: dict[str, float] = {}
-    draw_block, chain_block = (max(1, _BLOCK_ELEMENTS // size) for size in (n ** 3, (n * (n - 1) // 2) ** 2))
-    # one derive_states call costs about as much at any length, so it seeds many draw blocks
-    seed_block = draw_block * max(1, _BLOCK_ELEMENTS // 4 // draw_block)
+    res = StructureCheckResult()
+    block = max(1, _BLOCK_ELEMENTS // max(n ** 3, (n * (n - 1) // 2) ** 2))
+    # one derive_states call costs about as much at any length, so it seeds many blocks
+    seed_block = block * max(1, _BLOCK_ELEMENTS // 4 // block)
     rng = np.random.Generator(np.random.PCG64(0))
-    for start in range(0, trials, draw_block):
-        stop = min(start + draw_block, trials)
+    for start in range(0, trials, block):
         if start % seed_block == 0:
             states = derive_states(seed, "synthetic-gauss", epsilon + 1, n, counters=range(start, trials)[:seed_block])
-        drawn = _assemble_block(_draw_block(rng, states[start % seed_block:][:stop - start], n), n, epsilon)
-        parts = -(-(stop - start) // chain_block)
-        cuts = [start + (stop - start) * j // parts for j in range(parts + 1)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            for cid, value in _gauss_chain(epsilon, *(a[lo - start:hi - start] for a in drawn), perturb_a).items():
-                worst[cid] = np.maximum(worst.get(cid, 0.0), value)
-
-    res = StructureCheckResult()
-    for cid, value in worst.items():
-        res.add(cid, value)
+        raw = _draw_block(rng, states[start % seed_block:][:block], n)
+        _gauss_chain(res, epsilon, *_assemble_block(raw, n, epsilon), perturb_a)
     return res
 
 

@@ -7,8 +7,8 @@ of the structure axioms, of the defining covariant-derivative equations, and
 of the curvature identities those equations force.  A request draws its
 test vectors once, as one :class:`VectorPairs`, which builds on first read
 the products its checks share: phi X, phi Y, phi^2 X, (nabla_X phi) Y, the
-defining equation's right side and R(X, Y).  The structure caches nabla phi,
-nabla xi, nabla eta, its curvature and trace(phi) the same way.
+defining equation's right side and residual rho1, and R(X, Y).  The structure
+caches nabla phi, nabla xi, nabla eta, its curvature and trace(phi) alike.
 
 Each check hands its gaps, with the tensors entering each identity, to the
 one recorder, :class:`report.StructureCheckResult`, beside the check table
@@ -156,7 +156,10 @@ class VectorPairs:
     """A request's random vector pairs (X, Y) = (v[2k], v[2k+1]) at the points
     of ``struct``, Z = Y shifted by one pair, and what the checks read of them,
     each built once, on first read: phi X, phi Y, phi^2 X, (nabla_X phi) Y, the
-    para-Sasakian right side, and R(X, Y) as (P, V, n, n) operators."""
+    para-Sasakian right side, rho1, and R(X, Y) as (P, V, n, n) operators.
+    rho1 is the defining equation's residual at each point, its inputs lhs,
+    rhs, X and Y: one scale for all points, so its max is the
+    ``sasakian.defining-equation`` residual."""
 
     def __init__(self, struct: ParacontactStructure, vectors: np.ndarray):
         self.struct = struct
@@ -168,6 +171,8 @@ class VectorPairs:
     phi2X = cached_property(lambda self: apply_op(self.struct.phi0, self.phiX))
     grad_phi = cached_property(lambda self: apply_op(self.struct.nabla_phi, self.X, self.Y))
     rhs = cached_property(lambda self: para_sasakian_rhs(self))
+    rho1 = cached_property(lambda self: residual_norm(self.grad_phi - self.rhs, self.grad_phi, self.rhs, self.X,
+                                                      self.Y, axis=(1, 2)))
     R = cached_property(lambda self: apply_op(self.struct.curvature.riemann_ud.components[..., 0], self.X, self.Y))
 
 
@@ -210,14 +215,6 @@ def para_sasakian_rhs(v: VectorPairs) -> np.ndarray:
             - s.epsilon * form(s.eta0, v.Y)[..., None] * v.phi2X)
 
 
-def defining_equation_gap_per_point(v: VectorPairs) -> np.ndarray:
-    """The residual of the para-Sasakian defining equation
-    (nabla_X phi) Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X at each point,
-    its inputs lhs, rhs, X and Y: one scale for all points, so the max is the
-    ``sasakian.defining-equation`` residual."""
-    return residual_norm(v.grad_phi - v.rhs, v.grad_phi, v.rhs, v.X, v.Y, axis=(1, 2))
-
-
 def check_para_sasakian(v: VectorPairs) -> StructureCheckResult:
     """Residuals of the defining covariant-derivative equations:
 
@@ -229,7 +226,7 @@ def check_para_sasakian(v: VectorPairs) -> StructureCheckResult:
     """
     s = v.struct
     res = StructureCheckResult()
-    res.add("sasakian.defining-equation", np.maximum.reduce(defining_equation_gap_per_point(v)))
+    res.add("sasakian.defining-equation", v.rho1)
     phi = s.phi0
     res.add("sasakian.grad-xi", s.nabla_xi - s.epsilon * phi, phi)
     Phi = s.Phi0

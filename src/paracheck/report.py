@@ -12,8 +12,10 @@ its residual follows.  A record's detail holds only what its run measured
 :class:`StructureCheckResult` is the one recorder.  A check hands it a gap
 and the tensors entering the identity, and it records their
 :func:`residual_norm`, max |gap| / (1 + max |input|), or max |gap| with no
-inputs; a residual already reduced (a maximum over fit family members or
-synthetic blocks, a count) it records unchanged.  Each record carries its
+inputs; a residual already reduced (a count) it records as it is.  It is the
+one place a record's maximum is folded: an id added again (per fit family
+member, synthetic block or structure axiom) keeps the larger residual by
+``np.maximum``, so a NaN wins in either order.  Each record carries its
 row's anchor, tolerance at scale 1, and the status of :func:`status_of`:
 
 - a non-finite residual is ``fail``;
@@ -22,10 +24,11 @@ row's anchor, tolerance at scale 1, and the status of :func:`status_of`:
   (a published display that the re-derived normative record overrules) and
   ``fail`` on every other record.
 
-A record with nothing measured carries its own status and tolerance 0:
-``vacuous`` when every family member was degenerate, ``not-applicable`` when
-a gate declared in :data:`CHECKS` fails.  Only ``fail`` affects the exit
-code; an informational record never fails on a finite residual.
+A record with nothing measured is added once, with its own status and
+tolerance 0: ``vacuous`` when every family member was degenerate,
+``not-applicable`` when a gate declared in :data:`CHECKS` fails.  Only
+``fail`` affects the exit code; an informational record never fails on a
+finite residual.
 
 Reports serialize to JSON deterministically: records sorted by id, keys
 sorted, floats via repr, and a non-finite residual as 1e300, so the output
@@ -208,27 +211,30 @@ class CheckRecord:
 
 @dataclass
 class StructureCheckResult:
-    """The one recorder: records in the order added, each at tolerance
-    scale 1."""
+    """The one recorder: records by id, in the order first added, each at
+    tolerance scale 1."""
 
-    checks: list[CheckRecord] = field(default_factory=list)
+    records: dict[str, CheckRecord] = field(default_factory=dict)
+    checks = property(lambda self: list(self.records.values()))
 
     def add(self, cid: str, gap, *inputs: np.ndarray, detail: str = "", status: str | None = None):
         """Record ``cid`` with the :func:`residual_norm` of an array ``gap``
-        and its ``inputs``, or with a residual ``gap`` that is already
-        reduced, as it is.  A ``status`` (vacuous or not-applicable) marks a
-        record with nothing measured, at tolerance 0."""
-        row = CHECKS[cid]
+        and its ``inputs``, or with a residual ``gap`` already reduced, as it
+        is; an id added again keeps the larger residual, its row's status for
+        it and its first detail.  A ``status`` (vacuous or not-applicable)
+        marks a record with nothing measured, at tolerance 0, added once."""
+        row, old = CHECKS[cid], self.records.get(cid)
         residual = residual_norm(gap, *inputs) if isinstance(gap, np.ndarray) else float(gap)
+        if old is not None:
+            if status or old.status in (VACUOUS, NOT_APPLICABLE):
+                raise ValueError(f"{cid}: a record with nothing measured is added once")
+            residual, detail = float(np.maximum(old.residual, residual)), old.detail
         tol = 0.0 if status else row.tol
-        self.checks.append(CheckRecord(cid, row.anchor, residual, tol,
-                                       status or status_of(residual, tol, row.informational), detail))
+        self.records[cid] = CheckRecord(cid, row.anchor, residual, tol,
+                                        status or status_of(residual, tol, row.informational), detail)
 
     def get(self, cid: str) -> CheckRecord:
-        for c in self.checks:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self.records[cid]
 
     def residual(self, cid: str) -> float:
         return self.get(cid).residual

@@ -103,8 +103,9 @@ class _ModelContext:
     products (:class:`paracontact_core.VectorPairs`); the axiom checks
     (the structure suite and the induced-axioms record report them), the
     para-Sasakian gate run (the sasakian suite reports it), and the
-    Einstein-like fit and C11(phi R), each built on first use; the gates of
-    :data:`GATES` measure it."""
+    Einstein-like fit and C11(phi R), each built on first use; and the value
+    of each gate of :data:`GATES` measured on it, kept from its first
+    measurement in ``gate_values``."""
 
     def __init__(self, struct: ParacontactStructure, name: str, cfg: RunConfig,
                  data: hl.HypersurfaceData | None = None):
@@ -112,6 +113,7 @@ class _ModelContext:
         self.data = data
         rng = derive_rng(cfg.seed, name, "vectors")
         self.pairs = VectorPairs(struct, random_vectors(rng, struct.npoints, 2 * VECTOR_TUPLES, struct.dim))
+        self.gate_values: dict[str, float] = {}
 
     @cached_property
     def axioms(self) -> StructureCheckResult:
@@ -141,7 +143,9 @@ class _ModelContext:
         its detail naming the first failing gate and its measured value."""
         for gate in gates:
             what, threshold, measure = GATES[gate]
-            value = measure(self)
+            if gate not in self.gate_values:
+                self.gate_values[gate] = measure(self)
+            value = self.gate_values[gate]
             if not value <= threshold:
                 detail = f"gate {gate}: {what} {value:.3e} > {threshold:g}"
                 res = StructureCheckResult()

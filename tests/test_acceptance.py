@@ -30,7 +30,6 @@ from paracheck.einstein_like import (
 from paracheck.geometry_engine import lie_derivative
 from paracheck.hypersurface_lab import (
     builtin_bundles,
-    defining_equation_gap_per_point,
     evaluate_bundle,
     shape_characterization_gap_per_point,
     synthetic_gauss_check,
@@ -264,7 +263,7 @@ def test_criterion_09_hypersurface_suite(e3a_100, e3b_100):
     ind = verify_induced_derivatives(e3b_100, pairs_b)
     ok &= max(c.residual for c in ind.checks) < 1e-7
     tol = 1e-7
-    rho1 = defining_equation_gap_per_point(pairs_b)
+    rho1 = pairs_b.rho1
     rho2 = shape_characterization_gap_per_point(e3b_100.structure, e3b_100.shape.A)
     ok &= bool(np.min(rho1) > 10 * tol and np.min(rho2) > 10 * tol)
     ok &= bool(np.all((rho1 <= tol) == (rho2 <= tol)))

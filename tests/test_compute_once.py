@@ -1,8 +1,8 @@
 """Each geometric object of a request is built once, and only when a
 requested check reads it: the connection of every metric, each covariant
-derivative, the axiom checks, the para-Sasakian gate, C11(phi R), trace(phi),
-the terms built from the vector pairs ((nabla_X phi) Y, the para-Sasakian
-right side, R(X, Y)) and a bundle's shape gap; and
+derivative, the axiom checks, the para-Sasakian gate run, each gate's value,
+C11(phi R), trace(phi), the terms built from the vector pairs ((nabla_X phi)
+Y, the para-Sasakian right side, rho1, R(X, Y)) and a bundle's shape gap; and
 each distinct expression string of a field grid is parsed and evaluated
 once per grid, its tree built once per process; each metric is checked once,
 where it is evaluated, by one eigendecomposition; a jet product takes the
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paracheck import einstein_like, expr_jet, geometry_engine, hypersurface_lab, paracontact_core, tensor_algebra
+from paracheck import einstein_like, expr_jet, geometry_engine, hypersurface_lab, paracontact_core, report, suites, tensor_algebra
 from paracheck.cli import main
 from paracheck.expr_jet import ExprSyntaxError, JetDomainError, JetSpace, eval_expr, parse_expr
 from paracheck.hypersurface_lab import builtin_bundles
@@ -136,11 +136,13 @@ def test_bundle_all_checks_the_axioms_once(monkeypatch):
     assert axioms["n"] == 1
 
 
-def _pair_builds(monkeypatch) -> tuple[Counter, dict, dict]:
+def _pair_builds(monkeypatch) -> tuple[Counter, dict, dict, dict]:
     """Counts what a request builds from its vector pairs: (nabla_X phi) Y,
     the apply_op of the (1,2) tensor nabla phi on the pairs, and R contracted
     with the pairs, an apply_op of the (1,3) tensor R; then the para-Sasakian
-    right sides and the per-point shape gaps of a bundle."""
+    right sides, the per-point residuals rho1 of the defining equation (a
+    residual_norm of a gap over the pairs kept per point) and the per-point
+    shape gaps of a bundle."""
     builds = Counter()
 
     def kind(out, op, *vectors):
@@ -150,6 +152,8 @@ def _pair_builds(monkeypatch) -> tuple[Counter, dict, dict]:
 
     _count(monkeypatch, paracontact_core.apply_op, kind)
     return (builds, _count(monkeypatch, paracontact_core.para_sasakian_rhs),
+            _count(monkeypatch, report.residual_norm,
+                   lambda out, gap, *inputs: np.ndim(out) == 1 and gap.shape[1:2] == (VECTOR_TUPLES,)),
             _count(monkeypatch, hypersurface_lab.shape_characterization_gap_per_point))
 
 
@@ -158,17 +162,38 @@ def test_bundle_all_builds_each_vector_pair_term_once(monkeypatch, name):
     """The para-Sasakian gate, the characterization's rho1, the shape
     recovery, the induced (nabla phi) display and the curvature identities
     share one (nabla_X phi) Y, one right side and one R(X, Y); the
+    defining-equation record and the characterization share one rho1; the
     shape-characterized gate and rho2 share one shape gap."""
-    builds, rhs, gap = _pair_builds(monkeypatch)
+    builds, rhs, rho1, gap = _pair_builds(monkeypatch)
     run_suite(builtin_bundles()[name], "all", RunConfig(points=10))
-    assert (builds["grad-phi"], rhs["n"], builds["R(X,Y)"], gap["n"]) == (1, 1, 1, 1)
+    assert (builds["grad-phi"], rhs["n"], builds["R(X,Y)"], rho1["n"], gap["n"]) == (1, 1, 1, 1, 1)
 
 
 def test_chart_all_contracts_r_with_the_pairs_once(monkeypatch):
     """R(X, Y) xi, R(X, Y) phi Z and R(X, Y) Z are mat-vecs of one R(X, Y)."""
-    builds, rhs, gap = _pair_builds(monkeypatch)
+    builds, rhs, rho1, gap = _pair_builds(monkeypatch)
     run_suite(get_model("E1n5"), "all", RunConfig(points=6))
-    assert (builds["grad-phi"], rhs["n"], builds["R(X,Y)"], gap["n"]) == (1, 1, 1, 0)
+    assert (builds["grad-phi"], rhs["n"], builds["R(X,Y)"], rho1["n"], gap["n"]) == (1, 1, 1, 1, 0)
+
+
+@pytest.mark.parametrize("name,measured", [
+    ("E1", {"para-sasakian": 1, "trace-phi-constant": 1}),
+    ("E3a", {"para-sasakian": 1, "shape-characterized": 1}),
+])
+def test_all_request_measures_each_gate_once(monkeypatch, name, measured):
+    """A gate is measured once per request, however many check groups sit
+    behind it: on E1 the para-Sasakian gate guards four groups and the
+    trace(phi)-constancy gate two; on E3a the para-Sasakian gate, which
+    fails, four, and the shape gate one."""
+    counts = Counter()
+    for gate, (what, threshold, measure) in list(suites.GATES.items()):
+        def counted(ctx, gate=gate, measure=measure):
+            counts[gate] += 1
+            return measure(ctx)
+
+        monkeypatch.setitem(suites.GATES, gate, (what, threshold, counted))
+    run_suite(builtin_bundles()[name] if name == "E3a" else get_model(name), "all", RunConfig(points=10))
+    assert counts == measured
 
 
 def test_chart_all_takes_trace_phi_once(monkeypatch):

@@ -47,7 +47,7 @@ def _fit(s):
 def _merged(*results):
     out = StructureCheckResult()
     for r in results:
-        out.checks += r.checks
+        out.records.update(r.records)
     return out
 
 

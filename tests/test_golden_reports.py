@@ -26,9 +26,10 @@ The golden files hold residuals only to 1e-12, so a claim that a change
 leaves reports alone is checked against the parent commit instead: run every
 golden case under this tree's ``src/`` and under ``DIR/src/`` (a checkout of
 the parent, say from ``git archive``), print each case's exit-code and status
-differences and its largest residual drift, and exit 1 on any exit or status
-difference or a drift above 1e-12.  Each case's line also lists the record
-ids whose anchor or detail text differs, which never changes the exit code:
+differences and its largest residual drift with the record id it is at, and
+exit 1 on any exit or status difference or a drift above 1e-12.  Each case's
+line also lists the record ids whose anchor or detail text differs, which
+never changes the exit code:
 
     python tests/test_golden_reports.py --against DIR
 
@@ -123,6 +124,25 @@ def _drift(a: float, b: float) -> float:
     if math.isnan(a) or math.isnan(b):
         return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
     return 0.0 if a == b else abs(a - b)
+
+
+def largest_drift(here: dict, there: dict) -> tuple[float, str | None]:
+    """The largest residual drift between two {id: residual} runs of a case,
+    over the ids both measure, and the id it is at: None when nothing
+    drifted, the first id in sorted order on a tie."""
+    drift, at = 0.0, None
+    for cid in sorted(here.keys() & there.keys()):
+        if (d := _drift(here[cid], there[cid])) > drift:
+            drift, at = d, cid
+    return drift, at
+
+
+def test_largest_drift_names_its_record():
+    assert largest_drift({"a": 1.0, "b": 2.0, "c": math.nan, "d": 5.0},
+                         {"a": 1.0, "b": 2.5, "c": math.nan, "e": 9.0}) == (0.5, "b")
+    assert largest_drift({"a": 1.0, "b": 2.0}, {"a": 1.5, "b": 1.5}) == (0.5, "a")
+    assert largest_drift({"a": 0.0, "b": math.nan}, {"a": 3.0, "b": 1.0}) == (math.inf, "b")
+    assert largest_drift({"a": 1.0}, {"a": 1.0, "b": 2.0}) == (0.0, None)
 
 
 def differences(want: dict, got: dict) -> list[str]:
@@ -303,9 +323,10 @@ def collect(out: str):
 
 def against(other: Path) -> int:
     """Compare every golden case under this tree's ``src/`` with the same case
-    under ``other/src/``, one line per case, listing the ids whose anchor or
-    detail text differs; 1 on any exit or status difference or a residual
-    drift above RESIDUAL_ATOL, else 0."""
+    under ``other/src/``, one line per case, naming the id of its largest
+    residual drift and listing the ids whose anchor or detail text differs;
+    then the largest drift of all, with its case and id; 1 on any exit or
+    status difference or a residual drift above RESIDUAL_ATOL, else 0."""
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, src in enumerate((ROOT / "src", other / "src")):
@@ -315,7 +336,7 @@ def against(other: Path) -> int:
             if proc.returncode:
                 sys.exit(f"collecting under {src} failed:\n{proc.stderr}")
             runs.append(json.loads(out.read_text()))
-    bad, worst = 0, 0.0
+    bad, worst, worst_at = 0, 0.0, ""
     for target, group in cases().items():
         for name in group:
             here, there = runs[0][target][name], runs[1][target][name]
@@ -324,15 +345,16 @@ def against(other: Path) -> int:
                      for cid in ids if here["status"].get(cid) != there["status"].get(cid)]
             if here["exit"] != there["exit"]:
                 moved.insert(0, f"exit {there['exit']} -> {here['exit']}")
-            drift = max((_drift(r, there["residual"][cid]) for cid, r in here["residual"].items()
-                         if cid in there["residual"]), default=0.0)
-            worst = max(worst, drift)
+            drift, at = largest_drift(here["residual"], there["residual"])
+            if drift > worst:
+                worst, worst_at = drift, f" ({target} {name}: {at})"
             bad += bool(moved) or drift > RESIDUAL_ATOL
             texts = [cid for cid in ids if here["text"].get(cid) != there["text"].get(cid)]
             print(f"{target} {name}: exit {here['exit']}, {len(moved)} differences, drift {drift:.3g}"
+                  + (f" at {at}" if at else "")
                   + "".join(f"\n    {m}" for m in moved)
                   + (f"\n    text differs: {', '.join(texts)}" if texts else ""))
-    print(f"{bad} cases differ; largest residual drift {worst:.3g}")
+    print(f"{bad} cases differ; largest residual drift {worst:.3g}{worst_at}")
     return int(bad > 0)
 
 

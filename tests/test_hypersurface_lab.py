@@ -18,6 +18,7 @@ from paracheck.hypersurface_lab import (
     Embedding,
     HypersurfaceBundle,
     InducedStructureError,
+    _gauss_chain,
     check_ambient,
     check_gauss_equation,
     check_induced_frame,
@@ -31,7 +32,7 @@ from paracheck.hypersurface_lab import (
     verify_induced_derivatives,
 )
 from paracheck.paracontact_core import ParacontactStructure, VectorPairs, check_axioms
-from paracheck.report import EXIT_INPUT_ERROR
+from paracheck.report import EXIT_INPUT_ERROR, StructureCheckResult
 from paracheck.sampling import _seed, derive_rng, derive_states, random_vectors, sample_points
 from paracheck.suites import RunConfig, run_suite
 from paracheck.tensor_algebra import TensorValue, min_norm_solve
@@ -86,7 +87,7 @@ def _full_wedge(a, b):
 
 def _full_gauss_chain(epsilon, g, phi, xi, eta, perturb_a):
     """Test-only oracle of hypersurface_lab._gauss_chain on full
-    (T, n, n, n, n) tensors, keyed like it by the synthetic.* record ids: the
+    (T, n, n, n, n) tensors, keyed by the synthetic.* record ids it adds: the
     same chain with no x < y half, Ricci by the full contraction.  Also
     returns each display's gap maximum over the reduction sampled at k in
     {0, 1, 2, 3}, the definition the constant-term records replace."""
@@ -495,17 +496,25 @@ class TestQuasiUmbilical:
 
 def _chain_inputs(monkeypatch, epsilon, n, trials, seed):
     """synthetic_gauss_check's records and the (g, phi, xi, eta) it hands
-    _gauss_chain, each concatenated over the chain blocks."""
+    _gauss_chain, each concatenated over the blocks."""
     chain, blocks = hypersurface_lab._gauss_chain, []
 
-    def recording_chain(epsilon, g, phi, xi, eta, *rest):
+    def recording_chain(res, epsilon, g, phi, xi, eta, *rest):
         blocks.append((g, phi, xi, eta))
-        return chain(epsilon, g, phi, xi, eta, *rest)
+        return chain(res, epsilon, g, phi, xi, eta, *rest)
 
     monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
     out = synthetic_gauss_check(epsilon, n, trials, seed)
     monkeypatch.setattr(hypersurface_lab, "_gauss_chain", chain)
     return out, [np.concatenate(arrays) for arrays in zip(*blocks)]
+
+
+def _chain_records(*args) -> dict:
+    """The residual of each record _gauss_chain(res, *args) adds to a fresh
+    recorder ``res``, by id."""
+    res = StructureCheckResult()
+    _gauss_chain(res, *args)
+    return {c.id: c.residual for c in res.checks}
 
 
 class TestSyntheticGauss:
@@ -558,13 +567,14 @@ class TestSyntheticGauss:
 
     def test_trials_do_not_depend_on_their_block(self, monkeypatch):
         """Each trial's chain values do not depend on the trials evaluated
-        with it: the maxima _gauss_chain returns for each chain block equal,
-        bit for bit, the maxima of its values on the block's single-trial
-        slices.  At n = 6 the request crosses a draw-block boundary and a
-        chain-block boundary inside a draw block, as the row counts
-        _draw_block and _gauss_chain receive show.  The whole request gives
-        the same records whether its blocks hold one trial each
-        (_BLOCK_ELEMENTS 2**6) or all of them (2**20)."""
+        with it: the records _gauss_chain adds for each block equal, bit for
+        bit, the maxima of its records on the block's single-trial slices,
+        and the request's records are their maxima over the blocks.  At n = 6
+        the request crosses two block boundaries, and each block _draw_block
+        draws is the one _gauss_chain evaluates, as the row counts they
+        receive show.  The whole request gives the same records whether its
+        blocks hold one trial each (_BLOCK_ELEMENTS 2**6) or all of them
+        (2**20)."""
         draw, chain, trials = hypersurface_lab._draw_block, hypersurface_lab._gauss_chain, 150
         drawn_rows, chain_calls = [], []
 
@@ -572,28 +582,42 @@ class TestSyntheticGauss:
             drawn_rows.append(len(rows))
             return draw(rng, rows, *rest)
 
-        def recording_chain(epsilon, g, phi, xi, eta, perturb_a):
-            worst = chain(epsilon, g, phi, xi, eta, perturb_a)
-            chain_calls.append(((g, phi, xi, eta), worst))
-            return worst
+        def recording_chain(res, epsilon, g, phi, xi, eta, perturb_a):
+            chain_calls.append(((g, phi, xi, eta), _chain_records(epsilon, g, phi, xi, eta, perturb_a)))
+            chain(res, epsilon, g, phi, xi, eta, perturb_a)
 
         monkeypatch.setattr(hypersurface_lab, "_draw_block", recording_draw)
         monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
         full = synthetic_gauss_check(-1, 6, trials=trials, seed=3)
         chain_rows = [len(drawn[0]) for drawn, _ in chain_calls]
-        assert sum(drawn_rows) == sum(chain_rows) == trials
-        draw_block, chain_block = drawn_rows[0], chain_rows[0]
-        assert 1 < chain_block < draw_block < trials
+        assert drawn_rows == chain_rows == [72, 72, 6]
         for drawn, worst in chain_calls:
-            singles = [chain(-1, *(a[t:t + 1] for a in drawn), 0.0) for t in range(len(drawn[0]))]
+            singles = [_chain_records(-1, *(a[t:t + 1] for a in drawn), 0.0) for t in range(len(drawn[0]))]
             assert worst.keys() == singles[0].keys()
             for cid, value in worst.items():
                 assert value == max(single[cid] for single in singles), cid
+        assert {c.id: c.residual for c in full.checks} == {
+            cid: max(worst[cid] for _, worst in chain_calls) for cid in chain_calls[0][1]}
         records = [(c.id, c.status, c.residual) for c in full.checks]
         for elements in (2 ** 6, 2 ** 20):
             monkeypatch.setattr(hypersurface_lab, "_BLOCK_ELEMENTS", elements)
             other = synthetic_gauss_check(-1, 6, trials=trials, seed=3)
             assert [(c.id, c.status, c.residual) for c in other.checks] == records
+
+    @pytest.mark.parametrize("n, block", [(3, 606), (5, 131), (6, 72), (9, 12)])
+    def test_one_block_size_draws_and_evaluates_the_trials(self, n, block, monkeypatch):
+        """Trials are drawn and evaluated in blocks of max(1, _BLOCK_ELEMENTS
+        // max(n^3, P^2)) trials, P = n(n-1)/2: n^3 decides up to n = 5, P^2
+        from n = 6 on."""
+        draw, rows = hypersurface_lab._draw_block, []
+
+        def recording_draw(rng, states, *rest):
+            rows.append(len(states))
+            return draw(rng, states, *rest)
+
+        monkeypatch.setattr(hypersurface_lab, "_draw_block", recording_draw)
+        synthetic_gauss_check(1, n, block + 1, seed=0)
+        assert rows == [block, 1]
 
     @pytest.mark.parametrize("eps, n, trials", [(1, 30, 8), (-1, 5, 400)])
     def test_one_derive_states_call_seeds_many_draw_blocks(self, eps, n, trials, monkeypatch):
@@ -625,7 +649,7 @@ class TestSyntheticGauss:
         pass unseen."""
         drawn = assemble_structures([draw_trial(derive_rng(11, "half-chain", eps + 1, n, t), n) for t in range(40)],
                                     n, eps)
-        worst = hypersurface_lab._gauss_chain(eps, *drawn, perturb_a)
+        worst = _chain_records(eps, *drawn, perturb_a)
         ref_worst, ref_k, ref_resid, _ = _full_gauss_chain(eps, *drawn, perturb_a)
         assert worst.keys() == ref_worst.keys()
         if perturb_a:
@@ -636,7 +660,7 @@ class TestSyntheticGauss:
         for name in worst:
             assert abs(worst[name] - ref_worst[name]) <= 1e-14, name
         for t in range(40):
-            single = hypersurface_lab._gauss_chain(eps, *(a[t:t + 1] for a in drawn), perturb_a)
+            single = _chain_records(eps, *(a[t:t + 1] for a in drawn), perturb_a)
             derived = max(abs(ref_k[t] + eps), ref_resid[t])
             assert abs(single["synthetic.k-vs-derived"] - derived) <= 1e-14, t
             assert abs(single["synthetic.k-vs-printed"] - abs(ref_k[t] - (2 - eps))) <= 1e-14, t

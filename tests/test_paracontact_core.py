@@ -21,7 +21,7 @@ from paracheck.paracontact_core import (
 )
 from paracheck.report import CHECKS, StructureCheckResult, residual_norm
 from paracheck.sampling import derive_rng, random_vectors, sample_points
-from paracheck.hypersurface_lab import builtin_bundles, defining_equation_gap_per_point, evaluate_bundle
+from paracheck.hypersurface_lab import builtin_bundles, evaluate_bundle
 
 from records import passed
 
@@ -103,7 +103,7 @@ class TestCheckParaSasakian:
         pts = sample_points(bundle.embedding.domain, 40, derive_rng(4, "E3b", "core"))
         data = evaluate_bundle(bundle, pts)
         vec = random_vectors(derive_rng(4, "E3b", "corev"), 40, 40, 3)
-        rho = defining_equation_gap_per_point(VectorPairs(data.structure, vec))
+        rho = VectorPairs(data.structure, vec).rho1
         assert float(np.min(rho)) > 0.1
 
 
@@ -266,9 +266,9 @@ class TestOneResidualRule:
         b = builtin_bundles()["E3b"]
         e3b = evaluate_bundle(b, sample_points(b.embedding.domain, 12, derive_rng(42, "E3b", "points"))).structure
         for s in (e1, n1, f0, e3b):
-            v = VectorPairs(s, vectors(s))
-            record = check_para_sasakian(v).residual("sasakian.defining-equation")
-            assert defining_equation_gap_per_point(v).max() == record
+            vec = vectors(s)
+            record = check_para_sasakian(VectorPairs(s, vec)).residual("sasakian.defining-equation")
+            assert VectorPairs(s, vec).rho1.max() == record
 
     def test_record_without_inputs_reads_max_gap(self, rng):
         gap = rng.standard_normal((6, 3, 3))

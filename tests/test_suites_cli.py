@@ -1,6 +1,7 @@
 """Suite orchestration and the CLI: determinism, exit codes, report schema,
 and the negative-control fixtures for every suite."""
 
+import dataclasses
 import json
 import math
 import re
@@ -17,7 +18,8 @@ from paracheck.einstein_like import EinsteinLikeFit
 from paracheck.manifest import save_manifest
 from paracheck.models import METRIC_ORDER, evaluate_structure, get_model
 from paracheck.hypersurface_lab import builtin_bundles, synthetic_gauss_check
-from paracheck.report import CHECKS, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, new_report, status_of
+from paracheck.report import (CHECKS, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, NOT_APPLICABLE, VACUOUS,
+                              StructureCheckResult, new_report, status_of)
 from paracheck.paracontact_core import ParacontactStructure
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.suites import RunConfig, run_suite, run_synthetic
@@ -263,6 +265,54 @@ class TestStatusRule:
     def test_status_of(self, residual, tol, informational, status):
         assert status_of(residual, tol, informational) == status
 
+    @pytest.mark.parametrize("first,second,kept", [
+        (1e-12, 3e-12, 3e-12), (3e-12, 1e-12, 3e-12), (math.nan, 1e-12, math.nan), (1e-12, math.nan, math.nan),
+        (math.inf, math.nan, math.nan), (math.nan, math.inf, math.nan), (0.0, 0.0, 0.0),
+    ])
+    def test_a_repeated_id_keeps_the_larger_residual(self, first, second, kept):
+        """An id added again is one record, in its first place, with the
+        larger of its residuals, a NaN winning in either order, and its
+        first detail; an array gap is reduced by residual_norm first."""
+        res = StructureCheckResult()
+        res.add("structure.phi-squared", first, detail="first")
+        res.add("structure.eta-of-xi", 0.0)
+        res.add("structure.phi-squared", second, detail="second")
+        assert [c.id for c in res.checks] == ["structure.phi-squared", "structure.eta-of-xi"]
+        c = res.get("structure.phi-squared")
+        assert math.isnan(c.residual) if math.isnan(kept) else c.residual == kept
+        assert type(c.residual) is float
+        assert (c.detail, c.tolerance) == ("first", CHECKS["structure.phi-squared"].tol)
+        res.add("structure.phi-squared", np.array([[2.0, -5.0]]), np.array([4.0]))
+        folded = res.residual("structure.phi-squared")
+        assert math.isnan(folded) if math.isnan(kept) else folded == 1.0
+
+    @pytest.mark.parametrize("cid,small,large,status", [
+        ("structure.phi-squared", 1e-10, 1e-6, "fail"),
+        ("lie.lie-phi-form-printed", 1e-10, 1.0, "printed-form-mismatch"),
+    ])
+    def test_a_folded_record_takes_its_rows_status(self, cid, small, large, status):
+        """The status follows the folded residual: pass while every residual
+        is within tolerance, then fail, or printed-form-mismatch on an
+        informational row, in either order."""
+        for order in ((small, large), (large, small)):
+            res = StructureCheckResult()
+            res.add(cid, order[0])
+            assert res.get(cid).status == ("pass" if order[0] == small else status)
+            res.add(cid, order[1])
+            assert (res.get(cid).status, res.residual(cid)) == (status, large)
+
+    @pytest.mark.parametrize("status", [VACUOUS, NOT_APPLICABLE])
+    def test_a_record_with_nothing_measured_is_added_once(self, status):
+        """Folding into or from a vacuous or not-applicable record raises, and
+        leaves the first record as it was."""
+        for first, second in ((status, status), (status, None), (None, status)):
+            res = StructureCheckResult()
+            res.add("einstein.trace-phi-formula", 0.0, detail="first", status=first)
+            before = dataclasses.replace(res.get("einstein.trace-phi-formula"))
+            with pytest.raises(ValueError, match="^einstein.trace-phi-formula: a record with nothing measured"):
+                res.add("einstein.trace-phi-formula", 0.0, detail="second", status=second)
+            assert res.checks == [before]
+
     def test_record_with_nothing_measured_keeps_its_status_at_tolerance_zero(self):
         report = run_suite(get_model("E1"), "einstein", RunConfig(points=5, seed=7, tol_scale=1e3))
         (c,) = [c for c in report.checks if c.id == "einstein.fit-stability"]
@@ -308,7 +358,7 @@ def _json_run(tmp_path, *argv) -> tuple[int, dict]:
 def _recorded_again(res, cid, residual):
     """``res`` with its ``cid`` record replaced by one the recorder makes from
     ``residual``."""
-    res.checks = [c for c in res.checks if c.id != cid]
+    del res.records[cid]
     res.add(cid, residual)
     return res
 
