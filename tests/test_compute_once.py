@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paracheck import einstein_like, expr_jet, geometry_engine, hypersurface_lab, paracontact_core, report, suites, tensor_algebra
+from paracheck import (einstein_like, expr_jet, geometry_engine, hypersurface_lab, paracontact_core, report, suites,
+                       tensor_algebra)
 from paracheck.cli import main
 from paracheck.expr_jet import ExprSyntaxError, JetDomainError, JetSpace, eval_expr, parse_expr
 from paracheck.hypersurface_lab import builtin_bundles
