@@ -97,7 +97,7 @@ def _add_over_family(res: StructureCheckResult, fit: EinsteinLikeFit, gaps, ids:
             res.add(cid, residual, detail=detail)
 
 
-def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
+def verify_coefficient_constraints(res: StructureCheckResult, fit: EinsteinLikeFit, struct: ParacontactStructure):
     """The algebraic consequences of the decomposition on any structure:
 
         S(phi X, Y) = a g(phi X, Y) + b g(phi X, phi Y)
@@ -109,14 +109,12 @@ def verify_coefficient_constraints(fit: EinsteinLikeFit, struct: ParacontactStru
     Sphi = np.einsum('pmb,pma->pab', S, phi)        # S(phi e_a, e_b)
     gphiphi = phi.swapaxes(1, 2) @ g @ phi          # g(phi e_a, phi e_b)
     Sxi = np.einsum('pab,pb->pa', S, xi)
-    res = StructureCheckResult()
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(Sphi - a * struct.Phi0 - b * gphiphi, Sphi, g),
                                                 residual_norm(Sxi - (eps * a + c) * eta, Sxi, eta)),
                      ("einstein.ricci-phi-display", "einstein.ricci-xi-display"))
-    return res
 
 
-def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
+def verify_scalar_ode(res: StructureCheckResult, fit: EinsteinLikeFit, struct: ParacontactStructure):
     """The para-Sasakian consequences of the decomposition, ending in the
     scalar-curvature ODE:
 
@@ -128,7 +126,6 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Str
         dr = 2 (eps (1-n) b + c trace(phi)) eta
         b xi(r) - 2 c r = 2 eps (1-n)(b^2 - c^2 - c n)
     """
-    res = StructureCheckResult()
     eps = struct.epsilon
     n = struct.dim
     cur = struct.curvature
@@ -162,20 +159,17 @@ def verify_scalar_ode(fit: EinsteinLikeFit, struct: ParacontactStructure) -> Str
                                       "einstein.ricci-operator-derivative", "einstein.div-q-display",
                                       "einstein.scalar-curvature-constant", "einstein.dr-display",
                                       "einstein.scalar-ode"))
-    return res
 
 
-def verify_trace_formula(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
+def verify_trace_formula(res: StructureCheckResult, fit: EinsteinLikeFit, struct: ParacontactStructure):
     """trace(phi) = eps (n-1) b / c for every family member with c away from
     zero; degenerate members are skipped, and the check is vacuous when all
     of them are."""
-    res = StructureCheckResult()
     eps = struct.epsilon
     n = struct.dim
     trphi = struct.trace_phi
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(trphi - eps * (n - 1) * b / c),),
                      ("einstein.trace-phi-formula",), skip_c0=True)
-    return res
 
 
 # --------------------------------------------------------------------------
@@ -208,24 +202,22 @@ def compute_c11_phi_r(struct: ParacontactStructure) -> C11Tensor:
                      struct.connection)
 
 
-def verify_c11_identities(c11: C11Tensor, struct: ParacontactStructure) -> StructureCheckResult:
+def verify_c11_identities(res: StructureCheckResult, c11: C11Tensor, struct: ParacontactStructure):
     """Symmetry of the contraction and the S(Y, phi Z) display."""
     eps = struct.epsilon
     n = struct.dim
     g, ee = struct.g0, struct.ee0
     trphi = struct.trace_phi[:, None, None]
     C = c11.values
-    res = StructureCheckResult()
     res.add("einstein.c11-symmetric", C - C.swapaxes(1, 2), C)
     S = struct.curvature.ricci.components[..., 0]
     SphiZ = np.einsum('pym,pmz->pyz', S, struct.phi0)   # S(Y, phi Z)
     rhs = C + eps * (n - 2) * struct.Phi0 + (2 * ee - eps * g) * trphi
     res.add("einstein.s-phi-z-display", SphiZ - rhs, SphiZ, rhs)
-    return res
 
 
-def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor,
-                             struct: ParacontactStructure) -> StructureCheckResult:
+def verify_c11_decomposition(res: StructureCheckResult, fit: EinsteinLikeFit, c11: C11Tensor,
+                             struct: ParacontactStructure):
     """The constant-coefficient decomposition of the contraction on a
     para-Sasakian structure (re-derived eta(x)eta coefficient normative,
     printed one informational), and parallelism along xi."""
@@ -233,7 +225,6 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor,
     n = struct.dim
     g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
     C = c11.values
-    res = StructureCheckResult()
 
     def gaps(a, b, c):
         common = (b / c) * (c + n - 1) * g + (a - eps * (n - 2)) * Phi
@@ -246,10 +237,9 @@ def verify_c11_decomposition(fit: EinsteinLikeFit, c11: C11Tensor,
 
     par = np.einsum('piab,pi->pab', c11.nabla, struct.xi0)
     res.add("einstein.c11-parallel-along-xi", par, C)
-    return res
 
 
-def verify_lie_formulas(struct: ParacontactStructure) -> StructureCheckResult:
+def verify_lie_formulas(res: StructureCheckResult, struct: ParacontactStructure):
     """Lie derivatives along xi of eta, g and Phi.
 
     Normative forms (re-derived; they collapse to the printed ones at
@@ -263,7 +253,6 @@ def verify_lie_formulas(struct: ParacontactStructure) -> StructureCheckResult:
     """
     eps, xi, nabla_xi = struct.epsilon, struct.xi0, struct.nabla_xi
     g, eta, Phi, ee = struct.g0, struct.eta0, struct.Phi0, struct.ee0
-    res = StructureCheckResult()
 
     Leta = lie_derivative(eta, struct.nabla_eta, xi, nabla_xi)
     res.add("lie.lie-eta", Leta, eta)
@@ -276,23 +265,20 @@ def verify_lie_formulas(struct: ParacontactStructure) -> StructureCheckResult:
     printed = 2 * eps * (g - ee)
     res.add("lie.lie-phi-form-derived", LPhi - derived, LPhi, derived)
     res.add("lie.lie-phi-form-printed", LPhi - printed, LPhi, printed)
-    return res
 
 
-def verify_lie_ricci(fit: EinsteinLikeFit, struct: ParacontactStructure) -> StructureCheckResult:
+def verify_lie_ricci(res: StructureCheckResult, fit: EinsteinLikeFit, struct: ParacontactStructure):
     """L_xi S = 2 a eps Phi + 2 b eps (g - eps eta(x)eta) on a para-Sasakian
     structure."""
     eps = struct.epsilon
     g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
     S = struct.curvature.ricci
     LS = lie_derivative(S.components[..., 0], struct._nabla(S), struct.xi0, struct.nabla_xi)
-    res = StructureCheckResult()
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(
         LS - (2 * a * eps * Phi + 2 * b * eps * (g - eps * ee)), LS),), ("lie.lie-ricci",))
-    return res
 
 
-def verify_lie_c11(fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStructure) -> StructureCheckResult:
+def verify_lie_c11(res: StructureCheckResult, fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStructure):
     """On a para-Sasakian structure with constant trace(phi), the re-derived
 
         L_xi C11 = (2 eps b / c)(c + n - 1) Phi + 2 eps (a - eps(n-2))(g - eps eta(x)eta)
@@ -301,7 +287,6 @@ def verify_lie_c11(fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStru
     eps = struct.epsilon
     n = struct.dim
     g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
-    res = StructureCheckResult()
     LC = lie_derivative(c11.values, c11.nabla, struct.xi0, struct.nabla_xi)
 
     def gaps(a, b, c):
@@ -310,4 +295,3 @@ def verify_lie_c11(fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStru
                 residual_norm(LC - (lead + 2 * eps * (a - eps * (n - 2)) * (g - ee)), LC))
 
     _add_over_family(res, fit, gaps, ("lie.lie-c11-derived", "lie.lie-c11-printed"), skip_c0=True)
-    return res

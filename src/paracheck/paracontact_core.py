@@ -179,13 +179,12 @@ class VectorPairs:
 # -- check operations ------------------------------------------------------------
 
 
-def check_axioms(v: VectorPairs) -> StructureCheckResult:
+def check_axioms(res: StructureCheckResult, v: VectorPairs):
     """Residuals of the seven structure axioms over the vector pairs."""
     s = v.struct
     eps = s.epsilon
     phi, xi, eta, g = s.phi0, s.xi0, s.eta0, s.g0
     X, Y, phiX, phiY, phi2X = v.X, v.Y, v.phiX, v.phiY, v.phi2X
-    res = StructureCheckResult()
 
     gap = phi2X - X + form(eta, X)[..., None] * xi[:, None, :]
     res.add("structure.phi-squared", gap, X, phi2X)
@@ -203,7 +202,6 @@ def check_axioms(v: VectorPairs) -> StructureCheckResult:
     gXxi = pair(g, X, xi[:, None])
     gap = gXxi - eps * form(eta, X)
     res.add("structure.metric-xi-eta", gap, gXxi)
-    return res
 
 
 def para_sasakian_rhs(v: VectorPairs) -> np.ndarray:
@@ -215,7 +213,7 @@ def para_sasakian_rhs(v: VectorPairs) -> np.ndarray:
             - s.epsilon * form(s.eta0, v.Y)[..., None] * v.phi2X)
 
 
-def check_para_sasakian(v: VectorPairs) -> StructureCheckResult:
+def check_para_sasakian(res: StructureCheckResult, v: VectorPairs):
     """Residuals of the defining covariant-derivative equations:
 
         (nabla_X phi) Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X
@@ -225,17 +223,15 @@ def check_para_sasakian(v: VectorPairs) -> StructureCheckResult:
     plus the symmetry of Phi.
     """
     s = v.struct
-    res = StructureCheckResult()
     res.add("sasakian.defining-equation", v.rho1)
     phi = s.phi0
     res.add("sasakian.grad-xi", s.nabla_xi - s.epsilon * phi, phi)
     Phi = s.Phi0
     res.add("sasakian.grad-eta", s.nabla_eta - Phi, Phi)
     res.add("sasakian.fundamental-form-symmetric", Phi - Phi.swapaxes(1, 2), Phi)
-    return res
 
 
-def check_ps_curvature_identities(v: VectorPairs) -> StructureCheckResult:
+def check_ps_curvature_identities(res: StructureCheckResult, v: VectorPairs):
     """The four curvature identities of a para-Sasakian structure, evaluated
     over the vector triples (X, Y, Z), each R(X, Y) W one mat-vec of the
     pairs' R(X, Y).  Runs even when the defining equations fail."""
@@ -245,7 +241,6 @@ def check_ps_curvature_identities(v: VectorPairs) -> StructureCheckResult:
     S = s.curvature.ricci.components[..., 0]
     phi, xi, eta, g = s.phi0, s.xi0, s.eta0, s.g0
     X, Y, Z, phiX, phiY = v.X, v.Y, v.Z, v.phiX, v.phiY
-    res = StructureCheckResult()
 
     # R(X,Y)xi = eta(X) Y - eta(Y) X
     RXYxi = (v.R @ xi[:, None, :, None])[..., 0]
@@ -279,4 +274,3 @@ def check_ps_curvature_identities(v: VectorPairs) -> StructureCheckResult:
     SXxi = pair(S, X, xi[:, None])
     gap = SXxi + (n - 1) * form(eta, X)
     res.add("curvature.ricci-xi", gap, SXxi)
-    return res

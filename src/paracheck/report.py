@@ -9,14 +9,20 @@ Every fixed word about a record is in its anchor: the display, the rule
 its residual follows.  A record's detail holds only what its run measured
 (member counts, fit coefficients, ranks, gate values) or a state it reached.
 
-:class:`StructureCheckResult` is the one recorder.  A check hands it a gap
-and the tensors entering the identity, and it records their
+:class:`StructureCheckResult` is the one recorder: a request builds one,
+at its ``--tol-scale``, and every check it runs adds into it (the axiom
+checks and the para-Sasakian gate run, which a request may read without
+reporting them, add into one each of their own at the same scale, whose
+records the request copies when it reports them).  A check hands
+it a gap and the tensors entering the identity, and it records their
 :func:`residual_norm`, max |gap| / (1 + max |input|), or max |gap| with no
 inputs; a residual already reduced (a count) it records as it is.  It is the
 one place a record's maximum is folded: an id added again (per fit family
 member, synthetic block or structure axiom) keeps the larger residual by
-``np.maximum``, so a NaN wins in either order.  Each record carries its
-row's anchor, tolerance at scale 1, and the status of :func:`status_of`:
+``np.maximum``, so a NaN wins in either order.  It is also the one place a
+status is decided.  Each record carries its row's anchor, the row's
+tolerance times the recorder's scale, and the status of :func:`status_of`
+at that tolerance:
 
 - a non-finite residual is ``fail``;
 - a residual within tolerance is ``pass``;
@@ -30,7 +36,8 @@ tolerance 0: ``vacuous`` when every family member was degenerate,
 ``fail`` affects the exit code; an informational record never fails on a
 finite residual.
 
-Reports serialize to JSON deterministically: records sorted by id, keys
+A report is built once, by :func:`new_report`, from a request's recorder,
+its records sorted by id.  Reports serialize to JSON deterministically: keys
 sorted, floats via repr, and a non-finite residual as 1e300, so the output
 is strict JSON.  The ``engine_version`` and ``generated_at`` fields are the
 only run-to-run variable parts.  :meth:`CheckReport.to_json` writes the
@@ -211,11 +218,11 @@ class CheckRecord:
 
 @dataclass
 class StructureCheckResult:
-    """The one recorder: records by id, in the order first added, each at
-    tolerance scale 1."""
+    """The one recorder: records by id, in the order first added, each
+    measured one at its row's tolerance times ``tol_scale``."""
 
+    tol_scale: float = 1.0
     records: dict[str, CheckRecord] = field(default_factory=dict)
-    checks = property(lambda self: list(self.records.values()))
 
     def add(self, cid: str, gap, *inputs: np.ndarray, detail: str = "", status: str | None = None):
         """Record ``cid`` with the :func:`residual_norm` of an array ``gap``
@@ -229,15 +236,9 @@ class StructureCheckResult:
             if status or old.status in (VACUOUS, NOT_APPLICABLE):
                 raise ValueError(f"{cid}: a record with nothing measured is added once")
             residual, detail = float(np.maximum(old.residual, residual)), old.detail
-        tol = 0.0 if status else row.tol
+        tol = 0.0 if status else row.tol * self.tol_scale
         self.records[cid] = CheckRecord(cid, row.anchor, residual, tol,
                                         status or status_of(residual, tol, row.informational), detail)
-
-    def get(self, cid: str) -> CheckRecord:
-        return self.records[cid]
-
-    def residual(self, cid: str) -> float:
-        return self.get(cid).residual
 
 
 # json's C encoder for a record's fields and for the report's other fields: it runs only without an
@@ -262,9 +263,6 @@ class CheckReport:
     generated_at: str
     checks: list[CheckRecord] = field(default_factory=list)
 
-    def sort(self):
-        self.checks.sort(key=lambda c: c.id)
-
     @property
     def exit_code(self) -> int:
         return EXIT_CHECK_FAILED if any(c.status == FAIL for c in self.checks) else EXIT_OK
@@ -276,7 +274,6 @@ class CheckReport:
         return out
 
     def to_dict(self) -> dict:
-        self.sort()
         return {
             "model": self.model,
             "suite": self.suite,
@@ -297,7 +294,6 @@ class CheckReport:
                 + _FIELDS(doc)[1:-1] + "\n}")
 
     def to_text(self) -> str:
-        self.sort()
         lines = [
             f"model:  {self.model}",
             f"suite:  {self.suite}   seed: {self.seed}   points: {self.points}",
@@ -319,7 +315,8 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def new_report(model: str, suite: str, seed: int, points: int) -> CheckReport:
+def new_report(model: str, suite: str, seed: int, points: int, result: StructureCheckResult) -> CheckReport:
+    """The report of one request: the records of its recorder ``result``, sorted by id."""
     from . import __version__
 
     return CheckReport(
@@ -329,4 +326,5 @@ def new_report(model: str, suite: str, seed: int, points: int) -> CheckReport:
         points=points,
         engine_version=__version__,
         generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        checks=sorted(result.records.values(), key=lambda c: c.id),
     )

@@ -40,7 +40,7 @@ from paracheck.report import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR
 from paracheck.sampling import derive_rng, random_vectors, sample_points
 from paracheck.suites import RunConfig, run_suite, run_synthetic
 
-from records import passed
+from records import passed, recorded
 
 SEED = 42
 POINTS = 100
@@ -92,7 +92,7 @@ def e3b_100():
 @pytest.fixture(scope="module")
 def synthetic_outcomes():
     return {
-        (eps, n): synthetic_gauss_check(eps, n, trials=100, seed=SEED)
+        (eps, n): recorded(synthetic_gauss_check, eps, n, trials=100, seed=SEED)
         for eps in (1, -1)
         for n in (3, 5)
     }
@@ -103,10 +103,10 @@ def test_criterion_01_structure_and_defining_equations(e1_100, e2_100):
     1e-9 and the three defining-equation residuals below 1e-8 at 100 points."""
     ok = True
     for s, vec in (e1_100, e2_100):
-        axioms = check_axioms(VectorPairs(s, vec))
-        ok &= len(axioms.checks) == 7 and max(c.residual for c in axioms.checks) < 1e-9
-        ps = check_para_sasakian(VectorPairs(s, vec))
-        three = [ps.residual(f"sasakian.{name}") for name in ("defining-equation", "grad-xi", "grad-eta")]
+        axioms = recorded(check_axioms, VectorPairs(s, vec))
+        ok &= len(axioms.records.values()) == 7 and max(c.residual for c in axioms.records.values()) < 1e-9
+        ps = recorded(check_para_sasakian, VectorPairs(s, vec))
+        three = [ps.records[f"sasakian.{name}"].residual for name in ("defining-equation", "grad-xi", "grad-eta")]
         ok &= max(three) < 1e-8
     assert _announce("1 (structure + defining equations)", ok)
 
@@ -177,7 +177,7 @@ def test_criterion_05_scalar_ode(e1_100):
     ok = bool(np.max(np.abs(lhs - (-8.0))) < 1e-8)
     ok &= abs(rhs - (-8.0)) < 1e-8
     ok &= bool(np.max(np.abs(s.curvature.div_q)) < 1e-7)
-    ok &= passed(verify_scalar_ode(fit, s))
+    ok &= passed(recorded(verify_scalar_ode, fit, s))
     assert _announce("5 (scalar-curvature ODE on E1)", ok)
 
 
@@ -195,7 +195,7 @@ def test_criterion_06_trace_formula(e1_100):
         checked += 1
         ok &= abs(1 * 2 * b / c - (-2.0)) < 1e-8
     ok &= checked >= 1
-    ok &= passed(verify_trace_formula(fit, s))
+    ok &= passed(recorded(verify_trace_formula, fit, s))
     assert _announce("6 (trace formula on E1)", ok)
 
 
@@ -207,11 +207,11 @@ def test_criterion_07_c11_tensor(e1_100):
     c11 = compute_c11_phi_r(s)
     ee = np.einsum('pa,pb->pab', s.eta0, s.eta0)
     ok = bool(np.max(np.abs(c11.values - s.g0 - ee)) < 1e-7)
-    identities = verify_c11_identities(c11, s)
-    ok &= identities.residual("einstein.s-phi-z-display") < 1e-8
-    res = verify_c11_decomposition(fit, c11, s)
-    ok &= identities.residual("einstein.c11-symmetric") < 1e-9
-    ok &= res.residual("einstein.c11-parallel-along-xi") < 1e-7
+    identities = recorded(verify_c11_identities, c11, s)
+    ok &= identities.records["einstein.s-phi-z-display"].residual < 1e-8
+    res = recorded(verify_c11_decomposition, fit, c11, s)
+    ok &= identities.records["einstein.c11-symmetric"].residual < 1e-9
+    ok &= res.records["einstein.c11-parallel-along-xi"].residual < 1e-7
     assert _announce("7 (C11 contraction tensor on E1)", ok)
 
 
@@ -223,9 +223,9 @@ def test_criterion_08_discrepancy_adjudication(e1_100, e2_100):
     s1, _ = e1_100
     fit = _fit(s1)
     c11 = compute_c11_phi_r(s1)
-    res = verify_c11_decomposition(fit, c11, s1)
-    ok = res.residual("einstein.c11-decomposition-derived") < 1e-7
-    ok &= res.get("einstein.c11-decomposition-printed").status == "printed-form-mismatch"
+    res = recorded(verify_c11_decomposition, fit, c11, s1)
+    ok = res.records["einstein.c11-decomposition-derived"].residual < 1e-7
+    ok &= res.records["einstein.c11-decomposition-printed"].status == "printed-form-mismatch"
     a, b, c = fit.min_norm
     g, eta = s1.g0, s1.eta0
     ee = np.einsum('pa,pb->pab', eta, eta)
@@ -252,16 +252,16 @@ def test_criterion_09_hypersurface_suite(e3a_100, e3b_100):
 
     ok = True
     vec_a = random_vectors(derive_rng(SEED, "E3a", "acc-vec"), e3a_100.structure.npoints, 2 * TUPLES, 3)
-    ok &= passed(check_axioms(VectorPairs(e3a_100.structure, vec_a)))
+    ok &= passed(recorded(check_axioms, VectorPairs(e3a_100.structure, vec_a)))
     ok &= float(np.max(np.abs(e3a_100.shape.A))) == 0.0
 
     vec_b = random_vectors(derive_rng(SEED, "E3b", "acc-vec"), e3b_100.structure.npoints, 2 * TUPLES, 3)
     pairs_b = VectorPairs(e3b_100.structure, vec_b)
-    ok &= passed(check_axioms(pairs_b))
+    ok &= passed(recorded(check_axioms, pairs_b))
     eig = np.sort(np.linalg.eigvals(e3b_100.shape.A[0]).real)
     ok &= bool(np.max(np.abs(eig - np.array([-1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)]))) < 1e-6)
-    ind = verify_induced_derivatives(e3b_100, pairs_b)
-    ok &= max(c.residual for c in ind.checks) < 1e-7
+    ind = recorded(verify_induced_derivatives, e3b_100, pairs_b)
+    ok &= max(c.residual for c in ind.records.values()) < 1e-7
     tol = 1e-7
     rho1 = pairs_b.rho1
     rho2 = shape_characterization_gap_per_point(e3b_100.structure, e3b_100.shape.A)
@@ -273,7 +273,7 @@ def test_criterion_09_hypersurface_suite(e3a_100, e3b_100):
 def test_criterion_10a_quasi_umbilical(synthetic_outcomes):
     """h = -g + eps eta(x)eta exact to 1e-12 across all four configurations,
     100 trials each."""
-    ok = all(out.get("synthetic.quasi-umbilical-exact").residual < 1e-12
+    ok = all(out.records["synthetic.quasi-umbilical-exact"].residual < 1e-12
              for out in synthetic_outcomes.values())
     assert _announce("10a (quasi-umbilical decomposition)", ok)
 
@@ -292,9 +292,9 @@ def test_criterion_10b_k_recovery(synthetic_outcomes):
     last bits only, hence the 1e-12 of sibling criterion 10a."""
     ok = True
     for out in synthetic_outcomes.values():
-        ok &= out.get("synthetic.k-vs-derived").residual < 1e-12
-        ok &= out.get("synthetic.k-vs-derived").status == "pass"
-        printed = out.get("synthetic.k-vs-printed")
+        ok &= out.records["synthetic.k-vs-derived"].residual < 1e-12
+        ok &= out.records["synthetic.k-vs-derived"].status == "pass"
+        printed = out.records["synthetic.k-vs-printed"]
         ok &= printed.status == "printed-form-mismatch"
         ok &= abs(printed.residual - 2.0) < 1e-12
     assert _announce("10b (recovered k = -eps; printed 2 - eps adjudicated)", ok), (
@@ -316,9 +316,9 @@ def test_criterion_10c_ricci_display(synthetic_outcomes):
     trace(phi) = 0, which some eps = -1, n = 3 trials draw."""
     ok = True
     for out in synthetic_outcomes.values():
-        ok &= out.get("synthetic.ricci-vs-derived-form").residual < 1e-10
-        ok &= out.get("synthetic.ricci-vs-printed-form").status == "printed-form-mismatch"
-        ok &= out.get("synthetic.printed-chain-self-consistency").residual < 1e-10
+        ok &= out.records["synthetic.ricci-vs-derived-form"].residual < 1e-10
+        ok &= out.records["synthetic.ricci-vs-printed-form"].status == "printed-form-mismatch"
+        ok &= out.records["synthetic.printed-chain-self-consistency"].residual < 1e-10
     assert _announce("10c (induced Ricci: derived form; printed display adjudicated)", ok), (
         "expected ricci-vs-derived-form below 1e-10, ricci-vs-printed-form marked "
         "printed-form-mismatch, and the printed chain self-consistent below 1e-10"
@@ -333,12 +333,12 @@ def test_criterion_10_remaining_synthetic_invariants(synthetic_outcomes):
     eps a + c = 1 - n."""
     ok = True
     for out in synthetic_outcomes.values():
-        ok &= out.get("synthetic.gauss-vs-derived-display").residual < 1e-10
-        ok &= out.get("synthetic.k-vs-derived").residual < 5e-13
-        ok &= out.get("synthetic.einstein-like-fit").residual < 1e-10
-        ok &= out.get("synthetic.eps-a-plus-c").residual < 1e-10
-        ok &= out.get("synthetic.ricci-vs-derived-form").residual < 1e-10
-        ok &= out.get("synthetic.printed-chain-self-consistency").residual < 1e-10
+        ok &= out.records["synthetic.gauss-vs-derived-display"].residual < 1e-10
+        ok &= out.records["synthetic.k-vs-derived"].residual < 5e-13
+        ok &= out.records["synthetic.einstein-like-fit"].residual < 1e-10
+        ok &= out.records["synthetic.eps-a-plus-c"].residual < 1e-10
+        ok &= out.records["synthetic.ricci-vs-derived-form"].residual < 1e-10
+        ok &= out.records["synthetic.printed-chain-self-consistency"].residual < 1e-10
     assert _announce("10d (synthetic invariants that do hold)", ok)
 
 
@@ -350,8 +350,8 @@ def test_criterion_11_negative_controls():
     ok = run_suite(get_model("N1"), "structure", cfg).exit_code == EXIT_CHECK_FAILED
     f0_report = run_suite(get_model("F0"), "curvature", cfg)
     ok &= any(c.id == "curvature.r-xy-xi" and c.status == "fail" for c in f0_report.checks)
-    perturbed = synthetic_gauss_check(1, 3, trials=5, seed=SEED, perturb_a=5e-3)
-    ok &= perturbed.get("synthetic.quasi-umbilical-exact").residual > 1e-12
+    perturbed = recorded(synthetic_gauss_check, 1, 3, trials=5, seed=SEED, perturb_a=5e-3)
+    ok &= perturbed.records["synthetic.quasi-umbilical-exact"].residual > 1e-12
     per_suite = {
         "structure": run_suite(get_model("N1"), "structure", cfg).exit_code,
         "sasakian": run_suite(get_model("N1"), "sasakian", cfg).exit_code,

@@ -25,7 +25,7 @@ from paracheck.sampling import derive_rng, sample_points
 from paracheck.suites import RunConfig, run_suite
 
 from pointwise import random_pointwise_structure
-from records import passed
+from records import passed, recorded
 
 MIN_NORM_E1 = np.array([-4.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0])
 FAMILY_DIR = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
@@ -44,22 +44,21 @@ def _fit(s):
     return fit_einstein_like(*_fit_inputs(s))
 
 
-def _merged(*results):
-    out = StructureCheckResult()
-    for r in results:
-        out.records.update(r.records)
-    return out
-
-
 def _c11_records(fit, c11, s):
     """Every einstein record on C11(phi R) of a para-Sasakian structure."""
-    return _merged(verify_c11_identities(c11, s), verify_c11_decomposition(fit, c11, s))
+    res = StructureCheckResult()
+    verify_c11_identities(res, c11, s)
+    verify_c11_decomposition(res, fit, c11, s)
+    return res
 
 
 def _lie_records(fit, s):
     """Every lie record of a para-Sasakian structure with constant trace(phi)."""
-    return _merged(verify_lie_formulas(s), verify_lie_ricci(fit, s),
-                   verify_lie_c11(fit, compute_c11_phi_r(s), s))
+    res = StructureCheckResult()
+    verify_lie_formulas(res, s)
+    verify_lie_ricci(res, fit, s)
+    verify_lie_c11(res, fit, compute_c11_phi_r(s), s)
+    return res
 
 
 class TestFit:
@@ -128,20 +127,20 @@ class TestCoefficientConstraints:
         """eps a + c = -4/3 - 2/3 = -2 = 1 - n, and r = 3a + b tr(phi) + eps c
         = -6, for all family members."""
         fit = _fit(e1)
-        assert passed(verify_coefficient_constraints(fit, e1))
-        res = verify_scalar_ode(fit, e1)
+        assert passed(recorded(verify_coefficient_constraints, fit, e1))
+        res = recorded(verify_scalar_ode, fit, e1)
         assert passed(res)
-        assert res.residual("einstein.eps-a-plus-c") < 1e-9
+        assert res.records["einstein.eps-a-plus-c"].residual < 1e-9
         a, b, c = fit.min_norm
         assert a + c == pytest.approx(-2.0, abs=1e-9)
         assert 3 * a + b * (-2.0) + c == pytest.approx(-6.0, abs=1e-9)
 
     def test_e2_constraint(self, e2):
         fit = _fit(e2)
-        assert passed(verify_coefficient_constraints(fit, e2))
-        res = verify_scalar_ode(fit, e2)
+        assert passed(recorded(verify_coefficient_constraints, fit, e2))
+        res = recorded(verify_scalar_ode, fit, e2)
         assert passed(res)
-        assert res.residual("einstein.eps-a-plus-c") < 1e-8
+        assert res.records["einstein.eps-a-plus-c"].residual < 1e-8
         a, b, c = fit.min_norm
         assert -a + c == pytest.approx(-2.0, abs=1e-9)
 
@@ -168,9 +167,9 @@ class TestScalarOde:
         rhs = 2 * 1 * (1 - 3) * (b**2 - c**2 - c * 3)
         assert lhs == pytest.approx(-8.0, abs=1e-8)
         assert rhs == pytest.approx(-8.0, abs=1e-12)
-        res = verify_scalar_ode(fit, e1)
+        res = recorded(verify_scalar_ode, fit, e1)
         assert passed(res)
-        assert res.residual("einstein.scalar-ode") < 1e-8
+        assert res.records["einstein.scalar-ode"].residual < 1e-8
 
     def test_e1_div_q_coefficient_vanishes(self, e1):
         """eps(1-n) b + c tr(phi) = -2(2/3) + (-2/3)(-2) = 0, matching
@@ -179,12 +178,12 @@ class TestScalarOde:
         a, b, c = fit.min_norm
         assert (1 - 3) * b + c * (-2.0) == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(e1.curvature.div_q)) < 1e-7
-        res = verify_scalar_ode(fit, e1)
-        assert res.residual("einstein.div-q-display") < 1e-7
+        res = recorded(verify_scalar_ode, fit, e1)
+        assert res.records["einstein.div-q-display"].residual < 1e-7
 
     def test_e2_ode(self, e2):
         fit = _fit(e2)
-        res = verify_scalar_ode(fit, e2)
+        res = recorded(verify_scalar_ode, fit, e2)
         assert passed(res)
 
     def test_gated_when_not_para_sasakian(self):
@@ -203,9 +202,9 @@ class TestTraceFormula:
         member with c != 0."""
         fit = _fit(e1)
         assert e1.trace_phi[0] == pytest.approx(-2.0, abs=1e-12)
-        res = verify_trace_formula(fit, e1)
+        res = recorded(verify_trace_formula, fit, e1)
         assert passed(res)
-        assert res.residual("einstein.trace-phi-formula") < 1e-8
+        assert res.records["einstein.trace-phi-formula"].residual < 1e-8
 
     def test_degenerate_member_skipped(self, e1):
         """The family member with t chosen so that b = c = 0 is excluded by
@@ -216,7 +215,7 @@ class TestTraceFormula:
         member = fit.min_norm + t * fit.family[0]
         assert member[1] == pytest.approx(0.0, abs=1e-12)
         assert member[2] == pytest.approx(0.0, abs=1e-12)
-        res = verify_trace_formula(fit, e1)
+        res = recorded(verify_trace_formula, fit, e1)
         assert passed(res)  # remaining members carry the check
 
     def test_vacuous_when_all_members_degenerate(self, f0):
@@ -225,8 +224,8 @@ class TestTraceFormula:
         degenerate and the check reports vacuous."""
         fit = _fit(f0)
         assert fit.min_norm == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
-        res = verify_trace_formula(fit, f0)
-        statuses = {c.status for c in res.checks}
+        res = recorded(verify_trace_formula, fit, f0)
+        statuses = {c.status for c in res.records.values()}
         assert statuses <= {"vacuous", "pass"}
 
     def test_inconsistent_plant_fails(self, rng):
@@ -243,7 +242,7 @@ class TestTraceFormula:
             epsilon = 1
             trace_phi = np.array([float(np.trace(phi))] * 3)
 
-        res = verify_trace_formula(fit, FakeStruct())
+        res = recorded(verify_trace_formula, fit, FakeStruct())
         # trace(phi) = 0 here while eps(n-1) b/c = -15, so the check fails
         assert not passed(res)
 
@@ -256,11 +255,12 @@ class TestC11:
 
     def test_symmetry(self, e1, e2):
         for s in (e1, e2):
-            assert verify_c11_identities(compute_c11_phi_r(s), s).residual("einstein.c11-symmetric") < 1e-9
+            res = recorded(verify_c11_identities, compute_c11_phi_r(s), s)
+            assert res.records["einstein.c11-symmetric"].residual < 1e-9
 
     def test_s_phi_z_display(self, e1):
-        res = verify_c11_identities(compute_c11_phi_r(e1), e1)
-        assert res.residual("einstein.s-phi-z-display") < 1e-8
+        res = recorded(verify_c11_identities, compute_c11_phi_r(e1), e1)
+        assert res.records["einstein.s-phi-z-display"].residual < 1e-8
 
     def test_decomposition_adjudication_on_e1(self, e1):
         """Minimum-norm member: the re-derived coefficient reproduces
@@ -268,9 +268,9 @@ class TestC11:
         eta(x)eta block."""
         fit = _fit(e1)
         c11 = compute_c11_phi_r(e1)
-        res = verify_c11_decomposition(fit, c11, e1)
-        assert res.residual("einstein.c11-decomposition-derived") < 1e-7
-        assert res.get("einstein.c11-decomposition-printed").status == "printed-form-mismatch"
+        res = recorded(verify_c11_decomposition, fit, c11, e1)
+        assert res.records["einstein.c11-decomposition-derived"].residual < 1e-7
+        assert res.records["einstein.c11-decomposition-printed"].status == "printed-form-mismatch"
         a, b, c = fit.min_norm
         n, eps = 3, 1
         g, eta = e1.g0, e1.eta0
@@ -297,8 +297,8 @@ class TestC11:
 
     def test_parallel_along_xi(self, e1):
         fit = _fit(e1)
-        res = verify_c11_decomposition(fit, compute_c11_phi_r(e1), e1)
-        assert res.residual("einstein.c11-parallel-along-xi") < 1e-7
+        res = recorded(verify_c11_decomposition, fit, compute_c11_phi_r(e1), e1)
+        assert res.records["einstein.c11-parallel-along-xi"].residual < 1e-7
 
 
 class TestLieFormulas:
@@ -308,17 +308,17 @@ class TestLieFormulas:
         fit = _fit(e1)
         res = _lie_records(fit, e1)
         assert passed(res)
-        assert all(c.status == "pass" for c in res.checks)
-        assert max(c.residual for c in res.checks) < 1e-8
+        assert all(c.status == "pass" for c in res.records.values())
+        assert max(c.residual for c in res.records.values()) < 1e-8
 
     def test_e2_printed_form_mismatches(self, e2):
         """At eps = -1: L_xi Phi = -2(g + eta(x)eta) matches the re-derived
         form and misses the printed one by exactly 4 eta(x)eta."""
         fit = _fit(e2)
         res = _lie_records(fit, e2)
-        assert res.residual("lie.lie-phi-form-derived") < 1e-8
-        assert res.get("lie.lie-phi-form-printed").status == "printed-form-mismatch"
-        assert res.get("lie.lie-c11-printed").status == "printed-form-mismatch"
+        assert res.records["lie.lie-phi-form-derived"].residual < 1e-8
+        assert res.records["lie.lie-phi-form-printed"].status == "printed-form-mismatch"
+        assert res.records["lie.lie-c11-printed"].status == "printed-form-mismatch"
         from paracheck.geometry_engine import lie_derivative
 
         LPhi = lie_derivative(e2.Phi.components[..., 0], e2._nabla(e2.Phi), e2.xi0, e2.nabla_xi)
@@ -329,8 +329,8 @@ class TestLieFormulas:
 
     def test_lie_eta_vanishes(self, e1, e2):
         for s in (e1, e2):
-            res = verify_lie_formulas(s)
-            assert res.residual("lie.lie-eta") < 1e-10
+            res = recorded(verify_lie_formulas, s)
+            assert res.records["lie.lie-eta"].residual < 1e-10
 
     def test_f0_fails_lie_g(self):
         report = run_suite(get_model("F0"), "lie", RunConfig(points=20, seed=7))
@@ -353,14 +353,14 @@ class TestRepresentationIndependence:
                             c=fit.c + fit.family[0][2], residual=fit.residual,
                             gram_rank=fit.gram_rank, family=fit.family)
         res2 = _c11_records(shifted, c11, e1)
-        assert res1.residual("einstein.s-phi-z-display") == res2.residual("einstein.s-phi-z-display")
-        assert res1.residual("einstein.c11-symmetric") == res2.residual("einstein.c11-symmetric")
+        assert res1.records["einstein.s-phi-z-display"].residual == res2.records["einstein.s-phi-z-display"].residual
+        assert res1.records["einstein.c11-symmetric"].residual == res2.records["einstein.c11-symmetric"].residual
 
     def test_family_invariance_of_constraints(self, e1, e2):
         """eps a + c, the ODE, and the trace formula hold for all members at
         t in {-1, 0, 1}."""
         for s in (e1, e2):
             fit = _fit(s)
-            assert verify_scalar_ode(fit, s).residual("einstein.eps-a-plus-c") < 1e-9
-            assert verify_scalar_ode(fit, s).residual("einstein.scalar-ode") < 1e-8
-            assert passed(verify_trace_formula(fit, s))
+            assert recorded(verify_scalar_ode, fit, s).records["einstein.eps-a-plus-c"].residual < 1e-9
+            assert recorded(verify_scalar_ode, fit, s).records["einstein.scalar-ode"].residual < 1e-8
+            assert passed(recorded(verify_trace_formula, fit, s))

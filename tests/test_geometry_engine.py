@@ -18,7 +18,7 @@ from paracheck.geometry_engine import (
     lie_derivative,
 )
 from paracheck.hypersurface_lab import builtin_bundles, evaluate_bundle
-from paracheck.models import ManifoldModel, _eval_grid, evaluate_structure, get_model
+from paracheck.models import ManifoldModel, _eval_grid, _half_space_model, evaluate_structure, get_model
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.tensor_algebra import TensorValue
 
@@ -96,6 +96,25 @@ class TestCurvature:
         assert np.allclose(cur.scalar[:, 0], r_expected, atol=1e-10)
         S = cur.ricci.components[..., 0]
         assert np.max(np.abs(S - factor * s.g0)) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    @pytest.mark.parametrize("family, sign", [("E1", -1), ("E2", 1)])
+    def test_closed_form_curvature_by_dimension(self, family, sign, n):
+        """The E1 and E2 families have constant curvature -1 and +1 at every
+        dimension: R_ijkl = sign (g_jk g_il - g_ik g_jl), S = sign (n-1) g and
+        r = sign n(n-1), and so dr = 0 and nabla Q = 0; each to 1e-12 of its
+        scale, dr against n(n-1) and nabla Q against n-1, at 6 points."""
+        model = _half_space_model(f"{family}n{n}", n, timelike_y=family == "E2", phi_scale=1.0, epsilon=-sign,
+                                  description="")
+        s = evaluate_structure(model, sample_points(model.domain, 6, derive_rng(3, family, n, "closed-form")))
+        cur, g = s.curvature, s.g0
+        R = sign * (np.einsum('pjk,pil->pijkl', g, g) - np.einsum('pik,pjl->pijkl', g, g))
+        assert np.max(np.abs(cur.riemann_dddd.components[..., 0] - R)) <= 1e-12 * np.max(np.abs(R))
+        S = sign * (n - 1) * g
+        assert np.max(np.abs(cur.ricci.components[..., 0] - S)) <= 1e-12 * np.max(np.abs(S))
+        assert np.max(np.abs(cur.scalar[:, 0] - sign * n * (n - 1))) <= 1e-12 * n * (n - 1)
+        assert np.max(np.abs(cur.dr)) <= 1e-12 * n * (n - 1)
+        assert np.max(np.abs(cur.nabla_ricci_op.components[..., 0])) <= 1e-12 * (n - 1)
 
     @pytest.mark.parametrize("name", ["E1", "E2"])
     def test_full_pipeline_matches_finite_differences(self, name, models):

@@ -219,18 +219,16 @@ def _written_reports():
     a control character, non-ASCII text and a character outside the Basic Multilingual Plane."""
     from paracheck.report import NOT_APPLICABLE, StructureCheckResult, new_report
 
-    empty = new_report("E1", "all", 42, 5)
-    non_finite = new_report("E1n5", "einstein", 0, 6)
+    empty = new_report("E1", "all", 42, 5, StructureCheckResult())
     res = StructureCheckResult()
     res.add("einstein.fit", math.inf, detail="rank differs")
     res.add("einstein.fit-stability", math.nan)
     res.add("einstein.eps-a-plus-c", 0.0, detail="gate", status=NOT_APPLICABLE)
-    non_finite.checks = res.checks
-    odd = new_report('W "1" \\ \u00e9', "structure", 7, 10)
+    non_finite = new_report("E1n5", "einstein", 0, 6, res)
     res = StructureCheckResult()
     res.add("structure.phi-squared", 1.5e-17, detail='a "quoted" word, a back\\slash,\na newline\tand a tab')
     res.add("structure.eta-of-xi", 2.0, detail="\x01 \u00a7 \u03c6\u00b2 = I \u2212 \u03b7\u2297\u03be, \U0001d524")
-    odd.checks = res.checks
+    odd = new_report('W "1" \\ \u00e9', "structure", 7, 10, res)
     return {"empty": empty, "non-finite": non_finite, "odd-text": odd}
 
 

@@ -32,13 +32,13 @@ from paracheck.hypersurface_lab import (
     verify_induced_derivatives,
 )
 from paracheck.paracontact_core import ParacontactStructure, VectorPairs, check_axioms
-from paracheck.report import EXIT_INPUT_ERROR, StructureCheckResult
+from paracheck.report import EXIT_INPUT_ERROR
 from paracheck.sampling import _seed, derive_rng, derive_states, random_vectors, sample_points
 from paracheck.suites import RunConfig, run_suite
 from paracheck.tensor_algebra import TensorValue, min_norm_solve
 
 from pointwise import assemble_structures, draw_trial, random_pointwise_structure
-from records import passed
+from records import passed, recorded
 
 
 @pytest.fixture(scope="module")
@@ -144,9 +144,9 @@ class TestInducedStructure:
         assert e3a_data.epsilon_residual < 1e-12
 
     def test_hyperplane_induced_axioms(self, e3a_data):
-        res = check_axioms(_pairs(e3a_data.structure, "E3a"))
+        res = recorded(check_axioms, _pairs(e3a_data.structure, "E3a"))
         assert passed(res)
-        assert max(c.residual for c in res.checks) < 1e-9
+        assert max(c.residual for c in res.records.values()) < 1e-9
 
     def test_cone_tangency_identity(self, e3b_data):
         """On |x| = |y| the normal is (x, -y)/|.| and J maps it to the radial
@@ -156,7 +156,7 @@ class TestInducedStructure:
         assert e3b_data.epsilon_residual < 1e-12
 
     def test_cone_induced_axioms_and_radial_xi(self, e3b_data):
-        res = check_axioms(_pairs(e3b_data.structure, "E3b"))
+        res = recorded(check_axioms, _pairs(e3b_data.structure, "E3b"))
         assert passed(res)
         # xi is the radial direction: in the (t, a, b) chart xi ~ dt/sqrt(2)
         xi0 = e3b_data.structure.xi0
@@ -282,8 +282,9 @@ class TestShapeOperator:
 
     def test_self_adjointness(self, e3a_data, e3b_data):
         for data in (e3a_data, e3b_data):
-            axioms = check_axioms(_pairs(data.structure, "self-adjoint"))
-            assert check_induced_frame(data, axioms).residual("hypersurface.shape-self-adjoint") < 1e-8
+            axioms = recorded(check_axioms, _pairs(data.structure, "self-adjoint"))
+            res = recorded(check_induced_frame, data, axioms)
+            assert res.records["hypersurface.shape-self-adjoint"].residual < 1e-8
 
     def test_h_is_eps_g_a(self, e3b_data):
         h = e3b_data.shape.h
@@ -345,14 +346,14 @@ class TestShapeOperator:
 
 class TestInducedDerivatives:
     def test_hyperplane_trivial(self, e3a_data):
-        res = verify_induced_derivatives(e3a_data, _pairs(e3a_data.structure, "E3a-ind"))
+        res = recorded(verify_induced_derivatives, e3a_data, _pairs(e3a_data.structure, "E3a-ind"))
         assert passed(res)
-        assert max(c.residual for c in res.checks) < 1e-9
+        assert max(c.residual for c in res.records.values()) < 1e-9
 
     def test_cone_displays(self, e3b_data):
-        res = verify_induced_derivatives(e3b_data, _pairs(e3b_data.structure, "E3b-ind"))
+        res = recorded(verify_induced_derivatives, e3b_data, _pairs(e3b_data.structure, "E3b-ind"))
         assert passed(res)
-        assert max(c.residual for c in res.checks) < 1e-7
+        assert max(c.residual for c in res.records.values()) < 1e-7
 
     def test_wrong_epsilon_sign_detected(self, e3b_data):
         """Flipping the declared eps flips the sign of the (nabla eta)
@@ -363,13 +364,13 @@ class TestInducedDerivatives:
             structure = ParacontactStructure(s.points, -s.epsilon, s.g, s.phi, s.xi, s.eta)
             shape = e3b_data.shape
 
-        res = verify_induced_derivatives(Flipped, _pairs(Flipped.structure, "E3b-flip"))
-        assert "hypersurface.induced-grad-eta" in [c.id for c in res.checks if c.status == "fail"]
+        res = recorded(verify_induced_derivatives, Flipped, _pairs(Flipped.structure, "E3b-flip"))
+        assert "hypersurface.induced-grad-eta" in [c.id for c in res.records.values() if c.status == "fail"]
 
 
 class TestAmbient:
     def test_flat_product_ambient(self, e3a_data):
-        res = check_ambient(e3a_data.ambient)
+        res = recorded(check_ambient, e3a_data.ambient)
         assert passed(res)
 
     def test_curved_product_ambient_has_parallel_j(self):
@@ -386,23 +387,23 @@ class TestAmbient:
         rng = np.random.default_rng(5)
         pts = np.column_stack([rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6),
                                rng.uniform(-1, 1, 6), rng.uniform(0.5, 2.0, 6)])
-        res = check_ambient(AmbientJets(amb, pts))
+        res = recorded(check_ambient, AmbientJets(amb, pts))
         assert passed(res)
-        assert res.residual("hypersurface.ambient-j-parallel") < 1e-8
+        assert res.records["hypersurface.ambient-j-parallel"].residual < 1e-8
 
     def test_gauss_equation_consistency(self, e3a_data, e3b_data):
         for data in (e3a_data, e3b_data):
-            assert check_gauss_equation(data).residual("hypersurface.gauss-equation") < 1e-6
+            assert recorded(check_gauss_equation, data).records["hypersurface.gauss-equation"].residual < 1e-6
 
 
 class TestCharacterization:
     def test_cone_iff_both_sides_false(self, e3b_data):
-        res = check_ps_characterization(e3b_data, _pairs(e3b_data.structure, "E3b-char"))
+        res = recorded(check_ps_characterization, e3b_data, _pairs(e3b_data.structure, "E3b-char"))
         assert passed(res)
-        assert res.residual("hypersurface.characterization-iff") == 0.0
+        assert res.records["hypersurface.characterization-iff"].residual == 0.0
 
     def test_hyperplane_iff_both_sides_false(self, e3a_data):
-        res = check_ps_characterization(e3a_data, _pairs(e3a_data.structure, "E3a-char"))
+        res = recorded(check_ps_characterization, e3a_data, _pairs(e3a_data.structure, "E3a-char"))
         assert passed(res)
 
     def test_planted_operator_satisfies_defining_equation_exactly(self, rng):
@@ -471,9 +472,9 @@ class TestQuasiUmbilical:
         struct = _pointwise_structure(g, phi, xi, eta, eps)
         h = eps * np.einsum('ma,mb->ab', A, g)
         shape = ShapeData(A=A[None], h=h[None])
-        res = quasi_umbilical_check(shape, struct)
+        res = recorded(quasi_umbilical_check, shape, struct)
         assert passed(res)
-        assert res.residual("hypersurface.quasi-umbilical") < 1e-12
+        assert res.records["hypersurface.quasi-umbilical"].residual < 1e-12
 
     def test_hyperplane_not_applicable(self):
         cfg = RunConfig(points=10, seed=7, hypersurface_subset="characterization")
@@ -490,7 +491,7 @@ class TestQuasiUmbilical:
         struct = _pointwise_structure(g, phi, xi, eta, 1)
         h = np.einsum('ma,mb->ab', A, g)
         shape = ShapeData(A=A[None], h=h[None])
-        res = quasi_umbilical_check(shape, struct)
+        res = recorded(quasi_umbilical_check, shape, struct)
         assert not passed(res)
 
 
@@ -504,7 +505,7 @@ def _chain_inputs(monkeypatch, epsilon, n, trials, seed):
         return chain(res, epsilon, g, phi, xi, eta, *rest)
 
     monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
-    out = synthetic_gauss_check(epsilon, n, trials, seed)
+    out = recorded(synthetic_gauss_check, epsilon, n, trials, seed)
     monkeypatch.setattr(hypersurface_lab, "_gauss_chain", chain)
     return out, [np.concatenate(arrays) for arrays in zip(*blocks)]
 
@@ -512,26 +513,24 @@ def _chain_inputs(monkeypatch, epsilon, n, trials, seed):
 def _chain_records(*args) -> dict:
     """The residual of each record _gauss_chain(res, *args) adds to a fresh
     recorder ``res``, by id."""
-    res = StructureCheckResult()
-    _gauss_chain(res, *args)
-    return {c.id: c.residual for c in res.checks}
+    return {c.id: c.residual for c in recorded(_gauss_chain, *args).records.values()}
 
 
 class TestSyntheticGauss:
     @pytest.mark.parametrize("eps,n", [(1, 3), (1, 5), (-1, 3), (-1, 5)])
     def test_trials(self, eps, n):
-        res = synthetic_gauss_check(eps, n, trials=25, seed=42)
-        assert res.get("synthetic.quasi-umbilical-exact").residual < 1e-12
-        assert res.get("synthetic.gauss-vs-derived-display").residual < 1e-10
-        assert res.get("synthetic.gauss-vs-printed-display").status == "printed-form-mismatch"
+        res = recorded(synthetic_gauss_check, eps, n, trials=25, seed=42)
+        assert res.records["synthetic.quasi-umbilical-exact"].residual < 1e-12
+        assert res.records["synthetic.gauss-vs-derived-display"].residual < 1e-10
+        assert res.records["synthetic.gauss-vs-printed-display"].status == "printed-form-mismatch"
         # the xi identity on the computed reduction forces k = -eps, every trial
-        assert res.get("synthetic.k-vs-derived").residual < 1e-10
-        assert res.get("synthetic.k-vs-printed").status == "printed-form-mismatch"
-        assert abs(res.get("synthetic.k-vs-printed").residual - abs(-eps - (2 - eps))) < 1e-10
-        assert res.get("synthetic.ricci-vs-derived-form").residual < 1e-10
-        assert res.get("synthetic.printed-chain-self-consistency").residual < 1e-10
-        assert res.get("synthetic.eps-a-plus-c").residual < 1e-10
-        assert res.get("synthetic.einstein-like-fit").residual < 1e-10
+        assert res.records["synthetic.k-vs-derived"].residual < 1e-10
+        assert res.records["synthetic.k-vs-printed"].status == "printed-form-mismatch"
+        assert abs(res.records["synthetic.k-vs-printed"].residual - abs(-eps - (2 - eps))) < 1e-10
+        assert res.records["synthetic.ricci-vs-derived-form"].residual < 1e-10
+        assert res.records["synthetic.printed-chain-self-consistency"].residual < 1e-10
+        assert res.records["synthetic.eps-a-plus-c"].residual < 1e-10
+        assert res.records["synthetic.einstein-like-fit"].residual < 1e-10
 
     def test_axioms_of_random_structures(self, rng):
         for eps in (1, -1):
@@ -546,8 +545,8 @@ class TestSyntheticGauss:
                 assert xi @ g @ xi == pytest.approx(eps)
 
     def test_perturbed_negative_control(self):
-        res = synthetic_gauss_check(1, 3, trials=5, seed=42, perturb_a=5e-3)
-        assert res.get("synthetic.quasi-umbilical-exact").residual > 1e-12
+        res = recorded(synthetic_gauss_check, 1, 3, trials=5, seed=42, perturb_a=5e-3)
+        assert res.records["synthetic.quasi-umbilical-exact"].residual > 1e-12
 
     @pytest.mark.parametrize("perturb_a", [0.0, 5e-3])
     @pytest.mark.parametrize("n", [3, 5])
@@ -588,7 +587,7 @@ class TestSyntheticGauss:
 
         monkeypatch.setattr(hypersurface_lab, "_draw_block", recording_draw)
         monkeypatch.setattr(hypersurface_lab, "_gauss_chain", recording_chain)
-        full = synthetic_gauss_check(-1, 6, trials=trials, seed=3)
+        full = recorded(synthetic_gauss_check, -1, 6, trials=trials, seed=3)
         chain_rows = [len(drawn[0]) for drawn, _ in chain_calls]
         assert drawn_rows == chain_rows == [72, 72, 6]
         for drawn, worst in chain_calls:
@@ -596,13 +595,13 @@ class TestSyntheticGauss:
             assert worst.keys() == singles[0].keys()
             for cid, value in worst.items():
                 assert value == max(single[cid] for single in singles), cid
-        assert {c.id: c.residual for c in full.checks} == {
+        assert {c.id: c.residual for c in full.records.values()} == {
             cid: max(worst[cid] for _, worst in chain_calls) for cid in chain_calls[0][1]}
-        records = [(c.id, c.status, c.residual) for c in full.checks]
+        records = [(c.id, c.status, c.residual) for c in full.records.values()]
         for elements in (2 ** 6, 2 ** 20):
             monkeypatch.setattr(hypersurface_lab, "_BLOCK_ELEMENTS", elements)
-            other = synthetic_gauss_check(-1, 6, trials=trials, seed=3)
-            assert [(c.id, c.status, c.residual) for c in other.checks] == records
+            other = recorded(synthetic_gauss_check, -1, 6, trials=trials, seed=3)
+            assert [(c.id, c.status, c.residual) for c in other.records.values()] == records
 
     @pytest.mark.parametrize("n, block", [(3, 606), (5, 131), (6, 72), (9, 12)])
     def test_one_block_size_draws_and_evaluates_the_trials(self, n, block, monkeypatch):
@@ -616,7 +615,7 @@ class TestSyntheticGauss:
             return draw(rng, states, *rest)
 
         monkeypatch.setattr(hypersurface_lab, "_draw_block", recording_draw)
-        synthetic_gauss_check(1, n, block + 1, seed=0)
+        recorded(synthetic_gauss_check, 1, n, block + 1, seed=0)
         assert rows == [block, 1]
 
     @pytest.mark.parametrize("eps, n, trials", [(1, 30, 8), (-1, 5, 400)])
@@ -632,7 +631,7 @@ class TestSyntheticGauss:
             return states(*args, counters=counters)
 
         monkeypatch.setattr(hypersurface_lab, "derive_states", counting)
-        synthetic_gauss_check(eps, n, trials, seed=0)
+        recorded(synthetic_gauss_check, eps, n, trials, seed=0)
         assert seeded == [range(trials)]
 
     @pytest.mark.parametrize("perturb_a", [0.0, 5e-3])
@@ -681,7 +680,7 @@ class TestSyntheticGauss:
                 drawn = random_pointwise_structure(derive_rng(seed, "synthetic-gauss", eps + 1, n, t), n, eps)
                 for want, got in zip(drawn, accepted):
                     assert want.tobytes() == got[t].tobytes(), (n, eps, seed, t)
-            assert passed(out), [c.id for c in out.checks if c.status == "fail"]
+            assert passed(out), [c.id for c in out.records.values() if c.status == "fail"]
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_drawn_metrics_are_well_conditioned(self, eps):
@@ -759,7 +758,7 @@ class TestSyntheticGauss:
         four-k display loop."""
         tracemalloc.start()
         try:
-            synthetic_gauss_check(-1, hypersurface_lab.SYNTHETIC_MAX_DIM, trials=1, seed=0)
+            recorded(synthetic_gauss_check, -1, hypersurface_lab.SYNTHETIC_MAX_DIM, trials=1, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -771,12 +770,12 @@ class TestSyntheticGauss:
         15,000 trials.  Two float arrays of one entry a trial grew it by
         157 KB.  A one-trial call first builds what every call shares, such
         as the pair table, so that neither measured call does."""
-        synthetic_gauss_check(1, 3, 1, 0)
+        recorded(synthetic_gauss_check, 1, 3, 1, 0)
         peaks = []
         for trials in (5000, 15000):
             tracemalloc.start()
             try:
-                synthetic_gauss_check(1, 3, trials, 0)
+                recorded(synthetic_gauss_check, 1, 3, trials, 0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

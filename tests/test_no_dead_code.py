@@ -18,6 +18,13 @@ alone.  The receiver's class comes from a small static typing of the package
 (:class:`_Types`), so a read of another class's field of the same name does
 not count, and neither does a read on a receiver it cannot type (an
 argparse namespace's ``args.points``).  Exception attributes are not scanned.
+
+Every other method a class of the package defines, dunders aside, is read
+the same way, as an attribute on an object of its class or on the class
+itself (``JetSpace.get``): a method only tests call is code the engine keeps
+for them alone.  A method the package reaches only by a computed name is
+listed in REACHED_BY_NAME with how it is reached, and one a tool outside
+the package reads in READ_OUTSIDE_SRC.
 """
 
 import ast
@@ -37,6 +44,9 @@ READ_OUTSIDE_SRC = {
 # (function, parameter) -> why it is not read: eval_expr calls every unary function of JetSpace as
 # fn(jets, points), the points naming a domain error of ln, sqrt or reciprocal
 UNREAD_PARAMETERS = {(fn, "points"): "eval_expr's one call form" for fn in ("exp", "sin", "cos")}
+
+# (class, method) -> how the package reaches it with no attribute read naming it
+REACHED_BY_NAME = {("JetSpace", fn): "eval_expr's getattr(space, node.func)" for fn in ("exp", "ln", "sin", "cos")}
 
 
 def definitions(tree: ast.Module) -> list[str]:
@@ -139,7 +149,8 @@ class _Types:
     """A small static typing of ``src/paracheck``, enough to tell which class
     an attribute is read on.  A name is typed by its annotation; an
     unannotated parameter (a lambda's ``ctx``) by the one annotation the
-    package gives that name elsewhere; ``self`` by its class; a local by
+    package gives that name elsewhere; ``self`` by its class; a class's
+    own name by that class; a local by
     what it is assigned, iterated over or bound to in a comprehension.  An
     expression ``e.a`` takes the annotation of field or property ``a`` of
     e's class, or the type of the value an ``__init__`` assigns to
@@ -191,7 +202,7 @@ class _Types:
     def of(self, e: ast.expr, env: dict):
         """The type of expression ``e`` under ``env``, None when unknown."""
         if isinstance(e, ast.Name):
-            return env.get(e.id)
+            return env.get(e.id, frozenset({e.id}) if e.id in self.classes else None)
         if isinstance(e, ast.Attribute):
             t = self.of(e.value, env)
             if isinstance(t, frozenset):
@@ -260,36 +271,74 @@ class _Types:
                     self.assign(n.target, t[1] if isinstance(t, tuple) and t[0] == "of" else None, env)
         return env
 
-    def reads(self, tree: ast.Module) -> set[tuple[str, str]]:
-        """(class, attribute) of every attribute read on a receiver of a known class."""
+    def reads(self, tree: ast.Module) -> set[tuple[tuple[str, str], tuple[str, str] | None]]:
+        """((class, attribute), reader) of every attribute read on a receiver
+        of a known class, the reader being the (class, method) whose body holds
+        the read, or None outside every method's body."""
         found = set()
 
-        def visit(node, cls, env):
+        def visit(node, cls, env, reader):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
-                    visit(child, child.name, env)
+                    visit(child, child.name, env, None)
                 elif isinstance(child, (ast.FunctionDef, ast.Lambda)):
                     inner = self.bind(child, cls, env)
+                    here = reader or ((cls, child.name) if cls and isinstance(child, ast.FunctionDef) else None)
                     for n in ast.walk(child):
                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                             t = self.of(n.value, inner)
-                            found.update((c, n.attr) for c in (t if isinstance(t, frozenset) else ()))
-                    visit(child, cls if isinstance(child, ast.Lambda) else None, inner)
+                            found.update(((c, n.attr), here) for c in (t if isinstance(t, frozenset) else ()))
+                    visit(child, cls if isinstance(child, ast.Lambda) else None, inner, here)
                 else:
-                    visit(child, cls, env)
+                    visit(child, cls, env, reader)
 
-        visit(tree, None, self.module_env)
+        visit(tree, None, self.module_env, None)
         return found
 
 
-def unread_fields() -> set[tuple[str, str]]:
-    """Fields and properties never read as an attribute on an object of
-    their class (or of a union holding it) in the package."""
+def _methods(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, name) of every method the module's classes define, dunders
+    and properties aside."""
+    return {(cls.name, node.name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+            and not {"property", "cached_property"} & set(map(_decorator_name, node.decorator_list))}
+
+
+def _readers() -> tuple[list[ast.Module], dict]:
+    """The package's modules, and the readers of each (class, attribute) read in them."""
     trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
-    types = _Types(trees)
-    read = set().union(*map(types.reads, trees))
-    return {field for tree in trees for field in fields_and_properties(tree)} - read
+    types, readers = _Types(trees), {}
+    for tree in trees:
+        for member, reader in types.reads(tree):
+            readers.setdefault(member, set()).add(reader)
+    return trees, readers
+
+
+def unread_members(defined) -> set[tuple[str, str]]:
+    """The (class, name) pairs ``defined`` lists in the package's modules, of
+    fields, properties or methods, that nothing live reads as an attribute on
+    an object of their class (or of a union holding it) or on the class
+    itself.  A read is live outside every member's body, and in the body of a
+    member read live itself, or of one REACHED_BY_NAME or READ_OUTSIDE_SRC
+    lists: so a method only an unread method calls is unread too."""
+    trees, readers = _readers()
+    members = {m for tree in trees for m in (*fields_and_properties(tree), *_methods(tree))}
+    unread = set()
+    while more := {m for m in members - unread - set(REACHED_BY_NAME) if m[1] not in READ_OUTSIDE_SRC
+                   and readers.get(m, set()) <= unread | {m}}:
+        unread |= more
+    return unread & {m for tree in trees for m in defined(tree)}
 
 
 def test_every_field_and_property_is_read_in_src():
-    assert unread_fields() == set()
+    assert unread_members(fields_and_properties) == set()
+
+
+def test_every_method_is_read_in_src():
+    assert unread_members(_methods) == set()
+
+
+def test_each_method_reached_by_name_is_read_by_no_attribute():
+    trees, readers = _readers()
+    methods = set().union(*map(_methods, trees))
+    assert {m for m in REACHED_BY_NAME if m in methods and m not in readers} == set(REACHED_BY_NAME)

@@ -23,7 +23,7 @@ from paracheck.report import CHECKS, StructureCheckResult, residual_norm
 from paracheck.sampling import derive_rng, random_vectors, sample_points
 from paracheck.hypersurface_lab import builtin_bundles, evaluate_bundle
 
-from records import passed
+from records import passed, recorded
 
 
 _P, _V, _N = 4, 6, 5
@@ -54,26 +54,26 @@ def test_value_helpers_match_their_einsum(name):
 
 class TestCheckAxioms:
     def test_e1_all_axioms_tight(self, e1, vectors):
-        res = check_axioms(VectorPairs(e1, vectors(e1)))
+        res = recorded(check_axioms, VectorPairs(e1, vectors(e1)))
         assert passed(res)
-        assert max(c.residual for c in res.checks) < 1e-9
+        assert max(c.residual for c in res.records.values()) < 1e-9
 
     def test_e2_all_axioms_tight(self, e2, vectors):
-        res = check_axioms(VectorPairs(e2, vectors(e2)))
+        res = recorded(check_axioms, VectorPairs(e2, vectors(e2)))
         assert passed(res)
-        assert max(c.residual for c in res.checks) < 1e-9
+        assert max(c.residual for c in res.records.values()) < 1e-9
 
     def test_n1_fails_with_expected_magnitude(self, n1, vectors):
         """phi scaled by 1.01 leaves a phi^2 gap of about (1.01)^2 - 1 ~ 0.02
         before normalization."""
-        res = check_axioms(VectorPairs(n1, vectors(n1)))
+        res = recorded(check_axioms, VectorPairs(n1, vectors(n1)))
         assert not passed(res)
-        assert "structure.phi-squared" in [c.id for c in res.checks if c.status == "fail"]
-        assert 5e-3 < res.residual("structure.phi-squared") < 5e-2
+        assert "structure.phi-squared" in [c.id for c in res.records.values() if c.status == "fail"]
+        assert 5e-3 < res.records["structure.phi-squared"].residual < 5e-2
 
     def test_axiom_names_are_the_seven_displays(self, e1, vectors):
-        res = check_axioms(VectorPairs(e1, vectors(e1)))
-        assert [c.id for c in res.checks] == [f"structure.{name}" for name in (
+        res = recorded(check_axioms, VectorPairs(e1, vectors(e1)))
+        assert [c.id for c in res.records.values()] == [f"structure.{name}" for name in (
             "phi-squared", "eta-of-xi", "phi-of-xi", "eta-after-phi",
             "metric-compatibility", "phi-self-adjoint", "metric-xi-eta",
         )]
@@ -82,17 +82,17 @@ class TestCheckAxioms:
 class TestCheckParaSasakian:
     def test_e1_e2_defining_equations(self, e1, e2, vectors):
         for s in (e1, e2):
-            res = check_para_sasakian(VectorPairs(s, vectors(s)))
+            res = recorded(check_para_sasakian, VectorPairs(s, vectors(s)))
             assert passed(res)
-            assert max(c.residual for c in res.checks) < 1e-8
+            assert max(c.residual for c in res.records.values()) < 1e-8
 
     def test_f0_fails(self, f0, vectors):
-        res = check_para_sasakian(VectorPairs(f0, vectors(f0)))
+        res = recorded(check_para_sasakian, VectorPairs(f0, vectors(f0)))
         assert not passed(res)
-        assert "sasakian.grad-xi" in [c.id for c in res.checks if c.status == "fail"]
+        assert "sasakian.grad-xi" in [c.id for c in res.records.values() if c.status == "fail"]
 
     def test_n1_fails(self, n1, vectors):
-        res = check_para_sasakian(VectorPairs(n1, vectors(n1)))
+        res = recorded(check_para_sasakian, VectorPairs(n1, vectors(n1)))
         assert not passed(res)
 
     def test_cone_induced_structure_is_not_para_sasakian(self):
@@ -110,15 +110,15 @@ class TestCheckParaSasakian:
 class TestCurvatureIdentities:
     def test_e1_e2_all_four(self, e1, e2, vectors):
         for s in (e1, e2):
-            res = check_ps_curvature_identities(VectorPairs(s, vectors(s)))
+            res = recorded(check_ps_curvature_identities, VectorPairs(s, vectors(s)))
             assert passed(res)
-            assert max(c.residual for c in res.checks) < 1e-7
+            assert max(c.residual for c in res.records.values()) < 1e-7
 
     def test_flat_formal_fails_r_identity(self, f0, vectors):
         """R = 0 on the flat chart, so R(X,Y)xi = eta(X)Y - eta(Y)X cannot
         hold; the residual is the size of the right side."""
-        res = check_ps_curvature_identities(VectorPairs(f0, vectors(f0)))
-        assert "curvature.r-xy-xi" in [c.id for c in res.checks if c.status == "fail"]
+        res = recorded(check_ps_curvature_identities, VectorPairs(f0, vectors(f0)))
+        assert "curvature.r-xy-xi" in [c.id for c in res.records.values() if c.status == "fail"]
 
     def test_closed_form_oracle_constant_curvature(self, e1, e2, vectors):
         """Substituting R(X,Y)Z = -eps (g(Y,Z)X - g(X,Z)Y), the closed form
@@ -133,7 +133,7 @@ class TestCurvatureIdentities:
             assert np.max(np.abs(R - closed)) < 1e-10
 
 
-def _curvature_identities_by_three_contractions(v: VectorPairs) -> StructureCheckResult:
+def _curvature_identities_by_three_contractions(res: StructureCheckResult, v: VectorPairs):
     """The four curvature identities with R(X, Y) xi, R(X, Y) phi Z and
     R(X, Y) Z each a contraction apply_op(R, X, Y, .) of its own: the
     reference for check_ps_curvature_identities, which shares one R(X, Y)."""
@@ -144,7 +144,6 @@ def _curvature_identities_by_three_contractions(v: VectorPairs) -> StructureChec
     phi, xi, eta, g, Phi = s.phi0, s.xi0, s.eta0, s.g0, s.Phi0
     X, Y, Z = v.X, v.Y, np.roll(v.Y, 1, axis=1)
     phiX, phiY, phiZ = (apply_op(phi, W) for W in (X, Y, Z))
-    res = StructureCheckResult()
     RXYxi = apply_op(R, X, Y, xi[:, None])
     tgt = form(eta, X)[..., None] * Y - form(eta, Y)[..., None] * X
     res.add("curvature.r-xy-xi", RXYxi - tgt, RXYxi, tgt, X, Y)
@@ -161,7 +160,6 @@ def _curvature_identities_by_three_contractions(v: VectorPairs) -> StructureChec
     res.add("curvature.ricci-phi-symmetric", pair(S, X, phiY) - pair(S, phiX, Y), pair(S, X, phiY))
     SXxi = pair(S, X, xi[:, None])
     res.add("curvature.ricci-xi", SXxi + (n - 1) * form(eta, X), SXxi)
-    return res
 
 
 def test_shared_r_xy_matches_three_contractions():
@@ -180,7 +178,8 @@ def test_shared_r_xy_matches_three_contractions():
             model = get_model(name)
             struct = evaluate_structure(model, sample_points(model.domain, 12, derive_rng(42, name, "points")), 2)
         v = VectorPairs(struct, random_vectors(derive_rng(42, name, "vectors"), 12, 40, struct.dim))
-        got, ref = check_ps_curvature_identities(v).checks, _curvature_identities_by_three_contractions(v).checks
+        got, ref = (recorded(check, v).records.values()
+                    for check in (check_ps_curvature_identities, _curvature_identities_by_three_contractions))
         assert [(c.id, c.status) for c in got] == [(c.id, c.status) for c in ref]
         for c, r in zip(got, ref):
             assert abs(c.residual - r.residual) <= 1e-13 * max(1.0, r.residual), (name, c.id)
@@ -229,12 +228,12 @@ class TestNegativeControlDiscipline:
     def test_every_check_operation_fails_on_some_negative_model(self, n1, f0, vectors):
         """A check that cannot fail is a defect: each of the three operations
         must reject at least one planted-defect fixture."""
-        assert not passed(check_axioms(VectorPairs(n1, vectors(n1))))
-        assert not passed(check_para_sasakian(VectorPairs(f0, vectors(f0))))
-        assert not passed(check_ps_curvature_identities(VectorPairs(f0, vectors(f0))))
+        assert not passed(recorded(check_axioms, VectorPairs(n1, vectors(n1))))
+        assert not passed(recorded(check_para_sasakian, VectorPairs(f0, vectors(f0))))
+        assert not passed(recorded(check_ps_curvature_identities, VectorPairs(f0, vectors(f0))))
 
     def test_curvature_check_records_the_four_identities(self, e1, vectors):
-        ids = [c.id for c in check_ps_curvature_identities(VectorPairs(e1, vectors(e1))).checks]
+        ids = [c.id for c in recorded(check_ps_curvature_identities, VectorPairs(e1, vectors(e1))).records.values()]
         assert sorted(ids) == ["curvature.r-xy-phi-z", "curvature.r-xy-xi", "curvature.ricci-phi-symmetric",
                                "curvature.ricci-xi"]
 
@@ -267,7 +266,7 @@ class TestOneResidualRule:
         e3b = evaluate_bundle(b, sample_points(b.embedding.domain, 12, derive_rng(42, "E3b", "points"))).structure
         for s in (e1, n1, f0, e3b):
             vec = vectors(s)
-            record = check_para_sasakian(VectorPairs(s, vec)).residual("sasakian.defining-equation")
+            record = recorded(check_para_sasakian, VectorPairs(s, vec)).records["sasakian.defining-equation"].residual
             assert VectorPairs(s, vec).rho1.max() == record
 
     def test_record_without_inputs_reads_max_gap(self, rng):
@@ -276,7 +275,7 @@ class TestOneResidualRule:
         res.add("hypersurface.quasi-umbilical", gap, detail="d")
         res.add("hypersurface.characterization-iff", np.sum(gap > 0))
         res.add("einstein.fit-stability", 0.0, detail="too few samples to split", status="not-applicable")
-        quasi, iff, stability = res.checks
+        quasi, iff, stability = res.records.values()
         assert quasi.residual == np.max(np.abs(gap))
         assert (quasi.anchor, quasi.tolerance, quasi.status, quasi.detail) == (
             CHECKS["hypersurface.quasi-umbilical"].anchor, 1e-9, "fail", "d")

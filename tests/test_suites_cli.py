@@ -24,6 +24,8 @@ from paracheck.paracontact_core import ParacontactStructure
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.suites import RunConfig, run_suite, run_synthetic
 
+from records import recorded
+
 CFG = RunConfig(points=30, seed=7)
 
 
@@ -188,8 +190,8 @@ class TestRequestTable:
         from exactly one group."""
         ctx = _context(target)
         owners: dict[str, int] = {}
-        for prefix, gates, results in (g for k in kinds for g in suites.REQUESTS[k][1]):
-            ids = [c.id for res in results(ctx) for c in res.checks]
+        for prefix, gates, checks in (g for k in kinds for g in suites.REQUESTS[k][1]):
+            ids = list(recorded(checks, ctx).records)
             assert ids
             for cid in ids:
                 assert cid.startswith(prefix + ".") and CHECKS[cid].gates == gates, (prefix, gates, cid)
@@ -277,13 +279,13 @@ class TestStatusRule:
         res.add("structure.phi-squared", first, detail="first")
         res.add("structure.eta-of-xi", 0.0)
         res.add("structure.phi-squared", second, detail="second")
-        assert [c.id for c in res.checks] == ["structure.phi-squared", "structure.eta-of-xi"]
-        c = res.get("structure.phi-squared")
+        assert [c.id for c in res.records.values()] == ["structure.phi-squared", "structure.eta-of-xi"]
+        c = res.records["structure.phi-squared"]
         assert math.isnan(c.residual) if math.isnan(kept) else c.residual == kept
         assert type(c.residual) is float
         assert (c.detail, c.tolerance) == ("first", CHECKS["structure.phi-squared"].tol)
         res.add("structure.phi-squared", np.array([[2.0, -5.0]]), np.array([4.0]))
-        folded = res.residual("structure.phi-squared")
+        folded = res.records["structure.phi-squared"].residual
         assert math.isnan(folded) if math.isnan(kept) else folded == 1.0
 
     @pytest.mark.parametrize("cid,small,large,status", [
@@ -297,26 +299,63 @@ class TestStatusRule:
         for order in ((small, large), (large, small)):
             res = StructureCheckResult()
             res.add(cid, order[0])
-            assert res.get(cid).status == ("pass" if order[0] == small else status)
+            assert res.records[cid].status == ("pass" if order[0] == small else status)
             res.add(cid, order[1])
-            assert (res.get(cid).status, res.residual(cid)) == (status, large)
+            assert (res.records[cid].status, res.records[cid].residual) == (status, large)
 
     @pytest.mark.parametrize("status", [VACUOUS, NOT_APPLICABLE])
     def test_a_record_with_nothing_measured_is_added_once(self, status):
         """Folding into or from a vacuous or not-applicable record raises, and
-        leaves the first record as it was."""
+        leaves the first record as it was: at tolerance 0 when nothing was
+        measured, whatever the recorder's scale."""
         for first, second in ((status, status), (status, None), (None, status)):
-            res = StructureCheckResult()
+            res = StructureCheckResult(1e3)
             res.add("einstein.trace-phi-formula", 0.0, detail="first", status=first)
-            before = dataclasses.replace(res.get("einstein.trace-phi-formula"))
+            before = dataclasses.replace(res.records["einstein.trace-phi-formula"])
+            assert before.tolerance == (0.0 if first else 1e3 * CHECKS["einstein.trace-phi-formula"].tol)
             with pytest.raises(ValueError, match="^einstein.trace-phi-formula: a record with nothing measured"):
                 res.add("einstein.trace-phi-formula", 0.0, detail="second", status=second)
-            assert res.checks == [before]
+            assert list(res.records.values()) == [before]
 
     def test_record_with_nothing_measured_keeps_its_status_at_tolerance_zero(self):
         report = run_suite(get_model("E1"), "einstein", RunConfig(points=5, seed=7, tol_scale=1e3))
         (c,) = [c for c in report.checks if c.id == "einstein.fit-stability"]
         assert (c.status, c.residual, c.tolerance) == ("not-applicable", 0.0, 0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "E1", "--suite", "all", "--points", "10"),
+        ("check", "E3a", "--suite", "all", "--points", "10"),
+        ("check", "B1", "--suite", "all", "--points", "10"),
+        ("synthetic", "--trials", "20", "--perturb-a", "1e-10"),
+    ], ids=["E1", "E3a", "B1", "synthetic"])
+    def test_tol_scale_reaches_every_record_once(self, tmp_path, argv):
+        """At --tol-scale 1e3 every measured record's tolerance is its CHECKS
+        row's times 1e3 and its status that of its residual at that tolerance,
+        while the residuals are those at scale 1: on a chart's and a bundle's
+        groups, B1's early return (JN not tangent, at 1e3 too) and the
+        synthetic trials, where A perturbed by 1e-10 puts four residuals
+        between their tolerances at the two scales.  The gates'
+        not-applicable records keep tolerance 0."""
+        _, base = _json_run(tmp_path, *argv)
+        _, scaled = _json_run(tmp_path, *argv, "--tol-scale", "1e3")
+        assert scaled.keys() == base.keys()
+        for cid, c in scaled.items():
+            row = CHECKS[cid]
+            assert c["residual"] == base[cid]["residual"], cid
+            if c["status"] == NOT_APPLICABLE:
+                assert (c["tolerance"], base[cid]["status"]) == (0.0, NOT_APPLICABLE), cid
+            else:
+                assert c["tolerance"] == row.tol * 1e3, cid
+                assert c["status"] == status_of(c["residual"], c["tolerance"], row.informational), cid
+        statuses = {c["status"] for c in scaled.values()}
+        if argv[1] == "E3a":
+            assert NOT_APPLICABLE in statuses
+        if argv[0] == "synthetic":
+            assert sum(c["status"] != base[cid]["status"] for cid, c in scaled.items()) == 4
+        if argv[1] == "B1":
+            assert set(scaled) == {"hypersurface.ambient-j-metric", "hypersurface.ambient-j-parallel",
+                                   "hypersurface.ambient-j-squared", "hypersurface.jn-tangent"}
+            assert scaled["hypersurface.jn-tangent"]["status"] == "fail"
 
     def test_informational_rows_are_the_printed_variants(self):
         assert sorted(cid for cid, row in CHECKS.items() if row.informational) == [
@@ -356,11 +395,10 @@ def _json_run(tmp_path, *argv) -> tuple[int, dict]:
 
 
 def _recorded_again(res, cid, residual):
-    """``res`` with its ``cid`` record replaced by one the recorder makes from
+    """Replaces the ``cid`` record of ``res`` by one the recorder makes from
     ``residual``."""
     del res.records[cid]
     res.add(cid, residual)
-    return res
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -372,8 +410,9 @@ class TestNonFiniteResiduals:
     def test_chart_record(self, tmp_path, monkeypatch, bad):
         check = suites.check_ps_curvature_identities
 
-        def broken(*args):
-            return _recorded_again(check(*args), "curvature.ricci-xi", bad)
+        def broken(res, *args):
+            check(res, *args)
+            _recorded_again(res, "curvature.ricci-xi", bad)
 
         monkeypatch.setattr(suites, "check_ps_curvature_identities", broken)
         code, checks = _json_run(tmp_path, "check", "E1", "--suite", "curvature", "--points", "5")
@@ -396,8 +435,9 @@ class TestNonFiniteResiduals:
     def test_para_sasakian_gate_value(self, tmp_path, monkeypatch, bad):
         check = suites.check_para_sasakian
 
-        def broken(*args):
-            return _recorded_again(check(*args), "sasakian.grad-eta", bad)
+        def broken(res, *args):
+            check(res, *args)
+            _recorded_again(res, "sasakian.grad-eta", bad)
 
         monkeypatch.setattr(suites, "check_para_sasakian", broken)
         code, checks = _json_run(tmp_path, "check", "E1", "--suite", "all", "--points", "6")
@@ -410,8 +450,8 @@ class TestNonFiniteResiduals:
             assert checks[cid]["detail"].startswith(f"gate para-sasakian: largest sasakian.* residual {bad:.3e}")
 
     def test_synthetic_block(self, bad):
-        report = new_report("synthetic", "synthetic", 42, 2)
-        suites._merge(report, 1.0, synthetic_gauss_check(1, 3, 2, 42, perturb_a=bad))
+        report = new_report("synthetic", "synthetic", 42, 2,
+                            recorded(synthetic_gauss_check, 1, 3, 2, 42, perturb_a=bad))
         assert report.exit_code == EXIT_CHECK_FAILED
         checks = {c["id"]: c for c in _strict_json(report.to_json())["checks"]}
         # the printed chain's self-consistency does not read the planted operator
