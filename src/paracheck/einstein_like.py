@@ -17,16 +17,20 @@ trace-contraction decomposition, and the placement of eps in two Lie-
 derivative right-hand sides).  For those, the re-derived form is normative
 for pass/fail and the printed form is evaluated informationally (their
 ``report.CHECKS`` rows are flagged informational).
+
+The check functions read values only.  The Lie records read the covariant
+derivatives the request holds, with nabla xi: nabla eta, nabla g, nabla phi
+(nabla Phi = g(nabla phi ., .)), the curvature's nabla Q (nabla S = g nabla Q)
+and the request's nabla C11.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .geometry_engine import ConnectionAtPoint, covariant_derivative, lie_derivative
+from .geometry_engine import lie_derivative
 from .paracontact_core import ParacontactStructure
 from .report import VACUOUS, StructureCheckResult, _max_abs, residual_norm
 from .tensor_algebra import TensorValue, contract_with, lowest_space, min_norm_solve
@@ -177,38 +181,20 @@ def verify_trace_formula(res: StructureCheckResult, fit: EinsteinLikeFit, struct
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class C11Tensor:
-    """(0,2) contraction C(Y,Z) = trace of X -> phi R(X,Y) Z, jet-valued, and its connection."""
-
-    tensor: TensorValue  # (0,2) jets
-    connection: ConnectionAtPoint
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.tensor.components[..., 0]
-
-    @cached_property
-    def nabla(self) -> np.ndarray:
-        """Values of nabla C11, read by the parallel-along-xi check and by L_xi C11."""
-        return covariant_derivative(self.tensor, self.connection).components[..., 0]
-
-
-def compute_c11_phi_r(struct: ParacontactStructure) -> C11Tensor:
+def compute_c11_phi_r(struct: ParacontactStructure) -> TensorValue:
+    """The (0,2) contraction C(Y,Z) = trace of X -> phi R(X,Y) Z as jets, in phi's space at most."""
     R = struct.curvature.riemann_ud
     phiR = contract_with(struct.phi, R, 1, 0)  # [p, l, i, j, k, m]
     comps = phiR.trace(axis1=1, axis2=2)       # trace l = i -> [p, j, k, m]
-    return C11Tensor(TensorValue(struct.dim, 0, 2, comps, lowest_space(struct.phi.space, R.space)),
-                     struct.connection)
+    return TensorValue(struct.dim, 0, 2, comps, lowest_space(struct.phi.space, R.space))
 
 
-def verify_c11_identities(res: StructureCheckResult, c11: C11Tensor, struct: ParacontactStructure):
-    """Symmetry of the contraction and the S(Y, phi Z) display."""
+def verify_c11_identities(res: StructureCheckResult, C: np.ndarray, struct: ParacontactStructure):
+    """Symmetry of the contraction, values C (P, n, n), and the S(Y, phi Z) display."""
     eps = struct.epsilon
     n = struct.dim
     g, ee = struct.g0, struct.ee0
     trphi = struct.trace_phi[:, None, None]
-    C = c11.values
     res.add("einstein.c11-symmetric", C - C.swapaxes(1, 2), C)
     S = struct.curvature.ricci.components[..., 0]
     SphiZ = np.einsum('pym,pmz->pyz', S, struct.phi0)   # S(Y, phi Z)
@@ -216,7 +202,7 @@ def verify_c11_identities(res: StructureCheckResult, c11: C11Tensor, struct: Par
     res.add("einstein.s-phi-z-display", SphiZ - rhs, SphiZ, rhs)
 
 
-def verify_c11_decomposition(res: StructureCheckResult, fit: EinsteinLikeFit, c11: C11Tensor,
+def verify_c11_decomposition(res: StructureCheckResult, fit: EinsteinLikeFit, C: np.ndarray, nabla_C: np.ndarray,
                              struct: ParacontactStructure):
     """The constant-coefficient decomposition of the contraction on a
     para-Sasakian structure (re-derived eta(x)eta coefficient normative,
@@ -224,7 +210,6 @@ def verify_c11_decomposition(res: StructureCheckResult, fit: EinsteinLikeFit, c1
     eps = struct.epsilon
     n = struct.dim
     g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
-    C = c11.values
 
     def gaps(a, b, c):
         common = (b / c) * (c + n - 1) * g + (a - eps * (n - 2)) * Phi
@@ -235,12 +220,13 @@ def verify_c11_decomposition(res: StructureCheckResult, fit: EinsteinLikeFit, c1
     _add_over_family(res, fit, gaps, ("einstein.c11-decomposition-derived", "einstein.c11-decomposition-printed"),
                      skip_c0=True)
 
-    par = np.einsum('piab,pi->pab', c11.nabla, struct.xi0)
+    par = np.einsum('piab,pi->pab', nabla_C, struct.xi0)
     res.add("einstein.c11-parallel-along-xi", par, C)
 
 
 def verify_lie_formulas(res: StructureCheckResult, struct: ParacontactStructure):
-    """Lie derivatives along xi of eta, g and Phi.
+    """Lie derivatives along xi of eta, g and Phi, from nabla eta, nabla g and
+    nabla phi: (nabla_i Phi)_ab = g_mb (nabla_i phi)^m_a, as nabla g = 0.
 
     Normative forms (re-derived; they collapse to the printed ones at
     eps = +1):
@@ -257,10 +243,10 @@ def verify_lie_formulas(res: StructureCheckResult, struct: ParacontactStructure)
     Leta = lie_derivative(eta, struct.nabla_eta, xi, nabla_xi)
     res.add("lie.lie-eta", Leta, eta)
 
-    Lg = lie_derivative(g, struct._nabla(struct.g), xi, nabla_xi)
+    Lg = lie_derivative(g, struct.nabla_g, xi, nabla_xi)
     res.add("lie.lie-g", Lg - 2 * eps * Phi, Lg, Phi)
 
-    LPhi = lie_derivative(struct.Phi.components[..., 0], struct._nabla(struct.Phi), xi, nabla_xi)
+    LPhi = lie_derivative(Phi, np.einsum('pmia,pmb->piab', struct.nabla_phi, g), xi, nabla_xi)
     derived = 2 * eps * (g - eps * ee)
     printed = 2 * eps * (g - ee)
     res.add("lie.lie-phi-form-derived", LPhi - derived, LPhi, derived)
@@ -269,16 +255,18 @@ def verify_lie_formulas(res: StructureCheckResult, struct: ParacontactStructure)
 
 def verify_lie_ricci(res: StructureCheckResult, fit: EinsteinLikeFit, struct: ParacontactStructure):
     """L_xi S = 2 a eps Phi + 2 b eps (g - eps eta(x)eta) on a para-Sasakian
-    structure."""
+    structure, from nabla Q: (nabla_i S)_ab = g_am (nabla_i Q)^m_b."""
     eps = struct.epsilon
     g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
-    S = struct.curvature.ricci
-    LS = lie_derivative(S.components[..., 0], struct._nabla(S), struct.xi0, struct.nabla_xi)
+    cur = struct.curvature
+    nabla_S = np.einsum('pam,pmib->piab', g, cur.nabla_ricci_op.components[..., 0])
+    LS = lie_derivative(cur.ricci.components[..., 0], nabla_S, struct.xi0, struct.nabla_xi)
     _add_over_family(res, fit, lambda a, b, c: (residual_norm(
         LS - (2 * a * eps * Phi + 2 * b * eps * (g - eps * ee)), LS),), ("lie.lie-ricci",))
 
 
-def verify_lie_c11(res: StructureCheckResult, fit: EinsteinLikeFit, c11: C11Tensor, struct: ParacontactStructure):
+def verify_lie_c11(res: StructureCheckResult, fit: EinsteinLikeFit, C: np.ndarray, nabla_C: np.ndarray,
+                   struct: ParacontactStructure):
     """On a para-Sasakian structure with constant trace(phi), the re-derived
 
         L_xi C11 = (2 eps b / c)(c + n - 1) Phi + 2 eps (a - eps(n-2))(g - eps eta(x)eta)
@@ -287,7 +275,7 @@ def verify_lie_c11(res: StructureCheckResult, fit: EinsteinLikeFit, c11: C11Tens
     eps = struct.epsilon
     n = struct.dim
     g, Phi, ee = struct.g0, struct.Phi0, struct.ee0
-    LC = lie_derivative(c11.values, c11.nabla, struct.xi0, struct.nabla_xi)
+    LC = lie_derivative(C, nabla_C, struct.xi0, struct.nabla_xi)
 
     def gaps(a, b, c):
         lead = (2 * eps * b / c) * (c + n - 1) * Phi

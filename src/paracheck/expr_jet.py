@@ -226,27 +226,23 @@ class _Parser:
         self.nesting -= 1
         return out
 
-    def expr(self) -> tuple[ScalarExpr, int]:
-        node, depth = self.term()
+    def _binary(self, ops: str, operand) -> tuple[ScalarExpr, int]:
+        # operand ((ops) operand)*, folded left-associatively
+        node, depth = operand()
         while True:
             kind, text, pos = self.tok.peek()
-            if kind == "op" and text in "+-":
+            if kind == "op" and text in ops:
                 self.tok.take()
-                right, rdepth = self.term()
+                right, rdepth = operand()
                 node, depth = _bounded(BinOp(text, node, right), 1 + max(depth, rdepth), pos)
             else:
                 return node, depth
 
+    def expr(self) -> tuple[ScalarExpr, int]:
+        return self._binary("+-", self.term)
+
     def term(self) -> tuple[ScalarExpr, int]:
-        node, depth = self.factor()
-        while True:
-            kind, text, pos = self.tok.peek()
-            if kind == "op" and text in "*/":
-                self.tok.take()
-                right, rdepth = self.factor()
-                node, depth = _bounded(BinOp(text, node, right), 1 + max(depth, rdepth), pos)
-            else:
-                return node, depth
+        return self._binary("*/", self.factor)
 
     def factor(self) -> tuple[ScalarExpr, int]:
         kind, text, pos = self.tok.peek()

@@ -101,8 +101,8 @@ class AmbientJets:
     """The ambient g~ (jets of min(order, AMBIENT_METRIC_ORDER): the Gauss
     check reads R~ values, and the Weingarten map and nabla J~ read Gamma~
     values) and J~ (min(order, FIELD_ORDER): parallel J reads one derivative)
-    at a batch of ambient points, with the Levi-Civita connection and
-    curvature; each is built on first use and kept."""
+    at a batch of ambient points, with the Levi-Civita connection, the values
+    of nabla J~ and the curvature; each is built on first use and kept."""
 
     def __init__(self, model: AmbientProductModel, points: np.ndarray, order: int = AMBIENT_METRIC_ORDER):
         self.model = model
@@ -121,6 +121,11 @@ class AmbientJets:
     @cached_property
     def connection(self) -> ConnectionAtPoint:
         return christoffel(self.g)
+
+    @cached_property
+    def nabla_J(self) -> np.ndarray:
+        """Values of (nabla J~)^A_{CB} = (nabla_{e_C} J~)^A_B, shape (P, n+1, n+1, n+1)."""
+        return covariant_derivative(self.J, self.connection).components[..., 0]
 
     @cached_property
     def curvature(self) -> CurvatureAtPoint:
@@ -297,8 +302,7 @@ def check_ambient(res: StructureCheckResult, ambient: AmbientJets):
     res.add("hypersurface.ambient-j-squared", JJ - np.eye(ambient.model.dim), J0)
     pullback = J0.swapaxes(1, 2) @ g0 @ J0
     res.add("hypersurface.ambient-j-metric", pullback - g0, g0)
-    nJ = covariant_derivative(ambient.J, ambient.connection)
-    res.add("hypersurface.ambient-j-parallel", nJ.components[..., 0], J0)
+    res.add("hypersurface.ambient-j-parallel", ambient.nabla_J, J0)
 
 
 def verify_induced_derivatives(res: StructureCheckResult, data: HypersurfaceData, v: VectorPairs):
@@ -366,16 +370,15 @@ def check_gauss_equation(res: StructureCheckResult, data: HypersurfaceData):
 # --------------------------------------------------------------------------
 
 
-def characterized_shape(struct: ParacontactStructure) -> np.ndarray:
+def characterized_shape(eps: int, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The shape operator -eps I + eps eta(x)xi of a para-Sasakian
-    hypersurface, (P, n, n) values A^a_b."""
-    eps = struct.epsilon
-    return -eps * np.eye(struct.dim)[None] + eps * np.einsum('pa,pb->pab', struct.xi0, struct.eta0)
+    hypersurface, (P, n, n) values A^a_b, from the values of xi and eta (P, n)."""
+    return -eps * np.eye(xi.shape[-1])[None] + eps * np.einsum('pa,pb->pab', xi, eta)
 
 
 def shape_characterization_gap_per_point(struct: ParacontactStructure, A: np.ndarray) -> np.ndarray:
     """The residual of A = -eps I + eps eta(x)xi at each point, normalized by A."""
-    return residual_norm(A - characterized_shape(struct), A, axis=(1, 2))
+    return residual_norm(A - characterized_shape(struct.epsilon, struct.xi0, struct.eta0), A, axis=(1, 2))
 
 
 def recover_shape_operator(v: VectorPairs) -> tuple[np.ndarray, int]:
@@ -410,7 +413,7 @@ def check_ps_characterization(res: StructureCheckResult, data: HypersurfaceData,
             detail=f"rho1 in [{rho1.min():.2e}, {rho1.max():.2e}], rho2 in [{rho2.min():.2e}, {rho2.max():.2e}]")
 
     A_hat, rank = recover_shape_operator(v)
-    target = characterized_shape(s)
+    target = characterized_shape(s.epsilon, s.xi0, s.eta0)
     res.add("hypersurface.characterization-linear-solve", A_hat - target if rank == s.dim ** 2 else np.inf, A_hat,
             target, detail=f"linear system rank {rank} of {s.dim ** 2}")
 
@@ -544,10 +547,9 @@ def _gauss_chain(res: StructureCheckResult, epsilon: int, g: np.ndarray, phi: np
     xs, ys, X, Y = _pair_table(n)[:4]
     Phi = phi.swapaxes(1, 2) @ g
     ee = np.einsum('ta,tb->tab', eta, eta)
-    xe = np.einsum('ta,tb->tab', xi, eta)
-    A = -epsilon * np.eye(n) + epsilon * xe
+    A = characterized_shape(epsilon, xi, eta)
     if perturb_a:
-        A = A + perturb_a * xe
+        A = A + perturb_a * np.einsum('ta,tb->tab', xi, eta)
     h = epsilon * np.einsum('tma,tmb->tab', A, g)
     res.add("synthetic.quasi-umbilical-exact", h + g - epsilon * ee)
 

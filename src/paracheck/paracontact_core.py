@@ -8,7 +8,9 @@ of the curvature identities those equations force.  A request draws its
 test vectors once, as one :class:`VectorPairs`, which builds on first read
 the products its checks share: phi X, phi Y, phi^2 X, (nabla_X phi) Y, the
 defining equation's right side and residual rho1, and R(X, Y).  The structure
-caches nabla phi, nabla xi, nabla eta, its curvature and trace(phi) alike.
+caches alike its connection and curvature, the values Phi, eta(x)eta and
+trace(phi), and those of nabla phi, nabla xi, nabla eta and nabla g; the check
+functions read these values and take no jet step of their own.
 
 Each check hands its gaps, with the tensors entering each identity, to the
 one recorder, :class:`report.StructureCheckResult`, beside the check table
@@ -25,7 +27,7 @@ import numpy as np
 
 from .geometry_engine import ConnectionAtPoint, CurvatureAtPoint, christoffel, covariant_derivative, curvature
 from .report import StructureCheckResult, residual_norm
-from .tensor_algebra import TensorValue, contract_with, lowest_space
+from .tensor_algebra import TensorValue, lowest_space
 
 
 class ParacontactStructure:
@@ -77,12 +79,6 @@ class ParacontactStructure:
         return self.eta.components[..., 0]
 
     @cached_property
-    def Phi(self) -> TensorValue:
-        """The fundamental 2-form Phi_{ab} = g(phi e_a, e_b) as jets."""
-        comps = contract_with(self.g, self.phi, 0, 0)  # g_{mb} phi^m_a -> [b, a]
-        return TensorValue(self.dim, 0, 2, comps.swapaxes(1, 2), self.phi.space)
-
-    @cached_property
     def Phi0(self) -> np.ndarray:
         return np.einsum('pma,pmb->pab', self.phi0, self.g0)
 
@@ -106,9 +102,15 @@ class ParacontactStructure:
         return curvature(self.connection)
 
     def _nabla(self, T: TensorValue) -> np.ndarray:
-        """Values of nabla T, with T restricted to at most the fields' order: all a Lie derivative along xi reads."""
+        """Values of nabla T, with T restricted to at most the fields' order: all a Lie derivative along xi
+        reads.  C11(phi R) lives in phi's jet space, so it is restricted nothing."""
         return covariant_derivative(T.as_jet(lowest_space(T.space, self.xi.space)),
                                     self.connection).components[..., 0]
+
+    @cached_property
+    def nabla_g(self) -> np.ndarray:
+        """Values of (nabla g)_{iab}, shape (P, n, n, n): read by L_xi g, the one Lie record not assuming it 0."""
+        return self._nabla(self.g)
 
     @cached_property
     def nabla_phi(self) -> np.ndarray:

@@ -94,9 +94,11 @@ class _ModelContext:
     (the structure suite and the induced-axioms record read them) and the
     para-Sasakian gate run (the sasakian suite reads it), each a recorder of
     its own at the request's scale whose records a group copies; the
-    Einstein-like fit and C11(phi R), each built on first use; and the value
-    of each gate of :data:`GATES` measured on it, kept from its first
-    measurement in ``gate_values``."""
+    Einstein-like fit, and the values of C11(phi R) and of its covariant
+    derivative, each built on first read, so a request whose para-Sasakian
+    gate fails builds no nabla C11; and the value of each gate of
+    :data:`GATES` measured on it, kept from its first measurement in
+    ``gate_values``."""
 
     def __init__(self, struct: ParacontactStructure, name: str, cfg: RunConfig,
                  data: hl.HypersurfaceData | None = None):
@@ -126,9 +128,9 @@ class _ModelContext:
     def fit(self) -> el.EinsteinLikeFit:
         return el.fit_einstein_like(*self.fit_inputs)
 
-    @cached_property
-    def c11(self) -> el.C11Tensor:
-        return el.compute_c11_phi_r(self.struct)
+    c11_jets = cached_property(lambda self: el.compute_c11_phi_r(self.struct))
+    c11 = cached_property(lambda self: self.c11_jets.components[..., 0])
+    nabla_c11 = cached_property(lambda self: self.struct._nabla(self.c11_jets))
 
     def gates_hold(self, res: StructureCheckResult, prefix: str, gates: tuple[str, ...]) -> bool:
         """True when every gate holds.  Otherwise adds to ``res`` one
@@ -174,13 +176,13 @@ REQUESTS = {
         ("einstein", (), lambda res, ctx: (_fit_with_stability(res, ctx),
                                            el.verify_coefficient_constraints(res, ctx.fit, ctx.struct),
                                            el.verify_c11_identities(res, ctx.c11, ctx.struct))),
-        ("einstein", PS, lambda res, ctx: (el.verify_scalar_ode(res, ctx.fit, ctx.struct),
-                                           el.verify_c11_decomposition(res, ctx.fit, ctx.c11, ctx.struct))),
+        ("einstein", PS, lambda res, ctx: (el.verify_scalar_ode(res, ctx.fit, ctx.struct), el.verify_c11_decomposition(
+            res, ctx.fit, ctx.c11, ctx.nabla_c11, ctx.struct))),
         ("einstein", PS_TRPHI, lambda res, ctx: el.verify_trace_formula(res, ctx.fit, ctx.struct)))),
     "lie": (METRIC_ORDER, (
         ("lie", (), lambda res, ctx: el.verify_lie_formulas(res, ctx.struct)),
         ("lie", PS, lambda res, ctx: el.verify_lie_ricci(res, ctx.fit, ctx.struct)),
-        ("lie", PS_TRPHI, lambda res, ctx: el.verify_lie_c11(res, ctx.fit, ctx.c11, ctx.struct)))),
+        ("lie", PS_TRPHI, lambda res, ctx: el.verify_lie_c11(res, ctx.fit, ctx.c11, ctx.nabla_c11, ctx.struct)))),
     "hypersurface gauss": (2, (
         ("hypersurface", (), lambda res, ctx: (hl.check_ambient(res, ctx.data.ambient),
                                                hl.check_gauss_equation(res, ctx.data))),)),

@@ -148,6 +148,13 @@ def signed_orthonormal_frame(g, rng, tries=50):
     raise RuntimeError("could not build a signed orthonormal frame")
 
 
+def fundamental_form_jets(s) -> TensorValue:
+    """Phi_ab = g(phi e_a, e_b) of a structure as jets, by one jet contraction
+    in phi's space: the reference its nabla Phi, which the engine reads off
+    nabla phi, is checked against."""
+    return TensorValue(s.dim, 0, 2, contract_with(s.g, s.phi, 0, 0).swapaxes(1, 2), s.phi.space)
+
+
 def lie_derivative_by_partials(T: TensorValue, X: TensorValue) -> TensorValue:
     """Lie derivative along X of a (0,1) form or (0,2) tensor in coordinates,
     with plain partials and no connection:

@@ -1,7 +1,7 @@
 """Each geometric object of a request is built once, and only when a
 requested check reads it: the connection of every metric, each covariant
 derivative, the axiom checks, the para-Sasakian gate run, each gate's value,
-C11(phi R), trace(phi), the terms built from the vector pairs ((nabla_X phi)
+C11(phi R) and its covariant derivative, trace(phi), the terms built from the vector pairs ((nabla_X phi)
 Y, the para-Sasakian right side, rho1, R(X, Y)) and a bundle's shape gap; and
 each distinct expression string of a field grid is parsed and evaluated
 once per grid, its tree built once per process; each metric is checked once,
@@ -118,17 +118,39 @@ def test_gauss_request_takes_one_covariant_derivative(monkeypatch):
     assert nabla["n"] == 1
 
 
-@pytest.mark.parametrize("name,count", [("E1", 8), ("N1", 5), ("E3a", 6)])
+@pytest.mark.parametrize("name,count", [("E1", 6), ("N1", 4), ("E3a", 5)])
 def test_all_request_takes_each_covariant_derivative_once(monkeypatch, name, count):
-    """nabla phi, nabla xi and nabla eta (the para-Sasakian gate), nabla g and
-    nabla Phi (L_xi g, L_xi Phi), on the para-Sasakian E1 also nabla Q (div Q),
-    nabla C11 (parallel along xi, L_xi C11) and nabla S (L_xi S), and on the
-    bundle E3a nabla J~: the Lie derivatives read nabla xi, nabla eta and
-    nabla C11 from the structure and take no derivative themselves."""
+    """nabla phi, nabla xi and nabla eta (the para-Sasakian gate) and nabla g
+    (L_xi g), on the para-Sasakian E1 also nabla Q (div Q, L_xi S) and
+    nabla C11 (parallel along xi, L_xi C11), and on the bundle E3a nabla J~:
+    the Lie derivatives read these from their owners, nabla Phi off nabla phi
+    and nabla S off nabla Q, and take no derivative themselves."""
     nabla = _count(monkeypatch, geometry_engine.covariant_derivative)
     target = builtin_bundles()[name] if name == "E3a" else get_model(name)
     run_suite(target, "all", RunConfig(points=10))
     assert nabla["n"] == count
+
+
+@pytest.mark.parametrize("name,count", [("E1", 1), ("F0", 0), ("N1", 0)])
+def test_all_request_builds_nabla_c11_only_behind_the_gate(monkeypatch, name, count):
+    """nabla C11 is built on first read, once, by the groups behind the
+    para-Sasakian gate; on F0 and N1 that gate fails, so none is built."""
+    built, nabla = [], {"n": 0}
+    compute = einstein_like.compute_c11_phi_r
+    structure_nabla = paracontact_core.ParacontactStructure._nabla
+
+    def kept(struct):
+        built.append(compute(struct))
+        return built[-1]
+
+    def counted(self, T):
+        nabla["n"] += any(T is c11 for c11 in built)
+        return structure_nabla(self, T)
+
+    monkeypatch.setattr(einstein_like, "compute_c11_phi_r", kept)
+    monkeypatch.setattr(paracontact_core.ParacontactStructure, "_nabla", counted)
+    run_suite(get_model(name), "all", RunConfig(points=10))
+    assert (len(built), nabla["n"]) == (1, count)
 
 
 def test_bundle_all_checks_the_axioms_once(monkeypatch):
@@ -226,7 +248,7 @@ def test_manifest_bundle_request_evaluates_the_bundle_once(monkeypatch, tmp_path
 
 @pytest.mark.parametrize("target,pair_products", [
     ("E1", 8), ("E2", 11), ("E1n5", 8), ("E2n5", 11), ("N1", 7), ("F0", 0),
-    ("E3a", 0), ("E3b", 16), ("B1", 8),
+    ("E3a", 0), ("E3b", 15), ("B1", 8),
 ])
 def test_all_request_takes_the_pair_table_only_between_non_constants(monkeypatch, tmp_path, target, pair_products):
     """A jet product goes through the pair table (one JetSpace._scatter)

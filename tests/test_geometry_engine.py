@@ -4,6 +4,7 @@ derivative identities, the curvature invariants, and the flat route a
 constant metric takes."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from paracheck.geometry_engine import (
     lie_derivative,
 )
 from paracheck.hypersurface_lab import builtin_bundles, evaluate_bundle
+from paracheck.manifest import load_manifest
 from paracheck.models import ManifoldModel, _eval_grid, _half_space_model, evaluate_structure, get_model
 from paracheck.sampling import derive_rng, sample_points
 from paracheck.tensor_algebra import TensorValue
@@ -26,10 +28,13 @@ from fd_oracle import (
     fd_christoffel,
     fd_curvature_package,
     fd_grad_vector_field,
+    fundamental_form_jets,
     lie_derivative_by_partials,
     metric_fn,
     vector_fn,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _metric_jets(model, pts, order=4):
@@ -252,6 +257,30 @@ class TestCovariantDerivative:
         grad = covariant_derivative(ones, e1.connection)
         assert np.max(np.abs(grad.components)) == 0.0
 
+    @pytest.mark.parametrize("name", ["E1n5", "N1", "W1", "E3b"])
+    def test_lowering_commutes_with_nabla(self, models, name):
+        """The Levi-Civita connection is metric-compatible, so the Lie checks
+        read nabla Phi off nabla phi, (nabla_i Phi)_ab = g_mb (nabla_i phi)^m_a,
+        and nabla S off nabla Q, (nabla_i S)_ab = g_am (nabla_i Q)^m_b: both
+        against the covariant derivatives of Phi's and S's own jets, to 1e-13
+        of the larger of max |T| and max |nabla T| (nabla S is 0 on E1n5 and
+        N1), on a chart of dimension 5, a non-para-Sasakian one, a manifest
+        and a bundle's induced structure."""
+        if name == "E3b":
+            bundle = builtin_bundles()[name]
+            s = evaluate_bundle(bundle, sample_points(bundle.embedding.domain, 8, derive_rng(4, name))).structure
+        else:
+            model = load_manifest(FIXTURES / "W1.json") if name == "W1" else models[name]
+            s = evaluate_structure(model, sample_points(model.domain, 8, derive_rng(4, name)))
+        g, cur = s.g0, s.curvature
+        Phi = fundamental_form_jets(s)
+        pairs = ((np.einsum('pmia,pmb->piab', s.nabla_phi, g), Phi),
+                 (np.einsum('pam,pmib->piab', g, cur.nabla_ricci_op.components[..., 0]), cur.ricci))
+        for read_off, T in pairs:
+            own = s._nabla(T)
+            scale = max(np.max(np.abs(own)), np.max(np.abs(T.components[..., 0])))
+            assert np.max(np.abs(read_off - own)) <= 1e-13 * scale, name
+
 
 
 class TestFlatRoute:
@@ -354,7 +383,7 @@ class TestLieDerivative:
             sq = np.stack([space.mul(x, x) for x in space.point_jets(s.points)], axis=1)
             sq = TensorValue(s.dim, 1, 0, sq, space)
             for X, nabla_X in ((s.xi, s.nabla_xi), (sq, covariant_derivative(sq, s.connection).components[..., 0])):
-                for T in (s.g, s.eta, s.Phi, s.curvature.ricci, compute_c11_phi_r(s).tensor):
+                for T in (s.g, s.eta, fundamental_form_jets(s), s.curvature.ricci, compute_c11_phi_r(s)):
                     a = lie_derivative(T.components[..., 0], s._nabla(T), X.components[..., 0], nabla_X)
                     b = lie_derivative_by_partials(T, X).components[..., 0]
                     assert np.max(np.abs(a - b)) < 1e-10

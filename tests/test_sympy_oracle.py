@@ -278,7 +278,7 @@ def test_chart_pipeline_matches_the_exact_geometry(target):
     curv = struct.curvature
     got = {"gamma": struct.connection.gamma.components[..., 0], "riemann": curv.riemann_ud.components[..., 0],
            "ricci": curv.ricci.components[..., 0], "scalar": curv.scalar[..., 0], "nabla_phi": struct.nabla_phi,
-           "lie_g": lie_derivative(struct.g0, struct._nabla(struct.g), struct.xi0, struct.nabla_xi)}
+           "lie_g": lie_derivative(struct.g0, struct.nabla_g, struct.xi0, struct.nabla_xi)}
     for p, point in enumerate(DYADIC_POINTS):
         at = dict(zip(coords, point))
         for name, tensor in exact.items():
