@@ -1,8 +1,9 @@
 """Each geometric object of a request is built once, and only when a
 requested check reads it: the connection of every metric, each covariant
 derivative, the axiom checks, the para-Sasakian gate run, each gate's value,
-C11(phi R) and its covariant derivative, trace(phi), the terms built from the vector pairs ((nabla_X phi)
-Y, the para-Sasakian right side, rho1, R(X, Y)) and a bundle's shape gap; and
+C11(phi R) and its covariant derivative, trace(phi), the terms built from
+the vector pairs ((nabla_X phi) Y, the para-Sasakian right side, rho1,
+R(X, Y)) and a bundle's shape gap; and
 each distinct expression string of a field grid is parsed and evaluated
 once per grid, its tree built once per process; each metric is checked once,
 where it is evaluated, by one eigendecomposition; a jet product takes the
