@@ -39,13 +39,13 @@ def _resolve(name: str) -> ManifoldModel | HypersurfaceBundle:
     raise ManifestError(f"unknown model {name!r}: not a builtin ({known}) and no such file")
 
 
-def _run(name: str, suite: str, cfg: RunConfig) -> CheckReport:
-    """Run ``suite`` on the builtin or manifest ``name``; an embedding, a
-    field, a metric or a structure that fails to evaluate or to validate, or
-    a suite the target cannot run, is an input error naming ``name``."""
+def _run(name: str, kind: str, cfg: RunConfig) -> CheckReport:
+    """Run request ``kind`` on the builtin or manifest ``name``; an embedding,
+    a field, a metric or a structure that fails to evaluate or to validate,
+    or a suite the target cannot run, is an input error naming ``name``."""
     target = _resolve(name)
     try:
-        return run_suite(target, suite, cfg)
+        return run_suite(target, kind, cfg)
     except InducedStructureError as e:
         raise ManifestError(f"{name}: embedding validation failed: {e}") from e
     except (ValueError, JetDomainError) as e:
@@ -125,11 +125,11 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list_models()
         if args.command == "check":
             cfg = RunConfig(points=args.points, seed=args.seed, tol_scale=args.tol_scale)
-            return _emit(_run(args.model, args.suite, cfg), args.format, args.out)
+            kind = "hypersurface all" if args.suite == "hypersurface" else args.suite
+            return _emit(_run(args.model, kind, cfg), args.format, args.out)
         if args.command == "hypersurface":
-            cfg = RunConfig(points=args.points, seed=args.seed, tol_scale=args.tol_scale,
-                            hypersurface_subset=args.suite)
-            return _emit(_run(args.bundle, "hypersurface", cfg), args.format, args.out)
+            cfg = RunConfig(points=args.points, seed=args.seed, tol_scale=args.tol_scale)
+            return _emit(_run(args.bundle, f"hypersurface {args.suite}", cfg), args.format, args.out)
         if args.command == "synthetic":
             eps = 1 if args.epsilon in ("+1", "1") else -1
             cfg = RunConfig(seed=args.seed, tol_scale=args.tol_scale, trials=args.trials,

@@ -3,9 +3,11 @@
 Given an embedding chart into an ambient (n+1)-manifold carrying a product
 structure J with g~(JX, JY) = g~(X, Y) and parallel J, this module derives
 the induced structure (phi, xi, eta, g, eps) from the tangential/normal
-split of J, the shape operator A from the Weingarten map, and verifies the
-induced covariant-derivative displays, the shape-operator characterization
-of para-Sasakian hypersurfaces, and the Gauss-equation algebra.
+split of J, the shape operator A from the Weingarten map (one jet inverse of
+the frame serves both), and verifies, on the values of
+:class:`HypersurfaceData`, the induced covariant-derivative displays, the
+shape-operator characterization of para-Sasakian hypersurfaces, and the
+Gauss-equation algebra.
 
 The final-theorem verification is synthetic: a random tangent-space
 structure is drawn, A = -eps I + eps eta(x)xi is planted, the ambient
@@ -86,17 +88,6 @@ class HypersurfaceBundle:
         return self.ambient.dim - 1
 
 
-@dataclass
-class ShapeData:
-    """Shape operator and second fundamental form at the sample points.
-
-    Invariants: g(AX, Y) = g(X, AY) and h = eps g(A., .), eps the structure's, both
-    enforced by tests rather than construction."""
-
-    A: np.ndarray        # (P, n, n) values, A^a_b
-    h: np.ndarray        # (P, n, n)
-
-
 class AmbientJets:
     """The ambient g~ (jets of min(order, AMBIENT_METRIC_ORDER): the Gauss
     check reads R~ values, and the Weingarten map and nabla J~ read Gamma~
@@ -135,28 +126,25 @@ class AmbientJets:
 @dataclass
 class HypersurfaceData:
     """Everything evaluated along the embedding at a batch of chart points.
-    The tangency of JN and the ambient jets are measured at once; the induced
-    package, which exists only when JN is tangent, is built by
-    ``build_induced`` on the first read of any of its members: the induced
-    ``structure``, the ``shape`` operator data, ``frame_residual`` (the normal
-    part of the Weingarten derivative), ``epsilon_residual`` (max |g~(N, N) -
-    eps| over the samples) and ``tangent_frame`` ((P, n, n+1) values T_a^B =
-    d_a F^B); ``shape_gap``, rho2 of the characterization, on its own first read."""
+    The tangency of JN, the ambient jets, the tangent frame and the unit
+    normal's g~(N, N) are measured at once.  The induced package exists only
+    when JN is tangent: ``build_induced`` builds it on the first read of
+    ``structure``, ``A`` or ``frame_residual``.  h = eps g(A., .) and
+    ``shape_gap``, rho2 of the characterization, are each built on their own
+    first read."""
 
     tangency_residual: float       # max |g~(JN, N)| over the samples
     ambient: AmbientJets           # g~ and J~ at F(points)
-    build_induced: Callable[[], dict]
+    tangent_frame: np.ndarray      # (P, n, n+1) values T_a^B = d_a F^B
+    epsilon_residual: float        # max |g~(N, N) - eps| over the samples
+    build_induced: Callable[[], tuple[ParacontactStructure, np.ndarray, float]]
 
-    @cached_property
-    def induced(self) -> dict:
-        return self.build_induced()
-
-    structure = property(lambda self: self.induced["structure"])
-    shape = property(lambda self: self.induced["shape"])
-    frame_residual = property(lambda self: self.induced["frame_residual"])
-    epsilon_residual = property(lambda self: self.induced["epsilon_residual"])
-    tangent_frame = property(lambda self: self.induced["tangent_frame"])
-    shape_gap = cached_property(lambda self: shape_characterization_gap_per_point(self.structure, self.shape.A))
+    induced = cached_property(lambda self: self.build_induced())
+    structure = property(lambda self: self.induced[0])          # the induced (phi, xi, eta, g, eps)
+    A = property(lambda self: self.induced[1])                  # (P, n, n) values A^a_b of the shape operator
+    frame_residual = property(lambda self: self.induced[2])     # max |normal part of the Weingarten derivative|
+    h = cached_property(lambda self: self.structure.epsilon * np.einsum('pma,pmb->pab', self.A, self.structure.g0))
+    shape_gap = cached_property(lambda self: shape_characterization_gap_per_point(self.structure, self.A))
 
 
 # --------------------------------------------------------------------------
@@ -166,12 +154,14 @@ class HypersurfaceData:
 
 def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int = METRIC_ORDER) -> HypersurfaceData:
     """Push the embedding through the jet pipeline: tangent frames, unit
-    normal N and the tangency of JN at once; on first read, the induced (phi,
-    xi, eta, g) and the shape operator.  The embedding is evaluated to order
-    ``order`` + 1 so that the induced g reaches ``order``; the normal, the
-    frame split, phi, xi, eta and J~ are built at min(order, FIELD_ORDER),
-    which the Weingarten map reads to order 1, and the ambient jets at
-    F(points) to ``order`` at most.
+    normal N, the tangency of JN and g~(N, N) against eps at once; on first
+    read, the induced (phi, xi, eta, g) and the shape operator, whose
+    Weingarten map reads the constant term of the split's frame inverse.  N's
+    lowered form is the normal covector nu itself, with N's sign.  The
+    embedding is evaluated to order ``order`` + 1 so that the induced g
+    reaches ``order``; the normal, the frame split, phi, xi, eta and J~ are
+    built at min(order, FIELD_ORDER), which the Weingarten map reads to order
+    1, and the ambient jets at F(points) to ``order`` at most.
 
     The ambient metric at F(points) and the induced one must pass
     :func:`check_metric`, and the normal must be neither lightlike nor flip its
@@ -214,17 +204,17 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     rows = np.concatenate([T, fspace.constant(nu0[:, None], (P, 1, N1))], axis=1)   # (P, N1, N1, m)
     nu = invert_jet_matrix(fspace, rows)[:, :, n] * (nu0 ** 2).sum(axis=1)[:, None, None]
     check_metric(g_amb[..., 0], points, "ambient.metric")
-    g_amb_inv = invert_jet_matrix(fspace, g_amb)
-    N_un = fspace.matmul(g_amb_inv, nu[:, :, None])[:, :, 0]   # N^A = g~^{AB} nu_B
+    N_un = fspace.matmul(invert_jet_matrix(fspace, g_amb), nu[:, :, None])[:, :, 0]   # N^A = g~^{AB} nu_B
 
-    # orientation: first component above COMPONENT_SIGN_FLOOR of the largest made positive
+    # orientation: first component above COMPONENT_SIGN_FLOOR of the largest made positive; N_un and its
+    # lowered form nu take the same sign
     vals = N_un[..., 0]
     big = np.abs(vals) > COMPONENT_SIGN_FLOOR * _max_abs(vals, 1)[:, None]
     flip = np.where(vals[np.arange(P), np.argmax(big, axis=1)] < 0, -1.0, 1.0)
-    N_un = N_un * (emb.orientation * flip)[:, None, None]
+    sign = (emb.orientation * flip)[:, None, None]
+    N_un, N_low = N_un * sign, nu * sign
 
     # normalize to |g~(N, N)| = 1 and measure the tangency g~(N, JN) of JN = xi
-    N_low = fspace.matmul(g_amb, N_un[:, :, None])[:, :, 0]
     q = fspace.matmul(N_low[:, None], N_un[:, :, None])[:, 0, 0]     # g~(N, N) jets
     q0 = q[..., 0]
     # |g~(N, N)| relative to |N|^2 max |g~|, which bounds it up to a factor n + 1
@@ -243,9 +233,11 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
     N_hat = fspace.mul(N_un, scale[:, None, :])
     JN = fspace.matmul(J_amb, N_hat[:, :, None])[:, :, 0]
     tangency = float(_max_abs(fspace.matmul(N_low[:, None], JN[:, :, None])[:, 0, 0, 0]))
+    N0 = N_hat[..., 0]
+    eps_res = float(_max_abs(pair(g_amb[..., 0], N0[:, None], N0[:, None]) - eps))
     ambient = AmbientJets(amb, F[..., 0], order)
 
-    def build_induced() -> dict:
+    def build_induced() -> tuple[ParacontactStructure, np.ndarray, float]:
         # induced metric g_ab = g~(T_a, T_b)
         T_low = gspace.matmul(T_g, g_amb_g.swapaxes(1, 2))         # (P, n, N1, m): g~(T_a, .)
         gT = gspace.matmul(T_low, T_g.swapaxes(1, 2))               # (P, n, n, m)
@@ -270,23 +262,15 @@ def evaluate_bundle(bundle: HypersurfaceBundle, points: np.ndarray, order: int =
             eta=TensorValue(n, 0, 1, eta_c, fspace),
         )
 
-        # shape operator: nabla~_{T_a} N = -A T_a, ambient Christoffels at F(p)
+        # shape operator: nabla~_{T_a} N = -A T_a, ambient Christoffels at F(p); the coefficients of W_a
+        # in the frame are read off the constant term of the frame's jet inverse
         Gam_amb = ambient.connection.gamma.components[..., 0]        # (P, C, A, B)
-
-        N0 = N_hat[..., 0]
-        eps_res = float(_max_abs(pair(g_amb[..., 0], N0[:, None], N0[:, None]) - eps))
         dN = fspace.gradient_values(N_hat)                 # (P, N1, n): d_a (N o F)^C
         W = np.einsum('pca->pac', dN) + apply_op(Gam_amb, T0, N0[:, None])   # Gamma~^C_AB T_a^A N^B
-        frame0 = frame[..., 0]
-        x = np.linalg.solve(frame0, _moveaxis(W, 1, 2))  # (P, n+1, n): coeffs of W_a
-        A = -x[:, :n, :]                                   # A^b_a
-        frame_res = float(_max_abs(x[:, n, :]))
-        g0 = gT[..., 0]
-        h = eps * np.einsum('pma,pmb->pab', A, g0)
-        return dict(structure=structure, shape=ShapeData(A=A, h=h), frame_residual=frame_res,
-                    epsilon_residual=eps_res, tangent_frame=T0)
+        x = frame_inv[..., 0] @ _moveaxis(W, 1, 2)         # (P, n+1, n): coeffs of W_a
+        return structure, -x[:, :n, :], float(_max_abs(x[:, n, :]))     # A^b_a, the normal part
 
-    return HypersurfaceData(tangency, ambient, build_induced)
+    return HypersurfaceData(tangency, ambient, T0, eps_res, build_induced)
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +298,7 @@ def verify_induced_derivatives(res: StructureCheckResult, data: HypersurfaceData
     """
     s = v.struct
     eps = s.epsilon
-    A = data.shape.A
+    A = data.A
     phi, xi, eta, g = s.phi0, s.xi0, s.eta0, s.g0
     X, Y = v.X, v.Y
 
@@ -337,7 +321,7 @@ def check_induced_frame(res: StructureCheckResult, data: HypersurfaceData, axiom
     checked on the induced structure."""
     res.add("hypersurface.jn-tangent", data.tangency_residual)
     res.add("hypersurface.weingarten-tangent", data.frame_residual)
-    Alow = data.structure.epsilon * data.shape.h                     # g(A., .)
+    Alow = data.structure.epsilon * data.h                           # g(A., .)
     res.add("hypersurface.shape-self-adjoint", Alow - Alow.swapaxes(1, 2), Alow)
     res.add("hypersurface.epsilon-consistent", data.epsilon_residual, detail=f"eps = {data.structure.epsilon:+d}")
     for c in axioms.records.values():
@@ -357,7 +341,7 @@ def check_gauss_equation(res: StructureCheckResult, data: HypersurfaceData):
     correction, classical index order."""
     s = data.structure
     eps = s.epsilon
-    h = data.shape.h
+    h = data.h
     R_int = s.curvature.riemann_dddd.components[..., 0]
     R_amb = data.ambient.curvature.riemann_dddd.components[..., 0]
     R_res = pull_back(R_amb, data.tangent_frame)
@@ -418,10 +402,11 @@ def check_ps_characterization(res: StructureCheckResult, data: HypersurfaceData,
             target, detail=f"linear system rank {rank} of {s.dim ** 2}")
 
 
-def quasi_umbilical_check(res: StructureCheckResult, shape: ShapeData, struct: ParacontactStructure):
+def quasi_umbilical_check(res: StructureCheckResult, h: np.ndarray, struct: ParacontactStructure):
     """The quasi-umbilical decomposition h = -g + eps eta(x)eta (alpha = -1,
-    beta = eps, u = eta), which holds when A is the characterized operator."""
-    res.add("hypersurface.quasi-umbilical", shape.h + struct.g0 - struct.epsilon * struct.ee0)
+    beta = eps, u = eta) of the (P, n, n) values h, which holds when A is the
+    characterized operator."""
+    res.add("hypersurface.quasi-umbilical", h + struct.g0 - struct.epsilon * struct.ee0)
 
 
 # --------------------------------------------------------------------------

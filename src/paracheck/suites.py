@@ -1,9 +1,11 @@
 """Suite orchestration: run named check suites on a model or bundle and
 assemble a deterministic report.
 
-Suites: structure, sasakian, curvature, einstein, lie (chart models and
-bundles, run on the induced structure for bundles), hypersurface (bundles
-only), all.  :func:`run_synthetic` runs the target-free synthetic trials.
+A request is named once, by its kind, a :data:`REQUESTS` key that the
+report's suite field names: structure, sasakian, curvature, einstein, lie
+(run on the induced structure for bundles), all, and 'hypersurface <subset>'
+(bundles only; ``check --suite hypersurface`` is 'hypersurface all').
+:func:`run_synthetic` runs the target-free synthetic trials.
 
 Each record is declared once, as a row of :data:`report.CHECKS`.  A request
 builds one recorder beside it, :class:`report.StructureCheckResult` at the
@@ -62,7 +64,6 @@ class RunConfig:
     epsilon: int = 1           # synthetic suite
     dim: int = 3               # synthetic suite
     perturb_a: float = 0.0     # synthetic negative control
-    hypersurface_subset: str = "all"
 
     def __post_init__(self):
         if self.points < 1:
@@ -83,8 +84,6 @@ class RunConfig:
             raise ValueError(f"--trials must be at most {hl.SYNTHETIC_MAX_TRIALS}, got {self.trials}")
         if self.epsilon not in (1, -1):
             raise ValueError(f"synthetic check needs epsilon +1 or -1, got {self.epsilon}")
-        if self.hypersurface_subset not in HYPERSURFACE_SUBSETS:
-            raise ValueError(f"unknown hypersurface subset {self.hypersurface_subset!r}")
 
 
 class _ModelContext:
@@ -191,7 +190,7 @@ REQUESTS = {
                                                hl.verify_induced_derivatives(res, ctx.data, ctx.pairs))),)),
     "hypersurface characterization": (1, (
         ("hypersurface", (), lambda res, ctx: hl.check_ps_characterization(res, ctx.data, ctx.pairs)),
-        ("hypersurface", SHAPE, lambda res, ctx: hl.quasi_umbilical_check(res, ctx.data.shape, ctx.data.structure)))),
+        ("hypersurface", SHAPE, lambda res, ctx: hl.quasi_umbilical_check(res, ctx.data.h, ctx.data.structure)))),
 }
 # "all" runs the five model suites' groups, "hypersurface all" the three subsets' groups
 REQUESTS["all"] = (METRIC_ORDER, tuple(g for kind in SUITES[:5] for g in REQUESTS[kind][1]))
@@ -201,16 +200,17 @@ REQUESTS["hypersurface all"] = (2, tuple(g for subset in ("gauss", "induced", "c
 
 # arithmetic that overflows runs quietly: the recorder fails every non-finite residual
 @np.errstate(over="ignore", invalid="ignore")
-def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: RunConfig | None = None) -> CheckReport:
-    """Run one suite (or 'all') against a chart model or a bundle."""
+def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, kind: str, cfg: RunConfig | None = None) -> CheckReport:
+    """Run request ``kind``, a :data:`REQUESTS` key, against a chart model or
+    a bundle; the report's suite field names the kind."""
     cfg = cfg or RunConfig()
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if kind not in REQUESTS:
+        raise ValueError(f"unknown suite {kind!r}; choose from {', '.join(REQUESTS)}")
     name = target.name
     is_bundle = isinstance(target, hl.HypersurfaceBundle)
-    if suite == "hypersurface" and not is_bundle:
+    if kind.startswith("hypersurface") and not is_bundle:
         raise ValueError("suite 'hypersurface' needs a bundle target, not a chart model")
-    order, groups = REQUESTS[f"hypersurface {cfg.hypersurface_subset}" if suite == "hypersurface" else suite]
+    order, groups = REQUESTS[kind]
     res = StructureCheckResult(cfg.tol_scale)
     points = sample_points(target.embedding.domain if is_bundle else target.domain, cfg.points,
                            derive_rng(cfg.seed, name, "points"))
@@ -221,14 +221,14 @@ def run_suite(target: ManifoldModel | hl.HypersurfaceBundle, suite: str, cfg: Ru
             # induced-structure hypothesis violated: report just that and stop
             hl.check_ambient(res, data.ambient)
             res.add("hypersurface.jn-tangent", data.tangency_residual, detail="JN not tangent")
-            return new_report(name, suite, cfg.seed, cfg.points, res)
+            return new_report(name, kind, cfg.seed, cfg.points, res)
     ctx = _ModelContext(data.structure if is_bundle else evaluate_structure(target, points, order), name, cfg, data)
-    if suite == "all" and is_bundle:
+    if kind == "all" and is_bundle:
         groups += REQUESTS["hypersurface all"][1]
     for prefix, gates, checks in groups:
         if ctx.gates_hold(res, prefix, gates):
             checks(res, ctx)
-    return new_report(name, suite, cfg.seed, cfg.points, res)
+    return new_report(name, kind, cfg.seed, cfg.points, res)
 
 
 @np.errstate(over="ignore", invalid="ignore")

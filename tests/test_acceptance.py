@@ -257,18 +257,18 @@ def test_criterion_09_hypersurface_suite(e3a_100, e3b_100):
     ok = True
     vec_a = random_vectors(derive_rng(SEED, "E3a", "acc-vec"), e3a_100.structure.npoints, 2 * TUPLES, 3)
     ok &= passed(recorded(check_axioms, VectorPairs(e3a_100.structure, vec_a)))
-    ok &= float(np.max(np.abs(e3a_100.shape.A))) == 0.0
+    ok &= float(np.max(np.abs(e3a_100.A))) == 0.0
 
     vec_b = random_vectors(derive_rng(SEED, "E3b", "acc-vec"), e3b_100.structure.npoints, 2 * TUPLES, 3)
     pairs_b = VectorPairs(e3b_100.structure, vec_b)
     ok &= passed(recorded(check_axioms, pairs_b))
-    eig = np.sort(np.linalg.eigvals(e3b_100.shape.A[0]).real)
+    eig = np.sort(np.linalg.eigvals(e3b_100.A[0]).real)
     ok &= bool(np.max(np.abs(eig - np.array([-1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)]))) < 1e-6)
     ind = recorded(verify_induced_derivatives, e3b_100, pairs_b)
     ok &= max(c.residual for c in ind.records.values()) < 1e-7
     tol = 1e-7
     rho1 = pairs_b.rho1
-    rho2 = shape_characterization_gap_per_point(e3b_100.structure, e3b_100.shape.A)
+    rho2 = shape_characterization_gap_per_point(e3b_100.structure, e3b_100.A)
     ok &= bool(np.min(rho1) > 10 * tol and np.min(rho2) > 10 * tol)
     ok &= bool(np.all((rho1 <= tol) == (rho2 <= tol)))
     assert _announce("9 (hypersurface suite)", ok)
@@ -362,7 +362,7 @@ def test_criterion_11_negative_controls():
         "curvature": f0_report.exit_code,
         "einstein": run_suite(builtin_bundles()["E3b"], "einstein", cfg).exit_code,
         "lie": run_suite(get_model("F0"), "lie", cfg).exit_code,
-        "hypersurface": run_suite(builtin_bundles()["B1"], "hypersurface", cfg).exit_code,
+        "hypersurface": run_suite(builtin_bundles()["B1"], "hypersurface all", cfg).exit_code,
         "synthetic": run_synthetic(RunConfig(seed=SEED, trials=3, epsilon=1, dim=3,
                                              perturb_a=5e-3)).exit_code,
     }

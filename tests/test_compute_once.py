@@ -3,7 +3,9 @@ requested check reads it: the connection of every metric, each covariant
 derivative, the axiom checks, the para-Sasakian gate run, each gate's value,
 C11(phi R) and its covariant derivative, trace(phi), the terms built from
 the vector pairs ((nabla_X phi) Y, the para-Sasakian right side, rho1,
-R(X, Y)) and a bundle's shape gap; and
+R(X, Y)), and a bundle's induced package, its h = eps g(A., .) and its
+shape gap, its Weingarten map read off the frame inverse with no linear
+solve; and
 each distinct expression string of a field grid is parsed and evaluated
 once per grid, its tree built once per process; each metric is checked once,
 where it is evaluated, by one eigendecomposition; a jet product takes the
@@ -115,7 +117,7 @@ def test_gauss_request_takes_one_covariant_derivative(monkeypatch):
     """The gauss subset reads nabla J~ and the curvature values of the
     ambient and induced metrics, neither curvature's div Q."""
     nabla = _count(monkeypatch, geometry_engine.covariant_derivative)
-    run_suite(builtin_bundles()["E3a"], "hypersurface", RunConfig(points=10, hypersurface_subset="gauss"))
+    run_suite(builtin_bundles()["E3a"], "hypersurface gauss", RunConfig(points=10))
     assert nabla["n"] == 1
 
 
@@ -197,6 +199,47 @@ def test_bundle_all_builds_each_vector_pair_term_once(monkeypatch, name):
     builds, rhs, rho1, gap = _pair_builds(monkeypatch)
     run_suite(builtin_bundles()[name], "all", RunConfig(points=10))
     assert (builds["grad-phi"], rhs["n"], builds["R(X,Y)"], rho1["n"], gap["n"]) == (1, 1, 1, 1, 1)
+
+
+def _builds(monkeypatch, prop) -> dict:
+    """Counts the builds of the cached property ``prop`` of a class."""
+    calls = {"n": 0}
+    build = prop.func
+
+    def counted(self):
+        calls["n"] += 1
+        return build(self)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return calls
+
+
+@pytest.mark.parametrize("target,builds", [pytest.param("B1", 0, id="B1"), pytest.param("E3a", 1, id="E3a"),
+                                           pytest.param("E3b", 1, id="E3b")])
+def test_bundle_all_builds_the_induced_package_and_h_on_first_read(monkeypatch, target, builds):
+    """A bundle's induced package (one build_induced call: the structure, A
+    and the frame residual) and h = eps g(A., .) are each built on first
+    read, once; B1, whose JN is not tangent, reads neither."""
+    induced = _builds(monkeypatch, hypersurface_lab.HypersurfaceData.induced)
+    h = _builds(monkeypatch, hypersurface_lab.HypersurfaceData.h)
+    run_suite(builtin_bundles()[target], "all", RunConfig(points=10))
+    assert (induced["n"], h["n"]) == (builds, builds)
+
+
+@pytest.mark.parametrize("target", [pytest.param("E3a", id="E3a"), pytest.param("E3b", id="E3b")])
+def test_bundle_all_reads_the_weingarten_map_off_the_frame_inverse(monkeypatch, target):
+    """The frame split's jet inverse of the frame (T_1 .. T_n, N) also gives
+    the Weingarten map's coefficients, so no linear system is solved."""
+    solve = np.linalg.solve
+    solves = {"n": 0}
+
+    def counted(*args, **kwargs):
+        solves["n"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    run_suite(builtin_bundles()[target], "all", RunConfig(points=10))
+    assert solves["n"] == 0
 
 
 def test_chart_all_contracts_r_with_the_pairs_once(monkeypatch):

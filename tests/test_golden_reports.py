@@ -8,10 +8,12 @@ eps = +-1, n in {3, 5}, and ``check --suite all`` on the test manifests of
 ``tests/fixtures/``: W1 is E1 with the x2 metric factor (1 + x1^2)^2 / y^2,
 para-Sasakian but not Einstein-like, so the fit fails there and the rows
 behind it are measured where they can fail; W2 is its eps = -1 twin, E2 with
-the same factor.  Every request runs at seed 42 unless its argv names its own
-seed, as W1's second case does (seed 7).  Statuses and exit codes must match
-exactly; residuals within 1e-12 absolute.  Sizes are small so the whole
-comparison stays fast: 10 points for dim-3 targets, 6 for the dim-5 charts
+the same factor; W22p and W22m are the warped charts W(2, 2, +1) and
+W(2, 2, -1) of ``tests/test_families.py``, para-Sasakian with a unique
+(rank-3) fit.  Every request runs at seed 42 unless its argv names its own
+seed, as the second case of W1, W22p and W22m does (seed 7).  Statuses and
+exit codes must match exactly; residuals within 1e-12 absolute.  Sizes are
+small so the whole comparison stays fast: 10 points for dim-3 targets, 6 for the dim-5 charts
 (enough for the fit-stability split), 50 synthetic trials.
 
 Regenerate the goldens only when the expected output really changes, and
@@ -66,7 +68,7 @@ HYPERSURFACE_SUBSETS = ("induced", "gauss", "characterization", "all")
 POINTS = {"E1": 10, "E2": 10, "E1n5": 6, "E2n5": 6, "N1": 10, "F0": 10,
           "E3a": 10, "E3b": 10, "B1": 10}
 SYNTHETIC_TRIALS = 50
-MANIFESTS = {"W1": 10, "W2": 10}      # test manifest -> points of its check-all case
+MANIFESTS = {"W1": 10, "W2": 10, "W22p": 10, "W22m": 10}      # test manifest -> points of its check-all case
 
 
 def cases() -> dict[str, dict[str, list[str]]]:
@@ -87,7 +89,8 @@ def cases() -> dict[str, dict[str, list[str]]]:
     }
     for name, points in MANIFESTS.items():
         out[name] = {"check-all": ["check", f"tests/fixtures/{name}.json", "--suite", "all", "--points", str(points)]}
-    out["W1"]["check-all-seed7"] = [*out["W1"]["check-all"], "--seed", "7"]
+    for name in ("W1", "W22p", "W22m"):
+        out[name]["check-all-seed7"] = [*out[name]["check-all"], "--seed", "7"]
     return out
 
 

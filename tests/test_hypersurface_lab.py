@@ -139,7 +139,7 @@ def _full_gauss_chain(epsilon, g, phi, xi, eta, perturb_a):
 class TestInducedStructure:
     def test_hyperplane_is_totally_geodesic(self, e3a_data):
         assert e3a_data.structure.epsilon == 1
-        assert np.max(np.abs(e3a_data.shape.A)) == 0.0
+        assert np.max(np.abs(e3a_data.A)) == 0.0
         assert e3a_data.tangency_residual < 1e-12
         assert e3a_data.epsilon_residual < 1e-12
 
@@ -200,8 +200,8 @@ class TestInducedStructure:
         scaled = dataclasses.replace(b, embedding=dataclasses.replace(
             b.embedding, map=[f"{factor}*({m})" for m in b.embedding.map]))
         cfg = RunConfig(points=10)
-        want = {c.id: c.status for c in run_suite(b, "hypersurface", cfg).checks}
-        assert {c.id: c.status for c in run_suite(scaled, "hypersurface", cfg).checks} == want
+        want = {c.id: c.status for c in run_suite(b, "hypersurface all", cfg).checks}
+        assert {c.id: c.status for c in run_suite(scaled, "hypersurface all", cfg).checks} == want
 
     def test_scaled_cone_keeps_its_orientation(self):
         """The normal is oriented by a floor relative to its largest
@@ -263,21 +263,21 @@ class TestInducedStructure:
         whole hypersurface suite at every k: every record passes but the
         quasi-umbilical one, which is not applicable."""
         cfg = RunConfig(points=10)
-        want = {c.id: c.status for c in run_suite(builtin_bundles()["E3a"], "hypersurface", cfg).checks}
+        want = {c.id: c.status for c in run_suite(builtin_bundles()["E3a"], "hypersurface all", cfg).checks}
         assert {cid: status for cid, status in want.items() if status != "pass"} == {
             "hypersurface.quasi-umbilical": "not-applicable"}
         for k in (2, 3, 4):
-            assert {c.id: c.status for c in run_suite(_split_hyperplane(k), "hypersurface", cfg).checks} == want
+            assert {c.id: c.status for c in run_suite(_split_hyperplane(k), "hypersurface all", cfg).checks} == want
 
 
 class TestShapeOperator:
     def test_cone_eigenvalues_at_reference_point(self, e3b_data):
-        eig = np.sort(np.linalg.eigvals(e3b_data.shape.A[0]).real)
+        eig = np.sort(np.linalg.eigvals(e3b_data.A[0]).real)
         expected = np.array([-1.0 / np.sqrt(2.0), 0.0, 1.0 / np.sqrt(2.0)])
         assert np.max(np.abs(eig - expected)) < 1e-6
 
     def test_cone_zero_eigenvector_is_xi(self, e3b_data):
-        Axi = np.einsum('pab,pb->pa', e3b_data.shape.A, e3b_data.structure.xi0)
+        Axi = np.einsum('pab,pb->pa', e3b_data.A, e3b_data.structure.xi0)
         assert np.max(np.abs(Axi)) < 1e-9
 
     def test_self_adjointness(self, e3a_data, e3b_data):
@@ -287,9 +287,9 @@ class TestShapeOperator:
             assert res.records["hypersurface.shape-self-adjoint"].residual < 1e-8
 
     def test_h_is_eps_g_a(self, e3b_data):
-        h = e3b_data.shape.h
+        h = e3b_data.h
         g = e3b_data.structure.g0
-        A = e3b_data.shape.A
+        A = e3b_data.A
         assert np.max(np.abs(h - e3b_data.structure.epsilon * np.einsum('pma,pmb->pab', A, g))) < 1e-12
 
     def test_weingarten_matches_finite_differences(self):
@@ -325,7 +325,7 @@ class TestShapeOperator:
             for a in range(3):
                 coef, *_ = np.linalg.lstsq(T.T, -dN[a], rcond=None)
                 A_fd[:, a] = coef
-            assert np.max(np.abs(data.shape.A[k] - A_fd)) < 1e-5
+            assert np.max(np.abs(data.A[k] - A_fd)) < 1e-5
 
     def test_graph_amplitude_continuity(self):
         """A graph hypersurface u2 = amp * f(s, t, w): A -> 0 with the
@@ -339,7 +339,7 @@ class TestShapeOperator:
             bundle = HypersurfaceBundle(name=f"graph{amp}", ambient=amb, embedding=emb)
             pts = sample_points(emb.domain, 8, derive_rng(7, "graph", "pts"))
             data = evaluate_bundle(bundle, pts)
-            norms.append(float(np.max(np.abs(data.shape.A))))
+            norms.append(float(np.max(np.abs(data.A))))
         assert norms[0] > norms[1] > norms[2]
         assert norms[2] < 0.12
 
@@ -362,7 +362,7 @@ class TestInducedDerivatives:
 
         class Flipped:
             structure = ParacontactStructure(s.points, -s.epsilon, s.g, s.phi, s.xi, s.eta)
-            shape = e3b_data.shape
+            A = e3b_data.A
 
         res = recorded(verify_induced_derivatives, Flipped, _pairs(Flipped.structure, "E3b-flip"))
         assert "hypersurface.induced-grad-eta" in [c.id for c in res.records.values() if c.status == "fail"]
@@ -464,34 +464,27 @@ def _pointwise_structure(g, phi, xi, eta, eps):
 
 class TestQuasiUmbilical:
     def test_planted_operator_exact(self, rng):
-        from paracheck.hypersurface_lab import ShapeData
-
         g, phi, xi, eta = random_pointwise_structure(rng, 4, -1)
         eps = -1
         A = -eps * np.eye(4) + eps * np.outer(xi, eta)
         struct = _pointwise_structure(g, phi, xi, eta, eps)
         h = eps * np.einsum('ma,mb->ab', A, g)
-        shape = ShapeData(A=A[None], h=h[None])
-        res = recorded(quasi_umbilical_check, shape, struct)
+        res = recorded(quasi_umbilical_check, h[None], struct)
         assert passed(res)
         assert res.records["hypersurface.quasi-umbilical"].residual < 1e-12
 
     def test_hyperplane_not_applicable(self):
-        cfg = RunConfig(points=10, seed=7, hypersurface_subset="characterization")
-        report = run_suite(builtin_bundles()["E3a"], "hypersurface", cfg)
+        report = run_suite(builtin_bundles()["E3a"], "hypersurface characterization", RunConfig(points=10, seed=7))
         rec = next(c for c in report.checks if c.id == "hypersurface.quasi-umbilical")
         assert rec.status == "not-applicable"
         assert rec.detail.startswith("gate shape-characterized: ")
 
     def test_perturbed_operator_fails(self, rng):
-        from paracheck.hypersurface_lab import ShapeData
-
         g, phi, xi, eta = random_pointwise_structure(rng, 3, 1)
         A = -np.eye(3) + np.outer(xi, eta) + 5e-3 * np.outer(xi, eta)
         struct = _pointwise_structure(g, phi, xi, eta, 1)
         h = np.einsum('ma,mb->ab', A, g)
-        shape = ShapeData(A=A[None], h=h[None])
-        res = recorded(quasi_umbilical_check, shape, struct)
+        res = recorded(quasi_umbilical_check, h[None], struct)
         assert not passed(res)
 
 

@@ -56,8 +56,8 @@ def test_the_table_covers_every_request_kind():
     kinds |= {f"hypersurface {s}" for s in suites.HYPERSURFACE_SUBSETS}
     assert set(REQUESTS) == kinds
     assert max(order for order, _ in REQUESTS.values()) == METRIC_ORDER
-    with pytest.raises(ValueError, match="unknown hypersurface subset"):
-        RunConfig(hypersurface_subset="shape")
+    with pytest.raises(ValueError, match="unknown suite 'hypersurface shape'"):
+        run_suite(builtin_bundles()["E3b"], "hypersurface shape")
 
 
 def _floor(kind: str) -> int:
@@ -70,13 +70,9 @@ def test_one_order_below_the_declared_order_cannot_evaluate(monkeypatch, kind):
     """Chart kinds run on E1, bundle subsets on E3b."""
     order, groups = REQUESTS[kind]
     monkeypatch.setitem(REQUESTS, kind, (order - 1, groups))
-    if _floor(kind):
-        target, suite = builtin_bundles()["E3b"], "hypersurface"
-        cfg = RunConfig(points=5, hypersurface_subset=kind.split()[1])
-    else:
-        target, suite, cfg = get_model("E1"), kind, RunConfig(points=5)
+    target = builtin_bundles()["E3b"] if _floor(kind) else get_model("E1")
     with pytest.raises(InsufficientOrderError):
-        run_suite(target, suite, cfg)
+        run_suite(target, kind, RunConfig(points=5))
 
 
 def _product_orders(monkeypatch) -> set[int]:

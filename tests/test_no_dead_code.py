@@ -155,7 +155,7 @@ class _Types:
     expression ``e.a`` takes the annotation of field or property ``a`` of
     e's class, or the type of the value an ``__init__`` assigns to
     ``self.a``, else the one annotation the package gives the name ``a``
-    (``data.shape``, an unannotated property, is a ShapeData); a call of
+    (``data.A``, an unannotated property, is an ndarray); a call of
     a class, its class; a call of a function or method, its return
     annotation; a subscript or an iteration of a container, its items."""
 

@@ -74,7 +74,7 @@ class TestRunSuite:
 
     def test_hypersurface_needs_bundle(self):
         with pytest.raises(ValueError, match="bundle"):
-            run_suite(get_model("E1"), "hypersurface", CFG)
+            run_suite(get_model("E1"), "hypersurface all", CFG)
 
     def test_every_suite_has_a_failing_fixture(self):
         """Checks that can never fail are defects: each suite must reject at
@@ -85,7 +85,7 @@ class TestRunSuite:
             "curvature": run_suite(get_model("F0"), "curvature", CFG),
             "einstein": run_suite(builtin_bundles()["E3b"], "einstein", CFG),
             "lie": run_suite(get_model("F0"), "lie", CFG),
-            "hypersurface": run_suite(builtin_bundles()["B1"], "hypersurface", CFG),
+            "hypersurface": run_suite(builtin_bundles()["B1"], "hypersurface all", CFG),
             "synthetic": run_synthetic(RunConfig(seed=7, trials=3, epsilon=1, dim=3,
                                                  perturb_a=5e-3)),
         }
@@ -108,8 +108,7 @@ class TestRunSuite:
             ("gauss", {"hypersurface.gauss-equation", "hypersurface.ambient-j-parallel"}),
             ("characterization", {"hypersurface.characterization-iff", "hypersurface.quasi-umbilical"}),
         ]:
-            cfg = RunConfig(points=10, seed=7, hypersurface_subset=subset)
-            report = run_suite(builtin_bundles()["E3b"], "hypersurface", cfg)
+            report = run_suite(builtin_bundles()["E3b"], f"hypersurface {subset}", RunConfig(points=10, seed=7))
             ids = {c.id for c in report.checks}
             assert expected_ids <= ids, subset
 

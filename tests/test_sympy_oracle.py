@@ -27,8 +27,10 @@ E1 with the x2 metric factor (1 + x1^2)^2 / y^2): its para-Sasakian defining
 equation holds identically, and its Ricci tensor is no constant combination
 of g, Phi and eta(x)eta, so the Einstein-like fit fails there because W1 is
 not Einstein-like.  The same exact Gamma, Riemann, Ricci, scalar curvature,
-nabla phi and L_xi g of W1 and of E1, and of their eps = -1 twins W2 and E2
-(tests/fixtures/W2.json), check the chart pipeline's values at dyadic points;
+nabla phi and L_xi g of W1 and of E1, of their eps = -1 twins W2 and E2
+(tests/fixtures/W2.json), and of the warped charts W(2, 2, +-1)
+(tests/fixtures/W22p.json and W22m.json), check the chart pipeline's values
+at dyadic points;
 the exact Taylor coefficients of the builtin bundles' embedding maps check
 their order-4 jets.
 """
@@ -252,15 +254,17 @@ DYADIC_POINTS = [(sp.Rational(1, 2), sp.Rational(-3, 4), sp.Rational(5, 4)),
                  (sp.Rational(-3, 2), sp.Rational(1, 4), sp.Integer(2))]
 
 
-@pytest.mark.parametrize("target", ["W1", "E1", "W2", "E2"])
+@pytest.mark.parametrize("target", ["W1", "E1", "W2", "E2", "W22p", "W22m"])
 def test_chart_pipeline_matches_the_exact_geometry(target):
     """The jet pipeline's Gamma^k_ij, R^l_ijk, S_jk, r, (nabla_i phi)^k_j and L_xi g of W1 and of
-    its Einstein-like control E1 (W1's chart with the x2 factor 1/y^2), and of their Lorentzian
-    (eps = -1, index 1) twins W2 and E2, equal the exact ones at dyadic points, to 1e-12
-    relative to the largest exact entry.  W1's x2 factor varies with x1, so an index slip that
-    commutes with a conformally flat metric shows here.  W1 and W2 load through the manifest
-    parser, so the request's index check runs on a Lorentzian chart too."""
-    fixture = FIXTURES / ("W1.json" if target in ("W1", "E1") else "W2.json")
+    its Einstein-like control E1 (W1's chart with the x2 factor 1/y^2), of their Lorentzian
+    (eps = -1, index 1) twins W2 and E2, and of the warped charts W(2, 2, +1) and W(2, 2, -1)
+    (W22p and W22m, index 2), equal the exact ones at dyadic points, to 1e-12 relative to the
+    largest exact entry.  W1's x2 factor varies with x1, so an index slip that commutes with a
+    conformally flat metric shows here; the warped charts' factors are exponentials of their
+    middle coordinate.  The manifests load through the manifest parser, so the request's index
+    check runs on indefinite charts too."""
+    fixture = FIXTURES / ({"E1": "W1", "E2": "W2"}.get(target, target) + ".json")
     manifest = target.startswith("W")
     coords, g, phi, xi, *_ = _chart(fixture, None if manifest else "1/(y^2)")
     n = len(coords)
