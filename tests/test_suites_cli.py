@@ -242,6 +242,19 @@ class TestReportSchema:
             assert c["status"] in {"pass", "fail", "vacuous", "not-applicable",
                                    "printed-form-mismatch"}
 
+    @pytest.mark.parametrize("argv,kind", [
+        (("check", "E1", "--suite", "structure"), "structure"),
+        (("check", "E3b", "--suite", "hypersurface"), "hypersurface all"),
+        (("hypersurface", "E3b", "--suite", "gauss"), "hypersurface gauss"),
+        (("hypersurface", "B1"), "hypersurface all"),
+    ], ids=["check-structure", "check-hypersurface", "hypersurface-gauss", "hypersurface-b1"])
+    def test_suite_field_names_the_request_kind(self, tmp_path, argv, kind):
+        """A CLI request runs one REQUESTS kind, and its report's suite
+        field names it, also on B1's early return."""
+        out = tmp_path / "report.json"
+        main([*argv, "--points", "5", "--format", "json", "--out", str(out)])
+        assert json.loads(out.read_text())["suite"] == kind
+
     def test_text_format_mentions_every_check(self):
         report = run_suite(get_model("E1"), "structure", CFG)
         text = report.to_text()
